@@ -4,7 +4,8 @@ Subcommands: oracle, verify-tables, scan, solution, catalog, cauchy.
 Reports are deterministic (same command, seed and tol produce byte-identical
 output) and are written as JSON or CSV to stdout or --output.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage/config error.
+Exit codes: 0 all checks passed, 1 a check failed, 2 usage/config error
+(bad input is rejected with a one-line message before any work).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import cauchy, product6d, tables
@@ -37,17 +38,25 @@ class RunConfig:
     command: str
     tol: float
     seed: int
-    parallelism: int
     output: str | None
     format: str
 
 
-def _parallel_map(fn, items, parallelism: int):
-    items = list(items)
-    if parallelism <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(fn, items))
+# numeric flags, by argparse dest, that must be a positive count or finite
+POSITIVE_FLAGS = ("samples", "grid", "nx", "ny")
+FINITE_FLAGS = ("lo", "hi", "dt", "l1", "l2", "f0")
+
+
+def _check_args(args) -> None:
+    """Reject out-of-range numeric input before any work is done."""
+    for name in POSITIVE_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{name} must be a positive integer, got {value}")
+    for name in FINITE_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name} must be finite, got {value}")
 
 
 def _flatten(prefix: str, value, row: dict) -> None:
@@ -105,15 +114,11 @@ def cmd_verify_tables(args, cfg: RunConfig) -> tuple:
     table_ids = [tables.resolve_table(args.theorem)] if args.theorem else list(
         dict.fromkeys(tables.resolve_table(t) for t in TABLE_CHOICES)
     )
-    work = []
-    for table_id in table_ids:
-        for row in tables.table_rows(table_id):
-            work.append((table_id, row))
-    reports = _parallel_map(
-        lambda tr: tables.verify_table_row(tr[0], tr[1], tol=cfg.tol),
-        work,
-        cfg.parallelism,
-    )
+    reports = [
+        tables.verify_table_row(table_id, row, tol=cfg.tol)
+        for table_id in table_ids
+        for row in tables.table_rows(table_id)
+    ]
     items = []
     passed = True
     for table_id in table_ids:
@@ -215,6 +220,8 @@ def cmd_catalog(args, cfg: RunConfig) -> tuple:
     l_samples = [float(x) for x in args.l_samples.split(",")] if args.l_samples else [
         0.0, 0.25, 0.5, 0.75, 0.9,
     ]
+    if not all(math.isfinite(l) for l in l_samples):
+        raise ValueError(f"--l-samples must be finite, got {args.l_samples}")
     results = product6d.run_catalog(args.epsilon_n, l_samples, tol=cfg.tol)
     items = [
         {
@@ -292,7 +299,9 @@ def _common_flags(defaults: bool) -> argparse.ArgumentParser:
 
     common.add_argument("--tol", type=float, default=dflt(None), help="numerical tolerance")
     common.add_argument("--seed", type=int, default=dflt(0), help="RNG seed")
-    common.add_argument("--parallelism", type=int, default=dflt(1), help="worker threads")
+    common.add_argument("--parallelism", type=int, default=dflt(1),
+                        help="accepted for compatibility; has no effect, all work runs "
+                        "in one thread")
     common.add_argument("--output", type=str, default=dflt(None), help="report file path")
     common.add_argument("--format", choices=("json", "csv"), default=dflt("json"))
     return common
@@ -366,15 +375,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    cfg = RunConfig(
-        command=args.command,
-        tol=get_tol(args.tol) if args.tol is not None else get_tol(),
-        seed=args.seed,
-        parallelism=max(1, args.parallelism),
-        output=args.output,
-        format=args.format,
-    )
     try:
+        cfg = RunConfig(
+            command=args.command,
+            tol=get_tol(args.tol),
+            seed=args.seed,
+            output=args.output,
+            format=args.format,
+        )
+        _check_args(args)
         passed, body = COMMANDS[args.command](args, cfg)
     except (EpsContactError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,29 +2,40 @@
 
 "Zero" throughout the library means |x| <= tol on O(1)-normalized inputs.
 The default is 1e-9 absolute and can be overridden per call, globally via
-:func:`set_tol`, or by the ``EPSCONTACT_TOL`` environment variable.
+:func:`set_tol`, or by the ``EPSCONTACT_TOL`` environment variable, which is
+read on first use.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 DEFAULT_TOL = 1e-9
 
-_tol = float(os.environ.get("EPSCONTACT_TOL", DEFAULT_TOL))
+_tol: float | None = None
+
+
+def _checked(tol, source: str) -> float:
+    try:
+        value = float(tol)
+    except (TypeError, ValueError):
+        raise ValueError(f"{source} must be a number, got {tol!r}") from None
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{source} must be positive and finite, got {tol!r}")
+    return value
 
 
 def get_tol(tol: float | None = None) -> float:
     """Resolve an optional per-call tolerance against the global setting."""
-    if tol is None:
-        return _tol
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return float(tol)
+    global _tol
+    if tol is not None:
+        return _checked(tol, "tolerance")
+    if _tol is None:
+        _tol = _checked(os.environ.get("EPSCONTACT_TOL", DEFAULT_TOL), "EPSCONTACT_TOL")
+    return _tol
 
 
 def set_tol(tol: float) -> None:
     global _tol
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    _tol = float(tol)
+    _tol = _checked(tol, "tolerance")

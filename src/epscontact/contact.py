@@ -27,7 +27,8 @@ from .exterior import (
     Form,
     FrameMetric,
     hodge,
-    interior_product,
+    hodge_components,
+    interior_components,
     mc_differential,
     one_form,
     pairing_full,
@@ -124,13 +125,9 @@ def check_contact(
 
 def characteristic_endo(cs: ContactStructure) -> np.ndarray:
     """phi(v) = -s_g (iota_v * alpha)^sharp as a frame matrix."""
-    star_alpha = hodge(cs.alpha, cs.m, cs.orientation)
-    cols = []
-    for j in range(3):
-        v = np.zeros(3)
-        v[j] = 1.0
-        cols.append(-cs.s_g * sharp(interior_product(v, star_alpha), cs.m))
-    return np.column_stack(cols)
+    star_alpha = hodge_components(cs.alpha.comps, cs.m.signs, 1, cs.orientation)
+    rows = interior_components(np.eye(3), star_alpha, 2)  # row j: iota_{e_j} *alpha
+    return np.ascontiguousarray((-cs.s_g * (cs.m.eta * rows)).T)
 
 
 def lie_derivative_metric(cs: ContactStructure, v: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from .errors import (
     NotEtaEinstein,
     WrongCausalType,
 )
-from .exterior import FrameMetric, basis_one_form, hodge, mc_differential, one_form
+from .exterior import FrameMetric, d_components, hodge_components, one_form
 from .liealg import FamilySpec, make_family
 
 
@@ -130,20 +130,35 @@ class ScanHit:
     fit: EtaEinsteinFit
 
 
+# samples per batched contact map and SVD in scan_family; a chunk's specs and
+# bracket tables are the only per-sample objects held at once
+SCAN_CHUNK = 256
+
+
+def _contact_maps(c: np.ndarray, m: FrameMetric, orientation: int) -> np.ndarray:
+    """Matrices of alpha -> *alpha - s_g d(alpha) on one-form components, for
+    bracket tables c of shape (..., 3, 3, 3)."""
+    basis = np.eye(3)
+    star = hodge_components(basis, m.signs, 1, orientation)  # row i: *e^i
+    d = d_components(basis, c[..., None, :, :, :], 1)  # [..., i, :]: d e^i
+    return star.T - m.s_g * np.swapaxes(d, -1, -2)
+
+
 def _contact_map(sc, m: FrameMetric, orientation: int) -> np.ndarray:
     """Matrix of alpha -> *alpha - s_g d(alpha) on one-form components."""
-    cols = []
-    for i in range(3):
-        e = basis_one_form(i, 3)
-        out = hodge(e, m, orientation).comps - m.s_g * mc_differential(e, sc).comps
-        cols.append(out)
-    return np.column_stack(cols)
+    return _contact_maps(sc.c, m, orientation)
+
+
+def _nullspace_rows(mats: np.ndarray, tol: float):
+    """(keep, vt) for matrices (..., 3, 3): the rows vt[..., keep, :] span
+    each nullspace."""
+    _, s, vt = np.linalg.svd(mats)
+    scale = np.maximum(1.0, s[..., 0])
+    return s <= 1e3 * tol * scale[..., None], vt
 
 
 def _nullspace(mat: np.ndarray, tol: float) -> np.ndarray:
-    u, s, vt = np.linalg.svd(mat)
-    scale = max(1.0, s[0] if s.size else 0.0)
-    keep = [i for i in range(3) if (i >= s.size or s[i] <= 1e3 * tol * scale)]
+    keep, vt = _nullspace_rows(mat, tol)
     return vt[keep].T  # columns span the nullspace
 
 
@@ -309,6 +324,11 @@ def scan_family(
     via the nullspace of alpha -> *alpha - s_g d(alpha), intersected with the
     quadric |alpha|^2 = epsilon; each candidate is fitted and admissible hits
     are returned. An empty list is a valid result.
+
+    Samples are taken SCAN_CHUNK at a time: the chunk's contact maps are
+    formed from its stacked bracket tables and solved by one SVD call per
+    orientation, and only samples with a nontrivial nullspace go on to the
+    per-sample candidate, contact and fit steps.
     """
     tol = get_tol(tol)
     if grid is None:
@@ -321,14 +341,26 @@ def scan_family(
     if m.s_g == 1 and epsilon != 1:
         return []
     hits = []
-    for params in family_samples(family_id, grid, tol):
-        try:
-            spec = FamilySpec(family_id, params)
-            sc = make_family(spec, tol=tol)
-        except ConstraintViolation:
+    samples = family_samples(family_id, grid, tol)
+    while batch := list(itertools.islice(samples, SCAN_CHUNK)):
+        chunk = []
+        for params in batch:
+            try:
+                spec = FamilySpec(family_id, params)
+                chunk.append((params, spec, make_family(spec, tol=tol)))
+            except ConstraintViolation:
+                continue
+        if not chunk:
             continue
+        c = np.stack([sc.c for _, _, sc in chunk])
+        solved = []  # (sample, orientation, nullspace basis) where it is nontrivial
         for orientation in orientations:
-            basis = _nullspace(_contact_map(sc, m, orientation), tol)
+            keep, vt = _nullspace_rows(_contact_maps(c, m, orientation), tol)
+            for n in np.flatnonzero(keep.any(axis=-1)):
+                solved.append((n, orientation, vt[n][keep[n]].T))
+        solved.sort(key=lambda entry: entry[0])  # stable: orientations stay in order
+        for n, orientation, basis in solved:
+            params, spec, sc = chunk[n]
             for alpha_c in _quadric_candidates(basis, m, epsilon, n_dirs):
                 try:
                     cs = check_contact(sc, m, orientation, one_form(alpha_c), tol=1e-7, spec=spec)

@@ -9,6 +9,13 @@ bracket terms:
 with no 1/(p+1) normalization factor. The Hodge dual is fixed by
 eta ^ *w = <eta, w> nu on sorted tuples, with <e^I, e^I> = prod_{i in I} eta_i
 and nu = o * e^0 ^ ... ^ e^{n-1} for the orientation sign o.
+
+Hodge, d, wedge and the interior product run from index tables built on
+first use, once per dimension and degree (and metric signs, for Hodge). Each output component is summed term by term in
+the order of the per-tuple definition, starting from +0.0, with the terms
+the definition skips held at zero: the results, signed zeros included, are
+those of the plain loops over index tuples. The component functions act on
+stacked arrays, with leading axes as batch axes.
 """
 
 from __future__ import annotations
@@ -92,6 +99,115 @@ def sort_sign(indices):
         if idx[i - 1] == idx[i]:
             return 0, tuple(idx)
     return sign, tuple(idx)
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in index order, starting from +0.0."""
+    acc = np.zeros(terms.shape[:-1])
+    for t in range(terms.shape[-1]):
+        acc += terms[..., t]
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _hodge_table(signs: tuple, k: int):
+    """(perm, fac) with *e^I = o * fac[I] * e^{perm[I]} over the sorted k-tuples I."""
+    n = len(signs)
+    pos = tuple_positions(n, n - k)
+    perm, fac = [], []
+    for t in index_tuples(n, k):
+        comp = tuple(i for i in range(n) if i not in t)
+        sign, _ = sort_sign(t + comp)
+        perm.append(pos[comp])
+        fac.append(sign * math.prod(signs[i] for i in t))
+    return np.array(perm, dtype=np.intp), np.array(fac, dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _d_table(n: int, k: int):
+    """(cidx, pos, sign, live), each of shape (C(n, k+1), C(k+1, 2) * n): the
+    terms sign * c.flat[cidx] * w[pos] of every component of d w, in the order
+    of (p, q, l) in the bracket formula; where an index repeats, live is False
+    and w counts as zero."""
+    wpos = tuple_positions(n, k)
+    rows = []
+    for t in index_tuples(n, k + 1):
+        row = []
+        for p in range(k + 1):
+            for q in range(p + 1, k + 1):
+                rest = t[:p] + t[p + 1:q] + t[q + 1:]
+                for l in range(n):
+                    sign, key = sort_sign((l,) + rest)
+                    row.append((
+                        (t[p] * n + t[q]) * n + l,
+                        wpos[key] if sign else 0,
+                        (-1) ** (p + q) * (sign or 1),
+                        sign != 0,
+                    ))
+        rows.append(row)
+    table = np.array(rows, dtype=np.intp).reshape(len(rows), math.comb(k + 1, 2) * n, 4)
+    return table[..., 0], table[..., 1], table[..., 2].astype(float), table[..., 3] == 1
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(n: int, ka: int, kb: int):
+    """(ia, ib, sign), each of shape (C(n, ka+kb), C(ka+kb, ka)): the splits of
+    every output tuple into a ka-tuple and a kb-tuple, in loop order of the
+    (ka-tuple, kb-tuple) pairs."""
+    pos = tuple_positions(n, ka + kb)
+    rows = [[] for _ in pos]
+    for ia, ta in enumerate(index_tuples(n, ka)):
+        for ib, tb in enumerate(index_tuples(n, kb)):
+            sign, key = sort_sign(ta + tb)
+            if sign:
+                rows[pos[key]].append((ia, ib, sign))
+    table = np.array(rows, dtype=np.intp).reshape(len(rows), math.comb(ka + kb, ka), 3)
+    return table[..., 0], table[..., 1], table[..., 2].astype(float)
+
+
+@lru_cache(maxsize=None)
+def _interior_table(n: int, k: int):
+    """(pos, sign, live), each of shape (C(n, k-1), n): (iota_v w)_t = sum_i
+    v_i * sign * w[pos] in order of i; live is False, and w counts as zero,
+    for i in t."""
+    wpos = tuple_positions(n, k)
+    rows = []
+    for t in index_tuples(n, k - 1):
+        row = []
+        for i in range(n):
+            sign, key = sort_sign((i,) + t)
+            row.append((wpos[key] if sign else 0, sign or 1, sign != 0))
+        rows.append(row)
+    table = np.array(rows, dtype=np.intp).reshape(len(rows), n, 3)
+    return table[..., 0], table[..., 1].astype(float), table[..., 2] == 1
+
+
+def hodge_components(comps: np.ndarray, signs: tuple, degree: int, orientation: int) -> np.ndarray:
+    """Hodge dual of stacked degree-k component vectors (..., C(n, k))."""
+    perm, fac = _hodge_table(tuple(signs), degree)
+    out = np.zeros(comps.shape[:-1] + (perm.size,))
+    out[..., perm] += _check_orientation(orientation) * fac * comps
+    return out
+
+
+def d_components(comps: np.ndarray, c: np.ndarray, degree: int) -> np.ndarray:
+    """d of stacked left-invariant degree-k components (..., C(n, k)) over
+    stacked bracket tables c (..., n, n, n); the batch axes broadcast."""
+    n = c.shape[-1]
+    cidx, pos, sign, live = _d_table(n, degree)
+    coef = c.reshape(c.shape[:-3] + (n ** 3,))[..., cidx]
+    # the bracket formula skips zero coefficients: with a non-finite w the
+    # product would not be zero
+    w = np.where((coef != 0.0) & live, comps[..., pos], 0.0)
+    return _ordered_sum(sign * coef * w)
+
+
+def interior_components(v: np.ndarray, comps: np.ndarray, degree: int) -> np.ndarray:
+    """iota_v of stacked degree-k components (..., C(n, k)) by vectors v (..., n)."""
+    pos, sign, live = _interior_table(v.shape[-1], degree)
+    v = v[..., None, :]
+    w = np.where((v != 0.0) & live, sign * comps[..., pos], 0.0)
+    return _ordered_sum(v * w)
 
 
 @dataclass(frozen=True)
@@ -202,18 +318,10 @@ def wedge(a: Form, b: Form) -> Form:
     k = a.degree + b.degree
     if k > a.dim:
         raise DegreeOverflow(f"degree {k} exceeds dimension {a.dim}")
-    comps = np.zeros(math.comb(a.dim, k))
-    pos = tuple_positions(a.dim, k)
-    for ta, va in zip(index_tuples(a.dim, a.degree), a.comps):
-        if va == 0.0:
-            continue
-        for tb, vb in zip(index_tuples(b.dim, b.degree), b.comps):
-            if vb == 0.0:
-                continue
-            sign, key = sort_sign(ta + tb)
-            if sign:
-                comps[pos[key]] += sign * va * vb
-    return Form(k, a.dim, comps)
+    ia, ib, sign = _wedge_table(a.dim, a.degree, b.degree)
+    va, vb = a.comps[ia], b.comps[ib]
+    live = (va != 0.0) & (vb != 0.0)
+    return Form(k, a.dim, _ordered_sum(sign * np.where(live, va, 0.0) * np.where(live, vb, 0.0)))
 
 
 def volume_form(m: FrameMetric, orientation: int) -> Form:
@@ -225,21 +333,7 @@ def hodge(w: Form, m: FrameMetric, orientation: int) -> Form:
     """Hodge dual: *e^I = o * (prod_{i in I} eta_i) * sign(I, I^c) * e^{I^c}."""
     if w.dim != m.dim:
         raise DegreeMismatch("form and metric dimension differ")
-    o = _check_orientation(orientation)
-    n, k = w.dim, w.degree
-    comps = np.zeros(math.comb(n, n - k))
-    pos = tuple_positions(n, n - k)
-    eta = m.signs
-    for t, val in zip(index_tuples(n, k), w.comps):
-        if val == 0.0:
-            continue
-        comp = tuple(i for i in range(n) if i not in t)
-        sign, _ = sort_sign(t + comp)
-        eta_i = 1
-        for i in t:
-            eta_i *= eta[i]
-        comps[pos[comp]] += o * eta_i * sign * val
-    return Form(n - k, n, comps)
+    return Form(w.dim - w.degree, w.dim, hodge_components(w.comps, m.signs, w.degree, orientation))
 
 
 def mc_differential(w: Form, sc) -> Form:
@@ -247,19 +341,7 @@ def mc_differential(w: Form, sc) -> Form:
     n, k = w.dim, w.degree
     if sc.dim != n:
         raise DegreeMismatch("form and bracket table dimension differ")
-    c = sc.c
-    comps = np.zeros(math.comb(n, k + 1))
-    for p_out, t in enumerate(index_tuples(n, k + 1)):
-        acc = 0.0
-        for p in range(k + 1):
-            for q in range(p + 1, k + 1):
-                rest = t[:p] + t[p + 1:q] + t[q + 1:]
-                coeffs = c[t[p], t[q]]
-                for l in range(n):
-                    if coeffs[l] != 0.0:
-                        acc += (-1) ** (p + q) * coeffs[l] * w.value((l,) + rest)
-        comps[p_out] = acc
-    return Form(k + 1, n, comps)
+    return Form(k + 1, n, d_components(w.comps, sc.c, k))
 
 
 def pairing_sorted(a: Form, b: Form, m: FrameMetric) -> float:
@@ -301,8 +383,4 @@ def interior_product(v: np.ndarray, w: Form) -> Form:
     if w.degree < 1:
         raise DegreeMismatch("interior product needs degree >= 1")
     v = np.asarray(v, dtype=float)
-    n, k = w.dim, w.degree
-    comps = np.zeros(math.comb(n, k - 1))
-    for p_out, t in enumerate(index_tuples(n, k - 1)):
-        comps[p_out] = sum(v[i] * w.value((i,) + t) for i in range(n) if v[i] != 0.0)
-    return Form(k - 1, n, comps)
+    return Form(w.degree - 1, w.dim, interior_components(v, w.comps, w.degree))

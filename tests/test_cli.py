@@ -157,3 +157,81 @@ def test_output_file_and_parallelism(tmp_path, capsys):
                  "--output", str(p2)]) == 0
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def assert_usage_error(capsys, argv):
+    """Exit 2, nothing on stdout, and one line on stderr naming the problem."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_negative_tol_exit_2(capsys):
+    assert "tolerance" in assert_usage_error(capsys, ["--tol", "-1", "oracle", "--samples", "3"])
+    assert "tolerance" in assert_usage_error(capsys, ["oracle", "--samples", "3", "--tol", "nan"])
+
+
+def test_bad_env_tol_exit_2():
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, EPSCONTACT_TOL="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "epscontact.cli", "oracle", "--samples", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: EPSCONTACT_TOL must be a number, got 'abc'"]
+
+
+def test_scan_empty_grid_exit_2(capsys, monkeypatch):
+    import epscontact.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("scan ran on a rejected grid")
+
+    monkeypatch.setattr(cli, "scan_family", no_work)
+    for points in ("0", "-2"):
+        line = assert_usage_error(capsys, ["scan", "--family", "g3", "--grid", points])
+        assert "--grid" in line
+
+
+def test_oracle_without_samples_exit_2(capsys, monkeypatch):
+    import epscontact.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("oracle ran without samples")
+
+    monkeypatch.setattr(cli, "run_oracle", no_work)
+    for samples in ("0", "-3"):
+        assert "--samples" in assert_usage_error(capsys, ["oracle", "--samples", samples])
+
+
+def test_scan_nonfinite_range_exit_2(capsys, monkeypatch):
+    import epscontact.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("scan ran on a non-finite range")
+
+    monkeypatch.setattr(cli, "scan_family", no_work)
+    for flag, value in (("--lo", "nan"), ("--hi", "inf"), ("--lo", "-inf")):
+        argv = ["scan", "--family", "g3", "--grid", "3", f"{flag}={value}"]
+        assert flag in assert_usage_error(capsys, argv)
+
+
+def test_other_bad_numeric_flags_exit_2(capsys):
+    for argv, flag in (
+        (["catalog", "--epsilon-n", "1", "--l-samples", "0,nan"], "--l-samples"),
+        (["cauchy", "--example", "flat-para", "--nx", "0"], "--nx"),
+        (["cauchy", "--example", "flat-para", "--dt", "nan"], "--dt"),
+        (["cauchy", "--example", "null-isothermal", "--f0", "inf"], "--f0"),
+    ):
+        assert flag in assert_usage_error(capsys, argv)

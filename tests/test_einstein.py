@@ -219,3 +219,69 @@ def test_null_g2_scan_hits_match_row_formula():
         values = {4.0 * (b - s) ** 2 for s in (1.0, -1.0)}
         assert any(abs(h.fit.lambda2 - v) < 1e-9 for v in values)
         assert abs(h.fit.kappa) < 1e-9
+
+
+# --- the chunked batch against the per-sample loop ------------------------------
+
+
+def looped_scan(family, grid, epsilon, orientations=(1, -1), tol=1e-9, n_dirs=8):
+    """The scan as a plain per-sample loop over _contact_map and _nullspace."""
+    from epscontact.einstein import (
+        ScanHit, _contact_map, _nullspace, _quadric_candidates, family_samples,
+    )
+    from epscontact.errors import ConstraintViolation, NotContact
+
+    m = FrameMetric.riemannian(3) if family.startswith("riemannian") else L3
+    if m.s_g == 1 and epsilon != 1:
+        return []
+    hits = []
+    for params in family_samples(family, grid, tol):
+        try:
+            spec = FamilySpec(family, params)
+            sc = make_family(spec, tol=tol)
+        except ConstraintViolation:
+            continue
+        for orientation in orientations:
+            basis = _nullspace(_contact_map(sc, m, orientation), tol)
+            for alpha_c in _quadric_candidates(basis, m, epsilon, n_dirs):
+                try:
+                    cs = check_contact(sc, m, orientation, one_form(alpha_c), tol=1e-7,
+                                       spec=spec)
+                except NotContact:
+                    continue
+                if cs.epsilon != epsilon:
+                    continue
+                fit = fit_eta_einstein(cs, tol=tol)
+                if fit.admissible:
+                    hits.append(
+                        ScanHit(family, dict(params), orientation, tuple(alpha_c), fit))
+    return hits
+
+
+def test_batched_scan_matches_per_sample_loop(monkeypatch):
+    import epscontact.einstein as einstein
+    from epscontact.liealg import FAMILY_PARAMS
+
+    grid = np.linspace(-2.0, 2.0, 5)  # holds +-1 and +-2, where the hits live
+    total = 0
+    for family in FAMILY_PARAMS:
+        samples = len(list(einstein.family_samples(family, grid, 1e-9)))
+        for epsilon in (-1, 0, 1):
+            want = looped_scan(family, grid, epsilon)
+            total += len(want)
+            # chunks below, at and above the family's sample count
+            for chunk in (samples + 1, samples, max(1, samples // 3)):
+                monkeypatch.setattr(einstein, "SCAN_CHUNK", chunk)
+                got = scan_family(family, grid, epsilon=epsilon)
+                assert repr(got) == repr(want), (family, epsilon, chunk)
+    assert total > 0
+
+
+def test_batched_scan_matches_loop_across_default_chunks():
+    from epscontact.einstein import SCAN_CHUNK, family_samples
+
+    grid = np.linspace(-1.5, 1.5, 7)
+    assert len(list(family_samples("riemannian_unimodular", grid, 1e-9))) > SCAN_CHUNK
+    want = looped_scan("riemannian_unimodular", grid, 1)
+    assert want
+    assert repr(scan_family("riemannian_unimodular", grid, epsilon=1)) == repr(want)

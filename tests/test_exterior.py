@@ -8,17 +8,23 @@ from epscontact.exterior import (
     Form,
     FrameMetric,
     basis_one_form,
+    d_components,
     flat,
     hodge,
+    hodge_components,
+    index_tuples,
+    interior_components,
     interior_product,
     mc_differential,
     one_form,
     pairing_full,
     sharp,
+    sort_sign,
+    tuple_positions,
     volume_form,
     wedge,
 )
-from epscontact.liealg import FamilySpec, make_family
+from epscontact.liealg import FamilySpec, StructureConstants, direct_sum, make_family
 from epscontact.oracle import LORENTZ_FAMILIES, sample_spec
 
 L3 = FrameMetric.lorentzian(3)
@@ -221,3 +227,167 @@ def test_form_antisymmetric_entry_handling():
     assert w.value((0, 1)) == -2.0
     assert w.value((1, 0)) == 2.0
     assert w.value((1, 1)) == 0.0
+
+
+# --- bit-exactness of the table-driven operators -------------------------------
+#
+# The reference implementations below are the per-tuple loops the operators
+# are defined by. The tables must reproduce them bit for bit, signed zeros
+# included, because reports print last-bit residuals and the SVD of the
+# contact map picks its singular-vector signs from signed zeros.
+
+
+def ref_value(comps, n, k, indices):
+    sign, key = sort_sign(tuple(indices))
+    if sign == 0:
+        return 0.0
+    return sign * float(comps[tuple_positions(n, k)[key]])
+
+
+def ref_hodge(comps, signs, k, o):
+    n = len(signs)
+    out = np.zeros(math.comb(n, n - k))
+    pos = tuple_positions(n, n - k)
+    for t, val in zip(index_tuples(n, k), comps):
+        if val == 0.0:
+            continue
+        comp = tuple(i for i in range(n) if i not in t)
+        sign, _ = sort_sign(t + comp)
+        eta_i = 1
+        for i in t:
+            eta_i *= signs[i]
+        out[pos[comp]] += o * eta_i * sign * val
+    return out
+
+
+def ref_d(comps, c, k):
+    n = c.shape[0]
+    out = np.zeros(math.comb(n, k + 1))
+    for p_out, t in enumerate(index_tuples(n, k + 1)):
+        acc = 0.0
+        for p in range(k + 1):
+            for q in range(p + 1, k + 1):
+                rest = t[:p] + t[p + 1:q] + t[q + 1:]
+                coeffs = c[t[p], t[q]]
+                for l in range(n):
+                    if coeffs[l] != 0.0:
+                        acc += (-1) ** (p + q) * coeffs[l] * ref_value(comps, n, k, (l,) + rest)
+        out[p_out] = acc
+    return out
+
+
+def ref_wedge(a, b, n, ka, kb):
+    out = np.zeros(math.comb(n, ka + kb))
+    pos = tuple_positions(n, ka + kb)
+    for ta, va in zip(index_tuples(n, ka), a):
+        if va == 0.0:
+            continue
+        for tb, vb in zip(index_tuples(n, kb), b):
+            if vb == 0.0:
+                continue
+            sign, key = sort_sign(ta + tb)
+            if sign:
+                out[pos[key]] += sign * va * vb
+    return out
+
+
+def ref_interior(v, comps, n, k):
+    out = np.zeros(math.comb(n, k - 1))
+    for p_out, t in enumerate(index_tuples(n, k - 1)):
+        out[p_out] = sum(
+            v[i] * ref_value(comps, n, k, (i,) + t) for i in range(n) if v[i] != 0.0
+        )
+    return out
+
+
+def assert_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    finite = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
+
+
+def sparse_components(rng, size, special=False):
+    """Random components with +0.0 and -0.0 entries (and inf/nan if asked)."""
+    v = rng.normal(size=size)
+    v[rng.random(size) < 0.3] = 0.0
+    v[rng.random(size) < 0.2] = -0.0
+    if special:
+        v[rng.random(size) < 0.15] = np.inf
+        v[rng.random(size) < 0.1] = np.nan
+    return v
+
+
+def bracket_tables(rng):
+    """make_family tables of every family (they carry -0.0 entries), and
+    dense random antisymmetric tables."""
+    tables = []
+    for fam in LORENTZ_FAMILIES:
+        for _ in range(3):
+            tables.append(make_family(sample_spec(fam, rng)).c)
+    tables.append(make_family(FamilySpec("g3", {"a": 1.0, "b": 0.0, "c": -2.0})).c)
+    tables.append(make_family(
+        FamilySpec("riemannian_unimodular", {"mu1": 1.0, "mu2": 0.0, "mu3": -1.0})).c)
+    for _ in range(3):
+        c = rng.normal(size=(3, 3, 3))
+        tables.append(c - c.swapaxes(0, 1))
+    return tables
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, 0 * inf
+@pytest.mark.parametrize("special", [False, True])
+def test_tables_match_loops_3d_every_degree(special):
+    rng = np.random.default_rng(20)
+    tables = bracket_tables(rng)
+    assert any(np.signbit(c[c == 0.0]).any() for c in tables)  # -0.0 entries present
+    for k in range(4):
+        for _ in range(4):
+            w = sparse_components(rng, math.comb(3, k), special)
+            for signs in (L3.signs, R3.signs):
+                for o in (1, -1):
+                    assert_bits(hodge_components(w, signs, k, o), ref_hodge(w, signs, k, o))
+            for c in tables:
+                assert_bits(d_components(w, c, k), ref_d(w, c, k))
+            if k >= 1:
+                for v in (np.eye(3)[1], sparse_components(rng, 3, special)):
+                    assert_bits(interior_components(v, w, k), ref_interior(v, w, 3, k))
+            for kb in range(4 - k):
+                u = sparse_components(rng, math.comb(3, kb), special)
+                got = wedge(Form(k, 3, w), Form(kb, 3, u)).comps
+                assert_bits(got, ref_wedge(w, u, 3, k, kb))
+
+
+def test_tables_match_loops_6d_degrees_2_and_3():
+    rng = np.random.default_rng(21)
+    tables3 = bracket_tables(rng)
+    tables6 = [
+        direct_sum(StructureConstants(a), StructureConstants(b)).c
+        for a, b in zip(tables3[::2], tables3[1::2])
+    ]
+    c = rng.normal(size=(6, 6, 6))
+    tables6.append(c - c.swapaxes(0, 1))
+    for k in (2, 3):
+        for _ in range(4):
+            w = sparse_components(rng, math.comb(6, k))
+            for o in (1, -1):
+                assert_bits(hodge_components(w, L6.signs, k, o), ref_hodge(w, L6.signs, k, o))
+            for c in tables6:
+                assert_bits(d_components(w, c, k), ref_d(w, c, k))
+            v = sparse_components(rng, 6)
+            assert_bits(interior_components(v, w, k), ref_interior(v, w, 6, k))
+            for kb in range(1, 7 - k):
+                u = sparse_components(rng, math.comb(6, kb))
+                got = wedge(Form(k, 6, w), Form(kb, 6, u)).comps
+                assert_bits(got, ref_wedge(w, u, 6, k, kb))
+
+
+def test_stacked_components_match_single_calls():
+    rng = np.random.default_rng(22)
+    c = np.stack(bracket_tables(rng))
+    w = np.stack([sparse_components(rng, 3) for _ in c])
+    stacked = d_components(w, c, 1)
+    star = hodge_components(w, L3.signs, 1, -1)
+    for n in range(len(c)):
+        assert_bits(stacked[n], d_components(w[n], c[n], 1))
+        assert_bits(star[n], hodge_components(w[n], L3.signs, 1, -1))
