@@ -23,8 +23,8 @@ from .config import get_tol
 from .contact import check_contact
 from .einstein import default_grid, scan_family
 from .errors import EpsContactError
-from .exterior import FrameMetric, one_form
-from .liealg import FamilySpec, make_family
+from .exterior import one_form
+from .liealg import FamilySpec, family_metric, make_family
 from .oracle import run_oracle
 
 TABLE_CHOICES = (
@@ -178,13 +178,8 @@ def _solution_from_config(path: str):
 
     def build_factor(entry):
         spec = FamilySpec(entry["family"], entry["params"])
-        metric = (
-            FrameMetric.riemannian(3)
-            if entry["family"].startswith("riemannian")
-            else FrameMetric.lorentzian(3)
-        )
         return check_contact(
-            make_family(spec), metric, entry.get("orientation", 1),
+            make_family(spec), family_metric(spec.family_id), entry.get("orientation", 1),
             one_form(entry["alpha"]), spec=spec,
         )
 
@@ -223,19 +218,16 @@ def cmd_catalog(args, cfg: RunConfig) -> tuple:
     if not all(math.isfinite(l) for l in l_samples):
         raise ValueError(f"--l-samples must be finite, got {args.l_samples}")
     results = product6d.run_catalog(args.epsilon_n, l_samples, tol=cfg.tol)
-    items = [
-        {
-            "row": r.row,
-            "l": r.l,
-            "lambda": r.lam,
-            "ricci_h": r.residuals.ricci_h,
-            "d_h": r.residuals.d_h,
-            "d_star_h": r.residuals.d_star_h,
-            "norm_h": r.residuals.norm_h,
-            "pass": r.passed,
-        }
-        for r in results
-    ]
+    items = []
+    for r in results:
+        res = r.residuals
+        values = {"lambda": r.lam, "ricci_h": res.ricci_h, "d_h": res.d_h,
+                  "d_star_h": res.d_star_h, "norm_h": res.norm_h}
+        if r.failure is not None:  # null, not NaN or Infinity: the report stays strict JSON
+            values = dict.fromkeys(values)
+        items.append({"row": r.row, "l": r.l, **values, "pass": r.passed})
+        if r.failure is not None:
+            items[-1]["reason"] = r.failure
     return all(r.passed for r in results), {"epsilon_n": args.epsilon_n, "items": items}
 
 

@@ -11,6 +11,7 @@ vectors: (E v)^i = sum_j E[i][j] v^j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -34,13 +35,23 @@ from .exterior import (
     pairing_full,
     sharp,
 )
-from .curvature import levi_civita, riemann_ricci
-from .liealg import FamilySpec, StructureConstants, make_family
+from .curvature import ConnectionCoeffs, CurvatureTensors, levi_civita, riemann_ricci
+from .liealg import FamilySpec, StructureConstants, family_metric, make_family
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class ContactStructure:
-    """A verified contact structure (alpha = *d alpha, |alpha|^2 = epsilon)."""
+    """A verified contact structure (alpha = *d alpha, |alpha|^2 = epsilon).
+
+    The data the structure determines (xi, phi, the Levi-Civita connection,
+    its curvature, h and the adapted frame) is computed on first use by the
+    module's functions and kept in read-only arrays.
+    """
 
     sc: StructureConstants
     m: FrameMetric
@@ -53,8 +64,52 @@ class ContactStructure:
     def s_g(self) -> int:
         return self.m.s_g
 
+    @cached_property
+    def xi(self) -> np.ndarray:
+        """Reeb field: the metric dual of alpha."""
+        return _read_only(sharp(self.alpha, self.m))
+
     def reeb(self) -> np.ndarray:
-        return sharp(self.alpha, self.m)
+        return self.xi
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return _read_only(characteristic_endo(self))
+
+    @cached_property
+    def connection(self) -> ConnectionCoeffs:
+        return levi_civita(self.sc, self.m)
+
+    @cached_property
+    def curvature(self) -> CurvatureTensors:
+        curv = riemann_ricci(self.connection, self.sc, self.m)
+        _read_only(curv.riemann)
+        _read_only(curv.ricci)
+        return curv
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """h = L_xi phi on the frame."""
+        xi, phi = self.xi, self.phi
+        cols = []
+        for j in range(3):
+            ej = np.eye(3)[j]
+            cols.append(self.sc.bracket(xi, phi @ ej) - phi @ self.sc.bracket(xi, ej))
+        return _read_only(np.column_stack(cols))
+
+    @cached_property
+    def mu(self) -> Optional[float]:
+        """g(u, h u) for a null structure (the factor of h = mu xi (x) alpha
+        when h factors); None when epsilon != 0."""
+        if self.epsilon != 0:
+            return None
+        _, u, _ = self.frame
+        return float(self.metric_dot(u, self.h @ u))
+
+    @cached_property
+    def frame(self) -> tuple:
+        """Adapted frame (xi, u, phi(u)); see contact_frame."""
+        return tuple(_read_only(v) for v in contact_frame(self))
 
     def metric_dot(self, u, v) -> float:
         return float(np.sum(self.m.eta * np.asarray(u) * np.asarray(v)))
@@ -78,14 +133,9 @@ def contact_from_json(text: str, tol: float | None = None) -> ContactStructure:
 
     data = json.loads(text)
     spec = FamilySpec(data["family"], data["params"])
-    sc = make_family(spec)
-    signs = (
-        FrameMetric.riemannian(3)
-        if spec.family_id.startswith("riemannian")
-        else FrameMetric.lorentzian(3)
-    )
     return check_contact(
-        sc, signs, data["orientation"], one_form(data["alpha"]), tol=tol, spec=spec
+        make_family(spec), family_metric(spec.family_id), data["orientation"],
+        one_form(data["alpha"]), tol=tol, spec=spec,
     )
 
 
@@ -149,18 +199,11 @@ def h_tensor(cs: ContactStructure, tol: float | None = None):
     Returns (matrix, mu) with mu = None when epsilon != 0.
     """
     tol = get_tol(tol)
-    xi = cs.reeb()
-    phi = characteristic_endo(cs)
-    cols = []
-    for j in range(3):
-        ej = np.eye(3)[j]
-        cols.append(cs.sc.bracket(xi, phi @ ej) - phi @ cs.sc.bracket(xi, ej))
-    h = np.column_stack(cols)
+    h = cs.h
     if cs.epsilon != 0:
         return h, None
-    _, u, _ = contact_frame(cs)
-    mu = float(cs.metric_dot(u, h @ u))
-    model = mu * np.outer(xi, cs.alpha.comps)
+    mu = cs.mu
+    model = mu * np.outer(cs.xi, cs.alpha.comps)
     res = float(np.max(np.abs(h - model)))
     if res > max(tol, 1e2 * tol * max(1.0, abs(mu))):
         raise DecompositionFailure(
@@ -178,10 +221,9 @@ def contact_frame(cs: ContactStructure):
     null vector with g(u, xi) = 1 lying in the span of the sign-flipped dual
     of alpha.
     """
-    xi = cs.reeb()
+    xi = cs.xi
     alpha = cs.alpha.comps
     eps = cs.epsilon
-    phi = characteristic_endo(cs)
     if eps == 0:
         ut = alpha.copy()  # componentwise dual: null iff alpha is null
         u = ut / float(np.sum(alpha * alpha))
@@ -220,7 +262,7 @@ def contact_frame(cs: ContactStructure):
                 if comp < 0:
                     u = -u
                 break
-    return xi, u, phi @ u
+    return xi, u, cs.phi @ u
 
 
 def is_sasakian(cs: ContactStructure, tol: float | None = None) -> bool:
@@ -233,7 +275,7 @@ def is_sasakian(cs: ContactStructure, tol: float | None = None) -> bool:
 def is_k_contact(cs: ContactStructure, tol: float | None = None):
     """Whether the Reeb field is Killing; witness is max |(L_xi g)(e_i, e_j)|."""
     tol = get_tol(tol)
-    witness = float(np.max(np.abs(lie_derivative_metric(cs, cs.reeb()))))
+    witness = float(np.max(np.abs(lie_derivative_metric(cs, cs.xi))))
     return witness <= tol, witness
 
 
@@ -242,15 +284,15 @@ def k_contact_null_witness(cs: ContactStructure) -> float:
     which vanishes iff the structure is K-contact."""
     if cs.epsilon != 0:
         raise WrongCausalType("light-cone witness requires a null Reeb field")
-    xi, u, _ = contact_frame(cs)
+    xi, u, _ = cs.frame
     return float(cs.metric_dot(cs.sc.bracket(xi, u), u))
 
 
-def _j_action(cs: ContactStructure, phi: np.ndarray, xi: np.ndarray, v4: np.ndarray):
+def _j_action(cs: ContactStructure, v4: np.ndarray):
     """J(v + c dq) = phi(v) + c xi + alpha(v) dq on R^3 + R(dq) components."""
     v, c = v4[:3], v4[3]
     out = np.zeros(4)
-    out[:3] = phi @ v + c * xi
+    out[:3] = cs.phi @ v + c * cs.xi
     out[3] = float(np.dot(cs.alpha.comps, v))
     return out
 
@@ -260,9 +302,7 @@ def j_endo_matrix(cs: ContactStructure) -> np.ndarray:
     null structure: columns (0, (0,0,1,1), (-1,0,0,0), (1,0,0,0))."""
     if cs.epsilon != 0:
         raise WrongCausalType("J is defined for null structures")
-    xi, u, phiu = contact_frame(cs)
-    phi = characteristic_endo(cs)
-    frame = np.column_stack([xi, u, phiu])
+    frame = np.column_stack(cs.frame)
     cols = []
     for k in range(4):
         v4 = np.zeros(4)
@@ -270,7 +310,7 @@ def j_endo_matrix(cs: ContactStructure) -> np.ndarray:
             v4[:3] = frame[:, k]
         else:
             v4[3] = 1.0
-        w4 = _j_action(cs, phi, xi, v4)
+        w4 = _j_action(cs, v4)
         coeffs = np.linalg.solve(frame, w4[:3])
         cols.append(np.concatenate([coeffs, [w4[3]]]))
     return np.column_stack(cols)
@@ -285,8 +325,7 @@ def nijenhuis_J(cs: ContactStructure, tol: float | None = None):
     if cs.epsilon != 0:
         raise WrongCausalType("the Nijenhuis test applies to null structures")
     tol = get_tol(tol)
-    xi, u, phiu = contact_frame(cs)
-    phi = characteristic_endo(cs)
+    xi, u, phiu = cs.frame
 
     def bracket4(a4, b4):
         out = np.zeros(4)
@@ -303,11 +342,11 @@ def nijenhuis_J(cs: ContactStructure, tol: float | None = None):
     for p in range(4):
         for q in range(p + 1, 4):
             v1, v2 = vectors[p], vectors[q]
-            jv1, jv2 = _j_action(cs, phi, xi, v1), _j_action(cs, phi, xi, v2)
+            jv1, jv2 = _j_action(cs, v1), _j_action(cs, v2)
             nj = (
                 bracket4(jv1, jv2)
-                - _j_action(cs, phi, xi, bracket4(v1, jv2))
-                - _j_action(cs, phi, xi, bracket4(jv1, v2))
+                - _j_action(cs, bracket4(v1, jv2))
+                - _j_action(cs, bracket4(jv1, v2))
             )
             max_nj = max(max_nj, float(np.max(np.abs(nj))))
     # ker J = span{xi, phi(u) + dq}; involutive iff [xi, phi(u)] lies in the span
@@ -320,18 +359,14 @@ def nijenhuis_J(cs: ContactStructure, tol: float | None = None):
 
 def l_endo(cs: ContactStructure) -> np.ndarray:
     """l(v) = R(v, xi) xi via the Levi-Civita curvature."""
-    conn = levi_civita(cs.sc, cs.m)
-    curv = riemann_ricci(conn, cs.sc, cs.m)
-    xi = cs.reeb()
+    xi = cs.xi
     # l[m][j] = R[j, a, b, m] xi^a xi^b
-    return np.einsum("jabm,a,b->mj", curv.riemann, xi, xi)
+    return np.einsum("jabm,a,b->mj", cs.curvature.riemann, xi, xi)
 
 
 def reeb_gradient(cs: ContactStructure) -> np.ndarray:
     """Matrix of v -> nabla_v xi on the frame."""
-    conn = levi_civita(cs.sc, cs.m)
-    xi = cs.reeb()
-    return np.einsum("jik,i->kj", conn.gamma, xi)
+    return np.einsum("jik,i->kj", cs.connection.gamma, cs.xi)
 
 
 def contact_identity_residuals(cs: ContactStructure) -> dict:
@@ -342,9 +377,9 @@ def contact_identity_residuals(cs: ContactStructure) -> dict:
     sg = cs.s_g
     eps = cs.epsilon
     alpha = cs.alpha.comps
-    xi = cs.reeb()
-    phi = characteristic_endo(cs)
-    h, _ = h_tensor(cs)
+    xi = cs.xi
+    phi = cs.phi
+    h, mu = h_tensor(cs)
     tau = h @ phi
     dalpha = mc_differential(cs.alpha, cs.sc)
     res = {}
@@ -363,7 +398,7 @@ def contact_identity_residuals(cs: ContactStructure) -> dict:
         np.max(np.abs(gphiphi - sg * (eps * np.diag(eta) - np.outer(alpha, alpha))))
     )
     res["phi_skew"] = float(np.max(np.abs(np.diag(eta) @ phi + phi.T @ np.diag(eta))))
-    conn = levi_civita(cs.sc, cs.m)
+    conn = cs.connection
     nabla_xi_vec = np.einsum("i,ijk,j->k", xi, conn.gamma, xi)
     res["nabla_xi_xi"] = float(np.max(np.abs(nabla_xi_vec)))
     dmat = np.einsum("j,jik->ki", xi, conn.gamma)  # v -> nabla_xi v on the frame
@@ -393,7 +428,7 @@ def contact_identity_residuals(cs: ContactStructure) -> dict:
         )
     )
     if eps != 0:
-        ric = riemann_ricci(conn, cs.sc, cs.m).ricci
+        ric = cs.curvature.ricci
         ric_xixi = float(xi @ ric @ xi)
         res["ricci_reeb"] = abs(
             ric_xixi - eps * sg * (0.5 - 0.25 * float(np.trace(h @ h)))
@@ -404,11 +439,10 @@ def contact_identity_residuals(cs: ContactStructure) -> dict:
         res["h_phi"] = float(np.max(np.abs(h @ phi)))
         res["tau_null"] = float(np.max(np.abs(tau)))
         # light-cone bracket pattern
-        xi_v, u, phiu = contact_frame(cs)
-        frame = np.column_stack([xi_v, u, phiu])
-        _, mu = h_tensor(cs)
-        c1 = np.linalg.solve(frame, cs.sc.bracket(xi_v, u))
-        c2 = np.linalg.solve(frame, cs.sc.bracket(xi_v, phiu))
+        _, u, phiu = cs.frame
+        frame = np.column_stack(cs.frame)
+        c1 = np.linalg.solve(frame, cs.sc.bracket(xi, u))
+        c2 = np.linalg.solve(frame, cs.sc.bracket(xi, phiu))
         c3 = np.linalg.solve(frame, cs.sc.bracket(u, phiu))
         res["lightcone_brackets"] = float(
             max(
@@ -432,14 +466,12 @@ def timelike_special_frame(cs: ContactStructure, tol: float | None = None):
     tol = get_tol(tol)
     if cs.epsilon != -1:
         raise WrongCausalType("the special frame requires a time-like Reeb field")
-    conn = levi_civita(cs.sc, cs.m)
-    curv = riemann_ricci(conn, cs.sc, cs.m)
-    fit = fit_eta_einstein(cs, curv, tol=tol)
+    fit = fit_eta_einstein(cs, tol=tol)
     if not fit.admissible:
         raise NotEtaEinstein(fit.residual)
     mu = float(np.sqrt(max(0.0, 1.0 - (fit.lambda2 + fit.kappa))))
-    h, _ = h_tensor(cs)
-    xi = cs.reeb()
+    h = cs.h
+    xi = cs.xi
     alpha = cs.alpha.comps
     basis = []
     for idx in (1, 2, 0):
@@ -468,5 +500,4 @@ def timelike_special_frame(cs: ContactStructure, tol: float | None = None):
             if comp < 0:
                 x = -x
             break
-    phi = characteristic_endo(cs)
-    return xi, x, phi @ x, mu
+    return xi, x, cs.phi @ x, mu

@@ -17,8 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .config import get_tol
-from .contact import ContactStructure, check_contact, contact_frame
-from .curvature import CurvatureTensors, levi_civita, riemann_ricci
+from .contact import ContactStructure, check_contact
 from .errors import (
     ConstraintViolation,
     Inadmissible,
@@ -27,7 +26,7 @@ from .errors import (
     WrongCausalType,
 )
 from .exterior import FrameMetric, d_components, hodge_components, one_form
-from .liealg import FamilySpec, make_family
+from .liealg import FamilySpec, family_metric, make_family
 
 
 @dataclass(frozen=True)
@@ -40,20 +39,17 @@ class EtaEinsteinFit:
 
 def fit_eta_einstein(
     cs: ContactStructure,
-    curv: CurvatureTensors | None = None,
     tol: float | None = None,
     require: bool = False,
 ) -> EtaEinsteinFit:
-    """Least-squares fit of (lambda^2, kappa) over the six independent Ricci
-    components, with the full-tensor residual.
+    """Least-squares fit of (lambda^2, kappa) over the six independent
+    components of the structure's Ricci tensor, with the full-tensor residual.
 
     With ``require=True`` raises NotEtaEinstein when the residual exceeds tol
     and Inadmissible when the fitted constants violate the sign constraints.
     """
     tol = get_tol(tol)
-    if curv is None:
-        curv = riemann_ricci(levi_civita(cs.sc, cs.m), cs.sc, cs.m)
-    ric = curv.ricci
+    ric = cs.curvature.ricci
     sg = cs.s_g
     eps = cs.epsilon
     g = np.diag(cs.m.eta)
@@ -83,11 +79,10 @@ def fit_eta_einstein(
 def reeb_curvature_residual(cs: ContactStructure, fit: EtaEinsteinFit) -> float:
     """Residual of R(v1,v2)xi = K (alpha(v2) v1 - alpha(v1) v2) with
     K = s_g (lambda^2 - eps kappa)/4; holds on every eta-Einstein structure."""
-    curv = riemann_ricci(levi_civita(cs.sc, cs.m), cs.sc, cs.m)
-    xi = cs.reeb()
+    xi = cs.xi
     alpha = cs.alpha.comps
     kconst = cs.s_g * (fit.lambda2 - cs.epsilon * fit.kappa) / 4.0
-    lhs = np.einsum("ijkm,k->ijm", curv.riemann, xi)
+    lhs = np.einsum("ijkm,k->ijm", cs.curvature.riemann, xi)
     eye = np.eye(3)
     rhs = kconst * (
         np.einsum("j,im->ijm", alpha, eye) - np.einsum("i,jm->ijm", alpha, eye)
@@ -101,9 +96,8 @@ def lightcone_fit_residual(cs: ContactStructure, fit: EtaEinsteinFit) -> float:
     Ric(xi,u)=Ric(phiu,phiu)=-lambda^2/2, Ric(u,u)=kappa."""
     if cs.epsilon != 0:
         raise WrongCausalType("light-cone characterization needs a null Reeb field")
-    curv = riemann_ricci(levi_civita(cs.sc, cs.m), cs.sc, cs.m)
-    ric = curv.ricci
-    xi, u, phiu = contact_frame(cs)
+    ric = cs.curvature.ricci
+    xi, u, phiu = cs.frame
 
     def r(a, b):
         return float(a @ ric @ b)
@@ -333,11 +327,7 @@ def scan_family(
     tol = get_tol(tol)
     if grid is None:
         grid = default_grid()
-    m = (
-        FrameMetric.riemannian(3)
-        if family_id.startswith("riemannian")
-        else FrameMetric.lorentzian(3)
-    )
+    m = family_metric(family_id)
     if m.s_g == 1 and epsilon != 1:
         return []
     hits = []

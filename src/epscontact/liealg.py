@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import get_tol
 from .errors import ConstraintViolation
+from .exterior import FrameMetric
 
 
 class GroupName(Enum):
@@ -174,6 +175,16 @@ class FamilySpec:
     def from_json(cls, text: str) -> "FamilySpec":
         data = json.loads(text)
         return cls(data["family"], data["params"])
+
+
+def family_metric(family_id: str) -> FrameMetric:
+    """Frame metric of a classification family: Riemannian for the
+    riemannian_* families, Lorentzian (-1, +1, +1) for g1..g7."""
+    if family_id not in FAMILY_PARAMS:
+        raise ConstraintViolation(f"unknown family {family_id!r}")
+    if family_id.startswith("riemannian"):
+        return FrameMetric.riemannian(3)
+    return FrameMetric.lorentzian(3)
 
 
 def _require(cond: bool, family: str, constraint: str) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .config import get_tol
 from .contact import ContactStructure, check_contact
 from .curvature import (
+    ConnectionCoeffs,
     levi_civita,
     riemann_ricci,
     three_form_square,
@@ -38,20 +40,19 @@ from .exterior import (
     Form,
     FrameMetric,
     hodge,
+    index_tuples,
     mc_differential,
     one_form,
     pairing_full,
     volume_form,
     wedge,
 )
-from .liealg import FamilySpec, StructureConstants, direct_sum, make_family
+from .liealg import FamilySpec, StructureConstants, direct_sum, family_metric, make_family
 
 
 def embed_form(form: Form, dim: int, offset: int) -> Form:
     """Lift a form on a 3D factor into the 6D frame at the given index offset."""
     entries = {}
-    from .exterior import index_tuples
-
     for t, val in zip(index_tuples(form.dim, form.degree), form.comps):
         if val != 0.0:
             entries[tuple(i + offset for i in t)] = float(val)
@@ -68,6 +69,23 @@ class ProductSolution:
     m6: FrameMetric
     orientation6: int
     h_form: Form
+
+    @cached_property
+    def connection(self) -> ConnectionCoeffs:
+        """Levi-Civita connection of the 6D product metric."""
+        return levi_civita(self.sc6, self.m6)
+
+    @cached_property
+    def torsion_connection(self) -> ConnectionCoeffs:
+        """Metric connection with torsion H."""
+        return torsionful_connection(self.connection, self.h_form, self.m6)
+
+    @cached_property
+    def torsion_ricci(self) -> np.ndarray:
+        """Ricci tensor of the connection with torsion H."""
+        ricci = riemann_ricci(self.torsion_connection, self.sc6, self.m6).ricci
+        ricci.flags.writeable = False
+        return ricci
 
     def to_json(self) -> str:
         import json
@@ -134,7 +152,7 @@ def build_solution(
         raise IncompatibleFactors("first factor must be Lorentzian")
     if x_struct.m.s_g != 1:
         raise IncompatibleFactors("second factor must be Riemannian")
-    check_tol = max(tol, 1e2 * tol)
+    check_tol = 1e2 * tol
     fit_n = fit_eta_einstein(n_struct, tol=tol)
     fit_x = fit_eta_einstein(x_struct, tol=tol)
     if fit_n.residual > tol or not fit_n.admissible:
@@ -166,15 +184,12 @@ def build_solution(
 
 def verify_supergravity(sol: ProductSolution) -> SugraResiduals:
     """Evaluate the four field equations on the product data."""
-    conn = levi_civita(sol.sc6, sol.m6)
-    conn_h = torsionful_connection(conn, sol.h_form, sol.m6)
-    ricci_h = riemann_ricci(conn_h, sol.sc6, sol.m6).ricci
     d_h = mc_differential(sol.h_form, sol.sc6)
     star_h = hodge(sol.h_form, sol.m6, sol.orientation6)
     d_star_h = mc_differential(star_h, sol.sc6)
     norm_h = pairing_full(sol.h_form, sol.h_form, sol.m6)
     return SugraResiduals(
-        ricci_h=float(np.max(np.abs(ricci_h))),
+        ricci_h=float(np.max(np.abs(sol.torsion_ricci))),
         d_h=d_h.max_abs(),
         d_star_h=d_star_h.max_abs(),
         norm_h=float(norm_h),
@@ -184,15 +199,26 @@ def verify_supergravity(sol: ProductSolution) -> SugraResiduals:
 def ricci_torsion_identity_residual(sol: ProductSolution) -> float:
     """Residual of Ric(nabla^H) = Ric^g - (1/4) H o H, valid whenever H is
     closed and co-closed."""
-    conn = levi_civita(sol.sc6, sol.m6)
-    ric_g = riemann_ricci(conn, sol.sc6, sol.m6).ricci
-    conn_h = torsionful_connection(conn, sol.h_form, sol.m6)
-    ric_h = riemann_ricci(conn_h, sol.sc6, sol.m6).ricci
+    ric_g = riemann_ricci(sol.connection, sol.sc6, sol.m6).ricci
     square = three_form_square(sol.h_form, sol.m6)
-    return float(np.max(np.abs(ric_h - (ric_g - 0.25 * square))))
+    return float(np.max(np.abs(sol.torsion_ricci - (ric_g - 0.25 * square))))
 
 
 # --- catalog of product rows ----------------------------------------------------
+
+
+def _factor(family: str, params: dict, alpha, orientation: int) -> ContactStructure:
+    """A verified contact factor of a classification family."""
+    spec = FamilySpec(family, params)
+    return check_contact(
+        make_family(spec), family_metric(family), orientation, one_form(alpha), spec=spec
+    )
+
+
+def _unimodular(mu2: float, mu3: float) -> ContactStructure:
+    """Riemannian factor: the unimodular family at mu1 = 1 with alpha = e^0."""
+    return _factor("riemannian_unimodular", {"mu1": 1.0, "mu2": mu2, "mu3": mu3},
+                   [1.0, 0.0, 0.0], -1)
 
 
 def _su2_sasakian(kappa_x: float) -> ContactStructure:
@@ -200,32 +226,7 @@ def _su2_sasakian(kappa_x: float) -> ContactStructure:
     m = 1.0 + kappa_x
     if m <= 0:
         raise RowFailure(f"Sasakian factor needs kappa_x > -1, got {kappa_x}")
-    spec = FamilySpec("riemannian_unimodular", {"mu1": 1.0, "mu2": m, "mu3": m})
-    return check_contact(
-        make_family(spec), FrameMetric.riemannian(3), -1, one_form([1.0, 0.0, 0.0]),
-        spec=spec,
-    )
-
-
-def _riemannian_nonsasakian(lam2: float) -> ContactStructure:
-    """Riemannian non-Sasakian factor with lambda^2 = lam2 = -kappa < 1/2."""
-    mh = math.sqrt(1.0 - 2.0 * lam2)
-    spec = FamilySpec(
-        "riemannian_unimodular",
-        {"mu1": 1.0, "mu2": 0.5 * (1.0 - mh), "mu3": 0.5 * (1.0 + mh)},
-    )
-    return check_contact(
-        make_family(spec), FrameMetric.riemannian(3), -1, one_form([1.0, 0.0, 0.0]),
-        spec=spec,
-    )
-
-
-def _lorentz_cs(family: str, params: dict, alpha, orientation: int) -> ContactStructure:
-    spec = FamilySpec(family, params)
-    return check_contact(
-        make_family(spec), FrameMetric.lorentzian(3), orientation, one_form(alpha),
-        spec=spec,
-    )
+    return _unimodular(m, m)
 
 
 @dataclass(frozen=True)
@@ -245,39 +246,31 @@ def _catalog_rows() -> list:
     # --- time-like table (eps_N = -1) ---
     def tl_sl2r_sas(l):
         lam2 = 1.0 - l * l
-        n = _lorentz_cs("g3", {"a": lam2, "b": lam2, "c": 1.0}, [1.0, 0.0, 0.0], 1)
+        n = _factor("g3", {"a": lam2, "b": lam2, "c": 1.0}, [1.0, 0.0, 0.0], 1)
         return n, _su2_sasakian(-l * l), math.sqrt(lam2)
 
     def tl_g6_sas(l):
         lam2 = 1.0 - l * l
-        n = _lorentz_cs(
+        n = _factor(
             "g6", {"a": math.sqrt(lam2), "b": 1.0, "c": 0.0, "d": 0.0}, [1.0, 0.0, 0.0], -1
         )
         return n, _su2_sasakian(-l * l), math.sqrt(lam2)
 
     def tl_h3_h3(l):
-        n = _lorentz_cs("g3", {"a": 0.0, "b": 0.0, "c": -1.0}, [-1.0, 0.0, 0.0], -1)
-        spec = FamilySpec("riemannian_unimodular", {"mu1": 1.0, "mu2": 0.0, "mu3": 0.0})
-        x = check_contact(
-            make_family(spec), FrameMetric.riemannian(3), -1, one_form([1.0, 0.0, 0.0]),
-            spec=spec,
-        )
-        return n, x, 0.0
+        n = _factor("g3", {"a": 0.0, "b": 0.0, "c": -1.0}, [-1.0, 0.0, 0.0], -1)
+        return n, _unimodular(0.0, 0.0), 0.0
 
     def tl_nonsas(l):
+        # both factors have lambda^2 = l^2 < 1/2; X is non-Sasakian with kappa_X = -l^2
         l2 = l * l
-        b = 0.5 * (1.0 + math.sqrt(1.0 - 2.0 * l2))
-        n = _lorentz_cs("g3", {"a": 1.0 - b, "b": b, "c": 1.0}, [1.0, 0.0, 0.0], 1)
-        return n, _riemannian_nonsasakian(l2), math.sqrt(l2)
+        mh = math.sqrt(1.0 - 2.0 * l2)
+        b = 0.5 * (1.0 + mh)
+        n = _factor("g3", {"a": 1.0 - b, "b": b, "c": 1.0}, [1.0, 0.0, 0.0], 1)
+        return n, _unimodular(0.5 * (1.0 - mh), b), math.sqrt(l2)
 
     def tl_e11_e2(l):
-        n = _lorentz_cs("g3", {"a": 1.0, "b": 0.0, "c": 1.0}, [-1.0, 0.0, 0.0], 1)
-        spec = FamilySpec("riemannian_unimodular", {"mu1": 1.0, "mu2": 0.0, "mu3": 1.0})
-        x = check_contact(
-            make_family(spec), FrameMetric.riemannian(3), -1, one_form([1.0, 0.0, 0.0]),
-            spec=spec,
-        )
-        return n, x, 0.0
+        n = _factor("g3", {"a": 1.0, "b": 0.0, "c": 1.0}, [-1.0, 0.0, 0.0], 1)
+        return n, _unimodular(0.0, 1.0), 0.0
 
     rows += [
         CatalogRow(-1, "sl2r-sasakian_x_su2-sasakian", 1.0, None, True, True, tl_sl2r_sas),
@@ -290,33 +283,23 @@ def _catalog_rows() -> list:
     # --- space-like table (eps_N = +1) ---
     def sl_sl2r_sas(l):
         t = 1.0 + l * l
-        n = _lorentz_cs("g3", {"a": 1.0, "b": t, "c": t}, [0.0, 1.0, 0.0], 1)
+        n = _factor("g3", {"a": 1.0, "b": t, "c": t}, [0.0, 1.0, 0.0], 1)
         return n, _su2_sasakian(l * l), math.sqrt(t)
 
     def sl_g6_sas(l):
         t = 1.0 + l * l
-        n = _lorentz_cs(
+        n = _factor(
             "g6", {"a": 0.0, "b": 0.0, "c": -1.0, "d": math.sqrt(t)}, [0.0, 0.0, 1.0], 1
         )
         return n, _su2_sasakian(l * l), math.sqrt(t)
 
     def sl_e11_e2(l):
-        n = _lorentz_cs("g3", {"a": 1.0, "b": 0.0, "c": 1.0}, [0.0, 1.0, 0.0], 1)
-        spec = FamilySpec("riemannian_unimodular", {"mu1": 1.0, "mu2": 0.0, "mu3": 1.0})
-        x = check_contact(
-            make_family(spec), FrameMetric.riemannian(3), -1, one_form([1.0, 0.0, 0.0]),
-            spec=spec,
-        )
-        return n, x, 0.0
+        n = _factor("g3", {"a": 1.0, "b": 0.0, "c": 1.0}, [0.0, 1.0, 0.0], 1)
+        return n, _unimodular(0.0, 1.0), 0.0
 
     def sl_e2_e2(l):
-        n = _lorentz_cs("g3", {"a": 1.0, "b": 1.0, "c": 0.0}, [0.0, 1.0, 0.0], 1)
-        spec = FamilySpec("riemannian_unimodular", {"mu1": 1.0, "mu2": 0.0, "mu3": 1.0})
-        x = check_contact(
-            make_family(spec), FrameMetric.riemannian(3), -1, one_form([1.0, 0.0, 0.0]),
-            spec=spec,
-        )
-        return n, x, 0.0
+        n = _factor("g3", {"a": 1.0, "b": 1.0, "c": 0.0}, [0.0, 1.0, 0.0], 1)
+        return n, _unimodular(0.0, 1.0), 0.0
 
     rows += [
         CatalogRow(1, "sl2r-parasasakian_x_su2-sasakian", None, None, True, True, sl_sl2r_sas),
@@ -328,44 +311,39 @@ def _catalog_rows() -> list:
     # --- null table (eps_N = 0); kappa_X = 0 for every l ---
     def nu_sl2r_sas(l):
         if l == 0.0:
-            n = _lorentz_cs("g3", {"a": 1.0, "b": 1.0, "c": 1.0}, [1.0, 1.0, 0.0], 1)
+            n = _factor("g3", {"a": 1.0, "b": 1.0, "c": 1.0}, [1.0, 1.0, 0.0], 1)
         else:
             a0 = 1.0 / abs(l)
-            n = _lorentz_cs("g4", {"a": 1.0, "b": 0.0, "mu": -1.0}, [a0, 0.0, -a0], 1)
+            n = _factor("g4", {"a": 1.0, "b": 0.0, "mu": -1.0}, [a0, 0.0, -a0], 1)
         return n, _su2_sasakian(0.0), 1.0
 
     def nu_g6_sas(l):
-        n = _lorentz_cs(
+        n = _factor(
             "g6", {"a": 0.5, "b": -0.5, "c": -0.5, "d": 0.5}, [1.0, 0.0, -1.0], 1
         )
         return n, _su2_sasakian(0.0), 1.0
 
     def nu_g6_nonsas(l):
-        n = _lorentz_cs(
+        n = _factor(
             "g6", {"a": -0.5, "b": -1.5, "c": -1.5, "d": -0.5}, [1.0, 0.0, -1.0], 1
         )
         return n, _su2_sasakian(0.0), 1.0
 
     def nu_e11_sas(l):
-        n = _lorentz_cs("g2", {"a": 0.0, "b": 0.5, "c": -0.5}, [1.0, 0.0, 1.0], 1)
+        n = _factor("g2", {"a": 0.0, "b": 0.5, "c": -0.5}, [1.0, 0.0, 1.0], 1)
         return n, _su2_sasakian(0.0), 1.0
 
     def nu_e11_nonsas(l):
-        n = _lorentz_cs("g2", {"a": 0.0, "b": 1.5, "c": 0.5}, [1.0, 0.0, 1.0], 1)
+        n = _factor("g2", {"a": 0.0, "b": 1.5, "c": 0.5}, [1.0, 0.0, 1.0], 1)
         return n, _su2_sasakian(0.0), 1.0
 
     def nu_e11_e2(l):
         if l == 0.0:
-            n = _lorentz_cs("g3", {"a": 1.0, "b": 0.0, "c": 1.0}, [1.0, 1.0, 0.0], 1)
+            n = _factor("g3", {"a": 1.0, "b": 0.0, "c": 1.0}, [1.0, 1.0, 0.0], 1)
         else:
             a0 = math.sqrt(2.0) / abs(l)
-            n = _lorentz_cs("g4", {"a": 0.0, "b": 0.0, "mu": -1.0}, [a0, 0.0, -a0], 1)
-        spec = FamilySpec("riemannian_unimodular", {"mu1": 1.0, "mu2": 0.0, "mu3": 1.0})
-        x = check_contact(
-            make_family(spec), FrameMetric.riemannian(3), -1, one_form([1.0, 0.0, 0.0]),
-            spec=spec,
-        )
-        return n, x, 0.0
+            n = _factor("g4", {"a": 0.0, "b": 0.0, "mu": -1.0}, [a0, 0.0, -a0], 1)
+        return n, _unimodular(0.0, 1.0), 0.0
 
     rows += [
         CatalogRow(0, "sl2r-sasakian-null_x_su2", None, None, True, True, nu_sl2r_sas),
@@ -387,12 +365,16 @@ def catalog_rows(epsilon_n: int) -> list:
 
 @dataclass
 class CatalogResult:
+    """One catalog row at one l; a row that could not be built or verified
+    has ``failure`` set, lam = NaN and infinite residuals."""
+
     row: str
     epsilon_n: int
     l: float
     lam: float
     residuals: SugraResiduals
     passed: bool
+    failure: Optional[str] = None
 
 
 def run_catalog(
@@ -425,7 +407,8 @@ def run_catalog(
                     raise RowFailure(f"{row.name} at l={l}: {exc}") from exc
                 results.append(
                     CatalogResult(row.name, epsilon_n, l, float("nan"),
-                                  SugraResiduals(np.inf, np.inf, np.inf, np.inf), False)
+                                  SugraResiduals(np.inf, np.inf, np.inf, np.inf), False,
+                                  f"{type(exc).__name__}: {exc}")
                 )
                 continue
             if strict and not ok:
@@ -439,6 +422,6 @@ def run_catalog(
 def preset_ads3xs3(lam: float = 1.0) -> ProductSolution:
     """The l = 0 configuration on the product of the unit-constants g3 factor
     (null alpha) and the round Riemannian Sasakian factor: H = lam (nu_L + nu_R)."""
-    n = _lorentz_cs("g3", {"a": 1.0, "b": 1.0, "c": 1.0}, [1.0, 1.0, 0.0], 1)
+    n = _factor("g3", {"a": 1.0, "b": 1.0, "c": 1.0}, [1.0, 1.0, 0.0], 1)
     x = _su2_sasakian(0.0)
     return build_solution(n, x, lam, 0.0)

@@ -28,11 +28,10 @@ from typing import Callable, Optional
 
 from .config import get_tol
 from .contact import check_contact, is_k_contact, is_sasakian
-from .curvature import levi_civita, riemann_ricci
 from .einstein import fit_eta_einstein
 from .errors import EpsContactError, NotContact, RowFailure
-from .exterior import FrameMetric, one_form
-from .liealg import FamilySpec, GroupName, identify_group, make_family
+from .exterior import one_form
+from .liealg import FamilySpec, GroupName, family_metric, identify_group, make_family
 
 SIGNS = (1, -1)
 ALPHA0 = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -714,18 +713,12 @@ def iter_instances(table_id: str):
             yield row, inst
 
 
-def _metric_for(spec: FamilySpec) -> FrameMetric:
-    if spec.family_id.startswith("riemannian"):
-        return FrameMetric.riemannian(3)
-    return FrameMetric.lorentzian(3)
-
-
 def build_instance(inst: RowInstance, tol: float | None = None):
     """Realize a row instance as a verified contact structure (trying both
     orientations when the row does not pin one)."""
     tol = get_tol(tol)
     sc = make_family(inst.spec, tol=tol)
-    m = _metric_for(inst.spec)
+    m = family_metric(inst.spec.family_id)
     orientations = (inst.orientation,) if inst.orientation else (1, -1)
     last_exc: Exception | None = None
     for orientation in orientations:
@@ -766,8 +759,7 @@ def verify_instance(inst: RowInstance, tol: float | None = None) -> InstanceRepo
             return fail("group_ok", f"group {found.value} != expected {inst.group.value}")
         report.checks["group_ok"] = True
     if inst.lambda2 is not None:
-        curv = riemann_ricci(levi_civita(cs.sc, cs.m), cs.sc, cs.m)
-        fit = fit_eta_einstein(cs, curv, tol=tol)
+        fit = fit_eta_einstein(cs, tol=tol)
         report.lambda2, report.kappa, report.residual = fit.lambda2, fit.kappa, fit.residual
         if not fit.admissible:
             return fail("fit_ok", f"fit not admissible (residual {fit.residual:.3e})")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from epscontact.cli import main
 
 
@@ -78,6 +80,24 @@ def test_catalog(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True and report["items"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # l = 1e200 overflows on purpose
+def test_catalog_failures_carry_reason_and_stay_strict_json(capsys):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    code, out = run(capsys, "catalog", "--epsilon-n", "1", "--l-samples", "1e200")
+    assert code == 1
+    items = json.loads(out, parse_constant=reject)["items"]
+    failed = [item for item in items if not item["pass"]]
+    assert failed
+    for item in failed:
+        assert item["reason"]
+        for key in ("lambda", "ricci_h", "d_h", "d_star_h", "norm_h"):
+            assert item[key] is None
+    for item in items:
+        assert item["pass"] == ("reason" not in item)
 
 
 def test_catalog_csv_format(capsys):

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from epscontact import curvature
 from epscontact.contact import (
     characteristic_endo,
     check_contact,
@@ -17,9 +20,10 @@ from epscontact.contact import (
     nijenhuis_J,
     timelike_special_frame,
 )
+from epscontact.einstein import fit_eta_einstein
 from epscontact.errors import NotContact, WrongCausalType
-from epscontact.exterior import FrameMetric, one_form
-from epscontact.liealg import FamilySpec, make_family, zero_algebra
+from epscontact.exterior import FrameMetric, one_form, sharp
+from epscontact.liealg import FamilySpec, family_metric, make_family, zero_algebra
 
 L3 = FrameMetric.lorentzian(3)
 R3 = FrameMetric.riemannian(3)
@@ -285,3 +289,83 @@ def test_contact_json_roundtrip():
     assert back.epsilon == 0
     assert np.allclose(back.alpha.comps, cs.alpha.comps)
     assert back.spec == spec
+
+
+# --- derived data computed once per structure -----------------------------------
+
+CAUSAL_CASES = {
+    "time-like": (("g3", {"a": 1, "b": 1, "c": 1}), [1, 0, 0], 1),
+    "space-like": (("g3", {"a": 1, "b": 1, "c": 1}), [0, 1, 0], 1),
+    "null": (("g3", {"a": 1, "b": 1, "c": 1}), [1, 0.6, -0.8], 1),
+    "null-nonsasakian": (("g3", {"a": 2, "b": 1, "c": 1}), [1, 0, 1], 1),
+    "riemannian": (("riemannian_unimodular", {"mu1": 1, "mu2": 0.4, "mu3": 0.6}), [1, 0, 0], -1),
+}
+
+
+def causal_case(name):
+    (family, params), alpha, orientation = CAUSAL_CASES[name]
+    sc = make_family(FamilySpec(family, params))
+    return check_contact(sc, family_metric(family), orientation, one_form(alpha))
+
+
+def bit_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("case", sorted(CAUSAL_CASES))
+def test_cached_data_equals_free_functions(case):
+    cs = causal_case(case)
+    fresh = causal_case(case)  # nothing computed on it yet
+    conn = curvature.levi_civita(fresh.sc, fresh.m)
+    curv = curvature.riemann_ricci(conn, fresh.sc, fresh.m)
+    xi = sharp(fresh.alpha, fresh.m)
+    phi = characteristic_endo(fresh)
+    h = np.column_stack([
+        fresh.sc.bracket(xi, phi @ e) - phi @ fresh.sc.bracket(xi, e) for e in np.eye(3)
+    ])
+    assert bit_equal(cs.xi, xi) and cs.reeb() is cs.xi
+    assert bit_equal(cs.phi, phi)
+    assert bit_equal(cs.connection.gamma, conn.gamma)
+    assert bit_equal(cs.curvature.riemann, curv.riemann)
+    assert bit_equal(cs.curvature.ricci, curv.ricci)
+    assert cs.curvature.scalar == curv.scalar
+    assert bit_equal(cs.h, h)
+    assert h_tensor(cs)[0] is cs.h
+    frame = contact_frame(fresh)
+    assert all(bit_equal(got, want) for got, want in zip(cs.frame, frame))
+    if cs.epsilon == 0:
+        u = frame[1]
+        assert cs.mu == float(np.sum(cs.m.eta * u * (h @ u))) == h_tensor(cs)[1]
+    else:
+        assert cs.mu is None
+
+
+@pytest.mark.parametrize("case", sorted(CAUSAL_CASES))
+def test_cached_arrays_are_read_only(case):
+    cs = causal_case(case)
+    arrays = [cs.xi, cs.phi, cs.connection.gamma, cs.curvature.riemann,
+              cs.curvature.ricci, cs.h, *cs.frame]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+@pytest.mark.parametrize("case", sorted(CAUSAL_CASES))
+def test_structure_computes_levi_civita_once(case, monkeypatch):
+    original = curvature.levi_civita
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("epscontact") and getattr(mod, "levi_civita", None) is original:
+            monkeypatch.setattr(mod, "levi_civita", counting)
+    cs = causal_case(case)
+    fit_eta_einstein(cs)
+    is_sasakian(cs)
+    contact_identity_residuals(cs)
+    assert len(calls) == 1

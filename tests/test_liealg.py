@@ -3,10 +3,12 @@ import pytest
 
 from epscontact.errors import ConstraintViolation
 from epscontact.liealg import (
+    FAMILY_PARAMS,
     FamilySpec,
     GroupName,
     StructureConstants,
     direct_sum,
+    family_metric,
     from_nine_params,
     identify_group,
     jacobi_defect,
@@ -168,3 +170,14 @@ def test_antisymmetry_enforced():
     c[0, 1, 2] = 1.0  # missing the (1,0) counterpart
     with pytest.raises(ValueError):
         StructureConstants(c)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_family_metric(family):
+    expected = (1, 1, 1) if family.startswith("riemannian") else (-1, 1, 1)
+    assert family_metric(family).signs == expected
+
+
+def test_family_metric_unknown_family():
+    with pytest.raises(ConstraintViolation, match="unknown family"):
+        family_metric("riemannian_g9")

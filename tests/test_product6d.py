@@ -269,3 +269,21 @@ def test_solution_json_bundle():
     assert data["n"]["family"] == "g3"
     assert data["x"]["family"] == "riemannian_unimodular"
     assert "comps" in data["H"]
+
+
+def test_solution_computes_its_connections_once(monkeypatch):
+    sol = p6.preset_ads3xs3()
+    counts = {"levi_civita": 0, "riemann_ricci": 0}
+    for name in counts:
+        original = getattr(p6, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(p6, name, counting)
+    p6.verify_supergravity(sol)
+    p6.ricci_torsion_identity_residual(sol)
+    # one Levi-Civita connection; the Ricci of it and of the torsionful one
+    assert counts == {"levi_civita": 1, "riemann_ricci": 2}
+    assert not sol.torsion_ricci.flags.writeable
