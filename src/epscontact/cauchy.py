@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -58,11 +59,10 @@ class SurfaceGrid:
         return np.ones((self.nx, 1)) * np.arange(self.ny)[None, :] * self.hy
 
 
-def _d1(f: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
-    """Second-order first derivative along a leading grid axis."""
-    if periodic:
-        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
-    out = np.empty_like(f)
+def _d1(f: np.ndarray, axis: int, h: float, periodic: bool, out=None) -> np.ndarray:
+    """Second-order first derivative along one grid axis of f (into out if given)."""
+    if out is None:
+        out = np.empty_like(f)
     sl = [slice(None)] * f.ndim
 
     def at(idx):
@@ -70,27 +70,68 @@ def _d1(f: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
         s[axis] = idx
         return tuple(s)
 
-    out[at(slice(1, -1))] = (f[at(slice(2, None))] - f[at(slice(0, -2))]) / (2.0 * h)
-    out[at(0)] = (-3.0 * f[at(0)] + 4.0 * f[at(1)] - f[at(2)]) / (2.0 * h)
-    out[at(-1)] = (3.0 * f[at(-1)] - 4.0 * f[at(-2)] + f[at(-3)]) / (2.0 * h)
+    np.subtract(f[at(slice(2, None))], f[at(slice(0, -2))], out=out[at(slice(1, -1))])
+    if periodic:
+        out[at(0)] = f[at(1)] - f[at(-1)]
+        out[at(-1)] = f[at(0)] - f[at(-2)]
+    else:
+        out[at(0)] = -3.0 * f[at(0)] + 4.0 * f[at(1)] - f[at(2)]
+        out[at(-1)] = 3.0 * f[at(-1)] - 4.0 * f[at(-2)] + f[at(-3)]
+    out /= 2.0 * h
+    return out
+
+
+# The geometry below works on component planes: a tensor field is a
+# contiguous (2, ..., 2, nx, ny) array, so every contraction over a 2-valued
+# index is an explicit sum of whole-grid plane products.
+
+
+def _planes(a: np.ndarray) -> np.ndarray:
+    """A field laid out (nx, ny, ...) as contiguous (..., nx, ny) planes."""
+    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
+
+
+def _partial(f: np.ndarray, m: int, grid: SurfaceGrid, out=None) -> np.ndarray:
+    """d_m f (m = 0: x, m = 1: y) of planes f (into out if given)."""
+    if m == 0:
+        return _d1(f, -2, grid.hx, grid.periodic_x, out)
+    return _d1(f, -1, grid.hy, grid.periodic_y, out)
+
+
+def _partials(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
+    """(2, ...) stack of d_m f of planes f."""
+    out = np.empty((2,) + f.shape)
+    for m in range(2):
+        _partial(f, m, grid, out[m])
     return out
 
 
 def _grad(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    """(..., 2) array of (d_x f, d_y f)."""
-    return np.stack(
-        [
-            _d1(f, 0, grid.hx, grid.periodic_x),
-            _d1(f, 1, grid.hy, grid.periodic_y),
-        ],
-        axis=-1,
-    )
+    """(nx, ny, 2) array of (d_x f, d_y f) of a scalar field."""
+    return np.moveaxis(_partials(f, grid), 0, -1)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(ab)_ij = a_i0 b_0j + a_i1 b_1j of (2, 2, nx, ny) planes."""
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_ij a_ij b_ij over the two leading 2-valued axes."""
+    return a[0, 0] * b[0, 0] + a[0, 1] * b[0, 1] + a[1, 0] * b[1, 0] + a[1, 1] * b[1, 1]
+
+
+def _quadratic(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_ij m_ij u_i u_j of (2, 2, nx, ny) and (2, nx, ny) planes."""
+    return (m[0, 0] * u[0] * u[0] + m[0, 1] * u[0] * u[1]
+            + m[1, 0] * u[1] * u[0] + m[1, 1] * u[1] * u[1])
 
 
 @dataclass(frozen=True)
 class SurfaceData:
     """One time slice of fields on the grid: q (nx,ny,2,2) positive definite,
-    theta (nx,ny,2,2) symmetric, F (nx,ny), alpha (nx,ny,2), beta (nx,ny) > 0."""
+    theta (nx,ny,2,2) symmetric, F (nx,ny), alpha (nx,ny,2), beta (nx,ny) > 0,
+    all finite."""
 
     grid: SurfaceGrid
     q: np.ndarray
@@ -112,9 +153,11 @@ class SurfaceData:
             arr = np.array(getattr(self, name), dtype=float)  # defensive copy
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite at every node")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        det = self.q[..., 0, 0] * self.q[..., 1, 1] - self.q[..., 0, 1] * self.q[..., 1, 0]
+        det = self.det_q()
         if np.any(det <= 0.0) or np.any(self.q[..., 0, 0] <= 0.0):
             raise SingularMetric("q must be positive definite at every node")
         if np.any(self.beta <= 0.0):
@@ -124,13 +167,21 @@ class SurfaceData:
         return self.q[..., 0, 0] * self.q[..., 1, 1] - self.q[..., 0, 1] * self.q[..., 1, 0]
 
     def inv_q(self) -> np.ndarray:
+        return np.moveaxis(self._metric[1], (0, 1), (2, 3)).copy()
+
+    @cached_property
+    def _metric(self) -> tuple:
+        """(q, q^{-1}) as (2, 2, nx, ny) planes and det q, computed once."""
+        q = _planes(self.q)
         det = self.det_q()
-        inv = np.empty_like(self.q)
-        inv[..., 0, 0] = self.q[..., 1, 1] / det
-        inv[..., 1, 1] = self.q[..., 0, 0] / det
-        inv[..., 0, 1] = -self.q[..., 0, 1] / det
-        inv[..., 1, 0] = -self.q[..., 1, 0] / det
-        return inv
+        inv = np.empty_like(q)
+        inv[0, 0] = q[1, 1] / det
+        inv[1, 1] = q[0, 0] / det
+        inv[0, 1] = -q[0, 1] / det
+        inv[1, 0] = -q[1, 0] / det
+        for arr in (q, inv, det):
+            arr.flags.writeable = False
+        return q, inv, det
 
 
 @dataclass(frozen=True)
@@ -158,58 +209,47 @@ class SurfaceSequence:
 
 def christoffel(d: SurfaceData) -> np.ndarray:
     """Gamma[..., k, i, j] of the surface metric, via central differences."""
-    dq = np.stack(
-        [
-            _d1(d.q, 0, d.grid.hx, d.grid.periodic_x),
-            _d1(d.q, 1, d.grid.hy, d.grid.periodic_y),
-        ],
-        axis=2,
-    )  # (nx, ny, m, i, j) = d_m q_ij
-    inv = d.inv_q()
-    # Gamma^k_ij = 1/2 q^{kl} (d_i q_lj + d_j q_li - d_l q_ij)
+    q, inv, _ = d._metric
+    dq = _partials(q, d.grid)  # (m, i, j) = d_m q_ij
+    # Gamma^k_ij = 1/2 q^{kl} (d_i q_lj + d_j q_li - d_l q_ij), term[i, j, l]
     term = (
-        np.einsum("xyilj->xyijl", dq)
-        + np.einsum("xyjli->xyijl", dq)
-        - np.einsum("xylij->xyijl", dq)
+        dq.transpose(0, 2, 1, 3, 4)
+        + dq.transpose(2, 0, 1, 3, 4)
+        - dq.transpose(1, 2, 0, 3, 4)
     )
-    return 0.5 * np.einsum("xykl,xyijl->xykij", inv, term)
+    gamma = 0.5 * (inv[:, 0, None, None] * term[None, :, :, 0]
+                   + inv[:, 1, None, None] * term[None, :, :, 1])
+    return np.moveaxis(gamma, (0, 1, 2), (2, 3, 4))
+
+
+def _geometry(d: SurfaceData) -> tuple:
+    """q^{-1} (2, 2, nx, ny), sqrt(det q) (nx, ny) and Gamma^k_ij as
+    (2, 2, 2, nx, ny) planes: everything a slice's residuals derive from q."""
+    _, inv, det = d._metric
+    gamma = np.moveaxis(christoffel(d), (2, 3, 4), (0, 1, 2))
+    return inv, np.sqrt(det), gamma
+
+
+def _scalar_curvature(inv: np.ndarray, gamma: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
+    """R = q^{kj} Ric_kj with
+    Ric_kj = sum_l [d_l G^l_jk - d_j G^l_lk + sum_m (G^l_lm G^m_jk - G^l_jm G^m_lk)],
+    contracted directly from the Christoffel planes gamma[k, i, j]."""
+    d_gamma = (_partial(gamma[0], 0, grid), _partial(gamma[1], 1, grid))  # d_l G^l_jk
+    d_trace = (_partials(gamma[0, 0], grid), _partials(gamma[1, 1], grid))  # d_j G^l_lk
+    terms = [
+        d_gamma[l] - d_trace[l]
+        + (gamma[l, l, 0] * gamma[0] + gamma[l, l, 1] * gamma[1])
+        - (gamma[l, :, 0, None] * gamma[0, l][None] + gamma[l, :, 1, None] * gamma[1, l][None])
+        for l in range(2)
+    ]  # [j, k]
+    ric = (terms[0] + terms[1]).swapaxes(0, 1)
+    return _pair(inv, ric)
 
 
 def scalar_curvature(d: SurfaceData) -> np.ndarray:
     """R^q at every node (2 x Gauss curvature)."""
-    gamma = christoffel(d)
-    dgamma = np.stack(
-        [
-            _d1(gamma, 0, d.grid.hx, d.grid.periodic_x),
-            _d1(gamma, 1, d.grid.hy, d.grid.periodic_y),
-        ],
-        axis=2,
-    )  # (nx, ny, m, k, i, j) = d_m Gamma^k_ij
-    # R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
-    riem = (
-        np.einsum("xyiljk->xylkij", dgamma)
-        - np.einsum("xyjlik->xylkij", dgamma)
-        + np.einsum("xylim,xymjk->xylkij", gamma, gamma)
-        - np.einsum("xyljm,xymik->xylkij", gamma, gamma)
-    )
-    ric = np.einsum("xylklj->xykj", riem)
-    return np.einsum("xykj,xykj->xy", d.inv_q(), ric)
-
-
-def ricci_surface(d: SurfaceData) -> np.ndarray:
-    """Ric^q = (R^q/2) q, exact in two dimensions."""
-    return 0.5 * scalar_curvature(d)[..., None, None] * d.q
-
-
-def _hodge_one_form(d: SurfaceData, alpha: np.ndarray) -> np.ndarray:
-    """(*alpha)_i on the oriented surface: *dx = dy-like rotation with metric."""
-    det = np.sqrt(d.det_q())
-    inv = d.inv_q()
-    raised = np.einsum("xyij,xyj->xyi", inv, alpha)
-    out = np.empty_like(alpha)
-    out[..., 0] = -det * raised[..., 1]
-    out[..., 1] = det * raised[..., 0]
-    return out
+    inv, _, gamma = _geometry(d)
+    return _scalar_curvature(inv, gamma, d.grid)
 
 
 @dataclass(frozen=True)
@@ -231,47 +271,39 @@ class ConstraintResiduals:
         return max(self.curl, self.norm, self.hamiltonian, self.momentum)
 
 
+def _max_abs(r: np.ndarray) -> float:
+    return float(np.max(np.abs(r)))
+
+
 def constraint_residuals(
     d: SurfaceData, eps: int, lambda2: float, kappa: float
 ) -> ConstraintResiduals:
     """Discrete L-infinity norms of the four constraint expressions."""
     grid = d.grid
-    inv = d.inv_q()
-    det = np.sqrt(d.det_q())
+    inv, vol, gamma = _geometry(d)
+    theta, alpha = _planes(d.theta), _planes(d.alpha)
     # r1
-    dxy = _d1(d.alpha[..., 1], 0, grid.hx, grid.periodic_x)
-    dyx = _d1(d.alpha[..., 0], 1, grid.hy, grid.periodic_y)
-    r1 = dxy - dyx - d.F * det
+    r1 = _partial(alpha[1], 0, grid) - _partial(alpha[0], 1, grid) - d.F * vol
     # r2
-    norm2 = np.einsum("xyij,xyi,xyj->xy", inv, d.alpha, d.alpha)
-    r2 = norm2 - eps - d.F**2
+    r2 = _quadratic(inv, alpha) - eps - d.F**2
     # r3
-    tr_theta = np.einsum("xyij,xyij->xy", inv, d.theta)
-    theta2 = np.einsum("xyik,xyjl,xyij,xykl->xy", inv, inv, d.theta, d.theta)
+    tr_theta = _pair(inv, theta)
+    inv_t = inv.swapaxes(0, 1)
+    theta2 = _pair(_matmul(inv_t, theta), _matmul(theta, inv_t))  # q^{ik} q^{jl} T_ij T_kl
     c_const = 0.5 * (5.0 * lambda2 + 3.0 * kappa * eps)
-    r3 = scalar_curvature(d) - theta2 + tr_theta**2 + c_const - 2.0 * kappa * d.F**2
-    # r4
-    gamma = christoffel(d)
-    dtheta = np.stack(
-        [
-            _d1(d.theta, 0, grid.hx, grid.periodic_x),
-            _d1(d.theta, 1, grid.hy, grid.periodic_y),
-        ],
-        axis=2,
-    )  # (..., m, i, j)
-    # (nabla_m Theta)_{ij} = d_m Theta_ij - G^k_mi Theta_kj - G^k_mj Theta_ik
+    r3 = (_scalar_curvature(inv, gamma, grid) - theta2 + tr_theta**2 + c_const
+          - 2.0 * kappa * d.F**2)
+    # r4: (nabla_m Theta)_ij = d_m Theta_ij - G^k_mi Theta_kj - G^k_mj Theta_ik
     cov = (
-        dtheta
-        - np.einsum("xykmi,xykj->xymij", gamma, d.theta)
-        - np.einsum("xykmj,xyik->xymij", gamma, d.theta)
-    )
-    div = np.einsum("xymi,xymij->xyj", inv, cov)
-    r4 = _grad(tr_theta, grid) + div - kappa * d.F[..., None] * d.alpha
+        _partials(theta, grid)
+        - (gamma[0][:, :, None] * theta[0][None, None]
+           + gamma[1][:, :, None] * theta[1][None, None])
+        - (gamma[0][:, None] * theta[:, 0][None, :, None]
+           + gamma[1][:, None] * theta[:, 1][None, :, None])
+    )  # [m, i, j]
+    r4 = _partials(tr_theta, grid) + _pair(inv, cov) - kappa * d.F * alpha
     return ConstraintResiduals(
-        curl=float(np.max(np.abs(r1))),
-        norm=float(np.max(np.abs(r2))),
-        hamiltonian=float(np.max(np.abs(r3))),
-        momentum=float(np.max(np.abs(r4))),
+        curl=_max_abs(r1), norm=_max_abs(r2), hamiltonian=_max_abs(r3), momentum=_max_abs(r4)
     )
 
 
@@ -296,42 +328,35 @@ def evolution_residuals(
     max_a, max_r = 0.0, 0.0
     for t in range(1, len(seq.slices) - 1):
         prev_s, d, next_s = seq.slices[t - 1], seq.slices[t], seq.slices[t + 1]
-        dt_alpha = (next_s.alpha - prev_s.alpha) / (2.0 * seq.dt)
-        dt_theta = (next_s.theta - prev_s.theta) / (2.0 * seq.dt)
-        beta = d.beta[..., None]
-        e1 = _hodge_one_form(d, d.alpha) + _grad(d.beta * d.F, grid) / beta - dt_alpha / beta
-        gamma = christoffel(d)
-        hess_beta = np.empty_like(d.q)
-        gb = _grad(d.beta, grid)
-        dgb = np.stack(
-            [
-                _d1(gb, 0, grid.hx, grid.periodic_x),
-                _d1(gb, 1, grid.hy, grid.periodic_y),
-            ],
-            axis=2,
-        )  # (..., i, j) = d_i (d_j beta)
-        hess_beta = dgb - np.einsum("xykij,xyk->xyij", gamma, gb)
-        inv = d.inv_q()
-        tr_theta = np.einsum("xyij,xyij->xy", inv, d.theta)
-        w = np.einsum("xyik,xykj->xyij", inv, d.theta)
-        theta_w = np.einsum("xyik,xykj->xyij", d.theta, w)
+        inv, vol, gamma = _geometry(d)
+        q, theta, alpha = d._metric[0], _planes(d.theta), _planes(d.alpha)
+        dt_alpha = _planes(next_s.alpha - prev_s.alpha) / (2.0 * seq.dt)
+        dt_theta = _planes(next_s.theta - prev_s.theta) / (2.0 * seq.dt)
+        # e1; (*alpha)_i = sqrt(det q) eps_ij q^{jk} alpha_k
+        raised = inv[:, 0] * alpha[0] + inv[:, 1] * alpha[1]
+        star = np.stack([-vol * raised[1], vol * raised[0]])
+        e1 = star + _partials(d.beta * d.F, grid) / d.beta - dt_alpha / d.beta
+        # e2
+        grad_beta = _partials(d.beta, grid)
+        hess_beta = _partials(grad_beta, grid) - (gamma[0] * grad_beta[0]
+                                                  + gamma[1] * grad_beta[1])
+        theta_w = _matmul(theta, _matmul(inv, theta))
         e2 = (
-            ricci_surface(d)
-            + tr_theta[..., None, None] * d.theta
+            0.5 * _scalar_curvature(inv, gamma, grid) * q  # Ric^q = (R/2) q in two dimensions
+            + _pair(inv, theta) * theta
             - 2.0 * theta_w
-            - (dt_theta + hess_beta) / d.beta[..., None, None]
-            - kappa * np.einsum("xyi,xyj->xyij", d.alpha, d.alpha)
-            + 0.5 * (lambda2 + kappa * eps) * d.q
+            - (dt_theta + hess_beta) / d.beta
+            - kappa * (alpha[:, None] * alpha[None])
+            + 0.5 * (lambda2 + kappa * eps) * q
         )
-        max_a = max(max_a, float(np.max(np.abs(e1))))
-        max_r = max(max_r, float(np.max(np.abs(e2))))
+        max_a = max(max_a, _max_abs(e1))
+        max_r = max(max_r, _max_abs(e2))
     return EvolutionResiduals(alpha_flow=max_a, ricci_flow=max_r)
 
 
 def recovered_epsilon(d: SurfaceData) -> float:
     """Mean of |alpha|^2_q - F^2 over the grid; matches eps for valid data."""
-    norm2 = np.einsum("xyij,xyi,xyj->xy", d.inv_q(), d.alpha, d.alpha)
-    return float(np.mean(norm2 - d.F**2))
+    return float(np.mean(_quadratic(d._metric[1], _planes(d.alpha)) - d.F**2))
 
 
 # --- closed-form example data ---------------------------------------------------

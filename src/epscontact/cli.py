@@ -231,6 +231,17 @@ def cmd_catalog(args, cfg: RunConfig) -> tuple:
     return all(r.passed for r in results), {"epsilon_n": args.epsilon_n, "items": items}
 
 
+def _null_non_finite(item: dict) -> bool:
+    """Write null for each non-finite number of a report item, name them in a
+    "reason" (the report stays strict JSON) and return whether all were finite."""
+    bad = [k for k, v in item.items() if isinstance(v, float) and not math.isfinite(v)]
+    for k in bad:
+        item[k] = None
+    if bad:
+        item["reason"] = "non-finite " + ", ".join(bad)
+    return not bad
+
+
 def cmd_cauchy(args, cfg: RunConfig) -> tuple:
     items = []
     passed = True
@@ -278,7 +289,8 @@ def cmd_cauchy(args, cfg: RunConfig) -> tuple:
             ratio = items[0]["constraint_curl"] / max(cur, 1e-300)
             items.append({"refinement": "ratio", "curl_ratio": ratio})
             passed = ratio >= 3.5
-    return passed, {"example": args.example, "items": items}
+    finite = all([_null_non_finite(item) for item in items])  # every item, no short cut
+    return passed and finite, {"example": args.example, "items": items}
 
 
 def _common_flags(defaults: bool) -> argparse.ArgumentParser:

@@ -10,6 +10,7 @@ vectors: (E v)^i = sum_j E[i][j] v^j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -162,11 +163,13 @@ def check_contact(
         raise NotContact("alpha != 0", norm_alpha)
     star_dalpha = hodge(mc_differential(alpha, sc), m, orientation)
     res = (alpha - star_dalpha).max_abs()
-    if res > tol:
+    if not res <= tol:  # a NaN residual fails too
         raise NotContact("alpha = *d(alpha)", res)
     n2 = pairing_full(alpha, alpha, m)
+    if not math.isfinite(n2):  # |alpha|^2 overflowed
+        raise NotContact("|alpha|^2 in {-1, 0, +1}", abs(n2))
     eps = int(round(n2))
-    if eps not in (-1, 0, 1) or abs(n2 - eps) > tol:
+    if eps not in (-1, 0, 1) or not abs(n2 - eps) <= tol:
         raise NotContact("|alpha|^2 in {-1, 0, +1}", abs(n2 - round(n2)))
     if m.s_g == 1 and eps != 1:
         raise NotContact("Riemannian signature forces epsilon = +1", float(eps))

@@ -260,3 +260,206 @@ def test_sequence_validation():
         cy.SurfaceSequence(tuple([flat_data(8)] * 2), 0.1)
     with pytest.raises(ValueError, match="uniformly spaced"):
         cy.example_flat_paracontact(grid, [0.0, 0.1, 0.3], 1.0, 0.0)
+
+
+# --- per-node loop oracles for every residual ----------------------------------
+
+
+def brute_geometry(d):
+    """Inverse metric, sqrt(det q), Christoffels and scalar curvature, each
+    node by explicit index loops over the library's first-derivative stencil."""
+    grid = d.grid
+    nx, ny = grid.nx, grid.ny
+    dq = [cy._d1(d.q, 0, grid.hx, grid.periodic_x), cy._d1(d.q, 1, grid.hy, grid.periodic_y)]
+    inv = np.zeros((nx, ny, 2, 2))
+    vol = np.zeros((nx, ny))
+    gamma = np.zeros((nx, ny, 2, 2, 2))
+    for ix in range(nx):
+        for iy in range(ny):
+            (a, b), (c, e) = d.q[ix, iy]
+            det = a * e - b * c
+            inv[ix, iy] = np.array([[e, -b], [-c, a]]) / det
+            vol[ix, iy] = np.sqrt(det)
+            for k in range(2):
+                for i in range(2):
+                    for j in range(2):
+                        total = 0.0
+                        for l in range(2):
+                            total += inv[ix, iy, k, l] * (
+                                dq[i][ix, iy, l, j] + dq[j][ix, iy, l, i] - dq[l][ix, iy, i, j]
+                            )
+                        gamma[ix, iy, k, i, j] = 0.5 * total
+    dgamma = [cy._d1(gamma, 0, grid.hx, grid.periodic_x),
+              cy._d1(gamma, 1, grid.hy, grid.periodic_y)]
+    scalar = np.zeros((nx, ny))
+    for ix in range(nx):
+        for iy in range(ny):
+            for k in range(2):
+                for j in range(2):
+                    ric = 0.0
+                    for l in range(2):
+                        ric += dgamma[l][ix, iy, l, j, k] - dgamma[j][ix, iy, l, l, k]
+                        for m in range(2):
+                            ric += (gamma[ix, iy, l, l, m] * gamma[ix, iy, m, j, k]
+                                    - gamma[ix, iy, l, j, m] * gamma[ix, iy, m, l, k])
+                    scalar[ix, iy] += inv[ix, iy, k, j] * ric
+    return inv, vol, gamma, scalar
+
+
+def brute_constraints(d, eps, lambda2, kappa):
+    grid = d.grid
+    inv, vol, gamma, scalar = brute_geometry(d)
+    d_alpha = [cy._d1(d.alpha, 0, grid.hx, grid.periodic_x),
+               cy._d1(d.alpha, 1, grid.hy, grid.periodic_y)]
+    d_theta = [cy._d1(d.theta, 0, grid.hx, grid.periodic_x),
+               cy._d1(d.theta, 1, grid.hy, grid.periodic_y)]
+    tr = np.zeros((grid.nx, grid.ny))
+    for ix in range(grid.nx):
+        for iy in range(grid.ny):
+            for i in range(2):
+                for j in range(2):
+                    tr[ix, iy] += inv[ix, iy, i, j] * d.theta[ix, iy, i, j]
+    d_tr = [cy._d1(tr, 0, grid.hx, grid.periodic_x), cy._d1(tr, 1, grid.hy, grid.periodic_y)]
+    worst = [0.0, 0.0, 0.0, 0.0]
+    for ix in range(grid.nx):
+        for iy in range(grid.ny):
+            inv_n, th, al, f = inv[ix, iy], d.theta[ix, iy], d.alpha[ix, iy], d.F[ix, iy]
+            r1 = d_alpha[0][ix, iy, 1] - d_alpha[1][ix, iy, 0] - f * vol[ix, iy]
+            norm2 = sum(inv_n[i, j] * al[i] * al[j] for i in range(2) for j in range(2))
+            r2 = norm2 - eps - f * f
+            theta2 = sum(inv_n[i, k] * inv_n[j, l] * th[i, j] * th[k, l]
+                         for i in range(2) for j in range(2)
+                         for k in range(2) for l in range(2))
+            r3 = (scalar[ix, iy] - theta2 + tr[ix, iy] ** 2
+                  + 0.5 * (5.0 * lambda2 + 3.0 * kappa * eps) - 2.0 * kappa * f * f)
+            worst[:3] = [max(w, abs(r)) for w, r in zip(worst[:3], (r1, r2, r3))]
+            for j in range(2):
+                div = 0.0
+                for m in range(2):
+                    for i in range(2):
+                        cov = d_theta[m][ix, iy, i, j]
+                        for k in range(2):
+                            cov -= gamma[ix, iy, k, m, i] * th[k, j]
+                            cov -= gamma[ix, iy, k, m, j] * th[i, k]
+                        div += inv_n[m, i] * cov
+                r4 = d_tr[j][ix, iy] + div - kappa * f * al[j]
+                worst[3] = max(worst[3], abs(r4))
+    return worst
+
+
+def brute_evolution(seq, eps, lambda2, kappa):
+    grid = seq.grid
+    worst_a, worst_r = 0.0, 0.0
+    for t in range(1, len(seq.slices) - 1):
+        prev_s, d, next_s = seq.slices[t - 1], seq.slices[t], seq.slices[t + 1]
+        inv, vol, gamma, scalar = brute_geometry(d)
+        bf = d.beta * d.F
+        d_bf = [cy._d1(bf, 0, grid.hx, grid.periodic_x), cy._d1(bf, 1, grid.hy, grid.periodic_y)]
+        d_b = [cy._d1(d.beta, 0, grid.hx, grid.periodic_x),
+               cy._d1(d.beta, 1, grid.hy, grid.periodic_y)]
+        dd_b = [[cy._d1(d_b[j], 0, grid.hx, grid.periodic_x),
+                 cy._d1(d_b[j], 1, grid.hy, grid.periodic_y)] for j in range(2)]
+        for ix in range(grid.nx):
+            for iy in range(grid.ny):
+                inv_n, th, al = inv[ix, iy], d.theta[ix, iy], d.alpha[ix, iy]
+                q, beta = d.q[ix, iy], d.beta[ix, iy]
+                raised = [sum(inv_n[i, j] * al[j] for j in range(2)) for i in range(2)]
+                star = [-vol[ix, iy] * raised[1], vol[ix, iy] * raised[0]]
+                for i in range(2):
+                    dt_alpha = (next_s.alpha[ix, iy, i] - prev_s.alpha[ix, iy, i]) / (2 * seq.dt)
+                    e1 = star[i] + d_bf[i][ix, iy] / beta - dt_alpha / beta
+                    worst_a = max(worst_a, abs(e1))
+                tr = sum(inv_n[i, j] * th[i, j] for i in range(2) for j in range(2))
+                for i in range(2):
+                    for j in range(2):
+                        theta_w = sum(th[i, k] * inv_n[k, l] * th[l, j]
+                                      for k in range(2) for l in range(2))
+                        hess = dd_b[j][i][ix, iy] - sum(
+                            gamma[ix, iy, k, i, j] * d_b[k][ix, iy] for k in range(2))
+                        dt_theta = (next_s.theta[ix, iy, i, j]
+                                    - prev_s.theta[ix, iy, i, j]) / (2 * seq.dt)
+                        e2 = (0.5 * scalar[ix, iy] * q[i, j] + tr * th[i, j] - 2.0 * theta_w
+                              - (dt_theta + hess) / beta - kappa * al[i] * al[j]
+                              + 0.5 * (lambda2 + kappa * eps) * q[i, j])
+                        worst_r = max(worst_r, abs(e2))
+    return worst_a, worst_r
+
+
+def curved_slice(grid, t):
+    """Curved, time-dependent fields with non-constant beta and nonzero
+    Theta, F and alpha. The phase offsets keep each term of a residual
+    nonzero at the node where its maximum is taken."""
+    x, y = grid.x, grid.y
+    s = 2 * np.pi
+    u = 0.08 * (1.0 + 0.5 * t) * np.sin(s * x) * np.cos(s * y)
+    q = np.zeros((grid.nx, grid.ny, 2, 2))
+    q[..., 0, 0] = np.exp(2 * u)
+    q[..., 1, 1] = np.exp(2 * u) * (1.0 + 0.1 * np.sin(s * y + t))
+    q[..., 0, 1] = q[..., 1, 0] = 0.05 * np.sin(s * (x + y) - t)
+    theta = np.zeros_like(q)
+    theta[..., 0, 0] = 0.3 * np.sin(s * y + 0.5) + 0.1 * t
+    theta[..., 0, 1] = theta[..., 1, 0] = 0.2 * np.cos(s * (x - t) + 1.2)
+    theta[..., 1, 1] = 0.25 * np.cos(s * x + 0.3) - 0.05 * t
+    alpha = np.stack([0.4 * np.cos(s * y + t + 0.2), 0.3 * np.sin(s * x + 0.9) + 0.2 * t],
+                     axis=-1)
+    F = 0.5 * np.sin(s * (x + y) + t + 0.6)
+    beta = 1.0 + 0.1 * np.sin(s * x + 0.4) + 0.05 * np.cos(s * (x + 2 * y) + 1.3) + 0.1 * t
+    return cy.SurfaceData(grid, q, theta, F, alpha, beta)
+
+
+def assert_relative(got, want, rtol=1e-12):
+    assert abs(got - want) <= rtol * abs(want), (got, want)
+
+
+def test_constraint_residuals_match_brute_force_loops():
+    base = curved_metric_data(8, theta_mode="random")
+    x, y = base.grid.x, base.grid.y
+    s = 2 * np.pi
+    F = 0.3 * np.cos(s * (x - y) + 0.7)  # phases as in curved_slice
+    alpha = np.stack([0.5 + 0.2 * np.sin(s * y + 1.1), 0.4 * np.cos(s * x + 0.4)], axis=-1)
+    d = cy.SurfaceData(base.grid, base.q, base.theta, F, alpha, base.beta)
+    res = cy.constraint_residuals(d, -1, 0.4, 0.7)
+    want = brute_constraints(d, -1, 0.4, 0.7)
+    for got, expected in zip((res.curl, res.norm, res.hamiltonian, res.momentum), want):
+        assert expected > 1e-3  # every term of every residual is exercised
+        assert_relative(got, expected)
+
+
+def test_evolution_residuals_match_brute_force_loops():
+    grid = cy.SurfaceGrid(8, 8, 1.0 / 8, 1.0 / 8)
+    seq = cy.SurfaceSequence(tuple(curved_slice(grid, 0.1 * k) for k in range(4)), 0.1)
+    evo = cy.evolution_residuals(seq, -1, 0.4, 0.7)
+    want_a, want_r = brute_evolution(seq, -1, 0.4, 0.7)
+    assert want_a > 1e-3 and want_r > 1e-3
+    assert_relative(evo.alpha_flow, want_a)
+    assert_relative(evo.ricci_flow, want_r)
+
+
+def test_christoffel_computed_once_per_slice(monkeypatch):
+    original = cy.christoffel
+    calls = []
+
+    def counting(d):
+        calls.append(id(d))
+        return original(d)
+
+    monkeypatch.setattr(cy, "christoffel", counting)
+    grid = cy.SurfaceGrid(8, 8, 1.0 / 8, 1.0 / 8)
+    seq = cy.SurfaceSequence(tuple(curved_slice(grid, 0.1 * k) for k in range(5)), 0.1)
+    cy.constraint_residuals(seq.slices[0], -1, 0.4, 0.7)
+    assert len(calls) == 1
+    calls.clear()
+    cy.evolution_residuals(seq, -1, 0.4, 0.7)
+    assert calls == [id(s) for s in seq.slices[1:4]]  # each interior slice once
+
+
+@pytest.mark.parametrize("name", ["q", "theta", "F", "alpha", "beta"])
+def test_non_finite_fields_rejected(name):
+    d = flat_data(8)
+    fields = {k: getattr(d, k).copy() for k in ("q", "theta", "F", "alpha", "beta")}
+    fields[name].flat[3] = np.nan
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cy.SurfaceData(d.grid, **fields)
+    fields[name].flat[3] = np.inf
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cy.SurfaceData(d.grid, **fields)

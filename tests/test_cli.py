@@ -120,6 +120,30 @@ def test_cauchy_examples(capsys):
     assert json.loads(out)["items"][-1]["alpha_flow_ratio"] >= 3.5
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(f0 x) overflows on purpose
+def test_cauchy_non_finite_fields_exit_2(capsys):
+    # f0 = 1e3 makes F = e^{f0 x}/f0 infinite on the grid: bad input, no report
+    line = assert_usage_error(capsys, ["cauchy", "--example", "null-isothermal",
+                                       "--f0", "1e3", "--nx", "8", "--ny", "8"])
+    assert "finite" in line
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # |alpha|^2 overflows on purpose
+def test_cauchy_non_finite_residuals_are_null_with_reason(capsys):
+    # f0 = 700 keeps every field finite, but |alpha|^2 and F^2 overflow
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    code, out = run(capsys, "cauchy", "--example", "null-isothermal",
+                    "--f0", "700", "--nx", "8", "--ny", "8")
+    assert code == 1
+    report = json.loads(out, parse_constant=reject)
+    assert report["pass"] is False
+    for item in report["items"][:2]:  # both refinements
+        assert item["constraint_norm"] is None
+        assert "constraint_norm" in item["reason"]
+
+
 def test_unknown_flag_exit_2(capsys):
     assert main(["oracle", "--bogus"]) == 2
     assert main(["--bogus", "oracle"]) == 2

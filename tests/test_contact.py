@@ -57,6 +57,20 @@ def test_check_contact_rejects_non_unit_norm():
         make_cs(g3(1, 1, 1), [2, 0, 0])
 
 
+def test_check_contact_rejects_nan_component():
+    with pytest.raises(NotContact, match=r"\*d\(alpha\)"):
+        make_cs(g3(1, 1, 1), [float("nan"), 0, 0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # |alpha|^2 overflows on purpose
+def test_check_contact_rejects_overflowing_norm():
+    # alpha = *d(alpha) is linear, so it holds for 1e200 times a null contact
+    # form; its norm overflows to inf - inf
+    for alpha in ([1e200, 1e200, 0], [1e200, 0, 0]):
+        with pytest.raises(NotContact, match="in {-1, 0, \\+1}"):
+            make_cs(g3(1, 1, 1), alpha)
+
+
 def test_characteristic_endo_null_matrix():
     # phi = [[0, a2, -a1], [a2, 0, a0], [-a1, -a0, 0]] on the frame
     for alpha in ([1.0, 1.0, 0.0], [2.0, 1.2, 1.6], [1.0, 0.6, -0.8]):
