@@ -133,11 +133,23 @@ def contact_from_json(text: str, tol: float | None = None) -> ContactStructure:
     import json
 
     data = json.loads(text)
-    spec = FamilySpec(data["family"], data["params"])
-    return check_contact(
-        make_family(spec), family_metric(spec.family_id), data["orientation"],
-        one_form(data["alpha"]), tol=tol, spec=spec,
-    )
+    return build_contact(FamilySpec(data["family"], data["params"]), data["alpha"],
+                         data["orientation"], tol=tol)
+
+
+def build_contact(spec: FamilySpec, alpha, orientation: Optional[int] = None,
+                  tol: float | None = None) -> ContactStructure:
+    """The verified contact structure of a family instance with the one-form
+    alpha (frame components). orientation None tries +1, then -1, and
+    re-raises the last NotContact."""
+    tol = get_tol(tol)
+    sc, m, form = make_family(spec, tol=tol), family_metric(spec.family_id), one_form(alpha)
+    for sign in (1, -1) if orientation is None else (orientation,):
+        try:
+            return check_contact(sc, m, sign, form, tol=tol, spec=spec)
+        except NotContact as exc:
+            last = exc
+    raise last
 
 
 def check_contact(

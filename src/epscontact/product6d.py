@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import get_tol
-from .contact import ContactStructure, check_contact
+from .contact import ContactStructure, build_contact
 from .curvature import (
     ConnectionCoeffs,
     levi_civita,
@@ -42,12 +42,11 @@ from .exterior import (
     hodge,
     index_tuples,
     mc_differential,
-    one_form,
     pairing_full,
     volume_form,
     wedge,
 )
-from .liealg import FamilySpec, StructureConstants, direct_sum, family_metric, make_family
+from .liealg import FamilySpec, StructureConstants, direct_sum
 
 
 def embed_form(form: Form, dim: int, offset: int) -> Form:
@@ -209,10 +208,7 @@ def ricci_torsion_identity_residual(sol: ProductSolution) -> float:
 
 def _factor(family: str, params: dict, alpha, orientation: int) -> ContactStructure:
     """A verified contact factor of a classification family."""
-    spec = FamilySpec(family, params)
-    return check_contact(
-        make_family(spec), family_metric(family), orientation, one_form(alpha), spec=spec
-    )
+    return build_contact(FamilySpec(family, params), alpha, orientation)
 
 
 def _unimodular(mu2: float, mu3: float) -> ContactStructure:

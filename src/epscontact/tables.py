@@ -13,7 +13,10 @@ Table identifiers (CLI tokens):
 Each row is instantiated at five deterministic samples per free parameter
 (boundary values included where the row permits) and checked directly:
 contact condition, causal type, constants fit, Sasakian / K-contact flags,
-and group lookup.
+and group lookup. A row is declared by its sample axes and one function from
+a sample point to the instance fields (see "row declarations" below); the
+null parametrisations of Prop. 3.8 are written once and shared by thm-4.25
+and the prop-3.* tables.
 
 Note: rows of the g2 family are restricted to a = 0; the g2 bracket table
 satisfies the Jacobi identity only when a c = 0, so with c != 0 the a != 0
@@ -24,14 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from .config import get_tol
-from .contact import check_contact, is_k_contact, is_sasakian
+from .contact import build_contact, is_k_contact, is_sasakian
 from .einstein import fit_eta_einstein
-from .errors import EpsContactError, NotContact, RowFailure
-from .exterior import one_form
-from .liealg import FamilySpec, GroupName, family_metric, identify_group, make_family
+from .errors import EpsContactError, RowFailure
+from .liealg import FamilySpec, GroupName, identify_group
 
 SIGNS = (1, -1)
 ALPHA0 = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -93,604 +96,248 @@ class TableRowReport:
         }
 
 
-# --- row instantiations -------------------------------------------------------
+# --- row declarations ---------------------------------------------------------
+#
+# A row is declared as (row_id, axes, make). The axes map each free parameter,
+# in label order, to its sample values, or to a function of the earlier axis
+# values (passed by keyword) that returns them. make maps a sample point to
+# the RowInstance fields, or to None to skip the point. The label is "k=v,..."
+# over the point unless make gives one.
 
 
-def _lorentz(spec_params, family="g3"):
-    return FamilySpec(family, spec_params)
+def _flags(sasakian: bool) -> dict:
+    return {"sasakian": sasakian, "k_contact": sasakian}
 
 
-def _null_alpha(alpha0, mu):
-    """alpha = alpha0 (e^0 + mu e^2)."""
-    return (alpha0, 0.0, mu * alpha0)
+SAS, NONSAS = _flags(True), _flags(False)
+SL2R, E11, E2 = GroupName.SL2R_COVER, GroupName.E11_COVER, GroupName.E2_COVER
+H3, SU2, NONUNI = GroupName.H3, GroupName.SU2, GroupName.NON_UNIMODULAR
+E0 = (1.0, 0.0, 0.0)
 
 
-def _rows_timelike() -> list:
-    rows = []
-
-    def g3_nonsasakian():
-        out = []
-        for b in (0.55, 0.65, 0.75, 0.85, 0.95):
-            lam2 = 2.0 * b * (1.0 - b)
-            out.append(
-                RowInstance(
-                    _lorentz({"a": 1.0 - b, "b": b, "c": 1.0}),
-                    (1.0, 0.0, 0.0), -1, f"b={b}",
-                    lambda2=lam2, kappa=lam2, sasakian=False, k_contact=False,
-                    group=GroupName.SL2R_COVER,
-                )
-            )
-        return out
-
-    def g3_e11():
-        return [
-            RowInstance(
-                _lorentz({"a": 1.0, "b": 0.0, "c": 1.0}),
-                (-1.0, 0.0, 0.0), -1, "a=c=1,b=0",
-                lambda2=0.0, kappa=0.0, sasakian=False, k_contact=False,
-                group=GroupName.E11_COVER,
-            )
-        ]
-
-    def g3_sasakian():
-        out = []
-        for a in (0.2, 0.4, 0.6, 0.8, 1.0):
-            out.append(
-                RowInstance(
-                    _lorentz({"a": a, "b": a, "c": 1.0}),
-                    (1.0, 0.0, 0.0), -1, f"a={a}",
-                    lambda2=a, kappa=1.0 - a, sasakian=True, k_contact=True,
-                    group=GroupName.SL2R_COVER,
-                )
-            )
-        return out
-
-    def g3_h3():
-        return [
-            RowInstance(
-                _lorentz({"a": 0.0, "b": 0.0, "c": -1.0}),
-                (-1.0, 0.0, 0.0), -1, "a=b=0,c=-1",
-                lambda2=0.0, kappa=1.0, sasakian=True, k_contact=True,
-                group=GroupName.H3,
-            )
-        ]
-
-    def g6_sasakian():
-        out = []
-        for a in (-1.0, -0.5, 0.3, 0.7, 1.0):
-            out.append(
-                RowInstance(
-                    FamilySpec("g6", {"a": a, "b": 1.0, "c": 0.0, "d": 0.0}),
-                    (1.0, 0.0, 0.0), -1, f"a={a}",
-                    lambda2=a * a, kappa=1.0 - a * a, sasakian=True, k_contact=True,
-                    group=GroupName.NON_UNIMODULAR,
-                )
-            )
-        return out
-
-    rows.append(TableRow("thm-1.2", "g3-nonsasakian", g3_nonsasakian))
-    rows.append(TableRow("thm-1.2", "g3-e11", g3_e11))
-    rows.append(TableRow("thm-1.2", "g3-sasakian", g3_sasakian))
-    rows.append(TableRow("thm-1.2", "g3-h3", g3_h3))
-    rows.append(TableRow("thm-1.2", "g6-sasakian", g6_sasakian))
-    return rows
+def _instances(axes: dict, make: Callable, epsilon: int) -> list:
+    """The instances of a declared row, in the order of the product of its axes."""
+    points = [{}]
+    for name, values in axes.items():
+        points = [{**p, name: v} for p in points
+                  for v in (values(**p) if callable(values) else values)]
+    out = []
+    for p in points:
+        fields = make(**p)
+        if fields is not None:
+            label = ",".join(f"{k}={v}" for k, v in p.items())
+            out.append(RowInstance(epsilon=epsilon, **{"label": label, **fields}))
+    return out
 
 
-def _rows_para() -> list:
-    rows = []
-    ts = (1.0, 1.5, 2.0, 2.5, 3.0)  # t = s*c >= 1, boundary included
-
-    def g3_axis(alpha_index, row_id):
-        def build():
-            out = []
-            for s in SIGNS:
-                for t in ts:
-                    if alpha_index == 1:
-                        params = {"a": s, "b": s * t, "c": s * t}
-                    else:
-                        params = {"a": s * t, "b": s, "c": s * t}
-                    for sign in (1.0, -1.0):
-                        alpha = [0.0, 0.0, 0.0]
-                        alpha[alpha_index] = sign
-                        out.append(
-                            RowInstance(
-                                _lorentz(params), tuple(alpha), 1,
-                                f"s={s},t={t},sign={sign}",
-                                lambda2=t, kappa=t - 1.0, sasakian=True, k_contact=True,
-                                group=GroupName.SL2R_COVER,
-                            )
-                        )
-            return out
-
-        return TableRow("thm-4.22", row_id, build)
-
-    def g3_e11():
-        out = []
-        for s in SIGNS:
-            for a0 in (0.0, 0.5, -0.5, 1.0, 2.0):
-                a1 = math.sqrt(1.0 + a0 * a0)
-                out.append(
-                    RowInstance(
-                        _lorentz({"a": s, "b": 0.0, "c": s}),
-                        (a0, a1, 0.0), 1, f"s={s},a0={a0}",
-                        lambda2=0.0, kappa=0.0, sasakian=False, k_contact=False,
-                        group=GroupName.E11_COVER,
-                    )
-                )
-        return out
-
-    def g3_e2():
-        out = []
-        for s in SIGNS:
-            for theta in THETAS:
-                out.append(
-                    RowInstance(
-                        _lorentz({"a": s, "b": s, "c": 0.0}),
-                        (0.0, math.cos(theta), math.sin(theta)), 1,
-                        f"s={s},theta={theta}",
-                        lambda2=0.0, kappa=0.0, sasakian=False, k_contact=False,
-                        group=GroupName.E2_COVER,
-                    )
-                )
-        return out
-
-    def g3_generic():
-        out = []
-        for s in SIGNS:
-            for a0 in (0.0, 0.5, 1.0, 1.5, 2.0):
-                r = math.sqrt(1.0 + a0 * a0)
-                for theta in THETAS:
-                    out.append(
-                        RowInstance(
-                            _lorentz({"a": s, "b": s, "c": s}),
-                            (a0, r * math.cos(theta), r * math.sin(theta)), 1,
-                            f"s={s},a0={a0},theta={theta}",
-                            lambda2=1.0, kappa=0.0, sasakian=True, k_contact=True,
-                            group=GroupName.SL2R_COVER,
-                        )
-                    )
-        return out
-
-    def g6_axis():
-        out = []
-        for s in SIGNS:
-            for d in (-2.0, -1.5, -1.0, 1.0, 1.75):
-                out.append(
-                    RowInstance(
-                        FamilySpec("g6", {"a": 0.0, "b": 0.0, "c": -s, "d": d}),
-                        (0.0, 0.0, 1.0), 1, f"s={s},d={d}",
-                        lambda2=d * d, kappa=d * d - 1.0, sasakian=True, k_contact=True,
-                        group=GroupName.NON_UNIMODULAR,
-                    )
-                )
-        return out
-
-    def g6_generic():
-        out = []
-        for s in SIGNS:
-            for mu in SIGNS:
-                for a in (-0.5, -0.25, 0.1, 0.25, 0.45):
-                    if mu * a * s >= 0.5 or a == 0.0:
-                        continue
-                    alpha0 = abs(a) / math.sqrt(1.0 - 2.0 * mu * a * s)
-                    alpha2 = (mu * a - s) * alpha0 / a
-                    out.append(
-                        RowInstance(
-                            FamilySpec(
-                                "g6",
-                                {"a": a, "b": -mu * a, "c": -s + mu * a, "d": -a + mu * s},
-                            ),
-                            (alpha0, 0.0, alpha2), 1, f"s={s},mu={mu},a={a}",
-                            lambda2=1.0, kappa=0.0, sasakian=True, k_contact=True,
-                            group=GroupName.NON_UNIMODULAR,
-                        )
-                    )
-        return out
-
-    rows.append(g3_axis(1, "g3-sasakian-alpha1"))
-    rows.append(g3_axis(2, "g3-sasakian-alpha2"))
-    rows.append(TableRow("thm-4.22", "g3-e11", g3_e11))
-    rows.append(TableRow("thm-4.22", "g3-e2", g3_e2))
-    rows.append(TableRow("thm-4.22", "g3-generic", g3_generic))
-    rows.append(TableRow("thm-4.22", "g6-axis", g6_axis))
-    rows.append(TableRow("thm-4.22", "g6-generic", g6_generic))
-    return rows
+def _table(table: str, epsilon: int, rows: list) -> tuple:
+    return table, [TableRow(table, row_id, partial(_instances, axes, make, epsilon))
+                   for row_id, axes, make in rows]
 
 
-def _g2_b_samples(s):
+def _spec(family: str, **params) -> FamilySpec:
+    return FamilySpec(family, params)
+
+
+def _circle(r: float, theta: float) -> tuple:
+    return (r * math.cos(theta), r * math.sin(theta))
+
+
+def _null_alpha(a0, mu):
+    """alpha = a0 (e^0 + mu e^2)."""
+    return (a0, 0.0, mu * a0)
+
+
+# --- the null parametrisations (Prop. 3.8), shared by thm-4.25 and prop-3.* ---
+
+
+def _null_g1(s, a, a0=1.0):
+    return dict(spec=_spec("g1", a=a, b=s), alpha=(a0, 0.0, -a0), group=SL2R)
+
+
+def _null_g2(s, mu, b, a0=1.0):
+    """g2 at a = 0 with c = mu (b - s)."""
+    return dict(spec=_spec("g2", a=0.0, b=b, c=mu * (b - s)), alpha=_null_alpha(a0, mu),
+                group=E11)
+
+
+def _g2_b_samples(s, **_):
     """Five b values with b != s, including the Sasakian boundary b = s/2."""
     return (0.5 * s, 0.0, -1.0 * s, 2.0 * s, -2.5 * s)
 
 
-def _rows_null() -> list:
-    rows = []
-
-    def g2():
-        out = []
-        for s in SIGNS:
-            for mu in SIGNS:
-                for b in _g2_b_samples(s):
-                    for a0 in ALPHA0:
-                        sas = abs(b - 0.5 * s) < 1e-12
-                        out.append(
-                            RowInstance(
-                                FamilySpec("g2", {"a": 0.0, "b": b, "c": mu * (b - s)}),
-                                _null_alpha(a0, mu), 0, f"s={s},mu={mu},b={b},a0={a0}",
-                                lambda2=4.0 * (b - s) ** 2, kappa=0.0,
-                                sasakian=sas, k_contact=sas,
-                                group=GroupName.E11_COVER,
-                            )
-                        )
-        return out
-
-    def g3_sl2r():
-        out = []
-        for s in SIGNS:
-            for theta in THETAS:
-                for a0 in ALPHA0:
-                    out.append(
-                        RowInstance(
-                            _lorentz({"a": s, "b": s, "c": s}),
-                            (a0, a0 * math.cos(theta), a0 * math.sin(theta)), 0,
-                            f"s={s},theta={theta},a0={a0}",
-                            lambda2=1.0, kappa=0.0, sasakian=True, k_contact=True,
-                            group=GroupName.SL2R_COVER,
-                        )
-                    )
-        return out
-
-    def g3_e11():
-        out = []
-        for s in SIGNS:
-            for mu in SIGNS:
-                for a0 in ALPHA0:
-                    out.append(
-                        RowInstance(
-                            _lorentz({"a": s, "b": 0.0, "c": s}),
-                            (a0, mu * a0, 0.0), 0, f"s={s},mu={mu},a0={a0}",
-                            lambda2=0.0, kappa=0.0, sasakian=False, k_contact=False,
-                            group=GroupName.E11_COVER,
-                        )
-                    )
-        return out
-
-    def g4_sl2r():
-        out = []
-        for s in SIGNS:
-            mu = -s  # kappa >= 0 forces s mu = -1, i.e. b = s + mu = 0
-            for a0 in (0.5, 1.0, 1.5, 2.0, 3.0):
-                out.append(
-                    RowInstance(
-                        FamilySpec("g4", {"a": s, "b": 0.0, "mu": mu}),
-                        _null_alpha(a0, mu), 0, f"s={s},a0={a0}",
-                        lambda2=1.0, kappa=1.0 / a0**2, sasakian=True, k_contact=True,
-                        group=GroupName.SL2R_COVER,
-                    )
-                )
-        return out
-
-    def g4_e11():
-        out = []
-        for s in SIGNS:
-            mu = -s
-            for a0 in (0.5, 1.0, 1.5, 2.0, 3.0):
-                out.append(
-                    RowInstance(
-                        FamilySpec("g4", {"a": 0.0, "b": 0.0, "mu": mu}),
-                        _null_alpha(a0, mu), 0, f"s={s},a0={a0}",
-                        lambda2=0.0, kappa=2.0 / a0**2, sasakian=False, k_contact=False,
-                        group=GroupName.E11_COVER,
-                    )
-                )
-        return out
-
-    def g6():
-        out = []
-        for s in SIGNS:
-            for mu in SIGNS:
-                for b in (-0.5 * s, 0.0, 0.5, 1.0, -2.0 * s):
-                    a = mu * (b + s)
-                    if abs(a) < 1e-12:
-                        continue
-                    sas = abs(a - 0.5 * mu * s) < 1e-12
-                    for a0 in ALPHA0:
-                        out.append(
-                            RowInstance(
-                                FamilySpec("g6", {"a": a, "b": b, "c": b, "d": a}),
-                                _null_alpha(a0, -mu), 0, f"s={s},mu={mu},b={b},a0={a0}",
-                                lambda2=4.0 * a * a, kappa=0.0,
-                                sasakian=sas, k_contact=sas,
-                                group=GroupName.NON_UNIMODULAR,
-                            )
-                        )
-        return out
-
-    rows.append(TableRow("thm-4.25", "g2-e11", g2))
-    rows.append(TableRow("thm-4.25", "g3-sl2r", g3_sl2r))
-    rows.append(TableRow("thm-4.25", "g3-e11", g3_e11))
-    rows.append(TableRow("thm-4.25", "g4-sl2r", g4_sl2r))
-    rows.append(TableRow("thm-4.25", "g4-e11", g4_e11))
-    rows.append(TableRow("thm-4.25", "g6", g6))
-    return rows
+def _null_g3_a_eq_c(s, b, mu, a0=1.0):
+    """g3 with a = c = s and alpha = a0 (e^0 + mu e^1); E(1,1) at b = 0."""
+    return dict(spec=_spec("g3", a=s, b=b, c=s), alpha=(a0, mu * a0, 0.0),
+                group=SL2R if b != 0.0 else E11)
 
 
-def _rows_riemannian() -> list:
-    rows = []
-
-    def unimodular(mu1, mu2, mu3):
-        return FamilySpec("riemannian_unimodular", {"mu1": mu1, "mu2": mu2, "mu3": mu3})
-
-    def su2_sasakian():
-        out = []
-        for m in (0.25, 0.5, 1.0, 1.5, 2.0):
-            out.append(
-                RowInstance(
-                    unimodular(1.0, m, m), (1.0, 0.0, 0.0), 1, f"m={m}",
-                    lambda2=m, kappa=m - 1.0, sasakian=True, k_contact=True,
-                    group=GroupName.SU2,
-                )
-            )
-        return out
-
-    def h3_sasakian():
-        return [
-            RowInstance(
-                unimodular(1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1, "h3",
-                lambda2=0.0, kappa=-1.0, sasakian=True, k_contact=True,
-                group=GroupName.H3,
-            )
-        ]
-
-    def su2_nonsasakian():
-        out = []
-        for mh in (0.2, 0.4, 0.5, 0.6, 0.8):
-            lam2 = 0.5 * (1.0 - mh * mh)
-            out.append(
-                RowInstance(
-                    unimodular(1.0, 0.5 * (1.0 - mh), 0.5 * (1.0 + mh)),
-                    (1.0, 0.0, 0.0), 1, f"mh={mh}",
-                    lambda2=lam2, kappa=-lam2, sasakian=False, k_contact=False,
-                    group=GroupName.SU2,
-                )
-            )
-        return out
-
-    def e2_nonsasakian():
-        return [
-            RowInstance(
-                unimodular(1.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1, "e2",
-                lambda2=0.0, kappa=0.0, sasakian=False, k_contact=False,
-                group=GroupName.E2_COVER,
-            )
-        ]
-
-    rows.append(TableRow("thm-4.14", "su2-sasakian", su2_sasakian))
-    rows.append(TableRow("thm-4.14", "h3-sasakian", h3_sasakian))
-    rows.append(TableRow("thm-4.14", "su2-nonsasakian", su2_nonsasakian))
-    rows.append(TableRow("thm-4.14", "e2-nonsasakian", e2_nonsasakian))
-    return rows
+def _null_g3_generic(s, theta, a0=1.0):
+    """g3 with a = b = c = s and alpha = a0 (e^0 + cos theta e^1 + sin theta e^2)."""
+    return dict(spec=_spec("g3", a=s, b=s, c=s), alpha=(a0, *_circle(a0, theta)), group=SL2R)
 
 
-def _rows_null_existence() -> list:
-    """Null contact structures without the eta-Einstein expectation; the rows
-    additionally carrying Sasakian / K-contact expectations are produced by
-    the factory arguments."""
-
-    def make(table, expect_flags):
-        a_samples = (-2.0, -1.0, 0.5, 1.0, 2.0)
-
-        def g1():
-            out = []
-            for s in SIGNS:
-                for a in a_samples:
-                    for a0 in ALPHA0:
-                        out.append(
-                            RowInstance(
-                                FamilySpec("g1", {"a": a, "b": s}),
-                                (a0, 0.0, -a0), 0, f"s={s},a={a},a0={a0}",
-                                sasakian=True if expect_flags else None,
-                                k_contact=False if expect_flags else None,
-                                group=GroupName.SL2R_COVER,
-                            )
-                        )
-            return out
-
-        def g2_existence():
-            out = []
-            for s in SIGNS:
-                for mu in SIGNS:
-                    for b in _g2_b_samples(s):
-                        out.append(
-                            RowInstance(
-                                FamilySpec("g2", {"a": 0.0, "b": b, "c": mu * (b - s)}),
-                                _null_alpha(1.0, mu), 0, f"s={s},mu={mu},b={b}",
-                                group=GroupName.E11_COVER,
-                            )
-                        )
-            return out
-
-        def g2_sasakian():
-            out = []
-            for s in SIGNS:
-                for mu in SIGNS:
-                    for a0 in ALPHA0:
-                        out.append(
-                            RowInstance(
-                                FamilySpec(
-                                    "g2", {"a": 0.0, "b": 0.5 * s, "c": -0.5 * mu * s}
-                                ),
-                                _null_alpha(a0, mu), 0, f"s={s},mu={mu},a0={a0}",
-                                sasakian=True, k_contact=True,
-                                group=GroupName.E11_COVER,
-                            )
-                        )
-            return out
-
-        def g3_b_eq_c():
-            out = []
-            for s in SIGNS:
-                for a in a_samples:
-                    for mu in SIGNS:
-                        out.append(
-                            RowInstance(
-                                _lorentz({"a": a, "b": s, "c": s}),
-                                _null_alpha(1.0, mu), 0, f"s={s},a={a},mu={mu}",
-                                group=GroupName.SL2R_COVER,
-                            )
-                        )
-            return out
-
-        def g3_a_eq_c():
-            out = []
-            for s in SIGNS:
-                for b in (-2.0, -1.0, 0.5, 1.0, 2.0):
-                    for mu in SIGNS:
-                        out.append(
-                            RowInstance(
-                                _lorentz({"a": s, "b": b, "c": s}),
-                                (1.0, mu, 0.0), 0, f"s={s},b={b},mu={mu}",
-                                group=GroupName.SL2R_COVER if b != 0.0 else GroupName.E11_COVER,
-                            )
-                        )
-            return out
-
-        def g3_e11():
-            out = []
-            for s in SIGNS:
-                for mu in SIGNS:
-                    out.append(
-                        RowInstance(
-                            _lorentz({"a": s, "b": 0.0, "c": s}),
-                            (1.0, mu, 0.0), 0, f"s={s},mu={mu}",
-                            group=GroupName.E11_COVER,
-                        )
-                    )
-            return out
-
-        def g3_generic():
-            out = []
-            for s in SIGNS:
-                for theta in THETAS:
-                    out.append(
-                        RowInstance(
-                            _lorentz({"a": s, "b": s, "c": s}),
-                            (1.0, math.cos(theta), math.sin(theta)), 0,
-                            f"s={s},theta={theta}",
-                            sasakian=True if expect_flags else None,
-                            k_contact=True if expect_flags else None,
-                            group=GroupName.SL2R_COVER,
-                        )
-                    )
-            return out
-
-        def g4(a_values, row_sasakian):
-            out = []
-            for s in SIGNS:
-                for mu in SIGNS:
-                    b = s + mu
-                    for a in a_values(s):
-                        group = (
-                            GroupName.SL2R_COVER if abs(a) > 1e-12 else GroupName.E11_COVER
-                        )
-                        out.append(
-                            RowInstance(
-                                FamilySpec("g4", {"a": a, "b": b, "mu": mu}),
-                                _null_alpha(1.0, mu), 0, f"s={s},mu={mu},a={a}",
-                                sasakian=row_sasakian, k_contact=row_sasakian,
-                                group=group,
-                            )
-                        )
-            return out
-
-        def g6_existence():
-            out = []
-            for s in SIGNS:
-                for mu in SIGNS:
-                    for b in (-0.5 * s, 0.0, 0.5, 1.0, -2.0 * s):
-                        a = mu * (b + s)
-                        if abs(a) < 1e-12:
-                            continue
-                        out.append(
-                            RowInstance(
-                                FamilySpec("g6", {"a": a, "b": b, "c": b, "d": a}),
-                                _null_alpha(1.0, -mu), 0, f"s={s},mu={mu},b={b}",
-                                group=GroupName.NON_UNIMODULAR,
-                            )
-                        )
-            return out
-
-        def g6_sasakian():
-            out = []
-            for s in SIGNS:
-                for mu in SIGNS:
-                    for a0 in ALPHA0:
-                        out.append(
-                            RowInstance(
-                                FamilySpec(
-                                    "g6",
-                                    {
-                                        "a": 0.5 * mu * s,
-                                        "b": -0.5 * s,
-                                        "c": -0.5 * s,
-                                        "d": 0.5 * mu * s,
-                                    },
-                                ),
-                                _null_alpha(a0, -mu), 0, f"s={s},mu={mu},a0={a0}",
-                                sasakian=True, k_contact=True,
-                                group=GroupName.NON_UNIMODULAR,
-                            )
-                        )
-            return out
-
-        rows = []
-        if table == "prop-3.8":
-            rows.append(TableRow(table, "g1", g1))
-            rows.append(TableRow(table, "g2-e11", g2_existence))
-            rows.append(TableRow(table, "g3-b-eq-c", g3_b_eq_c))
-            rows.append(TableRow(table, "g3-a-eq-c", g3_a_eq_c))
-            rows.append(TableRow(table, "g3-e11", g3_e11))
-            rows.append(TableRow(table, "g3-generic", g3_generic))
-            rows.append(
-                TableRow(table, "g4-sl2r", lambda: g4(lambda s: (-2.0, -1.0, 0.5, 1.0, 2.0), None))
-            )
-            rows.append(TableRow(table, "g4-e11", lambda: g4(lambda s: (0.0,), None)))
-            rows.append(TableRow(table, "g6", g6_existence))
-        else:
-            if table == "prop-3.16":
-                rows.append(TableRow(table, "g1", g1))
-            rows.append(TableRow(table, "g2-e11", g2_sasakian))
-            rows.append(TableRow(table, "g3", g3_generic))
-            rows.append(
-                TableRow(
-                    table, "g4",
-                    lambda: g4(lambda s: (float(s),), True),
-                )
-            )
-            rows.append(TableRow(table, "g6", g6_sasakian))
-        return rows
-
-    return (
-        make("prop-3.8", False)
-        + make("prop-3.16", True)
-        + make("prop-3.22", True)
-    )
+def _null_g4(s, mu, a, a0=1.0):
+    """g4 with b = s + mu; E(1,1) at a = 0."""
+    return dict(spec=_spec("g4", a=a, b=s + mu, mu=mu), alpha=_null_alpha(a0, mu),
+                group=SL2R if abs(a) > 1e-12 else E11)
 
 
-def _build_tables() -> dict:
-    rows = (
-        _rows_timelike()
-        + _rows_para()
-        + _rows_null()
-        + _rows_riemannian()
-        + _rows_null_existence()
-    )
-    tables: dict = {}
-    for row in rows:
-        tables.setdefault(row.table, []).append(row)
-    return tables
+def _null_g6(s, mu, b, a0=1.0):
+    """g6 with a = d = mu (b + s) and c = b; None at a = 0."""
+    a = mu * (b + s)
+    if abs(a) < 1e-12:
+        return None
+    return dict(spec=_spec("g6", a=a, b=b, c=b, d=a), alpha=_null_alpha(a0, -mu), group=NONUNI)
 
 
-TABLES = _build_tables()
+def _g6_b_samples(s, **_):
+    """b samples of the null g6 rows. For s = -1, b = 1 gives a = 0 and is
+    skipped, and -s/2 = 0.5 is sampled twice."""
+    return (-0.5 * s, 0.0, 0.5, 1.0, -2.0 * s)
+
+
+def _eta_einstein_g6(s, mu, b, a0):
+    """Thm 4.25: lambda^2 = 4 a^2, kappa = 0, Sasakian exactly at a = mu s / 2."""
+    inst = _null_g6(s, mu, b, a0)
+    if inst is None:
+        return None
+    a = inst["spec"]["a"]
+    return dict(inst, lambda2=4.0 * a * a, kappa=0.0, **_flags(abs(a - 0.5 * mu * s) < 1e-12))
+
+
+# --- the tables ---------------------------------------------------------------
+
+_TIMELIKE = _table("thm-1.2", -1, [
+    ("g3-nonsasakian", {"b": (0.55, 0.65, 0.75, 0.85, 0.95)},
+     lambda b: dict(spec=_spec("g3", a=1.0 - b, b=b, c=1.0), alpha=E0,
+                    lambda2=2.0 * b * (1.0 - b), kappa=2.0 * b * (1.0 - b), group=SL2R, **NONSAS)),
+    ("g3-e11", {},
+     lambda: dict(label="a=c=1,b=0", spec=_spec("g3", a=1.0, b=0.0, c=1.0),
+                  alpha=(-1.0, 0.0, 0.0), lambda2=0.0, kappa=0.0, group=E11, **NONSAS)),
+    ("g3-sasakian", {"a": (0.2, 0.4, 0.6, 0.8, 1.0)},
+     lambda a: dict(spec=_spec("g3", a=a, b=a, c=1.0), alpha=E0,
+                    lambda2=a, kappa=1.0 - a, group=SL2R, **SAS)),
+    ("g3-h3", {},
+     lambda: dict(label="a=b=0,c=-1", spec=_spec("g3", a=0.0, b=0.0, c=-1.0),
+                  alpha=(-1.0, 0.0, 0.0), lambda2=0.0, kappa=1.0, group=H3, **SAS)),
+    ("g6-sasakian", {"a": (-1.0, -0.5, 0.3, 0.7, 1.0)},
+     lambda a: dict(spec=_spec("g6", a=a, b=1.0, c=0.0, d=0.0), alpha=E0,
+                    lambda2=a * a, kappa=1.0 - a * a, group=NONUNI, **SAS)),
+])
+
+
+def _para_g6(s, mu, a):
+    """thm-4.22 g6 generic row; needs a != 0 and 2 mu a s < 1."""
+    if mu * a * s >= 0.5 or a == 0.0:
+        return None
+    alpha0 = abs(a) / math.sqrt(1.0 - 2.0 * mu * a * s)
+    return dict(spec=_spec("g6", a=a, b=-mu * a, c=-s + mu * a, d=-a + mu * s),
+                alpha=(alpha0, 0.0, (mu * a - s) * alpha0 / a),
+                lambda2=1.0, kappa=0.0, group=NONUNI, **SAS)
+
+
+_PARA_AXES = {"s": SIGNS, "t": (1.0, 1.5, 2.0, 2.5, 3.0), "sign": (1.0, -1.0)}  # t = s c >= 1
+_PARA = _table("thm-4.22", 1, [
+    ("g3-sasakian-alpha1", _PARA_AXES,
+     lambda s, t, sign: dict(spec=_spec("g3", a=s, b=s * t, c=s * t), alpha=(0.0, sign, 0.0),
+                             lambda2=t, kappa=t - 1.0, group=SL2R, **SAS)),
+    ("g3-sasakian-alpha2", _PARA_AXES,
+     lambda s, t, sign: dict(spec=_spec("g3", a=s * t, b=s, c=s * t), alpha=(0.0, 0.0, sign),
+                             lambda2=t, kappa=t - 1.0, group=SL2R, **SAS)),
+    ("g3-e11", {"s": SIGNS, "a0": (0.0, 0.5, -0.5, 1.0, 2.0)},
+     lambda s, a0: dict(spec=_spec("g3", a=s, b=0.0, c=s),
+                        alpha=(a0, math.sqrt(1.0 + a0 * a0), 0.0),
+                        lambda2=0.0, kappa=0.0, group=E11, **NONSAS)),
+    ("g3-e2", {"s": SIGNS, "theta": THETAS},
+     lambda s, theta: dict(spec=_spec("g3", a=s, b=s, c=0.0), alpha=(0.0, *_circle(1.0, theta)),
+                           lambda2=0.0, kappa=0.0, group=E2, **NONSAS)),
+    ("g3-generic", {"s": SIGNS, "a0": (0.0, 0.5, 1.0, 1.5, 2.0), "theta": THETAS},
+     lambda s, a0, theta: dict(spec=_spec("g3", a=s, b=s, c=s),
+                               alpha=(a0, *_circle(math.sqrt(1.0 + a0 * a0), theta)),
+                               lambda2=1.0, kappa=0.0, group=SL2R, **SAS)),
+    ("g6-axis", {"s": SIGNS, "d": (-2.0, -1.5, -1.0, 1.0, 1.75)},
+     lambda s, d: dict(spec=_spec("g6", a=0.0, b=0.0, c=-s, d=d), alpha=(0.0, 0.0, 1.0),
+                       lambda2=d * d, kappa=d * d - 1.0, group=NONUNI, **SAS)),
+    ("g6-generic", {"s": SIGNS, "mu": SIGNS, "a": (-0.5, -0.25, 0.1, 0.25, 0.45)}, _para_g6),
+])
+
+_NULL = _table("thm-4.25", 0, [
+    ("g2-e11", {"s": SIGNS, "mu": SIGNS, "b": _g2_b_samples, "a0": ALPHA0},
+     lambda s, mu, b, a0: dict(_null_g2(s, mu, b, a0), lambda2=4.0 * (b - s) ** 2, kappa=0.0,
+                               **_flags(abs(b - 0.5 * s) < 1e-12))),
+    ("g3-sl2r", {"s": SIGNS, "theta": THETAS, "a0": ALPHA0},
+     lambda s, theta, a0: dict(_null_g3_generic(s, theta, a0), lambda2=1.0, kappa=0.0, **SAS)),
+    ("g3-e11", {"s": SIGNS, "mu": SIGNS, "a0": ALPHA0},
+     lambda s, mu, a0: dict(_null_g3_a_eq_c(s, 0.0, mu, a0), lambda2=0.0, kappa=0.0, **NONSAS)),
+    # kappa >= 0 forces s mu = -1, i.e. b = s + mu = 0
+    ("g4-sl2r", {"s": SIGNS, "a0": ALPHA0},
+     lambda s, a0: dict(_null_g4(s, -s, s, a0), lambda2=1.0, kappa=1.0 / a0**2, **SAS)),
+    ("g4-e11", {"s": SIGNS, "a0": ALPHA0},
+     lambda s, a0: dict(_null_g4(s, -s, 0.0, a0), lambda2=0.0, kappa=2.0 / a0**2, **NONSAS)),
+    ("g6", {"s": SIGNS, "mu": SIGNS, "b": _g6_b_samples, "a0": ALPHA0}, _eta_einstein_g6),
+])
+
+
+def _unimodular(mu2, mu3):
+    return _spec("riemannian_unimodular", mu1=1.0, mu2=mu2, mu3=mu3)
+
+
+_RIEMANNIAN = _table("thm-4.14", 1, [
+    ("su2-sasakian", {"m": (0.25, 0.5, 1.0, 1.5, 2.0)},
+     lambda m: dict(spec=_unimodular(m, m), alpha=E0, lambda2=m, kappa=m - 1.0, group=SU2, **SAS)),
+    ("h3-sasakian", {},
+     lambda: dict(label="h3", spec=_unimodular(0.0, 0.0), alpha=E0,
+                  lambda2=0.0, kappa=-1.0, group=H3, **SAS)),
+    ("su2-nonsasakian", {"mh": (0.2, 0.4, 0.5, 0.6, 0.8)},
+     lambda mh: dict(spec=_unimodular(0.5 * (1.0 - mh), 0.5 * (1.0 + mh)), alpha=E0,
+                     lambda2=0.5 * (1.0 - mh * mh), kappa=-0.5 * (1.0 - mh * mh),
+                     group=SU2, **NONSAS)),
+    ("e2-nonsasakian", {},
+     lambda: dict(label="e2", spec=_unimodular(0.0, 1.0), alpha=E0,
+                  lambda2=0.0, kappa=0.0, group=E2, **NONSAS)),
+])
+
+_A_SAMPLES = (-2.0, -1.0, 0.5, 1.0, 2.0)
+_G1_AXES = {"s": SIGNS, "a": _A_SAMPLES, "a0": ALPHA0}
+_EXISTENCE = _table("prop-3.8", 0, [
+    ("g1", _G1_AXES, _null_g1),
+    ("g2-e11", {"s": SIGNS, "mu": SIGNS, "b": _g2_b_samples}, _null_g2),
+    ("g3-b-eq-c", {"s": SIGNS, "a": _A_SAMPLES, "mu": SIGNS},
+     lambda s, a, mu: dict(spec=_spec("g3", a=a, b=s, c=s), alpha=_null_alpha(1.0, mu),
+                           group=SL2R)),
+    ("g3-a-eq-c", {"s": SIGNS, "b": _A_SAMPLES, "mu": SIGNS}, _null_g3_a_eq_c),
+    ("g3-e11", {"s": SIGNS, "mu": SIGNS}, lambda s, mu: _null_g3_a_eq_c(s, 0.0, mu)),
+    ("g3-generic", {"s": SIGNS, "theta": THETAS}, _null_g3_generic),
+    ("g4-sl2r", {"s": SIGNS, "mu": SIGNS, "a": _A_SAMPLES}, _null_g4),
+    ("g4-e11", {"s": SIGNS, "mu": SIGNS, "a": (0.0,)}, _null_g4),
+    ("g6", {"s": SIGNS, "mu": SIGNS, "b": _g6_b_samples}, _null_g6),
+])
+
+
+def _sasakian_null(table: str, rows: list) -> tuple:
+    """prop-3.16 / prop-3.22: the null structures of Prop. 3.8 that are
+    Sasakian and K-contact, after the table's own leading rows."""
+    return _table(table, 0, rows + [
+        ("g2-e11", {"s": SIGNS, "mu": SIGNS, "a0": ALPHA0},
+         lambda s, mu, a0: dict(_null_g2(s, mu, 0.5 * s, a0), **SAS)),
+        ("g3", {"s": SIGNS, "theta": THETAS},
+         lambda s, theta: dict(_null_g3_generic(s, theta), **SAS)),
+        ("g4", {"s": SIGNS, "mu": SIGNS, "a": lambda s, **_: (float(s),)},
+         lambda s, mu, a: dict(_null_g4(s, mu, a), **SAS)),
+        ("g6", {"s": SIGNS, "mu": SIGNS, "a0": ALPHA0},
+         lambda s, mu, a0: dict(_null_g6(s, mu, -0.5 * s, a0), **SAS)),
+    ])
+
+
+TABLES = dict([
+    _TIMELIKE, _PARA, _NULL, _RIEMANNIAN, _EXISTENCE,
+    # g1 is Sasakian but not K-contact
+    _sasakian_null("prop-3.16", [("g1", _G1_AXES, lambda s, a, a0: dict(
+        _null_g1(s, a, a0), sasakian=True, k_contact=False))]),
+    _sasakian_null("prop-3.22", []),
+])
+
 TABLE_ALIASES = {"thm-1.3": "thm-4.22", "thm-1.4": "thm-4.25"}
 
 
@@ -716,17 +363,7 @@ def iter_instances(table_id: str):
 def build_instance(inst: RowInstance, tol: float | None = None):
     """Realize a row instance as a verified contact structure (trying both
     orientations when the row does not pin one)."""
-    tol = get_tol(tol)
-    sc = make_family(inst.spec, tol=tol)
-    m = family_metric(inst.spec.family_id)
-    orientations = (inst.orientation,) if inst.orientation else (1, -1)
-    last_exc: Exception | None = None
-    for orientation in orientations:
-        try:
-            return check_contact(sc, m, orientation, one_form(inst.alpha), tol=tol, spec=inst.spec)
-        except NotContact as exc:
-            last_exc = exc
-    raise last_exc if last_exc is not None else NotContact("alpha != 0", 0.0)
+    return build_contact(inst.spec, inst.alpha, inst.orientation, tol=tol)
 
 
 def verify_instance(inst: RowInstance, tol: float | None = None) -> InstanceReport:

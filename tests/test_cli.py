@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -82,7 +83,6 @@ def test_catalog(capsys):
     assert report["pass"] is True and report["items"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # l = 1e200 overflows on purpose
 def test_catalog_failures_carry_reason_and_stay_strict_json(capsys):
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
@@ -120,7 +120,6 @@ def test_cauchy_examples(capsys):
     assert json.loads(out)["items"][-1]["alpha_flow_ratio"] >= 3.5
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(f0 x) overflows on purpose
 def test_cauchy_non_finite_fields_exit_2(capsys):
     # f0 = 1e3 makes F = e^{f0 x}/f0 infinite on the grid: bad input, no report
     line = assert_usage_error(capsys, ["cauchy", "--example", "null-isothermal",
@@ -128,7 +127,6 @@ def test_cauchy_non_finite_fields_exit_2(capsys):
     assert "finite" in line
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # |alpha|^2 overflows on purpose
 def test_cauchy_non_finite_residuals_are_null_with_reason(capsys):
     # f0 = 700 keeps every field finite, but |alpha|^2 and F^2 overflow
     def reject(constant):
@@ -143,6 +141,20 @@ def test_cauchy_non_finite_residuals_are_null_with_reason(capsys):
         assert item["constraint_norm"] is None
         assert "constraint_norm" in item["reason"]
 
+
+@pytest.mark.parametrize("argv, err_lines", [
+    (["cauchy", "--example", "null-isothermal", "--f0", "1e3", "--nx", "8", "--ny", "8"], 1),
+    (["cauchy", "--example", "null-isothermal", "--f0", "700", "--nx", "8", "--ny", "8"], 0),
+    (["catalog", "--epsilon-n", "1", "--l-samples", "1e200"], 0),
+    (["catalog", "--epsilon-n", "0", "--l-samples", "1e-200"], 0),
+])
+def test_overflowing_input_issues_no_numpy_warnings(capsys, argv, err_lines):
+    # stderr holds the one "error:" line of bad input, or nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert len(capsys.readouterr().err.splitlines()) == err_lines
 
 def test_unknown_flag_exit_2(capsys):
     assert main(["oracle", "--bogus"]) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from epscontact import curvature
 from epscontact.contact import (
+    build_contact,
     characteristic_endo,
     check_contact,
     contact_frame,
@@ -303,6 +304,26 @@ def test_contact_json_roundtrip():
     assert back.epsilon == 0
     assert np.allclose(back.alpha.comps, cs.alpha.comps)
     assert back.spec == spec
+
+
+def test_build_contact_picks_the_working_orientation():
+    # as a table row calls it: no orientation given, +1 tried first, then -1
+    plus = FamilySpec("g3", {"a": 1.0, "b": 1.0, "c": 1.0})
+    minus = FamilySpec("g3", {"a": -1.0, "b": -1.0, "c": -1.0})
+    cs = build_contact(plus, (1.0, 1.0, 0.0))
+    assert (cs.orientation, cs.epsilon, cs.spec) == (1, 0, plus)
+    cs = build_contact(minus, (0.0, 1.0, 0.0))
+    assert (cs.orientation, cs.epsilon, cs.spec) == (-1, 1, minus)
+    assert build_contact(minus, (0.0, 1.0, 0.0), orientation=-1).orientation == -1
+
+
+def test_build_contact_pinned_wrong_orientation_raises():
+    minus = FamilySpec("g3", {"a": -1.0, "b": -1.0, "c": -1.0})
+    with pytest.raises(NotContact, match=r"\*d\(alpha\)"):
+        build_contact(minus, (0.0, 1.0, 0.0), orientation=1)
+    # +1 fails alpha = *d(alpha), -1 fails the norm; the last failure is raised
+    with pytest.raises(NotContact, match=r"in \{-1, 0, \+1\}"):
+        build_contact(minus, (0.0, 2.0, 0.0))
 
 
 # --- derived data computed once per structure -----------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from epscontact import tables
@@ -102,3 +104,29 @@ def test_identity_suite_on_all_table_instances():
             if fit.admissible:
                 worst = max(worst, reeb_curvature_residual(cs, fit))
     assert worst < 1e-9
+
+
+# sha256 of the instance list below; any change to a table instance changes it
+INSTANCE_LIST_SHA256 = "75ae7e155472ad414b4a890536a6466839c97e9cd42c6812a958148a61b1cc70"
+
+
+def test_instance_list_fingerprint():
+    """Every table instance, in order, with floats compared bit for bit."""
+
+    def hx(x):
+        return None if x is None else float(x).hex()
+
+    keys = [
+        (
+            table, row.row_id, inst.label, inst.spec.family_id,
+            tuple(sorted((k, hx(v)) for k, v in inst.spec.params.items())),
+            tuple(hx(a) for a in inst.alpha),
+            inst.epsilon, hx(inst.lambda2), hx(inst.kappa), inst.sasakian, inst.k_contact,
+            None if inst.group is None else inst.group.value, inst.orientation,
+        )
+        for table, rows in tables.TABLES.items()
+        for row in rows
+        for inst in row.instances()
+    ]
+    assert len(keys) == 771
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == INSTANCE_LIST_SHA256
