@@ -25,7 +25,7 @@ from .config import get_tol
 from .contact import build_contact
 from .einstein import default_grid, scan_family
 from .errors import EpsContactError
-from .liealg import FamilySpec
+from .liealg import FamilySpec, family_metric
 from .oracle import run_oracle
 
 TABLE_CHOICES = (
@@ -79,11 +79,7 @@ def write_report(report: dict, cfg: RunConfig) -> None:
             row: dict = {}
             _flatten("", item, row)
             rows.append(row)
-        header: list = []
-        for row in rows:
-            for key in row:
-                if key not in header:
-                    header.append(key)
+        header = list(dict.fromkeys(key for row in rows for key in row))
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
         writer.writeheader()
@@ -149,6 +145,8 @@ def cmd_verify_tables(args, cfg: RunConfig) -> tuple:
 
 
 def cmd_scan(args, cfg: RunConfig) -> tuple:
+    if family_metric(args.family).s_g == 1 and args.epsilon != 1:  # nothing to sample
+        raise ValueError(f"--epsilon {args.epsilon}: a Riemannian family has epsilon = 1 only")
     grid = default_grid(args.grid, args.lo, args.hi)
     hits = scan_family(
         args.family,
@@ -177,12 +175,8 @@ def _solution_from_config(path: str):
     with open(path) as fh:
         data = json.load(fh)
 
-    def build_factor(entry):
-        return build_contact(FamilySpec(entry["family"], entry["params"]), entry["alpha"],
-                             entry.get("orientation", 1))
-
-    n = build_factor(data["n"])
-    x = build_factor(data["x"])
+    n, x = (build_contact(FamilySpec(e["family"], e["params"]), e["alpha"], e.get("orientation", 1))
+            for e in (data["n"], data["x"]))
     return product6d.build_solution(n, x, float(data["lambda"]), float(data["l"]))
 
 

@@ -19,14 +19,13 @@ import numpy as np
 from .config import get_tol
 from .contact import ContactStructure, check_contact
 from .errors import (
-    ConstraintViolation,
     Inadmissible,
     NotContact,
     NotEtaEinstein,
     WrongCausalType,
 )
 from .exterior import FrameMetric, d_components, hodge_components, one_form
-from .liealg import FamilySpec, family_metric, make_family
+from .liealg import FAMILIES, FamilySpec, StructureConstants, family_tables
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,8 @@ class ScanHit:
     fit: EtaEinsteinFit
 
 
-# samples per batched contact map and SVD in scan_family; a chunk's specs and
-# bracket tables are the only per-sample objects held at once
+# samples per batched contact map and SVD in scan_family; a chunk's bracket
+# tables are the only per-sample data held at once
 SCAN_CHUNK = 256
 
 
@@ -252,56 +251,17 @@ def default_grid(points: int = 21, lo: float = -3.0, hi: float = 3.0) -> np.ndar
 
 
 def family_samples(family_id: str, grid: np.ndarray, tol: float) -> Iterable[dict]:
-    """Deterministic parameter samples over the family's free parameters,
-    solving the family's algebraic constraint where it has one."""
+    """Deterministic parameter samples over the family's sampling sheets
+    (liealg.FAMILIES), the grid on each free axis, solving the family's
+    algebraic constraint where it has one."""
     g = [float(x) for x in grid]
-    if family_id == "g1":
-        for a, b in itertools.product(g, g):
-            if abs(a) > tol:
-                yield {"a": a, "b": b}
-    elif family_id == "g2":
-        # Jacobi forces a = 0 on this family
-        for b, c in itertools.product(g, g):
-            if abs(c) > tol:
-                yield {"a": 0.0, "b": b, "c": c}
-    elif family_id == "g3":
-        for a, b, c in itertools.product(g, g, g):
-            yield {"a": a, "b": b, "c": c}
-    elif family_id == "g4":
-        for mu in (-1.0, 1.0):
-            for a, b in itertools.product(g, g):
-                yield {"a": a, "b": b, "mu": mu}
-    elif family_id == "g5":
-        for a, b, d in itertools.product(g, g, g):
-            if abs(a) > tol and abs(a + d) > tol:
-                yield {"a": a, "b": b, "c": -b * d / a, "d": d}
-        # a = 0 sheet: the constraint becomes b d = 0 and a + d != 0 forces d != 0
-        for d, c in itertools.product(g, g):
-            if abs(d) > tol:
-                yield {"a": 0.0, "b": 0.0, "c": c, "d": d}
-    elif family_id == "g6":
-        for a, b, d in itertools.product(g, g, g):
-            if abs(a) > tol and abs(a + d) > tol:
-                yield {"a": a, "b": b, "c": b * d / a, "d": d}
-        for d, c in itertools.product(g, g):
-            if abs(d) > tol:
-                yield {"a": 0.0, "b": 0.0, "c": c, "d": d}
-    elif family_id == "g7":
-        for b, d in itertools.product(g, g):  # a = 0 sheet
-            if abs(d) > tol:
-                for c in g:
-                    yield {"a": 0.0, "b": b, "c": c, "d": d}
-        for a, b, d in itertools.product(g, g, g):  # c = 0 sheet
-            if abs(a) > tol and abs(a + d) > tol:
-                yield {"a": a, "b": b, "c": 0.0, "d": d}
-    elif family_id == "riemannian_unimodular":
-        for m1, m2, m3 in itertools.product(g, g, g):
-            yield {"mu1": m1, "mu2": m2, "mu3": m3}
-    elif family_id == "riemannian_nonunimodular":
-        for a, b, c in itertools.product(g, g, g):
-            yield {"a": a, "b": b, "c": c, "f": 2.0 - a}
-    else:
-        raise ConstraintViolation(f"unknown family {family_id!r}")
+    fam = FAMILIES[family_id]
+    for sheet in fam.sheets:
+        for values in itertools.product(*(g if v is None else v for v in sheet.axes.values())):
+            point = dict(zip(sheet.axes, values))
+            if sheet.keep(tol=tol, **point):
+                point.update(sheet.solve(**point))
+                yield {k: point[k] for k in fam.params}
 
 
 def scan_family(
@@ -319,48 +279,44 @@ def scan_family(
     quadric |alpha|^2 = epsilon; each candidate is fitted and admissible hits
     are returned. An empty list is a valid result.
 
-    Samples are taken SCAN_CHUNK at a time: the chunk's contact maps are
-    formed from its stacked bracket tables and solved by one SVD call per
-    orientation, and only samples with a nontrivial nullspace go on to the
+    Samples are taken SCAN_CHUNK at a time: one family_tables call gives the
+    chunk's bracket tables and constraint mask, its contact maps are solved
+    by one SVD call per orientation, and only samples with a nontrivial
+    nullspace get a FamilySpec and StructureConstants and go on to the
     per-sample candidate, contact and fit steps.
     """
     tol = get_tol(tol)
     if grid is None:
         grid = default_grid()
-    m = family_metric(family_id)
+    fam = FAMILIES[family_id]
+    m = fam.metric
     if m.s_g == 1 and epsilon != 1:
         return []
     hits = []
     samples = family_samples(family_id, grid, tol)
     while batch := list(itertools.islice(samples, SCAN_CHUNK)):
-        chunk = []
-        for params in batch:
-            try:
-                spec = FamilySpec(family_id, params)
-                chunk.append((params, spec, make_family(spec, tol=tol)))
-            except ConstraintViolation:
-                continue
-        if not chunk:
+        c, ok = family_tables(family_id, {k: [p[k] for p in batch] for k in fam.params}, tol)
+        valid = np.flatnonzero(ok)
+        if not valid.size:
             continue
-        c = np.stack([sc.c for _, _, sc in chunk])
-        solved = []  # (sample, orientation, nullspace basis) where it is nontrivial
-        for orientation in orientations:
-            keep, vt = _nullspace_rows(_contact_maps(c, m, orientation), tol)
-            for n in np.flatnonzero(keep.any(axis=-1)):
-                solved.append((n, orientation, vt[n][keep[n]].T))
-        solved.sort(key=lambda entry: entry[0])  # stable: orientations stay in order
-        for n, orientation, basis in solved:
-            params, spec, sc = chunk[n]
-            for alpha_c in _quadric_candidates(basis, m, epsilon, n_dirs):
-                try:
-                    cs = check_contact(sc, m, orientation, one_form(alpha_c), tol=1e-7, spec=spec)
-                except NotContact:
-                    continue
-                if cs.epsilon != epsilon:
-                    continue
-                fit = fit_eta_einstein(cs, tol=tol)
-                if fit.admissible:
-                    hits.append(
-                        ScanHit(family_id, dict(params), orientation, tuple(alpha_c), fit)
-                    )
+        c = c[valid]
+        solved = [(orientation, *_nullspace_rows(_contact_maps(c, m, orientation), tol))
+                  for orientation in orientations]
+        for n in np.flatnonzero(np.any([keep.any(axis=-1) for _, keep, _ in solved], axis=0)):
+            params = batch[valid[n]]
+            spec, sc = FamilySpec(family_id, params), StructureConstants.unchecked(c[n].copy())
+            for orientation, keep, vt in solved:  # rows vt[n][keep[n]] span the nullspace
+                for alpha_c in _quadric_candidates(vt[n][keep[n]].T, m, epsilon, n_dirs):
+                    try:
+                        cs = check_contact(sc, m, orientation, one_form(alpha_c), tol=1e-7,
+                                           spec=spec)
+                    except NotContact:
+                        continue
+                    if cs.epsilon != epsilon:
+                        continue
+                    fit = fit_eta_einstein(cs, tol=tol)
+                    if fit.admissible:
+                        hits.append(
+                            ScanHit(family_id, dict(params), orientation, tuple(alpha_c), fit)
+                        )
     return hits

@@ -11,9 +11,9 @@ import numpy as np
 from .config import get_tol
 from .curvature import closed_form_ricci, levi_civita, riemann_ricci
 from .exterior import FrameMetric
-from .liealg import FamilySpec, make_family, nine_params
+from .liealg import FAMILIES, FamilySpec, make_family, nine_params
 
-LORENTZ_FAMILIES = ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
+LORENTZ_FAMILIES = tuple(f for f, fam in FAMILIES.items() if fam.metric.s_g == -1)
 
 
 def sample_spec(family_id: str, rng: np.random.Generator) -> FamilySpec:

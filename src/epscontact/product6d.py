@@ -154,23 +154,24 @@ def build_solution(
     check_tol = 1e2 * tol
     fit_n = fit_eta_einstein(n_struct, tol=tol)
     fit_x = fit_eta_einstein(x_struct, tol=tol)
-    if fit_n.residual > tol or not fit_n.admissible:
+    if not fit_n.residual <= tol or not fit_n.admissible:
         raise IncompatibleFactors(
             f"Lorentzian factor is not admissibly eta-Einstein (residual {fit_n.residual:.3e})"
         )
-    if fit_x.residual > tol:
+    if not fit_x.residual <= tol:
         raise IncompatibleFactors(
             f"Riemannian factor is not eta-Einstein (residual {fit_x.residual:.3e})"
         )
     lam2 = lam * lam
     l2 = l * l
-    if abs(fit_n.lambda2 - lam2) > check_tol or abs(fit_x.lambda2 - lam2) > check_tol:
+    # each check reads "not ... <= bound", so that a NaN lambda or l fails it
+    if not (abs(fit_n.lambda2 - lam2) <= check_tol and abs(fit_x.lambda2 - lam2) <= check_tol):
         raise IncompatibleFactors(
             f"lambda^2 mismatch: factors ({fit_n.lambda2:.6g}, {fit_x.lambda2:.6g}) vs lambda^2={lam2:.6g}"
         )
-    if abs(fit_n.kappa - l2) > check_tol:
+    if not abs(fit_n.kappa - l2) <= check_tol:
         raise IncompatibleFactors(f"kappa_N={fit_n.kappa:.6g} != l^2={l2:.6g}")
-    if abs(fit_x.kappa - n_struct.epsilon * l2) > check_tol:
+    if not abs(fit_x.kappa - n_struct.epsilon * l2) <= check_tol:
         raise IncompatibleFactors(
             f"kappa_X={fit_x.kappa:.6g} != eps_N l^2={n_struct.epsilon * l2:.6g}"
         )

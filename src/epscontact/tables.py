@@ -54,7 +54,6 @@ class RowInstance:
     sasakian: Optional[bool] = None
     k_contact: Optional[bool] = None
     group: Optional[GroupName] = None
-    orientation: Optional[int] = None  # None: determined by the contact condition
 
 
 @dataclass(frozen=True)
@@ -361,9 +360,9 @@ def iter_instances(table_id: str):
 
 
 def build_instance(inst: RowInstance, tol: float | None = None):
-    """Realize a row instance as a verified contact structure (trying both
-    orientations when the row does not pin one)."""
-    return build_contact(inst.spec, inst.alpha, inst.orientation, tol=tol)
+    """Realize a row instance as a verified contact structure, trying
+    orientation +1, then -1."""
+    return build_contact(inst.spec, inst.alpha, tol=tol)
 
 
 def verify_instance(inst: RowInstance, tol: float | None = None) -> InstanceReport:

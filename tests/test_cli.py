@@ -291,3 +291,40 @@ def test_other_bad_numeric_flags_exit_2(capsys):
         (["cauchy", "--example", "null-isothermal", "--f0", "inf"], "--f0"),
     ):
         assert flag in assert_usage_error(capsys, argv)
+
+
+def test_riemannian_scan_without_structures_exit_2(capsys, monkeypatch):
+    # a Riemannian family has epsilon = +1 structures only: nothing to sample
+    import epscontact.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("scan ran although no structure of that epsilon exists")
+
+    monkeypatch.setattr(cli, "scan_family", no_work)
+    for family in ("riemannian_unimodular", "riemannian_nonunimodular"):
+        for epsilon in ("0", "-1"):
+            line = assert_usage_error(capsys, ["scan", "--family", family, "--epsilon", epsilon])
+            assert "--epsilon" in line
+
+
+@pytest.mark.parametrize("key, path", [
+    ("lambda", ()), ("l", ()), ("mu1", ("x", "params")), ("b", ("n", "params")),
+])
+def test_solution_config_nan_exit_2(tmp_path, capsys, key, path):
+    # NaN compares false with everything, so every check must fail on it
+    config = {
+        "n": {"family": "g4", "params": {"a": 1.0, "b": 0.0, "mu": -1.0},
+              "orientation": 1, "alpha": [1.0, 0.0, -1.0]},
+        "x": {"family": "riemannian_unimodular",
+              "params": {"mu1": 1.0, "mu2": 1.0, "mu3": 1.0},
+              "orientation": -1, "alpha": [1.0, 0.0, 0.0]},
+        "lambda": 1.0,
+        "l": 1.0,
+    }
+    target = config
+    for step in path:
+        target = target[step]
+    target[key] = float("nan")
+    config_file = tmp_path / "nan.json"
+    config_file.write_text(json.dumps(config))  # json writes the literal NaN
+    assert_usage_error(capsys, ["solution", "--config", str(config_file)])

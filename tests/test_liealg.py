@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,75 @@ def test_family_metric(family):
 def test_family_metric_unknown_family():
     with pytest.raises(ConstraintViolation, match="unknown family"):
         family_metric("riemannian_g9")
+
+
+def test_family_spec_rejects_non_finite_parameters():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConstraintViolation, match="finite"):
+            FamilySpec("g3", {"a": 1.0, "b": bad, "c": 1.0})
+
+
+# sha256 over every family's sample stream at four grids: each sample (keys in
+# order, values as float.hex), then its make_family table bytes (signed zeros
+# included) or its ConstraintViolation text; at 21 points on [-1e6, 1e6] g5
+# and g6 each reject 336 samples whose solved constraint rounds off
+FAMILY_STREAM_SHA256 = "f3e3da30128c2c2434d948e58048c46845973cd22486c24dcb5cacf34bd575c5"
+STREAM_FAMILIES = ("g1", "g2", "g3", "g4", "g5", "g6", "g7",
+                   "riemannian_unimodular", "riemannian_nonunimodular")
+STREAM_GRIDS = ((3, -3.0, 3.0), (13, -3.0, 3.0), (21, -3.0, 3.0), (21, -1e6, 1e6))
+
+
+def test_family_stream_fingerprint():
+    from epscontact.einstein import default_grid, family_samples
+
+    digest = hashlib.sha256()
+    rejected = {}
+    for family in STREAM_FAMILIES:
+        for points, lo, hi in STREAM_GRIDS:
+            for params in family_samples(family, default_grid(points, lo, hi), 1e-9):
+                digest.update(repr([(k, float(v).hex()) for k, v in params.items()]).encode())
+                try:
+                    digest.update(make_family(FamilySpec(family, params), tol=1e-9).c.tobytes())
+                except ConstraintViolation as exc:
+                    rejected[family, lo] = rejected.get((family, lo), 0) + 1
+                    digest.update(str(exc).encode())
+    assert rejected == {("g5", -1e6): 336, ("g6", -1e6): 336}
+    assert digest.hexdigest() == FAMILY_STREAM_SHA256
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_family_tables_match_make_family(family):
+    """The batched tables equal make_family's bit for bit, and the mask marks
+    exactly the samples FamilySpec or make_family rejects."""
+    from epscontact.einstein import default_grid, family_samples
+    from epscontact.liealg import family_tables
+
+    rng = np.random.default_rng(5)
+    samples = list(family_samples(family, default_grid(7, -1e6, 1e6), 1e-9))
+    names = FAMILY_PARAMS[family]
+    # perturbed copies break the constraints; non-finite ones must be masked
+    samples += [{k: v * (1 + rng.normal()) for k, v in p.items()} for p in samples[::5]]
+    samples += [dict(samples[0], **{names[-1]: bad}) for bad in (np.nan, np.inf)]
+    c, ok = family_tables(family, {k: [p[k] for p in samples] for k in names}, tol=1e-9)
+    assert c.shape == (len(samples), 3, 3, 3)
+    for n, params in enumerate(samples):
+        try:
+            want = make_family(FamilySpec(family, params), tol=1e-9).c
+        except ConstraintViolation:
+            assert not ok[n], params
+            continue
+        assert ok[n] and c[n].tobytes() == want.tobytes(), params
+    assert not ok.all() and ok.any()
+
+
+def test_families_derive_the_family_api():
+    from epscontact.liealg import FAMILIES
+    from epscontact.oracle import LORENTZ_FAMILIES
+
+    assert LORENTZ_FAMILIES == ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
+    for family_id, fam in FAMILIES.items():
+        assert FAMILY_PARAMS[family_id] == fam.params
+        assert family_metric(family_id) is fam.metric
+        for sheet in fam.sheets:  # every sheet point completes to the full parameter set
+            point = {k: 0.5 if v is None else v[0] for k, v in sheet.axes.items()}
+            assert set(point) | set(sheet.solve(**point)) == set(fam.params)
