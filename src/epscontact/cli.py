@@ -28,12 +28,6 @@ from .errors import EpsContactError
 from .liealg import FamilySpec, family_metric
 from .oracle import run_oracle
 
-TABLE_CHOICES = (
-    "thm-1.2", "thm-1.3", "thm-1.4", "thm-4.14", "thm-4.22", "thm-4.25",
-    "prop-3.8", "prop-3.16", "prop-3.22",
-)
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -108,9 +102,7 @@ def cmd_oracle(args, cfg: RunConfig) -> tuple:
 
 
 def cmd_verify_tables(args, cfg: RunConfig) -> tuple:
-    table_ids = [tables.resolve_table(args.theorem)] if args.theorem else list(
-        dict.fromkeys(tables.resolve_table(t) for t in TABLE_CHOICES)
-    )
+    table_ids = [tables.resolve_table(args.theorem)] if args.theorem else list(tables.TABLES)
     reports = [
         tables.verify_table_row(table_id, row, tol=cfg.tol)
         for table_id in table_ids
@@ -171,13 +163,29 @@ def cmd_scan(args, cfg: RunConfig) -> tuple:
                   "grid_points": args.grid, "hit_count": len(items), "items": items}
 
 
+def _config_field(value, kind: str, what: str):
+    """value if it is a JSON object, array or number (kind), else ValueError:
+    well-formed JSON of the wrong shape is bad input, not a crash."""
+    types = {"object": dict, "array": list, "number": (int, float)}[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"solution config: {what} must be a JSON {kind}, got {json.dumps(value)}")
+    return value
+
+
 def _solution_from_config(path: str):
     with open(path) as fh:
-        data = json.load(fh)
-
-    n, x = (build_contact(FamilySpec(e["family"], e["params"]), e["alpha"], e.get("orientation", 1))
-            for e in (data["n"], data["x"]))
-    return product6d.build_solution(n, x, float(data["lambda"]), float(data["l"]))
+        data = _config_field(json.load(fh), "object", "the top level")
+    factors = []
+    for key in ("n", "x"):
+        e = _config_field(data.get(key), "object", f'"{key}"')
+        params = _config_field(e.get("params"), "object", f'"{key}.params"')
+        alpha = _config_field(e.get("alpha"), "array", f'"{key}.alpha"')
+        orientation = e.get("orientation", 1)  # null: try +1, then -1
+        if orientation is not None:
+            _config_field(orientation, "number", f'"{key}.orientation"')
+        factors.append(build_contact(FamilySpec(e.get("family"), params), alpha, orientation))
+    lam, l = (float(_config_field(data.get(k), "number", f'"{k}"')) for k in ("lambda", "l"))
+    return product6d.build_solution(*factors, lam, l)
 
 
 def cmd_solution(args, cfg: RunConfig) -> tuple:
@@ -319,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-tables", parents=common,
                        help="verify classification table rows")
-    p.add_argument("--theorem", choices=TABLE_CHOICES, default=None)
+    p.add_argument("--theorem", choices=(*tables.TABLES, *tables.TABLE_ALIASES), default=None)
 
     p = sub.add_parser("scan", parents=common,
                        help="grid scan for eta-Einstein contact structures")

@@ -10,6 +10,7 @@ vectors: (E v)^i = sum_j E[i][j] v^j.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,7 +38,8 @@ from .exterior import (
     sharp,
 )
 from .curvature import ConnectionCoeffs, CurvatureTensors, levi_civita, riemann_ricci
-from .liealg import FamilySpec, StructureConstants, family_metric, make_family
+from .liealg import (FamilySpec, StructureConstants, direct_sum, family_metric, make_family,
+                     zero_algebra)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -70,9 +72,6 @@ class ContactStructure:
         """Reeb field: the metric dual of alpha."""
         return _read_only(sharp(self.alpha, self.m))
 
-    def reeb(self) -> np.ndarray:
-        return self.xi
-
     @cached_property
     def phi(self) -> np.ndarray:
         return _read_only(characteristic_endo(self))
@@ -90,13 +89,9 @@ class ContactStructure:
 
     @cached_property
     def h(self) -> np.ndarray:
-        """h = L_xi phi on the frame."""
-        xi, phi = self.xi, self.phi
-        cols = []
-        for j in range(3):
-            ej = np.eye(3)[j]
-            cols.append(self.sc.bracket(xi, phi @ ej) - phi @ self.sc.bracket(xi, ej))
-        return _read_only(np.column_stack(cols))
+        """h = L_xi phi = ad_xi phi - phi ad_xi on the frame."""
+        ad = self.sc.ad(self.xi)
+        return _read_only(ad @ self.phi - self.phi @ ad)
 
     @cached_property
     def mu(self) -> Optional[float]:
@@ -141,15 +136,17 @@ def build_contact(spec: FamilySpec, alpha, orientation: Optional[int] = None,
                   tol: float | None = None) -> ContactStructure:
     """The verified contact structure of a family instance with the one-form
     alpha (frame components). orientation None tries +1, then -1, and
-    re-raises the last NotContact."""
+    raises the NotContact of -1."""
     tol = get_tol(tol)
     sc, m, form = make_family(spec, tol=tol), family_metric(spec.family_id), one_form(alpha)
-    for sign in (1, -1) if orientation is None else (orientation,):
+    if orientation is None:
+        # a NotContact kept in a local would form a cycle with its traceback
+        # and hold the failed attempt's arrays until the next garbage collection
         try:
-            return check_contact(sc, m, sign, form, tol=tol, spec=spec)
-        except NotContact as exc:
-            last = exc
-    raise last
+            return check_contact(sc, m, 1, form, tol=tol, spec=spec)
+        except NotContact:
+            orientation = -1
+    return check_contact(sc, m, orientation, form, tol=tol, spec=spec)
 
 
 def check_contact(
@@ -196,15 +193,10 @@ def characteristic_endo(cs: ContactStructure) -> np.ndarray:
 
 
 def lie_derivative_metric(cs: ContactStructure, v: np.ndarray) -> np.ndarray:
-    """(L_v g)(e_i, e_j) = -g([v, e_i], e_j) - g(e_i, [v, e_j]) on the frame."""
-    out = np.zeros((3, 3))
-    brackets = [cs.sc.bracket(v, np.eye(3)[i]) for i in range(3)]
-    for i in range(3):
-        for j in range(3):
-            out[i, j] = -cs.metric_dot(brackets[i], np.eye(3)[j]) - cs.metric_dot(
-                np.eye(3)[i], brackets[j]
-            )
-    return out
+    """(L_v g)(e_i, e_j) = -g([v, e_i], e_j) - g(e_i, [v, e_j]) on the frame,
+    that is -(ad_v^T G + G ad_v) with G = diag(eta)."""
+    ad, g = cs.sc.ad(v), np.diag(cs.m.eta)
+    return -(ad.T @ g + g @ ad)
 
 
 def h_tensor(cs: ContactStructure, tol: float | None = None):
@@ -227,56 +219,54 @@ def h_tensor(cs: ContactStructure, tol: float | None = None):
     return h, mu
 
 
+def _ker_alpha_basis(cs: ContactStructure) -> np.ndarray:
+    """Columns b_1, b_2: a basis of ker(alpha) (eps != 0) with g(b_p, b_q) =
+    +-delta_pq.
+
+    Deterministic: Gram-Schmidt on the projections of (e_1, e_2, e_0) to
+    ker(alpha), skipping null ones; when fewer than two non-null directions
+    turn up, the restricted metric is diagonalized over an orthonormal basis
+    of ker(alpha) instead.
+    """
+    eta, alpha = cs.m.eta, cs.alpha.comps
+    proj = np.eye(3) - np.outer(cs.xi, alpha) / cs.epsilon  # column i: e_i projected
+    basis = []
+    for v in proj[:, [1, 2, 0]].T:
+        for w in basis:
+            v = v - (np.sum(eta * v * w) / np.sum(eta * w * w)) * w
+        nrm = float(np.sum(eta * v * v))
+        if np.linalg.norm(v) > 1e-12 and abs(nrm) > 1e-12 * float(np.dot(v, v)):
+            basis.append(v / np.sqrt(abs(nrm)))
+        if len(basis) == 2:
+            return np.column_stack(basis)
+    ker = np.linalg.svd(alpha.reshape(1, 3))[2][1:].T  # columns span ker(alpha)
+    evals, evecs = np.linalg.eigh(ker.T @ np.diag(eta) @ ker)
+    return ker @ evecs / np.sqrt(np.abs(evals))
+
+
+def _lead_positive(v: np.ndarray) -> np.ndarray:
+    """v or -v, whichever has its first component above 1e-12 in size positive."""
+    lead = v[np.abs(v) > 1e-12]
+    return -v if lead.size and lead[0] < 0 else v
+
+
 def contact_frame(cs: ContactStructure):
     """Adapted frame (xi, u, phi(u)) with g(u,u) = s_g eps, g(u,xi) = 1 - eps^2.
 
-    Deterministic tie-break: for eps != 0, u is obtained by Gram-Schmidt on
-    the projections of (e_1, e_2, e_0) to ker(alpha), picking the first basis
-    vector whose norm has the required sign; for eps = 0, u is the unique
-    null vector with g(u, xi) = 1 lying in the span of the sign-flipped dual
-    of alpha.
+    Deterministic tie-break: for eps != 0, u is the first vector of the
+    ker(alpha) basis (see _ker_alpha_basis) whose norm has the required sign;
+    for eps = 0, u is the unique null vector with g(u, xi) = 1 lying in the
+    span of the sign-flipped dual of alpha.
     """
-    xi = cs.xi
-    alpha = cs.alpha.comps
-    eps = cs.epsilon
+    xi, alpha, eps = cs.xi, cs.alpha.comps, cs.epsilon
     if eps == 0:
-        ut = alpha.copy()  # componentwise dual: null iff alpha is null
-        u = ut / float(np.sum(alpha * alpha))
+        u = alpha / float(np.sum(alpha * alpha))  # componentwise dual: null iff alpha is
     else:
-        basis = []
-        for idx in (1, 2, 0):
-            v = np.eye(3)[idx] - (alpha[idx] / eps) * xi
-            for w in basis:
-                v = v - (cs.metric_dot(v, w) / cs.metric_dot(w, w)) * w
-            if np.linalg.norm(v) > 1e-12:
-                nrm = cs.metric_dot(v, v)
-                if abs(nrm) > 1e-12 * float(np.dot(v, v)):
-                    basis.append(v)
-            if len(basis) == 2:
-                break
-        target = cs.s_g * eps
-        u = None
-        for v in basis:
-            if np.sign(cs.metric_dot(v, v)) == np.sign(target):
-                u = v / np.sqrt(abs(cs.metric_dot(v, v)))
-                break
-        if u is None:
-            # Gram-Schmidt hit only null directions; diagonalize the restricted
-            # metric over an orthonormal basis of ker(alpha) instead
-            ker = np.linalg.svd(alpha.reshape(1, 3))[2][1:].T  # columns span ker
-            gram = ker.T @ np.diag(cs.m.eta) @ ker
-            evals, evecs = np.linalg.eigh(gram)
-            for pos in range(2):
-                if np.sign(evals[pos]) == np.sign(target):
-                    u = ker @ evecs[:, pos] / np.sqrt(abs(evals[pos]))
-                    break
-        if u is None:
+        b = _ker_alpha_basis(cs)
+        fits = np.sign(cs.m.eta @ (b * b)) == np.sign(cs.s_g * eps)
+        if not fits.any():
             raise WrongCausalType("no frame vector of the required causal type in ker(alpha)")
-        for comp in u:
-            if abs(comp) > 1e-12:
-                if comp < 0:
-                    u = -u
-                break
+        u = _lead_positive(b[:, np.argmax(fits)])
     return xi, u, cs.phi @ u
 
 
@@ -303,32 +293,22 @@ def k_contact_null_witness(cs: ContactStructure) -> float:
     return float(cs.metric_dot(cs.sc.bracket(xi, u), u))
 
 
-def _j_action(cs: ContactStructure, v4: np.ndarray):
-    """J(v + c dq) = phi(v) + c xi + alpha(v) dq on R^3 + R(dq) components."""
-    v, c = v4[:3], v4[3]
-    out = np.zeros(4)
-    out[:3] = cs.phi @ v + c * cs.xi
-    out[3] = float(np.dot(cs.alpha.comps, v))
-    return out
+def _j_and_frame(cs: ContactStructure):
+    """J = [[phi, xi], [alpha, 0]], the matrix of J(v + c dq) = phi(v) + c xi
+    + alpha(v) dq on R^3 + R(dq), and P, whose columns are (xi, u, phi(u), dq)."""
+    if cs.epsilon != 0:
+        raise WrongCausalType("J is defined for null structures")
+    j, p = np.zeros((4, 4)), np.eye(4)
+    j[:3, :3], j[:3, 3], j[3, :3] = cs.phi, cs.xi, cs.alpha.comps
+    p[:3, :3] = np.column_stack(cs.frame)
+    return j, p
 
 
 def j_endo_matrix(cs: ContactStructure) -> np.ndarray:
-    """Matrix of J in the frame (xi, u, phi(u), dq); constant for every
-    null structure: columns (0, (0,0,1,1), (-1,0,0,0), (1,0,0,0))."""
-    if cs.epsilon != 0:
-        raise WrongCausalType("J is defined for null structures")
-    frame = np.column_stack(cs.frame)
-    cols = []
-    for k in range(4):
-        v4 = np.zeros(4)
-        if k < 3:
-            v4[:3] = frame[:, k]
-        else:
-            v4[3] = 1.0
-        w4 = _j_action(cs, v4)
-        coeffs = np.linalg.solve(frame, w4[:3])
-        cols.append(np.concatenate([coeffs, [w4[3]]]))
-    return np.column_stack(cols)
+    """Matrix P^-1 J P of J in the frame (xi, u, phi(u), dq); constant for
+    every null structure: columns (0, (0,0,1,1), (-1,0,0,0), (1,0,0,0))."""
+    j, p = _j_and_frame(cs)
+    return np.linalg.solve(p, j @ p)
 
 
 def nijenhuis_J(cs: ContactStructure, tol: float | None = None):
@@ -337,37 +317,16 @@ def nijenhuis_J(cs: ContactStructure, tol: float | None = None):
     Returns (max-abs of N_J over all frame pairs, whether ker J is involutive).
     N_J vanishes iff the structure is Sasakian.
     """
-    if cs.epsilon != 0:
-        raise WrongCausalType("the Nijenhuis test applies to null structures")
     tol = get_tol(tol)
-    xi, u, phiu = cs.frame
-
-    def bracket4(a4, b4):
-        out = np.zeros(4)
-        out[:3] = cs.sc.bracket(a4[:3], b4[:3])
-        return out
-
-    vectors = [
-        np.concatenate([xi, [0.0]]),
-        np.concatenate([u, [0.0]]),
-        np.concatenate([phiu, [0.0]]),
-        np.array([0.0, 0.0, 0.0, 1.0]),
-    ]
-    max_nj = 0.0
-    for p in range(4):
-        for q in range(p + 1, 4):
-            v1, v2 = vectors[p], vectors[q]
-            jv1, jv2 = _j_action(cs, v1), _j_action(cs, v2)
-            nj = (
-                bracket4(jv1, jv2)
-                - _j_action(cs, bracket4(v1, jv2))
-                - _j_action(cs, bracket4(jv1, v2))
-            )
-            max_nj = max(max_nj, float(np.max(np.abs(nj))))
+    j, p = _j_and_frame(cs)
+    br = direct_sum(cs.sc, zero_algebra(1)).bracket  # dq is central
+    max_nj = max(
+        float(np.max(np.abs(br(j @ x, j @ y) - j @ br(x, j @ y) - j @ br(j @ x, y))))
+        for x, y in itertools.combinations(p.T, 2)
+    )
     # ker J = span{xi, phi(u) + dq}; involutive iff [xi, phi(u)] lies in the span
-    br = cs.sc.bracket(xi, phiu)
-    frame = np.column_stack([xi, u, phiu])
-    coeffs = np.linalg.solve(frame, br)
+    xi, _, phiu = cs.frame
+    coeffs = np.linalg.solve(p[:3, :3], cs.sc.bracket(xi, phiu))
     involutive = bool(abs(coeffs[1]) <= tol and abs(coeffs[2]) <= tol)
     return max_nj, involutive
 
@@ -387,87 +346,52 @@ def reeb_gradient(cs: ContactStructure) -> np.ndarray:
 def contact_identity_residuals(cs: ContactStructure) -> dict:
     """Residuals of the structural identities every contact structure obeys
     (plus the null-case extras when epsilon = 0); all should be ~0."""
-    m = cs.m
-    eta = m.eta
-    sg = cs.s_g
-    eps = cs.epsilon
-    alpha = cs.alpha.comps
-    xi = cs.xi
-    phi = cs.phi
+    sg, eps, alpha, xi, phi = cs.s_g, cs.epsilon, cs.alpha.comps, cs.xi, cs.phi
+    g, eye, ad = np.diag(cs.m.eta), np.eye(3), cs.sc.ad(xi)
     h, mu = h_tensor(cs)
     tau = h @ phi
-    dalpha = mc_differential(cs.alpha, cs.sc)
-    res = {}
-    # g(. , phi .) = d alpha
-    gphi = np.einsum("i,ij->ij", eta, phi)
-    dal = np.array([[dalpha.value((i, j)) for j in range(3)] for i in range(3)])
-    res["g_phi_is_dalpha"] = float(np.max(np.abs(gphi - dal)))
-    res["phi_xi"] = float(np.max(np.abs(phi @ xi)))
-    res["alpha_phi"] = float(np.max(np.abs(alpha @ phi)))
-    res["phi_squared"] = float(
-        np.max(np.abs(phi @ phi - sg * (-eps * np.eye(3) + np.outer(xi, alpha))))
-    )
-    # g(phi . , phi .) = s_g (eps g - alpha (x) alpha)
-    gphiphi = phi.T @ np.diag(eta) @ phi
-    res["phi_isometry"] = float(
-        np.max(np.abs(gphiphi - sg * (eps * np.diag(eta) - np.outer(alpha, alpha))))
-    )
-    res["phi_skew"] = float(np.max(np.abs(np.diag(eta) @ phi + phi.T @ np.diag(eta))))
-    conn = cs.connection
-    nabla_xi_vec = np.einsum("i,ijk,j->k", xi, conn.gamma, xi)
-    res["nabla_xi_xi"] = float(np.max(np.abs(nabla_xi_vec)))
-    dmat = np.einsum("j,jik->ki", xi, conn.gamma)  # v -> nabla_xi v on the frame
-    res["nabla_xi_phi"] = float(np.max(np.abs(dmat @ phi - phi @ dmat)))
-    res["h_xi"] = float(np.max(np.abs(h @ xi)))
-    lmat = l_endo(cs)
-    res["l_xi"] = float(np.max(np.abs(lmat @ xi)))
-    res["trace_h"] = abs(float(np.trace(h)))
-    res["trace_tau"] = abs(float(np.trace(tau)))
-    res["h_phi_anticommute"] = float(np.max(np.abs(h @ phi + phi @ h)))
-    lie_alpha = np.array(
-        [-float(np.dot(alpha, cs.sc.bracket(xi, np.eye(3)[i]))) for i in range(3)]
-    )
-    res["lie_xi_alpha"] = float(np.max(np.abs(lie_alpha)))
-    gh = np.diag(eta) @ h
-    res["h_symmetric"] = float(np.max(np.abs(gh - gh.T)))
-    gtau = np.diag(eta) @ tau
-    res["tau_symmetric"] = float(np.max(np.abs(gtau - gtau.T)))
-    # 2 phi(nabla xi) = h + s_g (eps Id - xi (x) alpha)
-    res["reeb_gradient_eq"] = float(
-        np.max(
-            np.abs(
-                2.0 * phi @ reeb_gradient(cs)
-                - h
-                - sg * (eps * np.eye(3) - np.outer(xi, alpha))
-            )
-        )
-    )
+    dmat = np.einsum("j,jik->ki", xi, cs.connection.gamma)  # v -> nabla_xi v on the frame
+    res = {
+        "g_phi_is_dalpha": g @ phi - mc_differential(cs.alpha, cs.sc).to_array(),
+        "phi_xi": phi @ xi,
+        "alpha_phi": alpha @ phi,
+        "phi_squared": phi @ phi - sg * (-eps * eye + np.outer(xi, alpha)),
+        # g(phi . , phi .) = s_g (eps g - alpha (x) alpha)
+        "phi_isometry": phi.T @ g @ phi - sg * (eps * g - np.outer(alpha, alpha)),
+        "phi_skew": g @ phi + phi.T @ g,
+        "nabla_xi_xi": dmat @ xi,
+        "nabla_xi_phi": dmat @ phi - phi @ dmat,
+        "h_xi": h @ xi,
+        "l_xi": l_endo(cs) @ xi,
+        "trace_h": np.trace(h),
+        "trace_tau": np.trace(tau),
+        "h_phi_anticommute": h @ phi + phi @ h,
+        "lie_xi_alpha": -alpha @ ad,
+        "h_symmetric": g @ h - (g @ h).T,
+        "tau_symmetric": g @ tau - (g @ tau).T,
+        # 2 phi(nabla xi) = h + s_g (eps Id - xi (x) alpha)
+        "reeb_gradient_eq": 2.0 * phi @ reeb_gradient(cs) - h
+        - sg * (eps * eye - np.outer(xi, alpha)),
+    }
     if eps != 0:
-        ric = cs.curvature.ricci
-        ric_xixi = float(xi @ ric @ xi)
-        res["ricci_reeb"] = abs(
-            ric_xixi - eps * sg * (0.5 - 0.25 * float(np.trace(h @ h)))
-        )
+        ric_xixi = xi @ cs.curvature.ricci @ xi
+        res["ricci_reeb"] = ric_xixi - eps * sg * (0.5 - 0.25 * np.trace(h @ h))
     else:
-        res["phi_cubed"] = float(np.max(np.abs(phi @ phi @ phi)))
-        res["phi_h"] = float(np.max(np.abs(phi @ h)))
-        res["h_phi"] = float(np.max(np.abs(h @ phi)))
-        res["tau_null"] = float(np.max(np.abs(tau)))
-        # light-cone bracket pattern
+        res.update(phi_cubed=phi @ phi @ phi, phi_h=phi @ h, h_phi=h @ phi, tau_null=tau)
+        # light-cone bracket pattern: the frame coefficients of [xi, u],
+        # [xi, phi(u)] and [u, phi(u)]
         _, u, phiu = cs.frame
-        frame = np.column_stack(cs.frame)
-        c1 = np.linalg.solve(frame, cs.sc.bracket(xi, u))
-        c2 = np.linalg.solve(frame, cs.sc.bracket(xi, phiu))
-        c3 = np.linalg.solve(frame, cs.sc.bracket(u, phiu))
-        res["lightcone_brackets"] = float(
-            max(
-                abs(c1[1]),                 # [xi,u] has no u part
-                abs(c2[1]), abs(c2[2]),     # [xi,phi(u)] proportional to xi
-                abs(c2[0] - (mu - c1[2])),  # with coefficient mu - c
-                abs(c3[1] - 1.0),           # [u,phi(u)] = e xi + u + f phi(u)
-            )
-        )
-    return res
+        c1, c2, c3 = np.linalg.solve(
+            np.column_stack(cs.frame),
+            np.column_stack([ad @ u, ad @ phiu, cs.sc.bracket(u, phiu)]),
+        ).T
+        res["lightcone_brackets"] = np.array([
+            c1[1],                 # [xi,u] has no u part
+            c2[1], c2[2],          # [xi,phi(u)] proportional to xi
+            c2[0] - (mu - c1[2]),  # with coefficient mu - c
+            c3[1] - 1.0,           # [u,phi(u)] = e xi + u + f phi(u)
+        ])
+    return {name: float(np.max(np.abs(r))) for name, r in res.items()}
 
 
 def timelike_special_frame(cs: ContactStructure, tol: float | None = None):
@@ -485,34 +409,10 @@ def timelike_special_frame(cs: ContactStructure, tol: float | None = None):
     if not fit.admissible:
         raise NotEtaEinstein(fit.residual)
     mu = float(np.sqrt(max(0.0, 1.0 - (fit.lambda2 + fit.kappa))))
-    h = cs.h
-    xi = cs.xi
-    alpha = cs.alpha.comps
-    basis = []
-    for idx in (1, 2, 0):
-        v = np.eye(3)[idx] + alpha[idx] * xi  # projection to ker(alpha), eps = -1
-        for w in basis:
-            v = v - cs.metric_dot(v, w) * w
-        if np.linalg.norm(v) > 1e-12:
-            v = v / np.sqrt(cs.metric_dot(v, v))
-            basis.append(v)
-        if len(basis) == 2:
-            break
-    b = np.column_stack(basis)
-    s = np.array(
-        [[cs.metric_dot(basis[p], h @ basis[q]) for q in range(2)] for p in range(2)]
-    )
+    b = _ker_alpha_basis(cs)  # g-orthonormal: ker(alpha) is space-like here
+    s = b.T @ np.diag(cs.m.eta) @ cs.h @ b  # g(b_p, h b_q)
     evals, evecs = np.linalg.eigh(0.5 * (s + s.T))
-    if abs(evals[0] + evals[1]) > max(100 * tol, 1e-12) or abs(evals[1] - mu) > max(
-        100 * tol, 1e-12
-    ):
-        raise EigenFailure(
-            f"h spectrum {evals.tolist()} does not match +-mu with mu={mu:.6g}"
-        )
-    x = b @ evecs[:, 1]
-    for comp in x:
-        if abs(comp) > 1e-12:
-            if comp < 0:
-                x = -x
-            break
-    return xi, x, cs.phi @ x, mu
+    if max(abs(evals[0] + evals[1]), abs(evals[1] - mu)) > max(100 * tol, 1e-12):
+        raise EigenFailure(f"h spectrum {evals.tolist()} does not match +-mu with mu={mu:.6g}")
+    x = _lead_positive(b @ evecs[:, 1])
+    return cs.xi, x, cs.phi @ x, mu

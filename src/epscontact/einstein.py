@@ -36,6 +36,10 @@ class EtaEinsteinFit:
     admissible: bool
 
 
+# the six independent components (i <= j) of a symmetric 3x3 tensor, row by row
+_IU = np.triu_indices(3)
+
+
 def fit_eta_einstein(
     cs: ContactStructure,
     tol: float | None = None,
@@ -53,12 +57,8 @@ def fit_eta_einstein(
     eps = cs.epsilon
     g = np.diag(cs.m.eta)
     aa = np.outer(cs.alpha.comps, cs.alpha.comps)
-    rows_a, rows_b = [], []
-    for i in range(3):
-        for j in range(i, 3):
-            rows_a.append([0.5 * sg * g[i, j], 0.5 * sg * eps * g[i, j] - sg * aa[i, j]])
-            rows_b.append(ric[i, j])
-    sol, *_ = np.linalg.lstsq(np.asarray(rows_a), np.asarray(rows_b), rcond=None)
+    rows = np.column_stack([0.5 * sg * g[_IU], 0.5 * sg * eps * g[_IU] - sg * aa[_IU]])
+    sol, *_ = np.linalg.lstsq(rows, ric[_IU], rcond=None)
     lambda2, kappa = float(sol[0]), float(sol[1])
     if abs(lambda2) <= tol:
         lambda2 = abs(lambda2)

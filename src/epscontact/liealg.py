@@ -67,9 +67,13 @@ class StructureConstants:
     def dim(self) -> int:
         return self.c.shape[0]
 
+    def ad(self, u: np.ndarray) -> np.ndarray:
+        """Matrix of v -> [u, v] on frame components: ad(u)[k, j] = u^i c[i][j][k]."""
+        return np.einsum("i,ijk->kj", u, self.c)
+
     def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """[u, v] for frame-component vectors u, v."""
-        return np.einsum("i,j,ijk->k", u, v, self.c)
+        return self.ad(u) @ v
 
     def to_json(self) -> str:
         pairs = [{"i": i, "j": j, "coeffs": [float(x) for x in self.c[i, j]]}

@@ -328,3 +328,30 @@ def test_solution_config_nan_exit_2(tmp_path, capsys, key, path):
     config_file = tmp_path / "nan.json"
     config_file.write_text(json.dumps(config))  # json writes the literal NaN
     assert_usage_error(capsys, ["solution", "--config", str(config_file)])
+
+
+@pytest.mark.parametrize("case", ["factor-not-object", "top-level-list", "params-list",
+                                  "lambda-null"])
+def test_solution_config_wrong_shape_exit_2(tmp_path, capsys, case):
+    # well-formed JSON whose fields have the wrong type is a config error
+    config = {
+        "n": {"family": "g4", "params": {"a": 1.0, "b": 0.0, "mu": -1.0},
+              "orientation": 1, "alpha": [1.0, 0.0, -1.0]},
+        "x": {"family": "riemannian_unimodular",
+              "params": {"mu1": 1.0, "mu2": 1.0, "mu3": 1.0},
+              "orientation": -1, "alpha": [1.0, 0.0, 0.0]},
+        "lambda": 1.0,
+        "l": 1.0,
+    }
+    if case == "factor-not-object":
+        config["n"] = 5
+    elif case == "top-level-list":
+        config = [1, 2]
+    elif case == "params-list":
+        config["x"]["params"] = [1, 2]
+    else:
+        config["lambda"] = None
+    config_file = tmp_path / "shape.json"
+    config_file.write_text(json.dumps(config))
+    assert "solution config" in assert_usage_error(
+        capsys, ["solution", "--config", str(config_file)])

@@ -1,3 +1,4 @@
+import gc
 import sys
 
 import numpy as np
@@ -85,7 +86,7 @@ def test_characteristic_endo_null_matrix():
 def test_phi_kills_reeb_and_nilpotency():
     cs = make_cs(g3(1, 1, 1), [1, 0.6, -0.8])
     phi = characteristic_endo(cs)
-    assert np.max(np.abs(phi @ cs.reeb())) < 1e-14
+    assert np.max(np.abs(phi @ cs.xi)) < 1e-14
     assert np.max(np.abs(phi @ phi @ phi)) < 1e-14  # nilpotent in the null case
 
 
@@ -114,7 +115,7 @@ def test_h_tensor_decomposition_and_mu():
     cs2 = make_cs(g3(2, 1, 1), [1, 0, 1])
     h2, mu2 = h_tensor(cs2)
     assert abs(mu2 - 1.0) < 1e-12  # h = xi (x) alpha
-    assert np.allclose(h2, np.outer(cs2.reeb(), cs2.alpha.comps))
+    assert np.allclose(h2, np.outer(cs2.xi, cs2.alpha.comps))
     cs3 = make_cs(g3(1, 1, 1), [1, 0, 0])
     h3, mu3 = h_tensor(cs3)
     assert np.max(np.abs(h3)) < 1e-14 and mu3 is None
@@ -203,17 +204,17 @@ def test_j_matrix_constant_normal_form():
 def test_l_endo():
     cs = make_cs(g3(1, 1, 1), [1, 0, 0])
     lmat = l_endo(cs)
-    assert np.max(np.abs(lmat @ cs.reeb())) < 1e-14
+    assert np.max(np.abs(lmat @ cs.xi)) < 1e-14
     # eta-Einstein instance: l = K (eps Id - xi (x) alpha), K = s_g(lambda^2 - eps kappa)/4
     kconst = -1.0 * (1.0 - 0.0 * (-1)) / 4.0
-    model = kconst * (-1 * np.eye(3) - np.outer(cs.reeb(), cs.alpha.comps))
+    model = kconst * (-1 * np.eye(3) - np.outer(cs.xi, cs.alpha.comps))
     assert np.allclose(lmat, model)
     assert np.allclose(lmat, np.diag([0.0, 0.25, 0.25]))
 
 
 def test_lie_derivative_metric_killing():
     cs = make_cs(g3(1, 1, 1), [1, 0, 0])
-    assert np.max(np.abs(lie_derivative_metric(cs, cs.reeb()))) < 1e-14
+    assert np.max(np.abs(lie_derivative_metric(cs, cs.xi))) < 1e-14
 
 
 def test_timelike_special_frame():
@@ -276,7 +277,7 @@ def test_sasakian_iff_ricci_reeb_on_unit_norm():
     for cs, expect_sas in cases:
         assert cs.epsilon * cs.s_g == 1
         ric = riemann_ricci(levi_civita(cs.sc, cs.m), cs.sc, cs.m).ricci
-        xi = cs.reeb()
+        xi = cs.xi
         value = float(xi @ ric @ xi)
         is_half = abs(value - cs.s_g * cs.epsilon / 2.0) < 1e-12
         assert is_half == expect_sas == is_sasakian(cs)
@@ -315,6 +316,19 @@ def test_build_contact_picks_the_working_orientation():
     cs = build_contact(minus, (0.0, 1.0, 0.0))
     assert (cs.orientation, cs.epsilon, cs.spec) == (-1, 1, minus)
     assert build_contact(minus, (0.0, 1.0, 0.0), orientation=-1).orientation == -1
+
+
+def test_build_contact_leaves_no_reference_cycle():
+    # the failed +1 attempt must not stay alive in a cycle with its traceback
+    minus = FamilySpec("g3", {"a": -1.0, "b": -1.0, "c": -1.0})
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            assert build_contact(minus, (0.0, 1.0, 0.0)).orientation == -1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_build_contact_pinned_wrong_orientation_raises():
@@ -359,7 +373,7 @@ def test_cached_data_equals_free_functions(case):
     h = np.column_stack([
         fresh.sc.bracket(xi, phi @ e) - phi @ fresh.sc.bracket(xi, e) for e in np.eye(3)
     ])
-    assert bit_equal(cs.xi, xi) and cs.reeb() is cs.xi
+    assert bit_equal(cs.xi, xi)
     assert bit_equal(cs.phi, phi)
     assert bit_equal(cs.connection.gamma, conn.gamma)
     assert bit_equal(cs.curvature.riemann, curv.riemann)
@@ -404,3 +418,113 @@ def test_structure_computes_levi_civita_once(case, monkeypatch):
     is_sasakian(cs)
     contact_identity_residuals(cs)
     assert len(calls) == 1
+
+
+# --- reference loops: the per-vector definitions behind the matrix forms --------
+
+
+def loop_bracket(sc, u, v):
+    """[u, v] from the bracket table, index by index."""
+    return np.einsum("i,j,ijk->k", u, v, sc.c)
+
+
+def loop_h(cs):
+    """h = L_xi phi, one frame column at a time."""
+    cols = []
+    for j in range(3):
+        ej = np.eye(3)[j]
+        cols.append(loop_bracket(cs.sc, cs.xi, cs.phi @ ej)
+                    - cs.phi @ loop_bracket(cs.sc, cs.xi, ej))
+    return np.column_stack(cols)
+
+
+def loop_lie_metric(cs, v):
+    """(L_v g)(e_i, e_j) = -g([v, e_i], e_j) - g(e_i, [v, e_j]), entry by entry."""
+    out = np.zeros((3, 3))
+    brackets = [loop_bracket(cs.sc, v, np.eye(3)[i]) for i in range(3)]
+    for i in range(3):
+        for j in range(3):
+            out[i, j] = -cs.metric_dot(brackets[i], np.eye(3)[j]) - cs.metric_dot(
+                np.eye(3)[i], brackets[j]
+            )
+    return out
+
+
+def loop_lie_alpha(cs):
+    """(L_xi alpha)(e_i) = -alpha([xi, e_i])."""
+    return np.array(
+        [-float(np.dot(cs.alpha.comps, loop_bracket(cs.sc, cs.xi, np.eye(3)[i])))
+         for i in range(3)]
+    )
+
+
+def loop_j_action(cs, v4):
+    """J(v + c dq) = phi(v) + c xi + alpha(v) dq on R^3 + R(dq) components."""
+    v, c = v4[:3], v4[3]
+    out = np.zeros(4)
+    out[:3] = cs.phi @ v + c * cs.xi
+    out[3] = float(np.dot(cs.alpha.comps, v))
+    return out
+
+
+def loop_frame4(cs):
+    return [np.concatenate([w, [0.0]]) for w in cs.frame] + [np.array([0.0, 0.0, 0.0, 1.0])]
+
+
+def loop_j_matrix(cs):
+    """Matrix of J in the frame (xi, u, phi(u), dq), one column at a time."""
+    frame = np.column_stack(cs.frame)
+    cols = []
+    for v4 in loop_frame4(cs):
+        w4 = loop_j_action(cs, v4)
+        cols.append(np.concatenate([np.linalg.solve(frame, w4[:3]), [w4[3]]]))
+    return np.column_stack(cols)
+
+
+def loop_nijenhuis(cs):
+    """Max-abs of N_J over the pairs of (xi, u, phi(u), dq)."""
+
+    def bracket4(a4, b4):
+        return np.concatenate([loop_bracket(cs.sc, a4[:3], b4[:3]), [0.0]])
+
+    vectors = loop_frame4(cs)
+    max_nj = 0.0
+    for p in range(4):
+        for q in range(p + 1, 4):
+            v1, v2 = vectors[p], vectors[q]
+            jv1, jv2 = loop_j_action(cs, v1), loop_j_action(cs, v2)
+            nj = (bracket4(jv1, jv2) - loop_j_action(cs, bracket4(v1, jv2))
+                  - loop_j_action(cs, bracket4(jv1, v2)))
+            max_nj = max(max_nj, float(np.max(np.abs(nj))))
+    return max_nj
+
+
+@pytest.fixture(scope="module")
+def table_structures():
+    from epscontact import tables
+
+    return [tables.build_instance(inst) for table_id in tables.TABLES
+            for _, inst in tables.iter_instances(table_id)]
+
+
+def close(got, want, rel=1e-12):
+    """|got - want| within rel of the larger of 1 and |want|, entrywise max."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want))) <= rel * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_matrix_forms_match_reference_loops_on_every_table_instance(table_structures):
+    assert len(table_structures) == 771
+    for cs in table_structures:
+        assert close(cs.h, loop_h(cs))
+        assert close(lie_derivative_metric(cs, cs.xi), loop_lie_metric(cs, cs.xi))
+        assert close(contact_identity_residuals(cs)["lie_xi_alpha"],
+                     np.max(np.abs(loop_lie_alpha(cs))))
+
+
+def test_j_forms_match_reference_loops_on_null_table_instances(table_structures):
+    null = [cs for cs in table_structures if cs.epsilon == 0]
+    assert len(null) > 100
+    for cs in null:
+        assert close(j_endo_matrix(cs), loop_j_matrix(cs), rel=1e-10)
+        assert close(nijenhuis_J(cs)[0], loop_nijenhuis(cs), rel=1e-10)

@@ -63,6 +63,27 @@ def test_defect_matches_brute_force_on_random_tables():
         assert abs(jacobi_defect(sc) - brute_jacobi(sc)) < 1e-12
 
 
+def test_ad_and_bracket_match_the_index_definition():
+    # [u, v]^k = u^i v^j c[i][j][k] and ad(u)[k][j] = u^i c[i][j][k], summed
+    # index by index, on random 3D tables and a 6D direct sum
+    rng = np.random.default_rng(11)
+    tables = []
+    for _ in range(6):
+        c = rng.normal(size=(3, 3, 3))
+        tables.append(StructureConstants(0.5 * (c - np.swapaxes(c, 0, 1))))
+    tables.append(direct_sum(tables[0], tables[1]))
+    for sc in tables:
+        n, c = sc.dim, sc.c
+        for u, v in rng.normal(size=(4, 2, n)):
+            ad = [[sum(u[i] * c[i, j, k] for i in range(n)) for j in range(n)] for k in range(n)]
+            br = [sum(u[i] * v[j] * c[i, j, k] for i in range(n) for j in range(n))
+                  for k in range(n)]
+            assert sc.ad(u).shape == (n, n)
+            assert np.allclose(sc.ad(u), ad, rtol=0, atol=1e-12)
+            assert np.allclose(sc.bracket(u, v), br, rtol=0, atol=1e-12)
+            assert np.allclose(sc.bracket(u, v), -sc.bracket(v, u), rtol=0, atol=1e-12)
+
+
 def test_g3_brackets_match_table():
     sc = make_family(FamilySpec("g3", {"a": 1, "b": 1, "c": 1}))
     e = np.eye(3)
