@@ -11,10 +11,9 @@ vectors: (E v)^i = sum_j E[i][j] v^j.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,12 +28,12 @@ from .errors import (
 from .exterior import (
     Form,
     FrameMetric,
-    hodge,
+    d_components,
     hodge_components,
     interior_components,
     mc_differential,
     one_form,
-    pairing_full,
+    pairing_components,
     sharp,
 )
 from .curvature import ConnectionCoeffs, CurvatureTensors, levi_civita, riemann_ricci
@@ -149,40 +148,102 @@ def build_contact(spec: FamilySpec, alpha, orientation: Optional[int] = None,
     return check_contact(sc, m, orientation, form, tol=tol, spec=spec)
 
 
+# the conditions check_contact tests, in this order
+CONTACT_CONDITIONS = (
+    "alpha != 0",
+    "alpha = *d(alpha)",
+    "|alpha|^2 in {-1, 0, +1}",
+    "Riemannian signature forces epsilon = +1",
+)
+
+
+class ContactRows(NamedTuple):
+    """A stacked contact check: fails[k] marks the rows failing condition k of
+    CONTACT_CONDITIONS. norm and res are max |alpha| and the residual of
+    alpha = *d(alpha); eps is |alpha|^2 = n2 rounded to an integer (a
+    float), off is |n2 - eps|."""
+
+    fails: np.ndarray
+    norm: np.ndarray
+    res: np.ndarray
+    n2: np.ndarray
+    eps: np.ndarray
+    off: np.ndarray
+
+    @property
+    def ok(self) -> np.ndarray:
+        """Rows that are contact structures."""
+        return ~self.fails.any(axis=0)
+
+    @property
+    def failed(self) -> np.ndarray:
+        """Per row, the index of the first failed condition; -1 where none fails."""
+        return np.where(self.ok, -1, self.fails.argmax(axis=0))
+
+    @property
+    def residuals(self) -> tuple:
+        """Per condition, its residual on every row."""
+        # an overflowed |alpha|^2 reports itself
+        norm2 = np.where(np.isfinite(self.n2), self.off, np.abs(self.n2))
+        return self.norm, self.res, norm2, self.eps
+
+
+def _contact_rows(c: np.ndarray, m: FrameMetric, orientation, alpha: np.ndarray,
+                  tol: float) -> ContactRows:
+    """The contact conditions on stacked one-forms alpha (..., 3) over bracket
+    tables c (..., 3, 3, 3) and orientations; the batch axes broadcast."""
+    # non-finite values end as failed conditions, not as numpy warnings; every
+    # row runs every condition, and a row is reported by its first failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(alpha).max(axis=-1)
+        star_dalpha = hodge_components(d_components(alpha, c, 1), m.signs, 2, orientation)
+        res = np.abs(alpha - star_dalpha).max(axis=-1)
+        n2 = pairing_components(alpha, alpha, m.signs, 1)
+        eps = np.rint(n2)
+        off = np.abs(n2 - eps)  # NaN where |alpha|^2 overflowed
+        fails = np.array([
+            norm <= tol,
+            ~(res <= tol),  # a NaN residual fails too
+            (np.abs(eps) > 1.0) | ~(off <= tol),
+            (m.s_g == 1) & (eps != 1.0),
+        ])
+    return ContactRows(fails, norm, res, n2, eps, off)
+
+
 def check_contact(
-    sc: StructureConstants,
+    sc: StructureConstants | np.ndarray,
     m: FrameMetric,
-    orientation: int,
-    alpha: Form,
+    orientation,
+    alpha: Form | np.ndarray,
     tol: float | None = None,
     spec: Optional[FamilySpec] = None,
-) -> ContactStructure:
+) -> ContactStructure | ContactRows:
     """Verify alpha = *d alpha and |alpha|^2 in {-1, 0, +1}; returns the
     structure with epsilon computed from the norm.
 
     Raises NotContact naming the failed condition and its residual.
+
+    Stacked form: with alpha an array of one-form components (..., 3), sc an
+    array of bracket tables (..., 3, 3, 3) and orientation a sign or an
+    array of signs, every row is checked at once and a ContactRows is
+    returned instead; no structure is built and nothing is raised for a
+    row that is not contact.
     """
     tol = get_tol(tol)
+    if not isinstance(alpha, Form):
+        c, alpha = np.asarray(sc, dtype=float), np.asarray(alpha, dtype=float)
+        if m.dim != 3 or c.shape[-3:] != (3, 3, 3) or alpha.shape[-1:] != (3,):
+            raise ValueError("contact structures are three-dimensional here")
+        return _contact_rows(c, m, orientation, alpha, tol)
     if sc.dim != 3 or m.dim != 3:
         raise ValueError("contact structures are three-dimensional here")
     if alpha.degree != 1:
         raise ValueError("alpha must be a one-form")
-    norm_alpha = alpha.max_abs()
-    if norm_alpha <= tol:
-        raise NotContact("alpha != 0", norm_alpha)
-    star_dalpha = hodge(mc_differential(alpha, sc), m, orientation)
-    res = (alpha - star_dalpha).max_abs()
-    if not res <= tol:  # a NaN residual fails too
-        raise NotContact("alpha = *d(alpha)", res)
-    n2 = pairing_full(alpha, alpha, m)
-    if not math.isfinite(n2):  # |alpha|^2 overflowed
-        raise NotContact("|alpha|^2 in {-1, 0, +1}", abs(n2))
-    eps = int(round(n2))
-    if eps not in (-1, 0, 1) or not abs(n2 - eps) <= tol:
-        raise NotContact("|alpha|^2 in {-1, 0, +1}", abs(n2 - round(n2)))
-    if m.s_g == 1 and eps != 1:
-        raise NotContact("Riemannian signature forces epsilon = +1", float(eps))
-    return ContactStructure(sc, m, int(orientation), alpha, eps, spec)
+    rows = _contact_rows(sc.c, m, orientation, alpha.comps, tol)
+    if rows.fails.any():
+        k = int(rows.fails.argmax())  # the first failed condition
+        raise NotContact(CONTACT_CONDITIONS[k], float(rows.residuals[k]))
+    return ContactStructure(sc, m, int(orientation), alpha, int(rows.eps), spec)
 
 
 def characteristic_endo(cs: ContactStructure) -> np.ndarray:

@@ -50,16 +50,19 @@ class CurvatureTensors:
     scalar: float
 
 
-def levi_civita(sc: StructureConstants, m: FrameMetric) -> ConnectionCoeffs:
-    """Torsion-free metric connection from Koszul's formula,
+def koszul_components(c: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Levi-Civita coefficients gamma (..., n, n, n) of stacked bracket tables
+    c (..., n, n, n) from Koszul's formula,
     2 g(nabla_X Y, Z) = g([X,Y],Z) - g([Y,Z],X) + g([Z,X],Y)."""
-    c = sc.c
-    eta = m.eta
     # gamma[i,j,k] = (c[i,j,k] - eta_i eta_k c[j,k,i] + eta_j eta_k c[k,i,j]) / 2
-    t1 = c
-    t2 = np.einsum("jki,i,k->ijk", c, eta, eta)
-    t3 = np.einsum("kij,j,k->ijk", c, eta, eta)
-    return ConnectionCoeffs(0.5 * (t1 - t2 + t3))
+    t2 = np.einsum("...jki,i,k->...ijk", c, eta, eta)
+    t3 = np.einsum("...kij,j,k->...ijk", c, eta, eta)
+    return 0.5 * (c - t2 + t3)
+
+
+def levi_civita(sc: StructureConstants, m: FrameMetric) -> ConnectionCoeffs:
+    """Torsion-free metric connection of one bracket table (koszul_components)."""
+    return ConnectionCoeffs(koszul_components(sc.c, m.eta))
 
 
 def torsion_defect(conn: ConnectionCoeffs, sc: StructureConstants) -> float:
@@ -68,21 +71,23 @@ def torsion_defect(conn: ConnectionCoeffs, sc: StructureConstants) -> float:
     return float(np.max(np.abs(g - np.swapaxes(g, 0, 1) - sc.c)))
 
 
+def curvature_components(gamma: np.ndarray, c: np.ndarray, eta: np.ndarray) -> tuple:
+    """(riemann, ricci, scalar) of stacked frame connections gamma
+    (..., n, n, n) with constant coefficients over bracket tables c."""
+    # R[i,j,k,m] = gamma[j,k,l] gamma[i,l,m] - gamma[i,k,l] gamma[j,l,m] - c[i,j,l] gamma[l,k,m]
+    r = np.einsum("...jkl,...ilm->...ijkm", gamma, gamma)
+    r -= np.einsum("...ikl,...jlm->...ijkm", gamma, gamma)  # in place: one stack less alive
+    r -= np.einsum("...ijl,...lkm->...ijkm", c, gamma)
+    ricci = np.einsum("...ijki->...jk", r)
+    return r, ricci, np.einsum("i,...ii->...", eta, ricci)
+
+
 def riemann_ricci(
     conn: ConnectionCoeffs, sc: StructureConstants, m: FrameMetric
 ) -> CurvatureTensors:
-    """Curvature of a frame connection with constant coefficients."""
-    g = conn.gamma
-    c = sc.c
-    # R[i,j,k,m] = gamma[j,k,l] gamma[i,l,m] - gamma[i,k,l] gamma[j,l,m] - c[i,j,l] gamma[l,k,m]
-    r = (
-        np.einsum("jkl,ilm->ijkm", g, g)
-        - np.einsum("ikl,jlm->ijkm", g, g)
-        - np.einsum("ijl,lkm->ijkm", c, g)
-    )
-    ricci = np.einsum("ijki->jk", r)
-    scalar = float(np.einsum("i,ii->", m.eta, ricci))
-    return CurvatureTensors(r, ricci, scalar)
+    """Curvature of one frame connection (curvature_components)."""
+    r, ricci, scalar = curvature_components(conn.gamma, sc.c, m.eta)
+    return CurvatureTensors(r, ricci, float(scalar))
 
 
 def jacobi_constraints9(p9) -> np.ndarray:

@@ -12,20 +12,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .config import get_tol
 from .contact import ContactStructure, check_contact
+from .curvature import curvature_components, koszul_components
 from .errors import (
     Inadmissible,
-    NotContact,
     NotEtaEinstein,
     WrongCausalType,
 )
-from .exterior import FrameMetric, d_components, hodge_components, one_form
-from .liealg import FAMILIES, FamilySpec, StructureConstants, family_tables
+from .exterior import FrameMetric, d_components, hodge_components
+from .liealg import FAMILIES, family_tables
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,49 @@ class EtaEinsteinFit:
 _IU = np.triu_indices(3)
 
 
+# the six independent components (i <= j) of a symmetric 3x3 tensor, as
+# positions in its nine entries
+_IU9 = _IU[0] * 3 + _IU[1]
+# lstsq's default cutoff (rcond=None) for the 6 x 2 design matrix
+_RCOND = np.finfo(float).eps * 6
+
+
+@lru_cache(maxsize=None)
+def _fit_design(m: FrameMetric, eps: int) -> tuple:
+    """(s_g/2) g with g = diag(eta), flattened to (9,), and the fit's design
+    matrix (6, 2) without its alpha term: columns (s_g/2) g and
+    (s_g/2) eps g over the six components."""
+    half_g = 0.5 * m.s_g * np.diag(m.eta)
+    design = np.column_stack([half_g[_IU], eps * half_g[_IU]])
+    half_g.flags.writeable = design.flags.writeable = False  # shared by every caller
+    return half_g.ravel(), design
+
+
+def _fit_rows(ric: np.ndarray, alpha: np.ndarray, m: FrameMetric, eps: int,
+              tol: float) -> tuple:
+    """(lambda2, kappa, residual, admissible), arrays (K,), of the fits of
+    stacked Ricci tensors ric (K, 3, 3) with one-forms alpha (K, 3) of one
+    epsilon."""
+    sg = m.s_g
+    half_g, design = _fit_design(m, eps)
+    ric = ric.reshape(-1, 9)
+    aa = (alpha[:, :, None] * alpha[:, None, :]).reshape(-1, 9)
+    rows = design[None].repeat(len(ric), axis=0)
+    rows[..., 1] -= sg * aa.take(_IU9, axis=1)  # (s_g/2) eps g - s_g alpha (x) alpha
+    rhs = ric.take(_IU9, axis=1)
+    sol = np.empty((len(ric), 2))
+    for k in range(len(ric)):  # numpy's lstsq takes one system per call
+        sol[k] = np.linalg.lstsq(rows[k], rhs[k], rcond=_RCOND)[0]
+    lambda2, kappa = sol[:, 0], sol[:, 1]
+    lambda2 = np.copysign(lambda2, lambda2 + tol)  # |lambda2| where it is within tol of 0
+    model = (lambda2 + kappa * eps)[:, None] * half_g - (sg * kappa)[:, None] * aa
+    residual = np.abs(ric - model).max(axis=1)
+    admissible = (residual <= tol) & (lambda2 >= 0.0)
+    if sg == -1:
+        admissible &= kappa >= -tol
+    return lambda2, kappa, residual, admissible
+
+
 def fit_eta_einstein(
     cs: ContactStructure,
     tol: float | None = None,
@@ -52,27 +96,15 @@ def fit_eta_einstein(
     and Inadmissible when the fitted constants violate the sign constraints.
     """
     tol = get_tol(tol)
-    ric = cs.curvature.ricci
-    sg = cs.s_g
-    eps = cs.epsilon
-    g = np.diag(cs.m.eta)
-    aa = np.outer(cs.alpha.comps, cs.alpha.comps)
-    rows = np.column_stack([0.5 * sg * g[_IU], 0.5 * sg * eps * g[_IU] - sg * aa[_IU]])
-    sol, *_ = np.linalg.lstsq(rows, ric[_IU], rcond=None)
-    lambda2, kappa = float(sol[0]), float(sol[1])
-    if abs(lambda2) <= tol:
-        lambda2 = abs(lambda2)
-    model = 0.5 * sg * (lambda2 + kappa * eps) * g - sg * kappa * aa
-    residual = float(np.max(np.abs(ric - model)))
-    admissible = bool(
-        residual <= tol and lambda2 >= 0.0 and (kappa >= -tol if sg == -1 else True)
-    )
+    lambda2, kappa, residual, admissible = _fit_rows(
+        cs.curvature.ricci[None], cs.alpha.comps[None], cs.m, cs.epsilon, tol)
+    fit = EtaEinsteinFit(lambda2.item(), kappa.item(), residual.item(), admissible.item())
     if require:
-        if residual > tol:
-            raise NotEtaEinstein(residual)
-        if lambda2 < 0.0 or (sg == -1 and kappa < -tol):
-            raise Inadmissible(f"lambda^2={lambda2:.6g}, kappa={kappa:.6g}")
-    return EtaEinsteinFit(lambda2, kappa, residual, admissible)
+        if fit.residual > tol:
+            raise NotEtaEinstein(fit.residual)
+        if fit.lambda2 < 0.0 or (cs.s_g == -1 and fit.kappa < -tol):
+            raise Inadmissible(f"lambda^2={fit.lambda2:.6g}, kappa={fit.kappa:.6g}")
+    return fit
 
 
 def reeb_curvature_residual(cs: ContactStructure, fit: EtaEinsteinFit) -> float:
@@ -126,6 +158,8 @@ class ScanHit:
 # samples per batched contact map and SVD in scan_family; a chunk's bracket
 # tables are the only per-sample data held at once
 SCAN_CHUNK = 256
+# directions sampled on a quadric circle or cone in scan_family
+N_DIRS = 8
 
 
 def _contact_maps(c: np.ndarray, m: FrameMetric, orientation: int) -> np.ndarray:
@@ -270,7 +304,6 @@ def scan_family(
     epsilon: int = 0,
     orientations: tuple = (1, -1),
     tol: float | None = None,
-    n_dirs: int = 8,
 ) -> list:
     """Scan a family's parameter grid for eta-Einstein contact structures.
 
@@ -279,11 +312,15 @@ def scan_family(
     quadric |alpha|^2 = epsilon; each candidate is fitted and admissible hits
     are returned. An empty list is a valid result.
 
-    Samples are taken SCAN_CHUNK at a time: one family_tables call gives the
-    chunk's bracket tables and constraint mask, its contact maps are solved
-    by one SVD call per orientation, and only samples with a nontrivial
-    nullspace get a FamilySpec and StructureConstants and go on to the
-    per-sample candidate, contact and fit steps.
+    Samples are taken SCAN_CHUNK at a time, and each step runs once per
+    chunk on stacked arrays: one family_tables call gives the bracket tables
+    and constraint mask, one SVD call per orientation solves the contact
+    maps, the quadric candidates of all samples with a nontrivial nullspace
+    go through one stacked check_contact, the Ricci tensor of each sample
+    left with a candidate of the wanted epsilon is computed once, and the
+    fits of all those candidates are taken together. Only the candidates are
+    drawn per sample and the 6x2 least-squares solve runs per candidate. No
+    ContactStructure or Form is built.
     """
     tol = get_tol(tol)
     if grid is None:
@@ -302,21 +339,27 @@ def scan_family(
         c = c[valid]
         solved = [(orientation, *_nullspace_rows(_contact_maps(c, m, orientation), tol))
                   for orientation in orientations]
-        for n in np.flatnonzero(np.any([keep.any(axis=-1) for _, keep, _ in solved], axis=0)):
-            params = batch[valid[n]]
-            spec, sc = FamilySpec(family_id, params), StructureConstants.unchecked(c[n].copy())
-            for orientation, keep, vt in solved:  # rows vt[n][keep[n]] span the nullspace
-                for alpha_c in _quadric_candidates(vt[n][keep[n]].T, m, epsilon, n_dirs):
-                    try:
-                        cs = check_contact(sc, m, orientation, one_form(alpha_c), tol=1e-7,
-                                           spec=spec)
-                    except NotContact:
-                        continue
-                    if cs.epsilon != epsilon:
-                        continue
-                    fit = fit_eta_einstein(cs, tol=tol)
-                    if fit.admissible:
-                        hits.append(
-                            ScanHit(family_id, dict(params), orientation, tuple(alpha_c), fit)
-                        )
+        rows = [
+            (n, orientation, alpha_c)
+            for n in np.flatnonzero(np.any([keep.any(axis=-1) for _, keep, _ in solved], axis=0))
+            for orientation, keep, vt in solved  # rows vt[n][keep[n]] span the nullspace
+            for alpha_c in _quadric_candidates(vt[n][keep[n]].T, m, epsilon, N_DIRS)
+        ]
+        if not rows:
+            continue
+        sample, orientation, alpha = (np.array(x) for x in zip(*rows))
+        checked = check_contact(c[sample], m, orientation, alpha, tol=1e-7)
+        match = np.flatnonzero(checked.ok & (checked.eps == epsilon))
+        if not match.size:
+            continue
+        sample, orientation, alpha = sample[match], orientation[match], alpha[match]
+        distinct, which = np.unique(sample, return_inverse=True)
+        c_distinct = c[distinct]
+        ric = curvature_components(koszul_components(c_distinct, m.eta), c_distinct,
+                                   m.eta)[1][which]
+        fits = _fit_rows(ric, alpha, m, epsilon, tol)
+        for k in np.flatnonzero(fits[3]):
+            fit = EtaEinsteinFit(*(x[k].item() for x in fits))
+            hits.append(ScanHit(family_id, dict(batch[valid[sample[k]]]), int(orientation[k]),
+                                tuple(alpha[k]), fit))
     return hits

@@ -67,11 +67,16 @@ class FrameMetric:
         return cls((1,) * dim)
 
 
-def _check_orientation(o: int) -> int:
-    o = int(o)
+def _check_orientation(o):
+    """o as an int, or an int array for stacked orientations; each must equal
+    +-1 exactly (1.5 is not +1)."""
+    if isinstance(o, np.ndarray) and o.ndim:
+        if not np.all((o == 1) | (o == -1)):
+            raise ValueError("orientation sign must be +-1")
+        return o.astype(int)
     if o not in (-1, 1):
         raise ValueError("orientation sign must be +-1")
-    return o
+    return int(o)
 
 
 @lru_cache(maxsize=None)
@@ -103,6 +108,11 @@ def sort_sign(indices):
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the last axis in index order, starting from +0.0."""
+    if terms.ndim == 1:  # a single sum costs less in Python floats than in 0-d arrays
+        total = 0.0
+        for t in terms.tolist():
+            total += t
+        return np.float64(total)
     acc = np.zeros(terms.shape[:-1])
     for t in range(terms.shape[-1]):
         acc += terms[..., t]
@@ -182,11 +192,16 @@ def _interior_table(n: int, k: int):
     return table[..., 0], table[..., 1].astype(float), table[..., 2] == 1
 
 
-def hodge_components(comps: np.ndarray, signs: tuple, degree: int, orientation: int) -> np.ndarray:
-    """Hodge dual of stacked degree-k component vectors (..., C(n, k))."""
+def hodge_components(comps: np.ndarray, signs: tuple, degree: int, orientation) -> np.ndarray:
+    """Hodge dual of stacked degree-k component vectors (..., C(n, k)); the
+    orientation is one sign or an array of signs over the batch axes."""
     perm, fac = _hodge_table(tuple(signs), degree)
-    out = np.zeros(comps.shape[:-1] + (perm.size,))
-    out[..., perm] += _check_orientation(orientation) * fac * comps
+    o = _check_orientation(orientation)
+    if isinstance(o, np.ndarray):
+        o = o[..., None]
+    terms = o * fac * comps
+    out = np.zeros(terms.shape)
+    out[..., perm] += terms
     return out
 
 
@@ -344,20 +359,29 @@ def mc_differential(w: Form, sc) -> Form:
     return Form(k + 1, n, d_components(w.comps, sc.c, k))
 
 
+@lru_cache(maxsize=None)
+def _pairing_signs(signs: tuple, k: int) -> np.ndarray:
+    """prod_{i in I} eta_i over the sorted k-tuples I."""
+    out = np.array([math.prod(signs[i] for i in t) for t in index_tuples(len(signs), k)],
+                   dtype=float)
+    out.flags.writeable = False  # shared by every caller
+    return out
+
+
+def pairing_components(a: np.ndarray, b: np.ndarray, signs: tuple, degree: int) -> np.ndarray:
+    """Sorted-tuple pairing of stacked degree-k component vectors (..., C(n, k)):
+    sum_I a_I b_I prod_{i in I} eta_i, skipping the terms with a zero factor."""
+    if a is not b:  # a zero times an inf or NaN is skipped, not NaN
+        live = (a != 0.0) & (b != 0.0)
+        a, b = np.where(live, a, 0.0), np.where(live, b, 0.0)
+    return _ordered_sum(_pairing_signs(tuple(signs), degree) * a * b)
+
+
 def pairing_sorted(a: Form, b: Form, m: FrameMetric) -> float:
     """Sorted-tuple metric pairing: sum_I a_I b_I prod_{i in I} eta_i."""
     if a.degree != b.degree or a.dim != b.dim:
         raise DegreeMismatch("pairing requires forms of equal degree and dimension")
-    eta = m.signs
-    total = 0.0
-    for t, va, vb in zip(index_tuples(a.dim, a.degree), a.comps, b.comps):
-        if va == 0.0 or vb == 0.0:
-            continue
-        eta_i = 1
-        for i in t:
-            eta_i *= eta[i]
-        total += eta_i * va * vb
-    return total
+    return float(pairing_components(a.comps, b.comps, m.signs, a.degree))
 
 
 def pairing_full(a: Form, b: Form, m: FrameMetric) -> float:

@@ -330,6 +330,23 @@ def test_solution_config_nan_exit_2(tmp_path, capsys, key, path):
     assert_usage_error(capsys, ["solution", "--config", str(config_file)])
 
 
+@pytest.mark.parametrize("orientation", [1.5, -1.5])
+def test_solution_config_non_sign_orientation_exit_2(tmp_path, capsys, orientation):
+    # an orientation is +1 or -1 exactly; 1.5 is not taken as +1
+    config = {
+        "n": {"family": "g4", "params": {"a": 1.0, "b": 0.0, "mu": -1.0},
+              "orientation": orientation, "alpha": [1.0, 0.0, -1.0]},
+        "x": {"family": "riemannian_unimodular",
+              "params": {"mu1": 1.0, "mu2": 1.0, "mu3": 1.0},
+              "orientation": -1, "alpha": [1.0, 0.0, 0.0]},
+        "lambda": 1.0,
+        "l": 1.0,
+    }
+    config_file = tmp_path / "orientation.json"
+    config_file.write_text(json.dumps(config))
+    assert "orientation" in assert_usage_error(capsys, ["solution", "--config", str(config_file)])
+
+
 @pytest.mark.parametrize("case", ["factor-not-object", "top-level-list", "params-list",
                                   "lambda-null"])
 def test_solution_config_wrong_shape_exit_2(tmp_path, capsys, case):

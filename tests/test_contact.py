@@ -73,6 +73,55 @@ def test_check_contact_rejects_overflowing_norm():
             make_cs(g3(1, 1, 1), alpha)
 
 
+def test_stacked_check_contact_agrees_with_single_calls():
+    from epscontact.contact import CONTACT_CONDITIONS
+
+    inf, nan, r2 = float("inf"), float("nan"), 2.0 ** 0.5
+    lor = g3(1, 1, 1)
+    rie = make_family(FamilySpec("riemannian_unimodular", {"mu1": 1, "mu2": 0.5, "mu3": 0.5}))
+    cases = {
+        L3: [(lor, o, alpha) for o in (1, -1) for alpha in (
+            [1, 0, 0], [1, 1, 0], [0, 1, 0], [2.0, 1.2, 1.6],   # epsilon -1, 0, +1, 0
+            [0, 0, 0], [nan, 0, 0], [0, inf, 0], [-inf, inf, 0], [1e200, 1e200, 0],
+            [0, r2, 0], [0, 1 / r2, 0], [r2, 0, 0],             # |alpha|^2 = 2, 0.5, -2
+            [0.3, 0.1, 0.2],
+        )],
+        # +1 orientation fails alpha = *d(alpha); 1e-5 e^0 has |alpha|^2 ~ 0
+        R3: [(rie, o, alpha) for o in (1, -1) for alpha in ([1, 0, 0], [1e-5, 0, 0], [0, 0, 0])],
+    }
+    seen = set()
+    for m, rows in cases.items():
+        stacked = check_contact(np.array([sc.c for sc, _, _ in rows]), m,
+                                np.array([o for _, o, _ in rows]),
+                                np.array([alpha for _, _, alpha in rows], dtype=float))
+        failed, residuals = stacked.failed, stacked.residuals
+        assert failed.shape == (len(rows),)
+        for k, (sc, o, alpha) in enumerate(rows):
+            try:
+                cs = check_contact(sc, m, o, one_form(alpha))
+            except NotContact as exc:
+                j = failed[k]
+                assert j >= 0 and not stacked.ok[k], (m, o, alpha)
+                assert str(exc) == str(NotContact(CONTACT_CONDITIONS[j], float(residuals[j][k])))
+                seen.add(CONTACT_CONDITIONS[j])
+            else:
+                assert failed[k] == -1 and stacked.ok[k], (m, o, alpha)
+                assert stacked.eps[k] == cs.epsilon
+                seen.add(cs.epsilon)
+    assert seen == {-1, 0, 1, *CONTACT_CONDITIONS}
+
+
+def test_orientation_must_be_a_sign():
+    spec = FamilySpec("g3", {"a": 1.0, "b": 1.0, "c": 1.0})
+    for orientation in (1.5, -1.5, 0, 2, float("nan")):
+        with pytest.raises(ValueError, match="orientation"):
+            build_contact(spec, (1.0, 0.0, 0.0), orientation)
+    with pytest.raises(ValueError, match="orientation"):
+        check_contact(np.stack([g3(1, 1, 1).c] * 2), L3, np.array([1, 0.5]),
+                      np.array([[1.0, 0.0, 0.0]] * 2))
+    assert build_contact(spec, (1.0, 0.0, 0.0), 1.0).orientation == 1
+
+
 def test_characteristic_endo_null_matrix():
     # phi = [[0, a2, -a1], [a2, 0, a0], [-a1, -a0, 0]] on the frame
     for alpha in ([1.0, 1.0, 0.0], [2.0, 1.2, 1.6], [1.0, 0.6, -0.8]):

@@ -5,7 +5,9 @@ import pytest
 
 from epscontact.curvature import (
     closed_form_ricci,
+    curvature_components,
     jacobi_constraints9,
+    koszul_components,
     levi_civita,
     riemann_ricci,
     three_form_square,
@@ -171,3 +173,27 @@ def test_three_form_square_matches_brute_force():
                 for l in range(6)
             )
     assert np.allclose(sq, brute)
+
+
+def test_batched_curvature_bit_equal_to_single_on_table_instances():
+    from epscontact.liealg import family_metric
+    from epscontact.tables import TABLES
+
+    instances = [inst for rows in TABLES.values() for row in rows for inst in row.instances()]
+    assert len(instances) == 771
+    by_metric = {}
+    for inst in instances:
+        sc = make_family(inst.spec)
+        by_metric.setdefault(family_metric(inst.spec.family_id), []).append(sc)
+    for m, tables in by_metric.items():
+        c = np.stack([sc.c for sc in tables])
+        gamma = koszul_components(c, m.eta)
+        riemann, ricci, scalar = curvature_components(gamma, c, m.eta)
+        for k, sc in enumerate(tables):
+            conn = levi_civita(sc, m)
+            single = riemann_ricci(conn, sc, m)
+            # bitwise, signed zeros included
+            assert gamma[k].tobytes() == conn.gamma.tobytes()
+            assert riemann[k].tobytes() == single.riemann.tobytes()
+            assert ricci[k].tobytes() == single.ricci.tobytes()
+            assert float(scalar[k]).hex() == single.scalar.hex()

@@ -285,3 +285,44 @@ def test_batched_scan_matches_loop_across_default_chunks():
     want = looped_scan("riemannian_unimodular", grid, 1)
     assert want
     assert repr(scan_family("riemannian_unimodular", grid, epsilon=1)) == repr(want)
+
+
+# the scan workload of the benchmark: five (family, epsilon) scans at 13 grid points
+BENCHMARK_SCANS = [("g3", -1), ("g3", 0), ("g3", 1), ("g5", 1), ("riemannian_unimodular", 1)]
+
+
+@pytest.mark.parametrize("family, epsilon", BENCHMARK_SCANS)
+def test_stacked_scan_matches_loop_on_benchmark_scans(family, epsilon):
+    grid = default_grid(13)
+    assert repr(scan_family(family, grid, epsilon=epsilon)) == repr(
+        looped_scan(family, grid, epsilon))
+
+
+def test_scan_g5_is_not_vacuous(monkeypatch):
+    # g5 admits no eta-Einstein structure at epsilon = +1, but its scan must
+    # still meet contact candidates and hand them to check_contact
+    import epscontact.einstein as einstein
+
+    calls = []
+    check = einstein.check_contact
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(einstein, "check_contact", counting)
+    assert scan_family("g5", default_grid(13), epsilon=1) == []
+    assert len(calls) >= 1
+    assert sum(int(check(*args, tol=1e-7).ok.sum()) for args in calls) > 0
+
+
+def test_scan_builds_no_structures_or_forms(monkeypatch):
+    from epscontact.contact import ContactStructure
+    from epscontact.exterior import Form
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"scan_family built a {type(self).__name__}")
+
+    monkeypatch.setattr(ContactStructure, "__init__", refuse)
+    monkeypatch.setattr(Form, "__post_init__", refuse)
+    assert scan_family("g3", default_grid(13), epsilon=0)
