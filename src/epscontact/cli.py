@@ -139,6 +139,8 @@ def cmd_verify_tables(args, cfg: RunConfig) -> tuple:
 def cmd_scan(args, cfg: RunConfig) -> tuple:
     if family_metric(args.family).s_g == 1 and args.epsilon != 1:  # nothing to sample
         raise ValueError(f"--epsilon {args.epsilon}: a Riemannian family has epsilon = 1 only")
+    if args.grid > 1 and args.lo == args.hi:  # every grid point would be the same sample
+        raise ValueError(f"--lo and --hi must differ for --grid {args.grid}, both are {args.lo}")
     grid = default_grid(args.grid, args.lo, args.hi)
     hits = scan_family(
         args.family,

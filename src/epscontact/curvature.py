@@ -82,6 +82,18 @@ def curvature_components(gamma: np.ndarray, c: np.ndarray, eta: np.ndarray) -> t
     return r, ricci, np.einsum("i,...ii->...", eta, ricci)
 
 
+def ricci_components(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Ricci (..., n, n) of stacked frame connections gamma over bracket
+    tables c, without the Riemann stack: the three terms of R[i,j,k,m] are
+    formed at m = i only, and subtracted and traced over i in the order
+    curvature_components uses, so the bits are the same."""
+    gd = np.einsum("...ili->...il", gamma)
+    r = np.einsum("...jkl,...il->...ijk", gamma, gd)
+    r -= np.einsum("...ikl,...jli->...ijk", gamma, gamma)
+    r -= np.einsum("...ijl,...lki->...ijk", c, gamma)
+    return np.einsum("...ijk->...jk", r)
+
+
 def riemann_ricci(
     conn: ConnectionCoeffs, sc: StructureConstants, m: FrameMetric
 ) -> CurvatureTensors:

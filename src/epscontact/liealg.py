@@ -162,8 +162,9 @@ class Family:
     bracket entries (i, j, coefficients of [e_i, e_j]), constraints as
     (message, test), sampling sheets and the rule giving its simply connected
     group. Entries, tests, filters, solves and the rule are called with the
-    parameters (and tol) by keyword; entries and tests evaluate the same on
-    floats and on equal-length arrays, for make_family and family_tables."""
+    parameters (and tol) by keyword; entries, tests, filters and solves
+    evaluate the same on floats and on equal-length arrays, for make_family,
+    family_tables and the scan's sample chunks."""
 
     params: tuple
     metric: FrameMetric
@@ -227,8 +228,8 @@ def _nonunimodular(**_):
     return GroupName.NON_UNIMODULAR
 
 
-def _generic_a_d(a, d, tol, **_):  # a != 0 and a + d != 0
-    return abs(a) > tol and abs(a + d) > tol
+def _generic_a_d(a, d, tol, **_):  # a != 0 and a + d != 0, on floats and arrays
+    return (abs(a) > tol) & (abs(a + d) > tol)
 
 
 _LORENTZIAN, _RIEMANNIAN = FrameMetric.lorentzian(3), FrameMetric.riemannian(3)

@@ -115,7 +115,8 @@ def test_criterion_4_identity_suite():
     count = 0
     structures = list(all_table_structures())
     # also include the contact structures a finer g1 scan encounters
-    from epscontact.einstein import _contact_map, _nullspace, _quadric_candidates, family_samples
+    from epscontact.einstein import family_samples
+    from scan_oracle import nullspace_basis, quadric_candidates
 
     m = FrameMetric.lorentzian(3)
     for params in family_samples("g1", default_grid(25), 1e-9):
@@ -123,8 +124,8 @@ def test_criterion_4_identity_suite():
             continue
         sc = make_family(FamilySpec("g1", params))
         for orientation in (1, -1):
-            basis = _nullspace(_contact_map(sc, m, orientation), 1e-9)
-            for cand in _quadric_candidates(basis, m, 0, 4):
+            basis = nullspace_basis(sc, m, orientation, 1e-9)
+            for cand in quadric_candidates(basis, m, 0, 4):
                 try:
                     structures.append(check_contact(sc, m, orientation, one_form(cand)))
                 except NotContact:

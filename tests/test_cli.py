@@ -283,6 +283,30 @@ def test_scan_nonfinite_range_exit_2(capsys, monkeypatch):
         assert flag in assert_usage_error(capsys, argv)
 
 
+def test_scan_degenerate_range_exit_2(capsys, monkeypatch):
+    # --lo == --hi would repeat one sample --grid^k times
+    import epscontact.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("scan ran on a degenerate range")
+
+    monkeypatch.setattr(cli, "scan_family", no_work)
+    for points in ("2", "3"):
+        argv = ["scan", "--family", "g3", "--epsilon", "1", "--lo", "1", "--hi", "1",
+                "--grid", points]
+        line = assert_usage_error(capsys, argv)
+        assert "--lo" in line and "--hi" in line
+
+
+def test_scan_single_point_range_runs(capsys):
+    code, out = run(capsys, "scan", "--family", "g3", "--epsilon", "1", "--lo", "1", "--hi", "1",
+                    "--grid", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["grid_points"] == 1
+    assert len({json.dumps(h, sort_keys=True) for h in report["items"]}) == report["hit_count"] > 0
+
+
 def test_other_bad_numeric_flags_exit_2(capsys):
     for argv, flag in (
         (["catalog", "--epsilon-n", "1", "--l-samples", "0,nan"], "--l-samples"),

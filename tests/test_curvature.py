@@ -9,6 +9,7 @@ from epscontact.curvature import (
     jacobi_constraints9,
     koszul_components,
     levi_civita,
+    ricci_components,
     riemann_ricci,
     three_form_square,
     torsion_defect,
@@ -189,6 +190,7 @@ def test_batched_curvature_bit_equal_to_single_on_table_instances():
         c = np.stack([sc.c for sc in tables])
         gamma = koszul_components(c, m.eta)
         riemann, ricci, scalar = curvature_components(gamma, c, m.eta)
+        ricci_only = ricci_components(gamma, c)
         for k, sc in enumerate(tables):
             conn = levi_civita(sc, m)
             single = riemann_ricci(conn, sc, m)
@@ -196,4 +198,16 @@ def test_batched_curvature_bit_equal_to_single_on_table_instances():
             assert gamma[k].tobytes() == conn.gamma.tobytes()
             assert riemann[k].tobytes() == single.riemann.tobytes()
             assert ricci[k].tobytes() == single.ricci.tobytes()
+            assert ricci_only[k].tobytes() == single.ricci.tobytes()
             assert float(scalar[k]).hex() == single.scalar.hex()
+
+
+@pytest.mark.parametrize("signs", [(-1, 1, 1), (1, 1, 1)])
+def test_ricci_components_bit_equal_to_trace_of_riemann_on_random_tables(signs):
+    # generic entries, where the order of the subtractions shows in the bits
+    rng = np.random.default_rng(12)
+    c = rng.normal(size=(2000, 3, 3, 3))
+    c = c - np.swapaxes(c, -3, -2)
+    eta = np.array(signs, dtype=float)
+    gamma = koszul_components(c, eta)
+    assert ricci_components(gamma, c).tobytes() == curvature_components(gamma, c, eta)[1].tobytes()

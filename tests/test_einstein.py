@@ -12,6 +12,7 @@ from epscontact.einstein import (
 from epscontact.errors import Inadmissible, NotEtaEinstein
 from epscontact.exterior import FrameMetric, one_form
 from epscontact.liealg import FamilySpec, make_family
+from scan_oracle import fit_one, nullspace_basis, quadric_candidates
 
 L3 = FrameMetric.lorentzian(3)
 
@@ -134,15 +135,15 @@ def test_scan_g5_para_no_hits():
 def test_scan_g5_finds_contact_but_inadmissible():
     # grid containing the para-contact sample a=0, b=0, c=1, d=1
     grid = np.array([-1.0, 0.0, 1.0])
-    from epscontact.einstein import _contact_map, _nullspace, _quadric_candidates, family_samples
+    from epscontact.einstein import family_samples
     from epscontact.errors import NotContact
 
     found = 0
     for params in family_samples("g5", grid, 1e-9):
         sc = make_family(FamilySpec("g5", params))
         for orientation in (1, -1):
-            basis = _nullspace(_contact_map(sc, L3, orientation), 1e-9)
-            for cand in _quadric_candidates(basis, L3, 1, 8):
+            basis = nullspace_basis(sc, L3, orientation, 1e-9)
+            for cand in quadric_candidates(basis, L3, 1, 8):
                 try:
                     cs = check_contact(sc, L3, orientation, one_form(cand), tol=1e-7)
                 except NotContact:
@@ -159,7 +160,7 @@ def test_scan_g1_null_contact_exists_but_no_eta_hits():
     assert scan_family("g1", grid, epsilon=0) == []
 
     # contact structures do exist at b = s
-    from epscontact.einstein import _contact_map, _nullspace, _quadric_candidates, family_samples
+    from epscontact.einstein import family_samples
     from epscontact.errors import NotContact
 
     found = 0
@@ -168,8 +169,8 @@ def test_scan_g1_null_contact_exists_but_no_eta_hits():
             continue
         sc = make_family(FamilySpec("g1", params))
         for orientation in (1, -1):
-            basis = _nullspace(_contact_map(sc, L3, orientation), 1e-9)
-            for cand in _quadric_candidates(basis, L3, 0, 8):
+            basis = nullspace_basis(sc, L3, orientation, 1e-9)
+            for cand in quadric_candidates(basis, L3, 0, 8):
                 try:
                     cs = check_contact(sc, L3, orientation, one_form(cand), tol=1e-7)
                 except NotContact:
@@ -225,10 +226,9 @@ def test_null_g2_scan_hits_match_row_formula():
 
 
 def looped_scan(family, grid, epsilon, orientations=(1, -1), tol=1e-9, n_dirs=8):
-    """The scan as a plain per-sample loop over _contact_map and _nullspace."""
-    from epscontact.einstein import (
-        ScanHit, _contact_map, _nullspace, _quadric_candidates, family_samples,
-    )
+    """The scan as a plain per-sample loop over one contact nullspace, the
+    per-sample candidate drawer and the one-row fit of scan_oracle."""
+    from epscontact.einstein import ScanHit, family_samples
     from epscontact.errors import ConstraintViolation, NotContact
 
     m = FrameMetric.riemannian(3) if family.startswith("riemannian") else L3
@@ -242,8 +242,8 @@ def looped_scan(family, grid, epsilon, orientations=(1, -1), tol=1e-9, n_dirs=8)
         except ConstraintViolation:
             continue
         for orientation in orientations:
-            basis = _nullspace(_contact_map(sc, m, orientation), tol)
-            for alpha_c in _quadric_candidates(basis, m, epsilon, n_dirs):
+            basis = nullspace_basis(sc, m, orientation, tol)
+            for alpha_c in quadric_candidates(basis, m, epsilon, n_dirs):
                 try:
                     cs = check_contact(sc, m, orientation, one_form(alpha_c), tol=1e-7,
                                        spec=spec)
@@ -251,7 +251,7 @@ def looped_scan(family, grid, epsilon, orientations=(1, -1), tol=1e-9, n_dirs=8)
                     continue
                 if cs.epsilon != epsilon:
                     continue
-                fit = fit_eta_einstein(cs, tol=tol)
+                fit = fit_one(cs, tol)
                 if fit.admissible:
                     hits.append(
                         ScanHit(family, dict(params), orientation, tuple(alpha_c), fit))
@@ -316,6 +316,17 @@ def test_scan_g5_is_not_vacuous(monkeypatch):
     assert sum(int(check(*args, tol=1e-7).ok.sum()) for args in calls) > 0
 
 
+def test_family_samples_stream_a_huge_grid():
+    # 10^15 grid points: only the first chunk of points is built
+    import itertools
+
+    from epscontact.einstein import family_samples
+
+    first = list(itertools.islice(family_samples("g3", default_grid(100_000), 1e-9), 2))
+    assert first[0] == {"a": -3.0, "b": -3.0, "c": -3.0}
+    assert first[1]["a"] == first[1]["b"] == -3.0 < first[1]["c"]
+
+
 def test_scan_builds_no_structures_or_forms(monkeypatch):
     from epscontact.contact import ContactStructure
     from epscontact.exterior import Form
@@ -326,3 +337,130 @@ def test_scan_builds_no_structures_or_forms(monkeypatch):
     monkeypatch.setattr(ContactStructure, "__init__", refuse)
     monkeypatch.setattr(Form, "__post_init__", refuse)
     assert scan_family("g3", default_grid(13), epsilon=0)
+
+
+# --- the stacked candidate drawer and solve against the per-sample ones --------
+
+
+def hex_row(p, alpha):
+    return int(p), tuple(float(x).hex() for x in alpha)
+
+
+def oracle_rows(vt, keep, m, eps):
+    from epscontact.einstein import N_DIRS
+
+    return [hex_row(p, a) for p in range(len(vt))
+            for a in quadric_candidates(vt[p][keep[p]].T, m, eps, N_DIRS)]
+
+
+def stacked_bases(bases):
+    """(vt, keep) holding each basis (rows, rank r) in the last r rows."""
+    vt = np.zeros((len(bases), 3, 3))
+    keep = np.zeros((len(bases), 3), dtype=bool)
+    for p, rows in enumerate(bases):
+        r = len(rows)
+        vt[p, :3 - r] = 7.0  # not part of the nullspace
+        vt[p, 3 - r:] = rows
+        keep[p, 3 - r:] = True
+    return vt, keep
+
+
+S2 = np.sqrt(0.5)
+NULL, NULL2 = [S2, S2, 0.0], [S2, -S2, 0.0]
+# bases that reach each branch of the drawer
+DEGENERATE_BASES = [
+    [NULL], [[-S2, S2, -0.0]], [[1.0, 1.0 + 1e-12, 0.0]], [[-0.0, 0.0, -1.0]],
+    [[1.0, 0.0, 0.0]], [[0.6, 0.8, 0.0]],
+    [NULL, NULL2],  # a = 0, b != 0: v1 and the other null line
+    [NULL, [0.0, 0.0, 1.0]],  # a = b = 0: v1 only
+    [[0.0, 0.0, 1.0], NULL],  # a plane tangent to the light cone: disc = 0
+    [[0.0, 0.0, 1.0], [1.0, 1.0 + 1e-13, 0.0]],  # disc slightly below 0, within tolerance
+    [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # space-like plane: no null line
+    [[0.0, 1e-12, 1.0], [1.0, 1.0, 0.0]],  # two null lines 1.4e-12 apart: one kept
+    [[0.0, 1e-10, 1.0], [1.0, 1.0, 0.0]],  # 1.4e-10 apart: both kept
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # the circle crosses the light cone
+    [[S2, 0.0, S2], [0.0, 1.0, 0.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+]
+
+
+@pytest.mark.parametrize("m", [L3, FrameMetric.riemannian(3)], ids=["lorentzian", "riemannian"])
+@pytest.mark.parametrize("eps", [-1, 0, 1])
+def test_stacked_drawer_matches_per_sample_drawer(m, eps):
+    from epscontact.einstein import _quadric_candidates
+
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.normal(size=(300, 3, 3)))
+    vt_random = np.swapaxes(q, -1, -2) * rng.choice([1.0, 3.0], size=(300, 1, 1))
+    keep_random = np.arange(3) >= 3 - rng.integers(0, 4, size=300)[:, None]  # ranks 0..3
+    vt_degenerate, keep_degenerate = stacked_bases(DEGENERATE_BASES)
+    vt = np.concatenate([vt_random, vt_degenerate])
+    keep = np.concatenate([keep_random, keep_degenerate])
+    assert set(keep.sum(axis=1)) == {0, 1, 2, 3}
+    want = oracle_rows(vt, keep, m, eps)
+    assert [hex_row(p, a) for p, a in zip(*_quadric_candidates(vt, keep, m, eps))] == want
+    if m.s_g == -1 or eps == 1:
+        assert len({p for p, _ in want}) > 100
+
+
+def test_degenerate_bases_reach_every_null_branch():
+    vt, keep = stacked_bases(DEGENERATE_BASES)
+    counts = {}
+    for p, _ in oracle_rows(vt, keep, L3, 0):
+        counts[p] = counts.get(p, 0) + 1
+    assert [counts.get(p, 0) for p in range(6, 13)] == [2, 1, 1, 1, 0, 1, 2]
+
+
+def test_candidate_dedup_is_the_greedy_pass():
+    # 0 ~ 1 and 1 ~ 2 but not 0 ~ 2: the greedy pass keeps 0 and 2
+    from epscontact.einstein import _distinct
+
+    v = np.zeros((2, 3, 3))
+    v[:, :, 0] = (0.0, 0.6e-10, 1.2e-10)
+    ok = np.array([[True, True, True], [False, True, True]])
+    assert _distinct(v, ok).tolist() == [[True, False, True], [False, True, False]]
+
+
+def test_stacked_lstsq_bit_equal_to_public_lstsq(monkeypatch):
+    import epscontact.einstein as einstein
+    from epscontact import tables
+
+    systems = []
+    solve = einstein._lstsq_rows
+
+    def recording(a, b):
+        x = solve(a, b)
+        systems.append((a, b, x))
+        return x
+
+    monkeypatch.setattr(einstein, "_lstsq_rows", recording)
+    for family, epsilon in BENCHMARK_SCANS:
+        scan_family(family, default_grid(13), epsilon=epsilon)
+    scan_rows = sum(len(a) for a, _, _ in systems)
+    for table_id in tables.TABLES:
+        for _, inst in tables.iter_instances(table_id):
+            fit_eta_einstein(tables.build_instance(inst))
+    assert scan_rows > 3000 and sum(len(a) for a, _, _ in systems) == scan_rows + 771
+    for a, b, x in systems:
+        for k in range(len(a)):
+            assert x[k].tobytes() == np.linalg.lstsq(a[k], b[k], rcond=None)[0].tobytes()
+
+
+@pytest.mark.parametrize("family, epsilon", BENCHMARK_SCANS)
+def test_scan_ricci_is_the_trace_of_riemann(family, epsilon, monkeypatch):
+    import epscontact.einstein as einstein
+    from epscontact.curvature import curvature_components
+
+    eta = (FrameMetric.riemannian(3) if family.startswith("riemannian") else L3).eta
+    rows = []
+    ricci = einstein.ricci_components
+
+    def compared(gamma, c):
+        got = ricci(gamma, c)
+        assert got.tobytes() == curvature_components(gamma, c, eta)[1].tobytes()
+        rows.append(len(got))
+        return got
+
+    monkeypatch.setattr(einstein, "ricci_components", compared)
+    scan_family(family, default_grid(13), epsilon=epsilon)
+    assert sum(rows) > 0
