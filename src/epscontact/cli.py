@@ -214,9 +214,8 @@ def cmd_solution(args, cfg: RunConfig) -> tuple:
 
 
 def cmd_catalog(args, cfg: RunConfig) -> tuple:
-    l_samples = [float(x) for x in args.l_samples.split(",")] if args.l_samples else [
-        0.0, 0.25, 0.5, 0.75, 0.9,
-    ]
+    l_samples = ([float(x) for x in args.l_samples.split(",")] if args.l_samples
+                 else product6d.DEFAULT_L_SAMPLES)
     if not all(math.isfinite(l) for l in l_samples):
         raise ValueError(f"--l-samples must be finite, got {args.l_samples}")
     results = product6d.run_catalog(args.epsilon_n, l_samples, tol=cfg.tol)

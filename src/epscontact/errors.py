@@ -56,10 +56,6 @@ class IncompatibleFactors(EpsContactError):
     """Product factors violate a compatibility relation."""
 
 
-class RowFailure(EpsContactError):
-    """A classification table row failed verification."""
-
-
 class SingularMetric(EpsContactError):
     """Surface metric not positive definite at some node."""
 

@@ -35,7 +35,7 @@ from .curvature import (
     torsionful_connection,
 )
 from .einstein import fit_eta_einstein
-from .errors import IncompatibleFactors, RowFailure
+from .errors import EpsContactError, IncompatibleFactors
 from .exterior import (
     Form,
     FrameMetric,
@@ -46,7 +46,8 @@ from .exterior import (
     volume_form,
     wedge,
 )
-from .liealg import FamilySpec, StructureConstants, direct_sum
+from .liealg import StructureConstants, direct_sum
+from .tables import table_row
 
 
 def embed_form(form: Form, dim: int, offset: int) -> Form:
@@ -205,155 +206,118 @@ def ricci_torsion_identity_residual(sol: ProductSolution) -> float:
 
 
 # --- catalog of product rows ----------------------------------------------------
-
-
-def _factor(family: str, params: dict, alpha, orientation: int) -> ContactStructure:
-    """A verified contact factor of a classification family."""
-    return build_contact(FamilySpec(family, params), alpha, orientation)
-
-
-def _unimodular(mu2: float, mu3: float) -> ContactStructure:
-    """Riemannian factor: the unimodular family at mu1 = 1 with alpha = e^0."""
-    return _factor("riemannian_unimodular", {"mu1": 1.0, "mu2": mu2, "mu3": mu3},
-                   [1.0, 0.0, 0.0], -1)
-
-
-def _su2_sasakian(kappa_x: float) -> ContactStructure:
-    """Riemannian Sasakian factor with lambda^2 = 1 + kappa_x."""
-    m = 1.0 + kappa_x
-    if m <= 0:
-        raise RowFailure(f"Sasakian factor needs kappa_x > -1, got {kappa_x}")
-    return _unimodular(m, m)
+#
+# A row pairs two classification-table rows. n maps l to the (table, row id,
+# sample point, orientation) of the Lorentzian factor N, x maps l to the
+# (thm-4.14 row id, sample point) of the Riemannian factor X, which has
+# orientation -1, and lam gives lambda at l.
 
 
 @dataclass(frozen=True)
 class CatalogRow:
     epsilon_n: int
     name: str
-    l2_max: Optional[float]  # None: any l^2 >= 0; otherwise exclusive bound
-    fixed_l2: Optional[float]  # row only defined at this l^2
-    lorentz_sasakian: bool
-    riemann_sasakian: bool
-    build: Callable[[float], tuple]  # l -> (n_struct, x_struct, lambda)
+    n: Callable[[float], tuple]
+    x: Callable[[float], tuple]
+    lam: Callable[[float], float]
+    l2_max: Optional[float] = None  # None: any l^2 >= 0; otherwise exclusive bound
+    fixed_l2: Optional[float] = None  # row only defined at this l^2
+
+    def ls(self, l_samples) -> list:
+        """The l values the row is instantiated at: sqrt(fixed_l2), or the
+        samples inside the l^2 bound."""
+        if self.fixed_l2 is not None:
+            return [math.sqrt(self.fixed_l2)]
+        return [float(l) for l in l_samples if self.l2_max is None or l * l < self.l2_max - 1e-12]
+
+    def factors(self, l: float) -> tuple:
+        """(table row, instance fields, orientation) of N and of X at l."""
+        table, n_id, n_point, orientation = self.n(l)
+        x_id, x_point = self.x(l)
+        n_row, x_row = table_row(table, n_id), table_row("thm-4.14", x_id)
+        return (n_row, n_row.make(**n_point), orientation), (x_row, x_row.make(**x_point), -1)
+
+    def build(self, l: float) -> tuple:
+        """(n_struct, x_struct, lambda) at l."""
+        n, x = (build_contact(f["spec"], f["alpha"], o) for _, f, o in self.factors(l))
+        return n, x, self.lam(l)
 
 
-def _catalog_rows() -> list:
-    rows = []
-
-    # --- time-like table (eps_N = -1) ---
-    def tl_sl2r_sas(l):
-        lam2 = 1.0 - l * l
-        n = _factor("g3", {"a": lam2, "b": lam2, "c": 1.0}, [1.0, 0.0, 0.0], 1)
-        return n, _su2_sasakian(-l * l), math.sqrt(lam2)
-
-    def tl_g6_sas(l):
-        lam2 = 1.0 - l * l
-        n = _factor(
-            "g6", {"a": math.sqrt(lam2), "b": 1.0, "c": 0.0, "d": 0.0}, [1.0, 0.0, 0.0], -1
-        )
-        return n, _su2_sasakian(-l * l), math.sqrt(lam2)
-
-    def tl_h3_h3(l):
-        n = _factor("g3", {"a": 0.0, "b": 0.0, "c": -1.0}, [-1.0, 0.0, 0.0], -1)
-        return n, _unimodular(0.0, 0.0), 0.0
-
-    def tl_nonsas(l):
-        # both factors have lambda^2 = l^2 < 1/2; X is non-Sasakian with kappa_X = -l^2
-        l2 = l * l
-        mh = math.sqrt(1.0 - 2.0 * l2)
-        b = 0.5 * (1.0 + mh)
-        n = _factor("g3", {"a": 1.0 - b, "b": b, "c": 1.0}, [1.0, 0.0, 0.0], 1)
-        return n, _unimodular(0.5 * (1.0 - mh), b), math.sqrt(l2)
-
-    def tl_e11_e2(l):
-        n = _factor("g3", {"a": 1.0, "b": 0.0, "c": 1.0}, [-1.0, 0.0, 0.0], 1)
-        return n, _unimodular(0.0, 1.0), 0.0
-
-    rows += [
-        CatalogRow(-1, "sl2r-sasakian_x_su2-sasakian", 1.0, None, True, True, tl_sl2r_sas),
-        CatalogRow(-1, "g6-sasakian_x_su2-sasakian", 1.0, None, True, True, tl_g6_sas),
-        CatalogRow(-1, "h3_x_h3", None, 1.0, True, True, tl_h3_h3),
-        CatalogRow(-1, "sl2r-nonsasakian_x_su2-nonsasakian", 0.5, None, False, False, tl_nonsas),
-        CatalogRow(-1, "e11_x_e2", None, 0.0, False, False, tl_e11_e2),
-    ]
-
-    # --- space-like table (eps_N = +1) ---
-    def sl_sl2r_sas(l):
-        t = 1.0 + l * l
-        n = _factor("g3", {"a": 1.0, "b": t, "c": t}, [0.0, 1.0, 0.0], 1)
-        return n, _su2_sasakian(l * l), math.sqrt(t)
-
-    def sl_g6_sas(l):
-        t = 1.0 + l * l
-        n = _factor(
-            "g6", {"a": 0.0, "b": 0.0, "c": -1.0, "d": math.sqrt(t)}, [0.0, 0.0, 1.0], 1
-        )
-        return n, _su2_sasakian(l * l), math.sqrt(t)
-
-    def sl_e11_e2(l):
-        n = _factor("g3", {"a": 1.0, "b": 0.0, "c": 1.0}, [0.0, 1.0, 0.0], 1)
-        return n, _unimodular(0.0, 1.0), 0.0
-
-    def sl_e2_e2(l):
-        n = _factor("g3", {"a": 1.0, "b": 1.0, "c": 0.0}, [0.0, 1.0, 0.0], 1)
-        return n, _unimodular(0.0, 1.0), 0.0
-
-    rows += [
-        CatalogRow(1, "sl2r-parasasakian_x_su2-sasakian", None, None, True, True, sl_sl2r_sas),
-        CatalogRow(1, "g6-parasasakian_x_su2-sasakian", None, None, True, True, sl_g6_sas),
-        CatalogRow(1, "e11_x_e2", None, 0.0, False, False, sl_e11_e2),
-        CatalogRow(1, "e2_x_e2", None, 0.0, False, False, sl_e2_e2),
-    ]
-
-    # --- null table (eps_N = 0); kappa_X = 0 for every l ---
-    def nu_sl2r_sas(l):
-        if l == 0.0:
-            n = _factor("g3", {"a": 1.0, "b": 1.0, "c": 1.0}, [1.0, 1.0, 0.0], 1)
-        else:
-            a0 = 1.0 / abs(l)
-            n = _factor("g4", {"a": 1.0, "b": 0.0, "mu": -1.0}, [a0, 0.0, -a0], 1)
-        return n, _su2_sasakian(0.0), 1.0
-
-    def nu_g6_sas(l):
-        n = _factor(
-            "g6", {"a": 0.5, "b": -0.5, "c": -0.5, "d": 0.5}, [1.0, 0.0, -1.0], 1
-        )
-        return n, _su2_sasakian(0.0), 1.0
-
-    def nu_g6_nonsas(l):
-        n = _factor(
-            "g6", {"a": -0.5, "b": -1.5, "c": -1.5, "d": -0.5}, [1.0, 0.0, -1.0], 1
-        )
-        return n, _su2_sasakian(0.0), 1.0
-
-    def nu_e11_sas(l):
-        n = _factor("g2", {"a": 0.0, "b": 0.5, "c": -0.5}, [1.0, 0.0, 1.0], 1)
-        return n, _su2_sasakian(0.0), 1.0
-
-    def nu_e11_nonsas(l):
-        n = _factor("g2", {"a": 0.0, "b": 1.5, "c": 0.5}, [1.0, 0.0, 1.0], 1)
-        return n, _su2_sasakian(0.0), 1.0
-
-    def nu_e11_e2(l):
-        if l == 0.0:
-            n = _factor("g3", {"a": 1.0, "b": 0.0, "c": 1.0}, [1.0, 1.0, 0.0], 1)
-        else:
-            a0 = math.sqrt(2.0) / abs(l)
-            n = _factor("g4", {"a": 0.0, "b": 0.0, "mu": -1.0}, [a0, 0.0, -a0], 1)
-        return n, _unimodular(0.0, 1.0), 0.0
-
-    rows += [
-        CatalogRow(0, "sl2r-sasakian-null_x_su2", None, None, True, True, nu_sl2r_sas),
-        CatalogRow(0, "g6-sasakian-null_x_su2", None, 0.0, True, True, nu_g6_sas),
-        CatalogRow(0, "g6-nonsasakian-null_x_su2", None, 0.0, False, True, nu_g6_nonsas),
-        CatalogRow(0, "e11-sasakian-null_x_su2", None, 0.0, True, True, nu_e11_sas),
-        CatalogRow(0, "e11-nonsasakian-null_x_su2", None, 0.0, False, True, nu_e11_nonsas),
-        CatalogRow(0, "e11-null_x_e2", None, None, False, False, nu_e11_e2),
-    ]
-    return rows
+def _su2(m: float) -> tuple:
+    """The Riemannian Sasakian factor with lambda^2 = m."""
+    return "su2-sasakian", {"m": m}
 
 
-CATALOG = _catalog_rows()
+def _mh(l: float) -> float:
+    """The thm-4.14 parameter of the non-Sasakian rows with lambda^2 = l^2."""
+    return math.sqrt(1.0 - 2.0 * (l * l))
+
+
+def _null_sl2r(l: float) -> tuple:
+    """The g3 factor with alpha = e^0 + e^1 at l = 0, else the g4 factor with
+    kappa = 1/a0^2 = l^2."""
+    if l == 0.0:
+        return "thm-4.25", "g3-sl2r", {"s": 1.0, "theta": 0.0, "a0": 1.0}, 1
+    return "thm-4.25", "g4-sl2r", {"s": 1.0, "a0": 1.0 / abs(l)}, 1
+
+
+def _null_e11(l: float) -> tuple:
+    """The flat g3 factor at l = 0, else the g4 factor with kappa = 2/a0^2 = l^2."""
+    if l == 0.0:
+        return "thm-4.25", "g3-e11", {"s": 1.0, "mu": 1.0, "a0": 1.0}, 1
+    return "thm-4.25", "g4-e11", {"s": 1.0, "a0": math.sqrt(2.0) / abs(l)}, 1
+
+
+CATALOG = [
+    # time-like table (eps_N = -1)
+    CatalogRow(-1, "sl2r-sasakian_x_su2-sasakian",
+               lambda l: ("thm-1.2", "g3-sasakian", {"a": 1.0 - l * l}, 1),
+               lambda l: _su2(1.0 - l * l), lambda l: math.sqrt(1.0 - l * l), l2_max=1.0),
+    CatalogRow(-1, "g6-sasakian_x_su2-sasakian",
+               lambda l: ("thm-1.2", "g6-sasakian", {"a": math.sqrt(1.0 - l * l)}, -1),
+               lambda l: _su2(1.0 - l * l), lambda l: math.sqrt(1.0 - l * l), l2_max=1.0),
+    CatalogRow(-1, "h3_x_h3", lambda l: ("thm-1.2", "g3-h3", {}, -1),
+               lambda l: ("h3-sasakian", {}), lambda l: 0.0, fixed_l2=1.0),
+    # both factors have lambda^2 = l^2 < 1/2; X is non-Sasakian with kappa_X = -l^2
+    CatalogRow(-1, "sl2r-nonsasakian_x_su2-nonsasakian",
+               lambda l: ("thm-1.2", "g3-nonsasakian", {"b": 0.5 * (1.0 + _mh(l))}, 1),
+               lambda l: ("su2-nonsasakian", {"mh": _mh(l)}), lambda l: math.sqrt(l * l),
+               l2_max=0.5),
+    CatalogRow(-1, "e11_x_e2", lambda l: ("thm-1.2", "g3-e11", {}, 1),
+               lambda l: ("e2-nonsasakian", {}), lambda l: 0.0, fixed_l2=0.0),
+    # space-like table (eps_N = +1)
+    CatalogRow(1, "sl2r-parasasakian_x_su2-sasakian",
+               lambda l: ("thm-4.22", "g3-sasakian-alpha1",
+                          {"s": 1.0, "t": 1.0 + l * l, "sign": 1.0}, 1),
+               lambda l: _su2(1.0 + l * l), lambda l: math.sqrt(1.0 + l * l)),
+    CatalogRow(1, "g6-parasasakian_x_su2-sasakian",
+               lambda l: ("thm-4.22", "g6-axis", {"s": 1.0, "d": math.sqrt(1.0 + l * l)}, 1),
+               lambda l: _su2(1.0 + l * l), lambda l: math.sqrt(1.0 + l * l)),
+    CatalogRow(1, "e11_x_e2", lambda l: ("thm-4.22", "g3-e11", {"s": 1.0, "a0": 0.0}, 1),
+               lambda l: ("e2-nonsasakian", {}), lambda l: 0.0, fixed_l2=0.0),
+    CatalogRow(1, "e2_x_e2", lambda l: ("thm-4.22", "g3-e2", {"s": 1.0, "theta": 0.0}, 1),
+               lambda l: ("e2-nonsasakian", {}), lambda l: 0.0, fixed_l2=0.0),
+    # null table (eps_N = 0); kappa_X = 0 for every l
+    CatalogRow(0, "sl2r-sasakian-null_x_su2", _null_sl2r,
+               lambda l: _su2(1.0), lambda l: 1.0),
+    CatalogRow(0, "g6-sasakian-null_x_su2",
+               lambda l: ("thm-4.25", "g6", {"s": 1.0, "mu": 1.0, "b": -0.5, "a0": 1.0}, 1),
+               lambda l: _su2(1.0), lambda l: 1.0, fixed_l2=0.0),
+    CatalogRow(0, "g6-nonsasakian-null_x_su2",
+               lambda l: ("thm-4.25", "g6", {"s": 1.0, "mu": 1.0, "b": -1.5, "a0": 1.0}, 1),
+               lambda l: _su2(1.0), lambda l: 1.0, fixed_l2=0.0),
+    CatalogRow(0, "e11-sasakian-null_x_su2",
+               lambda l: ("thm-4.25", "g2-e11", {"s": 1.0, "mu": 1.0, "b": 0.5, "a0": 1.0}, 1),
+               lambda l: _su2(1.0), lambda l: 1.0, fixed_l2=0.0),
+    CatalogRow(0, "e11-nonsasakian-null_x_su2",
+               lambda l: ("thm-4.25", "g2-e11", {"s": 1.0, "mu": 1.0, "b": 1.5, "a0": 1.0}, 1),
+               lambda l: _su2(1.0), lambda l: 1.0, fixed_l2=0.0),
+    CatalogRow(0, "e11-null_x_e2", _null_e11,
+               lambda l: ("e2-nonsasakian", {}), lambda l: 0.0),
+]
+
+
+DEFAULT_L_SAMPLES = (0.0, 0.25, 0.5, 0.75, 0.9)
 
 
 def catalog_rows(epsilon_n: int) -> list:
@@ -374,51 +338,33 @@ class CatalogResult:
     failure: Optional[str] = None
 
 
-def run_catalog(
-    epsilon_n: int,
-    l_samples,
-    tol: float | None = None,
-    strict: bool = False,
-) -> list:
+def run_catalog(epsilon_n: int, l_samples, tol: float | None = None) -> list:
     """Instantiate and verify every catalog row of one table at the given
-    l samples (rows pinned to a specific l^2 use that value instead)."""
+    l samples (rows pinned to a specific l^2 use that value instead). A
+    library error (NotContact, ConstraintViolation, IncompatibleFactors, ...)
+    is reported as the failure of its row and l; any other exception is a bug
+    and propagates."""
     tol = get_tol(tol)
     results = []
     for row in catalog_rows(epsilon_n):
-        if row.fixed_l2 is not None:
-            ls = [math.sqrt(row.fixed_l2)]
-        else:
-            ls = [
-                float(l)
-                for l in l_samples
-                if row.l2_max is None or l * l < row.l2_max - 1e-12
-            ]
-        for l in ls:
+        for l in row.ls(l_samples):
             try:
                 n, x, lam = row.build(l)
-                sol = build_solution(n, x, lam, l, tol=tol)
-                res = verify_supergravity(sol)
-                ok = res.is_solution(tol)
-            except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-                if strict:
-                    raise RowFailure(f"{row.name} at l={l}: {exc}") from exc
+                res = verify_supergravity(build_solution(n, x, lam, l, tol=tol))
+            except EpsContactError as exc:
                 results.append(
                     CatalogResult(row.name, epsilon_n, l, float("nan"),
                                   SugraResiduals(np.inf, np.inf, np.inf, np.inf), False,
                                   f"{type(exc).__name__}: {exc}")
                 )
                 continue
-            if strict and not ok:
-                raise RowFailure(
-                    f"{row.name} at l={l}: residual {res.max_residual():.3e} > {tol:.1e}"
-                )
-            results.append(CatalogResult(row.name, epsilon_n, l, lam, res, ok))
+            results.append(CatalogResult(row.name, epsilon_n, l, lam, res, res.is_solution(tol)))
     return results
 
 
-def preset_ads3xs3(lam: float = 1.0) -> ProductSolution:
-    """The l = 0 configuration on the product of the unit-constants g3 factor
-    (null alpha) and the round Riemannian Sasakian factor: H = lam (nu_L + nu_R)."""
-    n = _factor("g3", {"a": 1.0, "b": 1.0, "c": 1.0}, [1.0, 1.0, 0.0], 1)
-    x = _su2_sasakian(0.0)
+def preset_ads3xs3() -> ProductSolution:
+    """The row sl2r-sasakian-null_x_su2 at l = 0: the unit-constants g3 factor
+    (null alpha) times the round Riemannian Sasakian factor, H = nu_L + nu_R."""
+    row = next(r for r in catalog_rows(0) if r.name == "sl2r-sasakian-null_x_su2")
+    n, x, lam = row.build(0.0)
     return build_solution(n, x, lam, 0.0)

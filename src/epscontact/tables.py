@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 from .config import get_tol
 from .contact import build_contact, is_k_contact, is_sasakian
 from .einstein import fit_eta_einstein
-from .errors import EpsContactError, RowFailure
+from .errors import EpsContactError
 from .liealg import FamilySpec, GroupName, identify_group
 
 SIGNS = (1, -1)
@@ -58,9 +57,28 @@ class RowInstance:
 
 @dataclass(frozen=True)
 class TableRow:
+    """A declared row (see "row declarations" below): its sample axes, the
+    function make from a sample point to the instance fields, and epsilon."""
+
     table: str
     row_id: str
-    instances: Callable[[], list]
+    axes: dict
+    make: Callable
+    epsilon: int
+
+    def instances(self) -> list:
+        """The instances of the row, in the order of the product of its axes."""
+        points = [{}]
+        for name, values in self.axes.items():
+            points = [{**p, name: v} for p in points
+                      for v in (values(**p) if callable(values) else values)]
+        out = []
+        for p in points:
+            fields = self.make(**p)
+            if fields is not None:
+                label = ",".join(f"{k}={v}" for k, v in p.items())
+                out.append(RowInstance(epsilon=self.epsilon, **{"label": label, **fields}))
+        return out
 
 
 @dataclass
@@ -114,24 +132,8 @@ H3, SU2, NONUNI = GroupName.H3, GroupName.SU2, GroupName.NON_UNIMODULAR
 E0 = (1.0, 0.0, 0.0)
 
 
-def _instances(axes: dict, make: Callable, epsilon: int) -> list:
-    """The instances of a declared row, in the order of the product of its axes."""
-    points = [{}]
-    for name, values in axes.items():
-        points = [{**p, name: v} for p in points
-                  for v in (values(**p) if callable(values) else values)]
-    out = []
-    for p in points:
-        fields = make(**p)
-        if fields is not None:
-            label = ",".join(f"{k}={v}" for k, v in p.items())
-            out.append(RowInstance(epsilon=epsilon, **{"label": label, **fields}))
-    return out
-
-
 def _table(table: str, epsilon: int, rows: list) -> tuple:
-    return table, [TableRow(table, row_id, partial(_instances, axes, make, epsilon))
-                   for row_id, axes, make in rows]
+    return table, [TableRow(table, row_id, axes, make, epsilon) for row_id, axes, make in rows]
 
 
 def _spec(family: str, **params) -> FamilySpec:
@@ -269,11 +271,13 @@ _NULL = _table("thm-4.25", 0, [
      lambda s, theta, a0: dict(_null_g3_generic(s, theta, a0), lambda2=1.0, kappa=0.0, **SAS)),
     ("g3-e11", {"s": SIGNS, "mu": SIGNS, "a0": ALPHA0},
      lambda s, mu, a0: dict(_null_g3_a_eq_c(s, 0.0, mu, a0), lambda2=0.0, kappa=0.0, **NONSAS)),
-    # kappa >= 0 forces s mu = -1, i.e. b = s + mu = 0
+    # kappa >= 0 forces s mu = -1, i.e. b = s + mu = 0. kappa = 1 / a0^2 is written
+    # as two divisions, which give inf or 0 where a0^2 would raise: the product
+    # catalog makes these rows at a0 = 1/|l| for any finite l
     ("g4-sl2r", {"s": SIGNS, "a0": ALPHA0},
-     lambda s, a0: dict(_null_g4(s, -s, s, a0), lambda2=1.0, kappa=1.0 / a0**2, **SAS)),
+     lambda s, a0: dict(_null_g4(s, -s, s, a0), lambda2=1.0, kappa=1.0 / a0 / a0, **SAS)),
     ("g4-e11", {"s": SIGNS, "a0": ALPHA0},
-     lambda s, a0: dict(_null_g4(s, -s, 0.0, a0), lambda2=0.0, kappa=2.0 / a0**2, **NONSAS)),
+     lambda s, a0: dict(_null_g4(s, -s, 0.0, a0), lambda2=0.0, kappa=2.0 / a0 / a0, **NONSAS)),
     ("g6", {"s": SIGNS, "mu": SIGNS, "b": _g6_b_samples, "a0": ALPHA0}, _eta_einstein_g6),
 ])
 
@@ -353,6 +357,10 @@ def table_rows(table_id: str) -> list:
     return TABLES[resolve_table(table_id)]
 
 
+def table_row(table_id: str, row_id: str) -> TableRow:
+    return {row.row_id: row for row in table_rows(table_id)}[row_id]
+
+
 def iter_instances(table_id: str):
     for row in table_rows(table_id):
         for inst in row.instances():
@@ -416,23 +424,15 @@ def verify_instance(inst: RowInstance, tol: float | None = None) -> InstanceRepo
     return report
 
 
-def verify_table_row(table_id: str, row: TableRow, tol: float | None = None,
-                     strict: bool = False) -> TableRowReport:
-    """Verify every instance of a table row; with strict=True raise RowFailure
-    on the first failed check."""
+def verify_table_row(table_id: str, row: TableRow, tol: float | None = None) -> TableRowReport:
+    """Verify every instance of a table row."""
     report = TableRowReport(table=resolve_table(table_id), row_id=row.row_id, passed=True)
     for inst in row.instances():
         inst_report = verify_instance(inst, tol=tol)
         report.instances.append(inst_report)
-        if not inst_report.passed:
-            report.passed = False
-            if strict:
-                raise RowFailure(
-                    f"{report.table}/{row.row_id}[{inst.label}]: {inst_report.failure}"
-                )
+        report.passed = report.passed and inst_report.passed
     return report
 
 
-def verify_table(table_id: str, tol: float | None = None, strict: bool = False) -> list:
-    return [verify_table_row(table_id, row, tol=tol, strict=strict)
-            for row in table_rows(table_id)]
+def verify_table(table_id: str, tol: float | None = None) -> list:
+    return [verify_table_row(table_id, row, tol=tol) for row in table_rows(table_id)]

@@ -87,17 +87,20 @@ def test_catalog_failures_carry_reason_and_stay_strict_json(capsys):
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
 
-    code, out = run(capsys, "catalog", "--epsilon-n", "1", "--l-samples", "1e200")
-    assert code == 1
-    items = json.loads(out, parse_constant=reject)["items"]
-    failed = [item for item in items if not item["pass"]]
-    assert failed
-    for item in failed:
-        assert item["reason"]
-        for key in ("lambda", "ricci_h", "d_h", "d_star_h", "norm_h"):
-            assert item[key] is None
-    for item in items:
-        assert item["pass"] == ("reason" not in item)
+    # the null rows build their g4 factor at a0 = 1/|l|, which over- or
+    # underflows at these l
+    for eps_n in ("1", "0"):
+        code, out = run(capsys, "catalog", "--epsilon-n", eps_n, "--l-samples", "1e200,1e-200")
+        assert code == 1
+        items = json.loads(out, parse_constant=reject)["items"]
+        failed = [item for item in items if not item["pass"]]
+        assert failed
+        for item in failed:
+            assert item["reason"]
+            for key in ("lambda", "ricci_h", "d_h", "d_star_h", "norm_h"):
+                assert item[key] is None
+        for item in items:
+            assert item["pass"] == ("reason" not in item)
 
 
 def test_catalog_csv_format(capsys):

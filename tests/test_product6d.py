@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from epscontact import product6d as p6
-from epscontact.contact import check_contact
+from epscontact import tables
+from epscontact.contact import build_contact, check_contact
 from epscontact.curvature import levi_civita, riemann_ricci, torsionful_connection
 from epscontact.errors import IncompatibleFactors
 from epscontact.exterior import FrameMetric, index_tuples, one_form, pairing_full
@@ -13,7 +14,9 @@ R3 = FrameMetric.riemannian(3)
 
 
 def su2_factor(kappa_x=0.0):
-    return p6._su2_sasakian(kappa_x)
+    """The Riemannian Sasakian factor with lambda^2 = 1 + kappa_x."""
+    fields = tables.table_row("thm-4.14", "su2-sasakian").make(m=1.0 + kappa_x)
+    return build_contact(fields["spec"], fields["alpha"], -1)
 
 
 def null_g3_factor():
@@ -194,7 +197,7 @@ def test_perturbed_lambda_detected():
 def test_catalog_all_rows_all_tables():
     ls = (0.0, 0.25, 0.5, 0.75, 0.9)
     for eps_n in (-1, 0, 1):
-        results = p6.run_catalog(eps_n, ls, strict=True)
+        results = p6.run_catalog(eps_n, ls)
         assert results
         names = {r.row for r in results}
         assert len(names) == len(p6.catalog_rows(eps_n))
@@ -229,6 +232,29 @@ def test_catalog_spot_values():
     assert lam == 0.0
     sol = p6.build_solution(n, x, lam, 0.0)
     assert p6.verify_supergravity(sol).max_residual() < 1e-9
+
+
+def test_catalog_declarations_agree_with_the_theorem():
+    # the declared table constants of the two factors, not a fit:
+    # lambda^2_N = lambda^2_X = lambda^2, kappa_N = l^2, kappa_X = eps_N l^2
+    for row in p6.CATALOG:
+        for l in row.ls(p6.DEFAULT_L_SAMPLES):
+            (n_row, n, _), (x_row, x, _) = row.factors(l)
+            lam2, l2 = row.lam(l) ** 2, l * l
+            assert n_row.epsilon == row.epsilon_n and x_row.epsilon == 1
+            for got, want in ((n["lambda2"], lam2), (x["lambda2"], lam2),
+                              (n["kappa"], l2), (x["kappa"], row.epsilon_n * l2)):
+                assert abs(got - want) <= 1e-12, (row.name, l, got, want)
+
+
+def test_catalog_programming_errors_propagate(monkeypatch):
+    # only library errors become failed rows; a bug such as a sample point that
+    # misses a parameter of its table row raises
+    bad = p6.CatalogRow(0, "bad", lambda l: ("thm-4.25", "g6", {"s": 1.0}, 1),
+                        lambda l: ("su2-sasakian", {"m": 1.0}), lambda l: 1.0)
+    monkeypatch.setattr(p6, "CATALOG", [bad])
+    with pytest.raises(TypeError):
+        p6.run_catalog(0, [0.0])
 
 
 def test_catalog_l_range_filtering():

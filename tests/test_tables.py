@@ -5,7 +5,6 @@ import pytest
 from epscontact import tables
 from epscontact.contact import contact_identity_residuals
 from epscontact.einstein import fit_eta_einstein, reeb_curvature_residual
-from epscontact.errors import RowFailure
 from epscontact.liealg import GroupName
 
 ALL_TABLES = ("thm-1.2", "thm-4.22", "thm-4.25", "thm-4.14", "prop-3.8", "prop-3.16", "prop-3.22")
@@ -20,7 +19,7 @@ def test_aliases_resolve():
 
 @pytest.mark.parametrize("table_id", ALL_TABLES)
 def test_every_row_passes(table_id):
-    for report in tables.verify_table(table_id, strict=True):
+    for report in tables.verify_table(table_id):
         assert report.passed
         assert report.instances
 
@@ -59,24 +58,26 @@ def test_spot_anchor_null_g4():
     assert abs(inst.lambda2 - 1.0) < 1e-9 and abs(inst.kappa - 1.0) < 1e-9
 
 
-def test_strict_mode_raises_on_forced_failure():
+def test_forced_failure_is_reported():
     row = tables.TableRow(
         "thm-1.2",
         "bogus",
-        lambda: [
-            tables.RowInstance(
-                spec=tables.FamilySpec("g3", {"a": 1, "b": 1, "c": 1}),
-                alpha=(1.0, 0.0, 0.0),
-                epsilon=-1,
-                label="x",
-                lambda2=2.0,  # wrong on purpose
-                kappa=0.0,
-                group=GroupName.SL2R_COVER,
-            )
-        ],
+        {},
+        lambda: dict(
+            label="x",
+            spec=tables.FamilySpec("g3", {"a": 1, "b": 1, "c": 1}),
+            alpha=(1.0, 0.0, 0.0),
+            lambda2=2.0,  # wrong on purpose
+            kappa=0.0,
+            group=GroupName.SL2R_COVER,
+        ),
+        -1,
     )
-    with pytest.raises(RowFailure):
-        tables.verify_table_row("thm-1.2", row, strict=True)
+    report = tables.verify_table_row("thm-1.2", row)
+    assert not report.passed
+    (inst,) = report.instances
+    assert not inst.passed and inst.checks["fit_ok"] is False
+    assert inst.failure.startswith("lambda2 ")
 
 
 def test_row_report_checks_dict():
