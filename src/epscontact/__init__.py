@@ -13,7 +13,7 @@ Core entry points:
 - cli: the `epscontact` command
 """
 
-from .config import get_tol, set_tol
+from .config import get_tol
 from .exterior import Form, FrameMetric
 from .liealg import FamilySpec, GroupName, StructureConstants
 
@@ -24,7 +24,6 @@ __all__ = [
     "GroupName",
     "StructureConstants",
     "get_tol",
-    "set_tol",
 ]
 
 __version__ = "0.1.0"

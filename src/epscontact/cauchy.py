@@ -106,11 +106,6 @@ def _partials(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     return out
 
 
-def _grad(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
-    """(nx, ny, 2) array of (d_x f, d_y f) of a scalar field."""
-    return np.moveaxis(_partials(f, grid), 0, -1)
-
-
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(ab)_ij = a_i0 b_0j + a_i1 b_1j of (2, 2, nx, ny) planes."""
     return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
@@ -165,9 +160,6 @@ class SurfaceData:
 
     def det_q(self) -> np.ndarray:
         return self.q[..., 0, 0] * self.q[..., 1, 1] - self.q[..., 0, 1] * self.q[..., 1, 0]
-
-    def inv_q(self) -> np.ndarray:
-        return np.moveaxis(self._metric[1], (0, 1), (2, 3)).copy()
 
     @cached_property
     def _metric(self) -> tuple:
@@ -354,11 +346,6 @@ def evolution_residuals(
     return EvolutionResiduals(alpha_flow=max_a, ricci_flow=max_r)
 
 
-def recovered_epsilon(d: SurfaceData) -> float:
-    """Mean of |alpha|^2_q - F^2 over the grid; matches eps for valid data."""
-    return float(np.mean(_quadratic(d._metric[1], _planes(d.alpha)) - d.F**2))
-
-
 # --- closed-form example data ---------------------------------------------------
 
 
@@ -431,43 +418,3 @@ def example_null_isothermal(grid: SurfaceGrid, f0: float) -> SurfaceData:
 def isothermal_grid(nx: int, ny: int, length_x: float = 1.0, length_y: float = 1.0) -> SurfaceGrid:
     """Grid for the isothermal example: fixed domain, non-periodic in x."""
     return SurfaceGrid(nx, ny, length_x / nx, length_y / ny, periodic_x=False)
-
-
-def surface_to_json(d: SurfaceData) -> str:
-    """Serialize one slice with the grid header {"nx","ny","hx","hy",...}."""
-    import json
-
-    return json.dumps(
-        {
-            "nx": d.grid.nx,
-            "ny": d.grid.ny,
-            "hx": d.grid.hx,
-            "hy": d.grid.hy,
-            "periodic_x": d.grid.periodic_x,
-            "periodic_y": d.grid.periodic_y,
-            "q": d.q.tolist(),
-            "theta": d.theta.tolist(),
-            "F": d.F.tolist(),
-            "alpha": d.alpha.tolist(),
-            "beta": d.beta.tolist(),
-        },
-        sort_keys=True,
-    )
-
-
-def surface_from_json(text: str) -> SurfaceData:
-    import json
-
-    data = json.loads(text)
-    grid = SurfaceGrid(
-        int(data["nx"]), int(data["ny"]), float(data["hx"]), float(data["hy"]),
-        bool(data.get("periodic_x", True)), bool(data.get("periodic_y", True)),
-    )
-    return SurfaceData(
-        grid,
-        np.asarray(data["q"], dtype=float),
-        np.asarray(data["theta"], dtype=float),
-        np.asarray(data["F"], dtype=float),
-        np.asarray(data["alpha"], dtype=float),
-        np.asarray(data["beta"], dtype=float),
-    )

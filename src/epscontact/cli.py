@@ -103,18 +103,12 @@ def cmd_oracle(args, cfg: RunConfig) -> tuple:
 
 def cmd_verify_tables(args, cfg: RunConfig) -> tuple:
     table_ids = [tables.resolve_table(args.theorem)] if args.theorem else list(tables.TABLES)
-    reports = [
-        tables.verify_table_row(table_id, row, tol=cfg.tol)
-        for table_id in table_ids
-        for row in tables.table_rows(table_id)
-    ]
     items = []
     passed = True
     for table_id in table_ids:
         rows = []
-        for rep in reports:
-            if rep.table != table_id:
-                continue
+        for row in tables.table_rows(table_id):
+            rep = tables.verify_table_row(table_id, row, tol=cfg.tol)
             passed = passed and rep.passed
             rows.append(
                 {

@@ -1,9 +1,8 @@
 """Global numerical tolerance.
 
 "Zero" throughout the library means |x| <= tol on O(1)-normalized inputs.
-The default is 1e-9 absolute and can be overridden per call, globally via
-:func:`set_tol`, or by the ``EPSCONTACT_TOL`` environment variable, which is
-read on first use.
+The default is 1e-9 absolute and can be overridden per call or by the
+``EPSCONTACT_TOL`` environment variable, which is read on first use.
 """
 
 from __future__ import annotations
@@ -27,15 +26,10 @@ def _checked(tol, source: str) -> float:
 
 
 def get_tol(tol: float | None = None) -> float:
-    """Resolve an optional per-call tolerance against the global setting."""
+    """Resolve an optional per-call tolerance against EPSCONTACT_TOL or the default."""
     global _tol
     if tol is not None:
         return _checked(tol, "tolerance")
     if _tol is None:
         _tol = _checked(os.environ.get("EPSCONTACT_TOL", DEFAULT_TOL), "EPSCONTACT_TOL")
     return _tol
-
-
-def set_tol(tol: float) -> None:
-    global _tol
-    _tol = _checked(tol, "tolerance")

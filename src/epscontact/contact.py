@@ -123,14 +123,6 @@ class ContactStructure:
         return json.dumps(data, sort_keys=True)
 
 
-def contact_from_json(text: str, tol: float | None = None) -> ContactStructure:
-    import json
-
-    data = json.loads(text)
-    return build_contact(FamilySpec(data["family"], data["params"]), data["alpha"],
-                         data["orientation"], tol=tol)
-
-
 def build_contact(spec: FamilySpec, alpha, orientation: Optional[int] = None,
                   tol: float | None = None) -> ContactStructure:
     """The verified contact structure of a family instance with the one-form
@@ -306,9 +298,11 @@ def _ker_alpha_basis(cs: ContactStructure) -> np.ndarray:
 
 
 def _lead_positive(v: np.ndarray) -> np.ndarray:
-    """v or -v, whichever has its first component above 1e-12 in size positive."""
-    lead = v[np.abs(v) > 1e-12]
-    return -v if lead.size and lead[0] < 0 else v
+    """Each row of v (..., n) or its negative, whichever has its first
+    component above 1e-12 in size positive."""
+    big = np.abs(v) > 1e-12
+    first = np.take_along_axis(v, big.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    return np.where((big.any(axis=-1) & (first < 0))[..., None], -v, v)
 
 
 def contact_frame(cs: ContactStructure):

@@ -31,15 +31,6 @@ class ConnectionCoeffs:
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
 
-    @property
-    def dim(self) -> int:
-        return self.gamma.shape[0]
-
-    def compatibility_defect(self, m: FrameMetric) -> float:
-        """Max-abs of eta_k gamma[i][j][k] + eta_j gamma[i][k][j]."""
-        low = self.gamma * m.eta[None, None, :]
-        return float(np.max(np.abs(low + np.swapaxes(low, 1, 2))))
-
 
 @dataclass(frozen=True)
 class CurvatureTensors:
@@ -63,12 +54,6 @@ def koszul_components(c: np.ndarray, eta: np.ndarray) -> np.ndarray:
 def levi_civita(sc: StructureConstants, m: FrameMetric) -> ConnectionCoeffs:
     """Torsion-free metric connection of one bracket table (koszul_components)."""
     return ConnectionCoeffs(koszul_components(sc.c, m.eta))
-
-
-def torsion_defect(conn: ConnectionCoeffs, sc: StructureConstants) -> float:
-    """Max-abs of nabla_u v - nabla_v u - [u, v] on the frame."""
-    g = conn.gamma
-    return float(np.max(np.abs(g - np.swapaxes(g, 0, 1) - sc.c)))
 
 
 def curvature_components(gamma: np.ndarray, c: np.ndarray, eta: np.ndarray) -> tuple:

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .config import get_tol
-from .contact import ContactStructure, check_contact
+from .contact import ContactStructure, _lead_positive, check_contact
 from .curvature import koszul_components, ricci_components
 from .errors import (
     Inadmissible,
@@ -37,12 +37,9 @@ class EtaEinsteinFit:
     admissible: bool
 
 
-# the six independent components (i <= j) of a symmetric 3x3 tensor, row by row
+# the six independent components (i <= j) of a symmetric 3x3 tensor, row by
+# row, and as positions in its nine entries
 _IU = np.triu_indices(3)
-
-
-# the six independent components (i <= j) of a symmetric 3x3 tensor, as
-# positions in its nine entries
 _IU9 = _IU[0] * 3 + _IU[1]
 # lstsq's default cutoff (rcond=None) for the 6 x 2 design matrix
 _RCOND = np.finfo(float).eps * 6
@@ -200,15 +197,6 @@ def _inner(v: np.ndarray, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return np.sum(eta * v * w, axis=-1)
 
 
-def _norm_sign_fix(v: np.ndarray) -> np.ndarray:
-    """Rows of v (..., 3) scaled to unit Euclidean norm, with the first
-    component above 1e-12 in size made positive."""
-    v = v / np.sqrt(_dot_self(v))[..., None]
-    big = np.abs(v) > 1e-12
-    first = np.take_along_axis(v, big.argmax(axis=-1)[..., None], axis=-1)[..., 0]
-    return np.where((big.any(axis=-1) & (first < 0))[..., None], -v, v)
-
-
 def _to_quadric(v: np.ndarray, m: FrameMetric, eps: int) -> tuple:
     """(alpha, ok): directions v (..., 3) rescaled to |alpha|^2 = eps != 0,
     ok where that sign is reached away from the null cone."""
@@ -220,7 +208,8 @@ def _rank1_candidates(v: np.ndarray, m: FrameMetric, eps: int) -> tuple:
     if eps:
         alpha, ok = _to_quadric(v, m, eps)
     else:
-        alpha, ok = _norm_sign_fix(v), abs(_inner(v, v, m.eta)) <= _NULL_CUT * _dot_self(v)
+        alpha = _lead_positive(v / np.sqrt(_dot_self(v))[:, None])
+        ok = abs(_inner(v, v, m.eta)) <= _NULL_CUT * _dot_self(v)
     return alpha[:, None], ok[:, None]
 
 
@@ -245,7 +234,8 @@ def _rank2_candidates(v1: np.ndarray, v2: np.ndarray, m: FrameMetric, eps: int) 
     real = disc >= -ztol * scale
     ok = np.stack([~two_roots | real, np.where(two_roots, real & (r1 != r2), b_live | (abs(c) <= ztol))],
                   axis=1)
-    return _norm_sign_fix(np.stack([first, second], axis=1)), ok
+    v = np.stack([first, second], axis=1)
+    return _lead_positive(v / np.sqrt(_dot_self(v))[..., None]), ok
 
 
 @lru_cache(maxsize=None)

@@ -245,10 +245,6 @@ class Form:
         object.__setattr__(self, "comps", comps)
 
     @classmethod
-    def zero(cls, degree: int, dim: int) -> "Form":
-        return cls(degree, dim, np.zeros(math.comb(dim, degree)))
-
-    @classmethod
     def from_components(cls, degree: int, dim: int, entries) -> "Form":
         """Build from {index-tuple: value} entries (tuples need not be sorted)."""
         comps = np.zeros(math.comb(dim, degree))
@@ -259,13 +255,6 @@ class Form:
                 continue
             comps[pos[key]] += sign * val
         return cls(degree, dim, comps)
-
-    def value(self, indices) -> float:
-        """Evaluate on an arbitrary frame index tuple (antisymmetric extension)."""
-        sign, key = sort_sign(tuple(indices))
-        if sign == 0:
-            return 0.0
-        return sign * float(self.comps[tuple_positions(self.dim, self.degree)[key]])
 
     def to_array(self) -> np.ndarray:
         """Fully antisymmetric coefficient array of shape (dim,) * degree."""
@@ -304,21 +293,6 @@ class Form:
         return json.dumps(
             {"degree": self.degree, "dim": self.dim, "comps": entries}, sort_keys=True
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Form":
-        data = json.loads(text)
-        entries = {
-            tuple(int(i) for i in key.split(",")) if key else (): val
-            for key, val in data["comps"].items()
-        }
-        return cls.from_components(int(data["degree"]), int(data["dim"]), entries)
-
-
-def basis_one_form(i: int, dim: int) -> Form:
-    comps = np.zeros(dim)
-    comps[i] = 1.0
-    return Form(1, dim, comps)
 
 
 def one_form(coeffs) -> Form:
@@ -377,16 +351,12 @@ def pairing_components(a: np.ndarray, b: np.ndarray, signs: tuple, degree: int) 
     return _ordered_sum(_pairing_signs(tuple(signs), degree) * a * b)
 
 
-def pairing_sorted(a: Form, b: Form, m: FrameMetric) -> float:
-    """Sorted-tuple metric pairing: sum_I a_I b_I prod_{i in I} eta_i."""
+def pairing_full(a: Form, b: Form, m: FrameMetric) -> float:
+    """All-tuples contraction a_{i1..ik} b^{i1..ik}: k! times the sorted-tuple
+    pairing sum_I a_I b_I prod_{i in I} eta_i."""
     if a.degree != b.degree or a.dim != b.dim:
         raise DegreeMismatch("pairing requires forms of equal degree and dimension")
-    return float(pairing_components(a.comps, b.comps, m.signs, a.degree))
-
-
-def pairing_full(a: Form, b: Form, m: FrameMetric) -> float:
-    """All-tuples contraction a_{i1..ik} b^{i1..ik} = k! * sorted pairing."""
-    return math.factorial(a.degree) * pairing_sorted(a, b, m)
+    return math.factorial(a.degree) * float(pairing_components(a.comps, b.comps, m.signs, a.degree))
 
 
 def sharp(alpha: Form, m: FrameMetric) -> np.ndarray:
@@ -394,17 +364,3 @@ def sharp(alpha: Form, m: FrameMetric) -> np.ndarray:
     if alpha.degree != 1:
         raise DegreeMismatch("sharp acts on one-forms")
     return m.eta * alpha.comps
-
-
-def flat(v: np.ndarray, m: FrameMetric) -> Form:
-    """One-form dual of a frame-component vector: alpha_i = eta_i v^i."""
-    v = np.asarray(v, dtype=float)
-    return Form(1, m.dim, m.eta * v)
-
-
-def interior_product(v: np.ndarray, w: Form) -> Form:
-    """Contraction (iota_v w)(...) = w(v, ...)."""
-    if w.degree < 1:
-        raise DegreeMismatch("interior product needs degree >= 1")
-    v = np.asarray(v, dtype=float)
-    return Form(w.degree - 1, w.dim, interior_components(v, w.comps, w.degree))

@@ -12,7 +12,6 @@ signature; a bracket table c[i][j][k] means [e_i, e_j] = sum_k c[i][j][k] e_k.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,9 +44,10 @@ class StructureConstants:
         c = np.asarray(self.c, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValueError("structure constants must have shape (n, n, n)")
-        if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > 0:
+        asym = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
+        if asym > 0:
             # symmetrize exactly-representable inputs, reject genuine asymmetry
-            if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > 1e-12 * max(1.0, np.max(np.abs(c))):
+            if asym > 1e-12 * max(1.0, np.max(np.abs(c))):
                 raise ValueError("bracket coefficients must be antisymmetric in (i, j)")
             c = 0.5 * (c - np.swapaxes(c, 0, 1))
         c = c.copy()
@@ -75,35 +75,9 @@ class StructureConstants:
         """[u, v] for frame-component vectors u, v."""
         return self.ad(u) @ v
 
-    def to_json(self) -> str:
-        pairs = [{"i": i, "j": j, "coeffs": [float(x) for x in self.c[i, j]]}
-                 for i in range(self.dim) for j in range(i + 1, self.dim)
-                 if np.any(self.c[i, j] != 0.0)]
-        return json.dumps({"dim": self.dim, "brackets": pairs}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StructureConstants":
-        data = json.loads(text)
-        n = int(data["dim"])
-        c = np.zeros((n, n, n))
-        for entry in data.get("brackets", []):
-            i, j = int(entry["i"]), int(entry["j"])
-            coeffs = np.asarray(entry["coeffs"], dtype=float)
-            c[i, j] = coeffs
-            c[j, i] = -coeffs
-        return cls(c)
-
 
 def zero_algebra(dim: int = 3) -> StructureConstants:
     return StructureConstants(np.zeros((dim, dim, dim)))
-
-
-def jacobi_defect(sc: StructureConstants) -> float:
-    """Max-abs cyclic Jacobi sum over all index quadruples; zero iff Jacobi holds."""
-    c = sc.c
-    j = np.einsum("ijl,lkm->ijkm", c, c)
-    total = j + np.transpose(j, (1, 2, 0, 3)) + np.transpose(j, (2, 0, 1, 3))
-    return float(np.max(np.abs(total)))
 
 
 def direct_sum(sc1: StructureConstants, sc2: StructureConstants) -> StructureConstants:
@@ -130,16 +104,6 @@ def nine_params(sc: StructureConstants):
         c[1, 2, 0], c[1, 2, 1], c[1, 2, 2],
         c[0, 2, 0], c[0, 2, 1], c[0, 2, 2],
     )
-
-
-def from_nine_params(p9) -> StructureConstants:
-    a, b, c_, d, f, h, g, j, k = (float(x) for x in p9)
-    c = np.zeros((3, 3, 3))
-    c[0, 1] = (a, b, c_)
-    c[1, 2] = (d, f, h)
-    c[0, 2] = (g, j, k)
-    c[1, 0], c[2, 1], c[2, 0] = -c[0, 1], -c[1, 2], -c[0, 2]
-    return StructureConstants(c)
 
 
 # --- classification families --------------------------------------------------
@@ -296,9 +260,6 @@ FAMILIES = _Families({
         _nonunimodular),
 })
 
-FAMILY_PARAMS = {family_id: fam.params for family_id, fam in FAMILIES.items()}
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A classification family together with concrete parameter values."""
@@ -322,14 +283,6 @@ class FamilySpec:
     def __getitem__(self, key: str) -> float:
         return self.params[key]
 
-    def to_json(self) -> str:
-        return json.dumps({"family": self.family_id, "params": self.params}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FamilySpec":
-        data = json.loads(text)
-        return cls(data["family"], data["params"])
-
 
 def family_metric(family_id: str) -> FrameMetric:
     """Frame metric of a classification family: Riemannian for the
@@ -347,7 +300,7 @@ def make_family(spec: FamilySpec, tol: float | None = None) -> StructureConstant
     """Bracket table of a classification family instance.
 
     Raises ConstraintViolation (naming the constraint) when a family parameter
-    condition fails; the result always has zero Jacobi defect.
+    condition fails; the result always satisfies the Jacobi identity.
     """
     _validate(spec, get_tol(tol))
     c = np.zeros((3, 3, 3))

@@ -361,12 +361,6 @@ def table_row(table_id: str, row_id: str) -> TableRow:
     return {row.row_id: row for row in table_rows(table_id)}[row_id]
 
 
-def iter_instances(table_id: str):
-    for row in table_rows(table_id):
-        for inst in row.instances():
-            yield row, inst
-
-
 def build_instance(inst: RowInstance, tol: float | None = None):
     """Realize a row instance as a verified contact structure, trying
     orientation +1, then -1."""
@@ -432,7 +426,3 @@ def verify_table_row(table_id: str, row: TableRow, tol: float | None = None) -> 
         report.instances.append(inst_report)
         report.passed = report.passed and inst_report.passed
     return report
-
-
-def verify_table(table_id: str, tol: float | None = None) -> list:
-    return [verify_table_row(table_id, row, tol=tol) for row in table_rows(table_id)]

@@ -26,9 +26,13 @@ def test_flat_torus_constraints_exact_zero():
 
 
 def test_epsilon_recovered():
-    assert abs(cy.recovered_epsilon(flat_data()) - 1.0) < 1e-14
+    def recovered_epsilon(d):  # mean of |alpha|^2_q - F^2 over the grid
+        norm2 = np.einsum("xyij,xyi,xyj->xy", np.linalg.inv(d.q), d.alpha, d.alpha)
+        return float(np.mean(norm2 - d.F**2))
+
+    assert abs(recovered_epsilon(flat_data()) - 1.0) < 1e-14
     iso = cy.example_null_isothermal(cy.isothermal_grid(16, 16), 1.0)
-    assert abs(cy.recovered_epsilon(iso)) < 1e-14
+    assert abs(recovered_epsilon(iso)) < 1e-14
 
 
 def test_randomized_theta_breaks_hamiltonian():
@@ -190,7 +194,7 @@ def test_divergence_matches_brute_force_loops():
         ],
         axis=2,
     )
-    inv = d.inv_q()
+    inv = np.linalg.inv(d.q)
     brute = np.zeros((8, 8, 2))
     for ix in range(8):
         for iy in range(8):
@@ -207,7 +211,9 @@ def test_divergence_matches_brute_force_loops():
     # recompute the library value by reusing the residual with kappa = 0 and
     # subtracting the gradient of the trace
     tr = np.einsum("xyij,xyij->xy", inv, d.theta)
-    r4_field = cy._grad(tr, grid) + brute
+    grad_tr = np.stack([cy._d1(tr, 0, grid.hx, grid.periodic_x),
+                        cy._d1(tr, 1, grid.hy, grid.periodic_y)], axis=-1)
+    r4_field = grad_tr + brute
     res = cy.constraint_residuals(d, 0, 0.0, 0.0)
     assert abs(res.momentum - float(np.max(np.abs(r4_field)))) < 1e-12
 
@@ -223,7 +229,7 @@ def test_scalar_curvature_matches_brute_force_loops():
         ],
         axis=2,
     )
-    inv = d.inv_q()
+    inv = np.linalg.inv(d.q)
     brute = np.zeros((8, 8))
     for ix in range(8):
         for iy in range(8):
@@ -241,17 +247,6 @@ def test_scalar_curvature_matches_brute_force_loops():
                     total += inv[ix, iy, k, j] * ric_kj
             brute[ix, iy] = total
     assert np.allclose(cy.scalar_curvature(d), brute, atol=1e-12)
-
-
-def test_surface_json_roundtrip():
-    data = cy.example_null_isothermal(cy.isothermal_grid(8, 8), 0.5)
-    back = cy.surface_from_json(cy.surface_to_json(data))
-    assert back.grid == data.grid
-    for name in ("q", "theta", "F", "alpha", "beta"):
-        assert np.allclose(getattr(back, name), getattr(data, name))
-    r1 = cy.constraint_residuals(data, 0, 0.0, 0.0)
-    r2 = cy.constraint_residuals(back, 0, 0.0, 0.0)
-    assert r1 == r2
 
 
 def test_sequence_validation():

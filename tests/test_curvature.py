@@ -12,15 +12,20 @@ from epscontact.curvature import (
     ricci_components,
     riemann_ricci,
     three_form_square,
-    torsion_defect,
     torsionful_connection,
 )
 from epscontact.errors import JacobiViolation
-from epscontact.exterior import Form, FrameMetric, interior_product, sharp
+from epscontact.exterior import Form, FrameMetric, interior_components, sort_sign, tuple_positions
 from epscontact.liealg import FamilySpec, make_family, nine_params, zero_algebra
 from epscontact.oracle import LORENTZ_FAMILIES, sample_spec
 
 L3 = FrameMetric.lorentzian(3)
+
+
+def compatibility_defect(conn, m) -> float:
+    """Max-abs of g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k)."""
+    low = conn.gamma * m.eta
+    return float(np.max(np.abs(low + np.swapaxes(low, 1, 2))))
 
 
 def koszul_brute(sc, m):
@@ -59,8 +64,9 @@ def test_levi_civita_properties_random():
         fam = LORENTZ_FAMILIES[count % len(LORENTZ_FAMILIES)]
         sc = make_family(sample_spec(fam, rng))
         conn = levi_civita(sc, L3)
-        assert conn.compatibility_defect(L3) < 1e-13
-        assert torsion_defect(conn, sc) < 1e-13
+        assert compatibility_defect(conn, L3) < 1e-13
+        # torsion: nabla_u v - nabla_v u - [u, v] on the frame
+        assert np.max(np.abs(conn.gamma - np.swapaxes(conn.gamma, 0, 1) - sc.c)) < 1e-13
         assert np.max(np.abs(conn.gamma - koszul_brute(sc, L3))) < 1e-13
         count += 1
 
@@ -132,7 +138,7 @@ def random_three_form(rng, dim):
 def test_torsionful_zero_torsion_is_identity():
     sc = make_family(FamilySpec("g3", {"a": 1, "b": 1, "c": 1}))
     conn = levi_civita(sc, L3)
-    same = torsionful_connection(conn, Form.zero(3, 3), L3)
+    same = torsionful_connection(conn, Form(3, 3, [0.0]), L3)
     assert np.allclose(same.gamma, conn.gamma)
 
 
@@ -149,13 +155,15 @@ def test_torsionful_metric_compatible_and_torsion_matches():
         for _ in range(5):
             h = random_three_form(rng, dim)
             conn_h = torsionful_connection(conn, h, m)
-            assert conn_h.compatibility_defect(m) < 1e-13
+            assert compatibility_defect(conn_h, m) < 1e-13
             # brute-force torsion: T(u,v) = nabla_u v - nabla_v u - [u, v]
             e = np.eye(dim)
             for i in range(dim):
                 for j in range(dim):
                     t_vec = conn_h.gamma[i, j] - conn_h.gamma[j, i] - sc.bracket(e[i], e[j])
-                    expected = sharp(interior_product(e[j], interior_product(e[i], h)), m)
+                    # (h(e_i, e_j, .))^sharp
+                    expected = m.eta * interior_components(
+                        e[j], interior_components(e[i], h.comps, 3), 2)
                     assert np.max(np.abs(t_vec - expected)) < 1e-13
 
 
@@ -165,11 +173,16 @@ def test_three_form_square_matches_brute_force():
     h = random_three_form(rng, 6)
     sq = three_form_square(h, L6)
     eta = L6.eta
+
+    def value(indices):  # h on any index triple, by antisymmetry
+        sign, key = sort_sign(indices)
+        return sign * h.comps[tuple_positions(6, 3)[key]] if sign else 0.0
+
     brute = np.zeros((6, 6))
     for u in range(6):
         for v in range(6):
             brute[u, v] = sum(
-                eta[k] * eta[l] * h.value((u, k, l)) * h.value((v, k, l))
+                eta[k] * eta[l] * value((u, k, l)) * value((v, k, l))
                 for k in range(6)
                 for l in range(6)
             )

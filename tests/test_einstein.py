@@ -260,11 +260,11 @@ def looped_scan(family, grid, epsilon, orientations=(1, -1), tol=1e-9, n_dirs=8)
 
 def test_batched_scan_matches_per_sample_loop(monkeypatch):
     import epscontact.einstein as einstein
-    from epscontact.liealg import FAMILY_PARAMS
+    from epscontact.liealg import FAMILIES
 
     grid = np.linspace(-2.0, 2.0, 5)  # holds +-1 and +-2, where the hits live
     total = 0
-    for family in FAMILY_PARAMS:
+    for family in FAMILIES:
         samples = len(list(einstein.family_samples(family, grid, 1e-9)))
         for epsilon in (-1, 0, 1):
             want = looped_scan(family, grid, epsilon)
@@ -437,8 +437,8 @@ def test_stacked_lstsq_bit_equal_to_public_lstsq(monkeypatch):
     for family, epsilon in BENCHMARK_SCANS:
         scan_family(family, default_grid(13), epsilon=epsilon)
     scan_rows = sum(len(a) for a, _, _ in systems)
-    for table_id in tables.TABLES:
-        for _, inst in tables.iter_instances(table_id):
+    for rows in tables.TABLES.values():
+        for inst in (i for row in rows for i in row.instances()):
             fit_eta_einstein(tables.build_instance(inst))
     assert scan_rows > 3000 and sum(len(a) for a, _, _ in systems) == scan_rows + 771
     for a, b, x in systems:

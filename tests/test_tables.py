@@ -19,7 +19,8 @@ def test_aliases_resolve():
 
 @pytest.mark.parametrize("table_id", ALL_TABLES)
 def test_every_row_passes(table_id):
-    for report in tables.verify_table(table_id):
+    for row in tables.table_rows(table_id):
+        report = tables.verify_table_row(table_id, row)
         assert report.passed
         assert report.instances
 
@@ -97,7 +98,7 @@ def test_row_report_checks_dict():
 def test_identity_suite_on_all_table_instances():
     worst = 0.0
     for table_id in ALL_TABLES:
-        for _, inst in tables.iter_instances(table_id):
+        for inst in (i for row in tables.table_rows(table_id) for i in row.instances()):
             cs = tables.build_instance(inst)
             res = contact_identity_residuals(cs)
             worst = max(worst, max(res.values()))
