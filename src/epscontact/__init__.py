@@ -4,7 +4,7 @@ structures on three-dimensional Lie groups.
 Core entry points:
 
 - liealg: structure constants, classification families, group lookup
-- exterior: forms, wedge, Hodge dual, invariant exterior derivative
+- exterior: forms as component vectors: wedge, Hodge dual, invariant exterior derivative
 - curvature: Koszul connection, Riemann/Ricci, closed-form oracle, torsion
 - contact: contact structures of any causal type and their invariants
 - einstein: eta-Einstein fits, table verification, parameter scans
@@ -14,12 +14,11 @@ Core entry points:
 """
 
 from .config import get_tol
-from .exterior import Form, FrameMetric
+from .exterior import FrameMetric
 from .liealg import FamilySpec, GroupName, StructureConstants
 
 __all__ = [
     "FamilySpec",
-    "Form",
     "FrameMetric",
     "GroupName",
     "StructureConstants",

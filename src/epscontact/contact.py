@@ -26,15 +26,12 @@ from .errors import (
     WrongCausalType,
 )
 from .exterior import (
-    Form,
     FrameMetric,
+    antisymmetric_array,
     d_components,
     hodge_components,
     interior_components,
-    mc_differential,
-    one_form,
     pairing_components,
-    sharp,
 )
 from .curvature import ConnectionCoeffs, CurvatureTensors, levi_civita, riemann_ricci
 from .liealg import (FamilySpec, StructureConstants, direct_sum, family_metric, make_family,
@@ -52,13 +49,14 @@ class ContactStructure:
 
     The data the structure determines (xi, phi, the Levi-Civita connection,
     its curvature, h and the adapted frame) is computed on first use by the
-    module's functions and kept in read-only arrays.
+    module's functions and kept in read-only arrays. alpha holds the frame
+    components of the one-form, read-only.
     """
 
     sc: StructureConstants
     m: FrameMetric
     orientation: int
-    alpha: Form
+    alpha: np.ndarray
     epsilon: int
     spec: Optional[FamilySpec] = None
 
@@ -69,7 +67,7 @@ class ContactStructure:
     @cached_property
     def xi(self) -> np.ndarray:
         """Reeb field: the metric dual of alpha."""
-        return _read_only(sharp(self.alpha, self.m))
+        return _read_only(self.m.eta * self.alpha)
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -114,7 +112,7 @@ class ContactStructure:
 
         data = {
             "orientation": self.orientation,
-            "alpha": [float(x) for x in self.alpha.comps],
+            "alpha": [float(x) for x in self.alpha],
             "epsilon": self.epsilon,
         }
         if self.spec is not None:
@@ -129,15 +127,15 @@ def build_contact(spec: FamilySpec, alpha, orientation: Optional[int] = None,
     alpha (frame components). orientation None tries +1, then -1, and
     raises the NotContact of -1."""
     tol = get_tol(tol)
-    sc, m, form = make_family(spec, tol=tol), family_metric(spec.family_id), one_form(alpha)
+    sc, m = make_family(spec, tol=tol), family_metric(spec.family_id)
     if orientation is None:
         # a NotContact kept in a local would form a cycle with its traceback
         # and hold the failed attempt's arrays until the next garbage collection
         try:
-            return check_contact(sc, m, 1, form, tol=tol, spec=spec)
+            return check_contact(sc, m, 1, alpha, tol=tol, spec=spec)
         except NotContact:
             orientation = -1
-    return check_contact(sc, m, orientation, form, tol=tol, spec=spec)
+    return check_contact(sc, m, orientation, alpha, tol=tol, spec=spec)
 
 
 # the conditions check_contact tests, in this order
@@ -206,41 +204,43 @@ def check_contact(
     sc: StructureConstants | np.ndarray,
     m: FrameMetric,
     orientation,
-    alpha: Form | np.ndarray,
+    alpha,
     tol: float | None = None,
     spec: Optional[FamilySpec] = None,
 ) -> ContactStructure | ContactRows:
-    """Verify alpha = *d alpha and |alpha|^2 in {-1, 0, +1}; returns the
-    structure with epsilon computed from the norm.
+    """Verify alpha = *d alpha and |alpha|^2 in {-1, 0, +1} for the one-form
+    with frame components alpha (3,); returns the structure with epsilon
+    computed from the norm.
 
     Raises NotContact naming the failed condition and its residual.
 
-    Stacked form: with alpha an array of one-form components (..., 3), sc an
-    array of bracket tables (..., 3, 3, 3) and orientation a sign or an
+    Stacked form: with sc an array of bracket tables (..., 3, 3, 3), alpha
+    an array of one-form components (..., 3) and orientation a sign or an
     array of signs, every row is checked at once and a ContactRows is
     returned instead; no structure is built and nothing is raised for a
     row that is not contact.
     """
     tol = get_tol(tol)
-    if not isinstance(alpha, Form):
+    if not isinstance(sc, StructureConstants):
         c, alpha = np.asarray(sc, dtype=float), np.asarray(alpha, dtype=float)
         if m.dim != 3 or c.shape[-3:] != (3, 3, 3) or alpha.shape[-1:] != (3,):
             raise ValueError("contact structures are three-dimensional here")
         return _contact_rows(c, m, orientation, alpha, tol)
     if sc.dim != 3 or m.dim != 3:
         raise ValueError("contact structures are three-dimensional here")
-    if alpha.degree != 1:
-        raise ValueError("alpha must be a one-form")
-    rows = _contact_rows(sc.c, m, orientation, alpha.comps, tol)
+    alpha = np.array(alpha, dtype=float)
+    if alpha.shape != (3,):
+        raise ValueError(f"alpha must be a one-form of 3 components, got shape {alpha.shape}")
+    rows = _contact_rows(sc.c, m, orientation, alpha, tol)
     if rows.fails.any():
         k = int(rows.fails.argmax())  # the first failed condition
         raise NotContact(CONTACT_CONDITIONS[k], float(rows.residuals[k]))
-    return ContactStructure(sc, m, int(orientation), alpha, int(rows.eps), spec)
+    return ContactStructure(sc, m, int(orientation), _read_only(alpha), int(rows.eps), spec)
 
 
 def characteristic_endo(cs: ContactStructure) -> np.ndarray:
     """phi(v) = -s_g (iota_v * alpha)^sharp as a frame matrix."""
-    star_alpha = hodge_components(cs.alpha.comps, cs.m.signs, 1, cs.orientation)
+    star_alpha = hodge_components(cs.alpha, cs.m.signs, 1, cs.orientation)
     rows = interior_components(np.eye(3), star_alpha, 2)  # row j: iota_{e_j} *alpha
     return np.ascontiguousarray((-cs.s_g * (cs.m.eta * rows)).T)
 
@@ -263,7 +263,7 @@ def h_tensor(cs: ContactStructure, tol: float | None = None):
     if cs.epsilon != 0:
         return h, None
     mu = cs.mu
-    model = mu * np.outer(cs.xi, cs.alpha.comps)
+    model = mu * np.outer(cs.xi, cs.alpha)
     res = float(np.max(np.abs(h - model)))
     if res > max(tol, 1e2 * tol * max(1.0, abs(mu))):
         raise DecompositionFailure(
@@ -281,7 +281,7 @@ def _ker_alpha_basis(cs: ContactStructure) -> np.ndarray:
     turn up, the restricted metric is diagonalized over an orthonormal basis
     of ker(alpha) instead.
     """
-    eta, alpha = cs.m.eta, cs.alpha.comps
+    eta, alpha = cs.m.eta, cs.alpha
     proj = np.eye(3) - np.outer(cs.xi, alpha) / cs.epsilon  # column i: e_i projected
     basis = []
     for v in proj[:, [1, 2, 0]].T:
@@ -313,7 +313,7 @@ def contact_frame(cs: ContactStructure):
     for eps = 0, u is the unique null vector with g(u, xi) = 1 lying in the
     span of the sign-flipped dual of alpha.
     """
-    xi, alpha, eps = cs.xi, cs.alpha.comps, cs.epsilon
+    xi, alpha, eps = cs.xi, cs.alpha, cs.epsilon
     if eps == 0:
         u = alpha / float(np.sum(alpha * alpha))  # componentwise dual: null iff alpha is
     else:
@@ -354,7 +354,7 @@ def _j_and_frame(cs: ContactStructure):
     if cs.epsilon != 0:
         raise WrongCausalType("J is defined for null structures")
     j, p = np.zeros((4, 4)), np.eye(4)
-    j[:3, :3], j[:3, 3], j[3, :3] = cs.phi, cs.xi, cs.alpha.comps
+    j[:3, :3], j[:3, 3], j[3, :3] = cs.phi, cs.xi, cs.alpha
     p[:3, :3] = np.column_stack(cs.frame)
     return j, p
 
@@ -401,13 +401,13 @@ def reeb_gradient(cs: ContactStructure) -> np.ndarray:
 def contact_identity_residuals(cs: ContactStructure) -> dict:
     """Residuals of the structural identities every contact structure obeys
     (plus the null-case extras when epsilon = 0); all should be ~0."""
-    sg, eps, alpha, xi, phi = cs.s_g, cs.epsilon, cs.alpha.comps, cs.xi, cs.phi
+    sg, eps, alpha, xi, phi = cs.s_g, cs.epsilon, cs.alpha, cs.xi, cs.phi
     g, eye, ad = np.diag(cs.m.eta), np.eye(3), cs.sc.ad(xi)
     h, mu = h_tensor(cs)
     tau = h @ phi
     dmat = np.einsum("j,jik->ki", xi, cs.connection.gamma)  # v -> nabla_xi v on the frame
     res = {
-        "g_phi_is_dalpha": g @ phi - mc_differential(cs.alpha, cs.sc).to_array(),
+        "g_phi_is_dalpha": g @ phi - antisymmetric_array(d_components(alpha, cs.sc.c, 1), 3, 2),
         "phi_xi": phi @ xi,
         "alpha_phi": alpha @ phi,
         "phi_squared": phi @ phi - sg * (-eps * eye + np.outer(xi, alpha)),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import get_tol
 from .errors import JacobiViolation
-from .exterior import Form, FrameMetric
+from .exterior import FrameMetric
 from .liealg import StructureConstants
 
 
@@ -127,17 +127,18 @@ def closed_form_ricci(p9, m: FrameMetric, tol: float | None = None) -> Curvature
     return CurvatureTensors(None, ric, float(scal))
 
 
-def torsionful_connection(conn: ConnectionCoeffs, h: Form, m: FrameMetric) -> ConnectionCoeffs:
-    """Metric connection with totally skew-symmetric torsion h:
+def torsionful_connection(conn: ConnectionCoeffs, h: np.ndarray,
+                          m: FrameMetric) -> ConnectionCoeffs:
+    """Metric connection with totally skew-symmetric torsion h, given as the
+    antisymmetric (n, n, n) array of a three-form:
     nabla^h_u v = nabla_u v + (1/2) g^{-1} h(u, v, .)."""
-    if h.degree != 3:
-        raise ValueError("torsion must be a three-form")
-    arr = h.to_array()
-    extra = 0.5 * arr * m.eta[None, None, :]
+    if h.shape != (m.dim,) * 3:
+        raise ValueError("torsion must be the (n, n, n) array of a three-form")
+    extra = 0.5 * h * m.eta[None, None, :]
     return ConnectionCoeffs(conn.gamma + extra)
 
 
-def three_form_square(h: Form, m: FrameMetric) -> np.ndarray:
-    """(h o h)(u,v) = sum_{k,l} eta_k eta_l h(u,e_k,e_l) h(v,e_k,e_l)."""
-    arr = h.to_array()
-    return np.einsum("ukl,vkl,k,l->uv", arr, arr, m.eta, m.eta)
+def three_form_square(h: np.ndarray, m: FrameMetric) -> np.ndarray:
+    """(h o h)(u,v) = sum_{k,l} eta_k eta_l h(u,e_k,e_l) h(v,e_k,e_l) for the
+    antisymmetric (n, n, n) array h of a three-form."""
+    return np.einsum("ukl,vkl,k,l->uv", h, h, m.eta, m.eta)

@@ -92,7 +92,7 @@ def fit_eta_einstein(
     """
     tol = get_tol(tol)
     lambda2, kappa, residual, admissible = _fit_rows(
-        cs.curvature.ricci[None], cs.alpha.comps[None], cs.m, cs.epsilon, tol)
+        cs.curvature.ricci[None], cs.alpha[None], cs.m, cs.epsilon, tol)
     fit = EtaEinsteinFit(lambda2.item(), kappa.item(), residual.item(), admissible.item())
     if require:
         if fit.residual > tol:
@@ -106,7 +106,7 @@ def reeb_curvature_residual(cs: ContactStructure, fit: EtaEinsteinFit) -> float:
     """Residual of R(v1,v2)xi = K (alpha(v2) v1 - alpha(v1) v2) with
     K = s_g (lambda^2 - eps kappa)/4; holds on every eta-Einstein structure."""
     xi = cs.xi
-    alpha = cs.alpha.comps
+    alpha = cs.alpha
     kconst = cs.s_g * (fit.lambda2 - cs.epsilon * fit.kappa) / 4.0
     lhs = np.einsum("ijkm,k->ijm", cs.curvature.riemann, xi)
     eye = np.eye(3)
@@ -365,7 +365,7 @@ def scan_family(
     one nullspace rank at a time, and go through one stacked check_contact;
     the Ricci tensor of each sample left with a candidate of the wanted
     epsilon is computed once, and the fits of all those candidates are
-    solved in one least-squares call. No ContactStructure or Form is built.
+    solved in one least-squares call. No ContactStructure is built.
     """
     tol = get_tol(tol)
     if grid is None:

@@ -13,14 +13,6 @@ class JacobiViolation(EpsContactError):
     """Bracket coefficients do not satisfy the Jacobi identity."""
 
 
-class DegreeOverflow(EpsContactError):
-    """Wedge product degree exceeds the frame dimension."""
-
-
-class DegreeMismatch(EpsContactError):
-    """Operation requires forms of equal degree."""
-
-
 class NotContact(EpsContactError):
     """The contact condition fails; carries the failed condition and residual."""
 

@@ -1,8 +1,9 @@
 """Exterior algebra on a fixed frame with signature-aware Hodge duality.
 
-Forms are stored over strictly increasing frame index tuples (lexicographic
-order). The exterior derivative of a left-invariant form keeps only the
-bracket terms:
+A left-invariant degree-k form on an n-dimensional frame is its component
+vector: a float array of length C(n, k) over the strictly increasing index
+tuples in lexicographic order. Its degree is passed explicitly to every
+operator. The exterior derivative keeps only the bracket terms:
 
     (d w)(X_0, ..., X_p) = sum_{i<j} (-1)^{i+j} w([X_i, X_j], ..., ^X_i, ..., ^X_j, ...)
 
@@ -10,25 +11,23 @@ with no 1/(p+1) normalization factor. The Hodge dual is fixed by
 eta ^ *w = <eta, w> nu on sorted tuples, with <e^I, e^I> = prod_{i in I} eta_i
 and nu = o * e^0 ^ ... ^ e^{n-1} for the orientation sign o.
 
-Hodge, d, wedge and the interior product run from index tables built on
-first use, once per dimension and degree (and metric signs, for Hodge). Each output component is summed term by term in
-the order of the per-tuple definition, starting from +0.0, with the terms
-the definition skips held at zero: the results, signed zeros included, are
-those of the plain loops over index tuples. The component functions act on
-stacked arrays, with leading axes as batch axes.
+Hodge, d, wedge, the interior product, the full antisymmetric array and the
+3D -> 6D embedding run from index tables built on first use, once per
+dimension and degree (and metric signs, for Hodge). Each output component is
+summed term by term in the order of the per-tuple definition, starting from
++0.0, with the terms the definition skips held at zero: the results, signed
+zeros included, are those of the plain loops over index tuples. Every
+operator acts on stacked arrays, with leading axes as batch axes.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import DegreeMismatch, DegreeOverflow
 
 
 @dataclass(frozen=True)
@@ -192,6 +191,28 @@ def _interior_table(n: int, k: int):
     return table[..., 0], table[..., 1].astype(float), table[..., 2] == 1
 
 
+@lru_cache(maxsize=None)
+def _antisymmetric_table(n: int, k: int):
+    """(pos, sign, live), each of shape (n ** k,): entry i_1..i_k of the full
+    array is sign * w[pos]; live is False, and the entry +0.0, where an index
+    repeats."""
+    wpos = tuple_positions(n, k)
+    rows = []
+    for idx in itertools.product(range(n), repeat=k):
+        sign, key = sort_sign(idx)
+        rows.append((wpos[key] if sign else 0, sign or 1, sign != 0))
+    table = np.array(rows, dtype=np.intp).reshape(n ** k, 3)
+    return table[:, 0], table[:, 1].astype(float), table[:, 2] == 1
+
+
+@lru_cache(maxsize=None)
+def _embed_table(k: int, offset: int) -> np.ndarray:
+    """Positions among the 6D k-tuples of the 3D k-tuples shifted by offset."""
+    pos = tuple_positions(6, k)
+    return np.array([pos[tuple(i + offset for i in t)] for t in index_tuples(3, k)],
+                    dtype=np.intp)
+
+
 def hodge_components(comps: np.ndarray, signs: tuple, degree: int, orientation) -> np.ndarray:
     """Hodge dual of stacked degree-k component vectors (..., C(n, k)); the
     orientation is one sign or an array of signs over the batch axes."""
@@ -225,112 +246,31 @@ def interior_components(v: np.ndarray, comps: np.ndarray, degree: int) -> np.nda
     return _ordered_sum(v * w)
 
 
-@dataclass(frozen=True)
-class Form:
-    """Degree-k alternating form with constant (left-invariant) coefficients."""
-
-    degree: int
-    dim: int
-    comps: np.ndarray
-
-    def __post_init__(self):
-        # degree dim+1 is the zero space (no components); needed so that the
-        # differential of a top-degree form has a representation
-        if not 0 <= self.degree <= self.dim + 1:
-            raise ValueError("degree out of range")
-        comps = np.asarray(self.comps, dtype=float).copy()
-        if comps.shape != (math.comb(self.dim, self.degree),):
-            raise ValueError("component vector has wrong length")
-        comps.flags.writeable = False
-        object.__setattr__(self, "comps", comps)
-
-    @classmethod
-    def from_components(cls, degree: int, dim: int, entries) -> "Form":
-        """Build from {index-tuple: value} entries (tuples need not be sorted)."""
-        comps = np.zeros(math.comb(dim, degree))
-        pos = tuple_positions(dim, degree)
-        for idx, val in dict(entries).items():
-            sign, key = sort_sign(tuple(idx))
-            if sign == 0:
-                continue
-            comps[pos[key]] += sign * val
-        return cls(degree, dim, comps)
-
-    def to_array(self) -> np.ndarray:
-        """Fully antisymmetric coefficient array of shape (dim,) * degree."""
-        arr = np.zeros((self.dim,) * self.degree)
-        for t, val in zip(index_tuples(self.dim, self.degree), self.comps):
-            if val == 0.0:
-                continue
-            for perm in itertools.permutations(t):
-                sign, _ = sort_sign(perm)
-                arr[perm] = sign * val
-        return arr
-
-    def __add__(self, other: "Form") -> "Form":
-        if (self.degree, self.dim) != (other.degree, other.dim):
-            raise DegreeMismatch("cannot add forms of different degree or dimension")
-        return Form(self.degree, self.dim, self.comps + other.comps)
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar: float) -> "Form":
-        return Form(self.degree, self.dim, float(scalar) * self.comps)
-
-    def __neg__(self) -> "Form":
-        return (-1.0) * self
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.comps))) if self.comps.size else 0.0
-
-    def to_json(self) -> str:
-        entries = {
-            ",".join(map(str, t)): float(v)
-            for t, v in zip(index_tuples(self.dim, self.degree), self.comps)
-            if v != 0.0
-        }
-        return json.dumps(
-            {"degree": self.degree, "dim": self.dim, "comps": entries}, sort_keys=True
-        )
-
-
-def one_form(coeffs) -> Form:
-    coeffs = np.asarray(coeffs, dtype=float)
-    return Form(1, coeffs.size, coeffs)
-
-
-def wedge(a: Form, b: Form) -> Form:
-    """Exterior product; concatenated index tuples with permutation sign."""
-    if a.dim != b.dim:
-        raise DegreeMismatch("forms live on frames of different dimension")
-    k = a.degree + b.degree
-    if k > a.dim:
-        raise DegreeOverflow(f"degree {k} exceeds dimension {a.dim}")
-    ia, ib, sign = _wedge_table(a.dim, a.degree, b.degree)
-    va, vb = a.comps[ia], b.comps[ib]
+def wedge_components(a: np.ndarray, b: np.ndarray, n: int, ka: int, kb: int) -> np.ndarray:
+    """Exterior product of stacked degree-ka and degree-kb component vectors
+    on an n-dimensional frame: concatenated index tuples with permutation
+    sign, skipping the terms with a zero factor."""
+    ia, ib, sign = _wedge_table(n, ka, kb)
+    va, vb = a[..., ia], b[..., ib]
     live = (va != 0.0) & (vb != 0.0)
-    return Form(k, a.dim, _ordered_sum(sign * np.where(live, va, 0.0) * np.where(live, vb, 0.0)))
+    return _ordered_sum(sign * np.where(live, va, 0.0) * np.where(live, vb, 0.0))
 
 
-def volume_form(m: FrameMetric, orientation: int) -> Form:
-    o = _check_orientation(orientation)
-    return Form(m.dim, m.dim, np.array([float(o)]))
+def antisymmetric_array(comps: np.ndarray, n: int, degree: int) -> np.ndarray:
+    """Fully antisymmetric coefficient arrays (..., n, ..., n) of stacked
+    degree-k component vectors; zero components give +0.0 entries."""
+    pos, sign, live = _antisymmetric_table(n, degree)
+    w = comps[..., pos]
+    out = np.where(live & (w != 0.0), sign * w, 0.0)
+    return out.reshape(comps.shape[:-1] + (n,) * degree)
 
 
-def hodge(w: Form, m: FrameMetric, orientation: int) -> Form:
-    """Hodge dual: *e^I = o * (prod_{i in I} eta_i) * sign(I, I^c) * e^{I^c}."""
-    if w.dim != m.dim:
-        raise DegreeMismatch("form and metric dimension differ")
-    return Form(w.dim - w.degree, w.dim, hodge_components(w.comps, m.signs, w.degree, orientation))
-
-
-def mc_differential(w: Form, sc) -> Form:
-    """Exterior derivative of a left-invariant form via the bracket terms."""
-    n, k = w.dim, w.degree
-    if sc.dim != n:
-        raise DegreeMismatch("form and bracket table dimension differ")
-    return Form(k + 1, n, d_components(w.comps, sc.c, k))
+def embed_components(comps: np.ndarray, degree: int, offset: int) -> np.ndarray:
+    """Lift stacked degree-k components of a 3D factor into the 6D frame at
+    index offset 0 or 3; zero components give +0.0."""
+    out = np.zeros(comps.shape[:-1] + (math.comb(6, degree),))
+    out[..., _embed_table(degree, offset)] += comps
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -349,18 +289,3 @@ def pairing_components(a: np.ndarray, b: np.ndarray, signs: tuple, degree: int) 
         live = (a != 0.0) & (b != 0.0)
         a, b = np.where(live, a, 0.0), np.where(live, b, 0.0)
     return _ordered_sum(_pairing_signs(tuple(signs), degree) * a * b)
-
-
-def pairing_full(a: Form, b: Form, m: FrameMetric) -> float:
-    """All-tuples contraction a_{i1..ik} b^{i1..ik}: k! times the sorted-tuple
-    pairing sum_I a_I b_I prod_{i in I} eta_i."""
-    if a.degree != b.degree or a.dim != b.dim:
-        raise DegreeMismatch("pairing requires forms of equal degree and dimension")
-    return math.factorial(a.degree) * float(pairing_components(a.comps, b.comps, m.signs, a.degree))
-
-
-def sharp(alpha: Form, m: FrameMetric) -> np.ndarray:
-    """Vector frame components of a one-form: v^i = eta_i alpha_i."""
-    if alpha.degree != 1:
-        raise DegreeMismatch("sharp acts on one-forms")
-    return m.eta * alpha.comps

@@ -37,30 +37,23 @@ from .curvature import (
 from .einstein import fit_eta_einstein
 from .errors import EpsContactError, IncompatibleFactors
 from .exterior import (
-    Form,
     FrameMetric,
-    hodge,
+    antisymmetric_array,
+    d_components,
+    embed_components,
+    hodge_components,
     index_tuples,
-    mc_differential,
-    pairing_full,
-    volume_form,
-    wedge,
+    pairing_components,
+    wedge_components,
 )
 from .liealg import StructureConstants, direct_sum
 from .tables import table_row
 
 
-def embed_form(form: Form, dim: int, offset: int) -> Form:
-    """Lift a form on a 3D factor into the 6D frame at the given index offset."""
-    entries = {}
-    for t, val in zip(index_tuples(form.dim, form.degree), form.comps):
-        if val != 0.0:
-            entries[tuple(i + offset for i in t)] = float(val)
-    return Form.from_components(form.degree, dim, entries)
-
-
 @dataclass(frozen=True)
 class ProductSolution:
+    """The 6D product data; h_form holds the C(6, 3) components of H."""
+
     n_struct: ContactStructure
     x_struct: ContactStructure
     lam: float
@@ -68,7 +61,14 @@ class ProductSolution:
     sc6: StructureConstants
     m6: FrameMetric
     orientation6: int
-    h_form: Form
+    h_form: np.ndarray
+
+    @cached_property
+    def h_array(self) -> np.ndarray:
+        """The antisymmetric (6, 6, 6) array of H."""
+        arr = antisymmetric_array(self.h_form, 6, 3)
+        arr.flags.writeable = False
+        return arr
 
     @cached_property
     def connection(self) -> ConnectionCoeffs:
@@ -78,7 +78,7 @@ class ProductSolution:
     @cached_property
     def torsion_connection(self) -> ConnectionCoeffs:
         """Metric connection with torsion H."""
-        return torsionful_connection(self.connection, self.h_form, self.m6)
+        return torsionful_connection(self.connection, self.h_array, self.m6)
 
     @cached_property
     def torsion_ricci(self) -> np.ndarray:
@@ -95,7 +95,9 @@ class ProductSolution:
             "l": self.l,
             "n": json.loads(self.n_struct.to_json()),
             "x": json.loads(self.x_struct.to_json()),
-            "H": json.loads(self.h_form.to_json()),
+            "H": {"degree": 3, "dim": 6, "comps": {
+                ",".join(map(str, t)): float(v)
+                for t, v in zip(index_tuples(6, 3), self.h_form) if v != 0.0}},
         }
         return json.dumps(data, sort_keys=True)
 
@@ -117,22 +119,18 @@ class SugraResiduals:
 
 
 def torsion_form(n_struct: ContactStructure, x_struct: ContactStructure,
-                 lam: float, l: float) -> Form:
-    """Assemble H on the 6D frame from the factor data."""
-    nu_n = embed_form(volume_form(n_struct.m, n_struct.orientation), 6, 0)
-    nu_x = embed_form(volume_form(x_struct.m, x_struct.orientation), 6, 3)
-    alpha_n = embed_form(n_struct.alpha, 6, 0)
-    alpha_x = embed_form(x_struct.alpha, 6, 3)
-    star_alpha_n = embed_form(
-        hodge(n_struct.alpha, n_struct.m, n_struct.orientation), 6, 0
-    )
-    star_alpha_x = embed_form(
-        hodge(x_struct.alpha, x_struct.m, x_struct.orientation), 6, 3
-    )
+                 lam: float, l: float) -> np.ndarray:
+    """The C(6, 3) components of H on the 6D frame from the factor data."""
+    n, x = n_struct, x_struct
+    nu_n = embed_components(np.array([float(n.orientation)]), 3, 0)
+    nu_x = embed_components(np.array([float(x.orientation)]), 3, 3)
+    alpha_n, alpha_x = embed_components(n.alpha, 1, 0), embed_components(x.alpha, 1, 3)
+    star_alpha_n = embed_components(hodge_components(n.alpha, n.m.signs, 1, n.orientation), 2, 0)
+    star_alpha_x = embed_components(hodge_components(x.alpha, x.m.signs, 1, x.orientation), 2, 3)
     return (
         lam * nu_n
-        + l * wedge(star_alpha_n, alpha_x)
-        + l * wedge(alpha_n, star_alpha_x)
+        + l * wedge_components(star_alpha_n, alpha_x, 6, 2, 1)
+        + l * wedge_components(alpha_n, star_alpha_x, 6, 1, 2)
         + lam * nu_x
     )
 
@@ -180,20 +178,22 @@ def build_solution(
     m6 = FrameMetric(n_struct.m.signs + x_struct.m.signs)
     orientation6 = n_struct.orientation * x_struct.orientation
     h_form = torsion_form(n_struct, x_struct, lam, l)
+    h_form.flags.writeable = False
     return ProductSolution(n_struct, x_struct, lam, l, sc6, m6, orientation6, h_form)
 
 
 def verify_supergravity(sol: ProductSolution) -> SugraResiduals:
     """Evaluate the four field equations on the product data."""
-    d_h = mc_differential(sol.h_form, sol.sc6)
-    star_h = hodge(sol.h_form, sol.m6, sol.orientation6)
-    d_star_h = mc_differential(star_h, sol.sc6)
-    norm_h = pairing_full(sol.h_form, sol.h_form, sol.m6)
+    h, c, signs = sol.h_form, sol.sc6.c, sol.m6.signs
+    d_h = d_components(h, c, 3)
+    d_star_h = d_components(hodge_components(h, signs, 3, sol.orientation6), c, 3)
+    # the all-tuples contraction H_{ijk} H^{ijk}: 3! times the sorted-tuple pairing
+    norm_h = math.factorial(3) * float(pairing_components(h, h, signs, 3))
     return SugraResiduals(
         ricci_h=float(np.max(np.abs(sol.torsion_ricci))),
-        d_h=d_h.max_abs(),
-        d_star_h=d_star_h.max_abs(),
-        norm_h=float(norm_h),
+        d_h=float(np.max(np.abs(d_h))),
+        d_star_h=float(np.max(np.abs(d_star_h))),
+        norm_h=norm_h,
     )
 
 
@@ -201,7 +201,7 @@ def ricci_torsion_identity_residual(sol: ProductSolution) -> float:
     """Residual of Ric(nabla^H) = Ric^g - (1/4) H o H, valid whenever H is
     closed and co-closed."""
     ric_g = riemann_ricci(sol.connection, sol.sc6, sol.m6).ricci
-    square = three_form_square(sol.h_form, sol.m6)
+    square = three_form_square(sol.h_array, sol.m6)
     return float(np.max(np.abs(sol.torsion_ricci - (ric_g - 0.25 * square))))
 
 

@@ -419,8 +419,11 @@ def verify_instance(inst: RowInstance, tol: float | None = None) -> InstanceRepo
 
 
 def verify_table_row(table_id: str, row: TableRow, tol: float | None = None) -> TableRowReport:
-    """Verify every instance of a table row."""
-    report = TableRowReport(table=resolve_table(table_id), row_id=row.row_id, passed=True)
+    """Verify every instance of a table row; table_id (or its alias) must name
+    the row's own table."""
+    if resolve_table(table_id) != row.table:
+        raise ValueError(f"row {row.row_id!r} belongs to table {row.table!r}, not {table_id!r}")
+    report = TableRowReport(table=row.table, row_id=row.row_id, passed=True)
     for inst in row.instances():
         inst_report = verify_instance(inst, tol=tol)
         report.instances.append(inst_report)

@@ -113,7 +113,7 @@ def fit_one(cs, tol: float) -> EtaEinsteinFit:
     np.linalg.lstsq over the six independent Ricci components, then the
     full-tensor residual and the admissibility signs."""
     m, eps = cs.m, cs.epsilon
-    ric, alpha = cs.curvature.ricci, cs.alpha.comps
+    ric, alpha = cs.curvature.ricci, cs.alpha
     iu = np.triu_indices(3)
     half_g = 0.5 * m.s_g * np.diag(m.eta)
     aa = np.outer(alpha, alpha)

@@ -27,7 +27,7 @@ from epscontact.contact import (
 from epscontact.curvature import levi_civita, riemann_ricci, torsionful_connection
 from epscontact.einstein import default_grid, fit_eta_einstein, reeb_curvature_residual, scan_family
 from epscontact.errors import NotContact
-from epscontact.exterior import FrameMetric, one_form
+from epscontact.exterior import FrameMetric, antisymmetric_array
 from epscontact.liealg import FamilySpec, make_family
 from epscontact.oracle import run_oracle
 from epscontact.product6d import (
@@ -86,7 +86,7 @@ def test_criterion_2_tables():
     # spot anchors
     def fit_of(family, params, alpha):
         spec = FamilySpec(family, params)
-        cs = check_contact(make_family(spec), FrameMetric.lorentzian(3), 1, one_form(alpha))
+        cs = check_contact(make_family(spec), FrameMetric.lorentzian(3), 1, alpha)
         return fit_eta_einstein(cs)
 
     f1 = fit_of("g3", {"a": 1, "b": 1, "c": 1}, [1, 0, 0])
@@ -148,7 +148,7 @@ def test_criterion_4_identity_suite():
             basis = nullspace_basis(sc, m, orientation, 1e-9)
             for cand in quadric_candidates(basis, m, 0, 4):
                 try:
-                    structures.append(check_contact(sc, m, orientation, one_form(cand)))
+                    structures.append(check_contact(sc, m, orientation, cand))
                 except NotContact:
                     continue
     for cs in structures:
@@ -168,7 +168,7 @@ def test_criterion_5_sasakian_vs_k_contact():
     # the Sasakian-but-not-K-contact family instance: a = 1, b = s = 1, alpha0 = 2
     a, alpha0 = 1.0, 2.0
     g1 = make_family(FamilySpec("g1", {"a": a, "b": 1.0}))
-    cs = check_contact(g1, FrameMetric.lorentzian(3), 1, one_form([alpha0, 0.0, -alpha0]))
+    cs = check_contact(g1, FrameMetric.lorentzian(3), 1, [alpha0, 0.0, -alpha0])
     sas = is_sasakian(cs)
     kcon, _ = is_k_contact(cs)
     witness = k_contact_null_witness(cs)
@@ -216,7 +216,7 @@ def test_criterion_6_supergravity():
     h_bad = torsion_form(sol.n_struct, sol.x_struct, sol.lam + 0.1, sol.l)
     conn = levi_civita(sol.sc6, sol.m6)
     ric_bad = riemann_ricci(
-        torsionful_connection(conn, h_bad, sol.m6), sol.sc6, sol.m6
+        torsionful_connection(conn, antisymmetric_array(h_bad, 6, 3), sol.m6), sol.sc6, sol.m6
     ).ricci
     detector = float(np.max(np.abs(ric_bad)))
 

@@ -399,3 +399,20 @@ def test_solution_config_wrong_shape_exit_2(tmp_path, capsys, case):
     config_file.write_text(json.dumps(config))
     assert "solution config" in assert_usage_error(
         capsys, ["solution", "--config", str(config_file)])
+
+
+@pytest.mark.parametrize("alpha", [[], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+def test_solution_config_alpha_length_exit_2(tmp_path, capsys, alpha):
+    # an alpha of the wrong length is a config error naming alpha, not a crash
+    config = {
+        "n": {"family": "g4", "params": {"a": 1.0, "b": 0.0, "mu": -1.0},
+              "orientation": 1, "alpha": alpha},
+        "x": {"family": "riemannian_unimodular",
+              "params": {"mu1": 1.0, "mu2": 1.0, "mu3": 1.0},
+              "orientation": -1, "alpha": [1.0, 0.0, 0.0]},
+        "lambda": 1.0,
+        "l": 1.0,
+    }
+    config_file = tmp_path / "alpha.json"
+    config_file.write_text(json.dumps(config))
+    assert "alpha" in assert_usage_error(capsys, ["solution", "--config", str(config_file)])

@@ -23,7 +23,7 @@ from epscontact.contact import (
 )
 from epscontact.einstein import fit_eta_einstein
 from epscontact.errors import NotContact, WrongCausalType
-from epscontact.exterior import FrameMetric, one_form, sharp
+from epscontact.exterior import FrameMetric
 from epscontact.liealg import FamilySpec, family_metric, make_family, zero_algebra
 
 L3 = FrameMetric.lorentzian(3)
@@ -35,7 +35,7 @@ def g3(a, b, c):
 
 
 def make_cs(sc, alpha, orientation=1, m=L3):
-    return check_contact(sc, m, orientation, one_form(alpha))
+    return check_contact(sc, m, orientation, alpha)
 
 
 def test_check_contact_epsilons():
@@ -97,7 +97,7 @@ def test_stacked_check_contact_agrees_with_single_calls():
         assert failed.shape == (len(rows),)
         for k, (sc, o, alpha) in enumerate(rows):
             try:
-                cs = check_contact(sc, m, o, one_form(alpha))
+                cs = check_contact(sc, m, o, alpha)
             except NotContact as exc:
                 j = failed[k]
                 assert j >= 0 and not stacked.ok[k], (m, o, alpha)
@@ -146,7 +146,7 @@ def test_identity_suite_all_causal_types():
         make_cs(g3(2, 1, 1), [1, 0, 1]),          # null, non-Sasakian
         check_contact(
             make_family(FamilySpec("riemannian_unimodular", {"mu1": 1, "mu2": 1, "mu3": 1})),
-            R3, -1, one_form([1, 0, 0]),
+            R3, -1, [1, 0, 0],
         ),
     ]
     for cs in cases:
@@ -163,7 +163,7 @@ def test_h_tensor_decomposition_and_mu():
     cs2 = make_cs(g3(2, 1, 1), [1, 0, 1])
     h2, mu2 = h_tensor(cs2)
     assert abs(mu2 - 1.0) < 1e-12  # h = xi (x) alpha
-    assert np.allclose(h2, np.outer(cs2.xi, cs2.alpha.comps))
+    assert np.allclose(h2, np.outer(cs2.xi, cs2.alpha))
     cs3 = make_cs(g3(1, 1, 1), [1, 0, 0])
     h3, mu3 = h_tensor(cs3)
     assert np.max(np.abs(h3)) < 1e-14 and mu3 is None
@@ -205,7 +205,7 @@ def test_sasakian_and_k_contact_flags():
     assert k
 
     g1 = make_family(FamilySpec("g1", {"a": 1.0, "b": 1.0}))
-    cs1 = check_contact(g1, L3, 1, one_form([2.0, 0.0, -2.0]))
+    cs1 = check_contact(g1, L3, 1, [2.0, 0.0, -2.0])
     assert cs1.epsilon == 0
     assert is_sasakian(cs1)
     k1, witness = is_k_contact(cs1)
@@ -216,7 +216,7 @@ def test_sasakian_and_k_contact_flags():
 
 def test_su2_sasakian_riemannian():
     spec = FamilySpec("riemannian_unimodular", {"mu1": 1, "mu2": 1, "mu3": 1})
-    cs = check_contact(make_family(spec), R3, -1, one_form([1, 0, 0]))
+    cs = check_contact(make_family(spec), R3, -1, [1, 0, 0])
     assert cs.epsilon == 1
     assert is_sasakian(cs)
     assert is_k_contact(cs)[0]
@@ -228,7 +228,7 @@ def test_nijenhuis_sasakian_vs_not():
     assert nj < 1e-12 and involutive
     # non-Sasakian null instance: g2 with b != s/2
     g2 = make_family(FamilySpec("g2", {"a": 0.0, "b": 2.0, "c": 1.0}))
-    cs2 = check_contact(g2, L3, 1, one_form([1.0, 0.0, 1.0]))
+    cs2 = check_contact(g2, L3, 1, [1.0, 0.0, 1.0])
     assert cs2.epsilon == 0 and not is_sasakian(cs2)
     nj2, involutive2 = nijenhuis_J(cs2)
     assert nj2 > 1e-3 and involutive2
@@ -255,7 +255,7 @@ def test_l_endo():
     assert np.max(np.abs(lmat @ cs.xi)) < 1e-14
     # eta-Einstein instance: l = K (eps Id - xi (x) alpha), K = s_g(lambda^2 - eps kappa)/4
     kconst = -1.0 * (1.0 - 0.0 * (-1)) / 4.0
-    model = kconst * (-1 * np.eye(3) - np.outer(cs.xi, cs.alpha.comps))
+    model = kconst * (-1 * np.eye(3) - np.outer(cs.xi, cs.alpha))
     assert np.allclose(lmat, model)
     assert np.allclose(lmat, np.diag([0.0, 0.25, 0.25]))
 
@@ -303,7 +303,7 @@ def test_h_decomposition_guard_on_invalid_structure():
     from epscontact.errors import DecompositionFailure
 
     g1 = make_family(FamilySpec("g1", {"a": 1.0, "b": 0.3}))  # needs b = s for contact
-    fake = ContactStructure(g1, L3, 1, one_form([1.0, 0.6, -0.8]), 0)
+    fake = ContactStructure(g1, L3, 1, np.array([1.0, 0.6, -0.8]), 0)
     with pytest.raises(DecompositionFailure):
         h_tensor(fake)
 
@@ -317,10 +317,10 @@ def test_sasakian_iff_ricci_reeb_on_unit_norm():
         (make_cs(g3(0.25, 0.75, 1.0), [1, 0, 0]), False),
         (check_contact(
             make_family(FamilySpec("riemannian_unimodular", {"mu1": 1, "mu2": 0.4, "mu3": 0.6})),
-            R3, -1, one_form([1, 0, 0])), False),
+            R3, -1, [1, 0, 0]), False),
         (check_contact(
             make_family(FamilySpec("riemannian_unimodular", {"mu1": 1, "mu2": 0.5, "mu3": 0.5})),
-            R3, -1, one_form([1, 0, 0])), True),
+            R3, -1, [1, 0, 0]), True),
     ]
     for cs, expect_sas in cases:
         assert cs.epsilon * cs.s_g == 1
@@ -393,7 +393,7 @@ CAUSAL_CASES = {
 def causal_case(name):
     (family, params), alpha, orientation = CAUSAL_CASES[name]
     sc = make_family(FamilySpec(family, params))
-    return check_contact(sc, family_metric(family), orientation, one_form(alpha))
+    return check_contact(sc, family_metric(family), orientation, alpha)
 
 
 def bit_equal(a, b):
@@ -407,7 +407,7 @@ def test_cached_data_equals_free_functions(case):
     fresh = causal_case(case)  # nothing computed on it yet
     conn = curvature.levi_civita(fresh.sc, fresh.m)
     curv = curvature.riemann_ricci(conn, fresh.sc, fresh.m)
-    xi = sharp(fresh.alpha, fresh.m)
+    xi = fresh.m.eta * fresh.alpha
     phi = characteristic_endo(fresh)
     h = np.column_stack([
         fresh.sc.bracket(xi, phi @ e) - phi @ fresh.sc.bracket(xi, e) for e in np.eye(3)
@@ -492,7 +492,7 @@ def loop_lie_metric(cs, v):
 def loop_lie_alpha(cs):
     """(L_xi alpha)(e_i) = -alpha([xi, e_i])."""
     return np.array(
-        [-float(np.dot(cs.alpha.comps, loop_bracket(cs.sc, cs.xi, np.eye(3)[i])))
+        [-float(np.dot(cs.alpha, loop_bracket(cs.sc, cs.xi, np.eye(3)[i])))
          for i in range(3)]
     )
 
@@ -502,7 +502,7 @@ def loop_j_action(cs, v4):
     v, c = v4[:3], v4[3]
     out = np.zeros(4)
     out[:3] = cs.phi @ v + c * cs.xi
-    out[3] = float(np.dot(cs.alpha.comps, v))
+    out[3] = float(np.dot(cs.alpha, v))
     return out
 
 

@@ -10,7 +10,7 @@ from epscontact.einstein import (
     scan_family,
 )
 from epscontact.errors import Inadmissible, NotEtaEinstein
-from epscontact.exterior import FrameMetric, one_form
+from epscontact.exterior import FrameMetric
 from epscontact.liealg import FamilySpec, make_family
 from scan_oracle import fit_one, nullspace_basis, quadric_candidates
 
@@ -19,7 +19,7 @@ L3 = FrameMetric.lorentzian(3)
 
 def fit_for(family, params, alpha, orientation=1, m=L3):
     spec = FamilySpec(family, params)
-    cs = check_contact(make_family(spec), m, orientation, one_form(alpha), spec=spec)
+    cs = check_contact(make_family(spec), m, orientation, alpha, spec=spec)
     return cs, fit_eta_einstein(cs)
 
 
@@ -45,7 +45,7 @@ def test_fit_anchor_values():
 
 def test_fit_require_raises():
     spec = FamilySpec("g1", {"a": 1.0, "b": 1.0})
-    cs = check_contact(make_family(spec), L3, 1, one_form([1.0, 0.0, -1.0]), spec=spec)
+    cs = check_contact(make_family(spec), L3, 1, [1.0, 0.0, -1.0], spec=spec)
     fit = fit_eta_einstein(cs)
     assert not fit.admissible and fit.residual > 1e-3
     with pytest.raises(NotEtaEinstein):
@@ -60,7 +60,7 @@ def test_fit_inadmissible_lorentzian_negative_kappa():
     for orientation in (1, -1):
         for alpha in ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]):
             try:
-                hit = check_contact(sc, L3, orientation, one_form(alpha))
+                hit = check_contact(sc, L3, orientation, alpha)
                 break
             except Exception:
                 continue
@@ -145,7 +145,7 @@ def test_scan_g5_finds_contact_but_inadmissible():
             basis = nullspace_basis(sc, L3, orientation, 1e-9)
             for cand in quadric_candidates(basis, L3, 1, 8):
                 try:
-                    cs = check_contact(sc, L3, orientation, one_form(cand), tol=1e-7)
+                    cs = check_contact(sc, L3, orientation, cand, tol=1e-7)
                 except NotContact:
                     continue
                 if cs.epsilon == 1:
@@ -172,7 +172,7 @@ def test_scan_g1_null_contact_exists_but_no_eta_hits():
             basis = nullspace_basis(sc, L3, orientation, 1e-9)
             for cand in quadric_candidates(basis, L3, 0, 8):
                 try:
-                    cs = check_contact(sc, L3, orientation, one_form(cand), tol=1e-7)
+                    cs = check_contact(sc, L3, orientation, cand, tol=1e-7)
                 except NotContact:
                     continue
                 if cs.epsilon == 0:
@@ -202,7 +202,7 @@ def test_riemannian_scan_hits_match_classification_branches():
         spec = FamilySpec("riemannian_unimodular", h.params)
         cs = check_contact(
             make_family(spec), FrameMetric.riemannian(3), h.orientation,
-            one_form(h.alpha), spec=spec,
+            h.alpha, spec=spec,
         )
         if is_sasakian(cs):
             assert abs(h.fit.lambda2 - (1.0 + h.fit.kappa)) < 1e-9
@@ -245,7 +245,7 @@ def looped_scan(family, grid, epsilon, orientations=(1, -1), tol=1e-9, n_dirs=8)
             basis = nullspace_basis(sc, m, orientation, tol)
             for alpha_c in quadric_candidates(basis, m, epsilon, n_dirs):
                 try:
-                    cs = check_contact(sc, m, orientation, one_form(alpha_c), tol=1e-7,
+                    cs = check_contact(sc, m, orientation, alpha_c, tol=1e-7,
                                        spec=spec)
                 except NotContact:
                     continue
@@ -327,15 +327,13 @@ def test_family_samples_stream_a_huge_grid():
     assert first[1]["a"] == first[1]["b"] == -3.0 < first[1]["c"]
 
 
-def test_scan_builds_no_structures_or_forms(monkeypatch):
+def test_scan_builds_no_structures(monkeypatch):
     from epscontact.contact import ContactStructure
-    from epscontact.exterior import Form
 
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"scan_family built a {type(self).__name__}")
 
     monkeypatch.setattr(ContactStructure, "__init__", refuse)
-    monkeypatch.setattr(Form, "__post_init__", refuse)
     assert scan_family("g3", default_grid(13), epsilon=0)
 
 

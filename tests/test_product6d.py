@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,15 @@ from epscontact import tables
 from epscontact.contact import build_contact, check_contact
 from epscontact.curvature import levi_civita, riemann_ricci, torsionful_connection
 from epscontact.errors import IncompatibleFactors
-from epscontact.exterior import FrameMetric, index_tuples, one_form, pairing_full
+from epscontact.exterior import (
+    FrameMetric,
+    antisymmetric_array,
+    d_components,
+    hodge_components,
+    index_tuples,
+    pairing_components,
+    sort_sign,
+)
 from epscontact.liealg import FamilySpec, make_family
 
 L3 = FrameMetric.lorentzian(3)
@@ -21,7 +31,7 @@ def su2_factor(kappa_x=0.0):
 
 def null_g3_factor():
     spec = FamilySpec("g3", {"a": 1.0, "b": 1.0, "c": 1.0})
-    return check_contact(make_family(spec), L3, 1, one_form([1.0, 1.0, 0.0]), spec=spec)
+    return check_contact(make_family(spec), L3, 1, [1.0, 1.0, 0.0], spec=spec)
 
 
 def test_preset_is_exact_solution():
@@ -30,7 +40,7 @@ def test_preset_is_exact_solution():
     assert res.max_residual() < 1e-12
     assert res.is_solution(1e-12)
     # H = nu_L + nu_R componentwise (factor orientations +1 and -1)
-    comps = dict(zip(index_tuples(6, 3), sol.h_form.comps))
+    comps = dict(zip(index_tuples(6, 3), sol.h_form))
     nonzero = {t: v for t, v in comps.items() if v != 0.0}
     assert nonzero == {(0, 1, 2): 1.0, (3, 4, 5): -1.0}
 
@@ -38,22 +48,37 @@ def test_preset_is_exact_solution():
 def test_h_formula_componentwise_l_nonzero():
     n = check_contact(
         make_family(FamilySpec("g4", {"a": 1.0, "b": 0.0, "mu": -1.0})),
-        L3, 1, one_form([1.0, 0.0, -1.0]),
+        L3, 1, [1.0, 0.0, -1.0],
     )
     x = su2_factor(0.0)
     lam, l = 1.0, 1.0
     sol = p6.build_solution(n, x, lam, l)
-    from epscontact.exterior import hodge, volume_form, wedge
+    # H as a full array from Levi-Civita symbols: nu = o eps_{abc},
+    # (*alpha)_{bc} = o sum_a eta_a alpha_a eps_{abc} and
+    # (beta ^ gamma)_{ijk} = beta_{ij} gamma_k + beta_{jk} gamma_i + beta_{ki} gamma_j
+    eps3 = np.zeros((3, 3, 3))
+    for perm in itertools.permutations(range(3)):
+        eps3[perm] = sort_sign(perm)[0]
+
+    def lift(arr, offset):
+        out = np.zeros((6,) * arr.ndim)
+        out[(slice(offset, offset + 3),) * arr.ndim] = arr
+        return out
+
+    def star(cs):
+        return cs.orientation * np.einsum("a,abc->bc", cs.m.eta * cs.alpha, eps3)
+
+    def wedge21(b, g):
+        return (np.einsum("ij,k->ijk", b, g) + np.einsum("jk,i->ijk", b, g)
+                + np.einsum("ki,j->ijk", b, g))
 
     manual = (
-        lam * p6.embed_form(volume_form(n.m, n.orientation), 6, 0)
-        + l * wedge(p6.embed_form(hodge(n.alpha, n.m, n.orientation), 6, 0),
-                    p6.embed_form(x.alpha, 6, 3))
-        + l * wedge(p6.embed_form(n.alpha, 6, 0),
-                    p6.embed_form(hodge(x.alpha, x.m, x.orientation), 6, 3))
-        + lam * p6.embed_form(volume_form(x.m, x.orientation), 6, 3)
+        lam * lift(n.orientation * eps3, 0)
+        + l * wedge21(lift(star(n), 0), lift(x.alpha, 3))
+        + l * wedge21(lift(star(x), 3), lift(n.alpha, 0))  # alpha_N ^ *alpha_X
+        + lam * lift(x.orientation * eps3, 3)
     )
-    assert np.allclose(sol.h_form.comps, manual.comps)
+    assert np.allclose(sol.h_array, manual)
     res = p6.verify_supergravity(sol)
     assert res.max_residual() < 1e-9
 
@@ -79,15 +104,14 @@ def test_isotropy_closure_independent_of_fit():
     x = su2_factor(0.0)
     for lam, l in ((0.3, 0.9), (1.2, 0.4), (0.0, 1.0)):
         h = p6.torsion_form(n, x, lam, l)
-        from epscontact.exterior import hodge, mc_differential
         from epscontact.liealg import direct_sum
 
-        sc6 = direct_sum(n.sc, x.sc)
-        m6 = FrameMetric(n.m.signs + x.m.signs)
+        c6 = direct_sum(n.sc, x.sc).c
+        signs6 = n.m.signs + x.m.signs
         o6 = n.orientation * x.orientation
-        assert mc_differential(h, sc6).max_abs() < 1e-13
-        assert mc_differential(hodge(h, m6, o6), sc6).max_abs() < 1e-13
-        assert abs(pairing_full(h, h, m6)) < 1e-12
+        assert np.max(np.abs(d_components(h, c6, 3))) < 1e-13
+        assert np.max(np.abs(d_components(hodge_components(h, signs6, 3, o6), c6, 3))) < 1e-13
+        assert abs(pairing_components(h, h, signs6, 3)) < 1e-12
 
 
 def test_ricci_identity_holds_off_shell():
@@ -115,7 +139,7 @@ def test_mixed_square_blocks_vanish():
     sol = p6.build_solution(n, x, 1.0, 0.0)
     for lam, l in ((1.0, 0.0), (0.5, 0.5)):
         h = p6.torsion_form(n, x, lam, l)
-        sq = three_form_square(h, sol.m6)
+        sq = three_form_square(antisymmetric_array(h, 6, 3), sol.m6)
         assert np.max(np.abs(sq[:3, 3:])) < 1e-13
         assert np.max(np.abs(sq[3:, :3])) < 1e-13
 
@@ -125,29 +149,28 @@ def test_quarter_square_block_formulas():
     #   N-block: -(lam^2/2) chi - (l^2/2) |alpha_N|^2 chi + l^2 alpha_N (x) alpha_N
     #   X-block: +(lam^2/2) h + (l^2/2) |alpha_N|^2 h - l^2 |alpha_N|^2 alpha_X (x) alpha_X
     from epscontact.curvature import three_form_square
-    from epscontact.exterior import pairing_full
 
     cases = []
     n_null = null_g3_factor()
     cases.append((n_null, su2_factor(0.0), 1.0, 0.8))
     n_time = check_contact(
         make_family(FamilySpec("g3", {"a": 0.75, "b": 0.75, "c": 1.0})),
-        L3, 1, one_form([1.0, 0.0, 0.0]),
+        L3, 1, [1.0, 0.0, 0.0],
     )
     cases.append((n_time, su2_factor(-0.25), np.sqrt(0.75), 0.5))
     for n, x, lam, l in cases:
         h = p6.torsion_form(n, x, lam, l)
         m6 = FrameMetric(n.m.signs + x.m.signs)
-        quarter = 0.25 * three_form_square(h, m6)
-        eps_n = float(pairing_full(n.alpha, n.alpha, n.m))
+        quarter = 0.25 * three_form_square(antisymmetric_array(h, 6, 3), m6)
+        eps_n = float(pairing_components(n.alpha, n.alpha, n.m.signs, 1))
         chi = np.diag(n.m.eta)
-        an = n.alpha.comps
+        an = n.alpha
         expected_n = (
             -(lam**2) / 2 * chi - l**2 / 2 * eps_n * chi + l**2 * np.outer(an, an)
         )
         assert np.allclose(quarter[:3, :3], expected_n, atol=1e-12)
         hmat = np.diag(x.m.eta)
-        ax = x.alpha.comps
+        ax = x.alpha
         expected_x = (
             lam**2 / 2 * hmat + l**2 / 2 * eps_n * hmat - l**2 * eps_n * np.outer(ax, ax)
         )
@@ -163,7 +186,7 @@ def test_torsionful_ricci_symmetric_for_closed_coclosed():
 
         sc6 = p6.direct_sum(n.sc, x.sc)
         m6 = FrameMetric(n.m.signs + x.m.signs)
-        conn_h = torsionful_connection(levi_civita(sc6, m6), h, m6)
+        conn_h = torsionful_connection(levi_civita(sc6, m6), antisymmetric_array(h, 6, 3), m6)
         ric = riemann_ricci(conn_h, sc6, m6).ricci
         assert np.max(np.abs(ric - ric.T)) < 1e-13
 
@@ -171,18 +194,18 @@ def test_torsionful_ricci_symmetric_for_closed_coclosed():
 def test_torsionful_connection_mixes_blocks_iff_l_nonzero():
     n = check_contact(
         make_family(FamilySpec("g4", {"a": 1.0, "b": 0.0, "mu": -1.0})),
-        L3, 1, one_form([1.0, 0.0, -1.0]),
+        L3, 1, [1.0, 0.0, -1.0],
     )
     x = su2_factor(0.0)
     sol = p6.build_solution(n, x, 1.0, 1.0)
     conn = levi_civita(sol.sc6, sol.m6)
     assert np.max(np.abs(conn.gamma[:3, 3:, :])) == 0.0  # product connection
     assert np.max(np.abs(conn.gamma[:3, :3, 3:])) == 0.0
-    conn_h = torsionful_connection(conn, sol.h_form, sol.m6)
+    conn_h = torsionful_connection(conn, sol.h_array, sol.m6)
     assert np.max(np.abs(conn_h.gamma[:3, :3, 3:])) > 0.01  # torsion mixes factors
 
     sol0 = p6.preset_ads3xs3()
-    conn_h0 = torsionful_connection(levi_civita(sol0.sc6, sol0.m6), sol0.h_form, sol0.m6)
+    conn_h0 = torsionful_connection(levi_civita(sol0.sc6, sol0.m6), sol0.h_array, sol0.m6)
     assert np.max(np.abs(conn_h0.gamma[:3, :3, 3:])) == 0.0
 
 
@@ -190,7 +213,8 @@ def test_perturbed_lambda_detected():
     sol = p6.preset_ads3xs3()
     h_bad = p6.torsion_form(sol.n_struct, sol.x_struct, sol.lam + 0.1, sol.l)
     conn = levi_civita(sol.sc6, sol.m6)
-    ric = riemann_ricci(torsionful_connection(conn, h_bad, sol.m6), sol.sc6, sol.m6).ricci
+    ric = riemann_ricci(torsionful_connection(conn, antisymmetric_array(h_bad, 6, 3), sol.m6),
+                        sol.sc6, sol.m6).ricci
     assert np.max(np.abs(ric)) > 0.01
 
 
@@ -294,7 +318,7 @@ def test_solution_json_bundle():
     assert data["lambda"] == 1.0 and data["l"] == 0.0
     assert data["n"]["family"] == "g3"
     assert data["x"]["family"] == "riemannian_unimodular"
-    assert "comps" in data["H"]
+    assert data["H"] == {"degree": 3, "dim": 6, "comps": {"0,1,2": 1.0, "3,4,5": -1.0}}
 
 
 def test_solution_computes_its_connections_once(monkeypatch):

@@ -25,6 +25,14 @@ def test_every_row_passes(table_id):
         assert report.instances
 
 
+def test_row_reported_under_its_own_table():
+    row = tables.table_row("thm-1.2", "g3-sasakian")
+    with pytest.raises(ValueError, match="thm-1.2"):
+        tables.verify_table_row("thm-4.14", row)
+    para = tables.table_row("thm-4.22", "g3-e11")
+    assert tables.verify_table_row("thm-1.3", para).table == "thm-4.22"  # alias
+
+
 def test_spot_anchor_g3_nonsasakian():
     row = {r.row_id: r for r in tables.table_rows("thm-1.2")}["g3-nonsasakian"]
     report = tables.verify_table_row("thm-1.2", row)
