@@ -7,9 +7,11 @@ Core entry points:
 - exterior: forms as component vectors: wedge, Hodge dual, invariant exterior derivative
 - curvature: Koszul connection, Riemann/Ricci, closed-form oracle, torsion
 - contact: contact structures of any causal type and their invariants
-- einstein: eta-Einstein fits, table verification, parameter scans
+- einstein: eta-Einstein fits and parameter scans
+- tables: the classification tables and their row-by-row verification
 - product6d: six-dimensional product solutions and their field equations
 - cauchy: finite-difference constraint/evolution residuals on 2D grids
+- oracle: the curvature pipeline against the closed-form Ricci
 - cli: the `epscontact` command
 """
 

@@ -160,9 +160,9 @@ def cmd_scan(args, cfg: RunConfig) -> tuple:
 
 
 def _config_field(value, kind: str, what: str):
-    """value if it is a JSON object, array or number (kind), else ValueError:
-    well-formed JSON of the wrong shape is bad input, not a crash."""
-    types = {"object": dict, "array": list, "number": (int, float)}[kind]
+    """value if it is a JSON object, array, number or string (kind), else
+    ValueError: well-formed JSON of the wrong shape is bad input, not a crash."""
+    types = {"object": dict, "array": list, "number": (int, float), "string": str}[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"solution config: {what} must be a JSON {kind}, got {json.dumps(value)}")
     return value
@@ -174,12 +174,17 @@ def _solution_from_config(path: str):
     factors = []
     for key in ("n", "x"):
         e = _config_field(data.get(key), "object", f'"{key}"')
+        family = _config_field(e.get("family"), "string", f'"{key}.family"')
         params = _config_field(e.get("params"), "object", f'"{key}.params"')
+        for name, value in params.items():
+            _config_field(value, "number", f'"{key}.params.{name}"')
         alpha = _config_field(e.get("alpha"), "array", f'"{key}.alpha"')
+        for value in alpha:
+            _config_field(value, "number", f'"{key}.alpha" entry')
         orientation = e.get("orientation", 1)  # null: try +1, then -1
         if orientation is not None:
             _config_field(orientation, "number", f'"{key}.orientation"')
-        factors.append(build_contact(FamilySpec(e.get("family"), params), alpha, orientation))
+        factors.append(build_contact(FamilySpec(family, params), alpha, orientation))
     lam, l = (float(_config_field(data.get(k), "number", f'"{k}"')) for k in ("lambda", "l"))
     return product6d.build_solution(*factors, lam, l)
 

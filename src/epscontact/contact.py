@@ -33,7 +33,7 @@ from .exterior import (
     interior_components,
     pairing_components,
 )
-from .curvature import ConnectionCoeffs, CurvatureTensors, levi_civita, riemann_ricci
+from .curvature import koszul_components, ricci_components, riemann_components
 from .liealg import (FamilySpec, StructureConstants, direct_sum, family_metric, make_family,
                      zero_algebra)
 
@@ -47,10 +47,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class ContactStructure:
     """A verified contact structure (alpha = *d alpha, |alpha|^2 = epsilon).
 
-    The data the structure determines (xi, phi, the Levi-Civita connection,
-    its curvature, h and the adapted frame) is computed on first use by the
-    module's functions and kept in read-only arrays. alpha holds the frame
-    components of the one-form, read-only.
+    The data the structure determines (xi, phi, the Levi-Civita
+    coefficients gamma, the Ricci and Riemann tensors, h and the adapted
+    frame) is computed on first use by the module's functions and kept in
+    read-only arrays. alpha holds the frame components of the one-form,
+    read-only.
     """
 
     sc: StructureConstants
@@ -74,15 +75,17 @@ class ContactStructure:
         return _read_only(characteristic_endo(self))
 
     @cached_property
-    def connection(self) -> ConnectionCoeffs:
-        return levi_civita(self.sc, self.m)
+    def gamma(self) -> np.ndarray:
+        """Levi-Civita coefficients (3, 3, 3)."""
+        return _read_only(koszul_components(self.sc.c, self.m.eta))
 
     @cached_property
-    def curvature(self) -> CurvatureTensors:
-        curv = riemann_ricci(self.connection, self.sc, self.m)
-        _read_only(curv.riemann)
-        _read_only(curv.ricci)
-        return curv
+    def ricci(self) -> np.ndarray:
+        return _read_only(ricci_components(self.gamma, self.sc.c))
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        return _read_only(riemann_components(self.gamma, self.sc.c))
 
     @cached_property
     def h(self) -> np.ndarray:
@@ -390,12 +393,12 @@ def l_endo(cs: ContactStructure) -> np.ndarray:
     """l(v) = R(v, xi) xi via the Levi-Civita curvature."""
     xi = cs.xi
     # l[m][j] = R[j, a, b, m] xi^a xi^b
-    return np.einsum("jabm,a,b->mj", cs.curvature.riemann, xi, xi)
+    return np.einsum("jabm,a,b->mj", cs.riemann, xi, xi)
 
 
 def reeb_gradient(cs: ContactStructure) -> np.ndarray:
     """Matrix of v -> nabla_v xi on the frame."""
-    return np.einsum("jik,i->kj", cs.connection.gamma, cs.xi)
+    return np.einsum("jik,i->kj", cs.gamma, cs.xi)
 
 
 def contact_identity_residuals(cs: ContactStructure) -> dict:
@@ -405,7 +408,7 @@ def contact_identity_residuals(cs: ContactStructure) -> dict:
     g, eye, ad = np.diag(cs.m.eta), np.eye(3), cs.sc.ad(xi)
     h, mu = h_tensor(cs)
     tau = h @ phi
-    dmat = np.einsum("j,jik->ki", xi, cs.connection.gamma)  # v -> nabla_xi v on the frame
+    dmat = np.einsum("j,jik->ki", xi, cs.gamma)  # v -> nabla_xi v on the frame
     res = {
         "g_phi_is_dalpha": g @ phi - antisymmetric_array(d_components(alpha, cs.sc.c, 1), 3, 2),
         "phi_xi": phi @ xi,
@@ -429,7 +432,7 @@ def contact_identity_residuals(cs: ContactStructure) -> dict:
         - sg * (eps * eye - np.outer(xi, alpha)),
     }
     if eps != 0:
-        ric_xixi = xi @ cs.curvature.ricci @ xi
+        ric_xixi = xi @ cs.ricci @ xi
         res["ricci_reeb"] = ric_xixi - eps * sg * (0.5 - 0.25 * np.trace(h @ h))
     else:
         res.update(phi_cubed=phi @ phi @ phi, phi_h=phi @ h, h_phi=h @ phi, tau_null=tau)

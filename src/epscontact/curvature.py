@@ -2,6 +2,10 @@
 the closed-form Ricci of the general 3D Lorentzian bracket (independent
 oracle), and metric connections with totally skew-symmetric torsion.
 
+A connection is its coefficient array gamma (..., n, n, n):
+nabla_{e_i} e_j = sum_k gamma[i][j][k] e_k. The curvature is the array
+R[i][j][k][l]: R(e_i,e_j)e_k = sum_l R[i][j][k][l] e_l.
+
 Conventions: R(u,v)w = nabla_u nabla_v w - nabla_v nabla_u w - nabla_[u,v] w,
 Ric(u,v) = Tr(w -> R(w,u)v), Scal = sum_i eta_i Ric[i][i]. The same trace
 convention is applied to torsionful connections, whose Ricci is not
@@ -10,35 +14,11 @@ symmetrized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import get_tol
 from .errors import JacobiViolation
 from .exterior import FrameMetric
-from .liealg import StructureConstants
-
-
-@dataclass(frozen=True)
-class ConnectionCoeffs:
-    """gamma[i][j][k]: nabla_{e_i} e_j = sum_k gamma[i][j][k] e_k."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float).copy()
-        g.flags.writeable = False
-        object.__setattr__(self, "gamma", g)
-
-
-@dataclass(frozen=True)
-class CurvatureTensors:
-    """riemann[i][j][k][l]: R(e_i,e_j)e_k = sum_l R[i][j][k][l] e_l."""
-
-    riemann: np.ndarray | None
-    ricci: np.ndarray
-    scalar: float
 
 
 def koszul_components(c: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -51,40 +31,26 @@ def koszul_components(c: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return 0.5 * (c - t2 + t3)
 
 
-def levi_civita(sc: StructureConstants, m: FrameMetric) -> ConnectionCoeffs:
-    """Torsion-free metric connection of one bracket table (koszul_components)."""
-    return ConnectionCoeffs(koszul_components(sc.c, m.eta))
-
-
-def curvature_components(gamma: np.ndarray, c: np.ndarray, eta: np.ndarray) -> tuple:
-    """(riemann, ricci, scalar) of stacked frame connections gamma
+def riemann_components(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Riemann (..., n, n, n, n) of stacked frame connections gamma
     (..., n, n, n) with constant coefficients over bracket tables c."""
     # R[i,j,k,m] = gamma[j,k,l] gamma[i,l,m] - gamma[i,k,l] gamma[j,l,m] - c[i,j,l] gamma[l,k,m]
     r = np.einsum("...jkl,...ilm->...ijkm", gamma, gamma)
     r -= np.einsum("...ikl,...jlm->...ijkm", gamma, gamma)  # in place: one stack less alive
     r -= np.einsum("...ijl,...lkm->...ijkm", c, gamma)
-    ricci = np.einsum("...ijki->...jk", r)
-    return r, ricci, np.einsum("i,...ii->...", eta, ricci)
+    return r
 
 
 def ricci_components(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Ricci (..., n, n) of stacked frame connections gamma over bracket
     tables c, without the Riemann stack: the three terms of R[i,j,k,m] are
-    formed at m = i only, and subtracted and traced over i in the order
-    curvature_components uses, so the bits are the same."""
+    formed at m = i only, and subtracted in the order riemann_components
+    uses, so the bits are those of its trace over i."""
     gd = np.einsum("...ili->...il", gamma)
     r = np.einsum("...jkl,...il->...ijk", gamma, gd)
     r -= np.einsum("...ikl,...jli->...ijk", gamma, gamma)
     r -= np.einsum("...ijl,...lki->...ijk", c, gamma)
     return np.einsum("...ijk->...jk", r)
-
-
-def riemann_ricci(
-    conn: ConnectionCoeffs, sc: StructureConstants, m: FrameMetric
-) -> CurvatureTensors:
-    """Curvature of one frame connection (curvature_components)."""
-    r, ricci, scalar = curvature_components(conn.gamma, sc.c, m.eta)
-    return CurvatureTensors(r, ricci, float(scalar))
 
 
 def jacobi_constraints9(p9) -> np.ndarray:
@@ -97,11 +63,11 @@ def jacobi_constraints9(p9) -> np.ndarray:
     ])
 
 
-def closed_form_ricci(p9, m: FrameMetric, tol: float | None = None) -> CurvatureTensors:
-    """Closed-form Ricci and scalar curvature of the general 3D Lorentzian
+def closed_form_ricci(p9, m: FrameMetric, tol: float | None = None) -> tuple:
+    """Closed-form (ricci, scalar) curvature of the general 3D Lorentzian
     bracket [e0,e1]=a e0+b e1+c e2, [e1,e2]=d e0+f e1+h e2, [e0,e2]=g e0+j e1+k e2.
 
-    Independent oracle for the Koszul -> Riemann -> Ricci pipeline; requires
+    Independent oracle for the Koszul -> Ricci pipeline; requires
     eta = (-1, +1, +1) and the Jacobi constraints.
     """
     if m.signs != (-1, 1, 1):
@@ -124,18 +90,18 @@ def closed_form_ricci(p9, m: FrameMetric, tol: float | None = None) -> Curvature
         + d**2 / 2 + c * j + c**2 / 2 + j**2 / 2 - 2 * f**2 - 2 * h**2
         + 2 * b * k + d * c - j * d
     )
-    return CurvatureTensors(None, ric, float(scal))
+    return ric, float(scal)
 
 
-def torsionful_connection(conn: ConnectionCoeffs, h: np.ndarray,
-                          m: FrameMetric) -> ConnectionCoeffs:
-    """Metric connection with totally skew-symmetric torsion h, given as the
-    antisymmetric (n, n, n) array of a three-form:
+def torsionful_connection(gamma: np.ndarray, h: np.ndarray, m: FrameMetric) -> np.ndarray:
+    """Coefficients of the metric connection with totally skew-symmetric
+    torsion h, given as the antisymmetric (n, n, n) array of a three-form,
+    over the Levi-Civita coefficients gamma:
     nabla^h_u v = nabla_u v + (1/2) g^{-1} h(u, v, .)."""
     if h.shape != (m.dim,) * 3:
         raise ValueError("torsion must be the (n, n, n) array of a three-form")
     extra = 0.5 * h * m.eta[None, None, :]
-    return ConnectionCoeffs(conn.gamma + extra)
+    return gamma + extra
 
 
 def three_form_square(h: np.ndarray, m: FrameMetric) -> np.ndarray:

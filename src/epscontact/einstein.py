@@ -1,6 +1,6 @@
 """The eta-Einstein condition for contact structures of any causal type:
-fitting the constants (lambda^2, kappa) to a Ricci tensor, verifying the
-classification-table rows, and parameter-grid existence scans.
+fitting the constants (lambda^2, kappa) to a Ricci tensor, the curvature
+identities of a fit, and parameter-grid existence scans.
 
 The defining equation is
     Ric = (s_g/2) (lambda^2 + kappa eps) g - s_g kappa alpha (x) alpha,
@@ -20,11 +20,7 @@ from numpy.linalg import _umath_linalg
 from .config import get_tol
 from .contact import ContactStructure, _lead_positive, check_contact
 from .curvature import koszul_components, ricci_components
-from .errors import (
-    Inadmissible,
-    NotEtaEinstein,
-    WrongCausalType,
-)
+from .errors import WrongCausalType
 from .exterior import FrameMetric, d_components, hodge_components
 from .liealg import FAMILIES, family_tables
 
@@ -79,27 +75,13 @@ def _fit_rows(ric: np.ndarray, alpha: np.ndarray, m: FrameMetric, eps: int,
     return lambda2, kappa, residual, admissible
 
 
-def fit_eta_einstein(
-    cs: ContactStructure,
-    tol: float | None = None,
-    require: bool = False,
-) -> EtaEinsteinFit:
+def fit_eta_einstein(cs: ContactStructure, tol: float | None = None) -> EtaEinsteinFit:
     """Least-squares fit of (lambda^2, kappa) over the six independent
-    components of the structure's Ricci tensor, with the full-tensor residual.
-
-    With ``require=True`` raises NotEtaEinstein when the residual exceeds tol
-    and Inadmissible when the fitted constants violate the sign constraints.
-    """
+    components of the structure's Ricci tensor, with the full-tensor residual."""
     tol = get_tol(tol)
     lambda2, kappa, residual, admissible = _fit_rows(
-        cs.curvature.ricci[None], cs.alpha[None], cs.m, cs.epsilon, tol)
-    fit = EtaEinsteinFit(lambda2.item(), kappa.item(), residual.item(), admissible.item())
-    if require:
-        if fit.residual > tol:
-            raise NotEtaEinstein(fit.residual)
-        if fit.lambda2 < 0.0 or (cs.s_g == -1 and fit.kappa < -tol):
-            raise Inadmissible(f"lambda^2={fit.lambda2:.6g}, kappa={fit.kappa:.6g}")
-    return fit
+        cs.ricci[None], cs.alpha[None], cs.m, cs.epsilon, tol)
+    return EtaEinsteinFit(lambda2.item(), kappa.item(), residual.item(), admissible.item())
 
 
 def reeb_curvature_residual(cs: ContactStructure, fit: EtaEinsteinFit) -> float:
@@ -108,7 +90,7 @@ def reeb_curvature_residual(cs: ContactStructure, fit: EtaEinsteinFit) -> float:
     xi = cs.xi
     alpha = cs.alpha
     kconst = cs.s_g * (fit.lambda2 - cs.epsilon * fit.kappa) / 4.0
-    lhs = np.einsum("ijkm,k->ijm", cs.curvature.riemann, xi)
+    lhs = np.einsum("ijkm,k->ijm", cs.riemann, xi)
     eye = np.eye(3)
     rhs = kconst * (
         np.einsum("j,im->ijm", alpha, eye) - np.einsum("i,jm->ijm", alpha, eye)
@@ -122,7 +104,7 @@ def lightcone_fit_residual(cs: ContactStructure, fit: EtaEinsteinFit) -> float:
     Ric(xi,u)=Ric(phiu,phiu)=-lambda^2/2, Ric(u,u)=kappa."""
     if cs.epsilon != 0:
         raise WrongCausalType("light-cone characterization needs a null Reeb field")
-    ric = cs.curvature.ricci
+    ric = cs.ricci
     xi, u, phiu = cs.frame
 
     def r(a, b):

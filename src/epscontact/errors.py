@@ -36,10 +36,6 @@ class NotEtaEinstein(EpsContactError):
         self.residual = residual
 
 
-class Inadmissible(EpsContactError):
-    """Fit succeeded but violates the sign constraints on (lambda^2, kappa)."""
-
-
 class EigenFailure(EpsContactError):
     """Eigenstructure inconsistent with the expected spectrum."""
 

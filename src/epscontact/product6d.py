@@ -28,9 +28,8 @@ import numpy as np
 from .config import get_tol
 from .contact import ContactStructure, build_contact
 from .curvature import (
-    ConnectionCoeffs,
-    levi_civita,
-    riemann_ricci,
+    koszul_components,
+    ricci_components,
     three_form_square,
     torsionful_connection,
 )
@@ -71,19 +70,17 @@ class ProductSolution:
         return arr
 
     @cached_property
-    def connection(self) -> ConnectionCoeffs:
-        """Levi-Civita connection of the 6D product metric."""
-        return levi_civita(self.sc6, self.m6)
-
-    @cached_property
-    def torsion_connection(self) -> ConnectionCoeffs:
-        """Metric connection with torsion H."""
-        return torsionful_connection(self.connection, self.h_array, self.m6)
+    def gamma(self) -> np.ndarray:
+        """Levi-Civita coefficients of the 6D product metric."""
+        gamma = koszul_components(self.sc6.c, self.m6.eta)
+        gamma.flags.writeable = False
+        return gamma
 
     @cached_property
     def torsion_ricci(self) -> np.ndarray:
         """Ricci tensor of the connection with torsion H."""
-        ricci = riemann_ricci(self.torsion_connection, self.sc6, self.m6).ricci
+        gamma_h = torsionful_connection(self.gamma, self.h_array, self.m6)
+        ricci = ricci_components(gamma_h, self.sc6.c)
         ricci.flags.writeable = False
         return ricci
 
@@ -200,7 +197,7 @@ def verify_supergravity(sol: ProductSolution) -> SugraResiduals:
 def ricci_torsion_identity_residual(sol: ProductSolution) -> float:
     """Residual of Ric(nabla^H) = Ric^g - (1/4) H o H, valid whenever H is
     closed and co-closed."""
-    ric_g = riemann_ricci(sol.connection, sol.sc6, sol.m6).ricci
+    ric_g = ricci_components(sol.gamma, sol.sc6.c)
     square = three_form_square(sol.h_array, sol.m6)
     return float(np.max(np.abs(sol.torsion_ricci - (ric_g - 0.25 * square))))
 

@@ -24,7 +24,7 @@ from epscontact.contact import (
     k_contact_null_witness,
     nijenhuis_J,
 )
-from epscontact.curvature import levi_civita, riemann_ricci, torsionful_connection
+from epscontact.curvature import ricci_components, torsionful_connection
 from epscontact.einstein import default_grid, fit_eta_einstein, reeb_curvature_residual, scan_family
 from epscontact.errors import NotContact
 from epscontact.exterior import FrameMetric, antisymmetric_array
@@ -214,10 +214,8 @@ def test_criterion_6_supergravity():
     elapsed = time.perf_counter() - t0
 
     h_bad = torsion_form(sol.n_struct, sol.x_struct, sol.lam + 0.1, sol.l)
-    conn = levi_civita(sol.sc6, sol.m6)
-    ric_bad = riemann_ricci(
-        torsionful_connection(conn, antisymmetric_array(h_bad, 6, 3), sol.m6), sol.sc6, sol.m6
-    ).ricci
+    gamma_bad = torsionful_connection(sol.gamma, antisymmetric_array(h_bad, 6, 3), sol.m6)
+    ric_bad = ricci_components(gamma_bad, sol.sc6.c)
     detector = float(np.max(np.abs(ric_bad)))
 
     ok = (preset_ok and catalog_ok and identity_worst <= TOL

@@ -375,7 +375,8 @@ def test_solution_config_non_sign_orientation_exit_2(tmp_path, capsys, orientati
 
 
 @pytest.mark.parametrize("case", ["factor-not-object", "top-level-list", "params-list",
-                                  "lambda-null"])
+                                  "lambda-null", "param-null", "param-list", "family-list",
+                                  "alpha-entry-object"])
 def test_solution_config_wrong_shape_exit_2(tmp_path, capsys, case):
     # well-formed JSON whose fields have the wrong type is a config error
     config = {
@@ -393,12 +394,23 @@ def test_solution_config_wrong_shape_exit_2(tmp_path, capsys, case):
         config = [1, 2]
     elif case == "params-list":
         config["x"]["params"] = [1, 2]
+    elif case == "param-null":
+        config["n"]["params"]["a"] = None
+    elif case == "param-list":
+        config["n"]["params"]["a"] = [1]
+    elif case == "family-list":
+        config["n"]["family"] = ["g3"]
+    elif case == "alpha-entry-object":
+        config["x"]["alpha"][0] = {}
     else:
         config["lambda"] = None
     config_file = tmp_path / "shape.json"
     config_file.write_text(json.dumps(config))
-    assert "solution config" in assert_usage_error(
-        capsys, ["solution", "--config", str(config_file)])
+    message = assert_usage_error(capsys, ["solution", "--config", str(config_file)])
+    assert "solution config" in message
+    field = {"param-null": "n.params.a", "param-list": "n.params.a",
+             "family-list": "n.family", "alpha-entry-object": "x.alpha"}.get(case)
+    assert field is None or field in message
 
 
 @pytest.mark.parametrize("alpha", [[], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])

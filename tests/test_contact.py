@@ -1,5 +1,4 @@
 import gc
-import sys
 
 import numpy as np
 import pytest
@@ -310,8 +309,6 @@ def test_h_decomposition_guard_on_invalid_structure():
 
 def test_sasakian_iff_ricci_reeb_on_unit_norm():
     # for eps s_g = 1: Sasakian <-> Ric(xi, xi) = s_g eps / 2
-    from epscontact.curvature import levi_civita, riemann_ricci
-
     cases = [
         (make_cs(g3(1, 1, 1), [1, 0, 0]), True),           # Lorentzian eps = -1
         (make_cs(g3(0.25, 0.75, 1.0), [1, 0, 0]), False),
@@ -324,7 +321,7 @@ def test_sasakian_iff_ricci_reeb_on_unit_norm():
     ]
     for cs, expect_sas in cases:
         assert cs.epsilon * cs.s_g == 1
-        ric = riemann_ricci(levi_civita(cs.sc, cs.m), cs.sc, cs.m).ricci
+        ric = curvature.ricci_components(curvature.koszul_components(cs.sc.c, cs.m.eta), cs.sc.c)
         xi = cs.xi
         value = float(xi @ ric @ xi)
         is_half = abs(value - cs.s_g * cs.epsilon / 2.0) < 1e-12
@@ -405,8 +402,8 @@ def bit_equal(a, b):
 def test_cached_data_equals_free_functions(case):
     cs = causal_case(case)
     fresh = causal_case(case)  # nothing computed on it yet
-    conn = curvature.levi_civita(fresh.sc, fresh.m)
-    curv = curvature.riemann_ricci(conn, fresh.sc, fresh.m)
+    gamma = curvature.koszul_components(fresh.sc.c, fresh.m.eta)
+    riemann = curvature.riemann_components(gamma, fresh.sc.c)
     xi = fresh.m.eta * fresh.alpha
     phi = characteristic_endo(fresh)
     h = np.column_stack([
@@ -414,10 +411,9 @@ def test_cached_data_equals_free_functions(case):
     ])
     assert bit_equal(cs.xi, xi)
     assert bit_equal(cs.phi, phi)
-    assert bit_equal(cs.connection.gamma, conn.gamma)
-    assert bit_equal(cs.curvature.riemann, curv.riemann)
-    assert bit_equal(cs.curvature.ricci, curv.ricci)
-    assert cs.curvature.scalar == curv.scalar
+    assert bit_equal(cs.gamma, gamma)
+    assert bit_equal(cs.riemann, riemann)
+    assert bit_equal(cs.ricci, np.einsum("ijki->jk", riemann))
     assert bit_equal(cs.h, h)
     assert h_tensor(cs)[0] is cs.h
     frame = contact_frame(fresh)
@@ -432,8 +428,7 @@ def test_cached_data_equals_free_functions(case):
 @pytest.mark.parametrize("case", sorted(CAUSAL_CASES))
 def test_cached_arrays_are_read_only(case):
     cs = causal_case(case)
-    arrays = [cs.xi, cs.phi, cs.connection.gamma, cs.curvature.riemann,
-              cs.curvature.ricci, cs.h, *cs.frame]
+    arrays = [cs.xi, cs.phi, cs.gamma, cs.riemann, cs.ricci, cs.h, *cs.frame]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -441,22 +436,15 @@ def test_cached_arrays_are_read_only(case):
 
 
 @pytest.mark.parametrize("case", sorted(CAUSAL_CASES))
-def test_structure_computes_levi_civita_once(case, monkeypatch):
-    original = curvature.levi_civita
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("epscontact") and getattr(mod, "levi_civita", None) is original:
-            monkeypatch.setattr(mod, "levi_civita", counting)
+def test_structure_computes_levi_civita_once(case, count_calls):
+    counts = count_calls(["koszul_components", "riemann_components"])
     cs = causal_case(case)
     fit_eta_einstein(cs)
     is_sasakian(cs)
+    # the fit needs the Ricci tensor only, not the Riemann stack
+    assert counts == {"koszul_components": 1, "riemann_components": 0}
     contact_identity_residuals(cs)
-    assert len(calls) == 1
+    assert counts == {"koszul_components": 1, "riemann_components": 1}
 
 
 # --- reference loops: the per-vector definitions behind the matrix forms --------

@@ -5,12 +5,10 @@ import pytest
 
 from epscontact.curvature import (
     closed_form_ricci,
-    curvature_components,
     jacobi_constraints9,
     koszul_components,
-    levi_civita,
     ricci_components,
-    riemann_ricci,
+    riemann_components,
     three_form_square,
     torsionful_connection,
 )
@@ -23,9 +21,13 @@ from epscontact.oracle import LORENTZ_FAMILIES, sample_spec
 L3 = FrameMetric.lorentzian(3)
 
 
-def compatibility_defect(conn, m) -> float:
+def scalar_of(ricci, m):
+    return float(np.sum(m.eta * np.diag(ricci)))
+
+
+def compatibility_defect(gamma, m) -> float:
     """Max-abs of g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k)."""
-    low = conn.gamma * m.eta
+    low = gamma * m.eta
     return float(np.max(np.abs(low + np.swapaxes(low, 1, 2))))
 
 
@@ -47,15 +49,14 @@ def koszul_brute(sc, m):
 
 
 def test_levi_civita_abelian():
-    conn = levi_civita(zero_algebra(3), L3)
-    assert np.max(np.abs(conn.gamma)) == 0.0
+    assert np.max(np.abs(koszul_components(zero_algebra(3).c, L3.eta))) == 0.0
 
 
 def test_levi_civita_g3_unit():
     sc = make_family(FamilySpec("g3", {"a": 1, "b": 1, "c": 1}))
-    conn = levi_civita(sc, L3)
-    assert np.allclose(conn.gamma[0, 1], [0, 0, 0.5])  # nabla_{e0} e1 = e2 / 2
-    assert np.allclose(conn.gamma, koszul_brute(sc, L3))
+    gamma = koszul_components(sc.c, L3.eta)
+    assert np.allclose(gamma[0, 1], [0, 0, 0.5])  # nabla_{e0} e1 = e2 / 2
+    assert np.allclose(gamma, koszul_brute(sc, L3))
 
 
 def test_levi_civita_properties_random():
@@ -64,26 +65,28 @@ def test_levi_civita_properties_random():
     while count < 100:
         fam = LORENTZ_FAMILIES[count % len(LORENTZ_FAMILIES)]
         sc = make_family(sample_spec(fam, rng))
-        conn = levi_civita(sc, L3)
-        assert compatibility_defect(conn, L3) < 1e-13
+        gamma = koszul_components(sc.c, L3.eta)
+        assert compatibility_defect(gamma, L3) < 1e-13
         # torsion: nabla_u v - nabla_v u - [u, v] on the frame
-        assert np.max(np.abs(conn.gamma - np.swapaxes(conn.gamma, 0, 1) - sc.c)) < 1e-13
-        assert np.max(np.abs(conn.gamma - koszul_brute(sc, L3))) < 1e-13
+        assert np.max(np.abs(gamma - np.swapaxes(gamma, 0, 1) - sc.c)) < 1e-13
+        assert np.max(np.abs(gamma - koszul_brute(sc, L3))) < 1e-13
         count += 1
 
 
 def test_ricci_g3_unit():
     sc = make_family(FamilySpec("g3", {"a": 1, "b": 1, "c": 1}))
-    curv = riemann_ricci(levi_civita(sc, L3), sc, L3)
-    assert np.allclose(curv.ricci, np.diag([0.5, -0.5, -0.5]), atol=1e-14)
-    assert abs(curv.scalar + 1.5) < 1e-14  # contraction of diag(1/2,-1/2,-1/2) with eta
+    ricci = ricci_components(koszul_components(sc.c, L3.eta), sc.c)
+    assert np.allclose(ricci, np.diag([0.5, -0.5, -0.5]), atol=1e-14)
+    assert abs(scalar_of(ricci, L3) + 1.5) < 1e-14  # contraction of diag(1/2,-1/2,-1/2) with eta
 
 
 def test_ricci_abelian_zero():
-    curv = riemann_ricci(levi_civita(zero_algebra(3), L3), zero_algebra(3), L3)
-    assert np.max(np.abs(curv.riemann)) == 0.0
-    assert np.max(np.abs(curv.ricci)) == 0.0
-    assert curv.scalar == 0.0
+    sc = zero_algebra(3)
+    gamma = koszul_components(sc.c, L3.eta)
+    assert np.max(np.abs(riemann_components(gamma, sc.c))) == 0.0
+    ricci = ricci_components(gamma, sc.c)
+    assert np.max(np.abs(ricci)) == 0.0
+    assert scalar_of(ricci, L3) == 0.0
 
 
 def test_first_bianchi_and_symmetry():
@@ -91,25 +94,24 @@ def test_first_bianchi_and_symmetry():
     for _ in range(30):
         fam = LORENTZ_FAMILIES[int(rng.integers(len(LORENTZ_FAMILIES)))]
         sc = make_family(sample_spec(fam, rng))
-        curv = riemann_ricci(levi_civita(sc, L3), sc, L3)
-        r = curv.riemann
+        r = riemann_components(koszul_components(sc.c, L3.eta), sc.c)
         cyc = r + np.transpose(r, (1, 2, 0, 3)) + np.transpose(r, (2, 0, 1, 3))
         assert np.max(np.abs(cyc)) < 1e-12  # first Bianchi, torsion-free
         assert np.max(np.abs(r + np.transpose(r, (1, 0, 2, 3)))) < 1e-13
-        assert np.max(np.abs(curv.ricci - curv.ricci.T)) < 1e-12
-        eta = L3.eta
-        assert abs(curv.scalar - float(np.sum(eta * np.diag(curv.ricci)))) < 1e-12
+        ricci = np.einsum("ijki->jk", r)
+        assert np.max(np.abs(ricci - ricci.T)) < 1e-12
 
 
 def test_closed_form_examples():
-    assert np.max(np.abs(closed_form_ricci(np.zeros(9), L3).ricci)) == 0.0
+    assert closed_form_ricci(np.zeros(9), L3)[1] == 0.0
+    assert np.max(np.abs(closed_form_ricci(np.zeros(9), L3)[0])) == 0.0
     # g3 family maps to (0, 0, b, -c, 0, 0, 0, -a, 0)
     for a, b, c in ((1.0, 1.0, 1.0), (0.25, 0.75, 1.0), (-0.3, 1.2, 0.4)):
         p9 = (0, 0, b, -c, 0, 0, 0, -a, 0)
-        ric = closed_form_ricci(p9, L3).ricci
+        ric = closed_form_ricci(p9, L3)[0]
         assert abs(ric[0, 0] - (c * c / 2 + b * a - b * b / 2 - a * a / 2)) < 1e-14
     p9 = nine_params(make_family(FamilySpec("g3", {"a": 1, "b": 1, "c": 1})))
-    assert np.allclose(closed_form_ricci(p9, L3).ricci, np.diag([0.5, -0.5, -0.5]))
+    assert np.allclose(closed_form_ricci(p9, L3)[0], np.diag([0.5, -0.5, -0.5]))
 
 
 def test_closed_form_rejects_invalid():
@@ -126,10 +128,10 @@ def test_oracle_equivalence_sample():
     for k in range(200):
         fam = LORENTZ_FAMILIES[k % len(LORENTZ_FAMILIES)]
         sc = make_family(sample_spec(fam, rng))
-        curv = riemann_ricci(levi_civita(sc, L3), sc, L3)
-        oracle = closed_form_ricci(nine_params(sc), L3)
-        assert np.max(np.abs(curv.ricci - oracle.ricci)) < 1e-12
-        assert abs(curv.scalar - oracle.scalar) < 1e-12
+        ricci = ricci_components(koszul_components(sc.c, L3.eta), sc.c)
+        oracle_ricci, oracle_scalar = closed_form_ricci(nine_params(sc), L3)
+        assert np.max(np.abs(ricci - oracle_ricci)) < 1e-12
+        assert abs(scalar_of(ricci, L3) - oracle_scalar) < 1e-12
 
 
 def random_three_form(rng, dim):
@@ -138,9 +140,8 @@ def random_three_form(rng, dim):
 
 def test_torsionful_zero_torsion_is_identity():
     sc = make_family(FamilySpec("g3", {"a": 1, "b": 1, "c": 1}))
-    conn = levi_civita(sc, L3)
-    same = torsionful_connection(conn, np.zeros((3, 3, 3)), L3)
-    assert np.allclose(same.gamma, conn.gamma)
+    gamma = koszul_components(sc.c, L3.eta)
+    assert np.allclose(torsionful_connection(gamma, np.zeros((3, 3, 3)), L3), gamma)
 
 
 def test_torsionful_metric_compatible_and_torsion_matches():
@@ -152,16 +153,16 @@ def test_torsionful_metric_compatible_and_torsion_matches():
     su2 = make_family(FamilySpec("riemannian_unimodular", {"mu1": 1, "mu2": 1, "mu3": 1}))
     cases = [(g3, L3, 3), (direct_sum(g3, su2), L6, 6)]
     for sc, m, dim in cases:
-        conn = levi_civita(sc, m)
+        gamma = koszul_components(sc.c, m.eta)
         for _ in range(5):
             h = random_three_form(rng, dim)
-            conn_h = torsionful_connection(conn, antisymmetric_array(h, dim, 3), m)
-            assert compatibility_defect(conn_h, m) < 1e-13
+            gamma_h = torsionful_connection(gamma, antisymmetric_array(h, dim, 3), m)
+            assert compatibility_defect(gamma_h, m) < 1e-13
             # brute-force torsion: T(u,v) = nabla_u v - nabla_v u - [u, v]
             e = np.eye(dim)
             for i in range(dim):
                 for j in range(dim):
-                    t_vec = conn_h.gamma[i, j] - conn_h.gamma[j, i] - sc.bracket(e[i], e[j])
+                    t_vec = gamma_h[i, j] - gamma_h[j, i] - sc.bracket(e[i], e[j])
                     # (h(e_i, e_j, .))^sharp
                     expected = m.eta * interior_components(
                         e[j], interior_components(e[i], h, 3), 2)
@@ -203,17 +204,16 @@ def test_batched_curvature_bit_equal_to_single_on_table_instances():
     for m, tables in by_metric.items():
         c = np.stack([sc.c for sc in tables])
         gamma = koszul_components(c, m.eta)
-        riemann, ricci, scalar = curvature_components(gamma, c, m.eta)
-        ricci_only = ricci_components(gamma, c)
+        riemann = riemann_components(gamma, c)
+        ricci = ricci_components(gamma, c)
         for k, sc in enumerate(tables):
-            conn = levi_civita(sc, m)
-            single = riemann_ricci(conn, sc, m)
+            single_gamma = koszul_components(sc.c, m.eta)
+            single_riemann = riemann_components(single_gamma, sc.c)
             # bitwise, signed zeros included
-            assert gamma[k].tobytes() == conn.gamma.tobytes()
-            assert riemann[k].tobytes() == single.riemann.tobytes()
-            assert ricci[k].tobytes() == single.ricci.tobytes()
-            assert ricci_only[k].tobytes() == single.ricci.tobytes()
-            assert float(scalar[k]).hex() == single.scalar.hex()
+            assert gamma[k].tobytes() == single_gamma.tobytes()
+            assert riemann[k].tobytes() == single_riemann.tobytes()
+            assert ricci[k].tobytes() == np.einsum("ijki->jk", single_riemann).tobytes()
+            assert ricci[k].tobytes() == ricci_components(single_gamma, sc.c).tobytes()
 
 
 @pytest.mark.parametrize("signs", [(-1, 1, 1), (1, 1, 1)])
@@ -224,4 +224,5 @@ def test_ricci_components_bit_equal_to_trace_of_riemann_on_random_tables(signs):
     c = c - np.swapaxes(c, -3, -2)
     eta = np.array(signs, dtype=float)
     gamma = koszul_components(c, eta)
-    assert ricci_components(gamma, c).tobytes() == curvature_components(gamma, c, eta)[1].tobytes()
+    traced = np.einsum("...ijki->...jk", riemann_components(gamma, c))
+    assert ricci_components(gamma, c).tobytes() == traced.tobytes()

@@ -6,7 +6,12 @@ import pytest
 from epscontact import product6d as p6
 from epscontact import tables
 from epscontact.contact import build_contact, check_contact
-from epscontact.curvature import levi_civita, riemann_ricci, torsionful_connection
+from epscontact.curvature import (
+    koszul_components,
+    ricci_components,
+    riemann_components,
+    torsionful_connection,
+)
 from epscontact.errors import IncompatibleFactors
 from epscontact.exterior import (
     FrameMetric,
@@ -186,8 +191,9 @@ def test_torsionful_ricci_symmetric_for_closed_coclosed():
 
         sc6 = p6.direct_sum(n.sc, x.sc)
         m6 = FrameMetric(n.m.signs + x.m.signs)
-        conn_h = torsionful_connection(levi_civita(sc6, m6), antisymmetric_array(h, 6, 3), m6)
-        ric = riemann_ricci(conn_h, sc6, m6).ricci
+        gamma_h = torsionful_connection(koszul_components(sc6.c, m6.eta),
+                                        antisymmetric_array(h, 6, 3), m6)
+        ric = ricci_components(gamma_h, sc6.c)
         assert np.max(np.abs(ric - ric.T)) < 1e-13
 
 
@@ -198,24 +204,22 @@ def test_torsionful_connection_mixes_blocks_iff_l_nonzero():
     )
     x = su2_factor(0.0)
     sol = p6.build_solution(n, x, 1.0, 1.0)
-    conn = levi_civita(sol.sc6, sol.m6)
-    assert np.max(np.abs(conn.gamma[:3, 3:, :])) == 0.0  # product connection
-    assert np.max(np.abs(conn.gamma[:3, :3, 3:])) == 0.0
-    conn_h = torsionful_connection(conn, sol.h_array, sol.m6)
-    assert np.max(np.abs(conn_h.gamma[:3, :3, 3:])) > 0.01  # torsion mixes factors
+    gamma = sol.gamma
+    assert np.max(np.abs(gamma[:3, 3:, :])) == 0.0  # product connection
+    assert np.max(np.abs(gamma[:3, :3, 3:])) == 0.0
+    gamma_h = torsionful_connection(gamma, sol.h_array, sol.m6)
+    assert np.max(np.abs(gamma_h[:3, :3, 3:])) > 0.01  # torsion mixes factors
 
     sol0 = p6.preset_ads3xs3()
-    conn_h0 = torsionful_connection(levi_civita(sol0.sc6, sol0.m6), sol0.h_array, sol0.m6)
-    assert np.max(np.abs(conn_h0.gamma[:3, :3, 3:])) == 0.0
+    gamma_h0 = torsionful_connection(sol0.gamma, sol0.h_array, sol0.m6)
+    assert np.max(np.abs(gamma_h0[:3, :3, 3:])) == 0.0
 
 
 def test_perturbed_lambda_detected():
     sol = p6.preset_ads3xs3()
     h_bad = p6.torsion_form(sol.n_struct, sol.x_struct, sol.lam + 0.1, sol.l)
-    conn = levi_civita(sol.sc6, sol.m6)
-    ric = riemann_ricci(torsionful_connection(conn, antisymmetric_array(h_bad, 6, 3), sol.m6),
-                        sol.sc6, sol.m6).ricci
-    assert np.max(np.abs(ric)) > 0.01
+    gamma_h = torsionful_connection(sol.gamma, antisymmetric_array(h_bad, 6, 3), sol.m6)
+    assert np.max(np.abs(ricci_components(gamma_h, sol.sc6.c))) > 0.01
 
 
 def test_catalog_all_rows_all_tables():
@@ -294,9 +298,8 @@ def test_product_ricci_is_block_diagonal_factor_ricci():
     x = su2_factor(0.25)
     sc6 = p6.direct_sum(n.sc, x.sc)
     m6 = FrameMetric(n.m.signs + x.m.signs)
-    ric6 = riemann_ricci(levi_civita(sc6, m6), sc6, m6).ricci
-    ric_n = riemann_ricci(levi_civita(n.sc, n.m), n.sc, n.m).ricci
-    ric_x = riemann_ricci(levi_civita(x.sc, x.m), x.sc, x.m).ricci
+    ric6 = ricci_components(koszul_components(sc6.c, m6.eta), sc6.c)
+    ric_n, ric_x = n.ricci, x.ricci
     assert np.allclose(ric6[:3, :3], ric_n, atol=1e-13)
     assert np.allclose(ric6[3:, 3:], ric_x, atol=1e-13)
     assert np.max(np.abs(ric6[:3, 3:])) < 1e-13
@@ -321,19 +324,29 @@ def test_solution_json_bundle():
     assert data["H"] == {"degree": 3, "dim": 6, "comps": {"0,1,2": 1.0, "3,4,5": -1.0}}
 
 
-def test_solution_computes_its_connections_once(monkeypatch):
+def test_solution_computes_its_connections_once(count_calls):
     sol = p6.preset_ads3xs3()
-    counts = {"levi_civita": 0, "riemann_ricci": 0}
-    for name in counts:
-        original = getattr(p6, name)
-
-        def counting(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(p6, name, counting)
+    counts = count_calls(["koszul_components", "ricci_components", "riemann_components"])
     p6.verify_supergravity(sol)
     p6.ricci_torsion_identity_residual(sol)
-    # one Levi-Civita connection; the Ricci of it and of the torsionful one
-    assert counts == {"levi_civita": 1, "riemann_ricci": 2}
+    # one Levi-Civita connection; the Ricci of it and of the torsionful one,
+    # without a 6D Riemann stack
+    assert counts == {"koszul_components": 1, "ricci_components": 2, "riemann_components": 0}
     assert not sol.torsion_ricci.flags.writeable
+
+
+def test_solution_ricci_is_the_trace_of_riemann_on_the_catalog():
+    # the solutions' Ricci route, bit for bit against the traced 6D Riemann
+    # stack, for the Levi-Civita and the torsionful connection
+    checked = 0
+    for row in p6.CATALOG:
+        for l in row.ls(p6.DEFAULT_L_SAMPLES):
+            n, x, lam = row.build(l)
+            sol = p6.build_solution(n, x, lam, l)
+            gamma_h = torsionful_connection(sol.gamma, sol.h_array, sol.m6)
+            for gamma in (sol.gamma, gamma_h):
+                traced = np.einsum("ijki->jk", riemann_components(gamma, sol.sc6.c))
+                assert ricci_components(gamma, sol.sc6.c).tobytes() == traced.tobytes()
+                checked += 1
+            assert sol.torsion_ricci.tobytes() == ricci_components(gamma_h, sol.sc6.c).tobytes()
+    assert checked == 82  # 41 catalog solutions, two connections each
