@@ -92,13 +92,15 @@ def cmd_oracle(args, cfg: RunConfig) -> tuple:
     items = [
         {"family": fam, **vals} for fam, vals in sorted(report.per_family.items())
     ]
-    passed = report.passed(cfg.tol)
-    return passed, {
+    out = {
         "samples": report.samples,
         "max_ricci_dev": report.max_ricci_dev,
         "max_scalar_dev": report.max_scalar_dev,
         "items": items,
     }
+    for item in (*items, out):  # a NaN deviation already fails passed()
+        _null_non_finite(item)
+    return report.passed(cfg.tol), out
 
 
 def cmd_verify_tables(args, cfg: RunConfig) -> tuple:

@@ -34,8 +34,8 @@ from .exterior import (
     pairing_components,
 )
 from .curvature import koszul_components, ricci_components, riemann_components
-from .liealg import (FamilySpec, StructureConstants, direct_sum, family_metric, make_family,
-                     zero_algebra)
+from .liealg import (FamilySpec, StructureConstants, ad_components, direct_sum, family_metric,
+                     make_family, zero_algebra)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -90,8 +90,7 @@ class ContactStructure:
     @cached_property
     def h(self) -> np.ndarray:
         """h = L_xi phi = ad_xi phi - phi ad_xi on the frame."""
-        ad = self.sc.ad(self.xi)
-        return _read_only(ad @ self.phi - self.phi @ ad)
+        return _read_only(h_components(self.sc.c, self.xi, self.phi))
 
     @cached_property
     def mu(self) -> Optional[float]:
@@ -99,8 +98,7 @@ class ContactStructure:
         when h factors); None when epsilon != 0."""
         if self.epsilon != 0:
             return None
-        _, u, _ = self.frame
-        return float(self.metric_dot(u, self.h @ u))
+        return float(null_factor(self.h, self.alpha, self.m)[0])
 
     @cached_property
     def frame(self) -> tuple:
@@ -241,18 +239,62 @@ def check_contact(
     return ContactStructure(sc, m, int(orientation), _read_only(alpha), int(rows.eps), spec)
 
 
+# --- the derived tensors on stacks ---------------------------------------------
+#
+# Each takes stacked arrays with any batch axes (none for one structure) and is
+# the one formula for its tensor: ContactStructure and the functions below run
+# them on one structure, tables.verify_table_row on a row's instances at once.
+
+
+def phi_components(alpha: np.ndarray, m: FrameMetric, orientation) -> np.ndarray:
+    """phi(v) = -s_g (iota_v * alpha)^sharp as frame matrices (..., 3, 3) of
+    stacked one-forms alpha (..., 3) and orientations."""
+    star_alpha = hodge_components(alpha, m.signs, 1, orientation)
+    rows = interior_components(np.eye(3), star_alpha[..., None, :], 2)  # row j: iota_{e_j} *alpha
+    return np.ascontiguousarray(np.swapaxes(-m.s_g * (m.eta * rows), -1, -2))
+
+
+def h_components(c: np.ndarray, xi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """h = L_xi phi = ad_xi phi - phi ad_xi (..., 3, 3) over bracket tables c."""
+    ad = ad_components(xi, c)
+    return ad @ phi - phi @ ad
+
+
+def null_factor(h: np.ndarray, alpha: np.ndarray, m: FrameMetric) -> tuple:
+    """(mu, residual) of null structures: mu = g(u, h u) with u the
+    componentwise dual of alpha (see contact_frame), and max |h - mu xi (x)
+    alpha|, the residual of the decomposition h = mu xi (x) alpha."""
+    xi = m.eta * alpha
+    u = alpha / np.sum(alpha * alpha, axis=-1)[..., None]
+    mu = np.sum(m.eta * u * np.matmul(h, u[..., None])[..., 0], axis=-1)
+    model = mu[..., None, None] * (xi[..., :, None] * alpha[..., None, :])
+    return mu, np.abs(h - model).max(axis=(-2, -1))
+
+
+def check_decomposition(mu: float, residual: float, tol: float) -> None:
+    """Raise DecompositionFailure when a null h does not factor as mu xi (x) alpha."""
+    if residual > max(tol, 1e2 * tol * max(1.0, abs(mu))):
+        raise DecompositionFailure(
+            f"null h-tensor is not mu xi (x) alpha (residual {residual:.3e})"
+        )
+
+
+def lie_metric_components(c: np.ndarray, v: np.ndarray, m: FrameMetric) -> np.ndarray:
+    """(L_v g)(e_i, e_j) = -g([v, e_i], e_j) - g(e_i, [v, e_j]) on the frame,
+    that is -(ad_v^T G + G ad_v) with G = diag(eta), for stacked vectors v
+    (..., 3) over bracket tables c."""
+    ad, g = ad_components(v, c), np.diag(m.eta)
+    return -(np.swapaxes(ad, -1, -2) @ g + g @ ad)
+
+
 def characteristic_endo(cs: ContactStructure) -> np.ndarray:
     """phi(v) = -s_g (iota_v * alpha)^sharp as a frame matrix."""
-    star_alpha = hodge_components(cs.alpha, cs.m.signs, 1, cs.orientation)
-    rows = interior_components(np.eye(3), star_alpha, 2)  # row j: iota_{e_j} *alpha
-    return np.ascontiguousarray((-cs.s_g * (cs.m.eta * rows)).T)
+    return phi_components(cs.alpha, cs.m, cs.orientation)
 
 
 def lie_derivative_metric(cs: ContactStructure, v: np.ndarray) -> np.ndarray:
-    """(L_v g)(e_i, e_j) = -g([v, e_i], e_j) - g(e_i, [v, e_j]) on the frame,
-    that is -(ad_v^T G + G ad_v) with G = diag(eta)."""
-    ad, g = cs.sc.ad(v), np.diag(cs.m.eta)
-    return -(ad.T @ g + g @ ad)
+    """(L_v g)(e_i, e_j) on the frame; see lie_metric_components."""
+    return lie_metric_components(cs.sc.c, v, cs.m)
 
 
 def h_tensor(cs: ContactStructure, tol: float | None = None):
@@ -265,13 +307,9 @@ def h_tensor(cs: ContactStructure, tol: float | None = None):
     h = cs.h
     if cs.epsilon != 0:
         return h, None
-    mu = cs.mu
-    model = mu * np.outer(cs.xi, cs.alpha)
-    res = float(np.max(np.abs(h - model)))
-    if res > max(tol, 1e2 * tol * max(1.0, abs(mu))):
-        raise DecompositionFailure(
-            f"null h-tensor is not mu xi (x) alpha (residual {res:.3e})"
-        )
+    mu, res = null_factor(h, cs.alpha, cs.m)
+    mu = float(mu)
+    check_decomposition(mu, float(res), tol)
     return h, mu
 
 
@@ -403,7 +441,18 @@ def reeb_gradient(cs: ContactStructure) -> np.ndarray:
 
 def contact_identity_residuals(cs: ContactStructure) -> dict:
     """Residuals of the structural identities every contact structure obeys
-    (plus the null-case extras when epsilon = 0); all should be ~0."""
+    (plus the null-case extras when epsilon = 0); all should be ~0. Each is
+    the max-abs of its identity's terms (see _identity_terms), all taken in
+    one reduction over the terms laid end to end."""
+    terms = _identity_terms(cs)
+    flat = [np.ravel(r) for r in terms.values()]
+    starts = np.cumsum([0] + [len(r) for r in flat[:-1]])
+    worst = np.maximum.reduceat(np.abs(np.concatenate(flat)), starts)
+    return dict(zip(terms, worst.tolist()))
+
+
+def _identity_terms(cs: ContactStructure) -> dict:
+    """The terms, by identity, that vanish on every contact structure."""
     sg, eps, alpha, xi, phi = cs.s_g, cs.epsilon, cs.alpha, cs.xi, cs.phi
     g, eye, ad = np.diag(cs.m.eta), np.eye(3), cs.sc.ad(xi)
     h, mu = h_tensor(cs)
@@ -449,7 +498,7 @@ def contact_identity_residuals(cs: ContactStructure) -> dict:
             c2[0] - (mu - c1[2]),  # with coefficient mu - c
             c3[1] - 1.0,           # [u,phi(u)] = e xi + u + f phi(u)
         ])
-    return {name: float(np.max(np.abs(r))) for name, r in res.items()}
+    return res
 
 
 def timelike_special_frame(cs: ContactStructure, tol: float | None = None):

@@ -69,11 +69,17 @@ class StructureConstants:
 
     def ad(self, u: np.ndarray) -> np.ndarray:
         """Matrix of v -> [u, v] on frame components: ad(u)[k, j] = u^i c[i][j][k]."""
-        return np.einsum("i,ijk->kj", u, self.c)
+        return ad_components(u, self.c)
 
     def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """[u, v] for frame-component vectors u, v."""
         return self.ad(u) @ v
+
+
+def ad_components(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """ad(u) (..., n, n) of stacked vectors u (..., n) over stacked bracket
+    tables c (..., n, n, n); the batch axes broadcast."""
+    return np.einsum("...i,...ijk->...kj", u, c)
 
 
 def zero_algebra(dim: int = 3) -> StructureConstants:

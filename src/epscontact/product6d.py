@@ -109,7 +109,9 @@ class SugraResiduals:
     norm_h: float
 
     def max_residual(self) -> float:
-        return max(self.ricci_h, self.d_h, self.d_star_h, abs(self.norm_h))
+        """The worst size of a residual; NaN or inf when one is not finite, so
+        that is_solution fails."""
+        return float(np.max(np.abs([self.ricci_h, self.d_h, self.d_star_h, self.norm_h])))
 
     def is_solution(self, tol: float | None = None) -> bool:
         return self.max_residual() <= get_tol(tol)

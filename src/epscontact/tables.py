@@ -1,5 +1,6 @@
 """Classification tables of left-invariant contact structures on simply
-connected three-dimensional Lie groups, and their row-by-row verification.
+connected three-dimensional Lie groups, and their verification, one stacked
+pass per row and family.
 
 Table identifiers (CLI tokens):
   thm-1.2   eta-Einstein structures with time-like Reeb field
@@ -13,10 +14,11 @@ Table identifiers (CLI tokens):
 Each row is instantiated at five deterministic samples per free parameter
 (boundary values included where the row permits) and checked directly:
 contact condition, causal type, constants fit, Sasakian / K-contact flags,
-and group lookup. A row is declared by its sample axes and one function from
-a sample point to the instance fields (see "row declarations" below); the
-null parametrisations of Prop. 3.8 are written once and shared by thm-4.25
-and the prop-3.* tables.
+and group lookup. The instances of a row are checked together on stacked
+arrays, with the reports of checking each on its own. A row is declared by
+its sample axes and one function from a sample point to the instance fields
+(see "row declarations" below); the null parametrisations of Prop. 3.8 are
+written once and shared by thm-4.25 and the prop-3.* tables.
 
 Note: rows of the g2 family are restricted to a = 0; the g2 bracket table
 satisfies the Jacobi identity only when a c = 0, so with c != 0 the a != 0
@@ -29,13 +31,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .config import get_tol
-from .contact import build_contact, is_k_contact, is_sasakian
-from .einstein import fit_eta_einstein
-from .errors import EpsContactError
-from .liealg import FamilySpec, GroupName, identify_group
+from .contact import (CONTACT_CONDITIONS, build_contact, check_contact, check_decomposition,
+                      h_components, lie_metric_components, null_factor, phi_components)
+from .curvature import koszul_components, ricci_components
+from .einstein import _fit_rows
+from .errors import ConstraintViolation, NotContact
+from .liealg import FAMILIES, FamilySpec, GroupName, _validate, family_tables, identify_group
 
 SIGNS = (1, -1)
+_BOTH = np.array([[1], [-1]])  # the two orientations, as a (2, 1) batch
 ALPHA0 = (0.5, 1.0, 1.5, 2.0, 3.0)
 THETAS = (0.45, 1.1, 2.2, 3.7, 5.3)
 
@@ -367,65 +374,107 @@ def build_instance(inst: RowInstance, tol: float | None = None):
     return build_contact(inst.spec, inst.alpha, tol=tol)
 
 
-def verify_instance(inst: RowInstance, tol: float | None = None) -> InstanceReport:
-    tol = get_tol(tol)
-    report = InstanceReport(
-        label=inst.label,
-        params=dict(inst.spec.params),
-        alpha=tuple(float(x) for x in inst.alpha),
-        orientation=None,
-        passed=False,
-    )
+def _verify_family(family_id: str, insts: list, epsilon: int, tol: float) -> list:
+    """The InstanceReports of instances of one family and of the row's
+    epsilon, from one stacked pass: the bracket tables and constraint mask,
+    the contact check at both orientations, Koszul -> Ricci, and for the
+    structures of the row's epsilon the fit, h, the null factor mu and
+    L_xi g. The checks then run per instance in the order of a single
+    verification, reading the stacked results, and stop at the first failure."""
+    fam = FAMILIES[family_id]
+    m = fam.metric
+    c, valid = family_tables(family_id, {p: [i.spec[p] for i in insts] for p in fam.params}, tol)
+    alpha = np.array([i.alpha for i in insts], dtype=float)
+    rows = check_contact(c, m, _BOTH, np.broadcast_to(alpha, (2, *alpha.shape)), tol=tol)
+    contact, residuals, failed = rows.ok, rows.residuals, rows.failed[1]
+    orientation = np.where(contact[0], 1, -1)  # +1 first, as build_contact
+    eps = np.where(contact[0], rows.eps[0], rows.eps[1])
+    ric = ricci_components(koszul_components(c, m.eta), c)
+    # the structures of the row's epsilon, stacked in instance order
+    found = np.flatnonzero(valid & contact.any(axis=0) & (eps == epsilon))
+    at = dict(zip(found.tolist(), range(len(found))))
+    a, c = alpha[found], c[found]
+    xi = m.eta * a
+    fits = _fit_rows(ric[found], a, m, epsilon, tol)
+    h = h_components(c, xi, phi_components(a, m, orientation[found]))
+    sasakian = np.abs(h).max(axis=(-2, -1)) <= tol
+    null = null_factor(h, a, m) if epsilon == 0 else None
+    k_contact = np.abs(lie_metric_components(c, xi, m)).max(axis=(-2, -1)) <= tol
 
-    def fail(check, msg):
-        report.checks[check] = False
-        report.failure = msg
-        return report
+    def report(k: int, inst: RowInstance) -> InstanceReport:
+        out = InstanceReport(
+            label=inst.label,
+            params=dict(inst.spec.params),
+            alpha=tuple(float(x) for x in inst.alpha),
+            orientation=None,
+            passed=False,
+        )
 
-    try:
-        cs = build_instance(inst, tol=tol)
-    except EpsContactError as exc:
-        return fail("contact_ok", f"contact: {exc}")
-    report.orientation = cs.orientation
-    report.epsilon = cs.epsilon
-    if cs.epsilon != inst.epsilon:
-        return fail("contact_ok", f"epsilon {cs.epsilon} != expected {inst.epsilon}")
-    report.checks["contact_ok"] = True
-    if inst.group is not None:
-        found = identify_group(inst.spec, tol=tol)
-        if found != inst.group:
-            return fail("group_ok", f"group {found.value} != expected {inst.group.value}")
-        report.checks["group_ok"] = True
-    if inst.lambda2 is not None:
-        fit = fit_eta_einstein(cs, tol=tol)
-        report.lambda2, report.kappa, report.residual = fit.lambda2, fit.kappa, fit.residual
-        if not fit.admissible:
-            return fail("fit_ok", f"fit not admissible (residual {fit.residual:.3e})")
-        if abs(fit.lambda2 - inst.lambda2) > 10.0 * tol:
-            return fail("fit_ok", f"lambda2 {fit.lambda2:.6g} != expected {inst.lambda2:.6g}")
-        if abs(fit.kappa - inst.kappa) > 10.0 * tol:
-            return fail("fit_ok", f"kappa {fit.kappa:.6g} != expected {inst.kappa:.6g}")
-        report.checks["fit_ok"] = True
-    if inst.sasakian is not None:
-        if is_sasakian(cs, tol=tol) != inst.sasakian:
-            return fail("sasakian_ok", f"sasakian != expected {inst.sasakian}")
-        report.checks["sasakian_ok"] = True
-    if inst.k_contact is not None:
-        if is_k_contact(cs, tol=tol)[0] != inst.k_contact:
-            return fail("k_contact_ok", f"k_contact != expected {inst.k_contact}")
-        report.checks["k_contact_ok"] = True
-    report.passed = True
-    return report
+        def fail(check, msg):
+            out.checks[check] = False
+            out.failure = msg
+            return out
+
+        if not valid[k]:
+            try:
+                _validate(inst.spec, tol)
+            except ConstraintViolation as exc:
+                return fail("contact_ok", f"contact: {exc}")
+        if not contact[:, k].any():  # reported by its first failure at orientation -1
+            cond = int(failed[k])
+            exc = NotContact(CONTACT_CONDITIONS[cond], float(residuals[cond][1, k]))
+            return fail("contact_ok", f"contact: {exc}")
+        out.orientation, out.epsilon = int(orientation[k]), int(eps[k])
+        if out.epsilon != inst.epsilon:
+            return fail("contact_ok", f"epsilon {out.epsilon} != expected {inst.epsilon}")
+        out.checks["contact_ok"] = True
+        n = at[k]
+        if inst.group is not None:
+            group = identify_group(inst.spec, tol=tol)
+            if group != inst.group:
+                return fail("group_ok", f"group {group.value} != expected {inst.group.value}")
+            out.checks["group_ok"] = True
+        if inst.lambda2 is not None:
+            lambda2, kappa, residual, admissible = (x[n].item() for x in fits)
+            out.lambda2, out.kappa, out.residual = lambda2, kappa, residual
+            if not admissible:
+                return fail("fit_ok", f"fit not admissible (residual {residual:.3e})")
+            if abs(lambda2 - inst.lambda2) > 10.0 * tol:
+                return fail("fit_ok", f"lambda2 {lambda2:.6g} != expected {inst.lambda2:.6g}")
+            if abs(kappa - inst.kappa) > 10.0 * tol:
+                return fail("fit_ok", f"kappa {kappa:.6g} != expected {inst.kappa:.6g}")
+            out.checks["fit_ok"] = True
+        if inst.sasakian is not None:
+            if null is not None:
+                check_decomposition(null[0][n].item(), null[1][n].item(), tol)
+            if bool(sasakian[n]) != inst.sasakian:
+                return fail("sasakian_ok", f"sasakian != expected {inst.sasakian}")
+            out.checks["sasakian_ok"] = True
+        if inst.k_contact is not None:
+            if bool(k_contact[n]) != inst.k_contact:
+                return fail("k_contact_ok", f"k_contact != expected {inst.k_contact}")
+            out.checks["k_contact_ok"] = True
+        out.passed = True
+        return out
+
+    return [report(k, inst) for k, inst in enumerate(insts)]
 
 
 def verify_table_row(table_id: str, row: TableRow, tol: float | None = None) -> TableRowReport:
     """Verify every instance of a table row; table_id (or its alias) must name
-    the row's own table."""
+    the row's own table. The instances of each family are verified together
+    in one stacked pass (see _verify_family)."""
     if resolve_table(table_id) != row.table:
         raise ValueError(f"row {row.row_id!r} belongs to table {row.table!r}, not {table_id!r}")
-    report = TableRowReport(table=row.table, row_id=row.row_id, passed=True)
-    for inst in row.instances():
-        inst_report = verify_instance(inst, tol=tol)
-        report.instances.append(inst_report)
-        report.passed = report.passed and inst_report.passed
-    return report
+    tol = get_tol(tol)
+    insts = row.instances()
+    by_family = {}
+    for k, inst in enumerate(insts):
+        by_family.setdefault(inst.spec.family_id, []).append(k)
+    reports = [None] * len(insts)
+    for family_id, ks in by_family.items():
+        family_reports = _verify_family(family_id, [insts[k] for k in ks], row.epsilon, tol)
+        for k, rep in zip(ks, family_reports):
+            reports[k] = rep
+    return TableRowReport(table=row.table, row_id=row.row_id,
+                          passed=all(r.passed for r in reports), instances=reports)

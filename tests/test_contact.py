@@ -5,11 +5,13 @@ import pytest
 
 from epscontact import curvature
 from epscontact.contact import (
+    _identity_terms,
     build_contact,
     characteristic_endo,
     check_contact,
     contact_frame,
     contact_identity_residuals,
+    h_components,
     h_tensor,
     is_k_contact,
     is_sasakian,
@@ -17,7 +19,10 @@ from epscontact.contact import (
     k_contact_null_witness,
     l_endo,
     lie_derivative_metric,
+    lie_metric_components,
     nijenhuis_J,
+    null_factor,
+    phi_components,
     timelike_special_frame,
 )
 from epscontact.einstein import fit_eta_einstein
@@ -555,3 +560,36 @@ def test_j_forms_match_reference_loops_on_null_table_instances(table_structures)
     for cs in null:
         assert close(j_endo_matrix(cs), loop_j_matrix(cs), rel=1e-10)
         assert close(nijenhuis_J(cs)[0], loop_nijenhuis(cs), rel=1e-10)
+
+
+def test_identity_residuals_equal_per_identity_maxima(table_structures):
+    """The one reduction gives each identity's max-abs, as a float per name."""
+    for cs in table_structures:
+        want = {name: float(np.max(np.abs(r))) for name, r in _identity_terms(cs).items()}
+        got = contact_identity_residuals(cs)
+        assert repr(got) == repr(want)
+
+
+def test_stacked_tensors_bit_equal_to_single_structures(table_structures):
+    """phi, h, mu and L_xi g of all table structures of one family and
+    epsilon, stacked, are those of each structure on its own."""
+    groups = {}
+    for cs in table_structures:
+        groups.setdefault((cs.spec.family_id, cs.epsilon), []).append(cs)
+    assert len(groups) == 10
+    for (_, eps), group in groups.items():
+        m = group[0].m
+        alpha = np.array([cs.alpha for cs in group])
+        c = np.array([cs.sc.c for cs in group])
+        xi = m.eta * alpha
+        phi = phi_components(alpha, m, np.array([cs.orientation for cs in group]))
+        h = h_components(c, xi, phi)
+        lie = lie_metric_components(c, xi, m)
+        assert bit_equal(phi, [cs.phi for cs in group])
+        assert bit_equal(h, [cs.h for cs in group])
+        assert bit_equal(lie, [lie_derivative_metric(cs, cs.xi) for cs in group])
+        if eps == 0:
+            mu, residual = null_factor(h, alpha, m)
+            assert mu.tolist() == [cs.mu for cs in group]
+            assert bit_equal(mu, [h_tensor(cs)[1] for cs in group])
+            assert np.all(residual <= 1e-9)

@@ -350,3 +350,13 @@ def test_solution_ricci_is_the_trace_of_riemann_on_the_catalog():
                 checked += 1
             assert sol.torsion_ricci.tobytes() == ricci_components(gamma_h, sol.sc6.c).tobytes()
     assert checked == 82  # 41 catalog solutions, two connections each
+
+
+@pytest.mark.parametrize("field", ["ricci_h", "d_h", "d_star_h", "norm_h"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_residual_is_no_solution(field, bad):
+    fields = {"ricci_h": 1e-16, "d_h": 0.0, "d_star_h": 0.0, "norm_h": -1e-16}
+    assert p6.SugraResiduals(**fields).is_solution(1e-9)
+    res = p6.SugraResiduals(**{**fields, field: bad})
+    assert not res.is_solution(1e-9)
+    assert not np.isfinite(res.max_residual())

@@ -2,9 +2,11 @@ import hashlib
 
 import pytest
 
+import verify_oracle
 from epscontact import tables
 from epscontact.contact import contact_identity_residuals
 from epscontact.einstein import fit_eta_einstein, reeb_curvature_residual
+from epscontact.errors import DecompositionFailure
 from epscontact.liealg import GroupName
 
 ALL_TABLES = ("thm-1.2", "thm-4.22", "thm-4.25", "thm-4.14", "prop-3.8", "prop-3.16", "prop-3.22")
@@ -87,6 +89,117 @@ def test_forced_failure_is_reported():
     (inst,) = report.instances
     assert not inst.passed and inst.checks["fit_ok"] is False
     assert inst.failure.startswith("lambda2 ")
+
+
+G3_UNIT = tables.FamilySpec("g3", {"a": 1, "b": 1, "c": 1})  # Sasakian at alpha = e^0
+G1_NULL = tables.FamilySpec("g1", {"a": 1.0, "b": 1.0})  # Sasakian, not K-contact at e^0 - e^2
+
+# one forced row per failure path: (table, epsilon, instance fields, failed
+# check, start of the failure)
+FORCED = {
+    "constraint": ("thm-4.25", 0, dict(spec=tables.FamilySpec("g2", {"a": 1, "b": 0, "c": 1}),
+                                       alpha=(1.0, 0.0, 1.0)),
+                   "contact_ok", "contact: g2: constraint a c = 0 (Jacobi identity) violated"),
+    "not-contact": ("thm-1.2", -1, dict(spec=G3_UNIT, alpha=(0.3, 0.1, 0.2)),
+                    "contact_ok", "contact: not a contact structure: alpha = *d(alpha)"),
+    "epsilon": ("thm-1.2", -1, dict(spec=G3_UNIT, alpha=(0.0, 1.0, 0.0)),
+                "contact_ok", "epsilon 1 != expected -1"),
+    "group": ("thm-1.2", -1, dict(spec=G3_UNIT, alpha=(1.0, 0.0, 0.0), group=GroupName.H3),
+              "group_ok", "group SL2R_cover != expected H3"),
+    "inadmissible": ("prop-3.8", 0, dict(spec=G1_NULL, alpha=(1.0, 0.0, -1.0),
+                                         lambda2=0.0, kappa=0.0),
+                     "fit_ok", "fit not admissible (residual "),
+    "lambda2": ("thm-1.2", -1, dict(spec=G3_UNIT, alpha=(1.0, 0.0, 0.0), lambda2=2.0, kappa=0.0),
+                "fit_ok", "lambda2 1 != expected 2"),
+    "kappa": ("thm-1.2", -1, dict(spec=G3_UNIT, alpha=(1.0, 0.0, 0.0), lambda2=1.0, kappa=0.5),
+              "fit_ok", "kappa "),
+    "sasakian": ("thm-1.2", -1, dict(spec=G3_UNIT, alpha=(1.0, 0.0, 0.0), lambda2=1.0,
+                                     kappa=0.0, sasakian=False),
+                 "sasakian_ok", "sasakian != expected False"),
+    "k-contact": ("prop-3.16", 0, dict(spec=G1_NULL, alpha=(1.0, 0.0, -1.0), sasakian=True,
+                                       k_contact=True),
+                  "k_contact_ok", "k_contact != expected True"),
+}
+
+
+def forced_row(name):
+    table, epsilon, fields, _, _ = FORCED[name]
+    return tables.TableRow(table, name, {}, lambda: dict(label="x", **fields), epsilon)
+
+
+@pytest.mark.parametrize("name", sorted(FORCED))
+def test_every_failure_path_matches_reference(name):
+    _, _, _, check, failure = FORCED[name]
+    row = forced_row(name)
+    report = tables.verify_table_row(row.table, row)
+    (inst,) = report.instances
+    assert not report.passed and not inst.passed
+    assert inst.checks[check] is False and inst.failure.startswith(failure)
+    (want,) = verify_oracle.verify_row(row).instances
+    assert (inst.failure, inst.checks, inst.orientation, inst.epsilon) == (
+        want.failure, want.checks, want.orientation, want.epsilon)
+
+
+def test_row_of_mixed_failures_and_families_matches_reference(count_calls):
+    """Instances of three families, failing at different checks, in one row:
+    each family is verified in one stacked pass, and the reports keep the
+    order of the instances."""
+    names = ["kappa", "constraint", "k-contact", "not-contact", "inadmissible", "epsilon"]
+    fields = [FORCED[n][2] for n in names]
+    row = tables.TableRow("thm-1.2", "mixed", {"k": range(len(names))},
+                          lambda k: fields[k], -1)
+    counts = count_calls(["koszul_components", "ricci_components"])
+    report = tables.verify_table_row("thm-1.2", row)
+    assert counts == {"koszul_components": 3, "ricci_components": 3}  # g3, g2 and g1
+    assert hexed(report) == hexed(verify_oracle.verify_row(row))
+
+
+def hx(x):
+    """A float by its bits (signed zeros kept), anything else as it is."""
+    return float(x).hex() if isinstance(x, float) else x
+
+
+def hexed(report):
+    return (report.table, report.row_id, report.passed, [
+        (i.label, {k: hx(v) for k, v in i.params.items()}, tuple(map(hx, i.alpha)),
+         i.orientation, i.passed, i.epsilon, hx(i.lambda2), hx(i.kappa), hx(i.residual),
+         i.failure, i.checks)
+        for i in report.instances
+    ])
+
+
+# at 1e-16 and 0.5 hundreds of instances fail: the contact, group and fit checks
+@pytest.mark.parametrize("tol", [None, 1e-13, 1e-16, 0.5])
+def test_stacked_rows_bit_equal_to_reference_loop(tol):
+    rows = [row for rows in tables.TABLES.values() for row in rows]
+    got = [hexed(tables.verify_table_row(row.table, row, tol=tol)) for row in rows]
+    assert sum(len(g[3]) for g in got) == 771
+    assert got == [hexed(verify_oracle.verify_row(row, tol=tol)) for row in rows]
+
+
+def test_one_curvature_call_per_row_and_family(count_calls):
+    rows = [row for rows in tables.TABLES.values() for row in rows]
+    counts = count_calls(["koszul_components", "ricci_components"])
+    for row in rows:
+        tables.verify_table_row(row.table, row)
+    pairs = sum(len({i.spec.family_id for i in row.instances()}) for row in rows)
+    assert pairs == len(rows) == 40
+    assert counts == {"koszul_components": pairs, "ricci_components": pairs}
+
+
+def test_decomposition_failure_raised_only_at_the_sasakian_check(monkeypatch):
+    original = tables.null_factor
+
+    def broken(h, alpha, m):
+        mu, residual = original(h, alpha, m)
+        return mu, residual + 1.0
+
+    monkeypatch.setattr(tables, "null_factor", broken)
+    # prop-3.8 declares no flags: its instances never reach the Sasakian check
+    row = tables.table_row("prop-3.8", "g1")
+    assert tables.verify_table_row("prop-3.8", row).passed
+    with pytest.raises(DecompositionFailure, match="not mu xi"):
+        tables.verify_table_row("prop-3.16", tables.table_row("prop-3.16", "g1"))
 
 
 def test_row_report_checks_dict():

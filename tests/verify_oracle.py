@@ -1,0 +1,102 @@
+"""Per-instance references for the stacked verification passes: a table row
+verified one instance at a time through a built ContactStructure, and the
+curvature oracle run one sample at a time. tables.verify_table_row and
+oracle.run_oracle must give the same reports, bit for bit."""
+
+import numpy as np
+
+from epscontact.config import get_tol
+from epscontact.contact import is_k_contact, is_sasakian
+from epscontact.curvature import closed_form_ricci, koszul_components, ricci_components
+from epscontact.einstein import fit_eta_einstein
+from epscontact.errors import EpsContactError
+from epscontact.liealg import FAMILIES, identify_group, make_family, nine_params
+from epscontact.oracle import LORENTZ_FAMILIES, OracleReport, sample_spec
+from epscontact.tables import InstanceReport, TableRowReport, build_instance
+
+
+def verify_instance(inst, tol=None) -> InstanceReport:
+    """One instance: build its structure, then check epsilon, group, fit,
+    Sasakian and K-contact flags in turn, stopping at the first failure."""
+    tol = get_tol(tol)
+    report = InstanceReport(
+        label=inst.label,
+        params=dict(inst.spec.params),
+        alpha=tuple(float(x) for x in inst.alpha),
+        orientation=None,
+        passed=False,
+    )
+
+    def fail(check, msg):
+        report.checks[check] = False
+        report.failure = msg
+        return report
+
+    try:
+        cs = build_instance(inst, tol=tol)
+    except EpsContactError as exc:
+        return fail("contact_ok", f"contact: {exc}")
+    report.orientation = cs.orientation
+    report.epsilon = cs.epsilon
+    if cs.epsilon != inst.epsilon:
+        return fail("contact_ok", f"epsilon {cs.epsilon} != expected {inst.epsilon}")
+    report.checks["contact_ok"] = True
+    if inst.group is not None:
+        found = identify_group(inst.spec, tol=tol)
+        if found != inst.group:
+            return fail("group_ok", f"group {found.value} != expected {inst.group.value}")
+        report.checks["group_ok"] = True
+    if inst.lambda2 is not None:
+        fit = fit_eta_einstein(cs, tol=tol)
+        report.lambda2, report.kappa, report.residual = fit.lambda2, fit.kappa, fit.residual
+        if not fit.admissible:
+            return fail("fit_ok", f"fit not admissible (residual {fit.residual:.3e})")
+        if abs(fit.lambda2 - inst.lambda2) > 10.0 * tol:
+            return fail("fit_ok", f"lambda2 {fit.lambda2:.6g} != expected {inst.lambda2:.6g}")
+        if abs(fit.kappa - inst.kappa) > 10.0 * tol:
+            return fail("fit_ok", f"kappa {fit.kappa:.6g} != expected {inst.kappa:.6g}")
+        report.checks["fit_ok"] = True
+    if inst.sasakian is not None:
+        if is_sasakian(cs, tol=tol) != inst.sasakian:
+            return fail("sasakian_ok", f"sasakian != expected {inst.sasakian}")
+        report.checks["sasakian_ok"] = True
+    if inst.k_contact is not None:
+        if is_k_contact(cs, tol=tol)[0] != inst.k_contact:
+            return fail("k_contact_ok", f"k_contact != expected {inst.k_contact}")
+        report.checks["k_contact_ok"] = True
+    report.passed = True
+    return report
+
+
+def verify_row(row, tol=None) -> TableRowReport:
+    report = TableRowReport(table=row.table, row_id=row.row_id, passed=True)
+    for inst in row.instances():
+        inst_report = verify_instance(inst, tol=tol)
+        report.instances.append(inst_report)
+        report.passed = report.passed and inst_report.passed
+    return report
+
+
+def run_oracle(samples: int, seed: int, tol=None) -> OracleReport:
+    """The curvature oracle one sample at a time, deviations folded in order."""
+    rng = np.random.default_rng(seed)
+    per_family = {fam: {"samples": 0, "max_ricci_dev": 0.0, "max_scalar_dev": 0.0}
+                  for fam in LORENTZ_FAMILIES}
+    for k in range(samples):
+        fam = LORENTZ_FAMILIES[k % len(LORENTZ_FAMILIES)]
+        spec = sample_spec(fam, rng)
+        sc, m = make_family(spec), FAMILIES[fam].metric
+        ricci = ricci_components(koszul_components(sc.c, m.eta), sc.c)
+        scalar = float(np.einsum("i,ii->", m.eta, ricci))
+        oracle_ricci, oracle_scalar = closed_form_ricci(nine_params(sc), m, tol=tol)
+        entry = per_family[fam]
+        entry["samples"] += 1
+        entry["max_ricci_dev"] = max(entry["max_ricci_dev"],
+                                     float(np.max(np.abs(ricci - oracle_ricci))))
+        entry["max_scalar_dev"] = max(entry["max_scalar_dev"], abs(scalar - oracle_scalar))
+    return OracleReport(
+        samples=samples,
+        per_family=per_family,
+        max_ricci_dev=max(e["max_ricci_dev"] for e in per_family.values()),
+        max_scalar_dev=max(e["max_scalar_dev"] for e in per_family.values()),
+    )
