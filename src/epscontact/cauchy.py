@@ -260,7 +260,8 @@ class ConstraintResiduals:
         }
 
     def max_residual(self) -> float:
-        return max(self.curl, self.norm, self.hamiltonian, self.momentum)
+        """The worst size of a residual; NaN or inf when one is not finite."""
+        return float(np.max(np.abs([self.curl, self.norm, self.hamiltonian, self.momentum])))
 
 
 def _max_abs(r: np.ndarray) -> float:
@@ -308,7 +309,8 @@ class EvolutionResiduals:
         return {"alpha_flow": self.alpha_flow, "ricci_flow": self.ricci_flow}
 
     def max_residual(self) -> float:
-        return max(self.alpha_flow, self.ricci_flow)
+        """The worst size of a residual; NaN or inf when one is not finite."""
+        return float(np.max(np.abs([self.alpha_flow, self.ricci_flow])))
 
 
 def evolution_residuals(

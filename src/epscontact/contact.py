@@ -122,21 +122,26 @@ class ContactStructure:
         return json.dumps(data, sort_keys=True)
 
 
+_BOTH = np.array([1, -1])  # the two orientations, +1 first
+
+
 def build_contact(spec: FamilySpec, alpha, orientation: Optional[int] = None,
                   tol: float | None = None) -> ContactStructure:
     """The verified contact structure of a family instance with the one-form
-    alpha (frame components). orientation None tries +1, then -1, and
-    raises the NotContact of -1."""
+    alpha (frame components). orientation None checks +1 and -1 in one
+    stacked check: the +1 structure where alpha is contact at +1, else the
+    -1 structure, else the NotContact of -1."""
     tol = get_tol(tol)
     sc, m = make_family(spec, tol=tol), family_metric(spec.family_id)
-    if orientation is None:
-        # a NotContact kept in a local would form a cycle with its traceback
-        # and hold the failed attempt's arrays until the next garbage collection
-        try:
-            return check_contact(sc, m, 1, alpha, tol=tol, spec=spec)
-        except NotContact:
-            orientation = -1
-    return check_contact(sc, m, orientation, alpha, tol=tol, spec=spec)
+    if orientation is not None:
+        return check_contact(sc, m, orientation, alpha, tol=tol, spec=spec)
+    alpha = _one_form(alpha)
+    rows = _contact_rows(sc.c, m, _BOTH, alpha, tol)
+    ok = rows.ok
+    k = 0 if ok[0] else 1
+    if not ok[k]:
+        raise rows.error(k)
+    return ContactStructure(sc, m, int(_BOTH[k]), _read_only(alpha), int(rows.eps[k]), spec)
 
 
 # the conditions check_contact tests, in this order
@@ -178,6 +183,12 @@ class ContactRows(NamedTuple):
         norm2 = np.where(np.isfinite(self.n2), self.off, np.abs(self.n2))
         return self.norm, self.res, norm2, self.eps
 
+    def error(self, index=()) -> NotContact:
+        """The NotContact of the failing row at index: its first failed
+        condition and that condition's residual."""
+        cond = int(self.failed[index])
+        return NotContact(CONTACT_CONDITIONS[cond], float(self.residuals[cond][index]))
+
 
 def _contact_rows(c: np.ndarray, m: FrameMetric, orientation, alpha: np.ndarray,
                   tol: float) -> ContactRows:
@@ -190,6 +201,10 @@ def _contact_rows(c: np.ndarray, m: FrameMetric, orientation, alpha: np.ndarray,
         star_dalpha = hodge_components(d_components(alpha, c, 1), m.signs, 2, orientation)
         res = np.abs(alpha - star_dalpha).max(axis=-1)
         n2 = pairing_components(alpha, alpha, m.signs, 1)
+        # norm and |alpha|^2 depend on alpha alone: where c or the orientations
+        # add batch axes, they are computed once per alpha and broadcast
+        if np.shape(n2) != res.shape:
+            norm, n2 = np.full(res.shape, norm), np.full(res.shape, n2)
         eps = np.rint(n2)
         off = np.abs(n2 - eps)  # NaN where |alpha|^2 overflowed
         fails = np.array([
@@ -229,14 +244,19 @@ def check_contact(
         return _contact_rows(c, m, orientation, alpha, tol)
     if sc.dim != 3 or m.dim != 3:
         raise ValueError("contact structures are three-dimensional here")
+    alpha = _one_form(alpha)
+    rows = _contact_rows(sc.c, m, orientation, alpha, tol)
+    if rows.fails.any():
+        raise rows.error()
+    return ContactStructure(sc, m, int(orientation), _read_only(alpha), int(rows.eps), spec)
+
+
+def _one_form(alpha) -> np.ndarray:
+    """alpha as a new float array of 3 components; ValueError for another shape."""
     alpha = np.array(alpha, dtype=float)
     if alpha.shape != (3,):
         raise ValueError(f"alpha must be a one-form of 3 components, got shape {alpha.shape}")
-    rows = _contact_rows(sc.c, m, orientation, alpha, tol)
-    if rows.fails.any():
-        k = int(rows.fails.argmax())  # the first failed condition
-        raise NotContact(CONTACT_CONDITIONS[k], float(rows.residuals[k]))
-    return ContactStructure(sc, m, int(orientation), _read_only(alpha), int(rows.eps), spec)
+    return alpha
 
 
 # --- the derived tensors on stacks ---------------------------------------------

@@ -94,17 +94,16 @@ def closed_form_ricci(p9, m: FrameMetric, tol: float | None = None) -> tuple:
 
 
 def torsionful_connection(gamma: np.ndarray, h: np.ndarray, m: FrameMetric) -> np.ndarray:
-    """Coefficients of the metric connection with totally skew-symmetric
-    torsion h, given as the antisymmetric (n, n, n) array of a three-form,
-    over the Levi-Civita coefficients gamma:
-    nabla^h_u v = nabla_u v + (1/2) g^{-1} h(u, v, .)."""
-    if h.shape != (m.dim,) * 3:
+    """Coefficients (..., n, n, n) of the metric connections with totally
+    skew-symmetric torsion h, given as antisymmetric arrays (..., n, n, n) of
+    three-forms, over the Levi-Civita coefficients gamma; the batch axes
+    broadcast: nabla^h_u v = nabla_u v + (1/2) g^{-1} h(u, v, .)."""
+    if h.shape[-3:] != (m.dim,) * 3:
         raise ValueError("torsion must be the (n, n, n) array of a three-form")
-    extra = 0.5 * h * m.eta[None, None, :]
-    return gamma + extra
+    return gamma + 0.5 * h * m.eta
 
 
 def three_form_square(h: np.ndarray, m: FrameMetric) -> np.ndarray:
-    """(h o h)(u,v) = sum_{k,l} eta_k eta_l h(u,e_k,e_l) h(v,e_k,e_l) for the
-    antisymmetric (n, n, n) array h of a three-form."""
-    return np.einsum("ukl,vkl,k,l->uv", h, h, m.eta, m.eta)
+    """(h o h)(u,v) = sum_{k,l} eta_k eta_l h(u,e_k,e_l) h(v,e_k,e_l), (..., n, n),
+    for stacked antisymmetric arrays h (..., n, n, n) of three-forms."""
+    return np.einsum("...ukl,...vkl,k,l->...uv", h, h, m.eta, m.eta)

@@ -70,9 +70,9 @@ def _check_orientation(o):
     """o as an int, or an int array for stacked orientations; each must equal
     +-1 exactly (1.5 is not +1)."""
     if isinstance(o, np.ndarray) and o.ndim:
-        if not np.all((o == 1) | (o == -1)):
+        if not ((o == 1) | (o == -1)).all():
             raise ValueError("orientation sign must be +-1")
-        return o.astype(int)
+        return o.astype(int, copy=False)
     if o not in (-1, 1):
         raise ValueError("orientation sign must be +-1")
     return int(o)

@@ -88,11 +88,17 @@ def zero_algebra(dim: int = 3) -> StructureConstants:
 
 def direct_sum(sc1: StructureConstants, sc2: StructureConstants) -> StructureConstants:
     """Block-diagonal bracket table; all cross brackets vanish."""
-    n1, n2 = sc1.dim, sc2.dim
-    c = np.zeros((n1 + n2,) * 3)
-    c[:n1, :n1, :n1] = sc1.c
-    c[n1:, n1:, n1:] = sc2.c
-    return StructureConstants(c)
+    return StructureConstants.unchecked(direct_sum_components(sc1.c, sc2.c))
+
+
+def direct_sum_components(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Block-diagonal bracket tables (..., n1 + n2, ...) of stacked tables c1
+    (..., n1, n1, n1) and c2 (..., n2, n2, n2); the batch axes broadcast."""
+    n1, n2 = c1.shape[-1], c2.shape[-1]
+    c = np.zeros(np.broadcast_shapes(c1.shape[:-3], c2.shape[:-3]) + (n1 + n2,) * 3)
+    c[..., :n1, :n1, :n1] = c1
+    c[..., n1:, n1:, n1:] = c2
+    return c
 
 
 # --- the nine-parameter general 3D bracket -----------------------------------

@@ -21,19 +21,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .config import get_tol
-from .contact import ContactStructure, build_contact
+from .contact import ContactRows, ContactStructure, build_contact, check_contact
 from .curvature import (
     koszul_components,
     ricci_components,
     three_form_square,
     torsionful_connection,
 )
-from .einstein import fit_eta_einstein
+from .einstein import EtaEinsteinFit, _fit_rows, fit_eta_einstein
 from .errors import EpsContactError, IncompatibleFactors
 from .exterior import (
     FrameMetric,
@@ -45,7 +45,8 @@ from .exterior import (
     pairing_components,
     wedge_components,
 )
-from .liealg import StructureConstants, direct_sum
+from .liealg import (FAMILIES, StructureConstants, _validate, direct_sum, direct_sum_components,
+                     family_tables)
 from .tables import table_row
 
 
@@ -79,8 +80,7 @@ class ProductSolution:
     @cached_property
     def torsion_ricci(self) -> np.ndarray:
         """Ricci tensor of the connection with torsion H."""
-        gamma_h = torsionful_connection(self.gamma, self.h_array, self.m6)
-        ricci = ricci_components(gamma_h, self.sc6.c)
+        ricci = torsion_ricci_components(self.gamma, self.h_array, self.sc6.c, self.m6)
         ricci.flags.writeable = False
         return ricci
 
@@ -117,12 +117,32 @@ class SugraResiduals:
         return self.max_residual() <= get_tol(tol)
 
 
-def torsion_form(n_struct: ContactStructure, x_struct: ContactStructure,
-                 lam: float, l: float) -> np.ndarray:
-    """The C(6, 3) components of H on the 6D frame from the factor data."""
+# --- the formulas, on stacks ----------------------------------------------------
+#
+# Each takes stacked arrays with any batch axes (none for one solution) and is
+# the one formula for its quantity: build_solution, verify_supergravity and
+# ProductSolution run them on one solution, run_catalog on a row's l values at
+# once.
+
+
+class FactorStack(NamedTuple):
+    """Contact factors as torsion_form reads them: one-forms alpha (..., 3),
+    the factor metric and orientation signs over the batch axes. A
+    ContactStructure has the same three attributes."""
+
+    alpha: np.ndarray
+    m: FrameMetric
+    orientation: np.ndarray
+
+
+def torsion_form(n_struct, x_struct, lam, l) -> np.ndarray:
+    """The C(6, 3) components (..., 20) of H on the 6D frame from the factor
+    data: contact structures with lam and l numbers, or FactorStacks with
+    lam and l numbers or arrays over the batch axes."""
     n, x = n_struct, x_struct
-    nu_n = embed_components(np.array([float(n.orientation)]), 3, 0)
-    nu_x = embed_components(np.array([float(x.orientation)]), 3, 3)
+    lam, l = (np.asarray(v, dtype=float)[..., None] for v in (lam, l))
+    nu_n = embed_components(np.asarray(n.orientation, dtype=float)[..., None], 3, 0)
+    nu_x = embed_components(np.asarray(x.orientation, dtype=float)[..., None], 3, 3)
     alpha_n, alpha_x = embed_components(n.alpha, 1, 0), embed_components(x.alpha, 1, 3)
     star_alpha_n = embed_components(hodge_components(n.alpha, n.m.signs, 1, n.orientation), 2, 0)
     star_alpha_x = embed_components(hodge_components(x.alpha, x.m.signs, 1, x.orientation), 2, 3)
@@ -134,24 +154,37 @@ def torsion_form(n_struct: ContactStructure, x_struct: ContactStructure,
     )
 
 
-def build_solution(
-    n_struct: ContactStructure,
-    x_struct: ContactStructure,
-    lam: float,
-    l: float,
-    tol: float | None = None,
-) -> ProductSolution:
-    """Construct the 6D product data, validating factor compatibility:
-    both factors eta-Einstein with lambda^2 = lam^2, kappa_N = l^2 and
-    kappa_X = eps_N l^2. Raises IncompatibleFactors naming the violation."""
-    tol = get_tol(tol)
-    if n_struct.m.s_g != -1:
+def torsion_ricci_components(gamma: np.ndarray, h: np.ndarray, c: np.ndarray,
+                             m: FrameMetric) -> np.ndarray:
+    """Ricci (..., n, n) of the connections with torsion h, antisymmetric
+    arrays (..., n, n, n), over Levi-Civita coefficients gamma and bracket
+    tables c."""
+    return ricci_components(torsionful_connection(gamma, h, m), c)
+
+
+def field_residuals(h: np.ndarray, ricci_h: np.ndarray, c: np.ndarray, m: FrameMetric,
+                    orientation) -> tuple:
+    """The four field equations on stacked 6D data, as arrays over the batch
+    axes: max |Ric(nabla^H)| from the torsionful Ricci tensors ricci_h, max
+    |dH| and max |d*H| from the components h (..., 20) over bracket tables c,
+    and |H|^2 = H_{ijk} H^{ijk}."""
+    d_h = d_components(h, c, 3)
+    d_star_h = d_components(hodge_components(h, m.signs, 3, orientation), c, 3)
+    # the all-tuples contraction H_{ijk} H^{ijk}: 3! times the sorted-tuple pairing
+    norm_h = math.factorial(3) * pairing_components(h, h, m.signs, 3)
+    return (np.abs(ricci_h).max(axis=(-2, -1)), np.abs(d_h).max(axis=-1),
+            np.abs(d_star_h).max(axis=-1), norm_h)
+
+
+def _check_factors(sg_n: int, sg_x: int, eps_n: int, fit_n: EtaEinsteinFit,
+                   fit_x: EtaEinsteinFit, lam: float, l: float, tol: float) -> None:
+    """Raise IncompatibleFactors naming the first violated condition of the
+    product: the signatures, both fits, lambda^2, kappa_N, then kappa_X."""
+    if sg_n != -1:
         raise IncompatibleFactors("first factor must be Lorentzian")
-    if x_struct.m.s_g != 1:
+    if sg_x != 1:
         raise IncompatibleFactors("second factor must be Riemannian")
     check_tol = 1e2 * tol
-    fit_n = fit_eta_einstein(n_struct, tol=tol)
-    fit_x = fit_eta_einstein(x_struct, tol=tol)
     if not fit_n.residual <= tol or not fit_n.admissible:
         raise IncompatibleFactors(
             f"Lorentzian factor is not admissibly eta-Einstein (residual {fit_n.residual:.3e})"
@@ -169,10 +202,29 @@ def build_solution(
         )
     if not abs(fit_n.kappa - l2) <= check_tol:
         raise IncompatibleFactors(f"kappa_N={fit_n.kappa:.6g} != l^2={l2:.6g}")
-    if not abs(fit_x.kappa - n_struct.epsilon * l2) <= check_tol:
+    if not abs(fit_x.kappa - eps_n * l2) <= check_tol:
         raise IncompatibleFactors(
-            f"kappa_X={fit_x.kappa:.6g} != eps_N l^2={n_struct.epsilon * l2:.6g}"
+            f"kappa_X={fit_x.kappa:.6g} != eps_N l^2={eps_n * l2:.6g}"
         )
+
+
+# --- one solution ---------------------------------------------------------------
+
+
+def build_solution(
+    n_struct: ContactStructure,
+    x_struct: ContactStructure,
+    lam: float,
+    l: float,
+    tol: float | None = None,
+) -> ProductSolution:
+    """Construct the 6D product data, validating factor compatibility:
+    both factors eta-Einstein with lambda^2 = lam^2, kappa_N = l^2 and
+    kappa_X = eps_N l^2. Raises IncompatibleFactors naming the violation."""
+    tol = get_tol(tol)
+    _check_factors(n_struct.m.s_g, x_struct.m.s_g, n_struct.epsilon,
+                   fit_eta_einstein(n_struct, tol=tol), fit_eta_einstein(x_struct, tol=tol),
+                   lam, l, tol)
     sc6 = direct_sum(n_struct.sc, x_struct.sc)
     m6 = FrameMetric(n_struct.m.signs + x_struct.m.signs)
     orientation6 = n_struct.orientation * x_struct.orientation
@@ -183,17 +235,9 @@ def build_solution(
 
 def verify_supergravity(sol: ProductSolution) -> SugraResiduals:
     """Evaluate the four field equations on the product data."""
-    h, c, signs = sol.h_form, sol.sc6.c, sol.m6.signs
-    d_h = d_components(h, c, 3)
-    d_star_h = d_components(hodge_components(h, signs, 3, sol.orientation6), c, 3)
-    # the all-tuples contraction H_{ijk} H^{ijk}: 3! times the sorted-tuple pairing
-    norm_h = math.factorial(3) * float(pairing_components(h, h, signs, 3))
-    return SugraResiduals(
-        ricci_h=float(np.max(np.abs(sol.torsion_ricci))),
-        d_h=float(np.max(np.abs(d_h))),
-        d_star_h=float(np.max(np.abs(d_star_h))),
-        norm_h=norm_h,
-    )
+    residuals = field_residuals(sol.h_form, sol.torsion_ricci, sol.sc6.c, sol.m6,
+                                sol.orientation6)
+    return SugraResiduals(*(float(r) for r in residuals))
 
 
 def ricci_torsion_identity_residual(sol: ProductSolution) -> float:
@@ -342,23 +386,133 @@ def run_catalog(epsilon_n: int, l_samples, tol: float | None = None) -> list:
     l samples (rows pinned to a specific l^2 use that value instead). A
     library error (NotContact, ConstraintViolation, IncompatibleFactors, ...)
     is reported as the failure of its row and l; any other exception is a bug
-    and propagates."""
+    and propagates.
+
+    A row's l values are verified together, one stacked pass per (N family,
+    X family) pair (see _verify_group), with the results of building and
+    verifying each (row, l) on its own: row.build, build_solution and
+    verify_supergravity."""
     tol = get_tol(tol)
     results = []
     for row in catalog_rows(epsilon_n):
-        for l in row.ls(l_samples):
+        ls = row.ls(l_samples)
+        out, groups = [None] * len(ls), {}
+        for k, l in enumerate(ls):
             try:
-                n, x, lam = row.build(l)
-                res = verify_supergravity(build_solution(n, x, lam, l, tol=tol))
+                n, x = row.factors(l)
             except EpsContactError as exc:
-                results.append(
-                    CatalogResult(row.name, epsilon_n, l, float("nan"),
-                                  SugraResiduals(np.inf, np.inf, np.inf, np.inf), False,
-                                  f"{type(exc).__name__}: {exc}")
-                )
+                out[k] = _failed(row, l, exc)
                 continue
-            results.append(CatalogResult(row.name, epsilon_n, l, lam, res, res.is_solution(tol)))
+            key = (n[1]["spec"].family_id, x[1]["spec"].family_id)
+            groups.setdefault(key, []).append((k, l, n, x))
+        for members in groups.values():
+            for (k, *_), result in zip(members, _verify_group(row, members, tol)):
+                out[k] = result
+        results += out
     return results
+
+
+def _failed(row: CatalogRow, l: float, exc: EpsContactError) -> CatalogResult:
+    return CatalogResult(row.name, row.epsilon_n, l, float("nan"),
+                         SugraResiduals(np.inf, np.inf, np.inf, np.inf), False,
+                         f"{type(exc).__name__}: {exc}")
+
+
+class _Factors(NamedTuple):
+    """One factor at a group of catalog l values, stacked: its specs, their
+    bracket tables c with the constraint mask valid, the one-forms and
+    orientations, and the contact check build_contact makes."""
+
+    specs: list
+    c: np.ndarray
+    valid: np.ndarray
+    stack: FactorStack
+    contact: ContactRows
+
+    @classmethod
+    def check(cls, factors: list) -> "_Factors":
+        """factors: the (table row, instance fields, orientation) at each l."""
+        tol = get_tol()  # row.build builds its factors at the default tolerance
+        specs = [fields["spec"] for _, fields, _ in factors]
+        family_id = specs[0].family_id
+        fam = FAMILIES[family_id]
+        c, valid = family_tables(family_id, {p: [spec[p] for spec in specs] for p in fam.params},
+                                 tol)
+        stack = FactorStack(np.array([fields["alpha"] for _, fields, _ in factors], dtype=float),
+                            fam.metric, np.array([o for _, _, o in factors]))
+        return cls(specs, c, valid, stack,
+                   check_contact(c, fam.metric, stack.orientation, stack.alpha, tol=tol))
+
+    def raise_failure(self, k: int) -> None:
+        """Raise what build_contact raises at the k-th l, if anything."""
+        if not self.valid[k]:
+            _validate(self.specs[k], get_tol())
+        if not self.contact.ok[k]:
+            raise self.contact.error(k)
+
+    def at(self, ks: np.ndarray) -> FactorStack:
+        return FactorStack(self.stack.alpha[ks], self.stack.m, self.stack.orientation[ks])
+
+    def fits(self, ks: np.ndarray, tol: float) -> list:
+        """The eta-Einstein fits at the l values ks: one Koszul -> Ricci pass,
+        and one stacked fit per epsilon."""
+        c, m = self.c[ks], self.stack.m
+        ric = ricci_components(koszul_components(c, m.eta), c)
+        eps = self.contact.eps[ks]
+        out = [None] * len(ks)
+        for e in set(eps.tolist()):
+            at = np.flatnonzero(eps == e)
+            fits = _fit_rows(ric[at], self.stack.alpha[ks[at]], m, int(e), tol)
+            for j, fit in zip(at, zip(*(x.tolist() for x in fits))):
+                out[j] = EtaEinsteinFit(*fit)
+        return out
+
+
+def _verify_group(row: CatalogRow, members: list, tol: float) -> list:
+    """The CatalogResults at a row's l values whose factors share one (N
+    family, X family) pair; members holds (k, l, N factor, X factor) in l
+    order. Both factors' bracket tables and contact checks, their Koszul ->
+    Ricci and fits, and the 6D tables, H, the Levi-Civita and torsionful
+    connections, Ricci, dH and d*H each run once on the stack. Each l then
+    reads its results in the order of row.build and build_solution, so a
+    failure reports the error raised first there."""
+    ls = [l for _, l, _, _ in members]
+    n = _Factors.check([f for _, _, f, _ in members])
+    x = _Factors.check([f for _, _, _, f in members])
+    out, lams, built = [None] * len(ls), [None] * len(ls), []
+    for k, l in enumerate(ls):
+        try:
+            n.raise_failure(k)
+            x.raise_failure(k)
+            lams[k] = row.lam(l)
+        except EpsContactError as exc:
+            out[k] = _failed(row, l, exc)
+            continue
+        built.append(k)
+    built = np.array(built, dtype=int)
+    solved = []
+    for k, fit_n, fit_x in zip(built.tolist(), n.fits(built, tol), x.fits(built, tol)):
+        try:
+            _check_factors(n.stack.m.s_g, x.stack.m.s_g, int(n.contact.eps[k]), fit_n, fit_x,
+                           lams[k], ls[k], tol)
+        except IncompatibleFactors as exc:
+            out[k] = _failed(row, ls[k], exc)
+            continue
+        solved.append(k)
+    if not solved:
+        return out
+    ks = np.array(solved)
+    c6 = direct_sum_components(n.c[ks], x.c[ks])
+    m6 = FrameMetric(n.stack.m.signs + x.stack.m.signs)
+    n_k, x_k = n.at(ks), x.at(ks)
+    h = torsion_form(n_k, x_k, [lams[k] for k in solved], [ls[k] for k in solved])
+    ricci_h = torsion_ricci_components(koszul_components(c6, m6.eta),
+                                       antisymmetric_array(h, 6, 3), c6, m6)
+    fields = field_residuals(h, ricci_h, c6, m6, n_k.orientation * x_k.orientation)
+    for j, k in enumerate(solved):
+        res = SugraResiduals(*(float(f[j]) for f in fields))
+        out[k] = CatalogResult(row.name, row.epsilon_n, ls[k], lams[k], res, res.is_solution(tol))
+    return out
 
 
 def preset_ads3xs3() -> ProductSolution:

@@ -34,15 +34,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import get_tol
-from .contact import (CONTACT_CONDITIONS, build_contact, check_contact, check_decomposition,
-                      h_components, lie_metric_components, null_factor, phi_components)
+from .contact import (_BOTH, build_contact, check_contact, check_decomposition, h_components,
+                      lie_metric_components, null_factor, phi_components)
 from .curvature import koszul_components, ricci_components
 from .einstein import _fit_rows
-from .errors import ConstraintViolation, NotContact
+from .errors import ConstraintViolation
 from .liealg import FAMILIES, FamilySpec, GroupName, _validate, family_tables, identify_group
 
 SIGNS = (1, -1)
-_BOTH = np.array([[1], [-1]])  # the two orientations, as a (2, 1) batch
 ALPHA0 = (0.5, 1.0, 1.5, 2.0, 3.0)
 THETAS = (0.45, 1.1, 2.2, 3.7, 5.3)
 
@@ -369,8 +368,8 @@ def table_row(table_id: str, row_id: str) -> TableRow:
 
 
 def build_instance(inst: RowInstance, tol: float | None = None):
-    """Realize a row instance as a verified contact structure, trying
-    orientation +1, then -1."""
+    """Realize a row instance as a verified contact structure at orientation
+    +1 if alpha is contact there, else at -1 (see build_contact)."""
     return build_contact(inst.spec, inst.alpha, tol=tol)
 
 
@@ -385,8 +384,8 @@ def _verify_family(family_id: str, insts: list, epsilon: int, tol: float) -> lis
     m = fam.metric
     c, valid = family_tables(family_id, {p: [i.spec[p] for i in insts] for p in fam.params}, tol)
     alpha = np.array([i.alpha for i in insts], dtype=float)
-    rows = check_contact(c, m, _BOTH, np.broadcast_to(alpha, (2, *alpha.shape)), tol=tol)
-    contact, residuals, failed = rows.ok, rows.residuals, rows.failed[1]
+    rows = check_contact(c, m, _BOTH[:, None], alpha, tol=tol)
+    contact = rows.ok
     orientation = np.where(contact[0], 1, -1)  # +1 first, as build_contact
     eps = np.where(contact[0], rows.eps[0], rows.eps[1])
     ric = ricci_components(koszul_components(c, m.eta), c)
@@ -421,9 +420,7 @@ def _verify_family(family_id: str, insts: list, epsilon: int, tol: float) -> lis
             except ConstraintViolation as exc:
                 return fail("contact_ok", f"contact: {exc}")
         if not contact[:, k].any():  # reported by its first failure at orientation -1
-            cond = int(failed[k])
-            exc = NotContact(CONTACT_CONDITIONS[cond], float(residuals[cond][1, k]))
-            return fail("contact_ok", f"contact: {exc}")
+            return fail("contact_ok", f"contact: {rows.error((1, k))}")
         out.orientation, out.epsilon = int(orientation[k]), int(eps[k])
         if out.epsilon != inst.epsilon:
             return fail("contact_ok", f"epsilon {out.epsilon} != expected {inst.epsilon}")

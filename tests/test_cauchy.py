@@ -458,3 +458,22 @@ def test_non_finite_fields_rejected(name):
     fields[name].flat[3] = np.inf
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         cy.SurfaceData(d.grid, **fields)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["curl", "norm", "hamiltonian", "momentum"])
+def test_constraint_max_residual_reports_non_finite(field, bad):
+    # a NaN or infinite residual is not folded away by the maximum
+    fields = {"curl": 0.0, "norm": 1e-16, "hamiltonian": 0.0, "momentum": 0.0}
+    assert cy.ConstraintResiduals(**fields).max_residual() == 1e-16
+    worst = cy.ConstraintResiduals(**{**fields, field: bad}).max_residual()
+    assert not np.isfinite(worst) and not worst < 1e-13
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["alpha_flow", "ricci_flow"])
+def test_evolution_max_residual_reports_non_finite(field, bad):
+    fields = {"alpha_flow": 0.0, "ricci_flow": 0.0}
+    assert cy.EvolutionResiduals(**fields).max_residual() == 0.0
+    worst = cy.EvolutionResiduals(**{**fields, field: bad}).max_residual()
+    assert not np.isfinite(worst) and not worst < 1e-13

@@ -3,7 +3,8 @@ import gc
 import numpy as np
 import pytest
 
-from epscontact import curvature
+import verify_oracle
+from epscontact import contact, curvature, tables
 from epscontact.contact import (
     _identity_terms,
     build_contact,
@@ -26,7 +27,7 @@ from epscontact.contact import (
     timelike_special_frame,
 )
 from epscontact.einstein import fit_eta_einstein
-from epscontact.errors import NotContact, WrongCausalType
+from epscontact.errors import EpsContactError, NotContact, WrongCausalType
 from epscontact.exterior import FrameMetric
 from epscontact.liealg import FamilySpec, family_metric, make_family, zero_algebra
 
@@ -379,6 +380,45 @@ def test_build_contact_pinned_wrong_orientation_raises():
     # +1 fails alpha = *d(alpha), -1 fails the norm; the last failure is raised
     with pytest.raises(NotContact, match=r"in \{-1, 0, \+1\}"):
         build_contact(minus, (0.0, 2.0, 0.0))
+
+
+def built(build, spec, alpha):
+    """A build's (orientation, alpha bits, epsilon, spec), or its error."""
+    try:
+        cs = build(spec, alpha)
+    except EpsContactError as exc:
+        return type(exc).__name__, str(exc)
+    return cs.orientation, cs.alpha.tobytes(), cs.epsilon, cs.spec
+
+
+def test_build_contact_equals_trying_plus_then_minus():
+    # every table instance, and three perturbations of its alpha that fail
+    # at one orientation or both, against the two-attempt reference
+    insts = [inst for rows in tables.TABLES.values() for row in rows for inst in row.instances()]
+    assert len(insts) == 771
+    cases = [(inst.spec, alpha) for inst in insts
+             for alpha in (inst.alpha, 1.5 * np.array(inst.alpha),
+                           np.array(inst.alpha) + (0.0, 0.1, 0.0))]
+    cases += [(insts[0].spec, alpha) for alpha in
+              ((0.0, 0.0, 0.0), (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (1e200, 0.0, 1e200))]
+    got = [built(build_contact, spec, alpha) for spec, alpha in cases]
+    assert got == [built(verify_oracle.build_contact_retry, spec, alpha) for spec, alpha in cases]
+    orientations = [g[0] for g in got]
+    assert orientations.count(-1) > 300 and orientations.count("NotContact") > 700
+
+
+def test_build_contact_makes_one_stacked_check(monkeypatch):
+    calls = []
+    original = contact._contact_rows
+    monkeypatch.setattr(contact, "_contact_rows", lambda *args: calls.append(1) or original(*args))
+    plus = FamilySpec("g3", {"a": 1.0, "b": 1.0, "c": 1.0})
+    minus = FamilySpec("g3", {"a": -1.0, "b": -1.0, "c": -1.0})
+    cases = [(plus, (1.0, 1.0, 0.0), None, 1), (minus, (0.0, 1.0, 0.0), None, -1),
+             (minus, (0.0, 2.0, 0.0), None, "NotContact"), (minus, (0.0, 1.0, 0.0), -1, -1)]
+    for spec, alpha, orientation, want in cases:
+        calls.clear()
+        assert built(lambda s, a: build_contact(s, a, orientation), spec, alpha)[0] == want
+        assert calls == [1]
 
 
 # --- derived data computed once per structure -----------------------------------

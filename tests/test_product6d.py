@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+import catalog_oracle
 from epscontact import product6d as p6
 from epscontact import tables
 from epscontact.contact import build_contact, check_contact
@@ -10,6 +12,7 @@ from epscontact.curvature import (
     koszul_components,
     ricci_components,
     riemann_components,
+    three_form_square,
     torsionful_connection,
 )
 from epscontact.errors import IncompatibleFactors
@@ -360,3 +363,126 @@ def test_non_finite_residual_is_no_solution(field, bad):
     res = p6.SugraResiduals(**{**fields, field: bad})
     assert not res.is_solution(1e-9)
     assert not np.isfinite(res.max_residual())
+
+
+# --- the stacked catalog pass against the per-solution reference -----------------
+
+
+def hx(x):
+    """A float by its bits (signed zeros kept), anything else as it is."""
+    return float(x).hex() if isinstance(x, float) else x
+
+
+def hexed(results):
+    return [(r.row, r.epsilon_n, hx(r.l), hx(r.lam), r.passed, r.failure,
+             tuple(hx(v) for v in (r.residuals.ricci_h, r.residuals.d_h, r.residuals.d_star_h,
+                                   r.residuals.norm_h)))
+            for r in results]
+
+
+# the defaults plus one draw in each of 32 strata of [0, 1), as the benchmark's
+# product workload samples l
+_DRAWN = (np.arange(32) + np.random.default_rng(2019).uniform(0.0, 1.0, 32)) / 32
+L_SETS = {
+    "default": p6.DEFAULT_L_SAMPLES,
+    "strata-37": sorted(set(p6.DEFAULT_L_SAMPLES) | set(_DRAWN.tolist())),
+    # overflowing, underflowing and subnormal l, boundaries of the l^2 bounds,
+    # an l beyond every bound, repeated and negative l
+    "failures": (1e200, -1e200, 1e-200, 5e-324, 0.999999999999, 0.7071067811865, 3.0,
+                 0.5, 0.5, -0.25, -0.9, 0.0),
+}
+
+
+@pytest.mark.parametrize("eps_n", [-1, 0, 1])
+@pytest.mark.parametrize("l_set", sorted(L_SETS))
+def test_catalog_bit_equal_to_per_solution_reference(eps_n, l_set):
+    ls = L_SETS[l_set]
+    got = hexed(p6.run_catalog(eps_n, ls))
+    assert len(L_SETS["strata-37"]) == 37
+    assert got == hexed(catalog_oracle.run_catalog(eps_n, ls))
+    if l_set == "failures" and eps_n >= 0:  # NotContact at eps_N = 0, ConstraintViolation at 1
+        assert any(r[5] is not None for r in got)
+
+
+def _su2(m):
+    return "su2-sasakian", {"m": m}
+
+
+# rows that fail build_solution's checks or build_contact at some l, each
+# against a theorem condition: (row, the failures it must report)
+FORCED_ROWS = [
+    (p6.CatalogRow(0, "lambda-mismatch",
+                   lambda l: ("thm-1.2", "g3-sasakian", {"a": 1.0 - l * l}, 1),
+                   lambda l: _su2(1.0 - l * l), lambda l: 2.0),
+     {"IncompatibleFactors: lambda^2 mismatch"}),
+    (p6.CatalogRow(0, "kappa-n", lambda l: ("thm-1.2", "g3-sasakian", {"a": 0.5}, 1),
+                   lambda l: _su2(0.5), lambda l: math.sqrt(0.5)),
+     {"IncompatibleFactors: kappa_N"}),
+    (p6.CatalogRow(0, "kappa-x", lambda l: ("thm-1.2", "g3-sasakian", {"a": 1.0 - l * l}, 1),
+                   lambda l: ("su2-nonsasakian", {"mh": abs(2.0 * l * l - 1.0) ** 0.5}),
+                   lambda l: math.sqrt(1.0 - l * l)),
+     {"IncompatibleFactors: kappa_X", "IncompatibleFactors: lambda^2 mismatch"}),
+    (p6.CatalogRow(0, "riemannian-n", lambda l: ("thm-4.14", "su2-sasakian", {"m": 1.0}, -1),
+                   lambda l: _su2(1.0), lambda l: 1.0),
+     {"IncompatibleFactors: first factor must be Lorentzian"}),
+    (p6.CatalogRow(0, "not-eta-einstein", lambda l: ("prop-3.8", "g1", {"s": 1, "a": 1.0 + l}, 1),
+                   lambda l: _su2(1.0), lambda l: 1.0),
+     {"IncompatibleFactors: Lorentzian factor is not admissibly eta-Einstein"}),
+    (p6.CatalogRow(0, "constraint",
+                   lambda l: ("thm-4.22", "g6-axis", {"s": 1.0, "d": 2.0 * l}, 1),
+                   lambda l: _su2(4.0 * l * l), lambda l: abs(2.0 * l)),
+     {"ConstraintViolation: g6: constraint a + d != 0", "IncompatibleFactors: kappa_N"}),
+    (p6.CatalogRow(0, "wrong-orientation",
+                   lambda l: ("thm-1.2", "g3-sasakian", {"a": 1.0 - l * l}, -1),
+                   lambda l: _su2(1.0 - l * l), lambda l: math.sqrt(1.0 - l * l)),
+     {"NotContact: not a contact structure: alpha = *d(alpha)"}),
+    (p6.CATALOG[0], set()),
+]
+
+
+def test_every_catalog_failure_path_matches_reference(monkeypatch):
+    monkeypatch.setattr(p6, "CATALOG", [row for row, _ in FORCED_ROWS])
+    ls = (0.0, 0.5, 0.8, -0.8, 0.9)
+    got = p6.run_catalog(0, ls)
+    assert hexed(got) == hexed(catalog_oracle.run_catalog(0, ls))
+    for row, failures in FORCED_ROWS:
+        seen = [r.failure for r in got if r.row == row.name and not r.passed]
+        kinds = {next(f for f in failures if msg.startswith(f)) for msg in seen}
+        assert kinds == failures, (row.name, seen)  # the catalog row passes at every l
+
+
+def test_one_6d_curvature_call_per_row_and_family_pair(count_calls):
+    ls = L_SETS["strata-37"]
+    counts = count_calls(["koszul_components", "ricci_components"], by_dim=True)
+    groups = 0
+    for eps_n in (-1, 0, 1):
+        p6.run_catalog(eps_n, ls)
+        for row in p6.catalog_rows(eps_n):
+            pairs = {tuple(f["spec"].family_id for _, f, _ in row.factors(l)) for l in row.ls(ls)}
+            groups += len(pairs)
+    # two null rows switch from g3 to g4 at l != 0
+    assert groups == len(p6.CATALOG) + 2
+    assert counts == {("koszul_components", 6): groups, ("ricci_components", 6): groups,
+                      ("koszul_components", 3): 2 * groups, ("ricci_components", 3): 2 * groups}
+
+
+def test_stacked_formulas_bit_equal_to_single_solutions():
+    sols = [p6.build_solution(*row.build(l), l)
+            for row in p6.CATALOG for l in row.ls(p6.DEFAULT_L_SAMPLES)]
+    assert len(sols) == 41
+
+    def stack(structs):
+        return p6.FactorStack(np.array([s.alpha for s in structs]), structs[0].m,
+                              np.array([s.orientation for s in structs]))
+
+    n, x = stack([s.n_struct for s in sols]), stack([s.x_struct for s in sols])
+    assert {s.n_struct.m for s in sols} == {L3} and {s.m6 for s in sols} == {sols[0].m6}
+    h = p6.torsion_form(n, x, [s.lam for s in sols], [s.l for s in sols])
+    h_arrays = antisymmetric_array(h, 6, 3)
+    gamma_h = torsionful_connection(np.array([s.gamma for s in sols]), h_arrays, sols[0].m6)
+    square = three_form_square(h_arrays, sols[0].m6)
+    for k, sol in enumerate(sols):
+        assert h[k].tobytes() == sol.h_form.tobytes()
+        assert gamma_h[k].tobytes() == torsionful_connection(
+            sol.gamma, sol.h_array, sol.m6).tobytes()
+        assert square[k].tobytes() == three_form_square(sol.h_array, sol.m6).tobytes()
