@@ -214,11 +214,26 @@ def cmd_solution(args, cfg: RunConfig) -> tuple:
     return passed, {"items": [item], "solution": json.loads(sol.to_json())}
 
 
-def cmd_catalog(args, cfg: RunConfig) -> tuple:
-    l_samples = ([float(x) for x in args.l_samples.split(",")] if args.l_samples
-                 else product6d.DEFAULT_L_SAMPLES)
+def _l_samples(args) -> list:
+    """The --l-samples values: finite numbers at which every row of the
+    table is representable; ValueError otherwise."""
+    if args.l_samples is None:
+        return product6d.DEFAULT_L_SAMPLES
+    try:
+        l_samples = [float(x) for x in args.l_samples.split(",")]
+    except ValueError:
+        raise ValueError(f"--l-samples must be numbers, got {args.l_samples!r}") from None
     if not all(math.isfinite(l) for l in l_samples):
         raise ValueError(f"--l-samples must be finite, got {args.l_samples}")
+    for row in product6d.catalog_rows(args.epsilon_n):
+        for l in row.ls(l_samples):
+            if not row.representable(l):
+                raise ValueError(f"--l-samples: l = {l!r} overflows the factors of row {row.name}")
+    return l_samples
+
+
+def cmd_catalog(args, cfg: RunConfig) -> tuple:
+    l_samples = _l_samples(args)
     results = product6d.run_catalog(args.epsilon_n, l_samples, tol=cfg.tol)
     items = []
     for r in results:

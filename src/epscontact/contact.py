@@ -3,6 +3,8 @@ of any causal type (time-like, space-like, or null), and their derived
 objects: characteristic endomorphism phi, h = L_xi phi, tau = h o phi,
 l(v) = R(v, xi)xi, adapted frames, Sasakian / K-contact tests, and the
 nilpotent J-endomorphism of the null case with its Nijenhuis tensor.
+ContactBatch checks stacked one-forms at once and holds the data of the
+structures they give, for the table rows, the catalog factors and the scan.
 
 Endomorphisms are 3x3 (4x4 for J) matrices acting on frame-component column
 vectors: (E v)^i = sum_j E[i][j] v^j.
@@ -13,14 +15,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .config import get_tol
 from .errors import (
+    ConstraintViolation,
     DecompositionFailure,
     EigenFailure,
+    EpsContactError,
     NotContact,
     NotEtaEinstein,
     WrongCausalType,
@@ -34,8 +38,8 @@ from .exterior import (
     pairing_components,
 )
 from .curvature import koszul_components, ricci_components, riemann_components
-from .liealg import (FamilySpec, StructureConstants, ad_components, direct_sum, family_metric,
-                     make_family, zero_algebra)
+from .liealg import (FAMILIES, FamilySpec, StructureConstants, _validate, ad_components,
+                     direct_sum, family_metric, family_tables, make_family, zero_algebra)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -72,7 +76,7 @@ class ContactStructure:
 
     @cached_property
     def phi(self) -> np.ndarray:
-        return _read_only(characteristic_endo(self))
+        return _read_only(phi_components(self.alpha, self.m, self.orientation))
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -122,29 +126,7 @@ class ContactStructure:
         return json.dumps(data, sort_keys=True)
 
 
-_BOTH = np.array([1, -1])  # the two orientations, +1 first
-
-
-def build_contact(spec: FamilySpec, alpha, orientation: Optional[int] = None,
-                  tol: float | None = None) -> ContactStructure:
-    """The verified contact structure of a family instance with the one-form
-    alpha (frame components). orientation None checks +1 and -1 in one
-    stacked check: the +1 structure where alpha is contact at +1, else the
-    -1 structure, else the NotContact of -1."""
-    tol = get_tol(tol)
-    sc, m = make_family(spec, tol=tol), family_metric(spec.family_id)
-    if orientation is not None:
-        return check_contact(sc, m, orientation, alpha, tol=tol, spec=spec)
-    alpha = _one_form(alpha)
-    rows = _contact_rows(sc.c, m, _BOTH, alpha, tol)
-    ok = rows.ok
-    k = 0 if ok[0] else 1
-    if not ok[k]:
-        raise rows.error(k)
-    return ContactStructure(sc, m, int(_BOTH[k]), _read_only(alpha), int(rows.eps[k]), spec)
-
-
-# the conditions check_contact tests, in this order
+# the conditions a contact check tests, in this order
 CONTACT_CONDITIONS = (
     "alpha != 0",
     "alpha = *d(alpha)",
@@ -153,28 +135,65 @@ CONTACT_CONDITIONS = (
 )
 
 
-class ContactRows(NamedTuple):
-    """A stacked contact check: fails[k] marks the rows failing condition k of
-    CONTACT_CONDITIONS. norm and res are max |alpha| and the residual of
-    alpha = *d(alpha); eps is |alpha|^2 = n2 rounded to an integer (a
-    float), off is |n2 - eps|."""
+class ContactBatch:
+    """One-forms alpha (..., 3) checked for the contact conditions over
+    bracket tables c (..., 3, 3, 3) with the same batch axes, a frame metric
+    m and orientations (a sign, or signs over the batch axes), and the data
+    of the structures they give.
 
-    fails: np.ndarray
-    norm: np.ndarray
-    res: np.ndarray
-    n2: np.ndarray
-    eps: np.ndarray
-    off: np.ndarray
+    Orientation None takes, row by row, +1 where alpha is contact at +1,
+    else -1, whose failure is then reported. fails[k] marks the rows failing
+    condition k of CONTACT_CONDITIONS; norm and res are max |alpha| and the
+    residual of alpha = *d(alpha), eps is |alpha|^2 = n2 rounded to an
+    integer (a float) and off is |n2 - eps|. A batch built from_specs
+    also holds the specs and valid, the mask of those satisfying their
+    family's constraints; ok marks the rows that are contact structures (of
+    valid parameters). xi, phi, h, ricci and k_contact_witness are computed
+    on first use, on every row, by the stacked formulas below.
+    """
 
-    @property
-    def ok(self) -> np.ndarray:
-        """Rows that are contact structures."""
-        return ~self.fails.any(axis=0)
+    def __init__(self, c: np.ndarray, m: FrameMetric, orientation, alpha: np.ndarray,
+                 tol: float, valid: Optional[np.ndarray] = None, specs: Optional[list] = None):
+        self.c, self.m, self.alpha, self.tol = c, m, alpha, tol
+        self.valid, self.specs = valid, specs
+        # non-finite values end as failed conditions, not as numpy warnings; every
+        # row runs every condition, and a row is reported by its first failure
+        with np.errstate(over="ignore", invalid="ignore"):
+            star_dalpha = hodge_components(d_components(alpha, c, 1), m.signs, 2,
+                                           1 if orientation is None else orientation)
+            res = np.abs(alpha - star_dalpha).max(axis=-1)
+            self.norm = np.abs(alpha).max(axis=-1)
+            self.n2 = pairing_components(alpha, alpha, m.signs, 1)
+            self.eps = np.rint(self.n2)
+            self.off = np.abs(self.n2 - self.eps)  # NaN where |alpha|^2 overflowed
+            zero, norm2 = self.norm <= tol, (np.abs(self.eps) > 1.0) | ~(self.off <= tol)
+            signature = (m.s_g == 1) & (self.eps != 1.0)
+            if orientation is None:  # the star at -1 is minus the star at +1
+                minus = ~(res <= tol) | zero | norm2 | signature  # not contact at +1
+                orientation = np.where(minus, -1, 1)
+                res = np.where(minus, np.abs(alpha + star_dalpha).max(axis=-1), res)
+            self.fails = np.array([zero, ~(res <= tol), norm2, signature])  # NaN fails too
+        self.orientation, self.res = orientation, res
+        self.ok = ~self.fails.any(axis=0)
+        if valid is not None:
+            self.ok &= valid
+
+    @classmethod
+    def from_specs(cls, specs: list, alpha, orientation=None,
+                   tol: float | None = None) -> "ContactBatch":
+        """The batch of instances of one family, FamilySpecs specs with
+        one-forms alpha (K, 3): the bracket tables and the constraint mask
+        from one family_tables call."""
+        tol = get_tol(tol)
+        family_id = specs[0].family_id
+        fam = FAMILIES[family_id]
+        c, valid = family_tables(family_id, {p: [s[p] for s in specs] for p in fam.params}, tol)
+        return cls(c, fam.metric, orientation, np.asarray(alpha, dtype=float), tol, valid, specs)
 
     @property
     def failed(self) -> np.ndarray:
         """Per row, the index of the first failed condition; -1 where none fails."""
-        return np.where(self.ok, -1, self.fails.argmax(axis=0))
+        return np.where(self.fails.any(axis=0), self.fails.argmax(axis=0), -1)
 
     @property
     def residuals(self) -> tuple:
@@ -183,37 +202,62 @@ class ContactRows(NamedTuple):
         norm2 = np.where(np.isfinite(self.n2), self.off, np.abs(self.n2))
         return self.norm, self.res, norm2, self.eps
 
-    def error(self, index=()) -> NotContact:
-        """The NotContact of the failing row at index: its first failed
-        condition and that condition's residual."""
+    def error(self, index=()) -> EpsContactError:
+        """What building the row at index on its own raises, for a row that is
+        not ok: the ConstraintViolation of its family parameters, else the
+        NotContact of its first failed condition with that condition's
+        residual."""
+        if self.valid is not None and not self.valid[index]:
+            try:
+                _validate(self.specs[index], self.tol)
+            except ConstraintViolation as exc:
+                return exc.with_traceback(None)
         cond = int(self.failed[index])
         return NotContact(CONTACT_CONDITIONS[cond], float(self.residuals[cond][index]))
 
+    def take(self, rows) -> "ContactBatch":
+        """The batch of the given rows (indices into the batch axis), with the
+        data computed so far."""
+        rows = np.asarray(rows, dtype=np.intp)
+        out = object.__new__(ContactBatch)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):  # the conditions are the first axis of fails
+                value = value[:, rows] if name == "fails" else value[rows]
+            out.__dict__[name] = value
+        if self.specs is not None:
+            out.specs = [self.specs[k] for k in rows]
+        return out
 
-def _contact_rows(c: np.ndarray, m: FrameMetric, orientation, alpha: np.ndarray,
-                  tol: float) -> ContactRows:
-    """The contact conditions on stacked one-forms alpha (..., 3) over bracket
-    tables c (..., 3, 3, 3) and orientations; the batch axes broadcast."""
-    # non-finite values end as failed conditions, not as numpy warnings; every
-    # row runs every condition, and a row is reported by its first failure
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.abs(alpha).max(axis=-1)
-        star_dalpha = hodge_components(d_components(alpha, c, 1), m.signs, 2, orientation)
-        res = np.abs(alpha - star_dalpha).max(axis=-1)
-        n2 = pairing_components(alpha, alpha, m.signs, 1)
-        # norm and |alpha|^2 depend on alpha alone: where c or the orientations
-        # add batch axes, they are computed once per alpha and broadcast
-        if np.shape(n2) != res.shape:
-            norm, n2 = np.full(res.shape, norm), np.full(res.shape, n2)
-        eps = np.rint(n2)
-        off = np.abs(n2 - eps)  # NaN where |alpha|^2 overflowed
-        fails = np.array([
-            norm <= tol,
-            ~(res <= tol),  # a NaN residual fails too
-            (np.abs(eps) > 1.0) | ~(off <= tol),
-            (m.s_g == 1) & (eps != 1.0),
-        ])
-    return ContactRows(fails, norm, res, n2, eps, off)
+    @cached_property
+    def xi(self) -> np.ndarray:
+        return self.m.eta * self.alpha
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return phi_components(self.alpha, self.m, self.orientation)
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        return h_components(self.c, self.xi, self.phi)
+
+    @cached_property
+    def ricci(self) -> np.ndarray:
+        return ricci_components(koszul_components(self.c, self.m.eta), self.c)
+
+    @cached_property
+    def k_contact_witness(self) -> np.ndarray:
+        """max |(L_xi g)(e_i, e_j)|, zero exactly where xi is Killing."""
+        return np.abs(lie_metric_components(self.c, self.xi, self.m)).max(axis=(-2, -1))
+
+
+def build_contact(spec: FamilySpec, alpha, orientation: Optional[int] = None,
+                  tol: float | None = None) -> ContactStructure:
+    """The verified contact structure of a family instance with the one-form
+    alpha (frame components); orientation None takes +1 where alpha is
+    contact there, else -1 (see ContactBatch)."""
+    tol = get_tol(tol)
+    return check_contact(make_family(spec, tol=tol), family_metric(spec.family_id), orientation,
+                         alpha, tol=tol, spec=spec)
 
 
 def check_contact(
@@ -223,16 +267,16 @@ def check_contact(
     alpha,
     tol: float | None = None,
     spec: Optional[FamilySpec] = None,
-) -> ContactStructure | ContactRows:
+) -> ContactStructure | ContactBatch:
     """Verify alpha = *d alpha and |alpha|^2 in {-1, 0, +1} for the one-form
     with frame components alpha (3,); returns the structure with epsilon
-    computed from the norm.
+    computed from the norm. Orientation None tries +1, then -1.
 
     Raises NotContact naming the failed condition and its residual.
 
     Stacked form: with sc an array of bracket tables (..., 3, 3, 3), alpha
-    an array of one-form components (..., 3) and orientation a sign or an
-    array of signs, every row is checked at once and a ContactRows is
+    an array of one-form components (..., 3) and orientation None, a sign or
+    an array of signs, every row is checked at once and the ContactBatch is
     returned instead; no structure is built and nothing is raised for a
     row that is not contact.
     """
@@ -241,14 +285,14 @@ def check_contact(
         c, alpha = np.asarray(sc, dtype=float), np.asarray(alpha, dtype=float)
         if m.dim != 3 or c.shape[-3:] != (3, 3, 3) or alpha.shape[-1:] != (3,):
             raise ValueError("contact structures are three-dimensional here")
-        return _contact_rows(c, m, orientation, alpha, tol)
+        return ContactBatch(c, m, orientation, alpha, tol)
     if sc.dim != 3 or m.dim != 3:
         raise ValueError("contact structures are three-dimensional here")
     alpha = _one_form(alpha)
-    rows = _contact_rows(sc.c, m, orientation, alpha, tol)
-    if rows.fails.any():
-        raise rows.error()
-    return ContactStructure(sc, m, int(orientation), _read_only(alpha), int(rows.eps), spec)
+    batch = ContactBatch(sc.c, m, orientation, alpha, tol)
+    if not batch.ok:
+        raise batch.error()
+    return ContactStructure(sc, m, int(batch.orientation), _read_only(alpha), int(batch.eps), spec)
 
 
 def _one_form(alpha) -> np.ndarray:
@@ -263,7 +307,7 @@ def _one_form(alpha) -> np.ndarray:
 #
 # Each takes stacked arrays with any batch axes (none for one structure) and is
 # the one formula for its tensor: ContactStructure and the functions below run
-# them on one structure, tables.verify_table_row on a row's instances at once.
+# them on one structure, ContactBatch on every row of a batch at once.
 
 
 def phi_components(alpha: np.ndarray, m: FrameMetric, orientation) -> np.ndarray:
@@ -305,16 +349,6 @@ def lie_metric_components(c: np.ndarray, v: np.ndarray, m: FrameMetric) -> np.nd
     (..., 3) over bracket tables c."""
     ad, g = ad_components(v, c), np.diag(m.eta)
     return -(np.swapaxes(ad, -1, -2) @ g + g @ ad)
-
-
-def characteristic_endo(cs: ContactStructure) -> np.ndarray:
-    """phi(v) = -s_g (iota_v * alpha)^sharp as a frame matrix."""
-    return phi_components(cs.alpha, cs.m, cs.orientation)
-
-
-def lie_derivative_metric(cs: ContactStructure, v: np.ndarray) -> np.ndarray:
-    """(L_v g)(e_i, e_j) on the frame; see lie_metric_components."""
-    return lie_metric_components(cs.sc.c, v, cs.m)
 
 
 def h_tensor(cs: ContactStructure, tol: float | None = None):
@@ -396,7 +430,7 @@ def is_sasakian(cs: ContactStructure, tol: float | None = None) -> bool:
 def is_k_contact(cs: ContactStructure, tol: float | None = None):
     """Whether the Reeb field is Killing; witness is max |(L_xi g)(e_i, e_j)|."""
     tol = get_tol(tol)
-    witness = float(np.max(np.abs(lie_derivative_metric(cs, cs.xi))))
+    witness = float(np.max(np.abs(lie_metric_components(cs.sc.c, cs.xi, cs.m))))
     return witness <= tol, witness
 
 

@@ -372,6 +372,7 @@ def scan_family(
         orientation = signs[orientation]
         checked = check_contact(c[sample], m, orientation, alpha, tol=1e-7)
         match = np.flatnonzero(checked.ok & (checked.eps == epsilon))
+        del checked  # it holds the chunk's candidate tables; one chunk is alive at a time
         if not match.size:
             continue
         sample, orientation, alpha = sample[match], orientation[match], alpha[match]

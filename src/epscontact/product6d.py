@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .config import get_tol
-from .contact import ContactRows, ContactStructure, build_contact, check_contact
+from .contact import ContactBatch, ContactStructure, build_contact
 from .curvature import (
     koszul_components,
     ricci_components,
@@ -45,8 +45,7 @@ from .exterior import (
     pairing_components,
     wedge_components,
 )
-from .liealg import (FAMILIES, StructureConstants, _validate, direct_sum, direct_sum_components,
-                     family_tables)
+from .liealg import StructureConstants, direct_sum, direct_sum_components, family_metric
 from .tables import table_row
 
 
@@ -125,20 +124,10 @@ class SugraResiduals:
 # once.
 
 
-class FactorStack(NamedTuple):
-    """Contact factors as torsion_form reads them: one-forms alpha (..., 3),
-    the factor metric and orientation signs over the batch axes. A
-    ContactStructure has the same three attributes."""
-
-    alpha: np.ndarray
-    m: FrameMetric
-    orientation: np.ndarray
-
-
 def torsion_form(n_struct, x_struct, lam, l) -> np.ndarray:
-    """The C(6, 3) components (..., 20) of H on the 6D frame from the factor
-    data: contact structures with lam and l numbers, or FactorStacks with
-    lam and l numbers or arrays over the batch axes."""
+    """The C(6, 3) components (..., 20) of H on the 6D frame from the factors'
+    alpha, m and orientation: contact structures with lam and l numbers, or
+    ContactBatches with lam and l numbers or arrays over the batch axes."""
     n, x = n_struct, x_struct
     lam, l = (np.asarray(v, dtype=float)[..., None] for v in (lam, l))
     nu_n = embed_components(np.asarray(n.orientation, dtype=float)[..., None], 3, 0)
@@ -280,6 +269,18 @@ class CatalogRow:
         n_row, x_row = table_row(table, n_id), table_row("thm-4.14", x_id)
         return (n_row, n_row.make(**n_point), orientation), (x_row, x_row.make(**x_point), -1)
 
+    def representable(self, l: float) -> bool:
+        """Whether floating point holds the row at l: finite sample points,
+        hence finite factor parameters, and one-forms whose |alpha|^2 does
+        not overflow (the null rows' a0 = 1/|l| does at tiny l)."""
+        if not all(map(math.isfinite, (*self.n(l)[2].values(), *self.x(l)[1].values()))):
+            return False
+        for _, f, _ in self.factors(l):
+            signs = family_metric(f["spec"].family_id).signs
+            if not math.isfinite(sum(s * a * a for s, a in zip(signs, f["alpha"]))):
+                return False
+        return True
+
     def build(self, l: float) -> tuple:
         """(n_struct, x_struct, lambda) at l."""
         n, x = (build_contact(f["spec"], f["alpha"], o) for _, f, o in self.factors(l))
@@ -418,98 +419,60 @@ def _failed(row: CatalogRow, l: float, exc: EpsContactError) -> CatalogResult:
                          f"{type(exc).__name__}: {exc}")
 
 
-class _Factors(NamedTuple):
-    """One factor at a group of catalog l values, stacked: its specs, their
-    bracket tables c with the constraint mask valid, the one-forms and
-    orientations, and the contact check build_contact makes."""
-
-    specs: list
-    c: np.ndarray
-    valid: np.ndarray
-    stack: FactorStack
-    contact: ContactRows
-
-    @classmethod
-    def check(cls, factors: list) -> "_Factors":
-        """factors: the (table row, instance fields, orientation) at each l."""
-        tol = get_tol()  # row.build builds its factors at the default tolerance
-        specs = [fields["spec"] for _, fields, _ in factors]
-        family_id = specs[0].family_id
-        fam = FAMILIES[family_id]
-        c, valid = family_tables(family_id, {p: [spec[p] for spec in specs] for p in fam.params},
-                                 tol)
-        stack = FactorStack(np.array([fields["alpha"] for _, fields, _ in factors], dtype=float),
-                            fam.metric, np.array([o for _, _, o in factors]))
-        return cls(specs, c, valid, stack,
-                   check_contact(c, fam.metric, stack.orientation, stack.alpha, tol=tol))
-
-    def raise_failure(self, k: int) -> None:
-        """Raise what build_contact raises at the k-th l, if anything."""
-        if not self.valid[k]:
-            _validate(self.specs[k], get_tol())
-        if not self.contact.ok[k]:
-            raise self.contact.error(k)
-
-    def at(self, ks: np.ndarray) -> FactorStack:
-        return FactorStack(self.stack.alpha[ks], self.stack.m, self.stack.orientation[ks])
-
-    def fits(self, ks: np.ndarray, tol: float) -> list:
-        """The eta-Einstein fits at the l values ks: one Koszul -> Ricci pass,
-        and one stacked fit per epsilon."""
-        c, m = self.c[ks], self.stack.m
-        ric = ricci_components(koszul_components(c, m.eta), c)
-        eps = self.contact.eps[ks]
-        out = [None] * len(ks)
-        for e in set(eps.tolist()):
-            at = np.flatnonzero(eps == e)
-            fits = _fit_rows(ric[at], self.stack.alpha[ks[at]], m, int(e), tol)
-            for j, fit in zip(at, zip(*(x.tolist() for x in fits))):
-                out[j] = EtaEinsteinFit(*fit)
-        return out
+def _fits(batch: ContactBatch, tol: float) -> list:
+    """The eta-Einstein fit of each row: one stacked fit per epsilon."""
+    out = [None] * len(batch.eps)
+    for e in set(batch.eps.tolist()):
+        at = np.flatnonzero(batch.eps == e)
+        fits = _fit_rows(batch.ricci[at], batch.alpha[at], batch.m, int(e), tol)
+        for j, fit in zip(at, zip(*(x.tolist() for x in fits))):
+            out[j] = EtaEinsteinFit(*fit)
+    return out
 
 
 def _verify_group(row: CatalogRow, members: list, tol: float) -> list:
     """The CatalogResults at a row's l values whose factors share one (N
     family, X family) pair; members holds (k, l, N factor, X factor) in l
-    order. Both factors' bracket tables and contact checks, their Koszul ->
-    Ricci and fits, and the 6D tables, H, the Levi-Civita and torsionful
-    connections, Ricci, dH and d*H each run once on the stack. Each l then
-    reads its results in the order of row.build and build_solution, so a
-    failure reports the error raised first there."""
+    order. Both factors' ContactBatches, their Koszul -> Ricci and fits, and
+    the 6D tables, H, the Levi-Civita and torsionful connections, Ricci, dH
+    and d*H each run once on the stack. Each l then reads its results in the
+    order of row.build and build_solution, so a failure reports the error
+    raised first there."""
     ls = [l for _, l, _, _ in members]
-    n = _Factors.check([f for _, _, f, _ in members])
-    x = _Factors.check([f for _, _, _, f in members])
+    # each factor's (table row, instance fields, orientation) at the l values,
+    # checked at the default tolerance, as row.build checks it
+    n, x = (ContactBatch.from_specs([f["spec"] for _, f, _ in fs], [f["alpha"] for _, f, _ in fs],
+                                    np.array([o for _, _, o in fs]))
+            for fs in ([m[2] for m in members], [m[3] for m in members]))
     out, lams, built = [None] * len(ls), [None] * len(ls), []
     for k, l in enumerate(ls):
         try:
-            n.raise_failure(k)
-            x.raise_failure(k)
+            for factor in (n, x):
+                if not factor.ok[k]:
+                    raise factor.error(k)
             lams[k] = row.lam(l)
         except EpsContactError as exc:
             out[k] = _failed(row, l, exc)
             continue
         built.append(k)
-    built = np.array(built, dtype=int)
-    solved = []
-    for k, fit_n, fit_x in zip(built.tolist(), n.fits(built, tol), x.fits(built, tol)):
+    n, x, solved = n.take(built), x.take(built), []
+    for j, (k, fit_n, fit_x) in enumerate(zip(built, _fits(n, tol), _fits(x, tol))):
         try:
-            _check_factors(n.stack.m.s_g, x.stack.m.s_g, int(n.contact.eps[k]), fit_n, fit_x,
-                           lams[k], ls[k], tol)
+            _check_factors(n.m.s_g, x.m.s_g, int(n.eps[j]), fit_n, fit_x, lams[k], ls[k], tol)
         except IncompatibleFactors as exc:
             out[k] = _failed(row, ls[k], exc)
             continue
-        solved.append(k)
+        solved.append(j)
     if not solved:
         return out
-    ks = np.array(solved)
-    c6 = direct_sum_components(n.c[ks], x.c[ks])
-    m6 = FrameMetric(n.stack.m.signs + x.stack.m.signs)
-    n_k, x_k = n.at(ks), x.at(ks)
-    h = torsion_form(n_k, x_k, [lams[k] for k in solved], [ls[k] for k in solved])
+    n, x, ks = n.take(solved), x.take(solved), [built[j] for j in solved]
+    c6 = direct_sum_components(n.c, x.c)
+    m6 = FrameMetric(n.m.signs + x.m.signs)
+    h = torsion_form(n, x, [lams[k] for k in ks], [ls[k] for k in ks])
     ricci_h = torsion_ricci_components(koszul_components(c6, m6.eta),
                                        antisymmetric_array(h, 6, 3), c6, m6)
-    fields = field_residuals(h, ricci_h, c6, m6, n_k.orientation * x_k.orientation)
-    for j, k in enumerate(solved):
+    fields = field_residuals(h, ricci_h, c6, m6, n.orientation * x.orientation)
+    for j, k in enumerate(ks):
         res = SugraResiduals(*(float(f[j]) for f in fields))
         out[k] = CatalogResult(row.name, row.epsilon_n, ls[k], lams[k], res, res.is_solution(tol))
     return out

@@ -34,12 +34,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import get_tol
-from .contact import (_BOTH, build_contact, check_contact, check_decomposition, h_components,
-                      lie_metric_components, null_factor, phi_components)
-from .curvature import koszul_components, ricci_components
+from .contact import ContactBatch, build_contact, check_decomposition, null_factor
 from .einstein import _fit_rows
-from .errors import ConstraintViolation
-from .liealg import FAMILIES, FamilySpec, GroupName, _validate, family_tables, identify_group
+from .liealg import FamilySpec, GroupName, identify_group
 
 SIGNS = (1, -1)
 ALPHA0 = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -373,32 +370,22 @@ def build_instance(inst: RowInstance, tol: float | None = None):
     return build_contact(inst.spec, inst.alpha, tol=tol)
 
 
-def _verify_family(family_id: str, insts: list, epsilon: int, tol: float) -> list:
+def _verify_family(insts: list, epsilon: int, tol: float) -> list:
     """The InstanceReports of instances of one family and of the row's
-    epsilon, from one stacked pass: the bracket tables and constraint mask,
-    the contact check at both orientations, Koszul -> Ricci, and for the
-    structures of the row's epsilon the fit, h, the null factor mu and
-    L_xi g. The checks then run per instance in the order of a single
-    verification, reading the stacked results, and stop at the first failure."""
-    fam = FAMILIES[family_id]
-    m = fam.metric
-    c, valid = family_tables(family_id, {p: [i.spec[p] for i in insts] for p in fam.params}, tol)
-    alpha = np.array([i.alpha for i in insts], dtype=float)
-    rows = check_contact(c, m, _BOTH[:, None], alpha, tol=tol)
-    contact = rows.ok
-    orientation = np.where(contact[0], 1, -1)  # +1 first, as build_contact
-    eps = np.where(contact[0], rows.eps[0], rows.eps[1])
-    ric = ricci_components(koszul_components(c, m.eta), c)
+    epsilon, from one stacked pass: the ContactBatch of the instances, and
+    for its structures of the row's epsilon the fit, h, the null factor mu
+    and the L_xi g witness. The checks then run per instance in the order of
+    a single verification, reading the stacked results, and stop at the
+    first failure."""
+    batch = ContactBatch.from_specs([i.spec for i in insts], [i.alpha for i in insts], tol=tol)
     # the structures of the row's epsilon, stacked in instance order
-    found = np.flatnonzero(valid & contact.any(axis=0) & (eps == epsilon))
+    found = np.flatnonzero(batch.ok & (batch.eps == epsilon))
     at = dict(zip(found.tolist(), range(len(found))))
-    a, c = alpha[found], c[found]
-    xi = m.eta * a
-    fits = _fit_rows(ric[found], a, m, epsilon, tol)
-    h = h_components(c, xi, phi_components(a, m, orientation[found]))
-    sasakian = np.abs(h).max(axis=(-2, -1)) <= tol
-    null = null_factor(h, a, m) if epsilon == 0 else None
-    k_contact = np.abs(lie_metric_components(c, xi, m)).max(axis=(-2, -1)) <= tol
+    structs = batch.take(found)
+    fits = _fit_rows(structs.ricci, structs.alpha, structs.m, epsilon, tol)
+    sasakian = np.abs(structs.h).max(axis=(-2, -1)) <= tol
+    null = null_factor(structs.h, structs.alpha, structs.m) if epsilon == 0 else None
+    k_contact = structs.k_contact_witness <= tol
 
     def report(k: int, inst: RowInstance) -> InstanceReport:
         out = InstanceReport(
@@ -414,14 +401,9 @@ def _verify_family(family_id: str, insts: list, epsilon: int, tol: float) -> lis
             out.failure = msg
             return out
 
-        if not valid[k]:
-            try:
-                _validate(inst.spec, tol)
-            except ConstraintViolation as exc:
-                return fail("contact_ok", f"contact: {exc}")
-        if not contact[:, k].any():  # reported by its first failure at orientation -1
-            return fail("contact_ok", f"contact: {rows.error((1, k))}")
-        out.orientation, out.epsilon = int(orientation[k]), int(eps[k])
+        if not batch.ok[k]:
+            return fail("contact_ok", f"contact: {batch.error(k)}")
+        out.orientation, out.epsilon = int(batch.orientation[k]), int(batch.eps[k])
         if out.epsilon != inst.epsilon:
             return fail("contact_ok", f"epsilon {out.epsilon} != expected {inst.epsilon}")
         out.checks["contact_ok"] = True
@@ -469,9 +451,8 @@ def verify_table_row(table_id: str, row: TableRow, tol: float | None = None) -> 
     for k, inst in enumerate(insts):
         by_family.setdefault(inst.spec.family_id, []).append(k)
     reports = [None] * len(insts)
-    for family_id, ks in by_family.items():
-        family_reports = _verify_family(family_id, [insts[k] for k in ks], row.epsilon, tol)
-        for k, rep in zip(ks, family_reports):
+    for ks in by_family.values():
+        for k, rep in zip(ks, _verify_family([insts[k] for k in ks], row.epsilon, tol)):
             reports[k] = rep
     return TableRowReport(table=row.table, row_id=row.row_id,
                           passed=all(r.passed for r in reports), instances=reports)

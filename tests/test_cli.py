@@ -87,10 +87,11 @@ def test_catalog_failures_carry_reason_and_stay_strict_json(capsys):
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
 
-    # the null rows build their g4 factor at a0 = 1/|l|, which over- or
-    # underflows at these l
+    # finite factors that fail: at l = 1e154 the fits overflow (eps_N = 1) or
+    # alpha = (1/l)(e^0 - e^2) vanishes to tol (eps_N = 0), and at l = 1e-8 the
+    # null g4 factor fails its fit
     for eps_n in ("1", "0"):
-        code, out = run(capsys, "catalog", "--epsilon-n", eps_n, "--l-samples", "1e200,1e-200")
+        code, out = run(capsys, "catalog", "--epsilon-n", eps_n, "--l-samples", "1e154,1e-8")
         assert code == 1
         items = json.loads(out, parse_constant=reject)["items"]
         failed = [item for item in items if not item["pass"]]
@@ -148,8 +149,9 @@ def test_cauchy_non_finite_residuals_are_null_with_reason(capsys):
 @pytest.mark.parametrize("argv, err_lines", [
     (["cauchy", "--example", "null-isothermal", "--f0", "1e3", "--nx", "8", "--ny", "8"], 1),
     (["cauchy", "--example", "null-isothermal", "--f0", "700", "--nx", "8", "--ny", "8"], 0),
-    (["catalog", "--epsilon-n", "1", "--l-samples", "1e200"], 0),
-    (["catalog", "--epsilon-n", "0", "--l-samples", "1e-200"], 0),
+    (["catalog", "--epsilon-n", "1", "--l-samples", "1e200"], 1),
+    (["catalog", "--epsilon-n", "0", "--l-samples", "1e-200"], 1),
+    (["catalog", "--epsilon-n", "1", "--l-samples", "1e154"], 0),
 ])
 def test_overflowing_input_issues_no_numpy_warnings(capsys, argv, err_lines):
     # stderr holds the one "error:" line of bad input, or nothing
@@ -158,6 +160,35 @@ def test_overflowing_input_issues_no_numpy_warnings(capsys, argv, err_lines):
         main(argv)
     assert [str(w.message) for w in caught] == []
     assert len(capsys.readouterr().err.splitlines()) == err_lines
+
+# l values a row cannot hold in floating point: 1 + l^2 overflows (eps_N = 1),
+# or the null rows' a0 = 1/|l| or its square does (eps_N = 0)
+L_SAMPLES_BAD = {"": (-1, 0, 1), " , ": (-1, 0, 1), "inf": (-1, 0, 1), "nan": (-1, 0, 1),
+                 "1e-200": (0,), "5e-324": (0,), "1e200": (1,), "1e308": (1,)}
+
+
+@pytest.mark.parametrize("eps_n", ("-1", "0", "1"))
+@pytest.mark.parametrize("value", ("", " , ", "0", "-1", "1e-200", "5e-324", "1e200", "1e308",
+                                   "inf", "nan"))
+def test_catalog_l_samples_edge_values(capsys, eps_n, value):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["catalog", "--epsilon-n", eps_n, "--l-samples", value])
+    captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in captured.err
+    if int(eps_n) in L_SAMPLES_BAD.get(value, ()):
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "--l-samples" in lines[0]
+    else:
+        assert code in (0, 1) and captured.err == ""
+        report = json.loads(captured.out, parse_constant=reject)
+        assert report["pass"] is (code == 0) and report["items"]
+
 
 def test_unknown_flag_exit_2(capsys):
     assert main(["oracle", "--bogus"]) == 2

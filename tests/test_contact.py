@@ -6,9 +6,9 @@ import pytest
 import verify_oracle
 from epscontact import contact, curvature, tables
 from epscontact.contact import (
+    ContactBatch,
     _identity_terms,
     build_contact,
-    characteristic_endo,
     check_contact,
     contact_frame,
     contact_identity_residuals,
@@ -19,7 +19,6 @@ from epscontact.contact import (
     j_endo_matrix,
     k_contact_null_witness,
     l_endo,
-    lie_derivative_metric,
     lie_metric_components,
     nijenhuis_J,
     null_factor,
@@ -133,12 +132,12 @@ def test_characteristic_endo_null_matrix():
         assert cs.epsilon == 0
         a0, a1, a2 = alpha
         expected = np.array([[0, a2, -a1], [a2, 0, a0], [-a1, -a0, 0]], dtype=float)
-        assert np.allclose(characteristic_endo(cs), expected)
+        assert np.allclose(phi_components(cs.alpha, cs.m, cs.orientation), expected)
 
 
 def test_phi_kills_reeb_and_nilpotency():
     cs = make_cs(g3(1, 1, 1), [1, 0.6, -0.8])
-    phi = characteristic_endo(cs)
+    phi = phi_components(cs.alpha, cs.m, cs.orientation)
     assert np.max(np.abs(phi @ cs.xi)) < 1e-14
     assert np.max(np.abs(phi @ phi @ phi)) < 1e-14  # nilpotent in the null case
 
@@ -267,7 +266,7 @@ def test_l_endo():
 
 def test_lie_derivative_metric_killing():
     cs = make_cs(g3(1, 1, 1), [1, 0, 0])
-    assert np.max(np.abs(lie_derivative_metric(cs, cs.xi))) < 1e-14
+    assert np.max(np.abs(lie_metric_components(cs.sc.c, cs.xi, cs.m))) < 1e-14
 
 
 def test_timelike_special_frame():
@@ -409,8 +408,13 @@ def test_build_contact_equals_trying_plus_then_minus():
 
 def test_build_contact_makes_one_stacked_check(monkeypatch):
     calls = []
-    original = contact._contact_rows
-    monkeypatch.setattr(contact, "_contact_rows", lambda *args: calls.append(1) or original(*args))
+
+    class Counting(contact.ContactBatch):
+        def __init__(self, *args, **kwargs):
+            calls.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(contact, "ContactBatch", Counting)
     plus = FamilySpec("g3", {"a": 1.0, "b": 1.0, "c": 1.0})
     minus = FamilySpec("g3", {"a": -1.0, "b": -1.0, "c": -1.0})
     cases = [(plus, (1.0, 1.0, 0.0), None, 1), (minus, (0.0, 1.0, 0.0), None, -1),
@@ -419,6 +423,47 @@ def test_build_contact_makes_one_stacked_check(monkeypatch):
         calls.clear()
         assert built(lambda s, a: build_contact(s, a, orientation), spec, alpha)[0] == want
         assert calls == [1]
+
+
+def test_contact_batch_reads_what_each_build_gives():
+    """A family's ContactBatch, over every table instance, the instance with
+    1.5 alpha (contact at neither orientation, or at the other one) and a
+    spec violating its family's constraint, gives row by row the structure
+    build_contact builds or the error it raises, and the derived data of
+    each structure bit for bit, whether computed before or after take."""
+    insts = [inst for rows in tables.TABLES.values() for row in rows for inst in row.instances()]
+    groups = {}
+    for inst in insts:
+        for alpha in (inst.alpha, 1.5 * np.array(inst.alpha)):
+            groups.setdefault(inst.spec.family_id, []).append((inst.spec, alpha))
+    groups["g6"].append((FamilySpec("g6", {"a": 1.0, "b": 0.0, "c": 0.0, "d": -1.0}), (1.0, 0.0, 0.0)))
+    errors = set()
+    for group in groups.values():
+        batch = ContactBatch.from_specs([spec for spec, _ in group], [alpha for _, alpha in group])
+        structs = []
+        for k, (spec, alpha) in enumerate(group):
+            try:
+                cs = build_contact(spec, alpha)
+            except EpsContactError as exc:
+                assert not batch.ok[k]
+                assert (type(batch.error(k)), str(batch.error(k))) == (type(exc), str(exc))
+                errors.add(type(exc).__name__)
+                continue
+            assert batch.ok[k] and batch.orientation[k] == cs.orientation
+            assert batch.eps[k] == cs.epsilon
+            structs.append(cs)
+        rows = np.flatnonzero(batch.ok)
+        after = batch.take(rows)
+        before = ContactBatch.from_specs([spec for spec, _ in group], [alpha for _, alpha in group])
+        names = ("xi", "phi", "h", "ricci", "k_contact_witness")
+        for name in names:  # computed on every row, then taken
+            getattr(before, name)
+        for got in (after, before.take(rows)):
+            assert bit_equal(got.alpha, [cs.alpha for cs in structs])
+            for name in names[:-1]:
+                assert bit_equal(getattr(got, name), [getattr(cs, name) for cs in structs])
+            assert got.k_contact_witness.tolist() == [is_k_contact(cs)[1] for cs in structs]
+    assert errors == {"ConstraintViolation", "NotContact"}
 
 
 # --- derived data computed once per structure -----------------------------------
@@ -450,7 +495,7 @@ def test_cached_data_equals_free_functions(case):
     gamma = curvature.koszul_components(fresh.sc.c, fresh.m.eta)
     riemann = curvature.riemann_components(gamma, fresh.sc.c)
     xi = fresh.m.eta * fresh.alpha
-    phi = characteristic_endo(fresh)
+    phi = phi_components(fresh.alpha, fresh.m, fresh.orientation)
     h = np.column_stack([
         fresh.sc.bracket(xi, phi @ e) - phi @ fresh.sc.bracket(xi, e) for e in np.eye(3)
     ])
@@ -589,7 +634,7 @@ def test_matrix_forms_match_reference_loops_on_every_table_instance(table_struct
     assert len(table_structures) == 771
     for cs in table_structures:
         assert close(cs.h, loop_h(cs))
-        assert close(lie_derivative_metric(cs, cs.xi), loop_lie_metric(cs, cs.xi))
+        assert close(lie_metric_components(cs.sc.c, cs.xi, cs.m), loop_lie_metric(cs, cs.xi))
         assert close(contact_identity_residuals(cs)["lie_xi_alpha"],
                      np.max(np.abs(loop_lie_alpha(cs))))
 
@@ -627,7 +672,7 @@ def test_stacked_tensors_bit_equal_to_single_structures(table_structures):
         lie = lie_metric_components(c, xi, m)
         assert bit_equal(phi, [cs.phi for cs in group])
         assert bit_equal(h, [cs.h for cs in group])
-        assert bit_equal(lie, [lie_derivative_metric(cs, cs.xi) for cs in group])
+        assert bit_equal(lie, [lie_metric_components(cs.sc.c, cs.xi, cs.m) for cs in group])
         if eps == 0:
             mu, residual = null_factor(h, alpha, m)
             assert mu.tolist() == [cs.mu for cs in group]

@@ -472,8 +472,9 @@ def test_stacked_formulas_bit_equal_to_single_solutions():
     assert len(sols) == 41
 
     def stack(structs):
-        return p6.FactorStack(np.array([s.alpha for s in structs]), structs[0].m,
-                              np.array([s.orientation for s in structs]))
+        return check_contact(np.array([s.sc.c for s in structs]), structs[0].m,
+                             np.array([s.orientation for s in structs]),
+                             np.array([s.alpha for s in structs]))
 
     n, x = stack([s.n_struct for s in sols]), stack([s.x_struct for s in sols])
     assert {s.n_struct.m for s in sols} == {L3} and {s.m6 for s in sols} == {sols[0].m6}
