@@ -263,6 +263,12 @@ def cmd_cauchy(args, cfg: RunConfig) -> tuple:
     items = []
     passed = True
     if args.example == "flat-para":
+        # the finer run halves dt; k dt must stay finite, or the example's cos(k dt) fails
+        if args.steps < 3:
+            raise ValueError(f"--steps must be at least 3, got {args.steps}")
+        if not (args.dt / 2 > 0 and math.isfinite((args.steps - 1) * args.dt)):
+            raise ValueError(f"--dt must be positive, also halved, and (--steps - 1) * --dt "
+                             f"finite, got {args.dt!r}")
         for factor in (1, 2):
             nx, ny = args.nx * factor, args.ny * factor
             steps = (args.steps - 1) * factor + 1

@@ -1,10 +1,11 @@
 """Contact metric structures on three-dimensional Lie groups with Reeb field
 of any causal type (time-like, space-like, or null), and their derived
 objects: characteristic endomorphism phi, h = L_xi phi, tau = h o phi,
-l(v) = R(v, xi)xi, adapted frames, Sasakian / K-contact tests, and the
-nilpotent J-endomorphism of the null case with its Nijenhuis tensor.
-ContactBatch checks stacked one-forms at once and holds the data of the
-structures they give, for the table rows, the catalog factors and the scan.
+l(v) = R(v, xi)xi, adapted frames, Sasakian / K-contact tests, the
+eta-Einstein fit, and the nilpotent J-endomorphism of the null case with its
+Nijenhuis tensor. ContactBatch checks stacked one-forms at once and holds
+the data of the structures they give, for the table rows, the catalog
+factors and the scan; a ContactStructure is the batch of one one-form.
 
 Endomorphisms are 3x3 (4x4 for J) matrices acting on frame-component column
 vectors: (E v)^i = sum_j E[i][j] v^j.
@@ -14,19 +15,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .config import get_tol
 from .errors import (
     ConstraintViolation,
     DecompositionFailure,
-    EigenFailure,
     EpsContactError,
     NotContact,
-    NotEtaEinstein,
     WrongCausalType,
 )
 from .exterior import (
@@ -48,82 +48,71 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ContactStructure:
-    """A verified contact structure (alpha = *d alpha, |alpha|^2 = epsilon).
+class EtaEinsteinFit:
+    """The constants of Ric = (s_g/2) (lambda^2 + kappa eps) g - s_g kappa
+    alpha (x) alpha fitted to a structure's Ricci tensor, the full-tensor
+    residual and admissibility (residual <= tol, lambda^2 >= 0 and, in
+    Lorentzian signature, kappa >= -tol): numbers for one structure, or
+    arrays over the axes of a ContactBatch (ContactBatch.fit)."""
 
-    The data the structure determines (xi, phi, the Levi-Civita
-    coefficients gamma, the Ricci and Riemann tensors, h and the adapted
-    frame) is computed on first use by the module's functions and kept in
-    read-only arrays. alpha holds the frame components of the one-form,
-    read-only.
-    """
+    lambda2: float
+    kappa: float
+    residual: float
+    admissible: bool
 
-    sc: StructureConstants
-    m: FrameMetric
-    orientation: int
-    alpha: np.ndarray
-    epsilon: int
-    spec: Optional[FamilySpec] = None
+    def at(self, *index) -> "EtaEinsteinFit":
+        """The fit at index into the batch axes (none for one structure), as
+        Python numbers."""
+        return EtaEinsteinFit(self.lambda2.item(*index), self.kappa.item(*index),
+                              self.residual.item(*index), self.admissible.item(*index))
 
-    @property
-    def s_g(self) -> int:
-        return self.m.s_g
 
-    @cached_property
-    def xi(self) -> np.ndarray:
-        """Reeb field: the metric dual of alpha."""
-        return _read_only(self.m.eta * self.alpha)
+# the six independent components (i <= j) of a symmetric 3x3 tensor, row by
+# row, as positions in its nine entries
+_IU9 = np.ravel_multi_index(np.triu_indices(3), (3, 3))
+# lstsq's default cutoff (rcond=None) for the 6 x 2 design matrix
+_RCOND = np.finfo(float).eps * 6
 
-    @cached_property
-    def phi(self) -> np.ndarray:
-        return _read_only(phi_components(self.alpha, self.m, self.orientation))
 
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        """Levi-Civita coefficients (3, 3, 3)."""
-        return _read_only(koszul_components(self.sc.c, self.m.eta))
+@lru_cache(maxsize=None)
+def _half_metric(m: FrameMetric) -> tuple:
+    """(s_g/2) g with g = diag(eta), flattened to (9,), and its six
+    independent components."""
+    half_g = (0.5 * m.s_g * np.diag(m.eta)).ravel()
+    return _read_only(half_g), _read_only(half_g[_IU9])  # shared by every caller
 
-    @cached_property
-    def ricci(self) -> np.ndarray:
-        return _read_only(ricci_components(self.gamma, self.sc.c))
 
-    @cached_property
-    def riemann(self) -> np.ndarray:
-        return _read_only(riemann_components(self.gamma, self.sc.c))
+def _lstsq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solutions (K, n) of stacked systems a (K, m, n) x = b
+    (K, m) with lstsq's default cutoff. np.linalg.lstsq runs the same gufunc
+    of numpy's private _umath_linalg on one system after rejecting stacked
+    input, so every row is bit-equal to its result (a test pins this)."""
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.lstsq(a, b[..., None], _RCOND, signature="ddd->ddid")[0][..., 0]
 
-    @cached_property
-    def h(self) -> np.ndarray:
-        """h = L_xi phi = ad_xi phi - phi ad_xi on the frame."""
-        return _read_only(h_components(self.sc.c, self.xi, self.phi))
 
-    @cached_property
-    def mu(self) -> Optional[float]:
-        """g(u, h u) for a null structure (the factor of h = mu xi (x) alpha
-        when h factors); None when epsilon != 0."""
-        if self.epsilon != 0:
-            return None
-        return float(null_factor(self.h, self.alpha, self.m)[0])
-
-    @cached_property
-    def frame(self) -> tuple:
-        """Adapted frame (xi, u, phi(u)); see contact_frame."""
-        return tuple(_read_only(v) for v in contact_frame(self))
-
-    def metric_dot(self, u, v) -> float:
-        return float(np.sum(self.m.eta * np.asarray(u) * np.asarray(v)))
-
-    def to_json(self) -> str:
-        import json
-
-        data = {
-            "orientation": self.orientation,
-            "alpha": [float(x) for x in self.alpha],
-            "epsilon": self.epsilon,
-        }
-        if self.spec is not None:
-            data["family"] = self.spec.family_id
-            data["params"] = dict(self.spec.params)
-        return json.dumps(data, sort_keys=True)
+def _fit_rows(ric: np.ndarray, alpha: np.ndarray, m: FrameMetric, eps: np.ndarray,
+              tol: float) -> tuple:
+    """(lambda2, kappa, residual, admissible), arrays (K,), of the fits of
+    stacked Ricci tensors ric (K, 3, 3) with one-forms alpha (K, 3) of
+    epsilons eps (K,), each -1.0, +0.0 or +1.0."""
+    sg, (half_g, half_g6) = m.s_g, _half_metric(m)
+    ric = ric.reshape(-1, 9)
+    aa = (alpha[:, :, None] * alpha[:, None, :]).reshape(-1, 9)
+    # the design matrices (K, 6, 2): columns (s_g/2) g and (s_g/2) eps g - s_g alpha (x) alpha
+    rows = np.empty((len(ric), 6, 2))
+    rows[..., 0] = half_g6
+    rows[..., 1] = eps[:, None] * half_g6 - sg * aa.take(_IU9, axis=1)
+    rhs = ric.take(_IU9, axis=1)
+    sol = _lstsq_rows(rows, rhs)
+    lambda2, kappa = sol[:, 0], sol[:, 1]
+    lambda2 = np.copysign(lambda2, lambda2 + tol)  # |lambda2| where it is within tol of 0
+    model = (lambda2 + kappa * eps)[:, None] * half_g - (sg * kappa)[:, None] * aa
+    residual = np.abs(ric - model).max(axis=1)
+    admissible = (residual <= tol) & (lambda2 >= 0.0)
+    if sg == -1:
+        admissible &= kappa >= -tol
+    return lambda2, kappa, residual, admissible
 
 
 # the conditions a contact check tests, in this order
@@ -148,14 +137,20 @@ class ContactBatch:
     integer (a float) and off is |n2 - eps|. A batch built from_specs
     also holds the specs and valid, the mask of those satisfying their
     family's constraints; ok marks the rows that are contact structures (of
-    valid parameters). xi, phi, h, ricci and k_contact_witness are computed
-    on first use, on every row, by the stacked formulas below.
+    valid parameters). sample, optional, labels the rows: rows with equal
+    labels have equal bracket tables, whose Ricci tensor is then formed once.
+
+    The derived data (xi, phi, the Levi-Civita coefficients gamma, the ricci
+    and riemann tensors, h, the null factor and the L_xi g witness) is
+    computed on first use, on every row, by the stacked formulas below, and
+    kept in read-only arrays.
     """
 
     def __init__(self, c: np.ndarray, m: FrameMetric, orientation, alpha: np.ndarray,
-                 tol: float, valid: Optional[np.ndarray] = None, specs: Optional[list] = None):
+                 tol: float, valid: Optional[np.ndarray] = None, specs: Optional[list] = None,
+                 sample: Optional[np.ndarray] = None):
         self.c, self.m, self.alpha, self.tol = c, m, alpha, tol
-        self.valid, self.specs = valid, specs
+        self.valid, self.specs, self.sample = valid, specs, sample
         # non-finite values end as failed conditions, not as numpy warnings; every
         # row runs every condition, and a row is reported by its first failure
         with np.errstate(over="ignore", invalid="ignore"):
@@ -216,8 +211,8 @@ class ContactBatch:
         return NotContact(CONTACT_CONDITIONS[cond], float(self.residuals[cond][index]))
 
     def take(self, rows) -> "ContactBatch":
-        """The batch of the given rows (indices into the batch axis), with the
-        data computed so far."""
+        """The batch of the given rows (indices into the batch axis), with
+        copies of the data computed so far."""
         rows = np.asarray(rows, dtype=np.intp)
         out = object.__new__(ContactBatch)
         for name, value in vars(self).items():
@@ -230,24 +225,106 @@ class ContactBatch:
 
     @cached_property
     def xi(self) -> np.ndarray:
-        return self.m.eta * self.alpha
+        """Reeb field: the metric dual of alpha."""
+        return _read_only(self.m.eta * self.alpha)
 
     @cached_property
     def phi(self) -> np.ndarray:
-        return phi_components(self.alpha, self.m, self.orientation)
+        return _read_only(phi_components(self.alpha, self.m, self.orientation))
 
     @cached_property
-    def h(self) -> np.ndarray:
-        return h_components(self.c, self.xi, self.phi)
+    def gamma(self) -> np.ndarray:
+        """Levi-Civita coefficients (..., 3, 3, 3)."""
+        return _read_only(koszul_components(self.c, self.m.eta))
 
     @cached_property
     def ricci(self) -> np.ndarray:
-        return ricci_components(koszul_components(self.c, self.m.eta), self.c)
+        """Ricci (..., 3, 3); with sample labels, formed once per label."""
+        if self.sample is None:
+            return _read_only(ricci_components(self.gamma, self.c))
+        _, first, which = np.unique(self.sample, return_index=True, return_inverse=True)
+        c = self.c[first]
+        return _read_only(ricci_components(koszul_components(c, self.m.eta), c)[which])
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        return _read_only(riemann_components(self.gamma, self.c))
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """h = L_xi phi = ad_xi phi - phi ad_xi on the frame."""
+        return _read_only(h_components(self.c, self.xi, self.phi))
+
+    @cached_property
+    def null(self) -> np.ndarray:
+        """(..., 2): mu and the residual of h = mu xi (x) alpha (see
+        null_factor), which mean something on the null rows only."""
+        null = np.empty(self.eps.shape + (2,))
+        null[..., 0], null[..., 1] = null_factor(self.h, self.alpha, self.m)
+        return _read_only(null)
+
+    @property
+    def mu(self) -> np.ndarray:
+        """g(u, h u), the factor of h = mu xi (x) alpha, on the null rows; NaN
+        on the others."""
+        return np.where(self.eps == 0, self.null[..., 0], np.nan)
 
     @cached_property
     def k_contact_witness(self) -> np.ndarray:
         """max |(L_xi g)(e_i, e_j)|, zero exactly where xi is Killing."""
-        return np.abs(lie_metric_components(self.c, self.xi, self.m)).max(axis=(-2, -1))
+        lie = np.abs(lie_metric_components(self.c, self.xi, self.m))
+        return _read_only(np.asarray(lie.max(axis=(-2, -1))))  # an array with no batch axes too
+
+    def fit(self, tol: float | None = None) -> EtaEinsteinFit:
+        """The least-squares fit of (lambda^2, kappa) over the six independent
+        components of each row's Ricci tensor, with the full-tensor residual,
+        as arrays over the batch axes: one stacked fit over the rows of every
+        epsilon. ValueError unless every row is a contact structure (take the
+        ok rows of a batch)."""
+        tol = get_tol(tol)
+        if not self.ok.all():
+            raise ValueError("the fit is of contact structures: take the ok rows")
+        eps, shape = self.eps.reshape(-1) + 0.0, self.eps.shape  # an eps of -0.0 fits as +0.0
+        lambda2, kappa, residual, admissible = _fit_rows(
+            self.ricci.reshape(-1, 3, 3), self.alpha.reshape(-1, 3), self.m, eps, tol)
+        return EtaEinsteinFit(lambda2.reshape(shape), kappa.reshape(shape),
+                              residual.reshape(shape), admissible.reshape(shape))
+
+
+class ContactStructure(ContactBatch):
+    """The ContactBatch of one one-form with frame components alpha (3,),
+    read-only, over the bracket table of sc, with no batch axes:
+    check_contact returns it where alpha is contact, and raises otherwise.
+    It adds the structure constants sc, the family spec, orientation and
+    epsilon as ints, the adapted frame and the JSON form; the derived data
+    are the batch's, as 0-d arrays for its numbers."""
+
+    def __init__(self, sc: StructureConstants, m: FrameMetric, orientation, alpha,
+                 tol: float | None = None, spec: Optional[FamilySpec] = None):
+        super().__init__(sc.c, m, orientation, _read_only(_one_form(alpha)), get_tol(tol))
+        self.sc, self.spec, self.orientation = sc, spec, int(self.orientation)
+
+    @property
+    def epsilon(self) -> int:
+        return int(self.eps)
+
+    @cached_property
+    def frame(self) -> tuple:
+        """Adapted frame (xi, u, phi(u)); see contact_frame."""
+        return tuple(_read_only(v) for v in contact_frame(self))
+
+    def to_json(self) -> str:
+        import json
+
+        data = {
+            "orientation": self.orientation,
+            "alpha": [float(x) for x in self.alpha],
+            "epsilon": self.epsilon,
+        }
+        if self.spec is not None:
+            data["family"] = self.spec.family_id
+            data["params"] = dict(self.spec.params)
+        return json.dumps(data, sort_keys=True)
 
 
 def build_contact(spec: FamilySpec, alpha, orientation: Optional[int] = None,
@@ -267,32 +344,32 @@ def check_contact(
     alpha,
     tol: float | None = None,
     spec: Optional[FamilySpec] = None,
-) -> ContactStructure | ContactBatch:
+    sample: Optional[np.ndarray] = None,
+) -> ContactBatch:
     """Verify alpha = *d alpha and |alpha|^2 in {-1, 0, +1} for the one-form
-    with frame components alpha (3,); returns the structure with epsilon
-    computed from the norm. Orientation None tries +1, then -1.
+    with frame components alpha (3,); returns the ContactStructure, with
+    epsilon computed from the norm. Orientation None tries +1, then -1.
 
     Raises NotContact naming the failed condition and its residual.
 
     Stacked form: with sc an array of bracket tables (..., 3, 3, 3), alpha
     an array of one-form components (..., 3) and orientation None, a sign or
-    an array of signs, every row is checked at once and the ContactBatch is
-    returned instead; no structure is built and nothing is raised for a
-    row that is not contact.
+    an array of signs, every row is checked at once and their ContactBatch
+    is returned, with the sample labels (see ContactBatch); nothing is
+    raised for a row that is not contact.
     """
     tol = get_tol(tol)
     if not isinstance(sc, StructureConstants):
         c, alpha = np.asarray(sc, dtype=float), np.asarray(alpha, dtype=float)
         if m.dim != 3 or c.shape[-3:] != (3, 3, 3) or alpha.shape[-1:] != (3,):
             raise ValueError("contact structures are three-dimensional here")
-        return ContactBatch(c, m, orientation, alpha, tol)
+        return ContactBatch(c, m, orientation, alpha, tol, sample=sample)
     if sc.dim != 3 or m.dim != 3:
         raise ValueError("contact structures are three-dimensional here")
-    alpha = _one_form(alpha)
-    batch = ContactBatch(sc.c, m, orientation, alpha, tol)
-    if not batch.ok:
-        raise batch.error()
-    return ContactStructure(sc, m, int(batch.orientation), _read_only(alpha), int(batch.eps), spec)
+    cs = ContactStructure(sc, m, orientation, alpha, tol, spec)
+    if not cs.ok:
+        raise cs.error()
+    return cs
 
 
 def _one_form(alpha) -> np.ndarray:
@@ -358,13 +435,11 @@ def h_tensor(cs: ContactStructure, tol: float | None = None):
     Returns (matrix, mu) with mu = None when epsilon != 0.
     """
     tol = get_tol(tol)
-    h = cs.h
     if cs.epsilon != 0:
-        return h, None
-    mu, res = null_factor(h, cs.alpha, cs.m)
-    mu = float(mu)
-    check_decomposition(mu, float(res), tol)
-    return h, mu
+        return cs.h, None
+    mu, res = cs.null.tolist()
+    check_decomposition(mu, res, tol)
+    return cs.h, mu
 
 
 def _ker_alpha_basis(cs: ContactStructure) -> np.ndarray:
@@ -413,7 +488,7 @@ def contact_frame(cs: ContactStructure):
         u = alpha / float(np.sum(alpha * alpha))  # componentwise dual: null iff alpha is
     else:
         b = _ker_alpha_basis(cs)
-        fits = np.sign(cs.m.eta @ (b * b)) == np.sign(cs.s_g * eps)
+        fits = np.sign(cs.m.eta @ (b * b)) == np.sign(cs.m.s_g * eps)
         if not fits.any():
             raise WrongCausalType("no frame vector of the required causal type in ker(alpha)")
         u = _lead_positive(b[:, np.argmax(fits)])
@@ -424,13 +499,13 @@ def is_sasakian(cs: ContactStructure, tol: float | None = None) -> bool:
     """h = 0."""
     tol = get_tol(tol)
     h, _ = h_tensor(cs, tol=tol)
-    return float(np.max(np.abs(h))) <= tol
+    return bool(np.abs(h).max(axis=(-2, -1)) <= tol)
 
 
 def is_k_contact(cs: ContactStructure, tol: float | None = None):
     """Whether the Reeb field is Killing; witness is max |(L_xi g)(e_i, e_j)|."""
     tol = get_tol(tol)
-    witness = float(np.max(np.abs(lie_metric_components(cs.sc.c, cs.xi, cs.m))))
+    witness = float(cs.k_contact_witness)
     return witness <= tol, witness
 
 
@@ -440,7 +515,7 @@ def k_contact_null_witness(cs: ContactStructure) -> float:
     if cs.epsilon != 0:
         raise WrongCausalType("light-cone witness requires a null Reeb field")
     xi, u, _ = cs.frame
-    return float(cs.metric_dot(cs.sc.bracket(xi, u), u))
+    return float(pairing_components(cs.sc.bracket(xi, u), u, cs.m.signs, 1))
 
 
 def _j_and_frame(cs: ContactStructure):
@@ -452,13 +527,6 @@ def _j_and_frame(cs: ContactStructure):
     j[:3, :3], j[:3, 3], j[3, :3] = cs.phi, cs.xi, cs.alpha
     p[:3, :3] = np.column_stack(cs.frame)
     return j, p
-
-
-def j_endo_matrix(cs: ContactStructure) -> np.ndarray:
-    """Matrix P^-1 J P of J in the frame (xi, u, phi(u), dq); constant for
-    every null structure: columns (0, (0,0,1,1), (-1,0,0,0), (1,0,0,0))."""
-    j, p = _j_and_frame(cs)
-    return np.linalg.solve(p, j @ p)
 
 
 def nijenhuis_J(cs: ContactStructure, tol: float | None = None):
@@ -488,11 +556,6 @@ def l_endo(cs: ContactStructure) -> np.ndarray:
     return np.einsum("jabm,a,b->mj", cs.riemann, xi, xi)
 
 
-def reeb_gradient(cs: ContactStructure) -> np.ndarray:
-    """Matrix of v -> nabla_v xi on the frame."""
-    return np.einsum("jik,i->kj", cs.gamma, cs.xi)
-
-
 def contact_identity_residuals(cs: ContactStructure) -> dict:
     """Residuals of the structural identities every contact structure obeys
     (plus the null-case extras when epsilon = 0); all should be ~0. Each is
@@ -507,7 +570,7 @@ def contact_identity_residuals(cs: ContactStructure) -> dict:
 
 def _identity_terms(cs: ContactStructure) -> dict:
     """The terms, by identity, that vanish on every contact structure."""
-    sg, eps, alpha, xi, phi = cs.s_g, cs.epsilon, cs.alpha, cs.xi, cs.phi
+    sg, eps, alpha, xi, phi = cs.m.s_g, cs.epsilon, cs.alpha, cs.xi, cs.phi
     g, eye, ad = np.diag(cs.m.eta), np.eye(3), cs.sc.ad(xi)
     h, mu = h_tensor(cs)
     tau = h @ phi
@@ -531,7 +594,7 @@ def _identity_terms(cs: ContactStructure) -> dict:
         "h_symmetric": g @ h - (g @ h).T,
         "tau_symmetric": g @ tau - (g @ tau).T,
         # 2 phi(nabla xi) = h + s_g (eps Id - xi (x) alpha)
-        "reeb_gradient_eq": 2.0 * phi @ reeb_gradient(cs) - h
+        "reeb_gradient_eq": 2.0 * phi @ np.einsum("jik,i->kj", cs.gamma, xi) - h
         - sg * (eps * eye - np.outer(xi, alpha)),
     }
     if eps != 0:
@@ -553,27 +616,3 @@ def _identity_terms(cs: ContactStructure) -> dict:
             c3[1] - 1.0,           # [u,phi(u)] = e xi + u + f phi(u)
         ])
     return res
-
-
-def timelike_special_frame(cs: ContactStructure, tol: float | None = None):
-    """Orthonormal frame (xi, X, phi(X)) with h(X) = mu X for a time-like
-    eta-Einstein structure; mu = sqrt(1 - (lambda^2 + kappa)) >= 0.
-
-    Returns (xi, X, phi(X), mu).
-    """
-    from .einstein import fit_eta_einstein  # local import avoids a module cycle
-
-    tol = get_tol(tol)
-    if cs.epsilon != -1:
-        raise WrongCausalType("the special frame requires a time-like Reeb field")
-    fit = fit_eta_einstein(cs, tol=tol)
-    if not fit.admissible:
-        raise NotEtaEinstein(fit.residual)
-    mu = float(np.sqrt(max(0.0, 1.0 - (fit.lambda2 + fit.kappa))))
-    b = _ker_alpha_basis(cs)  # g-orthonormal: ker(alpha) is space-like here
-    s = b.T @ np.diag(cs.m.eta) @ cs.h @ b  # g(b_p, h b_q)
-    evals, evecs = np.linalg.eigh(0.5 * (s + s.T))
-    if max(abs(evals[0] + evals[1]), abs(evals[1] - mu)) > max(100 * tol, 1e-12):
-        raise EigenFailure(f"h spectrum {evals.tolist()} does not match +-mu with mu={mu:.6g}")
-    x = _lead_positive(b @ evecs[:, 1])
-    return cs.xi, x, cs.phi @ x, mu

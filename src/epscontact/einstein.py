@@ -1,6 +1,7 @@
 """The eta-Einstein condition for contact structures of any causal type:
-fitting the constants (lambda^2, kappa) to a Ricci tensor, the curvature
-identities of a fit, and parameter-grid existence scans.
+the fit of the constants (lambda^2, kappa) of one structure (the stacked fit
+is ContactBatch.fit), the curvature identities of a fit, and parameter-grid
+existence scans.
 
 The defining equation is
     Ric = (s_g/2) (lambda^2 + kappa eps) g - s_g kappa alpha (x) alpha,
@@ -15,73 +16,16 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .config import get_tol
-from .contact import ContactStructure, _lead_positive, check_contact
-from .curvature import koszul_components, ricci_components
-from .errors import WrongCausalType
+from .contact import ContactStructure, EtaEinsteinFit, _lead_positive, check_contact
 from .exterior import FrameMetric, d_components, hodge_components
 from .liealg import FAMILIES, family_tables
 
 
-@dataclass(frozen=True)
-class EtaEinsteinFit:
-    lambda2: float
-    kappa: float
-    residual: float
-    admissible: bool
-
-
-# the six independent components (i <= j) of a symmetric 3x3 tensor, row by
-# row, and as positions in its nine entries
-_IU = np.triu_indices(3)
-_IU9 = _IU[0] * 3 + _IU[1]
-# lstsq's default cutoff (rcond=None) for the 6 x 2 design matrix
-_RCOND = np.finfo(float).eps * 6
-
-
-@lru_cache(maxsize=None)
-def _fit_design(m: FrameMetric, eps: int) -> tuple:
-    """(s_g/2) g with g = diag(eta), flattened to (9,), and the fit's design
-    matrix (6, 2) without its alpha term: columns (s_g/2) g and
-    (s_g/2) eps g over the six components."""
-    half_g = 0.5 * m.s_g * np.diag(m.eta)
-    design = np.column_stack([half_g[_IU], eps * half_g[_IU]])
-    half_g.flags.writeable = design.flags.writeable = False  # shared by every caller
-    return half_g.ravel(), design
-
-
-def _fit_rows(ric: np.ndarray, alpha: np.ndarray, m: FrameMetric, eps: int,
-              tol: float) -> tuple:
-    """(lambda2, kappa, residual, admissible), arrays (K,), of the fits of
-    stacked Ricci tensors ric (K, 3, 3) with one-forms alpha (K, 3) of one
-    epsilon."""
-    sg = m.s_g
-    half_g, design = _fit_design(m, eps)
-    ric = ric.reshape(-1, 9)
-    aa = (alpha[:, :, None] * alpha[:, None, :]).reshape(-1, 9)
-    rows = design[None].repeat(len(ric), axis=0)
-    rows[..., 1] -= sg * aa.take(_IU9, axis=1)  # (s_g/2) eps g - s_g alpha (x) alpha
-    rhs = ric.take(_IU9, axis=1)
-    sol = _lstsq_rows(rows, rhs)
-    lambda2, kappa = sol[:, 0], sol[:, 1]
-    lambda2 = np.copysign(lambda2, lambda2 + tol)  # |lambda2| where it is within tol of 0
-    model = (lambda2 + kappa * eps)[:, None] * half_g - (sg * kappa)[:, None] * aa
-    residual = np.abs(ric - model).max(axis=1)
-    admissible = (residual <= tol) & (lambda2 >= 0.0)
-    if sg == -1:
-        admissible &= kappa >= -tol
-    return lambda2, kappa, residual, admissible
-
-
 def fit_eta_einstein(cs: ContactStructure, tol: float | None = None) -> EtaEinsteinFit:
-    """Least-squares fit of (lambda^2, kappa) over the six independent
-    components of the structure's Ricci tensor, with the full-tensor residual."""
-    tol = get_tol(tol)
-    lambda2, kappa, residual, admissible = _fit_rows(
-        cs.ricci[None], cs.alpha[None], cs.m, cs.epsilon, tol)
-    return EtaEinsteinFit(lambda2.item(), kappa.item(), residual.item(), admissible.item())
+    """The structure's eta-Einstein fit (ContactBatch.fit) as numbers."""
+    return cs.fit(tol).at()
 
 
 def reeb_curvature_residual(cs: ContactStructure, fit: EtaEinsteinFit) -> float:
@@ -89,35 +33,13 @@ def reeb_curvature_residual(cs: ContactStructure, fit: EtaEinsteinFit) -> float:
     K = s_g (lambda^2 - eps kappa)/4; holds on every eta-Einstein structure."""
     xi = cs.xi
     alpha = cs.alpha
-    kconst = cs.s_g * (fit.lambda2 - cs.epsilon * fit.kappa) / 4.0
+    kconst = cs.m.s_g * (fit.lambda2 - cs.epsilon * fit.kappa) / 4.0
     lhs = np.einsum("ijkm,k->ijm", cs.riemann, xi)
     eye = np.eye(3)
     rhs = kconst * (
         np.einsum("j,im->ijm", alpha, eye) - np.einsum("i,jm->ijm", alpha, eye)
     )
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def lightcone_fit_residual(cs: ContactStructure, fit: EtaEinsteinFit) -> float:
-    """Null-case characterization: in a light-cone frame the eta-Einstein
-    condition is Ric(xi,xi)=Ric(xi,phiu)=Ric(u,phiu)=0,
-    Ric(xi,u)=Ric(phiu,phiu)=-lambda^2/2, Ric(u,u)=kappa."""
-    if cs.epsilon != 0:
-        raise WrongCausalType("light-cone characterization needs a null Reeb field")
-    ric = cs.ricci
-    xi, u, phiu = cs.frame
-
-    def r(a, b):
-        return float(a @ ric @ b)
-
-    return max(
-        abs(r(xi, xi)),
-        abs(r(xi, phiu)),
-        abs(r(u, phiu)),
-        abs(r(xi, u) + 0.5 * fit.lambda2),
-        abs(r(phiu, phiu) + 0.5 * fit.lambda2),
-        abs(r(u, u) - fit.kappa),
-    )
 
 
 # --- parameter-grid scans -----------------------------------------------------
@@ -315,15 +237,6 @@ def family_samples(family_id: str, grid: np.ndarray, tol: float) -> Iterable[dic
             yield dict(zip(chunk, values))
 
 
-def _lstsq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares solutions (K, n) of stacked systems a (K, m, n) x = b
-    (K, m) with lstsq's default cutoff. np.linalg.lstsq runs the same gufunc
-    of numpy's private _umath_linalg on one system after rejecting stacked
-    input, so every row is bit-equal to its result (a test pins this)."""
-    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.lstsq(a, b[..., None], _RCOND, signature="ddd->ddid")[0][..., 0]
-
-
 def scan_family(
     family_id: str,
     grid: np.ndarray | None = None,
@@ -344,10 +257,10 @@ def scan_family(
     constraint mask, d of the basis one-forms is formed once for both
     orientations' contact maps, and one SVD call solves them all. The quadric
     candidates of every (sample, orientation) nullspace are drawn together,
-    one nullspace rank at a time, and go through one stacked check_contact;
-    the Ricci tensor of each sample left with a candidate of the wanted
-    epsilon is computed once, and the fits of all those candidates are
-    solved in one least-squares call. No ContactStructure is built.
+    one nullspace rank at a time, and go through one stacked check_contact,
+    labelled by their sample; the batch of those of the wanted epsilon forms
+    the Ricci tensor of each of their samples once and fits them all in one
+    least-squares call (ContactBatch.fit). No ContactStructure is built.
     """
     tol = get_tol(tol)
     if grid is None:
@@ -369,20 +282,14 @@ def scan_family(
         if not pair.size:
             continue
         sample, orientation = np.divmod(pair, len(signs))
-        orientation = signs[orientation]
-        checked = check_contact(c[sample], m, orientation, alpha, tol=1e-7)
-        match = np.flatnonzero(checked.ok & (checked.eps == epsilon))
+        checked = check_contact(c[sample], m, signs[orientation], alpha, tol=1e-7, sample=sample)
+        batch = checked.take(np.flatnonzero(checked.ok & (checked.eps == epsilon)))
         del checked  # it holds the chunk's candidate tables; one chunk is alive at a time
-        if not match.size:
+        if not batch.sample.size:
             continue
-        sample, orientation, alpha = sample[match], orientation[match], alpha[match]
-        distinct, which = np.unique(sample, return_inverse=True)
-        c_distinct = c[distinct]
-        ric = ricci_components(koszul_components(c_distinct, m.eta), c_distinct)[which]
-        fits = _fit_rows(ric, alpha, m, epsilon, tol)
-        for k in np.flatnonzero(fits[3]):
-            fit = EtaEinsteinFit(*(x[k].item() for x in fits))
-            n = valid[sample[k]]
+        fits = batch.fit(tol)
+        for k in np.flatnonzero(fits.admissible):
+            n = valid[batch.sample[k]]
             hits.append(ScanHit(family_id, {p: chunk[p][n].item() for p in fam.params},
-                                int(orientation[k]), tuple(alpha[k]), fit))
+                                int(batch.orientation[k]), tuple(batch.alpha[k]), fits.at(k)))
     return hits

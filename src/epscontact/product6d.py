@@ -26,14 +26,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import get_tol
-from .contact import ContactBatch, ContactStructure, build_contact
+from .contact import ContactBatch, ContactStructure, EtaEinsteinFit, build_contact
 from .curvature import (
     koszul_components,
     ricci_components,
     three_form_square,
     torsionful_connection,
 )
-from .einstein import EtaEinsteinFit, _fit_rows, fit_eta_einstein
 from .errors import EpsContactError, IncompatibleFactors
 from .exterior import (
     FrameMetric,
@@ -126,8 +125,8 @@ class SugraResiduals:
 
 def torsion_form(n_struct, x_struct, lam, l) -> np.ndarray:
     """The C(6, 3) components (..., 20) of H on the 6D frame from the factors'
-    alpha, m and orientation: contact structures with lam and l numbers, or
-    ContactBatches with lam and l numbers or arrays over the batch axes."""
+    alpha, m and orientation: ContactBatches (a contact structure is one)
+    with lam and l numbers or arrays over the batch axes."""
     n, x = n_struct, x_struct
     lam, l = (np.asarray(v, dtype=float)[..., None] for v in (lam, l))
     nu_n = embed_components(np.asarray(n.orientation, dtype=float)[..., None], 3, 0)
@@ -212,8 +211,7 @@ def build_solution(
     kappa_X = eps_N l^2. Raises IncompatibleFactors naming the violation."""
     tol = get_tol(tol)
     _check_factors(n_struct.m.s_g, x_struct.m.s_g, n_struct.epsilon,
-                   fit_eta_einstein(n_struct, tol=tol), fit_eta_einstein(x_struct, tol=tol),
-                   lam, l, tol)
+                   n_struct.fit(tol).at(), x_struct.fit(tol).at(), lam, l, tol)
     sc6 = direct_sum(n_struct.sc, x_struct.sc)
     m6 = FrameMetric(n_struct.m.signs + x_struct.m.signs)
     orientation6 = n_struct.orientation * x_struct.orientation
@@ -419,17 +417,6 @@ def _failed(row: CatalogRow, l: float, exc: EpsContactError) -> CatalogResult:
                          f"{type(exc).__name__}: {exc}")
 
 
-def _fits(batch: ContactBatch, tol: float) -> list:
-    """The eta-Einstein fit of each row: one stacked fit per epsilon."""
-    out = [None] * len(batch.eps)
-    for e in set(batch.eps.tolist()):
-        at = np.flatnonzero(batch.eps == e)
-        fits = _fit_rows(batch.ricci[at], batch.alpha[at], batch.m, int(e), tol)
-        for j, fit in zip(at, zip(*(x.tolist() for x in fits))):
-            out[j] = EtaEinsteinFit(*fit)
-    return out
-
-
 def _verify_group(row: CatalogRow, members: list, tol: float) -> list:
     """The CatalogResults at a row's l values whose factors share one (N
     family, X family) pair; members holds (k, l, N factor, X factor) in l
@@ -456,9 +443,11 @@ def _verify_group(row: CatalogRow, members: list, tol: float) -> list:
             continue
         built.append(k)
     n, x, solved = n.take(built), x.take(built), []
-    for j, (k, fit_n, fit_x) in enumerate(zip(built, _fits(n, tol), _fits(x, tol))):
+    fits_n, fits_x = n.fit(tol), x.fit(tol)
+    for j, k in enumerate(built):
         try:
-            _check_factors(n.m.s_g, x.m.s_g, int(n.eps[j]), fit_n, fit_x, lams[k], ls[k], tol)
+            _check_factors(n.m.s_g, x.m.s_g, int(n.eps[j]), fits_n.at(j), fits_x.at(j),
+                           lams[k], ls[k], tol)
         except IncompatibleFactors as exc:
             out[k] = _failed(row, ls[k], exc)
             continue

@@ -34,8 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import get_tol
-from .contact import ContactBatch, build_contact, check_decomposition, null_factor
-from .einstein import _fit_rows
+from .contact import ContactBatch, build_contact, check_decomposition
 from .liealg import FamilySpec, GroupName, identify_group
 
 SIGNS = (1, -1)
@@ -373,18 +372,17 @@ def build_instance(inst: RowInstance, tol: float | None = None):
 def _verify_family(insts: list, epsilon: int, tol: float) -> list:
     """The InstanceReports of instances of one family and of the row's
     epsilon, from one stacked pass: the ContactBatch of the instances, and
-    for its structures of the row's epsilon the fit, h, the null factor mu
-    and the L_xi g witness. The checks then run per instance in the order of
-    a single verification, reading the stacked results, and stop at the
-    first failure."""
+    of its structures of the row's epsilon the fit, h, the null factor mu
+    and the L_xi g witness, read off the batch of those. The checks then run
+    per instance in the order of a single verification, reading the stacked
+    results, and stop at the first failure."""
     batch = ContactBatch.from_specs([i.spec for i in insts], [i.alpha for i in insts], tol=tol)
     # the structures of the row's epsilon, stacked in instance order
     found = np.flatnonzero(batch.ok & (batch.eps == epsilon))
     at = dict(zip(found.tolist(), range(len(found))))
     structs = batch.take(found)
-    fits = _fit_rows(structs.ricci, structs.alpha, structs.m, epsilon, tol)
+    fits = structs.fit(tol)
     sasakian = np.abs(structs.h).max(axis=(-2, -1)) <= tol
-    null = null_factor(structs.h, structs.alpha, structs.m) if epsilon == 0 else None
     k_contact = structs.k_contact_witness <= tol
 
     def report(k: int, inst: RowInstance) -> InstanceReport:
@@ -414,18 +412,18 @@ def _verify_family(insts: list, epsilon: int, tol: float) -> list:
                 return fail("group_ok", f"group {group.value} != expected {inst.group.value}")
             out.checks["group_ok"] = True
         if inst.lambda2 is not None:
-            lambda2, kappa, residual, admissible = (x[n].item() for x in fits)
-            out.lambda2, out.kappa, out.residual = lambda2, kappa, residual
-            if not admissible:
-                return fail("fit_ok", f"fit not admissible (residual {residual:.3e})")
-            if abs(lambda2 - inst.lambda2) > 10.0 * tol:
-                return fail("fit_ok", f"lambda2 {lambda2:.6g} != expected {inst.lambda2:.6g}")
-            if abs(kappa - inst.kappa) > 10.0 * tol:
-                return fail("fit_ok", f"kappa {kappa:.6g} != expected {inst.kappa:.6g}")
+            fit = fits.at(n)
+            out.lambda2, out.kappa, out.residual = fit.lambda2, fit.kappa, fit.residual
+            if not fit.admissible:
+                return fail("fit_ok", f"fit not admissible (residual {fit.residual:.3e})")
+            if abs(fit.lambda2 - inst.lambda2) > 10.0 * tol:
+                return fail("fit_ok", f"lambda2 {fit.lambda2:.6g} != expected {inst.lambda2:.6g}")
+            if abs(fit.kappa - inst.kappa) > 10.0 * tol:
+                return fail("fit_ok", f"kappa {fit.kappa:.6g} != expected {inst.kappa:.6g}")
             out.checks["fit_ok"] = True
         if inst.sasakian is not None:
-            if null is not None:
-                check_decomposition(null[0][n].item(), null[1][n].item(), tol)
+            if epsilon == 0:
+                check_decomposition(*structs.null[n].tolist(), tol)
             if bool(sasakian[n]) != inst.sasakian:
                 return fail("sasakian_ok", f"sasakian != expected {inst.sasakian}")
             out.checks["sasakian_ok"] = True

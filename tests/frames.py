@@ -1,0 +1,69 @@
+"""Frames and frame readings of one contact structure that only the tests
+use: the time-like special frame, the matrix of J in the frame
+(xi, u, phi(u), dq), the light-cone form of the eta-Einstein fit, and the
+metric pairing of two frame vectors."""
+
+import numpy as np
+
+from epscontact.config import get_tol
+from epscontact.contact import _j_and_frame, _ker_alpha_basis, _lead_positive
+from epscontact.einstein import fit_eta_einstein
+from epscontact.errors import EigenFailure, NotEtaEinstein, WrongCausalType
+from epscontact.exterior import pairing_components
+
+
+def metric_dot(cs, u, v) -> float:
+    """g(u, v) of frame-component vectors, by the metric pairing."""
+    return float(pairing_components(np.asarray(u, dtype=float), np.asarray(v, dtype=float),
+                                    cs.m.signs, 1))
+
+
+def timelike_special_frame(cs, tol=None):
+    """Orthonormal frame (xi, X, phi(X)) with h(X) = mu X for a time-like
+    eta-Einstein structure; mu = sqrt(1 - (lambda^2 + kappa)) >= 0.
+
+    Returns (xi, X, phi(X), mu).
+    """
+    tol = get_tol(tol)
+    if cs.epsilon != -1:
+        raise WrongCausalType("the special frame requires a time-like Reeb field")
+    fit = fit_eta_einstein(cs, tol=tol)
+    if not fit.admissible:
+        raise NotEtaEinstein(fit.residual)
+    mu = float(np.sqrt(max(0.0, 1.0 - (fit.lambda2 + fit.kappa))))
+    b = _ker_alpha_basis(cs)  # g-orthonormal: ker(alpha) is space-like here
+    s = b.T @ np.diag(cs.m.eta) @ cs.h @ b  # g(b_p, h b_q)
+    evals, evecs = np.linalg.eigh(0.5 * (s + s.T))
+    if max(abs(evals[0] + evals[1]), abs(evals[1] - mu)) > max(100 * tol, 1e-12):
+        raise EigenFailure(f"h spectrum {evals.tolist()} does not match +-mu with mu={mu:.6g}")
+    x = _lead_positive(b @ evecs[:, 1])
+    return cs.xi, x, cs.phi @ x, mu
+
+
+def j_endo_matrix(cs) -> np.ndarray:
+    """Matrix P^-1 J P of J in the frame (xi, u, phi(u), dq); constant for
+    every null structure: columns (0, (0,0,1,1), (-1,0,0,0), (1,0,0,0))."""
+    j, p = _j_and_frame(cs)
+    return np.linalg.solve(p, j @ p)
+
+
+def lightcone_fit_residual(cs, fit) -> float:
+    """Null-case characterization: in a light-cone frame the eta-Einstein
+    condition is Ric(xi,xi)=Ric(xi,phiu)=Ric(u,phiu)=0,
+    Ric(xi,u)=Ric(phiu,phiu)=-lambda^2/2, Ric(u,u)=kappa."""
+    if cs.epsilon != 0:
+        raise WrongCausalType("light-cone characterization needs a null Reeb field")
+    ric = cs.ricci
+    xi, u, phiu = cs.frame
+
+    def r(a, b):
+        return float(a @ ric @ b)
+
+    return max(
+        abs(r(xi, xi)),
+        abs(r(xi, phiu)),
+        abs(r(u, phiu)),
+        abs(r(xi, u) + 0.5 * fit.lambda2),
+        abs(r(phiu, phiu) + 0.5 * fit.lambda2),
+        abs(r(u, u) - fit.kappa),
+    )

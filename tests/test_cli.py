@@ -459,3 +459,71 @@ def test_solution_config_alpha_length_exit_2(tmp_path, capsys, alpha):
     config_file = tmp_path / "alpha.json"
     config_file.write_text(json.dumps(config))
     assert "alpha" in assert_usage_error(capsys, ["solution", "--config", str(config_file)])
+
+
+# --- the edge-value matrix: every numeric flag of every subcommand ---------------
+
+# each subcommand with the arguments it needs, at sizes that keep a run short
+BASE_ARGV = {
+    "oracle": ["oracle", "--samples", "7"],
+    "verify-tables": ["verify-tables", "--theorem", "thm-1.2"],
+    "scan": ["scan", "--family", "g3", "--epsilon", "1", "--grid", "3"],
+    "solution": ["solution", "--preset", "ads3xs3"],
+    "catalog": ["catalog", "--epsilon-n", "-1", "--l-samples", "0.5"],
+    "cauchy": ["cauchy", "--example", "flat-para", "--nx", "8", "--ny", "8"],
+}
+EDGE_VALUES = ("0", "-1", "1e-200", "5e-324", "1e308", "inf", "nan", "", " , ")
+# flags whose rejected values are named by what they break, not by the flag:
+# the tolerance, numpy's seed check, and the example's q overflowing at 1e308
+UNNAMED = {"--tol", "--seed", "--l1", "--l2"}
+
+
+def numeric_flags() -> list:
+    """(subcommand, flag) for every int or float option of every subcommand,
+    and catalog's comma-separated --l-samples. The int flags reject 1e308,
+    inf and nan when parsed, so no edge value asks for a huge --grid, --nx,
+    --ny, --samples or --parallelism."""
+    import argparse
+
+    from epscontact.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action.option_strings[0])
+            for name, parser in sub.choices.items() for action in parser._actions
+            if action.option_strings
+            and (action.type in (int, float) or action.dest == "l_samples")]
+
+
+def test_numeric_flags_cover_every_subcommand():
+    flags = numeric_flags()
+    assert {name for name, _ in flags} == set(BASE_ARGV)
+    assert ("cauchy", "--dt") in flags and ("scan", "--hi") in flags and len(flags) == 32
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+@pytest.mark.parametrize("command, flag", numeric_flags())
+def test_numeric_flag_edge_values(capsys, command, flag, value):
+    """Exit 0 or 1 with strict JSON on stdout, or exit 2 with empty stdout
+    and an error line (after argparse's usage line where argparse rejects
+    the value), which names the flag; never a traceback or a warning."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*BASE_ARGV[command], flag, value])
+    captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        if lines[0].startswith("usage: "):  # argparse's own rejection
+            assert f"{command}: error: " in lines[-1]
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert flag in lines[0] or flag in UNNAMED, lines[0]
+    else:
+        assert code in (0, 1) and captured.err == ""
+        report = json.loads(captured.out, parse_constant=reject)
+        assert report["pass"] is (code == 0)

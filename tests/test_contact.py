@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import verify_oracle
+from frames import j_endo_matrix, metric_dot, timelike_special_frame
 from epscontact import contact, curvature, tables
 from epscontact.contact import (
     ContactBatch,
@@ -16,14 +17,12 @@ from epscontact.contact import (
     h_tensor,
     is_k_contact,
     is_sasakian,
-    j_endo_matrix,
     k_contact_null_witness,
     l_endo,
     lie_metric_components,
     nijenhuis_J,
     null_factor,
     phi_components,
-    timelike_special_frame,
 )
 from epscontact.einstein import fit_eta_einstein
 from epscontact.errors import EpsContactError, NotContact, WrongCausalType
@@ -178,17 +177,17 @@ def test_contact_frame_timelike():
     xi, u, phiu = contact_frame(cs)
     assert np.allclose(xi, [-1, 0, 0])
     assert np.allclose(u, [0, 1, 0])
-    assert abs(cs.metric_dot(u, u) - 1.0) < 1e-14
-    assert abs(cs.metric_dot(phiu, phiu) - 1.0) < 1e-14
-    assert abs(cs.metric_dot(u, xi)) < 1e-14
+    assert abs(metric_dot(cs, u, u) - 1.0) < 1e-14
+    assert abs(metric_dot(cs, phiu, phiu) - 1.0) < 1e-14
+    assert abs(metric_dot(cs, u, xi)) < 1e-14
 
 
 def test_contact_frame_spacelike_timelike_u():
     cs = make_cs(g3(1, 1, 1), [0, 1, 0])
     xi, u, phiu = contact_frame(cs)
-    assert abs(cs.metric_dot(u, u) + 1.0) < 1e-14  # g(u,u) = s_g eps = -1
+    assert abs(metric_dot(cs, u, u) + 1.0) < 1e-14  # g(u,u) = s_g eps = -1
     assert np.allclose(np.abs(u), [1, 0, 0])  # proportional to e_0
-    assert abs(cs.metric_dot(phiu, phiu) - 1.0) < 1e-14
+    assert abs(metric_dot(cs, phiu, phiu) - 1.0) < 1e-14
 
 
 def test_contact_frame_null_matches_known_form():
@@ -197,9 +196,9 @@ def test_contact_frame_null_matches_known_form():
     assert np.allclose(xi, [-2, 0, 2])
     assert np.allclose(u, [0.25, 0, 0.25])
     assert np.allclose(phiu, [0, 1, 0])
-    assert abs(cs.metric_dot(u, u)) < 1e-14
-    assert abs(cs.metric_dot(u, xi) - 1.0) < 1e-14
-    assert abs(cs.metric_dot(phiu, phiu) - 1.0) < 1e-14
+    assert abs(metric_dot(cs, u, u)) < 1e-14
+    assert abs(metric_dot(cs, u, xi) - 1.0) < 1e-14
+    assert abs(metric_dot(cs, phiu, phiu) - 1.0) < 1e-14
 
 
 def test_sasakian_and_k_contact_flags():
@@ -276,7 +275,7 @@ def test_timelike_special_frame():
     assert abs(mu - 0.5) < 1e-12  # sqrt(1 - 2 lambda^2), lambda^2 = 3/8
     h, _ = h_tensor(cs)
     assert np.max(np.abs(h @ x - mu * x)) < 1e-12
-    assert abs(cs.metric_dot(x, x) - 1.0) < 1e-12
+    assert abs(metric_dot(cs, x, x) - 1.0) < 1e-12
     # bracket relations of the non-Sasakian special frame
     root = np.sqrt(1.0 - 2.0 * (3.0 / 8.0))
     frame = np.column_stack([xi, x, phix])
@@ -292,7 +291,7 @@ def test_timelike_special_frame_sasakian_case():
     cs = make_cs(g3(1, 1, 1), [1, 0, 0])
     _, x, _, mu = timelike_special_frame(cs)
     assert abs(mu) < 1e-12
-    assert abs(cs.metric_dot(x, x) - 1.0) < 1e-12
+    assert abs(metric_dot(cs, x, x) - 1.0) < 1e-12
 
 
 def test_timelike_special_frame_wrong_type():
@@ -307,7 +306,8 @@ def test_h_decomposition_guard_on_invalid_structure():
     from epscontact.errors import DecompositionFailure
 
     g1 = make_family(FamilySpec("g1", {"a": 1.0, "b": 0.3}))  # needs b = s for contact
-    fake = ContactStructure(g1, L3, 1, np.array([1.0, 0.6, -0.8]), 0)
+    fake = ContactStructure(g1, L3, 1, [1.0, 0.6, -0.8])  # check_contact would raise
+    assert not fake.ok and fake.epsilon == 0
     with pytest.raises(DecompositionFailure):
         h_tensor(fake)
 
@@ -325,11 +325,11 @@ def test_sasakian_iff_ricci_reeb_on_unit_norm():
             R3, -1, [1, 0, 0]), True),
     ]
     for cs, expect_sas in cases:
-        assert cs.epsilon * cs.s_g == 1
+        assert cs.epsilon * cs.m.s_g == 1
         ric = curvature.ricci_components(curvature.koszul_components(cs.sc.c, cs.m.eta), cs.sc.c)
         xi = cs.xi
         value = float(xi @ ric @ xi)
-        is_half = abs(value - cs.s_g * cs.epsilon / 2.0) < 1e-12
+        is_half = abs(value - cs.m.s_g * cs.epsilon / 2.0) < 1e-12
         assert is_half == expect_sas == is_sasakian(cs)
 
 
@@ -408,13 +408,14 @@ def test_build_contact_equals_trying_plus_then_minus():
 
 def test_build_contact_makes_one_stacked_check(monkeypatch):
     calls = []
+    init = contact.ContactBatch.__init__
 
-    class Counting(contact.ContactBatch):
-        def __init__(self, *args, **kwargs):
-            calls.append(1)
-            super().__init__(*args, **kwargs)
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(contact, "ContactBatch", Counting)
+    # a ContactStructure is a ContactBatch: its check is the batch's __init__
+    monkeypatch.setattr(contact.ContactBatch, "__init__", counting)
     plus = FamilySpec("g3", {"a": 1.0, "b": 1.0, "c": 1.0})
     minus = FamilySpec("g3", {"a": -1.0, "b": -1.0, "c": -1.0})
     cases = [(plus, (1.0, 1.0, 0.0), None, 1), (minus, (0.0, 1.0, 0.0), None, -1),
@@ -430,14 +431,17 @@ def test_contact_batch_reads_what_each_build_gives():
     1.5 alpha (contact at neither orientation, or at the other one) and a
     spec violating its family's constraint, gives row by row the structure
     build_contact builds or the error it raises, and the derived data of
-    each structure bit for bit, whether computed before or after take."""
+    each structure bit for bit, whether computed before or after take: its
+    tensors, its fit (one stacked fit over the family's structures of every
+    epsilon) as fit_eta_einstein gives it, and mu as h_tensor gives it (NaN
+    where epsilon != 0)."""
     insts = [inst for rows in tables.TABLES.values() for row in rows for inst in row.instances()]
     groups = {}
     for inst in insts:
         for alpha in (inst.alpha, 1.5 * np.array(inst.alpha)):
             groups.setdefault(inst.spec.family_id, []).append((inst.spec, alpha))
     groups["g6"].append((FamilySpec("g6", {"a": 1.0, "b": 0.0, "c": 0.0, "d": -1.0}), (1.0, 0.0, 0.0)))
-    errors = set()
+    errors, checked_eps = set(), set()
     for group in groups.values():
         batch = ContactBatch.from_specs([spec for spec, _ in group], [alpha for _, alpha in group])
         structs = []
@@ -455,15 +459,36 @@ def test_contact_batch_reads_what_each_build_gives():
         rows = np.flatnonzero(batch.ok)
         after = batch.take(rows)
         before = ContactBatch.from_specs([spec for spec, _ in group], [alpha for _, alpha in group])
-        names = ("xi", "phi", "h", "ricci", "k_contact_witness")
+        names = ("xi", "phi", "h", "ricci", "null", "k_contact_witness")
         for name in names:  # computed on every row, then taken
             getattr(before, name)
+        fits = [fit_eta_einstein(cs) for cs in structs]
+        mus = [h_tensor(cs)[1] for cs in structs]
         for got in (after, before.take(rows)):
             assert bit_equal(got.alpha, [cs.alpha for cs in structs])
-            for name in names[:-1]:
+            for name in names[:-2]:
                 assert bit_equal(getattr(got, name), [getattr(cs, name) for cs in structs])
             assert got.k_contact_witness.tolist() == [is_k_contact(cs)[1] for cs in structs]
+            fit = got.fit()
+            for field in ("lambda2", "kappa", "residual", "admissible"):
+                assert bit_equal(getattr(fit, field), [getattr(f, field) for f in fits])
+            assert [fit.at(j) for j in range(len(structs))] == fits
+            want = np.array([np.nan if mu is None else mu for mu in mus])
+            assert got.mu.tobytes() == want.tobytes()  # NaN bits included
+        checked_eps.update(cs.epsilon for cs in structs)
     assert errors == {"ConstraintViolation", "NotContact"}
+    assert checked_eps == {-1, 0, 1}
+
+
+def test_fit_needs_contact_structures():
+    # |alpha|^2 = 4 rounds to eps = -4: no eta-Einstein equation to fit
+    batch = check_contact(np.stack([g3(1, 1, 1).c] * 2), L3, 1,
+                          np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+    assert batch.eps.tolist() == [-1.0, -4.0]
+    with pytest.raises(ValueError, match="ok rows"):
+        batch.fit()
+    want = fit_eta_einstein(make_cs(g3(1, 1, 1), [1, 0, 0]))
+    assert batch.take(np.flatnonzero(batch.ok)).fit().at(0) == want
 
 
 # --- derived data computed once per structure -----------------------------------
@@ -512,7 +537,7 @@ def test_cached_data_equals_free_functions(case):
         u = frame[1]
         assert cs.mu == float(np.sum(cs.m.eta * u * (h @ u))) == h_tensor(cs)[1]
     else:
-        assert cs.mu is None
+        assert np.isnan(cs.mu) and h_tensor(cs)[1] is None
 
 
 @pytest.mark.parametrize("case", sorted(CAUSAL_CASES))
@@ -561,7 +586,7 @@ def loop_lie_metric(cs, v):
     brackets = [loop_bracket(cs.sc, v, np.eye(3)[i]) for i in range(3)]
     for i in range(3):
         for j in range(3):
-            out[i, j] = -cs.metric_dot(brackets[i], np.eye(3)[j]) - cs.metric_dot(
+            out[i, j] = -metric_dot(cs, brackets[i], np.eye(3)[j]) - metric_dot(cs, 
                 np.eye(3)[i], brackets[j]
             )
     return out

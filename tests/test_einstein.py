@@ -5,12 +5,12 @@ from epscontact.contact import check_contact, is_sasakian
 from epscontact.einstein import (
     default_grid,
     fit_eta_einstein,
-    lightcone_fit_residual,
     reeb_curvature_residual,
     scan_family,
 )
 from epscontact.exterior import FrameMetric
 from epscontact.liealg import FamilySpec, make_family
+from frames import lightcone_fit_residual
 from scan_oracle import fit_one, nullspace_basis, quadric_candidates
 
 L3 = FrameMetric.lorentzian(3)
@@ -311,6 +311,34 @@ def test_scan_g5_is_not_vacuous(monkeypatch):
     assert sum(int(check(*args, tol=1e-7).ok.sum()) for args in calls) > 0
 
 
+@pytest.mark.parametrize("family, epsilon", [("g3", 0), ("riemannian_unimodular", 1)])
+def test_scan_forms_ricci_once_per_distinct_sample(family, epsilon, monkeypatch):
+    # the candidates of one sample share its bracket table: the batch labels
+    # them by sample and forms one Ricci tensor per sample with a match
+    import epscontact.contact as contact
+    import epscontact.einstein as einstein
+
+    matched, distinct, formed = [], [], []
+    check, ricci = einstein.check_contact, contact.ricci_components
+
+    def labelled(*args, **kwargs):
+        batch = check(*args, **kwargs)
+        samples = batch.sample[batch.ok & (batch.eps == epsilon)]
+        matched.append(len(samples))
+        distinct.append(len(np.unique(samples)))
+        return batch
+
+    def counted(gamma, c):
+        formed.append(len(c))
+        return ricci(gamma, c)
+
+    monkeypatch.setattr(einstein, "check_contact", labelled)
+    monkeypatch.setattr(contact, "ricci_components", counted)
+    hits = scan_family(family, default_grid(13), epsilon=epsilon)
+    assert hits and sum(formed) == sum(distinct) > 0
+    assert sum(formed) < sum(matched)  # some samples have several candidates
+
+
 def test_family_samples_stream_a_huge_grid():
     # 10^15 grid points: only the first chunk of points is built
     import itertools
@@ -415,18 +443,18 @@ def test_candidate_dedup_is_the_greedy_pass():
 
 
 def test_stacked_lstsq_bit_equal_to_public_lstsq(monkeypatch):
-    import epscontact.einstein as einstein
+    import epscontact.contact as contact
     from epscontact import tables
 
     systems = []
-    solve = einstein._lstsq_rows
+    solve = contact._lstsq_rows
 
     def recording(a, b):
         x = solve(a, b)
         systems.append((a, b, x))
         return x
 
-    monkeypatch.setattr(einstein, "_lstsq_rows", recording)
+    monkeypatch.setattr(contact, "_lstsq_rows", recording)
     for family, epsilon in BENCHMARK_SCANS:
         scan_family(family, default_grid(13), epsilon=epsilon)
     scan_rows = sum(len(a) for a, _, _ in systems)
@@ -441,11 +469,11 @@ def test_stacked_lstsq_bit_equal_to_public_lstsq(monkeypatch):
 
 @pytest.mark.parametrize("family, epsilon", BENCHMARK_SCANS)
 def test_scan_ricci_is_the_trace_of_riemann(family, epsilon, monkeypatch):
-    import epscontact.einstein as einstein
+    import epscontact.contact as contact
     from epscontact.curvature import riemann_components
 
     rows = []
-    ricci = einstein.ricci_components
+    ricci = contact.ricci_components
 
     def compared(gamma, c):
         got = ricci(gamma, c)
@@ -454,6 +482,6 @@ def test_scan_ricci_is_the_trace_of_riemann(family, epsilon, monkeypatch):
         rows.append(len(got))
         return got
 
-    monkeypatch.setattr(einstein, "ricci_components", compared)
+    monkeypatch.setattr(contact, "ricci_components", compared)
     scan_family(family, default_grid(13), epsilon=epsilon)
     assert sum(rows) > 0

@@ -188,13 +188,15 @@ def test_one_curvature_call_per_row_and_family(count_calls):
 
 
 def test_decomposition_failure_raised_only_at_the_sasakian_check(monkeypatch):
-    original = tables.null_factor
+    from epscontact import contact
+
+    original = contact.null_factor
 
     def broken(h, alpha, m):
         mu, residual = original(h, alpha, m)
         return mu, residual + 1.0
 
-    monkeypatch.setattr(tables, "null_factor", broken)
+    monkeypatch.setattr(contact, "null_factor", broken)
     # prop-3.8 declares no flags: its instances never reach the Sasakian check
     row = tables.table_row("prop-3.8", "g1")
     assert tables.verify_table_row("prop-3.8", row).passed
