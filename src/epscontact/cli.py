@@ -48,6 +48,8 @@ def _check_args(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ValueError(f"--{name} must be a positive integer, got {value}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     for name in FINITE_FLAGS:
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
@@ -269,6 +271,10 @@ def cmd_cauchy(args, cfg: RunConfig) -> tuple:
         if not (args.dt / 2 > 0 and math.isfinite((args.steps - 1) * args.dt)):
             raise ValueError(f"--dt must be positive, also halved, and (--steps - 1) * --dt "
                              f"finite, got {args.dt!r}")
+        # q = (l1^2 + l2^2) Id must be finite at every node
+        if not math.isfinite(args.l1 * args.l1 + args.l2 * args.l2):
+            raise ValueError(f"--l1^2 + --l2^2 must be finite, got --l1 {args.l1!r} "
+                             f"and --l2 {args.l2!r}")
         for factor in (1, 2):
             nx, ny = args.nx * factor, args.ny * factor
             steps = (args.steps - 1) * factor + 1

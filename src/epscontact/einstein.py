@@ -56,7 +56,7 @@ class ScanHit:
 
 # grid points per sample chunk of scan_family; a chunk's arrays are the
 # only per-sample data held at once
-SCAN_CHUNK = 256
+SCAN_CHUNK = 1024
 # directions sampled on a quadric circle or cone in scan_family
 N_DIRS = 8
 # (cos, sin) of the angles pi k / N_DIRS (a rank-2 nullspace) and
@@ -70,6 +70,10 @@ _FULL_TURN = [(math.cos(2 * math.pi * k / N_DIRS), math.sin(2 * math.pi * k / N_
 # treated as null; rescaling them to |alpha|^2 = +-1 would blow the
 # components far beyond the O(1) range the tolerances are calibrated for
 _NULL_CUT = 1e-9
+# machine epsilon and smallest normal number, for the rounding terms of the
+# full-rank proof
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _contact_maps(c: np.ndarray, m: FrameMetric, orientations: tuple) -> np.ndarray:
@@ -82,12 +86,39 @@ def _contact_maps(c: np.ndarray, m: FrameMetric, orientations: tuple) -> np.ndar
     return stars - (m.s_g * np.swapaxes(d, -1, -2))[..., None, :, :]
 
 
+def _full_rank(mats: np.ndarray, tol: float) -> np.ndarray:
+    """Where the matrices (..., 3, 3) are proven to have every singular
+    value above the nullspace cut 1e3 tol max(1, s_1) of _nullspace_rows,
+    by elementwise arithmetic: s_3 >= 2 |det| / F^2 and s_1 <= F with F the
+    Frobenius norm. The proof keeps a factor 2 above the cut and a rounding
+    term 64 eps F^3, which bounds both the cofactor sum's error (F^3 bounds
+    the permanent of |M|) and, over F^2, the SVD's error in s_3 and s_1;
+    the smallest normal number absorbs underflow. A test that is not finite
+    proves nothing."""
+    m = mats.reshape(*mats.shape[:-2], 9)
+    a, b, c, d, e, f, g, h, i = np.moveaxis(m, -1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        f2 = np.sum(m * m, axis=-1)
+        fnorm = np.sqrt(f2)
+        cut = 1e3 * tol * np.maximum(1.0, fnorm)
+        bound = cut * f2 + 64 * _EPS * f2 * fnorm + _TINY
+        return np.abs(det) > bound
+
+
 def _nullspace_rows(mats: np.ndarray, tol: float):
     """(keep, vt) for matrices (..., 3, 3): the rows vt[..., keep, :] span
-    each nullspace."""
-    _, s, vt = np.linalg.svd(mats)
-    scale = np.maximum(1.0, s[..., 0])
-    return s <= 1e3 * tol * scale[..., None], vt
+    each nullspace. Matrices proven full rank (_full_rank) keep no row and
+    skip the SVD; the others run one batched SVD, matrix by matrix as on the
+    whole stack, and keep the rows whose singular value is at most
+    1e3 tol max(1, s_1)."""
+    keep = np.zeros(mats.shape[:-1], dtype=bool)
+    vt = np.zeros(mats.shape)
+    rest = ~_full_rank(mats, tol)
+    if rest.any():
+        _, s, vt[rest] = np.linalg.svd(mats[rest])
+        keep[rest] = s <= 1e3 * tol * np.maximum(1.0, s[..., :1])
+    return keep, vt
 
 
 def _dot_self(v: np.ndarray) -> np.ndarray:
@@ -255,7 +286,8 @@ def scan_family(
     sheets, SCAN_CHUNK grid points at a time; every step runs once per chunk
     on stacked arrays. One family_tables call gives the bracket tables and
     constraint mask, d of the basis one-forms is formed once for both
-    orientations' contact maps, and one SVD call solves them all. The quadric
+    orientations' contact maps, and those that _full_rank does not prove
+    full rank (no nullspace) are solved by one SVD call. The quadric
     candidates of every (sample, orientation) nullspace are drawn together,
     one nullspace rank at a time, and go through one stacked check_contact,
     labelled by their sample; the batch of those of the wanted epsilon forms

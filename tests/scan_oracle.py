@@ -1,20 +1,28 @@
 """Per-sample reference pieces of the scan: the contact nullspace of one
-bracket table (einstein's contact map and SVD on a single matrix), and, as
-plain loops that share no code with einstein's stacked drawer and solve,
-the quadric candidates of one nullspace basis and the eta-Einstein fit of
-one structure through the public np.linalg.lstsq."""
+bracket table (einstein's contact map, then a plain np.linalg.svd with the
+scan's cut, sharing no code with einstein's full-rank test), and, as plain
+loops that share no code with einstein's stacked drawer and solve, the
+quadric candidates of one nullspace basis and the eta-Einstein fit of one
+structure through the public np.linalg.lstsq."""
 
 import math
 
 import numpy as np
 
-from epscontact.einstein import EtaEinsteinFit, _contact_maps, _nullspace_rows
+from epscontact.einstein import EtaEinsteinFit, _contact_maps
+
+
+def svd_nullspace_rows(mats: np.ndarray, tol: float) -> tuple:
+    """(keep, vt) of a plain SVD of matrices (..., 3, 3): the rows
+    vt[..., keep, :] whose singular value is at most 1e3 tol max(1, s_1)."""
+    _, s, vt = np.linalg.svd(mats)
+    return s <= 1e3 * tol * np.maximum(1.0, s[..., :1]), vt
 
 
 def nullspace_basis(sc, m, orientation: int, tol: float) -> np.ndarray:
     """Columns spanning the nullspace of alpha -> *alpha - s_g d(alpha) of
     one bracket table."""
-    keep, vt = _nullspace_rows(_contact_maps(sc.c, m, (orientation,))[0], tol)
+    keep, vt = svd_nullspace_rows(_contact_maps(sc.c, m, (orientation,))[0], tol)
     return vt[keep].T
 
 

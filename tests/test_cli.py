@@ -474,8 +474,8 @@ BASE_ARGV = {
 }
 EDGE_VALUES = ("0", "-1", "1e-200", "5e-324", "1e308", "inf", "nan", "", " , ")
 # flags whose rejected values are named by what they break, not by the flag:
-# the tolerance, numpy's seed check, and the example's q overflowing at 1e308
-UNNAMED = {"--tol", "--seed", "--l1", "--l2"}
+# the tolerance
+UNNAMED = {"--tol"}
 
 
 def numeric_flags() -> list:

@@ -11,7 +11,7 @@ from epscontact.einstein import (
 from epscontact.exterior import FrameMetric
 from epscontact.liealg import FamilySpec, make_family
 from frames import lightcone_fit_residual
-from scan_oracle import fit_one, nullspace_basis, quadric_candidates
+from scan_oracle import fit_one, nullspace_basis, quadric_candidates, svd_nullspace_rows
 
 L3 = FrameMetric.lorentzian(3)
 
@@ -275,11 +275,134 @@ def test_batched_scan_matches_per_sample_loop(monkeypatch):
 def test_batched_scan_matches_loop_across_default_chunks():
     from epscontact.einstein import SCAN_CHUNK, family_samples
 
-    grid = np.linspace(-1.5, 1.5, 7)
+    grid = np.linspace(-2.5, 2.5, 11)  # step 0.5: holds +-1 and +-2, where the hits live
     assert len(list(family_samples("riemannian_unimodular", grid, 1e-9))) > SCAN_CHUNK
     want = looped_scan("riemannian_unimodular", grid, 1)
     assert want
     assert repr(scan_family("riemannian_unimodular", grid, epsilon=1)) == repr(want)
+
+
+@pytest.mark.parametrize("family, epsilon", [("g3", 0), ("g5", 1)])
+def test_scan_independent_of_chunk_at_cli_default_grid(family, epsilon, monkeypatch):
+    # these scans have no hits at the CLI default grid, whose maps are all
+    # of full rank, so the contact maps met and their nullspaces are
+    # compared too, concatenated over the chunks, and against the plain SVD
+    import epscontact.einstein as einstein
+
+    nullspace = einstein._nullspace_rows
+    grid = default_grid()
+    samples = len(list(einstein.family_samples(family, grid, 1e-9)))
+    reports, solved = set(), set()
+    for chunk in (256, einstein.SCAN_CHUNK, samples):
+        stacks = []
+
+        def recording(mats, tol):
+            keep, vt = nullspace(mats, tol)
+            stacks.append((mats.reshape(-1, 3, 3), keep.reshape(-1, 3)))
+            return keep, vt
+
+        monkeypatch.setattr(einstein, "SCAN_CHUNK", chunk)
+        monkeypatch.setattr(einstein, "_nullspace_rows", recording)
+        reports.add(repr(scan_family(family, grid, epsilon=epsilon)))
+        mats, keep = (np.concatenate(part) for part in zip(*stacks))
+        assert len(mats) == 2 * samples
+        assert keep.tobytes() == svd_nullspace_rows(mats, 1e-9)[0].tobytes()
+        solved.add((mats.tobytes(), keep.tobytes()))
+    assert len(reports) == 1 and len(solved) == 1
+
+
+# --- the full-rank test of the contact maps against the plain SVD ---------------
+
+
+def with_singular_values(rng, s: np.ndarray) -> np.ndarray:
+    """Matrices (N, 3, 3) with singular values s (N, 3) and random rotations."""
+    u, _ = np.linalg.qr(rng.normal(size=(len(s), 3, 3)))
+    v, _ = np.linalg.qr(rng.normal(size=(len(s), 3, 3)))
+    return u * s[:, None, :] @ v
+
+
+def adversarial_maps(tol: float) -> tuple:
+    """(mats, straddle): random, singular, zero and near-cut 3x3 matrices at
+    scales 1, 1e-150 and 1e150, the rows where a full-rank proof could go
+    wrong, and the mask of those at scale 1 with s_3 within 1% of the cut."""
+    rng = np.random.default_rng(5)
+    random = rng.normal(size=(400, 3, 3))
+    singular = random[:60].copy()
+    singular[:30, 2] = singular[:30, 0] + singular[:30, 1]  # rank 2
+    singular[30:, 1:] = singular[30:, :1] * rng.normal(size=(30, 2, 1))  # rank 1
+    s1 = 10.0 ** rng.uniform(-3, 3, size=200)
+    cut = 1e3 * tol * np.maximum(1.0, s1)
+    # s_3 within 1% of the cut, and around the proof's factor-2 margin
+    s3 = cut * np.concatenate([rng.uniform(0.99, 1.01, 100), rng.uniform(1.5, 3.0, 100)])
+    s = np.stack([s1, s1 * rng.uniform(0.01, 1, 200), s3], axis=1)
+    near = with_singular_values(rng, np.sort(s, axis=1)[:, ::-1])
+    base = np.concatenate([random, singular, np.zeros((5, 3, 3)), near])
+    straddle = np.zeros(3 * len(base), dtype=bool)
+    straddle[len(base) - 200:len(base) - 100] = True
+    return np.concatenate([base, base * 1e-150, base * 1e150]), straddle
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-9, 1e-18, 1e-19, 1e-20, 5e-324])
+def test_full_rank_proof_holds_and_the_rest_match_the_plain_svd(tol):
+    from epscontact.einstein import _full_rank, _nullspace_rows
+
+    mats, straddle = adversarial_maps(tol)
+    proven = _full_rank(mats, tol)
+    s = np.linalg.svd(mats, compute_uv=False)
+    assert (s[proven] > 1e3 * tol * np.maximum(1.0, s[proven, :1])).all()
+    keep, vt = _nullspace_rows(mats, tol)
+    want_keep, want_vt = svd_nullspace_rows(mats, tol)
+    assert not keep[proven].any()
+    assert keep.tobytes() == want_keep.tobytes()
+    assert vt[~proven].tobytes() == want_vt[~proven].tobytes()
+    # neither everything nor nothing is proven, and some rows have a nullspace
+    assert 0 < proven.sum() < len(mats) and want_keep.any(axis=1).sum() >= 15
+    if tol >= 1e-9:  # a cut far above rounding: the near-cut rows fall on both sides
+        assert 0 < want_keep[straddle].any(axis=1).sum() < straddle.sum()
+
+
+def outcome(nullspace, mats: np.ndarray, tol: float):
+    """The bytes of (keep, vt), or the error raised."""
+    try:
+        keep, vt = nullspace(mats, tol)
+    except np.linalg.LinAlgError as exc:
+        return repr(exc)
+    return keep.tobytes(), vt.tobytes()
+
+
+def test_full_rank_proof_rejects_non_finite_maps():
+    from epscontact.einstein import _full_rank, _nullspace_rows
+
+    mats = np.repeat(np.eye(3)[None], 4, axis=0)
+    mats[1, 0, 0], mats[2, 1, 2], mats[3, 2, 2] = np.nan, np.inf, -np.inf
+    assert _full_rank(mats, 1e-9).tolist() == [True, False, False, False]
+    for k in range(1, 4):  # they reach the SVD and end as they do in it
+        one = mats[k:k + 1]
+        assert outcome(_nullspace_rows, one, 1e-9) == outcome(svd_nullspace_rows, one, 1e-9)
+
+
+def test_full_rank_proof_covers_every_full_rank_benchmark_map(monkeypatch):
+    # on the benchmark's scans the SVD runs on the rank-deficient maps only
+    import epscontact.einstein as einstein
+
+    stacks = []
+    nullspace = einstein._nullspace_rows
+
+    def recording(mats, tol):
+        stacks.append(mats.reshape(-1, 3, 3))
+        return nullspace(mats, tol)
+
+    monkeypatch.setattr(einstein, "_nullspace_rows", recording)
+    for family, epsilon in BENCHMARK_SCANS:
+        scan_family(family, default_grid(13), epsilon=epsilon)
+    mats = np.concatenate(stacks)
+    keep, vt = einstein._nullspace_rows(mats, 1e-9)
+    want_keep, want_vt = svd_nullspace_rows(mats, 1e-9)
+    deficient = want_keep.any(axis=1)
+    assert len(mats) == 21632 and deficient.sum() == 3812
+    assert (einstein._full_rank(mats, 1e-9) == ~deficient).all()
+    assert keep.tobytes() == want_keep.tobytes()
+    assert vt[deficient].tobytes() == want_vt[deficient].tobytes()
 
 
 # the scan workload of the benchmark: five (family, epsilon) scans at 13 grid points
