@@ -21,12 +21,21 @@ and, for time sequences, the two flow equations
 All spatial derivatives are second-order central differences; non-periodic
 axes use one-sided second-order stencils at the edges. Residual norms are
 discrete L-infinity.
+
+The residuals are evaluated one strip of x rows at a time, so that the
+component planes a strip allocates stay in cache and the memory they take
+does not grow with nx. A strip reads two halo rows beyond its own on each
+side (wrapped around on a periodic x axis), because the scalar curvature
+takes second differences of q through the Christoffel symbols; at a
+non-periodic edge there is no halo and the one-sided stencils run as on the
+whole grid. Every node goes through the same floating-point operations as on
+the whole grid, so the norms do not depend on the strip height.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -47,8 +56,10 @@ class SurfaceGrid:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ValueError("grid needs at least 4 nodes per axis")
-        if self.hx <= 0 or self.hy <= 0:
-            raise ValueError("grid spacings must be positive")
+        for name in ("hx", "hy"):
+            h = getattr(self, name)
+            if not (math.isfinite(h) and h > 0):
+                raise ValueError(f"{name} must be positive and finite, got {h!r}")
 
     @property
     def x(self) -> np.ndarray:
@@ -190,8 +201,8 @@ class SurfaceSequence:
         grid = slices[0].grid
         if any(s.grid != grid for s in slices):
             raise ValueError("all slices must share one grid")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         object.__setattr__(self, "slices", slices)
 
     @property
@@ -268,10 +279,66 @@ def _max_abs(r: np.ndarray) -> float:
     return float(np.max(np.abs(r)))
 
 
-def constraint_residuals(
-    d: SurfaceData, eps: int, lambda2: float, kappa: float
-) -> ConstraintResiduals:
-    """Discrete L-infinity norms of the four constraint expressions."""
+# Nodes per component plane of a strip (128 KiB of floats): few enough that
+# the planes a strip allocates stay in cache, enough that numpy's per-call
+# overhead stays small.
+_STRIP_NODES = 1 << 14
+# Rows a strip reads beyond its own on each side: R^q takes second
+# differences of q through the Christoffel symbols.
+_HALO = 2
+
+
+def _strips(grid: SurfaceGrid):
+    """(rows, strip grid, own rows) per strip of x rows: the rows of the grid
+    the strip reads (a slice, or wrapped indices on a periodic x axis), the
+    grid of those rows, and the part of them whose residuals the strip owns.
+    A grid that fits in one strip is one strip, with strip grid None."""
+    nx = grid.nx
+    height = max(1, _STRIP_NODES // grid.ny)
+    if height >= nx:
+        yield slice(None), None, slice(None)
+        return
+    for a in range(0, nx, height):
+        b = min(a + height, nx)
+        lo, hi = a - _HALO, b + _HALO
+        if grid.periodic_x:
+            rows = slice(lo, hi) if 0 <= lo and hi <= nx else np.arange(lo, hi) % nx
+        else:
+            # no halo past an edge; the one-sided stencils there reach two rows
+            # in, so an edge row's curvature reads rows 0..3 from that edge
+            lo, hi = max(lo, 0), min(hi, nx)
+            if lo == 0:
+                hi = max(hi, 4)
+            if hi == nx:
+                lo = min(lo, nx - 4)
+            rows = slice(lo, hi)
+        yield rows, replace(grid, nx=hi - lo, periodic_x=False), slice(a - lo, b - lo)
+
+
+def _strip(d: SurfaceData, rows, grid) -> SurfaceData:
+    """The fields of validated data d on the given x rows, on grid, without
+    validating them again; d itself when grid is None."""
+    if grid is None:
+        return d
+    view = object.__new__(SurfaceData)
+    object.__setattr__(view, "grid", grid)
+    for name in ("q", "theta", "F", "alpha", "beta"):
+        object.__setattr__(view, name, getattr(d, name)[rows])
+    return view
+
+
+def _worst(fields, slices: Sequence[SurfaceData], *args) -> np.ndarray:
+    """Max |r| of each residual field that fields(*slices, *args) returns,
+    taken per strip of the slices' rows and then over the strips, so that a
+    NaN propagates."""
+    return np.max([
+        [_max_abs(r[..., own, :]) for r in fields(*(_strip(s, rows, grid) for s in slices), *args)]
+        for rows, grid, own in _strips(slices[0].grid)
+    ], axis=0)
+
+
+def _constraint_fields(d: SurfaceData, eps: int, lambda2: float, kappa: float) -> tuple:
+    """The constraint residuals r1..r4 of d at every node, as planes."""
     grid = d.grid
     inv, vol, gamma = _geometry(d)
     theta, alpha = _planes(d.theta), _planes(d.alpha)
@@ -295,9 +362,15 @@ def constraint_residuals(
            + gamma[1][:, None] * theta[:, 1][None, :, None])
     )  # [m, i, j]
     r4 = _partials(tr_theta, grid) + _pair(inv, cov) - kappa * d.F * alpha
-    return ConstraintResiduals(
-        curl=_max_abs(r1), norm=_max_abs(r2), hamiltonian=_max_abs(r3), momentum=_max_abs(r4)
-    )
+    return r1, r2, r3, r4
+
+
+def constraint_residuals(
+    d: SurfaceData, eps: int, lambda2: float, kappa: float
+) -> ConstraintResiduals:
+    """Discrete L-infinity norms of the four constraint expressions."""
+    worst = _worst(_constraint_fields, (d,), eps, lambda2, kappa)
+    return ConstraintResiduals(*map(float, worst))
 
 
 @dataclass(frozen=True)
@@ -313,39 +386,45 @@ class EvolutionResiduals:
         return float(np.max(np.abs([self.alpha_flow, self.ricci_flow])))
 
 
+def _flow_fields(prev_s: SurfaceData, d: SurfaceData, next_s: SurfaceData, dt: float,
+                 eps: int, lambda2: float, kappa: float) -> tuple:
+    """The flow residuals e1, e2 of slice d at every node, as planes, with
+    central time differences between its neighbours prev_s and next_s."""
+    grid = d.grid
+    inv, vol, gamma = _geometry(d)
+    q, theta, alpha = d._metric[0], _planes(d.theta), _planes(d.alpha)
+    dt_alpha = _planes(next_s.alpha - prev_s.alpha) / (2.0 * dt)
+    dt_theta = _planes(next_s.theta - prev_s.theta) / (2.0 * dt)
+    # e1; (*alpha)_i = sqrt(det q) eps_ij q^{jk} alpha_k
+    raised = inv[:, 0] * alpha[0] + inv[:, 1] * alpha[1]
+    star = np.stack([-vol * raised[1], vol * raised[0]])
+    e1 = star + _partials(d.beta * d.F, grid) / d.beta - dt_alpha / d.beta
+    # e2
+    grad_beta = _partials(d.beta, grid)
+    hess_beta = _partials(grad_beta, grid) - (gamma[0] * grad_beta[0]
+                                              + gamma[1] * grad_beta[1])
+    theta_w = _matmul(theta, _matmul(inv, theta))
+    e2 = (
+        0.5 * _scalar_curvature(inv, gamma, grid) * q  # Ric^q = (R/2) q in two dimensions
+        + _pair(inv, theta) * theta
+        - 2.0 * theta_w
+        - (dt_theta + hess_beta) / d.beta
+        - kappa * (alpha[:, None] * alpha[None])
+        + 0.5 * (lambda2 + kappa * eps) * q
+    )
+    return e1, e2
+
+
 def evolution_residuals(
     seq: SurfaceSequence, eps: int, lambda2: float, kappa: float
 ) -> EvolutionResiduals:
     """Residuals of the two flow equations on the interior time slices,
     with central time differences."""
-    grid = seq.grid
-    max_a, max_r = 0.0, 0.0
-    for t in range(1, len(seq.slices) - 1):
-        prev_s, d, next_s = seq.slices[t - 1], seq.slices[t], seq.slices[t + 1]
-        inv, vol, gamma = _geometry(d)
-        q, theta, alpha = d._metric[0], _planes(d.theta), _planes(d.alpha)
-        dt_alpha = _planes(next_s.alpha - prev_s.alpha) / (2.0 * seq.dt)
-        dt_theta = _planes(next_s.theta - prev_s.theta) / (2.0 * seq.dt)
-        # e1; (*alpha)_i = sqrt(det q) eps_ij q^{jk} alpha_k
-        raised = inv[:, 0] * alpha[0] + inv[:, 1] * alpha[1]
-        star = np.stack([-vol * raised[1], vol * raised[0]])
-        e1 = star + _partials(d.beta * d.F, grid) / d.beta - dt_alpha / d.beta
-        # e2
-        grad_beta = _partials(d.beta, grid)
-        hess_beta = _partials(grad_beta, grid) - (gamma[0] * grad_beta[0]
-                                                  + gamma[1] * grad_beta[1])
-        theta_w = _matmul(theta, _matmul(inv, theta))
-        e2 = (
-            0.5 * _scalar_curvature(inv, gamma, grid) * q  # Ric^q = (R/2) q in two dimensions
-            + _pair(inv, theta) * theta
-            - 2.0 * theta_w
-            - (dt_theta + hess_beta) / d.beta
-            - kappa * (alpha[:, None] * alpha[None])
-            + 0.5 * (lambda2 + kappa * eps) * q
-        )
-        max_a = max(max_a, _max_abs(e1))
-        max_r = max(max_r, _max_abs(e2))
-    return EvolutionResiduals(alpha_flow=max_a, ricci_flow=max_r)
+    worst = np.max([
+        _worst(_flow_fields, seq.slices[t - 1:t + 2], seq.dt, eps, lambda2, kappa)
+        for t in range(1, len(seq.slices) - 1)
+    ], axis=0)
+    return EvolutionResiduals(*map(float, worst))
 
 
 # --- closed-form example data ---------------------------------------------------

@@ -255,6 +255,18 @@ def test_sequence_validation():
         cy.SurfaceSequence(tuple([flat_data(8)] * 2), 0.1)
     with pytest.raises(ValueError, match="uniformly spaced"):
         cy.example_flat_paracontact(grid, [0.0, 0.1, 0.3], 1.0, 0.0)
+    # a NaN dt fails no comparison, so it must be rejected by name
+    for dt in (0.0, -0.1, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            cy.SurfaceSequence(tuple([flat_data(8)] * 3), dt)
+
+
+@pytest.mark.parametrize("field", ["hx", "hy"])
+@pytest.mark.parametrize("bad", [0.0, -0.125, float("nan"), float("inf"), -float("inf")])
+def test_grid_spacing_validation(field, bad):
+    spacings = {"hx": 0.125, "hy": 0.125, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        cy.SurfaceGrid(8, 8, **spacings)
 
 
 # --- per-node loop oracles for every residual ----------------------------------
@@ -432,10 +444,11 @@ def test_evolution_residuals_match_brute_force_loops():
 
 def test_christoffel_computed_once_per_slice(monkeypatch):
     original = cy.christoffel
-    calls = []
+    calls, rows = [], []
 
     def counting(d):
         calls.append(id(d))
+        rows.append(d.grid.nx)
         return original(d)
 
     monkeypatch.setattr(cy, "christoffel", counting)
@@ -446,6 +459,20 @@ def test_christoffel_computed_once_per_slice(monkeypatch):
     calls.clear()
     cy.evolution_residuals(seq, -1, 0.4, 0.7)
     assert calls == [id(s) for s in seq.slices[1:4]]  # each interior slice once
+    # in strips of 3, 3 and 2 rows: once per strip, over the strip's own rows
+    # and its halo rows only
+    monkeypatch.setattr(cy, "_STRIP_NODES", 3 * grid.ny)
+    strips = 3
+    per_slice = grid.nx + 2 * cy._HALO * strips
+    calls.clear()
+    rows.clear()
+    cy.constraint_residuals(seq.slices[0], -1, 0.4, 0.7)
+    assert len(calls) == strips and sum(rows) == per_slice
+    calls.clear()
+    rows.clear()
+    cy.evolution_residuals(seq, -1, 0.4, 0.7)
+    assert len(calls) == 3 * strips
+    assert [sum(rows[k:k + strips]) for k in range(0, len(rows), strips)] == [per_slice] * 3
 
 
 @pytest.mark.parametrize("name", ["q", "theta", "F", "alpha", "beta"])
@@ -477,3 +504,50 @@ def test_evolution_max_residual_reports_non_finite(field, bad):
     assert cy.EvolutionResiduals(**fields).max_residual() == 0.0
     worst = cy.EvolutionResiduals(**{**fields, field: bad}).max_residual()
     assert not np.isfinite(worst) and not worst < 1e-13
+
+
+# --- strips of grid rows ---------------------------------------------------------
+
+
+def strip_sequence(periodic_x, blowup=False):
+    """curved_slice data on a 13 x 8 grid; with blowup, one node of the first
+    interior slice, in row 9, has a Theta so large that r3 and e2 are NaN there."""
+    grid = cy.SurfaceGrid(13, 8, 1.0 / 13, 1.0 / 8, periodic_x=periodic_x)
+    slices = [curved_slice(grid, 0.1 * k) for k in range(4)]
+    if blowup:
+        d = slices[1]
+        theta = d.theta.copy()
+        theta[9, 5] = 1e200 * np.eye(2)
+        slices[1] = cy.SurfaceData(grid, d.q, theta, d.F, d.alpha, d.beta)
+    return cy.SurfaceSequence(tuple(slices), 0.1)
+
+
+def strip_norms(seq):
+    with np.errstate(over="ignore", invalid="ignore"):  # Theta^2 overflows on purpose
+        con = cy.constraint_residuals(seq.slices[1], -1, 0.4, 0.7)
+        evo = cy.evolution_residuals(seq, -1, 0.4, 0.7)
+    return {**con.as_dict(), **evo.as_dict()}
+
+
+@pytest.mark.parametrize("blowup", [False, True])
+@pytest.mark.parametrize("periodic_x", [True, False])
+def test_strips_bit_identical_to_whole_grid(monkeypatch, periodic_x, blowup):
+    seq = strip_sequence(periodic_x, blowup)
+    monkeypatch.setattr(cy, "_STRIP_NODES", 13 * 8)  # one strip: the whole grid
+    whole = strip_norms(seq)
+    if blowup:
+        assert np.isnan(whole["hamiltonian"]) and np.isnan(whole["ricci_flow"])
+    else:
+        assert min(whole.values()) > 1e-3
+    # several strips; tails of 1 row, shorter than the halo; strips of 1-3 rows
+    for height in (6, 4, 3, 2, 1):
+        monkeypatch.setattr(cy, "_STRIP_NODES", height * 8)
+        got = strip_norms(seq)
+        for name, value in whole.items():
+            assert got[name] == value or np.isnan(got[name]) and np.isnan(value), (height, name)
+
+
+def test_evolution_nan_in_one_slice_not_folded_away():
+    # the other interior slice is finite; a running Python max drops the NaN
+    evo = strip_norms(strip_sequence(True, blowup=True))
+    assert np.isnan(evo["ricci_flow"]) and np.isfinite(evo["alpha_flow"])
