@@ -137,7 +137,9 @@ def _quadratic(m: np.ndarray, u: np.ndarray) -> np.ndarray:
 class SurfaceData:
     """One time slice of fields on the grid: q (nx,ny,2,2) positive definite,
     theta (nx,ny,2,2) symmetric, F (nx,ny), alpha (nx,ny,2), beta (nx,ny) > 0,
-    all finite."""
+    all finite. Every field is read-only. A field given as a read-only float64
+    ndarray that owns its memory is held as given, since nothing can write to
+    it through another array; any other input is copied and frozen."""
 
     grid: SurfaceGrid
     q: np.ndarray
@@ -156,12 +158,15 @@ class SurfaceData:
             "beta": (nx, ny),
         }
         for name, shape in shapes.items():
-            arr = np.array(getattr(self, name), dtype=float)  # defensive copy
+            arr = getattr(self, name)
+            if not (type(arr) is np.ndarray and arr.dtype == np.float64
+                    and arr.base is None and not arr.flags.writeable):
+                arr = np.array(arr, dtype=float)  # the caller may still write to it
+                arr.flags.writeable = False
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite at every node")
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         det = self.det_q()
         if np.any(det <= 0.0) or np.any(self.q[..., 0, 0] <= 0.0):
@@ -430,6 +435,12 @@ def evolution_residuals(
 # --- closed-form example data ---------------------------------------------------
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a made read-only, so that SurfaceData holds it without a copy."""
+    a.flags.writeable = False
+    return a
+
+
 def example_flat_paracontact(
     grid: SurfaceGrid, t_values: Sequence[float], l1: float, l2: float
 ) -> SurfaceSequence:
@@ -457,11 +468,11 @@ def example_flat_paracontact(
         slices.append(
             SurfaceData(
                 grid=grid,
-                q=q,
-                theta=np.zeros((nx, ny, 2, 2)),
-                F=np.zeros((nx, ny)),
-                alpha=alpha,
-                beta=np.ones((nx, ny)),
+                q=_frozen(q),
+                theta=_frozen(np.zeros((nx, ny, 2, 2))),
+                F=_frozen(np.zeros((nx, ny))),
+                alpha=_frozen(alpha),
+                beta=_frozen(np.ones((nx, ny))),
             )
         )
     return SurfaceSequence(tuple(slices), float(dts[0]))
@@ -474,13 +485,14 @@ def example_null_isothermal(grid: SurfaceGrid, f0: float) -> SurfaceData:
     f0 = 0 degenerates to q = Id, alpha = (0, 1), F = 0 with the curl
     constraint exact. Use a non-periodic x axis for f0 != 0."""
     nx, ny = grid.nx, grid.ny
-    x = grid.x
     if f0 == 0.0:
-        q_factor, alpha_y, f_field = 1.0, np.ones((nx, ny)), np.zeros((nx, ny))
+        q_factor, alpha_y, f_field = 1.0, 1.0, 0.0
     else:
+        # e^{f0 x} once per row, broadcast along y: x is the column of grid.x
+        # (whose factor of ones is exact), so each node gets the same exp
         q_factor = f0 * f0
-        alpha_y = np.exp(f0 * x)
-        f_field = np.exp(f0 * x) / f0
+        alpha_y = np.exp(f0 * (np.arange(nx)[:, None] * grid.hx))
+        f_field = alpha_y / f0
     q = np.zeros((nx, ny, 2, 2))
     q[..., 0, 0] = q_factor
     q[..., 1, 1] = q_factor
@@ -488,11 +500,11 @@ def example_null_isothermal(grid: SurfaceGrid, f0: float) -> SurfaceData:
     alpha[..., 1] = alpha_y
     return SurfaceData(
         grid=grid,
-        q=q,
-        theta=np.zeros((nx, ny, 2, 2)),
-        F=f_field,
-        alpha=alpha,
-        beta=np.ones((nx, ny)),
+        q=_frozen(q),
+        theta=_frozen(np.zeros((nx, ny, 2, 2))),
+        F=_frozen(np.full((nx, ny), f_field)),
+        alpha=_frozen(alpha),
+        beta=_frozen(np.ones((nx, ny))),
     )
 
 

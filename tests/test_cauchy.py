@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -551,3 +553,105 @@ def test_evolution_nan_in_one_slice_not_folded_away():
     # the other interior slice is finite; a running Python max drops the NaN
     evo = strip_norms(strip_sequence(True, blowup=True))
     assert np.isnan(evo["ricci_flow"]) and np.isfinite(evo["alpha_flow"])
+
+
+# --- which fields a slice holds as given ------------------------------------------
+
+FIELDS = ("q", "theta", "F", "alpha", "beta")
+
+
+def test_writeable_input_copied():
+    # the caller keeps its writeable arrays; writing to them later must not
+    # reach the slice
+    d = flat_data(8)
+    given = {k: getattr(d, k).copy() for k in FIELDS}
+    held = cy.SurfaceData(d.grid, **given)
+    for k in FIELDS:
+        assert not getattr(held, k).flags.writeable
+        given[k][...] = 7.0
+        assert np.array_equal(getattr(held, k), getattr(d, k)), k
+
+
+def test_read_only_view_of_writeable_array_copied():
+    d = flat_data(8)
+    beta = np.ones((8, 8))
+    view = beta.view()
+    view.flags.writeable = False
+    held = cy.SurfaceData(d.grid, d.q, d.theta, d.F, d.alpha, view)
+    assert not np.shares_memory(held.beta, beta)
+    beta[...] = 3.0  # still writeable through the array the view shows
+    assert np.all(held.beta == 1.0)
+
+
+def test_fields_of_another_slice_held_without_copy():
+    d = flat_data(8)
+    again = cy.SurfaceData(d.grid, d.q, d.theta, d.F, d.alpha, d.beta)
+    for k in FIELDS:
+        assert np.shares_memory(getattr(again, k), getattr(d, k)), k
+
+
+def test_int_input_held_as_float64_copy():
+    d = flat_data(8)
+    beta = np.ones((8, 8), dtype=np.int64)
+    beta.flags.writeable = False  # read-only and owning, but not float64
+    held = cy.SurfaceData(d.grid, d.q, d.theta, d.F, d.alpha, beta)
+    assert held.beta.dtype == np.float64 and not held.beta.flags.writeable
+    assert not np.shares_memory(held.beta, beta)
+    assert np.all(held.beta == 1.0)
+
+
+def construction_peak(build):
+    """build()'s result, and the peak bytes traced while it ran over the
+    bytes its slices' fields hold."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    slices = built.slices if isinstance(built, cy.SurfaceSequence) else (built,)
+    return peak / sum(getattr(s, k).nbytes for s in slices for k in FIELDS)
+
+
+def test_examples_build_without_a_second_copy():
+    # 2.33 and 1.39 with a copy of every field made while its original lives
+    iso = construction_peak(lambda: cy.example_null_isothermal(cy.isothermal_grid(256, 256), 1.0))
+    assert iso <= 1.25
+    grid = cy.SurfaceGrid(256, 256, 1.0 / 256, 1.0 / 256)
+    flat = construction_peak(lambda: cy.example_flat_paracontact(grid, [0.0, 0.05, 0.1], 1.0, 0.5))
+    assert flat <= 1.15
+
+
+# --- the lambda^2 and kappa terms ------------------------------------------------
+
+
+@pytest.mark.parametrize("eps", [-1, 0, 1])
+def test_lambda_kappa_terms_on_constant_slice(eps):
+    # q = s Id, Theta = 0 and constant F, alpha: R^q and every Theta term
+    # vanish, so r3 is c - 2 kappa F^2 and r4 is -kappa F alpha
+    n, s, F, a, lambda2, kappa = 8, 1.7, 0.6, (0.3, -0.8), 0.4, 0.7
+    grid = cy.SurfaceGrid(n, n, 1.0 / n, 1.0 / n)
+    d = cy.SurfaceData(grid, np.broadcast_to(s * np.eye(2), (n, n, 2, 2)), np.zeros((n, n, 2, 2)),
+                       np.full((n, n), F), np.broadcast_to(a, (n, n, 2)), np.ones((n, n)))
+    res = cy.constraint_residuals(d, eps, lambda2, kappa)
+    c = (5 * lambda2 + 3 * kappa * eps) / 2
+    assert res.hamiltonian == pytest.approx(abs(c - 2 * kappa * F**2), rel=1e-14)
+    assert res.momentum == pytest.approx(max(abs(kappa * F * ai) for ai in a), rel=1e-14)
+
+
+def test_lambda_kappa_terms_of_ricci_flow():
+    # flat, static q with Theta = 0 and beta = 1: e2 is
+    # -kappa alpha_i alpha_j + (lambda^2 + kappa eps) q_ij / 2, eps = 1
+    lambda2, kappa = 0.4, 0.7
+    grid = cy.SurfaceGrid(8, 8, 1.0 / 8, 1.0 / 8)
+    seq = cy.example_flat_paracontact(grid, [0.0, 0.3, 0.6, 0.9], 1.0, 0.5)
+    evo = cy.evolution_residuals(seq, 1, lambda2, kappa)
+    want = max(
+        np.max(np.abs(-kappa * np.outer(s.alpha[0, 0], s.alpha[0, 0])
+                      + 0.5 * (lambda2 + kappa) * s.q[0, 0]))
+        for s in seq.slices[1:-1]
+    )
+    assert want > 0.1
+    assert evo.ricci_flow == pytest.approx(want, rel=1e-14)
