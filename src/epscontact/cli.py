@@ -5,7 +5,8 @@ Reports are deterministic (same command, seed and tol produce byte-identical
 output) and are written as JSON or CSV to stdout or --output.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage/config error
-(bad input is rejected with a one-line message before any work).
+(bad input is rejected with a one-line message before any work; a report
+that cannot be written exits 2 the same way, after it).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,16 +25,8 @@ from .config import get_tol
 from .contact import build_contact
 from .einstein import default_grid, scan_family
 from .errors import EpsContactError
-from .liealg import FamilySpec, family_metric
+from .liealg import FAMILIES, FamilySpec
 from .oracle import run_oracle
-
-@dataclass
-class RunConfig:
-    command: str
-    tol: float
-    seed: int
-    output: str | None
-    format: str
 
 
 # numeric flags, by argparse dest, that must be a positive count or finite
@@ -66,8 +58,8 @@ def _flatten(prefix: str, value, row: dict) -> None:
         row[prefix] = value
 
 
-def write_report(report: dict, cfg: RunConfig) -> None:
-    if cfg.format == "json":
+def write_report(report: dict, args) -> None:
+    if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2, default=float) + "\n"
     else:
         rows = []
@@ -82,15 +74,15 @@ def write_report(report: dict, cfg: RunConfig) -> None:
         for row in rows:
             writer.writerow(row)
         text = buf.getvalue()
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def cmd_oracle(args, cfg: RunConfig) -> tuple:
-    report = run_oracle(samples=args.samples, seed=cfg.seed, tol=cfg.tol)
+def cmd_oracle(args) -> tuple:
+    report = run_oracle(samples=args.samples, seed=args.seed, tol=args.tol)
     items = [
         {"family": fam, **vals} for fam, vals in sorted(report.per_family.items())
     ]
@@ -102,17 +94,17 @@ def cmd_oracle(args, cfg: RunConfig) -> tuple:
     }
     for item in (*items, out):  # a NaN deviation already fails passed()
         _null_non_finite(item)
-    return report.passed(cfg.tol), out
+    return report.passed(args.tol), out
 
 
-def cmd_verify_tables(args, cfg: RunConfig) -> tuple:
+def cmd_verify_tables(args) -> tuple:
     table_ids = [tables.resolve_table(args.theorem)] if args.theorem else list(tables.TABLES)
     items = []
     passed = True
     for table_id in table_ids:
         rows = []
         for row in tables.table_rows(table_id):
-            rep = tables.verify_table_row(table_id, row, tol=cfg.tol)
+            rep = tables.verify_table_row(table_id, row, tol=args.tol)
             passed = passed and rep.passed
             rows.append(
                 {
@@ -134,8 +126,8 @@ def cmd_verify_tables(args, cfg: RunConfig) -> tuple:
     return passed, {"items": items}
 
 
-def cmd_scan(args, cfg: RunConfig) -> tuple:
-    if family_metric(args.family).s_g == 1 and args.epsilon != 1:  # nothing to sample
+def cmd_scan(args) -> tuple:
+    if FAMILIES[args.family].metric.s_g == 1 and args.epsilon != 1:  # nothing to sample
         raise ValueError(f"--epsilon {args.epsilon}: a Riemannian family has epsilon = 1 only")
     if args.grid > 1 and args.lo == args.hi:  # every grid point would be the same sample
         raise ValueError(f"--lo and --hi must differ for --grid {args.grid}, both are {args.lo}")
@@ -145,7 +137,7 @@ def cmd_scan(args, cfg: RunConfig) -> tuple:
         grid=grid,
         epsilon=args.epsilon,
         orientations=(1, -1) if args.orientation == "both" else (int(args.orientation),),
-        tol=cfg.tol,
+        tol=args.tol,
     )
     items = [
         {
@@ -193,7 +185,7 @@ def _solution_from_config(path: str):
     return product6d.build_solution(*factors, lam, l)
 
 
-def cmd_solution(args, cfg: RunConfig) -> tuple:
+def cmd_solution(args) -> tuple:
     if args.preset:
         if args.preset != "ads3xs3":
             raise EpsContactError(f"unknown preset {args.preset!r}")
@@ -202,7 +194,7 @@ def cmd_solution(args, cfg: RunConfig) -> tuple:
         sol = _solution_from_config(args.config)
     res = product6d.verify_supergravity(sol)
     identity = product6d.ricci_torsion_identity_residual(sol)
-    passed = res.is_solution(cfg.tol) and identity <= cfg.tol
+    passed = res.is_solution(args.tol) and identity <= args.tol
     item = {
         "lambda": sol.lam,
         "l": sol.l,
@@ -234,9 +226,9 @@ def _l_samples(args) -> list:
     return l_samples
 
 
-def cmd_catalog(args, cfg: RunConfig) -> tuple:
+def cmd_catalog(args) -> tuple:
     l_samples = _l_samples(args)
-    results = product6d.run_catalog(args.epsilon_n, l_samples, tol=cfg.tol)
+    results = product6d.run_catalog(args.epsilon_n, l_samples, tol=args.tol)
     items = []
     for r in results:
         res = r.residuals
@@ -261,7 +253,7 @@ def _null_non_finite(item: dict) -> bool:
     return not bad
 
 
-def cmd_cauchy(args, cfg: RunConfig) -> tuple:
+def cmd_cauchy(args) -> tuple:
     items = []
     passed = True
     if args.example == "flat-para":
@@ -296,7 +288,7 @@ def cmd_cauchy(args, cfg: RunConfig) -> tuple:
         items.append({"refinement": "ratio", "alpha_flow_ratio": ratio})
         passed = ratio >= 3.5 and max(
             v for k, v in items[0].items() if str(k).startswith("constraint_")
-        ) <= cfg.tol
+        ) <= args.tol
     else:  # null-isothermal
         for factor in (1, 2):
             nx, ny = args.nx * factor, args.ny * factor
@@ -409,28 +401,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = RunConfig(
-            command=args.command,
-            tol=get_tol(args.tol),
-            seed=args.seed,
-            output=args.output,
-            format=args.format,
-        )
+        args.tol = get_tol(args.tol)
         _check_args(args)
         # overflowing input ends as a "reason" or an exit 2, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            passed, body = COMMANDS[args.command](args, cfg)
+            passed, body = COMMANDS[args.command](args)
+        report = {"command": args.command, "tol": args.tol, "seed": args.seed,
+                  "pass": bool(passed), **body}
+        write_report(report, args)
     except (EpsContactError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "command": cfg.command,
-        "tol": cfg.tol,
-        "seed": cfg.seed,
-        "pass": bool(passed),
-    }
-    report.update(body)
-    write_report(report, cfg)
     return 0 if passed else 1
 
 

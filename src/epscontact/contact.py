@@ -39,7 +39,7 @@ from .exterior import (
 )
 from .curvature import koszul_components, ricci_components, riemann_components
 from .liealg import (FAMILIES, FamilySpec, StructureConstants, _validate, ad_components,
-                     direct_sum, family_metric, family_tables, make_family, zero_algebra)
+                     direct_sum, family_tables, make_family, zero_algebra)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -333,7 +333,7 @@ def build_contact(spec: FamilySpec, alpha, orientation: Optional[int] = None,
     alpha (frame components); orientation None takes +1 where alpha is
     contact there, else -1 (see ContactBatch)."""
     tol = get_tol(tol)
-    return check_contact(make_family(spec, tol=tol), family_metric(spec.family_id), orientation,
+    return check_contact(make_family(spec, tol=tol), FAMILIES[spec.family_id].metric, orientation,
                          alpha, tol=tol, spec=spec)
 
 

@@ -1,6 +1,6 @@
 """The eta-Einstein condition for contact structures of any causal type:
-the fit of the constants (lambda^2, kappa) of one structure (the stacked fit
-is ContactBatch.fit), the curvature identities of a fit, and parameter-grid
+the curvature identities of a fit of the constants (lambda^2, kappa) (the fit
+is ContactBatch.fit; cs.fit(tol).at() for one structure), and parameter-grid
 existence scans.
 
 The defining equation is
@@ -21,11 +21,6 @@ from .config import get_tol
 from .contact import ContactStructure, EtaEinsteinFit, _lead_positive, check_contact
 from .exterior import FrameMetric, d_components, hodge_components
 from .liealg import FAMILIES, family_tables
-
-
-def fit_eta_einstein(cs: ContactStructure, tol: float | None = None) -> EtaEinsteinFit:
-    """The structure's eta-Einstein fit (ContactBatch.fit) as numbers."""
-    return cs.fit(tol).at()
 
 
 def reeb_curvature_residual(cs: ContactStructure, fit: EtaEinsteinFit) -> float:

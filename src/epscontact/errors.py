@@ -30,16 +30,6 @@ class WrongCausalType(EpsContactError):
     """Operation requires a different causal type of the Reeb field."""
 
 
-class NotEtaEinstein(EpsContactError):
-    def __init__(self, residual: float):
-        super().__init__(f"Ricci does not fit the eta-Einstein form (residual {residual:.3e})")
-        self.residual = residual
-
-
-class EigenFailure(EpsContactError):
-    """Eigenstructure inconsistent with the expected spectrum."""
-
-
 class IncompatibleFactors(EpsContactError):
     """Product factors violate a compatibility relation."""
 

@@ -296,12 +296,6 @@ class FamilySpec:
         return self.params[key]
 
 
-def family_metric(family_id: str) -> FrameMetric:
-    """Frame metric of a classification family: Riemannian for the
-    riemannian_* families, Lorentzian (-1, +1, +1) for g1..g7."""
-    return FAMILIES[family_id].metric
-
-
 def _validate(spec: FamilySpec, tol: float) -> None:
     for constraint, holds in FAMILIES[spec.family_id].constraints:
         if not holds(tol=tol, **spec.params):

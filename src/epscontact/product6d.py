@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import get_tol
-from .contact import ContactBatch, ContactStructure, EtaEinsteinFit, build_contact
+from .contact import ContactBatch, ContactStructure, EtaEinsteinFit, _read_only, build_contact
 from .curvature import (
     koszul_components,
     ricci_components,
@@ -44,45 +44,46 @@ from .exterior import (
     pairing_components,
     wedge_components,
 )
-from .liealg import StructureConstants, direct_sum, direct_sum_components, family_metric
+from .liealg import FAMILIES, direct_sum_components
 from .tables import table_row
 
 
-@dataclass(frozen=True)
 class ProductSolution:
-    """The 6D product data; h_form holds the C(6, 3) components of H."""
+    """The 6D product data of a Lorentzian and a Riemannian factor,
+    ContactBatches with the same batch axes (a ContactStructure each for one
+    solution), with lam and l numbers or arrays over those axes, held as
+    given. It forms, once and read-only: the bracket tables c6 (..., 6, 6, 6),
+    the frame metric m6, orientation6 (an int for one solution) and h_form,
+    the C(6, 3) components (..., 20) of H; h_array, gamma and torsion_ricci
+    on first use."""
 
-    n_struct: ContactStructure
-    x_struct: ContactStructure
-    lam: float
-    l: float
-    sc6: StructureConstants
-    m6: FrameMetric
-    orientation6: int
-    h_form: np.ndarray
+    def __init__(self, n_struct: ContactBatch, x_struct: ContactBatch, lam, l):
+        self.n_struct, self.x_struct, self.lam, self.l = n_struct, x_struct, lam, l
+        self.c6 = _read_only(direct_sum_components(n_struct.c, x_struct.c))
+        self.m6 = FrameMetric(n_struct.m.signs + x_struct.m.signs)
+        self.orientation6 = n_struct.orientation * x_struct.orientation
+        if isinstance(self.orientation6, np.ndarray):
+            _read_only(self.orientation6)
+        self.h_form = _read_only(torsion_form(n_struct, x_struct, lam, l))
 
     @cached_property
     def h_array(self) -> np.ndarray:
-        """The antisymmetric (6, 6, 6) array of H."""
-        arr = antisymmetric_array(self.h_form, 6, 3)
-        arr.flags.writeable = False
-        return arr
+        """The antisymmetric (..., 6, 6, 6) array of H."""
+        return _read_only(antisymmetric_array(self.h_form, 6, 3))
 
     @cached_property
     def gamma(self) -> np.ndarray:
         """Levi-Civita coefficients of the 6D product metric."""
-        gamma = koszul_components(self.sc6.c, self.m6.eta)
-        gamma.flags.writeable = False
-        return gamma
+        return _read_only(koszul_components(self.c6, self.m6.eta))
 
     @cached_property
     def torsion_ricci(self) -> np.ndarray:
         """Ricci tensor of the connection with torsion H."""
-        ricci = torsion_ricci_components(self.gamma, self.h_array, self.sc6.c, self.m6)
-        ricci.flags.writeable = False
-        return ricci
+        return _read_only(ricci_components(
+            torsionful_connection(self.gamma, self.h_array, self.m6), self.c6))
 
     def to_json(self) -> str:
+        """The JSON form of one solution."""
         import json
 
         data = {
@@ -117,10 +118,8 @@ class SugraResiduals:
 
 # --- the formulas, on stacks ----------------------------------------------------
 #
-# Each takes stacked arrays with any batch axes (none for one solution) and is
-# the one formula for its quantity: build_solution, verify_supergravity and
-# ProductSolution run them on one solution, run_catalog on a row's l values at
-# once.
+# Each takes stacked data with any batch axes (none for one solution):
+# ProductSolution, verify_supergravity and run_catalog run them.
 
 
 def torsion_form(n_struct, x_struct, lam, l) -> np.ndarray:
@@ -142,25 +141,15 @@ def torsion_form(n_struct, x_struct, lam, l) -> np.ndarray:
     )
 
 
-def torsion_ricci_components(gamma: np.ndarray, h: np.ndarray, c: np.ndarray,
-                             m: FrameMetric) -> np.ndarray:
-    """Ricci (..., n, n) of the connections with torsion h, antisymmetric
-    arrays (..., n, n, n), over Levi-Civita coefficients gamma and bracket
-    tables c."""
-    return ricci_components(torsionful_connection(gamma, h, m), c)
-
-
-def field_residuals(h: np.ndarray, ricci_h: np.ndarray, c: np.ndarray, m: FrameMetric,
-                    orientation) -> tuple:
-    """The four field equations on stacked 6D data, as arrays over the batch
-    axes: max |Ric(nabla^H)| from the torsionful Ricci tensors ricci_h, max
-    |dH| and max |d*H| from the components h (..., 20) over bracket tables c,
-    and |H|^2 = H_{ijk} H^{ijk}."""
-    d_h = d_components(h, c, 3)
-    d_star_h = d_components(hodge_components(h, m.signs, 3, orientation), c, 3)
+def field_residuals(sol: ProductSolution) -> tuple:
+    """The four field equations of the solutions, as arrays over the batch
+    axes: max |Ric(nabla^H)|, max |dH|, max |d*H| and |H|^2 = H_{ijk} H^{ijk}."""
+    h, c6, m6 = sol.h_form, sol.c6, sol.m6
+    d_h = d_components(h, c6, 3)
+    d_star_h = d_components(hodge_components(h, m6.signs, 3, sol.orientation6), c6, 3)
     # the all-tuples contraction H_{ijk} H^{ijk}: 3! times the sorted-tuple pairing
-    norm_h = math.factorial(3) * pairing_components(h, h, m.signs, 3)
-    return (np.abs(ricci_h).max(axis=(-2, -1)), np.abs(d_h).max(axis=-1),
+    norm_h = math.factorial(3) * pairing_components(h, h, m6.signs, 3)
+    return (np.abs(sol.torsion_ricci).max(axis=(-2, -1)), np.abs(d_h).max(axis=-1),
             np.abs(d_star_h).max(axis=-1), norm_h)
 
 
@@ -212,25 +201,18 @@ def build_solution(
     tol = get_tol(tol)
     _check_factors(n_struct.m.s_g, x_struct.m.s_g, n_struct.epsilon,
                    n_struct.fit(tol).at(), x_struct.fit(tol).at(), lam, l, tol)
-    sc6 = direct_sum(n_struct.sc, x_struct.sc)
-    m6 = FrameMetric(n_struct.m.signs + x_struct.m.signs)
-    orientation6 = n_struct.orientation * x_struct.orientation
-    h_form = torsion_form(n_struct, x_struct, lam, l)
-    h_form.flags.writeable = False
-    return ProductSolution(n_struct, x_struct, lam, l, sc6, m6, orientation6, h_form)
+    return ProductSolution(n_struct, x_struct, lam, l)
 
 
 def verify_supergravity(sol: ProductSolution) -> SugraResiduals:
-    """Evaluate the four field equations on the product data."""
-    residuals = field_residuals(sol.h_form, sol.torsion_ricci, sol.sc6.c, sol.m6,
-                                sol.orientation6)
-    return SugraResiduals(*(float(r) for r in residuals))
+    """Evaluate the four field equations on the data of one solution."""
+    return SugraResiduals(*(float(r) for r in field_residuals(sol)))
 
 
 def ricci_torsion_identity_residual(sol: ProductSolution) -> float:
     """Residual of Ric(nabla^H) = Ric^g - (1/4) H o H, valid whenever H is
     closed and co-closed."""
-    ric_g = ricci_components(sol.gamma, sol.sc6.c)
+    ric_g = ricci_components(sol.gamma, sol.c6)
     square = three_form_square(sol.h_array, sol.m6)
     return float(np.max(np.abs(sol.torsion_ricci - (ric_g - 0.25 * square))))
 
@@ -274,7 +256,7 @@ class CatalogRow:
         if not all(map(math.isfinite, (*self.n(l)[2].values(), *self.x(l)[1].values()))):
             return False
         for _, f, _ in self.factors(l):
-            signs = family_metric(f["spec"].family_id).signs
+            signs = FAMILIES[f["spec"].family_id].metric.signs
             if not math.isfinite(sum(s * a * a for s, a in zip(signs, f["alpha"]))):
                 return False
         return True
@@ -421,10 +403,10 @@ def _verify_group(row: CatalogRow, members: list, tol: float) -> list:
     """The CatalogResults at a row's l values whose factors share one (N
     family, X family) pair; members holds (k, l, N factor, X factor) in l
     order. Both factors' ContactBatches, their Koszul -> Ricci and fits, and
-    the 6D tables, H, the Levi-Civita and torsionful connections, Ricci, dH
-    and d*H each run once on the stack. Each l then reads its results in the
-    order of row.build and build_solution, so a failure reports the error
-    raised first there."""
+    one ProductSolution of the rows that pass build_solution's checks, with
+    its field residuals, each run once on the stack. Each l then reads its
+    results in the order of row.build and build_solution, so a failure
+    reports the error raised first there."""
     ls = [l for _, l, _, _ in members]
     # each factor's (table row, instance fields, orientation) at the l values,
     # checked at the default tolerance, as row.build checks it
@@ -454,13 +436,10 @@ def _verify_group(row: CatalogRow, members: list, tol: float) -> list:
         solved.append(j)
     if not solved:
         return out
-    n, x, ks = n.take(solved), x.take(solved), [built[j] for j in solved]
-    c6 = direct_sum_components(n.c, x.c)
-    m6 = FrameMetric(n.m.signs + x.m.signs)
-    h = torsion_form(n, x, [lams[k] for k in ks], [ls[k] for k in ks])
-    ricci_h = torsion_ricci_components(koszul_components(c6, m6.eta),
-                                       antisymmetric_array(h, 6, 3), c6, m6)
-    fields = field_residuals(h, ricci_h, c6, m6, n.orientation * x.orientation)
+    ks = [built[j] for j in solved]
+    sol = ProductSolution(n.take(solved), x.take(solved), [lams[k] for k in ks],
+                          [ls[k] for k in ks])
+    fields = field_residuals(sol)
     for j, k in enumerate(ks):
         res = SugraResiduals(*(float(f[j]) for f in fields))
         out[k] = CatalogResult(row.name, row.epsilon_n, ls[k], lams[k], res, res.is_solution(tol))

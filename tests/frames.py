@@ -7,8 +7,7 @@ import numpy as np
 
 from epscontact.config import get_tol
 from epscontact.contact import _j_and_frame, _ker_alpha_basis, _lead_positive
-from epscontact.einstein import fit_eta_einstein
-from epscontact.errors import EigenFailure, NotEtaEinstein, WrongCausalType
+from epscontact.errors import WrongCausalType
 from epscontact.exterior import pairing_components
 
 
@@ -27,15 +26,16 @@ def timelike_special_frame(cs, tol=None):
     tol = get_tol(tol)
     if cs.epsilon != -1:
         raise WrongCausalType("the special frame requires a time-like Reeb field")
-    fit = fit_eta_einstein(cs, tol=tol)
+    fit = cs.fit(tol).at()
     if not fit.admissible:
-        raise NotEtaEinstein(fit.residual)
+        raise AssertionError(
+            f"Ricci does not fit the eta-Einstein form (residual {fit.residual:.3e})")
     mu = float(np.sqrt(max(0.0, 1.0 - (fit.lambda2 + fit.kappa))))
     b = _ker_alpha_basis(cs)  # g-orthonormal: ker(alpha) is space-like here
     s = b.T @ np.diag(cs.m.eta) @ cs.h @ b  # g(b_p, h b_q)
     evals, evecs = np.linalg.eigh(0.5 * (s + s.T))
     if max(abs(evals[0] + evals[1]), abs(evals[1] - mu)) > max(100 * tol, 1e-12):
-        raise EigenFailure(f"h spectrum {evals.tolist()} does not match +-mu with mu={mu:.6g}")
+        raise AssertionError(f"h spectrum {evals.tolist()} does not match +-mu with mu={mu:.6g}")
     x = _lead_positive(b @ evecs[:, 1])
     return cs.xi, x, cs.phi @ x, mu
 

@@ -25,7 +25,7 @@ from epscontact.contact import (
     nijenhuis_J,
 )
 from epscontact.curvature import ricci_components, torsionful_connection
-from epscontact.einstein import default_grid, fit_eta_einstein, reeb_curvature_residual, scan_family
+from epscontact.einstein import default_grid, reeb_curvature_residual, scan_family
 from epscontact.errors import NotContact
 from epscontact.exterior import FrameMetric, antisymmetric_array
 from epscontact.liealg import FamilySpec, make_family
@@ -87,7 +87,7 @@ def test_criterion_2_tables():
     def fit_of(family, params, alpha):
         spec = FamilySpec(family, params)
         cs = check_contact(make_family(spec), FrameMetric.lorentzian(3), 1, alpha)
-        return fit_eta_einstein(cs)
+        return cs.fit().at()
 
     f1 = fit_of("g3", {"a": 1, "b": 1, "c": 1}, [1, 0, 0])
     f2 = fit_of("g3", {"a": 0.25, "b": 0.75, "c": 1}, [1, 0, 0])
@@ -154,7 +154,7 @@ def test_criterion_4_identity_suite():
     for cs in structures:
         res = contact_identity_residuals(cs)
         worst = max(worst, max(res.values()))
-        fit = fit_eta_einstein(cs)
+        fit = cs.fit().at()
         if fit.admissible:
             worst = max(worst, reeb_curvature_residual(cs, fit))
         count += 1
@@ -215,7 +215,7 @@ def test_criterion_6_supergravity():
 
     h_bad = torsion_form(sol.n_struct, sol.x_struct, sol.lam + 0.1, sol.l)
     gamma_bad = torsionful_connection(sol.gamma, antisymmetric_array(h_bad, 6, 3), sol.m6)
-    ric_bad = ricci_components(gamma_bad, sol.sc6.c)
+    ric_bad = ricci_components(gamma_bad, sol.c6)
     detector = float(np.max(np.abs(ric_bad)))
 
     ok = (preset_ok and catalog_ok and identity_worst <= TOL

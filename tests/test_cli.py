@@ -260,6 +260,15 @@ def assert_usage_error(capsys, argv):
     return lines[0]
 
 
+@pytest.mark.parametrize("target", ["missing-dir/report.json", "."])
+def test_unwritable_output_exits_2(tmp_path, capsys, target):
+    # a report path in a missing directory, or a directory: the work has run,
+    # the report cannot be written, and that is bad input, not a failed check
+    line = assert_usage_error(capsys, ["oracle", "--samples", "7", "--output",
+                                       str(tmp_path / target)])
+    assert str(tmp_path) in line
+
+
 def test_negative_tol_exit_2(capsys):
     assert "tolerance" in assert_usage_error(capsys, ["--tol", "-1", "oracle", "--samples", "3"])
     assert "tolerance" in assert_usage_error(capsys, ["oracle", "--samples", "3", "--tol", "nan"])

@@ -24,10 +24,9 @@ from epscontact.contact import (
     null_factor,
     phi_components,
 )
-from epscontact.einstein import fit_eta_einstein
 from epscontact.errors import EpsContactError, NotContact, WrongCausalType
 from epscontact.exterior import FrameMetric
-from epscontact.liealg import FamilySpec, family_metric, make_family, zero_algebra
+from epscontact.liealg import FAMILIES, FamilySpec, make_family, zero_algebra
 
 L3 = FrameMetric.lorentzian(3)
 R3 = FrameMetric.riemannian(3)
@@ -433,7 +432,7 @@ def test_contact_batch_reads_what_each_build_gives():
     build_contact builds or the error it raises, and the derived data of
     each structure bit for bit, whether computed before or after take: its
     tensors, its fit (one stacked fit over the family's structures of every
-    epsilon) as fit_eta_einstein gives it, and mu as h_tensor gives it (NaN
+    epsilon) as cs.fit().at() gives it, and mu as h_tensor gives it (NaN
     where epsilon != 0)."""
     insts = [inst for rows in tables.TABLES.values() for row in rows for inst in row.instances()]
     groups = {}
@@ -462,7 +461,7 @@ def test_contact_batch_reads_what_each_build_gives():
         names = ("xi", "phi", "h", "ricci", "null", "k_contact_witness")
         for name in names:  # computed on every row, then taken
             getattr(before, name)
-        fits = [fit_eta_einstein(cs) for cs in structs]
+        fits = [cs.fit().at() for cs in structs]
         mus = [h_tensor(cs)[1] for cs in structs]
         for got in (after, before.take(rows)):
             assert bit_equal(got.alpha, [cs.alpha for cs in structs])
@@ -487,7 +486,7 @@ def test_fit_needs_contact_structures():
     assert batch.eps.tolist() == [-1.0, -4.0]
     with pytest.raises(ValueError, match="ok rows"):
         batch.fit()
-    want = fit_eta_einstein(make_cs(g3(1, 1, 1), [1, 0, 0]))
+    want = make_cs(g3(1, 1, 1), [1, 0, 0]).fit().at()
     assert batch.take(np.flatnonzero(batch.ok)).fit().at(0) == want
 
 
@@ -505,7 +504,7 @@ CAUSAL_CASES = {
 def causal_case(name):
     (family, params), alpha, orientation = CAUSAL_CASES[name]
     sc = make_family(FamilySpec(family, params))
-    return check_contact(sc, family_metric(family), orientation, alpha)
+    return check_contact(sc, FAMILIES[family].metric, orientation, alpha)
 
 
 def bit_equal(a, b):
@@ -554,7 +553,7 @@ def test_cached_arrays_are_read_only(case):
 def test_structure_computes_levi_civita_once(case, count_calls):
     counts = count_calls(["koszul_components", "riemann_components"])
     cs = causal_case(case)
-    fit_eta_einstein(cs)
+    cs.fit().at()
     is_sasakian(cs)
     # the fit needs the Ricci tensor only, not the Riemann stack
     assert counts == {"koszul_components": 1, "riemann_components": 0}

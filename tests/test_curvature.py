@@ -192,7 +192,7 @@ def test_three_form_square_matches_brute_force():
 
 
 def test_batched_curvature_bit_equal_to_single_on_table_instances():
-    from epscontact.liealg import family_metric
+    from epscontact.liealg import FAMILIES
     from epscontact.tables import TABLES
 
     instances = [inst for rows in TABLES.values() for row in rows for inst in row.instances()]
@@ -200,7 +200,7 @@ def test_batched_curvature_bit_equal_to_single_on_table_instances():
     by_metric = {}
     for inst in instances:
         sc = make_family(inst.spec)
-        by_metric.setdefault(family_metric(inst.spec.family_id), []).append(sc)
+        by_metric.setdefault(FAMILIES[inst.spec.family_id].metric, []).append(sc)
     for m, tables in by_metric.items():
         c = np.stack([sc.c for sc in tables])
         gamma = koszul_components(c, m.eta)

@@ -4,7 +4,6 @@ import pytest
 from epscontact.contact import check_contact, is_sasakian
 from epscontact.einstein import (
     default_grid,
-    fit_eta_einstein,
     reeb_curvature_residual,
     scan_family,
 )
@@ -19,7 +18,7 @@ L3 = FrameMetric.lorentzian(3)
 def fit_for(family, params, alpha, orientation=1, m=L3):
     spec = FamilySpec(family, params)
     cs = check_contact(make_family(spec), m, orientation, alpha, spec=spec)
-    return cs, fit_eta_einstein(cs)
+    return cs, cs.fit().at()
 
 
 def test_fit_anchor_values():
@@ -45,7 +44,7 @@ def test_fit_anchor_values():
 def test_fit_not_eta_einstein():
     spec = FamilySpec("g1", {"a": 1.0, "b": 1.0})
     cs = check_contact(make_family(spec), L3, 1, [1.0, 0.0, -1.0], spec=spec)
-    fit = fit_eta_einstein(cs)
+    fit = cs.fit().at()
     assert not fit.admissible and fit.residual > 1e-3
 
 
@@ -64,7 +63,7 @@ def test_fit_inadmissible_lorentzian_negative_kappa():
         if hit:
             break
     assert hit is not None, "expected a para-contact structure on this sample"
-    fit = fit_eta_einstein(hit)
+    fit = hit.fit().at()
     assert not fit.admissible  # lambda^2 = -(a+d)^2 < 0 cannot fit admissibly
 
 
@@ -145,7 +144,7 @@ def test_scan_g5_finds_contact_but_inadmissible():
                     continue
                 if cs.epsilon == 1:
                     found += 1
-                    assert not fit_eta_einstein(cs).admissible
+                    assert not cs.fit().at().admissible
     assert found > 0
     assert scan_family("g5", grid, epsilon=1) == []
 
@@ -583,7 +582,7 @@ def test_stacked_lstsq_bit_equal_to_public_lstsq(monkeypatch):
     scan_rows = sum(len(a) for a, _, _ in systems)
     for rows in tables.TABLES.values():
         for inst in (i for row in rows for i in row.instances()):
-            fit_eta_einstein(tables.build_instance(inst))
+            tables.build_instance(inst).fit().at()
     assert scan_rows > 3000 and sum(len(a) for a, _, _ in systems) == scan_rows + 771
     for a, b, x in systems:
         for k in range(len(a)):

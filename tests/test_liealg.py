@@ -10,7 +10,6 @@ from epscontact.liealg import (
     GroupName,
     StructureConstants,
     direct_sum,
-    family_metric,
     identify_group,
     make_family,
     nine_params,
@@ -202,12 +201,12 @@ def test_antisymmetry_enforced():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_family_metric(family):
     expected = (1, 1, 1) if family.startswith("riemannian") else (-1, 1, 1)
-    assert family_metric(family).signs == expected
+    assert FAMILIES[family].metric.signs == expected
 
 
 def test_family_metric_unknown_family():
     with pytest.raises(ConstraintViolation, match="unknown family"):
-        family_metric("riemannian_g9")
+        FAMILIES["riemannian_g9"]
 
 
 def test_family_spec_rejects_non_finite_parameters():
@@ -274,7 +273,6 @@ def test_families_derive_the_family_api():
 
     assert LORENTZ_FAMILIES == ("g1", "g2", "g3", "g4", "g5", "g6", "g7")
     for family_id, fam in FAMILIES.items():
-        assert family_metric(family_id) is fam.metric
         for sheet in fam.sheets:  # every sheet point completes to the full parameter set
             point = {k: 0.5 if v is None else v[0] for k, v in sheet.axes.items()}
             assert set(point) | set(sheet.solve(**point)) == set(fam.params)

@@ -25,7 +25,7 @@ from epscontact.exterior import (
     pairing_components,
     sort_sign,
 )
-from epscontact.liealg import FamilySpec, make_family
+from epscontact.liealg import FamilySpec, direct_sum, make_family
 
 L3 = FrameMetric.lorentzian(3)
 R3 = FrameMetric.riemannian(3)
@@ -112,8 +112,6 @@ def test_isotropy_closure_independent_of_fit():
     x = su2_factor(0.0)
     for lam, l in ((0.3, 0.9), (1.2, 0.4), (0.0, 1.0)):
         h = p6.torsion_form(n, x, lam, l)
-        from epscontact.liealg import direct_sum
-
         c6 = direct_sum(n.sc, x.sc).c
         signs6 = n.m.signs + x.m.signs
         o6 = n.orientation * x.orientation
@@ -127,13 +125,7 @@ def test_ricci_identity_holds_off_shell():
     # the configuration does not solve the Ricci equation
     n = null_g3_factor()
     x = su2_factor(0.0)
-    sol = p6.ProductSolution(
-        n, x, 0.7, 0.3,
-        p6.direct_sum(n.sc, x.sc),
-        FrameMetric(n.m.signs + x.m.signs),
-        n.orientation * x.orientation,
-        p6.torsion_form(n, x, 0.7, 0.3),
-    )
+    sol = p6.ProductSolution(n, x, 0.7, 0.3)
     res = p6.verify_supergravity(sol)
     assert res.ricci_h > 1e-3  # genuinely off shell
     assert p6.ricci_torsion_identity_residual(sol) < 1e-12
@@ -190,9 +182,7 @@ def test_torsionful_ricci_symmetric_for_closed_coclosed():
     x = su2_factor(0.0)
     for lam, l in ((1.0, 0.0), (0.7, 0.3)):  # second pair is off shell but closed
         h = p6.torsion_form(n, x, lam, l)
-        from epscontact.liealg import direct_sum
-
-        sc6 = p6.direct_sum(n.sc, x.sc)
+        sc6 = direct_sum(n.sc, x.sc)
         m6 = FrameMetric(n.m.signs + x.m.signs)
         gamma_h = torsionful_connection(koszul_components(sc6.c, m6.eta),
                                         antisymmetric_array(h, 6, 3), m6)
@@ -222,7 +212,7 @@ def test_perturbed_lambda_detected():
     sol = p6.preset_ads3xs3()
     h_bad = p6.torsion_form(sol.n_struct, sol.x_struct, sol.lam + 0.1, sol.l)
     gamma_h = torsionful_connection(sol.gamma, antisymmetric_array(h_bad, 6, 3), sol.m6)
-    assert np.max(np.abs(ricci_components(gamma_h, sol.sc6.c))) > 0.01
+    assert np.max(np.abs(ricci_components(gamma_h, sol.c6))) > 0.01
 
 
 def test_catalog_all_rows_all_tables():
@@ -299,7 +289,7 @@ def test_product_ricci_is_block_diagonal_factor_ricci():
     # factor Riccis on the diagonal blocks with vanishing mixed block
     n = null_g3_factor()
     x = su2_factor(0.25)
-    sc6 = p6.direct_sum(n.sc, x.sc)
+    sc6 = direct_sum(n.sc, x.sc)
     m6 = FrameMetric(n.m.signs + x.m.signs)
     ric6 = ricci_components(koszul_components(sc6.c, m6.eta), sc6.c)
     ric_n, ric_x = n.ricci, x.ricci
@@ -348,10 +338,10 @@ def test_solution_ricci_is_the_trace_of_riemann_on_the_catalog():
             sol = p6.build_solution(n, x, lam, l)
             gamma_h = torsionful_connection(sol.gamma, sol.h_array, sol.m6)
             for gamma in (sol.gamma, gamma_h):
-                traced = np.einsum("ijki->jk", riemann_components(gamma, sol.sc6.c))
-                assert ricci_components(gamma, sol.sc6.c).tobytes() == traced.tobytes()
+                traced = np.einsum("ijki->jk", riemann_components(gamma, sol.c6))
+                assert ricci_components(gamma, sol.c6).tobytes() == traced.tobytes()
                 checked += 1
-            assert sol.torsion_ricci.tobytes() == ricci_components(gamma_h, sol.sc6.c).tobytes()
+            assert sol.torsion_ricci.tobytes() == ricci_components(gamma_h, sol.c6).tobytes()
     assert checked == 82  # 41 catalog solutions, two connections each
 
 
@@ -467,6 +457,8 @@ def test_one_6d_curvature_call_per_row_and_family_pair(count_calls):
 
 
 def test_stacked_formulas_bit_equal_to_single_solutions():
+    # one ProductSolution over the stacked factors of the 41 catalog solutions
+    # holds, row by row, the data of each solution built alone
     sols = [p6.build_solution(*row.build(l), l)
             for row in p6.CATALOG for l in row.ls(p6.DEFAULT_L_SAMPLES)]
     assert len(sols) == 41
@@ -477,13 +469,14 @@ def test_stacked_formulas_bit_equal_to_single_solutions():
                              np.array([s.alpha for s in structs]))
 
     n, x = stack([s.n_struct for s in sols]), stack([s.x_struct for s in sols])
-    assert {s.n_struct.m for s in sols} == {L3} and {s.m6 for s in sols} == {sols[0].m6}
-    h = p6.torsion_form(n, x, [s.lam for s in sols], [s.l for s in sols])
-    h_arrays = antisymmetric_array(h, 6, 3)
-    gamma_h = torsionful_connection(np.array([s.gamma for s in sols]), h_arrays, sols[0].m6)
-    square = three_form_square(h_arrays, sols[0].m6)
+    assert {s.n_struct.m for s in sols} == {L3} and {s.x_struct.m for s in sols} == {R3}
+    stacked = p6.ProductSolution(n, x, [s.lam for s in sols], [s.l for s in sols])
+    fields = p6.field_residuals(stacked)
     for k, sol in enumerate(sols):
-        assert h[k].tobytes() == sol.h_form.tobytes()
-        assert gamma_h[k].tobytes() == torsionful_connection(
-            sol.gamma, sol.h_array, sol.m6).tobytes()
-        assert square[k].tobytes() == three_form_square(sol.h_array, sol.m6).tobytes()
+        for name in ("h_form", "gamma", "torsion_ricci"):
+            assert getattr(stacked, name)[k].tobytes() == getattr(sol, name).tobytes(), name
+        assert ([np.asarray(f[k]).tobytes() for f in fields]
+                == [np.asarray(f).tobytes() for f in p6.field_residuals(sol)])
+    held = {k: v for k, v in vars(stacked).items() if isinstance(v, np.ndarray)}
+    assert set(held) == {"c6", "orientation6", "h_form", "h_array", "gamma", "torsion_ricci"}
+    assert not any(a.flags.writeable for a in held.values())

@@ -5,7 +5,7 @@ import pytest
 import verify_oracle
 from epscontact import tables
 from epscontact.contact import contact_identity_residuals
-from epscontact.einstein import fit_eta_einstein, reeb_curvature_residual
+from epscontact.einstein import reeb_curvature_residual
 from epscontact.errors import DecompositionFailure
 from epscontact.liealg import GroupName
 
@@ -225,7 +225,7 @@ def test_identity_suite_on_all_table_instances():
             cs = tables.build_instance(inst)
             res = contact_identity_residuals(cs)
             worst = max(worst, max(res.values()))
-            fit = fit_eta_einstein(cs)
+            fit = cs.fit().at()
             if fit.admissible:
                 worst = max(worst, reeb_curvature_residual(cs, fit))
     assert worst < 1e-9

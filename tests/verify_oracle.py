@@ -9,7 +9,6 @@ import numpy as np
 from epscontact.config import get_tol
 from epscontact.contact import check_contact, is_k_contact, is_sasakian
 from epscontact.curvature import closed_form_ricci, koszul_components, ricci_components
-from epscontact.einstein import fit_eta_einstein
 from epscontact.errors import EpsContactError, NotContact
 from epscontact.liealg import FAMILIES, identify_group, make_family, nine_params
 from epscontact.oracle import LORENTZ_FAMILIES, OracleReport, sample_spec
@@ -60,7 +59,7 @@ def verify_instance(inst, tol=None) -> InstanceReport:
             return fail("group_ok", f"group {found.value} != expected {inst.group.value}")
         report.checks["group_ok"] = True
     if inst.lambda2 is not None:
-        fit = fit_eta_einstein(cs, tol=tol)
+        fit = cs.fit(tol).at()
         report.lambda2, report.kappa, report.residual = fit.lambda2, fit.kappa, fit.residual
         if not fit.admissible:
             return fail("fit_ok", f"fit not admissible (residual {fit.residual:.3e})")
