@@ -3,7 +3,7 @@ structures on three-dimensional Lie groups.
 
 Core entry points:
 
-- liealg: structure constants, classification families, group lookup
+- liealg: bracket tables as plain arrays, classification families, group lookup
 - exterior: forms as component vectors: wedge, Hodge dual, invariant exterior derivative
 - curvature: Koszul connection, Riemann/Ricci, closed-form oracle, torsion
 - contact: contact structures of any causal type and their invariants
@@ -17,13 +17,12 @@ Core entry points:
 
 from .config import get_tol
 from .exterior import FrameMetric
-from .liealg import FamilySpec, GroupName, StructureConstants
+from .liealg import FamilySpec, GroupName
 
 __all__ = [
     "FamilySpec",
     "FrameMetric",
     "GroupName",
-    "StructureConstants",
     "get_tol",
 ]
 

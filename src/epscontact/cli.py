@@ -30,7 +30,7 @@ from .oracle import run_oracle
 
 
 # numeric flags, by argparse dest, that must be a positive count or finite
-POSITIVE_FLAGS = ("samples", "grid", "nx", "ny")
+POSITIVE_FLAGS = ("samples", "grid", "nx", "ny", "parallelism")
 FINITE_FLAGS = ("lo", "hi", "dt", "l1", "l2", "f0")
 
 

@@ -38,8 +38,8 @@ from .exterior import (
     pairing_components,
 )
 from .curvature import koszul_components, ricci_components, riemann_components
-from .liealg import (FAMILIES, FamilySpec, StructureConstants, _validate, ad_components,
-                     direct_sum, family_tables, make_family, zero_algebra)
+from .liealg import (FAMILIES, FamilySpec, _validate, ad_components, direct_sum_components,
+                     family_tables, make_family)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -178,9 +178,11 @@ class ContactBatch:
                    tol: float | None = None) -> "ContactBatch":
         """The batch of instances of one family, FamilySpecs specs with
         one-forms alpha (K, 3): the bracket tables and the constraint mask
-        from one family_tables call."""
+        from one family_tables call; ValueError for specs of several families."""
         tol = get_tol(tol)
         family_id = specs[0].family_id
+        if any(s.family_id != family_id for s in specs):
+            raise ValueError(f"from_specs takes one family, got {[s.family_id for s in specs]}")
         fam = FAMILIES[family_id]
         c, valid = family_tables(family_id, {p: [s[p] for s in specs] for p in fam.params}, tol)
         return cls(c, fam.metric, orientation, np.asarray(alpha, dtype=float), tol, valid, specs)
@@ -292,17 +294,24 @@ class ContactBatch:
 
 
 class ContactStructure(ContactBatch):
-    """The ContactBatch of one one-form with frame components alpha (3,),
-    read-only, over the bracket table of sc, with no batch axes:
+    """The ContactBatch of one one-form alpha (3,) over one bracket table c
+    (3, 3, 3), both held as read-only copies, with no batch axes:
     check_contact returns it where alpha is contact, and raises otherwise.
-    It adds the structure constants sc, the family spec, orientation and
-    epsilon as ints, the adapted frame and the JSON form; the derived data
-    are the batch's, as 0-d arrays for its numbers."""
+    It adds the family spec, orientation and epsilon as ints, the adapted
+    frame and the JSON form; the derived data are the batch's, as 0-d arrays
+    for its numbers. ValueError for a c that is not exactly antisymmetric."""
 
-    def __init__(self, sc: StructureConstants, m: FrameMetric, orientation, alpha,
+    def __init__(self, c, m: FrameMetric, orientation, alpha,
                  tol: float | None = None, spec: Optional[FamilySpec] = None):
-        super().__init__(sc.c, m, orientation, _read_only(_one_form(alpha)), get_tol(tol))
-        self.sc, self.spec, self.orientation = sc, spec, int(self.orientation)
+        c, alpha = np.array(c, dtype=float), np.array(alpha, dtype=float)
+        if c.shape != (3, 3, 3) or m.dim != 3:
+            raise ValueError("contact structures are three-dimensional here")
+        if alpha.shape != (3,):
+            raise ValueError(f"alpha must be a one-form of 3 components, got shape {alpha.shape}")
+        if np.count_nonzero(c != -c.swapaxes(0, 1)):
+            raise ValueError("bracket coefficients must be antisymmetric in (i, j)")
+        super().__init__(_read_only(c), m, orientation, _read_only(alpha), get_tol(tol))
+        self.spec, self.orientation = spec, int(self.orientation)
 
     @property
     def epsilon(self) -> int:
@@ -338,7 +347,7 @@ def build_contact(spec: FamilySpec, alpha, orientation: Optional[int] = None,
 
 
 def check_contact(
-    sc: StructureConstants | np.ndarray,
+    c,
     m: FrameMetric,
     orientation,
     alpha,
@@ -347,37 +356,29 @@ def check_contact(
     sample: Optional[np.ndarray] = None,
 ) -> ContactBatch:
     """Verify alpha = *d alpha and |alpha|^2 in {-1, 0, +1} for the one-form
-    with frame components alpha (3,); returns the ContactStructure, with
-    epsilon computed from the norm. Orientation None tries +1, then -1.
+    alpha (3,) over one bracket table c (3, 3, 3); returns the
+    ContactStructure, with epsilon computed from the norm. Orientation None
+    tries +1, then -1.
 
     Raises NotContact naming the failed condition and its residual.
 
-    Stacked form: with sc an array of bracket tables (..., 3, 3, 3), alpha
-    an array of one-form components (..., 3) and orientation None, a sign or
-    an array of signs, every row is checked at once and their ContactBatch
-    is returned, with the sample labels (see ContactBatch); nothing is
-    raised for a row that is not contact.
+    Stacked form: with c bracket tables with batch axes (..., 3, 3, 3),
+    alpha an array of one-form components (..., 3) and orientation None, a
+    sign or an array of signs, every row is checked at once and their
+    ContactBatch is returned, with the sample labels (see ContactBatch);
+    nothing is raised for a row that is not contact.
     """
     tol = get_tol(tol)
-    if not isinstance(sc, StructureConstants):
-        c, alpha = np.asarray(sc, dtype=float), np.asarray(alpha, dtype=float)
-        if m.dim != 3 or c.shape[-3:] != (3, 3, 3) or alpha.shape[-1:] != (3,):
-            raise ValueError("contact structures are three-dimensional here")
-        return ContactBatch(c, m, orientation, alpha, tol, sample=sample)
-    if sc.dim != 3 or m.dim != 3:
+    c = np.asarray(c, dtype=float)
+    if c.ndim == 3:
+        cs = ContactStructure(c, m, orientation, alpha, tol, spec)
+        if not cs.ok:
+            raise cs.error()
+        return cs
+    alpha = np.asarray(alpha, dtype=float)
+    if m.dim != 3 or c.shape[-3:] != (3, 3, 3) or alpha.shape[-1:] != (3,):
         raise ValueError("contact structures are three-dimensional here")
-    cs = ContactStructure(sc, m, orientation, alpha, tol, spec)
-    if not cs.ok:
-        raise cs.error()
-    return cs
-
-
-def _one_form(alpha) -> np.ndarray:
-    """alpha as a new float array of 3 components; ValueError for another shape."""
-    alpha = np.array(alpha, dtype=float)
-    if alpha.shape != (3,):
-        raise ValueError(f"alpha must be a one-form of 3 components, got shape {alpha.shape}")
-    return alpha
+    return ContactBatch(c, m, orientation, alpha, tol, sample=sample)
 
 
 # --- the derived tensors on stacks ---------------------------------------------
@@ -515,7 +516,7 @@ def k_contact_null_witness(cs: ContactStructure) -> float:
     if cs.epsilon != 0:
         raise WrongCausalType("light-cone witness requires a null Reeb field")
     xi, u, _ = cs.frame
-    return float(pairing_components(cs.sc.bracket(xi, u), u, cs.m.signs, 1))
+    return float(pairing_components(ad_components(xi, cs.c) @ u, u, cs.m.signs, 1))
 
 
 def _j_and_frame(cs: ContactStructure):
@@ -537,14 +538,18 @@ def nijenhuis_J(cs: ContactStructure, tol: float | None = None):
     """
     tol = get_tol(tol)
     j, p = _j_and_frame(cs)
-    br = direct_sum(cs.sc, zero_algebra(1)).bracket  # dq is central
+    c4 = direct_sum_components(cs.c, np.zeros((1, 1, 1)))  # dq is central
+
+    def br(u, v):
+        return ad_components(u, c4) @ v
+
     max_nj = max(
         float(np.max(np.abs(br(j @ x, j @ y) - j @ br(x, j @ y) - j @ br(j @ x, y))))
         for x, y in itertools.combinations(p.T, 2)
     )
     # ker J = span{xi, phi(u) + dq}; involutive iff [xi, phi(u)] lies in the span
     xi, _, phiu = cs.frame
-    coeffs = np.linalg.solve(p[:3, :3], cs.sc.bracket(xi, phiu))
+    coeffs = np.linalg.solve(p[:3, :3], ad_components(xi, cs.c) @ phiu)
     involutive = bool(abs(coeffs[1]) <= tol and abs(coeffs[2]) <= tol)
     return max_nj, involutive
 
@@ -571,12 +576,12 @@ def contact_identity_residuals(cs: ContactStructure) -> dict:
 def _identity_terms(cs: ContactStructure) -> dict:
     """The terms, by identity, that vanish on every contact structure."""
     sg, eps, alpha, xi, phi = cs.m.s_g, cs.epsilon, cs.alpha, cs.xi, cs.phi
-    g, eye, ad = np.diag(cs.m.eta), np.eye(3), cs.sc.ad(xi)
+    g, eye, ad = np.diag(cs.m.eta), np.eye(3), ad_components(xi, cs.c)
     h, mu = h_tensor(cs)
     tau = h @ phi
     dmat = np.einsum("j,jik->ki", xi, cs.gamma)  # v -> nabla_xi v on the frame
     res = {
-        "g_phi_is_dalpha": g @ phi - antisymmetric_array(d_components(alpha, cs.sc.c, 1), 3, 2),
+        "g_phi_is_dalpha": g @ phi - antisymmetric_array(d_components(alpha, cs.c, 1), 3, 2),
         "phi_xi": phi @ xi,
         "alpha_phi": alpha @ phi,
         "phi_squared": phi @ phi - sg * (-eps * eye + np.outer(xi, alpha)),
@@ -607,7 +612,7 @@ def _identity_terms(cs: ContactStructure) -> dict:
         _, u, phiu = cs.frame
         c1, c2, c3 = np.linalg.solve(
             np.column_stack(cs.frame),
-            np.column_stack([ad @ u, ad @ phiu, cs.sc.bracket(u, phiu)]),
+            np.column_stack([ad @ u, ad @ phiu, ad_components(u, cs.c) @ phiu]),
         ).T
         res["lightcone_brackets"] = np.array([
             c1[1],                 # [xi,u] has no u part

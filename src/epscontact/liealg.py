@@ -1,8 +1,9 @@
 """Structure constants of three- and six-dimensional Lie algebras.
 
-Provides the bracket-coefficient representation and the classification
-families of simply connected three-dimensional Lorentzian Lie groups (g1..g7)
-and the Riemannian unimodular/non-unimodular families, each declared once in
+A bracket table is a plain float array c (..., n, n, n), stacked over any
+batch axes. Provides the bracket action and the classification families of
+simply connected three-dimensional Lorentzian Lie groups (g1..g7) and the
+Riemannian unimodular/non-unimodular families, each declared once in
 FAMILIES with its metric, brackets, constraints, sampling sheets and group
 rule.
 
@@ -34,61 +35,11 @@ class GroupName(Enum):
     NON_UNIMODULAR = "NonUnimodular"
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """Antisymmetric bracket coefficients of an n-dimensional Lie algebra."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.ndim != 3 or len(set(c.shape)) != 1:
-            raise ValueError("structure constants must have shape (n, n, n)")
-        asym = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
-        if asym > 0:
-            # symmetrize exactly-representable inputs, reject genuine asymmetry
-            if asym > 1e-12 * max(1.0, np.max(np.abs(c))):
-                raise ValueError("bracket coefficients must be antisymmetric in (i, j)")
-            c = 0.5 * (c - np.swapaxes(c, 0, 1))
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
-
-    @classmethod
-    def unchecked(cls, c: np.ndarray) -> "StructureConstants":
-        """Wrap a float table built antisymmetric (c[j, i] = -c[i, j] entry by
-        entry) without re-checking it; c is taken over, not copied."""
-        sc = object.__new__(cls)
-        c.flags.writeable = False
-        object.__setattr__(sc, "c", c)
-        return sc
-
-    @property
-    def dim(self) -> int:
-        return self.c.shape[0]
-
-    def ad(self, u: np.ndarray) -> np.ndarray:
-        """Matrix of v -> [u, v] on frame components: ad(u)[k, j] = u^i c[i][j][k]."""
-        return ad_components(u, self.c)
-
-    def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """[u, v] for frame-component vectors u, v."""
-        return self.ad(u) @ v
-
-
 def ad_components(u: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """ad(u) (..., n, n) of stacked vectors u (..., n) over stacked bracket
-    tables c (..., n, n, n); the batch axes broadcast."""
+    """ad(u)[k, j] = u^i c[i][j][k], the matrix of v -> [u, v], of stacked
+    vectors u (..., n) over stacked bracket tables c (..., n, n, n); the
+    batch axes broadcast. The one home of the bracket action."""
     return np.einsum("...i,...ijk->...kj", u, c)
-
-
-def zero_algebra(dim: int = 3) -> StructureConstants:
-    return StructureConstants(np.zeros((dim, dim, dim)))
-
-
-def direct_sum(sc1: StructureConstants, sc2: StructureConstants) -> StructureConstants:
-    """Block-diagonal bracket table; all cross brackets vanish."""
-    return StructureConstants.unchecked(direct_sum_components(sc1.c, sc2.c))
 
 
 def direct_sum_components(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -106,11 +57,10 @@ def direct_sum_components(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 # [e0,e1] = a e0 + b e1 + c e2,  [e1,e2] = d e0 + f e1 + h e2,
 # [e0,e2] = g e0 + j e1 + k e2;  parameter order (a,b,c,d,f,h,g,j,k).
 
-def nine_params(sc: StructureConstants):
-    """Extract (a,b,c,d,f,h,g,j,k) of the general 3D bracket from a table."""
-    if sc.dim != 3:
+def nine_params(c: np.ndarray):
+    """Extract (a,b,c,d,f,h,g,j,k) of the general 3D bracket from a table (3, 3, 3)."""
+    if np.shape(c) != (3, 3, 3):
         raise ValueError("nine_params needs a 3D bracket table")
-    c = sc.c
     return (
         c[0, 1, 0], c[0, 1, 1], c[0, 1, 2],
         c[1, 2, 0], c[1, 2, 1], c[1, 2, 2],
@@ -302,8 +252,8 @@ def _validate(spec: FamilySpec, tol: float) -> None:
             raise ConstraintViolation(f"{spec.family_id}: constraint {constraint} violated")
 
 
-def make_family(spec: FamilySpec, tol: float | None = None) -> StructureConstants:
-    """Bracket table of a classification family instance.
+def make_family(spec: FamilySpec, tol: float | None = None) -> np.ndarray:
+    """Bracket table (3, 3, 3), read-only, of a classification family instance.
 
     Raises ConstraintViolation (naming the constraint) when a family parameter
     condition fails; the result always satisfies the Jacobi identity.
@@ -313,7 +263,8 @@ def make_family(spec: FamilySpec, tol: float | None = None) -> StructureConstant
     for i, j, coeffs in FAMILIES[spec.family_id].brackets(**spec.params):
         c[i, j] = coeffs
         c[j, i] = [-x for x in coeffs]
-    return StructureConstants.unchecked(c)
+    c.flags.writeable = False
+    return c
 
 
 def family_tables(family_id: str, params: Mapping, tol: float | None = None):

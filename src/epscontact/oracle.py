@@ -11,8 +11,7 @@ import numpy as np
 
 from .config import get_tol
 from .curvature import closed_form_ricci, koszul_components, ricci_components
-from .liealg import (FAMILIES, FamilySpec, StructureConstants, family_tables, make_family,
-                     nine_params)
+from .liealg import FAMILIES, FamilySpec, family_tables, make_family, nine_params
 
 LORENTZ_FAMILIES = tuple(f for f, fam in FAMILIES.items() if fam.metric.s_g == -1)
 
@@ -92,8 +91,7 @@ def run_oracle(samples: int = 1000, seed: int = 0, tol: float | None = None) -> 
         m = FAMILIES[fam].metric
         ricci = ricci_components(koszul_components(c, m.eta), c)
         scalar = np.einsum("i,...ii->...", m.eta, ricci)
-        closed = [closed_form_ricci(nine_params(StructureConstants.unchecked(ck)), m, tol=tol)
-                  for ck in c]
+        closed = [closed_form_ricci(nine_params(ck), m, tol=tol) for ck in c]
         oracle_ricci = np.array([r for r, _ in closed]).reshape(ricci.shape)
         oracle_scalar = np.array([s for _, s in closed])
         per_family[fam] = {

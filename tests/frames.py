@@ -1,7 +1,7 @@
 """Frames and frame readings of one contact structure that only the tests
 use: the time-like special frame, the matrix of J in the frame
-(xi, u, phi(u), dq), the light-cone form of the eta-Einstein fit, and the
-metric pairing of two frame vectors."""
+(xi, u, phi(u), dq), the light-cone form of the eta-Einstein fit, the
+metric pairing of two frame vectors, and the bracket of two vectors."""
 
 import numpy as np
 
@@ -9,6 +9,12 @@ from epscontact.config import get_tol
 from epscontact.contact import _j_and_frame, _ker_alpha_basis, _lead_positive
 from epscontact.errors import WrongCausalType
 from epscontact.exterior import pairing_components
+from epscontact.liealg import ad_components
+
+
+def bracket(c, u, v) -> np.ndarray:
+    """[u, v] of frame-component vectors over the bracket table c."""
+    return ad_components(u, c) @ v
 
 
 def metric_dot(cs, u, v) -> float:

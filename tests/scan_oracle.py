@@ -19,10 +19,10 @@ def svd_nullspace_rows(mats: np.ndarray, tol: float) -> tuple:
     return s <= 1e3 * tol * np.maximum(1.0, s[..., :1]), vt
 
 
-def nullspace_basis(sc, m, orientation: int, tol: float) -> np.ndarray:
+def nullspace_basis(c, m, orientation: int, tol: float) -> np.ndarray:
     """Columns spanning the nullspace of alpha -> *alpha - s_g d(alpha) of
-    one bracket table."""
-    keep, vt = svd_nullspace_rows(_contact_maps(sc.c, m, (orientation,))[0], tol)
+    one bracket table c."""
+    keep, vt = svd_nullspace_rows(_contact_maps(c, m, (orientation,))[0], tol)
     return vt[keep].T
 
 

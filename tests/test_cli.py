@@ -260,6 +260,12 @@ def assert_usage_error(capsys, argv):
     return lines[0]
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_parallelism_below_1_exits_2(capsys, value):
+    message = assert_usage_error(capsys, ["verify-tables", "--parallelism", value])
+    assert "--parallelism" in message
+
+
 @pytest.mark.parametrize("target", ["missing-dir/report.json", "."])
 def test_unwritable_output_exits_2(tmp_path, capsys, target):
     # a report path in a missing directory, or a directory: the work has run,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import verify_oracle
-from frames import j_endo_matrix, metric_dot, timelike_special_frame
+from frames import bracket, j_endo_matrix, metric_dot, timelike_special_frame
 from epscontact import contact, curvature, tables
 from epscontact.contact import (
     ContactBatch,
@@ -26,7 +26,7 @@ from epscontact.contact import (
 )
 from epscontact.errors import EpsContactError, NotContact, WrongCausalType
 from epscontact.exterior import FrameMetric
-from epscontact.liealg import FAMILIES, FamilySpec, make_family, zero_algebra
+from epscontact.liealg import FAMILIES, FamilySpec, make_family
 
 L3 = FrameMetric.lorentzian(3)
 R3 = FrameMetric.riemannian(3)
@@ -36,8 +36,8 @@ def g3(a, b, c):
     return make_family(FamilySpec("g3", {"a": a, "b": b, "c": c}))
 
 
-def make_cs(sc, alpha, orientation=1, m=L3):
-    return check_contact(sc, m, orientation, alpha)
+def make_cs(c, alpha, orientation=1, m=L3):
+    return check_contact(c, m, orientation, alpha)
 
 
 def test_check_contact_epsilons():
@@ -51,7 +51,7 @@ def test_check_contact_epsilons():
 
 def test_check_contact_rejects_flat():
     with pytest.raises(NotContact):
-        make_cs(zero_algebra(3), [1, 0, 0])
+        make_cs(np.zeros((3, 3, 3)), [1, 0, 0])
 
 
 def test_check_contact_rejects_non_unit_norm():
@@ -92,14 +92,14 @@ def test_stacked_check_contact_agrees_with_single_calls():
     }
     seen = set()
     for m, rows in cases.items():
-        stacked = check_contact(np.array([sc.c for sc, _, _ in rows]), m,
+        stacked = check_contact(np.array([c for c, _, _ in rows]), m,
                                 np.array([o for _, o, _ in rows]),
                                 np.array([alpha for _, _, alpha in rows], dtype=float))
         failed, residuals = stacked.failed, stacked.residuals
         assert failed.shape == (len(rows),)
-        for k, (sc, o, alpha) in enumerate(rows):
+        for k, (c, o, alpha) in enumerate(rows):
             try:
-                cs = check_contact(sc, m, o, alpha)
+                cs = check_contact(c, m, o, alpha)
             except NotContact as exc:
                 j = failed[k]
                 assert j >= 0 and not stacked.ok[k], (m, o, alpha)
@@ -112,13 +112,48 @@ def test_stacked_check_contact_agrees_with_single_calls():
     assert seen == {-1, 0, 1, *CONTACT_CONDITIONS}
 
 
+def test_check_contact_decides_by_table_shape():
+    # one table: the ContactStructure, or NotContact; a table with batch
+    # axes: the ContactBatch, with nothing raised for a row that is not contact
+    c = g3(1, 1, 1)
+    cs = check_contact(c, L3, 1, [1, 0, 0])
+    assert type(cs) is contact.ContactStructure and cs.epsilon == -1
+    with pytest.raises(NotContact):
+        check_contact(c, L3, 1, [0.3, 0.1, 0.2])
+    for alpha, ok in (([1, 0, 0], True), ([0.3, 0.1, 0.2], False)):
+        batch = check_contact(c[None], L3, 1, [alpha])
+        assert type(batch) is ContactBatch and batch.ok.tolist() == [ok]
+    with pytest.raises(ValueError, match="three-dimensional"):
+        check_contact(np.zeros((6, 6, 6)), L3, 1, [1, 0, 0])
+
+
+def test_structure_holds_a_read_only_copy_of_its_table():
+    c = np.array(g3(1, 1, 1))  # a writeable table of the caller's
+    cs = check_contact(c, L3, 1, [1, 0, 0])
+    assert not cs.c.flags.writeable
+    with pytest.raises(ValueError):
+        cs.c[0, 1, 2] = 1.0
+    c[...] = 0.0  # before cs.ricci is first read
+    want = check_contact(g3(1, 1, 1), L3, 1, [1, 0, 0])
+    assert cs.c.tobytes() == g3(1, 1, 1).tobytes()
+    assert cs.ricci.tobytes() == want.ricci.tobytes() and cs.ricci.any()
+
+
+def test_from_specs_rejects_mixed_families():
+    # g5 and g6 share the parameters (a, b, c, d): a batch of both would
+    # build every row with g5's brackets
+    specs = [FamilySpec(f, {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0}) for f in ("g5", "g6")]
+    with pytest.raises(ValueError, match="one family"):
+        ContactBatch.from_specs(specs, [[1.0, 0.0, 0.0]] * 2)
+
+
 def test_orientation_must_be_a_sign():
     spec = FamilySpec("g3", {"a": 1.0, "b": 1.0, "c": 1.0})
     for orientation in (1.5, -1.5, 0, 2, float("nan")):
         with pytest.raises(ValueError, match="orientation"):
             build_contact(spec, (1.0, 0.0, 0.0), orientation)
     with pytest.raises(ValueError, match="orientation"):
-        check_contact(np.stack([g3(1, 1, 1).c] * 2), L3, np.array([1, 0.5]),
+        check_contact(np.stack([g3(1, 1, 1)] * 2), L3, np.array([1, 0.5]),
                       np.array([[1.0, 0.0, 0.0]] * 2))
     assert build_contact(spec, (1.0, 0.0, 0.0), 1.0).orientation == 1
 
@@ -264,12 +299,12 @@ def test_l_endo():
 
 def test_lie_derivative_metric_killing():
     cs = make_cs(g3(1, 1, 1), [1, 0, 0])
-    assert np.max(np.abs(lie_metric_components(cs.sc.c, cs.xi, cs.m))) < 1e-14
+    assert np.max(np.abs(lie_metric_components(cs.c, cs.xi, cs.m))) < 1e-14
 
 
 def test_timelike_special_frame():
-    sc = g3(0.25, 0.75, 1.0)
-    cs = make_cs(sc, [1, 0, 0])
+    c = g3(0.25, 0.75, 1.0)
+    cs = make_cs(c, [1, 0, 0])
     xi, x, phix, mu = timelike_special_frame(cs)
     assert abs(mu - 0.5) < 1e-12  # sqrt(1 - 2 lambda^2), lambda^2 = 3/8
     h, _ = h_tensor(cs)
@@ -278,9 +313,9 @@ def test_timelike_special_frame():
     # bracket relations of the non-Sasakian special frame
     root = np.sqrt(1.0 - 2.0 * (3.0 / 8.0))
     frame = np.column_stack([xi, x, phix])
-    c1 = np.linalg.solve(frame, sc.bracket(xi, x))
-    c2 = np.linalg.solve(frame, sc.bracket(xi, phix))
-    c3 = np.linalg.solve(frame, sc.bracket(x, phix))
+    c1 = np.linalg.solve(frame, bracket(c, xi, x))
+    c2 = np.linalg.solve(frame, bracket(c, xi, phix))
+    c3 = np.linalg.solve(frame, bracket(c, x, phix))
     assert np.allclose(c1, [0, 0, 0.5 * (1 + root)], atol=1e-12)
     assert np.allclose(c2, [0, 0.5 * (-1 + root), 0], atol=1e-12)
     assert np.allclose(c3, [-1, 0, 0], atol=1e-12)
@@ -325,7 +360,7 @@ def test_sasakian_iff_ricci_reeb_on_unit_norm():
     ]
     for cs, expect_sas in cases:
         assert cs.epsilon * cs.m.s_g == 1
-        ric = curvature.ricci_components(curvature.koszul_components(cs.sc.c, cs.m.eta), cs.sc.c)
+        ric = curvature.ricci_components(curvature.koszul_components(cs.c, cs.m.eta), cs.c)
         xi = cs.xi
         value = float(xi @ ric @ xi)
         is_half = abs(value - cs.m.s_g * cs.epsilon / 2.0) < 1e-12
@@ -481,7 +516,7 @@ def test_contact_batch_reads_what_each_build_gives():
 
 def test_fit_needs_contact_structures():
     # |alpha|^2 = 4 rounds to eps = -4: no eta-Einstein equation to fit
-    batch = check_contact(np.stack([g3(1, 1, 1).c] * 2), L3, 1,
+    batch = check_contact(np.stack([g3(1, 1, 1)] * 2), L3, 1,
                           np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
     assert batch.eps.tolist() == [-1.0, -4.0]
     with pytest.raises(ValueError, match="ok rows"):
@@ -503,8 +538,8 @@ CAUSAL_CASES = {
 
 def causal_case(name):
     (family, params), alpha, orientation = CAUSAL_CASES[name]
-    sc = make_family(FamilySpec(family, params))
-    return check_contact(sc, FAMILIES[family].metric, orientation, alpha)
+    c = make_family(FamilySpec(family, params))
+    return check_contact(c, FAMILIES[family].metric, orientation, alpha)
 
 
 def bit_equal(a, b):
@@ -516,12 +551,12 @@ def bit_equal(a, b):
 def test_cached_data_equals_free_functions(case):
     cs = causal_case(case)
     fresh = causal_case(case)  # nothing computed on it yet
-    gamma = curvature.koszul_components(fresh.sc.c, fresh.m.eta)
-    riemann = curvature.riemann_components(gamma, fresh.sc.c)
+    gamma = curvature.koszul_components(fresh.c, fresh.m.eta)
+    riemann = curvature.riemann_components(gamma, fresh.c)
     xi = fresh.m.eta * fresh.alpha
     phi = phi_components(fresh.alpha, fresh.m, fresh.orientation)
     h = np.column_stack([
-        fresh.sc.bracket(xi, phi @ e) - phi @ fresh.sc.bracket(xi, e) for e in np.eye(3)
+        bracket(fresh.c, xi, phi @ e) - phi @ bracket(fresh.c, xi, e) for e in np.eye(3)
     ])
     assert bit_equal(cs.xi, xi)
     assert bit_equal(cs.phi, phi)
@@ -564,9 +599,9 @@ def test_structure_computes_levi_civita_once(case, count_calls):
 # --- reference loops: the per-vector definitions behind the matrix forms --------
 
 
-def loop_bracket(sc, u, v):
-    """[u, v] from the bracket table, index by index."""
-    return np.einsum("i,j,ijk->k", u, v, sc.c)
+def loop_bracket(c, u, v):
+    """[u, v] from the bracket table c, index by index."""
+    return np.einsum("i,j,ijk->k", u, v, c)
 
 
 def loop_h(cs):
@@ -574,15 +609,15 @@ def loop_h(cs):
     cols = []
     for j in range(3):
         ej = np.eye(3)[j]
-        cols.append(loop_bracket(cs.sc, cs.xi, cs.phi @ ej)
-                    - cs.phi @ loop_bracket(cs.sc, cs.xi, ej))
+        cols.append(loop_bracket(cs.c, cs.xi, cs.phi @ ej)
+                    - cs.phi @ loop_bracket(cs.c, cs.xi, ej))
     return np.column_stack(cols)
 
 
 def loop_lie_metric(cs, v):
     """(L_v g)(e_i, e_j) = -g([v, e_i], e_j) - g(e_i, [v, e_j]), entry by entry."""
     out = np.zeros((3, 3))
-    brackets = [loop_bracket(cs.sc, v, np.eye(3)[i]) for i in range(3)]
+    brackets = [loop_bracket(cs.c, v, np.eye(3)[i]) for i in range(3)]
     for i in range(3):
         for j in range(3):
             out[i, j] = -metric_dot(cs, brackets[i], np.eye(3)[j]) - metric_dot(cs, 
@@ -594,7 +629,7 @@ def loop_lie_metric(cs, v):
 def loop_lie_alpha(cs):
     """(L_xi alpha)(e_i) = -alpha([xi, e_i])."""
     return np.array(
-        [-float(np.dot(cs.alpha, loop_bracket(cs.sc, cs.xi, np.eye(3)[i])))
+        [-float(np.dot(cs.alpha, loop_bracket(cs.c, cs.xi, np.eye(3)[i])))
          for i in range(3)]
     )
 
@@ -626,7 +661,7 @@ def loop_nijenhuis(cs):
     """Max-abs of N_J over the pairs of (xi, u, phi(u), dq)."""
 
     def bracket4(a4, b4):
-        return np.concatenate([loop_bracket(cs.sc, a4[:3], b4[:3]), [0.0]])
+        return np.concatenate([loop_bracket(cs.c, a4[:3], b4[:3]), [0.0]])
 
     vectors = loop_frame4(cs)
     max_nj = 0.0
@@ -658,7 +693,7 @@ def test_matrix_forms_match_reference_loops_on_every_table_instance(table_struct
     assert len(table_structures) == 771
     for cs in table_structures:
         assert close(cs.h, loop_h(cs))
-        assert close(lie_metric_components(cs.sc.c, cs.xi, cs.m), loop_lie_metric(cs, cs.xi))
+        assert close(lie_metric_components(cs.c, cs.xi, cs.m), loop_lie_metric(cs, cs.xi))
         assert close(contact_identity_residuals(cs)["lie_xi_alpha"],
                      np.max(np.abs(loop_lie_alpha(cs))))
 
@@ -689,14 +724,14 @@ def test_stacked_tensors_bit_equal_to_single_structures(table_structures):
     for (_, eps), group in groups.items():
         m = group[0].m
         alpha = np.array([cs.alpha for cs in group])
-        c = np.array([cs.sc.c for cs in group])
+        c = np.array([cs.c for cs in group])
         xi = m.eta * alpha
         phi = phi_components(alpha, m, np.array([cs.orientation for cs in group]))
         h = h_components(c, xi, phi)
         lie = lie_metric_components(c, xi, m)
         assert bit_equal(phi, [cs.phi for cs in group])
         assert bit_equal(h, [cs.h for cs in group])
-        assert bit_equal(lie, [lie_metric_components(cs.sc.c, cs.xi, cs.m) for cs in group])
+        assert bit_equal(lie, [lie_metric_components(cs.c, cs.xi, cs.m) for cs in group])
         if eps == 0:
             mu, residual = null_factor(h, alpha, m)
             assert mu.tolist() == [cs.mu for cs in group]

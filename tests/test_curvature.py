@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from frames import bracket
 from epscontact.curvature import (
     closed_form_ricci,
     jacobi_constraints9,
@@ -15,7 +16,7 @@ from epscontact.curvature import (
 from epscontact.errors import JacobiViolation
 from epscontact.exterior import (FrameMetric, antisymmetric_array, interior_components, sort_sign,
                                  tuple_positions)
-from epscontact.liealg import FamilySpec, make_family, nine_params, zero_algebra
+from epscontact.liealg import FamilySpec, direct_sum_components, make_family, nine_params
 from epscontact.oracle import LORENTZ_FAMILIES, sample_spec
 
 L3 = FrameMetric.lorentzian(3)
@@ -40,21 +41,21 @@ def koszul_brute(sc, m):
         for j in range(3):
             for k in range(3):
                 val = (
-                    eta[k] * sc.bracket(e[i], e[j])[k]
-                    - eta[i] * sc.bracket(e[j], e[k])[i]
-                    + eta[j] * sc.bracket(e[k], e[i])[j]
+                    eta[k] * bracket(sc, e[i], e[j])[k]
+                    - eta[i] * bracket(sc, e[j], e[k])[i]
+                    + eta[j] * bracket(sc, e[k], e[i])[j]
                 )
                 gamma[i, j, k] = 0.5 * val / eta[k]
     return gamma
 
 
 def test_levi_civita_abelian():
-    assert np.max(np.abs(koszul_components(zero_algebra(3).c, L3.eta))) == 0.0
+    assert np.max(np.abs(koszul_components(np.zeros((3, 3, 3)), L3.eta))) == 0.0
 
 
 def test_levi_civita_g3_unit():
     sc = make_family(FamilySpec("g3", {"a": 1, "b": 1, "c": 1}))
-    gamma = koszul_components(sc.c, L3.eta)
+    gamma = koszul_components(sc, L3.eta)
     assert np.allclose(gamma[0, 1], [0, 0, 0.5])  # nabla_{e0} e1 = e2 / 2
     assert np.allclose(gamma, koszul_brute(sc, L3))
 
@@ -65,26 +66,26 @@ def test_levi_civita_properties_random():
     while count < 100:
         fam = LORENTZ_FAMILIES[count % len(LORENTZ_FAMILIES)]
         sc = make_family(sample_spec(fam, rng))
-        gamma = koszul_components(sc.c, L3.eta)
+        gamma = koszul_components(sc, L3.eta)
         assert compatibility_defect(gamma, L3) < 1e-13
         # torsion: nabla_u v - nabla_v u - [u, v] on the frame
-        assert np.max(np.abs(gamma - np.swapaxes(gamma, 0, 1) - sc.c)) < 1e-13
+        assert np.max(np.abs(gamma - np.swapaxes(gamma, 0, 1) - sc)) < 1e-13
         assert np.max(np.abs(gamma - koszul_brute(sc, L3))) < 1e-13
         count += 1
 
 
 def test_ricci_g3_unit():
     sc = make_family(FamilySpec("g3", {"a": 1, "b": 1, "c": 1}))
-    ricci = ricci_components(koszul_components(sc.c, L3.eta), sc.c)
+    ricci = ricci_components(koszul_components(sc, L3.eta), sc)
     assert np.allclose(ricci, np.diag([0.5, -0.5, -0.5]), atol=1e-14)
     assert abs(scalar_of(ricci, L3) + 1.5) < 1e-14  # contraction of diag(1/2,-1/2,-1/2) with eta
 
 
 def test_ricci_abelian_zero():
-    sc = zero_algebra(3)
-    gamma = koszul_components(sc.c, L3.eta)
-    assert np.max(np.abs(riemann_components(gamma, sc.c))) == 0.0
-    ricci = ricci_components(gamma, sc.c)
+    sc = np.zeros((3, 3, 3))
+    gamma = koszul_components(sc, L3.eta)
+    assert np.max(np.abs(riemann_components(gamma, sc))) == 0.0
+    ricci = ricci_components(gamma, sc)
     assert np.max(np.abs(ricci)) == 0.0
     assert scalar_of(ricci, L3) == 0.0
 
@@ -94,7 +95,7 @@ def test_first_bianchi_and_symmetry():
     for _ in range(30):
         fam = LORENTZ_FAMILIES[int(rng.integers(len(LORENTZ_FAMILIES)))]
         sc = make_family(sample_spec(fam, rng))
-        r = riemann_components(koszul_components(sc.c, L3.eta), sc.c)
+        r = riemann_components(koszul_components(sc, L3.eta), sc)
         cyc = r + np.transpose(r, (1, 2, 0, 3)) + np.transpose(r, (2, 0, 1, 3))
         assert np.max(np.abs(cyc)) < 1e-12  # first Bianchi, torsion-free
         assert np.max(np.abs(r + np.transpose(r, (1, 0, 2, 3)))) < 1e-13
@@ -128,7 +129,7 @@ def test_oracle_equivalence_sample():
     for k in range(200):
         fam = LORENTZ_FAMILIES[k % len(LORENTZ_FAMILIES)]
         sc = make_family(sample_spec(fam, rng))
-        ricci = ricci_components(koszul_components(sc.c, L3.eta), sc.c)
+        ricci = ricci_components(koszul_components(sc, L3.eta), sc)
         oracle_ricci, oracle_scalar = closed_form_ricci(nine_params(sc), L3)
         assert np.max(np.abs(ricci - oracle_ricci)) < 1e-12
         assert abs(scalar_of(ricci, L3) - oracle_scalar) < 1e-12
@@ -140,20 +141,18 @@ def random_three_form(rng, dim):
 
 def test_torsionful_zero_torsion_is_identity():
     sc = make_family(FamilySpec("g3", {"a": 1, "b": 1, "c": 1}))
-    gamma = koszul_components(sc.c, L3.eta)
+    gamma = koszul_components(sc, L3.eta)
     assert np.allclose(torsionful_connection(gamma, np.zeros((3, 3, 3)), L3), gamma)
 
 
 def test_torsionful_metric_compatible_and_torsion_matches():
     rng = np.random.default_rng(3)
     L6 = FrameMetric((-1, 1, 1, 1, 1, 1))
-    from epscontact.liealg import direct_sum
-
     g3 = make_family(FamilySpec("g3", {"a": 1, "b": 1, "c": 1}))
     su2 = make_family(FamilySpec("riemannian_unimodular", {"mu1": 1, "mu2": 1, "mu3": 1}))
-    cases = [(g3, L3, 3), (direct_sum(g3, su2), L6, 6)]
+    cases = [(g3, L3, 3), (direct_sum_components(g3, su2), L6, 6)]
     for sc, m, dim in cases:
-        gamma = koszul_components(sc.c, m.eta)
+        gamma = koszul_components(sc, m.eta)
         for _ in range(5):
             h = random_three_form(rng, dim)
             gamma_h = torsionful_connection(gamma, antisymmetric_array(h, dim, 3), m)
@@ -162,7 +161,7 @@ def test_torsionful_metric_compatible_and_torsion_matches():
             e = np.eye(dim)
             for i in range(dim):
                 for j in range(dim):
-                    t_vec = gamma_h[i, j] - gamma_h[j, i] - sc.bracket(e[i], e[j])
+                    t_vec = gamma_h[i, j] - gamma_h[j, i] - bracket(sc, e[i], e[j])
                     # (h(e_i, e_j, .))^sharp
                     expected = m.eta * interior_components(
                         e[j], interior_components(e[i], h, 3), 2)
@@ -202,18 +201,18 @@ def test_batched_curvature_bit_equal_to_single_on_table_instances():
         sc = make_family(inst.spec)
         by_metric.setdefault(FAMILIES[inst.spec.family_id].metric, []).append(sc)
     for m, tables in by_metric.items():
-        c = np.stack([sc.c for sc in tables])
+        c = np.stack(tables)
         gamma = koszul_components(c, m.eta)
         riemann = riemann_components(gamma, c)
         ricci = ricci_components(gamma, c)
         for k, sc in enumerate(tables):
-            single_gamma = koszul_components(sc.c, m.eta)
-            single_riemann = riemann_components(single_gamma, sc.c)
+            single_gamma = koszul_components(sc, m.eta)
+            single_riemann = riemann_components(single_gamma, sc)
             # bitwise, signed zeros included
             assert gamma[k].tobytes() == single_gamma.tobytes()
             assert riemann[k].tobytes() == single_riemann.tobytes()
             assert ricci[k].tobytes() == np.einsum("ijki->jk", single_riemann).tobytes()
-            assert ricci[k].tobytes() == ricci_components(single_gamma, sc.c).tobytes()
+            assert ricci[k].tobytes() == ricci_components(single_gamma, sc).tobytes()
 
 
 @pytest.mark.parametrize("signs", [(-1, 1, 1), (1, 1, 1)])

@@ -3,53 +3,55 @@ import hashlib
 import numpy as np
 import pytest
 
+from frames import bracket
+from epscontact.contact import check_contact
 from epscontact.errors import ConstraintViolation
+from epscontact.exterior import FrameMetric
 from epscontact.liealg import (
     FAMILIES,
     FamilySpec,
     GroupName,
-    StructureConstants,
-    direct_sum,
+    ad_components,
+    direct_sum_components,
     identify_group,
     make_family,
     nine_params,
-    zero_algebra,
 )
 
 
-def jacobi_defect(sc: StructureConstants) -> float:
+def jacobi_defect(c: np.ndarray) -> float:
     """Max-abs cyclic Jacobi sum over all index quadruples; zero iff Jacobi holds."""
-    j = np.einsum("ijl,lkm->ijkm", sc.c, sc.c)
+    j = np.einsum("ijl,lkm->ijkm", c, c)
     return float(np.max(np.abs(j + np.transpose(j, (1, 2, 0, 3)) + np.transpose(j, (2, 0, 1, 3)))))
 
 
-def from_nine_params(p9) -> StructureConstants:
+def from_nine_params(p9) -> np.ndarray:
     """[e0,e1] = a e0 + b e1 + c e2, [e1,e2] = d e0 + f e1 + h e2,
     [e0,e2] = g e0 + j e1 + k e2 for p9 = (a,b,c,d,f,h,g,j,k)."""
     c = np.zeros((3, 3, 3))
     c[0, 1], c[1, 2], c[0, 2] = np.reshape(p9, (3, 3))
-    return StructureConstants(c - np.swapaxes(c, 0, 1))
+    return c - np.swapaxes(c, 0, 1)
 
 
-def brute_jacobi(sc: StructureConstants) -> float:
+def brute_jacobi(c: np.ndarray) -> float:
     """Independent oracle: cyclic triple bracket via explicit bracket calls."""
-    n = sc.dim
+    n = len(c)
     worst = 0.0
     eye = np.eye(n)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 total = (
-                    sc.bracket(sc.bracket(eye[i], eye[j]), eye[k])
-                    + sc.bracket(sc.bracket(eye[j], eye[k]), eye[i])
-                    + sc.bracket(sc.bracket(eye[k], eye[i]), eye[j])
+                    bracket(c, bracket(c, eye[i], eye[j]), eye[k])
+                    + bracket(c, bracket(c, eye[j], eye[k]), eye[i])
+                    + bracket(c, bracket(c, eye[k], eye[i]), eye[j])
                 )
                 worst = max(worst, float(np.max(np.abs(total))))
     return worst
 
 
 def test_abelian_defect_zero():
-    assert jacobi_defect(zero_algebra(3)) == 0.0
+    assert jacobi_defect(np.zeros((3, 3, 3))) == 0.0
 
 
 def test_g3_unit_defect_zero():
@@ -70,8 +72,7 @@ def test_defect_matches_brute_force_on_random_tables():
     for _ in range(20):
         c = rng.normal(size=(3, 3, 3))
         c = 0.5 * (c - np.swapaxes(c, 0, 1))
-        sc = StructureConstants(c)
-        assert abs(jacobi_defect(sc) - brute_jacobi(sc)) < 1e-12
+        assert abs(jacobi_defect(c) - brute_jacobi(c)) < 1e-12
 
 
 def test_ad_and_bracket_match_the_index_definition():
@@ -81,26 +82,26 @@ def test_ad_and_bracket_match_the_index_definition():
     tables = []
     for _ in range(6):
         c = rng.normal(size=(3, 3, 3))
-        tables.append(StructureConstants(0.5 * (c - np.swapaxes(c, 0, 1))))
-    tables.append(direct_sum(tables[0], tables[1]))
-    for sc in tables:
-        n, c = sc.dim, sc.c
+        tables.append(0.5 * (c - np.swapaxes(c, 0, 1)))
+    tables.append(direct_sum_components(tables[0], tables[1]))
+    for c in tables:
+        n = len(c)
         for u, v in rng.normal(size=(4, 2, n)):
             ad = [[sum(u[i] * c[i, j, k] for i in range(n)) for j in range(n)] for k in range(n)]
             br = [sum(u[i] * v[j] * c[i, j, k] for i in range(n) for j in range(n))
                   for k in range(n)]
-            assert sc.ad(u).shape == (n, n)
-            assert np.allclose(sc.ad(u), ad, rtol=0, atol=1e-12)
-            assert np.allclose(sc.bracket(u, v), br, rtol=0, atol=1e-12)
-            assert np.allclose(sc.bracket(u, v), -sc.bracket(v, u), rtol=0, atol=1e-12)
+            assert ad_components(u, c).shape == (n, n)
+            assert np.allclose(ad_components(u, c), ad, rtol=0, atol=1e-12)
+            assert np.allclose(bracket(c, u, v), br, rtol=0, atol=1e-12)
+            assert np.allclose(bracket(c, u, v), -bracket(c, v, u), rtol=0, atol=1e-12)
 
 
 def test_g3_brackets_match_table():
     sc = make_family(FamilySpec("g3", {"a": 1, "b": 1, "c": 1}))
     e = np.eye(3)
-    assert np.allclose(sc.bracket(e[1], e[2]), [-1, 0, 0])
-    assert np.allclose(sc.bracket(e[1], e[0]), [0, 0, -1])
-    assert np.allclose(sc.bracket(e[2], e[0]), [0, 1, 0])
+    assert np.allclose(bracket(sc, e[1], e[2]), [-1, 0, 0])
+    assert np.allclose(bracket(sc, e[1], e[0]), [0, 0, -1])
+    assert np.allclose(bracket(sc, e[2], e[0]), [0, 1, 0])
 
 
 def test_g2_constraint_violation():
@@ -175,14 +176,15 @@ def test_identify_group_riemannian():
 def test_direct_sum_block_structure():
     g3 = make_family(FamilySpec("g3", {"a": 1, "b": 1, "c": 1}))
     su2 = make_family(FamilySpec("riemannian_unimodular", {"mu1": 1, "mu2": 1, "mu3": 1}))
-    both = direct_sum(g3, su2)
-    assert both.dim == 6
-    e = np.eye(6)
-    assert np.allclose(both.bracket(e[1], e[4]), np.zeros(6))
-    assert np.allclose(both.bracket(e[1], e[2])[:3], g3.bracket(np.eye(3)[1], np.eye(3)[2]))
-    assert np.allclose(both.bracket(e[4], e[5])[3:], su2.bracket(np.eye(3)[1], np.eye(3)[2]))
+    both = direct_sum_components(g3, su2)
+    assert both.shape == (6, 6, 6)
+    e, e3 = np.eye(6), np.eye(3)
+    assert np.allclose(bracket(both, e[1], e[4]), np.zeros(6))
+    assert np.allclose(bracket(both, e[1], e[2])[:3], bracket(g3, e3[1], e3[2]))
+    assert np.allclose(bracket(both, e[4], e[5])[3:], bracket(su2, e3[1], e3[2]))
     assert jacobi_defect(both) == 0.0
-    assert jacobi_defect(direct_sum(zero_algebra(3), zero_algebra(3))) == 0.0
+    zero = np.zeros((3, 3, 3))
+    assert jacobi_defect(direct_sum_components(zero, zero)) == 0.0
 
 
 def test_nine_params_roundtrip():
@@ -194,8 +196,8 @@ def test_nine_params_roundtrip():
 def test_antisymmetry_enforced():
     c = np.zeros((3, 3, 3))
     c[0, 1, 2] = 1.0  # missing the (1,0) counterpart
-    with pytest.raises(ValueError):
-        StructureConstants(c)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        check_contact(c, FrameMetric.lorentzian(3), 1, [1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -235,7 +237,7 @@ def test_family_stream_fingerprint():
             for params in family_samples(family, default_grid(points, lo, hi), 1e-9):
                 digest.update(repr([(k, float(v).hex()) for k, v in params.items()]).encode())
                 try:
-                    digest.update(make_family(FamilySpec(family, params), tol=1e-9).c.tobytes())
+                    digest.update(make_family(FamilySpec(family, params), tol=1e-9).tobytes())
                 except ConstraintViolation as exc:
                     rejected[family, lo] = rejected.get((family, lo), 0) + 1
                     digest.update(str(exc).encode())
@@ -245,7 +247,8 @@ def test_family_stream_fingerprint():
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_family_tables_match_make_family(family):
-    """The batched tables equal make_family's bit for bit, and the mask marks
+    """The batched tables equal make_family's read-only (3, 3, 3) arrays bit
+    for bit, and so do the nine parameters read off them; the mask marks
     exactly the samples FamilySpec or make_family rejects."""
     from epscontact.einstein import default_grid, family_samples
     from epscontact.liealg import family_tables
@@ -260,11 +263,13 @@ def test_family_tables_match_make_family(family):
     assert c.shape == (len(samples), 3, 3, 3)
     for n, params in enumerate(samples):
         try:
-            want = make_family(FamilySpec(family, params), tol=1e-9).c
+            want = make_family(FamilySpec(family, params), tol=1e-9)
         except ConstraintViolation:
             assert not ok[n], params
             continue
         assert ok[n] and c[n].tobytes() == want.tobytes(), params
+        assert want.shape == (3, 3, 3) and not want.flags.writeable
+        assert np.array(nine_params(want)).tobytes() == np.array(nine_params(c[n])).tobytes()
     assert not ok.all() and ok.any()
 
 

@@ -25,7 +25,7 @@ from epscontact.exterior import (
     pairing_components,
     sort_sign,
 )
-from epscontact.liealg import FamilySpec, direct_sum, make_family
+from epscontact.liealg import FamilySpec, direct_sum_components, make_family
 
 L3 = FrameMetric.lorentzian(3)
 R3 = FrameMetric.riemannian(3)
@@ -112,7 +112,7 @@ def test_isotropy_closure_independent_of_fit():
     x = su2_factor(0.0)
     for lam, l in ((0.3, 0.9), (1.2, 0.4), (0.0, 1.0)):
         h = p6.torsion_form(n, x, lam, l)
-        c6 = direct_sum(n.sc, x.sc).c
+        c6 = direct_sum_components(n.c, x.c)
         signs6 = n.m.signs + x.m.signs
         o6 = n.orientation * x.orientation
         assert np.max(np.abs(d_components(h, c6, 3))) < 1e-13
@@ -182,11 +182,11 @@ def test_torsionful_ricci_symmetric_for_closed_coclosed():
     x = su2_factor(0.0)
     for lam, l in ((1.0, 0.0), (0.7, 0.3)):  # second pair is off shell but closed
         h = p6.torsion_form(n, x, lam, l)
-        sc6 = direct_sum(n.sc, x.sc)
+        c6 = direct_sum_components(n.c, x.c)
         m6 = FrameMetric(n.m.signs + x.m.signs)
-        gamma_h = torsionful_connection(koszul_components(sc6.c, m6.eta),
+        gamma_h = torsionful_connection(koszul_components(c6, m6.eta),
                                         antisymmetric_array(h, 6, 3), m6)
-        ric = ricci_components(gamma_h, sc6.c)
+        ric = ricci_components(gamma_h, c6)
         assert np.max(np.abs(ric - ric.T)) < 1e-13
 
 
@@ -289,9 +289,9 @@ def test_product_ricci_is_block_diagonal_factor_ricci():
     # factor Riccis on the diagonal blocks with vanishing mixed block
     n = null_g3_factor()
     x = su2_factor(0.25)
-    sc6 = direct_sum(n.sc, x.sc)
+    c6 = direct_sum_components(n.c, x.c)
     m6 = FrameMetric(n.m.signs + x.m.signs)
-    ric6 = ricci_components(koszul_components(sc6.c, m6.eta), sc6.c)
+    ric6 = ricci_components(koszul_components(c6, m6.eta), c6)
     ric_n, ric_x = n.ricci, x.ricci
     assert np.allclose(ric6[:3, :3], ric_n, atol=1e-13)
     assert np.allclose(ric6[3:, 3:], ric_x, atol=1e-13)
@@ -464,7 +464,7 @@ def test_stacked_formulas_bit_equal_to_single_solutions():
     assert len(sols) == 41
 
     def stack(structs):
-        return check_contact(np.array([s.sc.c for s in structs]), structs[0].m,
+        return check_contact(np.array([s.c for s in structs]), structs[0].m,
                              np.array([s.orientation for s in structs]),
                              np.array([s.alpha for s in structs]))
 

@@ -98,7 +98,7 @@ def run_oracle(samples: int, seed: int, tol=None) -> OracleReport:
         fam = LORENTZ_FAMILIES[k % len(LORENTZ_FAMILIES)]
         spec = sample_spec(fam, rng)
         sc, m = make_family(spec), FAMILIES[fam].metric
-        ricci = ricci_components(koszul_components(sc.c, m.eta), sc.c)
+        ricci = ricci_components(koszul_components(sc, m.eta), sc)
         scalar = float(np.einsum("i,ii->", m.eta, ricci))
         oracle_ricci, oracle_scalar = closed_form_ricci(nine_params(sc), m, tol=tol)
         entry = per_family[fam]
