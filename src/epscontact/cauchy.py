@@ -18,9 +18,9 @@ and, for time sequences, the two flow equations
          + Hess_q beta) - kappa alpha_perp (x) alpha_perp
          + (1/2)(lambda^2 + kappa eps) q = 0,   W = q^{-1} Theta.
 
-All spatial derivatives are second-order central differences; non-periodic
-axes use one-sided second-order stencils at the edges. Residual norms are
-discrete L-infinity.
+All spatial derivatives are second-order central differences; the y axis
+is periodic, and a non-periodic x axis uses one-sided second-order stencils
+at its edges. Residual norms are discrete L-infinity.
 
 The residuals are evaluated one strip of x rows at a time, so that the
 component planes a strip allocates stay in cache and the memory they take
@@ -51,7 +51,6 @@ class SurfaceGrid:
     hx: float
     hy: float
     periodic_x: bool = True
-    periodic_y: bool = True
 
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
@@ -106,7 +105,7 @@ def _partial(f: np.ndarray, m: int, grid: SurfaceGrid, out=None) -> np.ndarray:
     """d_m f (m = 0: x, m = 1: y) of planes f (into out if given)."""
     if m == 0:
         return _d1(f, -2, grid.hx, grid.periodic_x, out)
-    return _d1(f, -1, grid.hy, grid.periodic_y, out)
+    return _d1(f, -1, grid.hy, True, out)
 
 
 def _partials(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
@@ -508,6 +507,6 @@ def example_null_isothermal(grid: SurfaceGrid, f0: float) -> SurfaceData:
     )
 
 
-def isothermal_grid(nx: int, ny: int, length_x: float = 1.0, length_y: float = 1.0) -> SurfaceGrid:
-    """Grid for the isothermal example: fixed domain, non-periodic in x."""
-    return SurfaceGrid(nx, ny, length_x / nx, length_y / ny, periodic_x=False)
+def isothermal_grid(nx: int, ny: int) -> SurfaceGrid:
+    """Grid for the isothermal example: the unit square, non-periodic in x."""
+    return SurfaceGrid(nx, ny, 1.0 / nx, 1.0 / ny, periodic_x=False)

@@ -149,6 +149,16 @@ class ContactBatch:
     def __init__(self, c: np.ndarray, m: FrameMetric, orientation, alpha: np.ndarray,
                  tol: float, valid: Optional[np.ndarray] = None, specs: Optional[list] = None,
                  sample: Optional[np.ndarray] = None):
+        if m.dim != 3 or c.shape[-3:] != (3, 3, 3):
+            raise ValueError("contact structures are three-dimensional here")
+        if alpha.shape[-1:] != (3,):
+            raise ValueError(f"alpha must be one-forms of 3 components, got shape {alpha.shape}")
+        axes = {"c": c.shape[:-3], "alpha": alpha.shape[:-1]}
+        for name, a in (("orientation", orientation), ("valid", valid), ("sample", sample)):
+            if np.ndim(a):  # a sign, or None, holds for every row
+                axes[name] = np.shape(a)
+        if len(set(axes.values())) > 1:
+            raise ValueError(f"the arrays of a batch must share its batch axes, got {axes}")
         self.c, self.m, self.alpha, self.tol = c, m, alpha, tol
         self.valid, self.specs, self.sample = valid, specs, sample
         # non-finite values end as failed conditions, not as numpy warnings; every
@@ -176,16 +186,23 @@ class ContactBatch:
     @classmethod
     def from_specs(cls, specs: list, alpha, orientation=None,
                    tol: float | None = None) -> "ContactBatch":
-        """The batch of instances of one family, FamilySpecs specs with
-        one-forms alpha (K, 3): the bracket tables and the constraint mask
-        from one family_tables call; ValueError for specs of several families."""
+        """The batch of family instances, FamilySpecs specs of any families of
+        one frame metric, with one-forms alpha (K, 3): each family's rows of
+        the bracket tables and the constraint mask from one family_tables
+        call; ValueError for no specs or specs of several metrics."""
         tol = get_tol(tol)
-        family_id = specs[0].family_id
-        if any(s.family_id != family_id for s in specs):
-            raise ValueError(f"from_specs takes one family, got {[s.family_id for s in specs]}")
-        fam = FAMILIES[family_id]
-        c, valid = family_tables(family_id, {p: [s[p] for s in specs] for p in fam.params}, tol)
-        return cls(c, fam.metric, orientation, np.asarray(alpha, dtype=float), tol, valid, specs)
+        metrics = {FAMILIES[s.family_id].metric for s in specs}
+        if len(metrics) != 1:
+            raise ValueError("from_specs takes specs of one frame metric, got "
+                             f"{sorted(m.signs for m in metrics)}")
+        rows = {}
+        for k, s in enumerate(specs):
+            rows.setdefault(s.family_id, []).append(k)
+        c, valid = np.empty((len(specs), 3, 3, 3)), np.empty(len(specs), dtype=bool)
+        for family_id, ks in rows.items():
+            params = {p: [specs[k][p] for k in ks] for p in FAMILIES[family_id].params}
+            c[ks], valid[ks] = family_tables(family_id, params, tol)
+        return cls(c, metrics.pop(), orientation, np.asarray(alpha, dtype=float), tol, valid, specs)
 
     @property
     def failed(self) -> np.ndarray:
@@ -304,13 +321,11 @@ class ContactStructure(ContactBatch):
     def __init__(self, c, m: FrameMetric, orientation, alpha,
                  tol: float | None = None, spec: Optional[FamilySpec] = None):
         c, alpha = np.array(c, dtype=float), np.array(alpha, dtype=float)
-        if c.shape != (3, 3, 3) or m.dim != 3:
-            raise ValueError("contact structures are three-dimensional here")
-        if alpha.shape != (3,):
-            raise ValueError(f"alpha must be a one-form of 3 components, got shape {alpha.shape}")
+        if c.ndim != 3:
+            raise ValueError(f"a contact structure has one bracket table, got shape {c.shape}")
+        super().__init__(_read_only(c), m, orientation, _read_only(alpha), get_tol(tol))
         if np.count_nonzero(c != -c.swapaxes(0, 1)):
             raise ValueError("bracket coefficients must be antisymmetric in (i, j)")
-        super().__init__(_read_only(c), m, orientation, _read_only(alpha), get_tol(tol))
         self.spec, self.orientation = spec, int(self.orientation)
 
     @property
@@ -375,10 +390,7 @@ def check_contact(
         if not cs.ok:
             raise cs.error()
         return cs
-    alpha = np.asarray(alpha, dtype=float)
-    if m.dim != 3 or c.shape[-3:] != (3, 3, 3) or alpha.shape[-1:] != (3,):
-        raise ValueError("contact structures are three-dimensional here")
-    return ContactBatch(c, m, orientation, alpha, tol, sample=sample)
+    return ContactBatch(c, m, orientation, np.asarray(alpha, dtype=float), tol, sample=sample)
 
 
 # --- the derived tensors on stacks ---------------------------------------------

@@ -369,28 +369,11 @@ def run_catalog(epsilon_n: int, l_samples, tol: float | None = None) -> list:
     is reported as the failure of its row and l; any other exception is a bug
     and propagates.
 
-    A row's l values are verified together, one stacked pass per (N family,
-    X family) pair (see _verify_group), with the results of building and
-    verifying each (row, l) on its own: row.build, build_solution and
-    verify_supergravity."""
+    A row's l values are verified together in one stacked pass (see
+    _verify_row), with the results of building and verifying each (row, l)
+    on its own: row.build, build_solution and verify_supergravity."""
     tol = get_tol(tol)
-    results = []
-    for row in catalog_rows(epsilon_n):
-        ls = row.ls(l_samples)
-        out, groups = [None] * len(ls), {}
-        for k, l in enumerate(ls):
-            try:
-                n, x = row.factors(l)
-            except EpsContactError as exc:
-                out[k] = _failed(row, l, exc)
-                continue
-            key = (n[1]["spec"].family_id, x[1]["spec"].family_id)
-            groups.setdefault(key, []).append((k, l, n, x))
-        for members in groups.values():
-            for (k, *_), result in zip(members, _verify_group(row, members, tol)):
-                out[k] = result
-        results += out
-    return results
+    return [res for row in catalog_rows(epsilon_n) for res in _verify_row(row, l_samples, tol)]
 
 
 def _failed(row: CatalogRow, l: float, exc: EpsContactError) -> CatalogResult:
@@ -399,46 +382,52 @@ def _failed(row: CatalogRow, l: float, exc: EpsContactError) -> CatalogResult:
                          f"{type(exc).__name__}: {exc}")
 
 
-def _verify_group(row: CatalogRow, members: list, tol: float) -> list:
-    """The CatalogResults at a row's l values whose factors share one (N
-    family, X family) pair; members holds (k, l, N factor, X factor) in l
-    order. Both factors' ContactBatches, their Koszul -> Ricci and fits, and
-    one ProductSolution of the rows that pass build_solution's checks, with
-    its field residuals, each run once on the stack. Each l then reads its
-    results in the order of row.build and build_solution, so a failure
-    reports the error raised first there."""
-    ls = [l for _, l, _, _ in members]
+def _verify_row(row: CatalogRow, l_samples, tol: float) -> list:
+    """The CatalogResults of a row at its l values, in l order. Both
+    factors' ContactBatches, of any families, their Koszul -> Ricci and
+    fits, and one ProductSolution of the l values that pass build_solution's
+    checks, with its field residuals, each run once on the stack. Each l then
+    reads its results in the order of row.build and build_solution, so a
+    failure reports the error raised first there."""
+    ls = row.ls(l_samples)
+    out, lams, factors = [None] * len(ls), [None] * len(ls), {}
+    for k, l in enumerate(ls):
+        try:
+            factors[k] = row.factors(l)
+        except EpsContactError as exc:
+            out[k] = _failed(row, l, exc)
+    if not factors:
+        return out
     # each factor's (table row, instance fields, orientation) at the l values,
     # checked at the default tolerance, as row.build checks it
     n, x = (ContactBatch.from_specs([f["spec"] for _, f, _ in fs], [f["alpha"] for _, f, _ in fs],
                                     np.array([o for _, _, o in fs]))
-            for fs in ([m[2] for m in members], [m[3] for m in members]))
-    out, lams, built = [None] * len(ls), [None] * len(ls), []
-    for k, l in enumerate(ls):
+            for fs in zip(*factors.values()))
+    ks, live = list(factors), []  # ks[j]: the index into ls of batch row j
+    for j, k in enumerate(ks):
         try:
             for factor in (n, x):
-                if not factor.ok[k]:
-                    raise factor.error(k)
-            lams[k] = row.lam(l)
+                if not factor.ok[j]:
+                    raise factor.error(j)
+            lams[k] = row.lam(ls[k])
         except EpsContactError as exc:
-            out[k] = _failed(row, l, exc)
+            out[k] = _failed(row, ls[k], exc)
             continue
-        built.append(k)
-    n, x, solved = n.take(built), x.take(built), []
+        live.append(j)
+    n, x, ks, live = n.take(live), x.take(live), [ks[j] for j in live], []
     fits_n, fits_x = n.fit(tol), x.fit(tol)
-    for j, k in enumerate(built):
+    for j, k in enumerate(ks):
         try:
             _check_factors(n.m.s_g, x.m.s_g, int(n.eps[j]), fits_n.at(j), fits_x.at(j),
                            lams[k], ls[k], tol)
         except IncompatibleFactors as exc:
             out[k] = _failed(row, ls[k], exc)
             continue
-        solved.append(j)
-    if not solved:
+        live.append(j)
+    if not live:
         return out
-    ks = [built[j] for j in solved]
-    sol = ProductSolution(n.take(solved), x.take(solved), [lams[k] for k in ks],
-                          [ls[k] for k in ks])
+    ks = [ks[j] for j in live]
+    sol = ProductSolution(n.take(live), x.take(live), [lams[k] for k in ks], [ls[k] for k in ks])
     fields = field_residuals(sol)
     for j, k in enumerate(ks):
         res = SugraResiduals(*(float(f[j]) for f in fields))

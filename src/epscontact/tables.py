@@ -1,6 +1,6 @@
 """Classification tables of left-invariant contact structures on simply
 connected three-dimensional Lie groups, and their verification, one stacked
-pass per row and family.
+pass per row.
 
 Table identifiers (CLI tokens):
   thm-1.2   eta-Einstein structures with time-like Reeb field
@@ -369,16 +369,19 @@ def build_instance(inst: RowInstance, tol: float | None = None):
     return build_contact(inst.spec, inst.alpha, tol=tol)
 
 
-def _verify_family(insts: list, epsilon: int, tol: float) -> list:
-    """The InstanceReports of instances of one family and of the row's
-    epsilon, from one stacked pass: the ContactBatch of the instances, and
-    of its structures of the row's epsilon the fit, h, the null factor mu
-    and the L_xi g witness, read off the batch of those. The checks then run
-    per instance in the order of a single verification, reading the stacked
-    results, and stop at the first failure."""
+def verify_table_row(table_id: str, row: TableRow, tol: float | None = None) -> TableRowReport:
+    """Verify every instance of a table row; table_id (or its alias) must name
+    the row's own table. One stacked pass over the instances, of any
+    families: their ContactBatch, and of its structures of the row's epsilon
+    the fit, h, the null factor mu and the L_xi g witness, read off the batch
+    of those. The checks then run per instance in the order of a single
+    verification, reading the stacked results, and stop at the first failure."""
+    if resolve_table(table_id) != row.table:
+        raise ValueError(f"row {row.row_id!r} belongs to table {row.table!r}, not {table_id!r}")
+    tol, insts = get_tol(tol), row.instances()
     batch = ContactBatch.from_specs([i.spec for i in insts], [i.alpha for i in insts], tol=tol)
     # the structures of the row's epsilon, stacked in instance order
-    found = np.flatnonzero(batch.ok & (batch.eps == epsilon))
+    found = np.flatnonzero(batch.ok & (batch.eps == row.epsilon))
     at = dict(zip(found.tolist(), range(len(found))))
     structs = batch.take(found)
     fits = structs.fit(tol)
@@ -422,7 +425,7 @@ def _verify_family(insts: list, epsilon: int, tol: float) -> list:
                 return fail("fit_ok", f"kappa {fit.kappa:.6g} != expected {inst.kappa:.6g}")
             out.checks["fit_ok"] = True
         if inst.sasakian is not None:
-            if epsilon == 0:
+            if row.epsilon == 0:
                 check_decomposition(*structs.null[n].tolist(), tol)
             if bool(sasakian[n]) != inst.sasakian:
                 return fail("sasakian_ok", f"sasakian != expected {inst.sasakian}")
@@ -434,23 +437,6 @@ def _verify_family(insts: list, epsilon: int, tol: float) -> list:
         out.passed = True
         return out
 
-    return [report(k, inst) for k, inst in enumerate(insts)]
-
-
-def verify_table_row(table_id: str, row: TableRow, tol: float | None = None) -> TableRowReport:
-    """Verify every instance of a table row; table_id (or its alias) must name
-    the row's own table. The instances of each family are verified together
-    in one stacked pass (see _verify_family)."""
-    if resolve_table(table_id) != row.table:
-        raise ValueError(f"row {row.row_id!r} belongs to table {row.table!r}, not {table_id!r}")
-    tol = get_tol(tol)
-    insts = row.instances()
-    by_family = {}
-    for k, inst in enumerate(insts):
-        by_family.setdefault(inst.spec.family_id, []).append(k)
-    reports = [None] * len(insts)
-    for ks in by_family.values():
-        for k, rep in zip(ks, _verify_family([insts[k] for k in ks], row.epsilon, tol)):
-            reports[k] = rep
+    reports = [report(k, inst) for k, inst in enumerate(insts)]
     return TableRowReport(table=row.table, row_id=row.row_id,
                           passed=all(r.passed for r in reports), instances=reports)

@@ -192,7 +192,7 @@ def test_divergence_matches_brute_force_loops():
     dtheta = np.stack(
         [
             cy._d1(d.theta, 0, grid.hx, grid.periodic_x),
-            cy._d1(d.theta, 1, grid.hy, grid.periodic_y),
+            cy._d1(d.theta, 1, grid.hy, True),
         ],
         axis=2,
     )
@@ -214,7 +214,7 @@ def test_divergence_matches_brute_force_loops():
     # subtracting the gradient of the trace
     tr = np.einsum("xyij,xyij->xy", inv, d.theta)
     grad_tr = np.stack([cy._d1(tr, 0, grid.hx, grid.periodic_x),
-                        cy._d1(tr, 1, grid.hy, grid.periodic_y)], axis=-1)
+                        cy._d1(tr, 1, grid.hy, True)], axis=-1)
     r4_field = grad_tr + brute
     res = cy.constraint_residuals(d, 0, 0.0, 0.0)
     assert abs(res.momentum - float(np.max(np.abs(r4_field)))) < 1e-12
@@ -227,7 +227,7 @@ def test_scalar_curvature_matches_brute_force_loops():
     dgamma = np.stack(
         [
             cy._d1(gamma, 0, grid.hx, grid.periodic_x),
-            cy._d1(gamma, 1, grid.hy, grid.periodic_y),
+            cy._d1(gamma, 1, grid.hy, True),
         ],
         axis=2,
     )
@@ -279,7 +279,7 @@ def brute_geometry(d):
     node by explicit index loops over the library's first-derivative stencil."""
     grid = d.grid
     nx, ny = grid.nx, grid.ny
-    dq = [cy._d1(d.q, 0, grid.hx, grid.periodic_x), cy._d1(d.q, 1, grid.hy, grid.periodic_y)]
+    dq = [cy._d1(d.q, 0, grid.hx, grid.periodic_x), cy._d1(d.q, 1, grid.hy, True)]
     inv = np.zeros((nx, ny, 2, 2))
     vol = np.zeros((nx, ny))
     gamma = np.zeros((nx, ny, 2, 2, 2))
@@ -299,7 +299,7 @@ def brute_geometry(d):
                             )
                         gamma[ix, iy, k, i, j] = 0.5 * total
     dgamma = [cy._d1(gamma, 0, grid.hx, grid.periodic_x),
-              cy._d1(gamma, 1, grid.hy, grid.periodic_y)]
+              cy._d1(gamma, 1, grid.hy, True)]
     scalar = np.zeros((nx, ny))
     for ix in range(nx):
         for iy in range(ny):
@@ -319,16 +319,16 @@ def brute_constraints(d, eps, lambda2, kappa):
     grid = d.grid
     inv, vol, gamma, scalar = brute_geometry(d)
     d_alpha = [cy._d1(d.alpha, 0, grid.hx, grid.periodic_x),
-               cy._d1(d.alpha, 1, grid.hy, grid.periodic_y)]
+               cy._d1(d.alpha, 1, grid.hy, True)]
     d_theta = [cy._d1(d.theta, 0, grid.hx, grid.periodic_x),
-               cy._d1(d.theta, 1, grid.hy, grid.periodic_y)]
+               cy._d1(d.theta, 1, grid.hy, True)]
     tr = np.zeros((grid.nx, grid.ny))
     for ix in range(grid.nx):
         for iy in range(grid.ny):
             for i in range(2):
                 for j in range(2):
                     tr[ix, iy] += inv[ix, iy, i, j] * d.theta[ix, iy, i, j]
-    d_tr = [cy._d1(tr, 0, grid.hx, grid.periodic_x), cy._d1(tr, 1, grid.hy, grid.periodic_y)]
+    d_tr = [cy._d1(tr, 0, grid.hx, grid.periodic_x), cy._d1(tr, 1, grid.hy, True)]
     worst = [0.0, 0.0, 0.0, 0.0]
     for ix in range(grid.nx):
         for iy in range(grid.ny):
@@ -363,11 +363,11 @@ def brute_evolution(seq, eps, lambda2, kappa):
         prev_s, d, next_s = seq.slices[t - 1], seq.slices[t], seq.slices[t + 1]
         inv, vol, gamma, scalar = brute_geometry(d)
         bf = d.beta * d.F
-        d_bf = [cy._d1(bf, 0, grid.hx, grid.periodic_x), cy._d1(bf, 1, grid.hy, grid.periodic_y)]
+        d_bf = [cy._d1(bf, 0, grid.hx, grid.periodic_x), cy._d1(bf, 1, grid.hy, True)]
         d_b = [cy._d1(d.beta, 0, grid.hx, grid.periodic_x),
-               cy._d1(d.beta, 1, grid.hy, grid.periodic_y)]
+               cy._d1(d.beta, 1, grid.hy, True)]
         dd_b = [[cy._d1(d_b[j], 0, grid.hx, grid.periodic_x),
-                 cy._d1(d_b[j], 1, grid.hy, grid.periodic_y)] for j in range(2)]
+                 cy._d1(d_b[j], 1, grid.hy, True)] for j in range(2)]
         for ix in range(grid.nx):
             for iy in range(grid.ny):
                 inv_n, th, al = inv[ix, iy], d.theta[ix, iy], d.alpha[ix, iy]

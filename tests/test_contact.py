@@ -125,6 +125,8 @@ def test_check_contact_decides_by_table_shape():
         assert type(batch) is ContactBatch and batch.ok.tolist() == [ok]
     with pytest.raises(ValueError, match="three-dimensional"):
         check_contact(np.zeros((6, 6, 6)), L3, 1, [1, 0, 0])
+    with pytest.raises(ValueError, match="one bracket table"):
+        contact.ContactStructure(c[None], L3, 1, [[1, 0, 0]])
 
 
 def test_structure_holds_a_read_only_copy_of_its_table():
@@ -139,12 +141,39 @@ def test_structure_holds_a_read_only_copy_of_its_table():
     assert cs.ricci.tobytes() == want.ricci.tobytes() and cs.ricci.any()
 
 
-def test_from_specs_rejects_mixed_families():
-    # g5 and g6 share the parameters (a, b, c, d): a batch of both would
-    # build every row with g5's brackets
-    specs = [FamilySpec(f, {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0}) for f in ("g5", "g6")]
-    with pytest.raises(ValueError, match="one family"):
-        ContactBatch.from_specs(specs, [[1.0, 0.0, 0.0]] * 2)
+def test_from_specs_builds_each_family_with_its_own_brackets():
+    # g5 and g6 share the parameters (a, b, c, d), so reading one family's
+    # brackets for the other's rows would go unnoticed; (1, 1, -1, 1) meets
+    # g5's constraint a c + b d = 0 but not g6's a c - b d = 0
+    specs = [FamilySpec(f, {"a": 1.0, "b": b, "c": -b, "d": 1.0})
+             for b in (0.0, 1.0) for f in ("g5", "g6")]
+    batch = ContactBatch.from_specs(specs, [[1.0, 0.0, 0.0]] * 4)
+    assert batch.valid.tolist() == [True, True, True, False]
+    for k, spec in enumerate(specs[:3]):
+        assert batch.c[k].tobytes() == make_family(spec).tobytes()
+    assert str(batch.error(3)) == "g6: constraint a c - b d = 0 violated"
+
+
+def test_from_specs_takes_specs_of_one_frame_metric():
+    specs = [FamilySpec("g3", {"a": 1.0, "b": 1.0, "c": 1.0}),
+             FamilySpec("riemannian_unimodular", {"mu1": 1.0, "mu2": 1.0, "mu3": 1.0})]
+    for given in (specs, []):
+        with pytest.raises(ValueError, match="one frame metric"):
+            ContactBatch.from_specs(given, [[1.0, 0.0, 0.0]] * len(given))
+
+
+def test_batch_arrays_share_their_batch_axes():
+    spec, c = FamilySpec("g3", {"a": 1.0, "b": 1.0, "c": 1.0}), g3(1, 1, 1)
+    with pytest.raises(ValueError, match=r"batch axes, got \{'c': \(1,\), 'alpha': \(2,\)\}"):
+        check_contact(c[None], L3, None, np.array([[1.0, 0.0, 0.0]] * 2))
+    with pytest.raises(ValueError, match=r"'c': \(1,\), 'alpha': \(2,\)"):
+        ContactBatch.from_specs([spec], [[1.0, 0.0, 0.0]] * 2)
+    with pytest.raises(ValueError, match=r"3 components, got shape \(1, 2\)"):
+        ContactBatch.from_specs([spec], [[1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"'c': \(2,\), 'alpha': \(2,\), 'orientation': \(3,\)"):
+        check_contact(np.stack([c] * 2), L3, np.array([1, 1, -1]), np.array([[1.0, 0.0, 0.0]] * 2))
+    with pytest.raises(ValueError, match=r"'orientation': \(1,\)"):
+        ContactBatch.from_specs([spec] * 2, [[1.0, 0.0, 0.0]] * 2, np.array([1]))
 
 
 def test_orientation_must_be_a_sign():

@@ -444,16 +444,17 @@ def test_every_catalog_failure_path_matches_reference(monkeypatch):
 def test_one_6d_curvature_call_per_row_and_family_pair(count_calls):
     ls = L_SETS["strata-37"]
     counts = count_calls(["koszul_components", "ricci_components"], by_dim=True)
-    groups = 0
+    pairs = 0
     for eps_n in (-1, 0, 1):
         p6.run_catalog(eps_n, ls)
         for row in p6.catalog_rows(eps_n):
-            pairs = {tuple(f["spec"].family_id for _, f, _ in row.factors(l)) for l in row.ls(ls)}
-            groups += len(pairs)
-    # two null rows switch from g3 to g4 at l != 0
-    assert groups == len(p6.CATALOG) + 2
-    assert counts == {("koszul_components", 6): groups, ("ricci_components", 6): groups,
-                      ("koszul_components", 3): 2 * groups, ("ricci_components", 3): 2 * groups}
+            pairs += len({tuple(f["spec"].family_id for _, f, _ in row.factors(l))
+                          for l in row.ls(ls)})
+    # two null rows switch from g3 to g4 at l != 0, within their one pass
+    rows = len(p6.CATALOG)
+    assert pairs == rows + 2
+    assert counts == {("koszul_components", 6): rows, ("ricci_components", 6): rows,
+                      ("koszul_components", 3): 2 * rows, ("ricci_components", 3): 2 * rows}
 
 
 def test_stacked_formulas_bit_equal_to_single_solutions():
