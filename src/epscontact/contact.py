@@ -31,10 +31,12 @@ from .errors import (
 )
 from .exterior import (
     FrameMetric,
+    _check_orientation,
+    _hodge_table,
+    _interior_table,
     antisymmetric_array,
     d_components,
     hodge_components,
-    interior_components,
     pairing_components,
 )
 from .curvature import koszul_components, ricci_components, riemann_components
@@ -72,6 +74,7 @@ class EtaEinsteinFit:
 _IU9 = np.ravel_multi_index(np.triu_indices(3), (3, 3))
 # lstsq's default cutoff (rcond=None) for the 6 x 2 design matrix
 _RCOND = np.finfo(float).eps * 6
+_EYE3 = _read_only(np.eye(3))  # shared by every identity suite
 
 
 @lru_cache(maxsize=None)
@@ -132,9 +135,10 @@ class ContactBatch:
 
     Orientation None takes, row by row, +1 where alpha is contact at +1,
     else -1, whose failure is then reported. fails[k] marks the rows failing
-    condition k of CONTACT_CONDITIONS; norm and res are max |alpha| and the
-    residual of alpha = *d(alpha), eps is |alpha|^2 = n2 rounded to an
-    integer (a float) and off is |n2 - eps|. A batch built from_specs
+    condition k of CONTACT_CONDITIONS; dalpha holds the components of
+    d(alpha), norm and res are max |alpha| and the residual of
+    alpha = *d(alpha), eps is |alpha|^2 = n2 rounded to an integer (a float)
+    and off is |n2 - eps|. A batch built from_specs
     also holds the specs and valid, the mask of those satisfying their
     family's constraints; ok marks the rows that are contact structures (of
     valid parameters). sample, optional, labels the rows: rows with equal
@@ -155,7 +159,7 @@ class ContactBatch:
             raise ValueError(f"alpha must be one-forms of 3 components, got shape {alpha.shape}")
         axes = {"c": c.shape[:-3], "alpha": alpha.shape[:-1]}
         for name, a in (("orientation", orientation), ("valid", valid), ("sample", sample)):
-            if np.ndim(a):  # a sign, or None, holds for every row
+            if a is not None and np.ndim(a):  # a sign, or None, holds for every row
                 axes[name] = np.shape(a)
         if len(set(axes.values())) > 1:
             raise ValueError(f"the arrays of a batch must share its batch axes, got {axes}")
@@ -164,7 +168,8 @@ class ContactBatch:
         # non-finite values end as failed conditions, not as numpy warnings; every
         # row runs every condition, and a row is reported by its first failure
         with np.errstate(over="ignore", invalid="ignore"):
-            star_dalpha = hodge_components(d_components(alpha, c, 1), m.signs, 2,
+            self.dalpha = d_components(alpha, c, 1)
+            star_dalpha = hodge_components(self.dalpha, m.signs, 2,
                                            1 if orientation is None else orientation)
             res = np.abs(alpha - star_dalpha).max(axis=-1)
             self.norm = np.abs(alpha).max(axis=-1)
@@ -312,7 +317,9 @@ class ContactBatch:
 
 class ContactStructure(ContactBatch):
     """The ContactBatch of one one-form alpha (3,) over one bracket table c
-    (3, 3, 3), both held as read-only copies, with no batch axes:
+    (3, 3, 3), with no batch axes. A table that is a read-only float64 array
+    owning its memory (as make_family returns) is held as given, since
+    nothing can write to it; any other table, and alpha, as a read-only copy.
     check_contact returns it where alpha is contact, and raises otherwise.
     It adds the family spec, orientation and epsilon as ints, the adapted
     frame and the JSON form; the derived data are the batch's, as 0-d arrays
@@ -320,10 +327,13 @@ class ContactStructure(ContactBatch):
 
     def __init__(self, c, m: FrameMetric, orientation, alpha,
                  tol: float | None = None, spec: Optional[FamilySpec] = None):
-        c, alpha = np.array(c, dtype=float), np.array(alpha, dtype=float)
+        if not (type(c) is np.ndarray and c.dtype == np.float64
+                and c.base is None and not c.flags.writeable):
+            c = _read_only(np.array(c, dtype=float))  # the caller may still write to it
         if c.ndim != 3:
             raise ValueError(f"a contact structure has one bracket table, got shape {c.shape}")
-        super().__init__(_read_only(c), m, orientation, _read_only(alpha), get_tol(tol))
+        alpha = _read_only(np.array(alpha, dtype=float))
+        super().__init__(c, m, orientation, alpha, get_tol(tol))
         if np.count_nonzero(c != -c.swapaxes(0, 1)):
             raise ValueError("bracket coefficients must be antisymmetric in (i, j)")
         self.spec, self.orientation = spec, int(self.orientation)
@@ -400,12 +410,27 @@ def check_contact(
 # them on one structure, ContactBatch on every row of a batch at once.
 
 
+@lru_cache(maxsize=None)
+def _phi_table(m: FrameMetric) -> tuple:
+    """(k, sign, live, t), integer and boolean arrays, from the Hodge and
+    interior-product tables: phi[i, j] = t[i] * (alpha[k] * sign * o + 0)
+    where live, else t[i] * +0.0, for the orientation o; the + 0 turns -0.0
+    into +0.0, as the sums from +0.0 of those operators do."""
+    perm, fac = _hodge_table(m.signs, 1)
+    pos, sign, live = _interior_table(3, 2)  # (iota_{e_j} w)_i = sign * w[pos] at [i, j]
+    k = np.argsort(perm)[pos]  # (*alpha)[perm[k]] = o * fac[k] * alpha[k]
+    t = -m.s_g * np.array(m.signs)[:, None]  # phi is -s_g times the sharp of the rows
+    return k, (sign * fac[k]).astype(int), live, t
+
+
 def phi_components(alpha: np.ndarray, m: FrameMetric, orientation) -> np.ndarray:
     """phi(v) = -s_g (iota_v * alpha)^sharp as frame matrices (..., 3, 3) of
-    stacked one-forms alpha (..., 3) and orientations."""
-    star_alpha = hodge_components(alpha, m.signs, 1, orientation)
-    rows = interior_components(np.eye(3), star_alpha[..., None, :], 2)  # row j: iota_{e_j} *alpha
-    return np.ascontiguousarray(np.swapaxes(-m.s_g * (m.eta * rows), -1, -2))
+    stacked one-forms alpha (..., 3) and orientations: a gather of alpha by
+    signs, with the bits, signed zeros included, of the Hodge dual and the
+    interior products."""
+    k, sign, live, t = _phi_table(m)
+    o = np.asarray(_check_orientation(orientation))[..., None, None]
+    return t * (np.where(live, alpha[..., k] * sign * o, 0) + 0)
 
 
 def h_components(c: np.ndarray, xi: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -419,8 +444,8 @@ def null_factor(h: np.ndarray, alpha: np.ndarray, m: FrameMetric) -> tuple:
     componentwise dual of alpha (see contact_frame), and max |h - mu xi (x)
     alpha|, the residual of the decomposition h = mu xi (x) alpha."""
     xi = m.eta * alpha
-    u = alpha / np.sum(alpha * alpha, axis=-1)[..., None]
-    mu = np.sum(m.eta * u * np.matmul(h, u[..., None])[..., 0], axis=-1)
+    u = alpha / (alpha * alpha).sum(axis=-1)[..., None]
+    mu = (m.eta * u * np.matmul(h, u[..., None])[..., 0]).sum(axis=-1)
     model = mu[..., None, None] * (xi[..., :, None] * alpha[..., None, :])
     return mu, np.abs(h - model).max(axis=(-2, -1))
 
@@ -498,7 +523,7 @@ def contact_frame(cs: ContactStructure):
     """
     xi, alpha, eps = cs.xi, cs.alpha, cs.epsilon
     if eps == 0:
-        u = alpha / float(np.sum(alpha * alpha))  # componentwise dual: null iff alpha is
+        u = alpha / float((alpha * alpha).sum())  # componentwise dual: null iff alpha is
     else:
         b = _ker_alpha_basis(cs)
         fits = np.sign(cs.m.eta @ (b * b)) == np.sign(cs.m.s_g * eps)
@@ -579,52 +604,51 @@ def contact_identity_residuals(cs: ContactStructure) -> dict:
     the max-abs of its identity's terms (see _identity_terms), all taken in
     one reduction over the terms laid end to end."""
     terms = _identity_terms(cs)
-    flat = [np.ravel(r) for r in terms.values()]
-    starts = np.cumsum([0] + [len(r) for r in flat[:-1]])
-    worst = np.maximum.reduceat(np.abs(np.concatenate(flat)), starts)
+    starts = list(itertools.accumulate([r.size for r in terms.values()][:-1], initial=0))
+    worst = np.maximum.reduceat(np.abs(np.concatenate(list(terms.values()), axis=None)), starts)
     return dict(zip(terms, worst.tolist()))
 
 
 def _identity_terms(cs: ContactStructure) -> dict:
     """The terms, by identity, that vanish on every contact structure."""
     sg, eps, alpha, xi, phi = cs.m.s_g, cs.epsilon, cs.alpha, cs.xi, cs.phi
-    g, eye, ad = np.diag(cs.m.eta), np.eye(3), ad_components(xi, cs.c)
+    eta, ad = cs.m.eta[:, None], ad_components(xi, cs.c)  # g @ x is eta * x
     h, mu = h_tensor(cs)
-    tau = h @ phi
-    dmat = np.einsum("j,jik->ki", xi, cs.gamma)  # v -> nabla_xi v on the frame
+    tau, phi2, phi_h, xa = h @ phi, phi @ phi, phi @ h, xi[:, None] * alpha  # xa = xi (x) alpha
+    g_phi, g_h, g_tau = eta * phi, eta * h, eta * tau
+    dmat = ad_components(xi, cs.gamma)  # v -> nabla_xi v on the frame
     res = {
-        "g_phi_is_dalpha": g @ phi - antisymmetric_array(d_components(alpha, cs.c, 1), 3, 2),
+        "g_phi_is_dalpha": g_phi - antisymmetric_array(cs.dalpha, 3, 2),
         "phi_xi": phi @ xi,
         "alpha_phi": alpha @ phi,
-        "phi_squared": phi @ phi - sg * (-eps * eye + np.outer(xi, alpha)),
+        "phi_squared": phi2 - sg * (-eps * _EYE3 + xa),
         # g(phi . , phi .) = s_g (eps g - alpha (x) alpha)
-        "phi_isometry": phi.T @ g @ phi - sg * (eps * g - np.outer(alpha, alpha)),
-        "phi_skew": g @ phi + phi.T @ g,
+        "phi_isometry": phi.T @ g_phi - sg * (eps * eta * _EYE3 - alpha[:, None] * alpha),
+        "phi_skew": g_phi + g_phi.T,
         "nabla_xi_xi": dmat @ xi,
         "nabla_xi_phi": dmat @ phi - phi @ dmat,
         "h_xi": h @ xi,
         "l_xi": l_endo(cs) @ xi,
         "trace_h": np.trace(h),
         "trace_tau": np.trace(tau),
-        "h_phi_anticommute": h @ phi + phi @ h,
+        "h_phi_anticommute": tau + phi_h,
         "lie_xi_alpha": -alpha @ ad,
-        "h_symmetric": g @ h - (g @ h).T,
-        "tau_symmetric": g @ tau - (g @ tau).T,
+        "h_symmetric": g_h - g_h.T,
+        "tau_symmetric": g_tau - g_tau.T,
         # 2 phi(nabla xi) = h + s_g (eps Id - xi (x) alpha)
-        "reeb_gradient_eq": 2.0 * phi @ np.einsum("jik,i->kj", cs.gamma, xi) - h
-        - sg * (eps * eye - np.outer(xi, alpha)),
+        "reeb_gradient_eq": 2.0 * phi @ (xi @ cs.gamma).T - h - sg * (eps * _EYE3 - xa),
     }
     if eps != 0:
         ric_xixi = xi @ cs.ricci @ xi
         res["ricci_reeb"] = ric_xixi - eps * sg * (0.5 - 0.25 * np.trace(h @ h))
     else:
-        res.update(phi_cubed=phi @ phi @ phi, phi_h=phi @ h, h_phi=h @ phi, tau_null=tau)
+        res.update(phi_cubed=phi2 @ phi, phi_h=phi_h, h_phi=tau, tau_null=tau)
         # light-cone bracket pattern: the frame coefficients of [xi, u],
         # [xi, phi(u)] and [u, phi(u)]
         _, u, phiu = cs.frame
         c1, c2, c3 = np.linalg.solve(
-            np.column_stack(cs.frame),
-            np.column_stack([ad @ u, ad @ phiu, ad_components(u, cs.c) @ phiu]),
+            np.stack(cs.frame, axis=1),
+            np.stack([ad @ u, ad @ phiu, ad_components(u, cs.c) @ phiu], axis=1),
         ).T
         res["lightcone_brackets"] = np.array([
             c1[1],                 # [xi,u] has no u part

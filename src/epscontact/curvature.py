@@ -14,6 +14,8 @@ symmetrized.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .config import get_tol
@@ -21,13 +23,27 @@ from .errors import JacobiViolation
 from .exterior import FrameMetric
 
 
+@lru_cache(maxsize=None)
+def _koszul_table(n: int, eta: tuple) -> tuple:
+    """(idx2, sign2, idx3, sign3), integer arrays (n, n, n): entry [i, j, k]
+    of the two permuted Koszul terms is c.flat[idx] * sign, at (j, k, i) with
+    eta_i eta_k and at (k, i, j) with eta_j eta_k."""
+    i, j, k = np.indices((n,) * 3)
+    e = np.array(eta, dtype=int)
+    return (j * n + k) * n + i, e[i] * e[k], (k * n + i) * n + j, e[j] * e[k]
+
+
 def koszul_components(c: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Levi-Civita coefficients gamma (..., n, n, n) of stacked bracket tables
     c (..., n, n, n) from Koszul's formula,
     2 g(nabla_X Y, Z) = g([X,Y],Z) - g([Y,Z],X) + g([Z,X],Y)."""
-    # gamma[i,j,k] = (c[i,j,k] - eta_i eta_k c[j,k,i] + eta_j eta_k c[k,i,j]) / 2
-    t2 = np.einsum("...jki,i,k->...ijk", c, eta, eta)
-    t3 = np.einsum("...kij,j,k->...ijk", c, eta, eta)
+    # gamma[i,j,k] = (c[i,j,k] - eta_i eta_k c[j,k,i] + eta_j eta_k c[k,i,j]) / 2; each
+    # permuted term is a gather, + 0 turning -0.0 into +0.0 as a sum from +0.0 does
+    n = c.shape[-1]
+    idx2, sign2, idx3, sign3 = _koszul_table(n, tuple(eta.tolist()))
+    flat = c.reshape(c.shape[:-3] + (n ** 3,))
+    t2 = flat.take(idx2, axis=-1) * sign2 + 0
+    t3 = flat.take(idx3, axis=-1) * sign3 + 0
     return 0.5 * (c - t2 + t3)
 
 

@@ -18,23 +18,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .config import get_tol
-from .contact import ContactStructure, EtaEinsteinFit, _lead_positive, check_contact
+from .contact import EtaEinsteinFit, _lead_positive, check_contact
 from .exterior import FrameMetric, d_components, hodge_components
 from .liealg import FAMILIES, family_tables
-
-
-def reeb_curvature_residual(cs: ContactStructure, fit: EtaEinsteinFit) -> float:
-    """Residual of R(v1,v2)xi = K (alpha(v2) v1 - alpha(v1) v2) with
-    K = s_g (lambda^2 - eps kappa)/4; holds on every eta-Einstein structure."""
-    xi = cs.xi
-    alpha = cs.alpha
-    kconst = cs.m.s_g * (fit.lambda2 - cs.epsilon * fit.kappa) / 4.0
-    lhs = np.einsum("ijkm,k->ijm", cs.riemann, xi)
-    eye = np.eye(3)
-    rhs = kconst * (
-        np.einsum("j,im->ijm", alpha, eye) - np.einsum("i,jm->ijm", alpha, eye)
-    )
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 # --- parameter-grid scans -----------------------------------------------------

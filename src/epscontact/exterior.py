@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,9 +53,12 @@ class FrameMetric:
         """+1 for Riemannian, -1 for Lorentzian signature."""
         return -1 if -1 in self.signs else 1
 
-    @property
+    @cached_property
     def eta(self) -> np.ndarray:
-        return np.asarray(self.signs, dtype=float)
+        """The signs as a float array, built once per metric and read-only."""
+        eta = np.asarray(self.signs, dtype=float)
+        eta.flags.writeable = False  # shared by every caller
+        return eta
 
     @classmethod
     def lorentzian(cls, dim: int = 3) -> "FrameMetric":

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from frames import reeb_curvature_residual
 from epscontact import tables
 from epscontact.cauchy import (
     SurfaceGrid,
@@ -25,7 +26,7 @@ from epscontact.contact import (
     nijenhuis_J,
 )
 from epscontact.curvature import ricci_components, torsionful_connection
-from epscontact.einstein import default_grid, reeb_curvature_residual, scan_family
+from epscontact.einstein import default_grid, scan_family
 from epscontact.errors import NotContact
 from epscontact.exterior import FrameMetric, antisymmetric_array
 from epscontact.liealg import FamilySpec, make_family

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import verify_oracle
-from frames import bracket, j_endo_matrix, metric_dot, timelike_special_frame
+from frames import (SIGNED_VALUES, bracket, hodge_interior_phi, j_endo_matrix, metric_dot,
+                    same_bits, timelike_special_frame)
 from epscontact import contact, curvature, tables
 from epscontact.contact import (
     ContactBatch,
@@ -141,6 +142,19 @@ def test_structure_holds_a_read_only_copy_of_its_table():
     assert cs.ricci.tobytes() == want.ricci.tobytes() and cs.ricci.any()
 
 
+def test_structure_holds_a_family_table_as_given():
+    c = g3(1, 1, 1)  # read-only, float64 and owning its memory
+    assert check_contact(c, L3, 1, [1, 0, 0]).c is c
+    for other in (c[...], c.astype(">f8"), c.tolist()):  # a view, another byte order, a list
+        held = check_contact(other, L3, 1, [1, 0, 0]).c
+        assert held is not other and held.base is None and not held.flags.writeable
+    skew = np.zeros((3, 3, 3))
+    skew[0, 1, 2] = 1.0  # [e0, e1] = e2 without [e1, e0] = -e2
+    skew.flags.writeable = False
+    with pytest.raises(ValueError, match="antisymmetric"):
+        contact.ContactStructure(skew, L3, 1, [1, 0, 0])
+
+
 def test_from_specs_builds_each_family_with_its_own_brackets():
     # g5 and g6 share the parameters (a, b, c, d), so reading one family's
     # brackets for the other's rows would go unnoticed; (1, 1, -1, 1) meets
@@ -181,9 +195,13 @@ def test_orientation_must_be_a_sign():
     for orientation in (1.5, -1.5, 0, 2, float("nan")):
         with pytest.raises(ValueError, match="orientation"):
             build_contact(spec, (1.0, 0.0, 0.0), orientation)
+        with pytest.raises(ValueError, match="orientation"):  # phi's own gather checks it too
+            phi_components(np.array([1.0, 0.0, 0.0]), L3, orientation)
     with pytest.raises(ValueError, match="orientation"):
         check_contact(np.stack([g3(1, 1, 1)] * 2), L3, np.array([1, 0.5]),
                       np.array([[1.0, 0.0, 0.0]] * 2))
+    with pytest.raises(ValueError, match="orientation"):
+        phi_components(np.array([[1.0, 0.0, 0.0]] * 2), L3, np.array([1, 0.5]))
     assert build_contact(spec, (1.0, 0.0, 0.0), 1.0).orientation == 1
 
 
@@ -766,3 +784,37 @@ def test_stacked_tensors_bit_equal_to_single_structures(table_structures):
             assert mu.tolist() == [cs.mu for cs in group]
             assert bit_equal(mu, [h_tensor(cs)[1] for cs in group])
             assert np.all(residual <= 1e-9)
+
+
+# --- the phi gather against the Hodge + interior reference, bit for bit --------
+
+FRAME_METRICS = [L3, R3, FrameMetric((1, -1, 1)), FrameMetric((1, 1, -1))]
+
+
+def test_phi_gather_bit_equal_to_hodge_interior_on_table_instances(table_structures):
+    by_metric = {}
+    for cs in table_structures:
+        assert same_bits(cs.phi, hodge_interior_phi(cs.alpha, cs.m, cs.orientation))
+        by_metric.setdefault(cs.m, []).append(cs)
+    rng = np.random.default_rng(23)
+    for m, group in by_metric.items():
+        alpha = np.array([cs.alpha for cs in group])
+        # each structure's own orientation, then drawn signs: both signs on every alpha
+        for o in (np.array([cs.orientation for cs in group]), rng.choice([-1, 1], len(group))):
+            assert same_bits(phi_components(alpha, m, o), hodge_interior_phi(alpha, m, o))
+        for o in (1, -1):
+            assert same_bits(phi_components(alpha, m, o), hodge_interior_phi(alpha, m, o))
+
+
+@pytest.mark.parametrize("m", FRAME_METRICS, ids=lambda m: str(m.signs))
+def test_phi_gather_bit_equal_on_signed_zeros_and_non_finite_alpha(m):
+    rng = np.random.default_rng(25)
+    alpha = rng.choice(SIGNED_VALUES, size=(400, 3))
+    alpha[:50] = np.where(rng.random((50, 3)) < 0.5, 0.0, -0.0)  # zeros only
+    o = rng.choice([-1, 1], len(alpha))
+    for orientation in (o, o.reshape(20, 20), 1, -1):
+        a = alpha.reshape(np.shape(orientation) + (3,)) if np.ndim(orientation) else alpha
+        assert same_bits(phi_components(a, m, orientation), hodge_interior_phi(a, m, orientation))
+    for k in range(0, len(alpha), 7):
+        assert same_bits(phi_components(alpha[k], m, int(o[k])),
+                         hodge_interior_phi(alpha[k], m, int(o[k])))

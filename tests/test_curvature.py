@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frames import bracket
+from frames import SIGNED_VALUES, bracket, einsum_koszul, same_bits
 from epscontact.curvature import (
     closed_form_ricci,
     jacobi_constraints9,
@@ -225,3 +225,50 @@ def test_ricci_components_bit_equal_to_trace_of_riemann_on_random_tables(signs):
     gamma = koszul_components(c, eta)
     traced = np.einsum("...ijki->...jk", riemann_components(gamma, c))
     assert ricci_components(gamma, c).tobytes() == traced.tobytes()
+
+
+# --- the Koszul gather against the einsum reference, bit for bit ---------------
+
+
+def test_koszul_gather_bit_equal_to_einsum_on_table_instances():
+    from epscontact.liealg import FAMILIES
+    from epscontact.tables import TABLES
+
+    by_metric = {}
+    for rows in TABLES.values():
+        for row in rows:
+            for inst in row.instances():
+                m = FAMILIES[inst.spec.family_id].metric
+                by_metric.setdefault(m, []).append(make_family(inst.spec))
+    assert sum(map(len, by_metric.values())) == 771
+    for m, tables in by_metric.items():
+        for sc in tables:
+            assert same_bits(koszul_components(sc, m.eta), einsum_koszul(sc, m.eta))
+        c = np.stack(tables)
+        assert same_bits(koszul_components(c, m.eta), einsum_koszul(c, m.eta))
+
+
+def test_koszul_gather_bit_equal_to_einsum_on_the_catalog():
+    from epscontact import product6d as p6
+
+    sols = [p6.build_solution(*row.build(l), l)
+            for row in p6.CATALOG for l in row.ls(p6.DEFAULT_L_SAMPLES)]
+    assert len(sols) == 41
+    for sol in sols:
+        assert same_bits(koszul_components(sol.c6, sol.m6.eta), einsum_koszul(sol.c6, sol.m6.eta))
+        assert same_bits(sol.gamma, einsum_koszul(sol.c6, sol.m6.eta))
+    for m6 in {sol.m6 for sol in sols}:
+        c6 = np.stack([sol.c6 for sol in sols if sol.m6 == m6])
+        assert same_bits(koszul_components(c6, m6.eta), einsum_koszul(c6, m6.eta))
+
+
+@pytest.mark.parametrize("signs", [(-1, 1, 1), (1, 1, 1), (1, -1, 1), (-1, 1, 1, 1, 1, 1)])
+def test_koszul_gather_bit_equal_on_signed_zeros_and_non_finite_tables(signs):
+    rng = np.random.default_rng(24)
+    n, eta = len(signs), FrameMetric(signs).eta
+    c = rng.choice(SIGNED_VALUES, size=(300, n, n, n))
+    c[:100] = np.where(rng.random((100, n, n, n)) < 0.5, 0.0, -0.0)  # zeros only
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert same_bits(koszul_components(c, eta), einsum_koszul(c, eta))
+        for sc in c[::37]:
+            assert same_bits(koszul_components(sc, eta), einsum_koszul(sc, eta))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from epscontact.contact import check_contact, is_sasakian
+from frames import reeb_curvature_residual
 from epscontact.einstein import (
     default_grid,
-    reeb_curvature_residual,
     scan_family,
 )
 from epscontact.exterior import FrameMetric

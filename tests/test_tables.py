@@ -3,9 +3,9 @@ import hashlib
 import pytest
 
 import verify_oracle
+from frames import reeb_curvature_residual
 from epscontact import tables
 from epscontact.contact import contact_identity_residuals
-from epscontact.einstein import reeb_curvature_residual
 from epscontact.errors import DecompositionFailure
 from epscontact.liealg import GroupName
 
