@@ -275,9 +275,14 @@ class ContactBatch:
         return _read_only(riemann_components(self.gamma, self.c))
 
     @cached_property
+    def ad_xi(self) -> np.ndarray:
+        """The matrices (..., 3, 3) of v -> [xi, v], for h, L_xi g and the identities."""
+        return _read_only(ad_components(self.xi, self.c))
+
+    @cached_property
     def h(self) -> np.ndarray:
         """h = L_xi phi = ad_xi phi - phi ad_xi on the frame."""
-        return _read_only(h_components(self.c, self.xi, self.phi))
+        return _read_only(h_components(self.ad_xi, self.phi))
 
     @cached_property
     def null(self) -> np.ndarray:
@@ -296,7 +301,7 @@ class ContactBatch:
     @cached_property
     def k_contact_witness(self) -> np.ndarray:
         """max |(L_xi g)(e_i, e_j)|, zero exactly where xi is Killing."""
-        lie = np.abs(lie_metric_components(self.c, self.xi, self.m))
+        lie = np.abs(lie_metric_components(self.ad_xi, self.m))
         return _read_only(np.asarray(lie.max(axis=(-2, -1))))  # an array with no batch axes too
 
     def fit(self, tol: float | None = None) -> EtaEinsteinFit:
@@ -416,11 +421,11 @@ def _phi_table(m: FrameMetric) -> tuple:
     interior-product tables: phi[i, j] = t[i] * (alpha[k] * sign * o + 0)
     where live, else t[i] * +0.0, for the orientation o; the + 0 turns -0.0
     into +0.0, as the sums from +0.0 of those operators do."""
-    perm, fac = _hodge_table(m.signs, 1)
+    src, fac = _hodge_table(m.signs, 1)
     pos, sign, live = _interior_table(3, 2)  # (iota_{e_j} w)_i = sign * w[pos] at [i, j]
-    k = np.argsort(perm)[pos]  # (*alpha)[perm[k]] = o * fac[k] * alpha[k]
+    k = src[pos]  # (*alpha)[q] = o * fac[q] * alpha[src[q]]
     t = -m.s_g * np.array(m.signs)[:, None]  # phi is -s_g times the sharp of the rows
-    return k, (sign * fac[k]).astype(int), live, t
+    return k, (sign * fac[pos]).astype(int), live, t
 
 
 def phi_components(alpha: np.ndarray, m: FrameMetric, orientation) -> np.ndarray:
@@ -433,9 +438,8 @@ def phi_components(alpha: np.ndarray, m: FrameMetric, orientation) -> np.ndarray
     return t * (np.where(live, alpha[..., k] * sign * o, 0) + 0)
 
 
-def h_components(c: np.ndarray, xi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """h = L_xi phi = ad_xi phi - phi ad_xi (..., 3, 3) over bracket tables c."""
-    ad = ad_components(xi, c)
+def h_components(ad: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """h = L_xi phi = ad phi - phi ad (..., 3, 3) from ad = ad_xi (see ad_components)."""
     return ad @ phi - phi @ ad
 
 
@@ -458,11 +462,11 @@ def check_decomposition(mu: float, residual: float, tol: float) -> None:
         )
 
 
-def lie_metric_components(c: np.ndarray, v: np.ndarray, m: FrameMetric) -> np.ndarray:
+def lie_metric_components(ad: np.ndarray, m: FrameMetric) -> np.ndarray:
     """(L_v g)(e_i, e_j) = -g([v, e_i], e_j) - g(e_i, [v, e_j]) on the frame,
-    that is -(ad_v^T G + G ad_v) with G = diag(eta), for stacked vectors v
-    (..., 3) over bracket tables c."""
-    ad, g = ad_components(v, c), np.diag(m.eta)
+    that is -(ad^T G + G ad) with G = diag(eta), from stacked ad = ad_v
+    (..., 3, 3) (see ad_components)."""
+    g = np.diag(m.eta)
     return -(np.swapaxes(ad, -1, -2) @ g + g @ ad)
 
 
@@ -552,8 +556,8 @@ def k_contact_null_witness(cs: ContactStructure) -> float:
     which vanishes iff the structure is K-contact."""
     if cs.epsilon != 0:
         raise WrongCausalType("light-cone witness requires a null Reeb field")
-    xi, u, _ = cs.frame
-    return float(pairing_components(ad_components(xi, cs.c) @ u, u, cs.m.signs, 1))
+    _, u, _ = cs.frame
+    return float(pairing_components(cs.ad_xi @ u, u, cs.m.signs, 1))
 
 
 def _j_and_frame(cs: ContactStructure):
@@ -585,8 +589,8 @@ def nijenhuis_J(cs: ContactStructure, tol: float | None = None):
         for x, y in itertools.combinations(p.T, 2)
     )
     # ker J = span{xi, phi(u) + dq}; involutive iff [xi, phi(u)] lies in the span
-    xi, _, phiu = cs.frame
-    coeffs = np.linalg.solve(p[:3, :3], ad_components(xi, cs.c) @ phiu)
+    phiu = cs.frame[2]
+    coeffs = np.linalg.solve(p[:3, :3], cs.ad_xi @ phiu)
     involutive = bool(abs(coeffs[1]) <= tol and abs(coeffs[2]) <= tol)
     return max_nj, involutive
 
@@ -612,7 +616,7 @@ def contact_identity_residuals(cs: ContactStructure) -> dict:
 def _identity_terms(cs: ContactStructure) -> dict:
     """The terms, by identity, that vanish on every contact structure."""
     sg, eps, alpha, xi, phi = cs.m.s_g, cs.epsilon, cs.alpha, cs.xi, cs.phi
-    eta, ad = cs.m.eta[:, None], ad_components(xi, cs.c)  # g @ x is eta * x
+    eta, ad = cs.m.eta[:, None], cs.ad_xi  # g @ x is eta * x
     h, mu = h_tensor(cs)
     tau, phi2, phi_h, xa = h @ phi, phi @ phi, phi @ h, xi[:, None] * alpha  # xa = xi (x) alpha
     g_phi, g_h, g_tau = eta * phi, eta * h, eta * tau

@@ -11,13 +11,14 @@ with no 1/(p+1) normalization factor. The Hodge dual is fixed by
 eta ^ *w = <eta, w> nu on sorted tuples, with <e^I, e^I> = prod_{i in I} eta_i
 and nu = o * e^0 ^ ... ^ e^{n-1} for the orientation sign o.
 
-Hodge, d, wedge, the interior product, the full antisymmetric array and the
-3D -> 6D embedding run from index tables built on first use, once per
-dimension and degree (and metric signs, for Hodge). Each output component is
-summed term by term in the order of the per-tuple definition, starting from
-+0.0, with the terms the definition skips held at zero: the results, signed
-zeros included, are those of the plain loops over index tuples. Every
-operator acts on stacked arrays, with leading axes as batch axes.
+Hodge, d, wedge and the full antisymmetric array run from index tables built
+on first use, once per dimension and degree (and metric signs, for Hodge);
+the interior-product table serves phi's gather, and the product table the
+6D torsion form's. Each output component is summed term by term in the
+order of the per-tuple definition, starting from +0.0, with the terms the
+definition skips held at zero: the results, signed zeros included, are
+those of the plain loops over index tuples. Every operator acts on stacked
+arrays, with leading axes as batch axes.
 """
 
 from __future__ import annotations
@@ -123,16 +124,17 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _hodge_table(signs: tuple, k: int):
-    """(perm, fac) with *e^I = o * fac[I] * e^{perm[I]} over the sorted k-tuples I."""
+    """(src, fac) with (*w)_J = o * fac[J] * w[src[J]] over the sorted
+    (n-k)-tuples J: *e^I = o * fac[J] * e^J for I the complement of J."""
     n = len(signs)
-    pos = tuple_positions(n, n - k)
-    perm, fac = [], []
-    for t in index_tuples(n, k):
-        comp = tuple(i for i in range(n) if i not in t)
+    pos = tuple_positions(n, k)
+    src, fac = [], []
+    for comp in index_tuples(n, n - k):
+        t = tuple(i for i in range(n) if i not in comp)
         sign, _ = sort_sign(t + comp)
-        perm.append(pos[comp])
+        src.append(pos[t])
         fac.append(sign * math.prod(signs[i] for i in t))
-    return np.array(perm, dtype=np.intp), np.array(fac, dtype=float)
+    return np.array(src, dtype=np.intp), np.array(fac, dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -209,24 +211,36 @@ def _antisymmetric_table(n: int, k: int):
 
 
 @lru_cache(maxsize=None)
-def _embed_table(k: int, offset: int) -> np.ndarray:
-    """Positions among the 6D k-tuples of the 3D k-tuples shifted by offset."""
-    pos = tuple_positions(6, k)
-    return np.array([pos[tuple(i + offset for i in t)] for t in index_tuples(3, k)],
-                    dtype=np.intp)
+def _product_table(signs_n: tuple, signs_x: tuple):
+    """(ka, kb, sign, live), each of shape (4, 20), and of_n (4, 1): the
+    3-forms nu_N, (*a) ^ b, a ^ (*b) and nu_X on the 6D frame of a product of
+    3D frames N (indices 0-2) and X (3-5), for one-forms a on N and b on X.
+    Component t of form f is sign * o * a[ka] * b[kb] with a and b extended
+    by a 1 and o the orientation of N where of_n[f], else of X; where live is
+    False it is +0.0. The signs are the Hodge tables' times the wedge's."""
+    pos, pairs = tuple_positions(6, 3), index_tuples(3, 2)
+    (src_n, fac_n), (src_x, fac_x) = _hodge_table(signs_n, 1), _hodge_table(signs_x, 1)
+    terms = [(0, (0, 1, 2), 3, 3, 1.0), (3, (3, 4, 5), 3, 3, 1.0)]
+    for q, i in itertools.product(range(3), repeat=2):  # q: the pair of *a or *b
+        terms.append((1, pairs[q] + (3 + i,), src_n[q], i, fac_n[q]))
+        terms.append((2, (i,) + tuple(3 + j for j in pairs[q]), i, src_x[q], fac_x[q]))
+    ka, kb = np.zeros((4, 20), dtype=np.intp), np.zeros((4, 20), dtype=np.intp)
+    sign, live = np.ones((4, 20)), np.zeros((4, 20), dtype=bool)
+    for f, t, a, b, fac in terms:
+        wedge_sign, key = sort_sign(t)
+        ka[f, pos[key]], kb[f, pos[key]], live[f, pos[key]] = a, b, True
+        sign[f, pos[key]] = wedge_sign * fac
+    return ka, kb, sign, live, np.array([[True], [True], [False], [False]])
 
 
 def hodge_components(comps: np.ndarray, signs: tuple, degree: int, orientation) -> np.ndarray:
     """Hodge dual of stacked degree-k component vectors (..., C(n, k)); the
     orientation is one sign or an array of signs over the batch axes."""
-    perm, fac = _hodge_table(tuple(signs), degree)
+    src, fac = _hodge_table(tuple(signs), degree)
     o = _check_orientation(orientation)
     if isinstance(o, np.ndarray):
         o = o[..., None]
-    terms = o * fac * comps
-    out = np.zeros(terms.shape)
-    out[..., perm] += terms
-    return out
+    return o * fac * np.take(comps, src, axis=-1) + 0.0  # + 0.0: the definition's sum from +0.0
 
 
 def d_components(comps: np.ndarray, c: np.ndarray, degree: int) -> np.ndarray:
@@ -234,19 +248,11 @@ def d_components(comps: np.ndarray, c: np.ndarray, degree: int) -> np.ndarray:
     stacked bracket tables c (..., n, n, n); the batch axes broadcast."""
     n = c.shape[-1]
     cidx, pos, sign, live = _d_table(n, degree)
-    coef = c.reshape(c.shape[:-3] + (n ** 3,))[..., cidx]
+    coef = c.reshape(c.shape[:-3] + (n ** 3,)).take(cidx, axis=-1)
     # the bracket formula skips zero coefficients: with a non-finite w the
     # product would not be zero
-    w = np.where((coef != 0.0) & live, comps[..., pos], 0.0)
+    w = np.where((coef != 0.0) & live, comps.take(pos, axis=-1), 0.0)
     return _ordered_sum(sign * coef * w)
-
-
-def interior_components(v: np.ndarray, comps: np.ndarray, degree: int) -> np.ndarray:
-    """iota_v of stacked degree-k components (..., C(n, k)) by vectors v (..., n)."""
-    pos, sign, live = _interior_table(v.shape[-1], degree)
-    v = v[..., None, :]
-    w = np.where((v != 0.0) & live, sign * comps[..., pos], 0.0)
-    return _ordered_sum(v * w)
 
 
 def wedge_components(a: np.ndarray, b: np.ndarray, n: int, ka: int, kb: int) -> np.ndarray:
@@ -266,14 +272,6 @@ def antisymmetric_array(comps: np.ndarray, n: int, degree: int) -> np.ndarray:
     w = comps[..., pos]
     out = np.where(live & (w != 0.0), sign * w, 0.0)
     return out.reshape(comps.shape[:-1] + (n,) * degree)
-
-
-def embed_components(comps: np.ndarray, degree: int, offset: int) -> np.ndarray:
-    """Lift stacked degree-k components of a 3D factor into the 6D frame at
-    index offset 0 or 3; zero components give +0.0."""
-    out = np.zeros(comps.shape[:-1] + (math.comb(6, degree),))
-    out[..., _embed_table(degree, offset)] += comps
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -42,13 +42,14 @@ def ad_components(u: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...ijk->...kj", u, c)
 
 
-def direct_sum_components(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Block-diagonal bracket tables (..., n1 + n2, ...) of stacked tables c1
-    (..., n1, n1, n1) and c2 (..., n2, n2, n2); the batch axes broadcast."""
+def direct_sum_components(c1: np.ndarray, c2: np.ndarray, rank: int = 3) -> np.ndarray:
+    """Block-diagonal arrays (..., n1 + n2, ...) of stacked rank-r arrays c1
+    (..., n1, ..., n1) and c2 (..., n2, ..., n2), +0.0 off the blocks: bracket
+    tables and connections (rank 3) or 2-tensors; the batch axes broadcast."""
     n1, n2 = c1.shape[-1], c2.shape[-1]
-    c = np.zeros(np.broadcast_shapes(c1.shape[:-3], c2.shape[:-3]) + (n1 + n2,) * 3)
-    c[..., :n1, :n1, :n1] = c1
-    c[..., n1:, n1:, n1:] = c2
+    c = np.zeros(np.broadcast_shapes(c1.shape[:-rank], c2.shape[:-rank]) + (n1 + n2,) * rank)
+    c[(...,) + (slice(None, n1),) * rank] = c1
+    c[(...,) + (slice(n1, None),) * rank] = c2
     return c
 
 

@@ -20,29 +20,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .config import get_tol
 from .contact import ContactBatch, ContactStructure, EtaEinsteinFit, _read_only, build_contact
-from .curvature import (
-    koszul_components,
-    ricci_components,
-    three_form_square,
-    torsionful_connection,
-)
+from .curvature import ricci_components, three_form_square, torsionful_connection
 from .errors import EpsContactError, IncompatibleFactors
 from .exterior import (
     FrameMetric,
+    _product_table,
     antisymmetric_array,
     d_components,
-    embed_components,
     hodge_components,
     index_tuples,
     pairing_components,
-    wedge_components,
 )
 from .liealg import FAMILIES, direct_sum_components
 from .tables import table_row
@@ -53,14 +47,16 @@ class ProductSolution:
     ContactBatches with the same batch axes (a ContactStructure each for one
     solution), with lam and l numbers or arrays over those axes, held as
     given. It forms, once and read-only: the bracket tables c6 (..., 6, 6, 6),
-    the frame metric m6, orientation6 (an int for one solution) and h_form,
-    the C(6, 3) components (..., 20) of H; h_array, gamma and torsion_ricci
-    on first use."""
+    the frame metric m6 (one per pair of factor metrics), orientation6 (an
+    int for one solution) and h_form, the C(6, 3) components (..., 20) of H;
+    h_array, gamma and torsion_ricci on first use. The product metric is
+    block-diagonal, so gamma is the direct sum of the factors' (cached)
+    Levi-Civita coefficients."""
 
     def __init__(self, n_struct: ContactBatch, x_struct: ContactBatch, lam, l):
         self.n_struct, self.x_struct, self.lam, self.l = n_struct, x_struct, lam, l
         self.c6 = _read_only(direct_sum_components(n_struct.c, x_struct.c))
-        self.m6 = FrameMetric(n_struct.m.signs + x_struct.m.signs)
+        self.m6 = _product_metric(n_struct.m, x_struct.m)
         self.orientation6 = n_struct.orientation * x_struct.orientation
         if isinstance(self.orientation6, np.ndarray):
             _read_only(self.orientation6)
@@ -74,7 +70,7 @@ class ProductSolution:
     @cached_property
     def gamma(self) -> np.ndarray:
         """Levi-Civita coefficients of the 6D product metric."""
-        return _read_only(koszul_components(self.c6, self.m6.eta))
+        return _read_only(direct_sum_components(self.n_struct.gamma, self.x_struct.gamma))
 
     @cached_property
     def torsion_ricci(self) -> np.ndarray:
@@ -122,23 +118,29 @@ class SugraResiduals:
 # ProductSolution, verify_supergravity and run_catalog run them.
 
 
+@lru_cache(maxsize=None)
+def _product_metric(m_n: FrameMetric, m_x: FrameMetric) -> FrameMetric:
+    """The 6D frame metric of the factor metrics, built (with its eta) once."""
+    return FrameMetric(m_n.signs + m_x.signs)
+
+
 def torsion_form(n_struct, x_struct, lam, l) -> np.ndarray:
     """The C(6, 3) components (..., 20) of H on the 6D frame from the factors'
     alpha, m and orientation: ContactBatches (a contact structure is one)
-    with lam and l numbers or arrays over the batch axes."""
+    with lam and l numbers or arrays over the batch axes. nu_N, (*alpha_N) ^
+    alpha_X, alpha_N ^ (*alpha_X) and nu_X are one gather of the factors'
+    alpha by exterior._product_table, with the bits of their lifts, Hodge
+    duals and wedges; a zero factor gives +0.0."""
     n, x = n_struct, x_struct
+    ka, kb, sign, live, of_n = _product_table(n.m.signs, x.m.signs)
+    a, b = (np.concatenate([s.alpha, np.ones(s.alpha.shape[:-1] + (1,))], axis=-1) for s in (n, x))
+    o = np.where(of_n, *(np.asarray(s.orientation, dtype=float)[..., None, None] for s in (n, x)))
+    va, vb = a[..., ka], b[..., kb]
+    # + 0 turns an underflowed -0.0 into +0.0, as the wedge's sum from +0.0 does
+    forms = np.where(live & (va != 0.0) & (vb != 0.0), sign * o * va * vb, 0.0) + 0
+    nu_n, w_n, w_x, nu_x = (forms[..., f, :] for f in range(4))
     lam, l = (np.asarray(v, dtype=float)[..., None] for v in (lam, l))
-    nu_n = embed_components(np.asarray(n.orientation, dtype=float)[..., None], 3, 0)
-    nu_x = embed_components(np.asarray(x.orientation, dtype=float)[..., None], 3, 3)
-    alpha_n, alpha_x = embed_components(n.alpha, 1, 0), embed_components(x.alpha, 1, 3)
-    star_alpha_n = embed_components(hodge_components(n.alpha, n.m.signs, 1, n.orientation), 2, 0)
-    star_alpha_x = embed_components(hodge_components(x.alpha, x.m.signs, 1, x.orientation), 2, 3)
-    return (
-        lam * nu_n
-        + l * wedge_components(star_alpha_n, alpha_x, 6, 2, 1)
-        + l * wedge_components(alpha_n, star_alpha_x, 6, 1, 2)
-        + lam * nu_x
-    )
+    return lam * nu_n + l * w_n + l * w_x + lam * nu_x
 
 
 def field_residuals(sol: ProductSolution) -> tuple:
@@ -211,8 +213,9 @@ def verify_supergravity(sol: ProductSolution) -> SugraResiduals:
 
 def ricci_torsion_identity_residual(sol: ProductSolution) -> float:
     """Residual of Ric(nabla^H) = Ric^g - (1/4) H o H, valid whenever H is
-    closed and co-closed."""
-    ric_g = ricci_components(sol.gamma, sol.c6)
+    closed and co-closed. Ric^g is the direct sum of the factors' (cached)
+    Ricci tensors."""
+    ric_g = direct_sum_components(sol.n_struct.ricci, sol.x_struct.ricci, rank=2)
     square = three_form_square(sol.h_array, sol.m6)
     return float(np.max(np.abs(sol.torsion_ricci - (ric_g - 0.25 * square))))
 

@@ -2,16 +2,23 @@
 use: the time-like special frame, the matrix of J in the frame
 (xi, u, phi(u), dq), the light-cone form of the eta-Einstein fit, the
 Reeb-curvature residual, the metric pairing of two frame vectors, and the
-bracket of two vectors; and the reference forms of the Koszul terms and of
-phi, which the library computes by index-table gathers, with a bytewise
-comparison and the values whose signs it shows."""
+bracket of two vectors; the interior product and the 3D -> 6D lift of forms;
+and the reference forms of what the library computes by index-table gathers
+or reads off the factors (the Koszul terms, phi, and the 6D product's torsion
+form, Levi-Civita coefficients and Ricci tensor), with a bytewise comparison
+and the values whose signs it shows."""
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
 from epscontact.config import get_tol
 from epscontact.contact import _j_and_frame, _ker_alpha_basis, _lead_positive
+from epscontact.curvature import koszul_components, ricci_components
 from epscontact.errors import WrongCausalType
-from epscontact.exterior import hodge_components, interior_components, pairing_components
+from epscontact.exterior import (_interior_table, _ordered_sum, hodge_components, index_tuples,
+                                 pairing_components, tuple_positions, wedge_components)
 from epscontact.liealg import ad_components
 
 # finite entries of both signs, the two zeros and the non-finite values: the
@@ -32,6 +39,60 @@ def einsum_koszul(c, eta) -> np.ndarray:
     t2 = np.einsum("...jki,i,k->...ijk", c, eta, eta)
     t3 = np.einsum("...kij,j,k->...ijk", c, eta, eta)
     return 0.5 * (c - t2 + t3)
+
+
+def interior_components(v: np.ndarray, comps: np.ndarray, degree: int) -> np.ndarray:
+    """iota_v of stacked degree-k components (..., C(n, k)) by vectors v (..., n)."""
+    pos, sign, live = _interior_table(v.shape[-1], degree)
+    v = v[..., None, :]
+    w = np.where((v != 0.0) & live, sign * comps[..., pos], 0.0)
+    return _ordered_sum(v * w)
+
+
+@lru_cache(maxsize=None)
+def _embed_table(k: int, offset: int) -> np.ndarray:
+    """Positions among the 6D k-tuples of the 3D k-tuples shifted by offset."""
+    pos = tuple_positions(6, k)
+    return np.array([pos[tuple(i + offset for i in t)] for t in index_tuples(3, k)],
+                    dtype=np.intp)
+
+
+def embed_components(comps: np.ndarray, degree: int, offset: int) -> np.ndarray:
+    """Lift stacked degree-k components of a 3D factor into the 6D frame at
+    index offset 0 or 3; zero components give +0.0."""
+    out = np.zeros(comps.shape[:-1] + (math.comb(6, degree),))
+    out[..., _embed_table(degree, offset)] += comps
+    return out
+
+
+def wedge_torsion_form(n, x, lam, l) -> np.ndarray:
+    """H = lam nu_N + l (*alpha_N) ^ alpha_X + l alpha_N ^ (*alpha_X) + lam nu_X
+    (..., 20) by lifts, Hodge duals and wedges: the reference for
+    product6d.torsion_form, signed zeros included."""
+    lam, l = (np.asarray(v, dtype=float)[..., None] for v in (lam, l))
+    nu_n = embed_components(np.asarray(n.orientation, dtype=float)[..., None], 3, 0)
+    nu_x = embed_components(np.asarray(x.orientation, dtype=float)[..., None], 3, 3)
+    alpha_n, alpha_x = embed_components(n.alpha, 1, 0), embed_components(x.alpha, 1, 3)
+    star_alpha_n = embed_components(hodge_components(n.alpha, n.m.signs, 1, n.orientation), 2, 0)
+    star_alpha_x = embed_components(hodge_components(x.alpha, x.m.signs, 1, x.orientation), 2, 3)
+    return (
+        lam * nu_n
+        + l * wedge_components(star_alpha_n, alpha_x, 6, 2, 1)
+        + l * wedge_components(alpha_n, star_alpha_x, 6, 1, 2)
+        + lam * nu_x
+    )
+
+
+def koszul_gamma6(sol) -> np.ndarray:
+    """The Levi-Civita coefficients of a ProductSolution by Koszul's formula
+    on its 6D bracket tables: the reference for its gamma."""
+    return koszul_components(sol.c6, sol.m6.eta)
+
+
+def ricci_g6(sol) -> np.ndarray:
+    """The 6D Ricci tensor of koszul_gamma6: the reference for the factors'
+    Ricci tensors summed into Ric^g."""
+    return ricci_components(koszul_gamma6(sol), sol.c6)
 
 
 def hodge_interior_phi(alpha, m, orientation) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frames import SIGNED_VALUES, bracket, einsum_koszul, same_bits
+from frames import SIGNED_VALUES, bracket, einsum_koszul, interior_components, same_bits
 from epscontact.curvature import (
     closed_form_ricci,
     jacobi_constraints9,
@@ -14,8 +14,7 @@ from epscontact.curvature import (
     torsionful_connection,
 )
 from epscontact.errors import JacobiViolation
-from epscontact.exterior import (FrameMetric, antisymmetric_array, interior_components, sort_sign,
-                                 tuple_positions)
+from epscontact.exterior import FrameMetric, antisymmetric_array, sort_sign, tuple_positions
 from epscontact.liealg import FamilySpec, direct_sum_components, make_family, nine_params
 from epscontact.oracle import LORENTZ_FAMILIES, sample_spec
 

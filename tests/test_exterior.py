@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from frames import embed_components, interior_components
 from epscontact.exterior import (
     FrameMetric,
     antisymmetric_array,
     d_components,
-    embed_components,
     hodge_components,
     index_tuples,
-    interior_components,
     pairing_components,
     sort_sign,
     tuple_positions,

@@ -1,10 +1,12 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import catalog_oracle
+from frames import SIGNED_VALUES, koszul_gamma6, ricci_g6, same_bits, wedge_torsion_form
 from epscontact import product6d as p6
 from epscontact import tables
 from epscontact.contact import build_contact, check_contact
@@ -322,9 +324,10 @@ def test_solution_computes_its_connections_once(count_calls):
     counts = count_calls(["koszul_components", "ricci_components", "riemann_components"])
     p6.verify_supergravity(sol)
     p6.ricci_torsion_identity_residual(sol)
-    # one Levi-Civita connection; the Ricci of it and of the torsionful one,
+    # the Levi-Civita connection and its Ricci are the factors' blocks, which
+    # build_solution's fits formed; the one 6D Ricci is the torsionful one's,
     # without a 6D Riemann stack
-    assert counts == {"koszul_components": 1, "ricci_components": 2, "riemann_components": 0}
+    assert counts == {"koszul_components": 0, "ricci_components": 1, "riemann_components": 0}
     assert not sol.torsion_ricci.flags.writeable
 
 
@@ -450,11 +453,83 @@ def test_one_6d_curvature_call_per_row_and_family_pair(count_calls):
         for row in p6.catalog_rows(eps_n):
             pairs += len({tuple(f["spec"].family_id for _, f, _ in row.factors(l))
                           for l in row.ls(ls)})
-    # two null rows switch from g3 to g4 at l != 0, within their one pass
+    # two null rows switch from g3 to g4 at l != 0, within their one pass; the
+    # 6D Levi-Civita coefficients are the factors' blocks, the one 6D Ricci
+    # the torsionful connection's
     rows = len(p6.CATALOG)
     assert pairs == rows + 2
-    assert counts == {("koszul_components", 6): rows, ("ricci_components", 6): rows,
+    assert counts == {("ricci_components", 6): rows,
                       ("koszul_components", 3): 2 * rows, ("ricci_components", 3): 2 * rows}
+
+
+def stack(structs):
+    """The ContactBatch of contact structures of one frame metric."""
+    return check_contact(np.array([s.c for s in structs]), structs[0].m,
+                         np.array([s.orientation for s in structs]),
+                         np.array([s.alpha for s in structs]))
+
+
+def _reference_fields(sol) -> dict:
+    """h_form, gamma, Ric^g and the torsionful Ricci of a solution by the 6D
+    routes the factor blocks and the gather replace: lifts, Hodge duals and
+    wedges, Koszul -> Ricci on c6, and the connection with their torsion."""
+    h = wedge_torsion_form(sol.n_struct, sol.x_struct, sol.lam, sol.l)
+    gamma_h = torsionful_connection(koszul_gamma6(sol), antisymmetric_array(h, 6, 3), sol.m6)
+    return {"h_form": h, "gamma": koszul_gamma6(sol), "ricci_g": ricci_g6(sol),
+            "torsion_ricci": ricci_components(gamma_h, sol.c6)}
+
+
+def _library_fields(sol) -> dict:
+    ric_g = direct_sum_components(sol.n_struct.ricci, sol.x_struct.ricci, rank=2)
+    return {"h_form": sol.h_form, "gamma": sol.gamma, "ricci_g": ric_g,
+            "torsion_ricci": sol.torsion_ricci}
+
+
+@pytest.mark.parametrize("l_set", ["default", "strata-37"])
+def test_factor_blocks_and_gather_bit_equal_to_6d_references(l_set):
+    # at all four sign choices of (lambda, l), -0.0 included, one solution at
+    # a time and all stacked; the Riemannian factors and some Lorentzian ones
+    # have orientation -1
+    sols = []
+    for row in p6.CATALOG:
+        for l in row.ls(L_SETS[l_set]):
+            n, x, lam = row.build(l)
+            for s_lam, s_l in itertools.product((1.0, -1.0), repeat=2):
+                sol = p6.build_solution(n, x, s_lam * lam, s_l * l)
+                ref = _reference_fields(sol)
+                for name, got in _library_fields(sol).items():
+                    assert same_bits(got, ref[name]), (row.name, l, s_lam, s_l, name)
+                square = three_form_square(sol.h_array, sol.m6)
+                assert p6.ricci_torsion_identity_residual(sol) == float(np.max(np.abs(
+                    ref["torsion_ricci"] - (ref["ricci_g"] - 0.25 * square))))
+                sols.append(sol)
+    assert len(sols) == 4 * {"default": 41, "strata-37": 256}[l_set]
+    assert {s.n_struct.orientation for s in sols} == {-1, 1}
+    assert {s.x_struct.orientation for s in sols} == {-1}
+
+    stacked = p6.ProductSolution(stack([s.n_struct for s in sols]), stack([s.x_struct for s in sols]),
+                                 np.array([s.lam for s in sols]), np.array([s.l for s in sols]))
+    ref = _reference_fields(stacked)
+    for name, got in _library_fields(stacked).items():
+        assert same_bits(got, ref[name]), name
+
+
+def test_torsion_gather_bit_equal_on_signed_zeros_non_finite_and_underflow():
+    # the gather reads only alpha, m and orientation of the factors; products
+    # of the tiny entries underflow to a signed zero
+    rng = np.random.default_rng(25)
+    values = np.concatenate([SIGNED_VALUES, [1e-200, -1e-200, 3e-170]])
+    k = 2000
+    n, x = (SimpleNamespace(alpha=rng.choice(values, (k, 3)), m=m,
+                            orientation=rng.choice([-1, 1], k)) for m in (L3, R3))
+    lam, l = rng.choice(values, k), rng.choice(values, k)
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        assert same_bits(p6.torsion_form(n, x, lam, l), wedge_torsion_form(n, x, lam, l))
+        for j in range(0, k, 97):
+            nj, xj = (SimpleNamespace(alpha=f.alpha[j], m=f.m, orientation=int(f.orientation[j]))
+                      for f in (n, x))
+            assert same_bits(p6.torsion_form(nj, xj, lam[j], l[j]),
+                             wedge_torsion_form(nj, xj, lam[j], l[j]))
 
 
 def test_stacked_formulas_bit_equal_to_single_solutions():
@@ -463,11 +538,6 @@ def test_stacked_formulas_bit_equal_to_single_solutions():
     sols = [p6.build_solution(*row.build(l), l)
             for row in p6.CATALOG for l in row.ls(p6.DEFAULT_L_SAMPLES)]
     assert len(sols) == 41
-
-    def stack(structs):
-        return check_contact(np.array([s.c for s in structs]), structs[0].m,
-                             np.array([s.orientation for s in structs]),
-                             np.array([s.alpha for s in structs]))
 
     n, x = stack([s.n_struct for s in sols]), stack([s.x_struct for s in sols])
     assert {s.n_struct.m for s in sols} == {L3} and {s.x_struct.m for s in sols} == {R3}
