@@ -4,7 +4,7 @@ structures on three-dimensional Lie groups.
 Core entry points:
 
 - liealg: bracket tables as plain arrays, classification families, group lookup
-- exterior: forms as component vectors: wedge, Hodge dual, invariant exterior derivative
+- exterior: forms as component vectors: Hodge dual, invariant exterior derivative
 - curvature: Koszul connection, Riemann/Ricci, closed-form oracle, torsion
 - contact: contact structures of any causal type and their invariants
 - einstein: eta-Einstein fits and parameter scans

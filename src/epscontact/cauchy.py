@@ -23,20 +23,30 @@ is periodic, and a non-periodic x axis uses one-sided second-order stencils
 at its edges. Residual norms are discrete L-infinity.
 
 The residuals are evaluated one strip of x rows at a time, so that the
-component planes a strip allocates stay in cache and the memory they take
+component planes a strip computes stay in cache and the memory they take
 does not grow with nx. A strip reads two halo rows beyond its own on each
 side (wrapped around on a periodic x axis), because the scalar curvature
 takes second differences of q through the Christoffel symbols; at a
 non-periodic edge there is no halo and the one-sided stencils run as on the
 whole grid. Every node goes through the same floating-point operations as on
 the whole grid, so the norms do not depend on the strip height.
+
+Each pass computes into one workspace: a buffer of component planes sized
+once for the pass's tallest strip and reused by each of its strips (and, for
+the flow equations, by each time slice). A strip copies its rows of the
+fields there and writes every intermediate plane there, through out=
+arguments and in-place operations, so a pass allocates its planes once.
+When each strip allocated its own, the allocator handed them back to the
+operating system after the strip and the next strip faulted them in again:
+some 34,000 minor page faults for one 512^2 pass on Linux, against under
+1,000 with the workspace.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -92,13 +102,9 @@ def _d1(f: np.ndarray, axis: int, h: float, periodic: bool, out=None) -> np.ndar
 
 
 # The geometry below works on component planes: a tensor field is a
-# contiguous (2, ..., 2, nx, ny) array, so every contraction over a 2-valued
-# index is an explicit sum of whole-grid plane products.
-
-
-def _planes(a: np.ndarray) -> np.ndarray:
-    """A field laid out (nx, ny, ...) as contiguous (..., nx, ny) planes."""
-    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
+# contiguous (2, ..., 2, rows, ny) array, so every contraction over a 2-valued
+# index is an explicit sum of plane products. A helper writes its result into
+# out, or into planes it takes from the workspace ws.
 
 
 def _partial(f: np.ndarray, m: int, grid: SurfaceGrid, out=None) -> np.ndarray:
@@ -108,28 +114,51 @@ def _partial(f: np.ndarray, m: int, grid: SurfaceGrid, out=None) -> np.ndarray:
     return _d1(f, -1, grid.hy, True, out)
 
 
-def _partials(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
+def _partials(f: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
     """(2, ...) stack of d_m f of planes f."""
-    out = np.empty((2,) + f.shape)
+    if out is None:
+        out = ws.take(2, *f.shape[:-2])
     for m in range(2):
-        _partial(f, m, grid, out[m])
+        _partial(f, m, ws.grid, out[m])
     return out
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(ab)_ij = a_i0 b_0j + a_i1 b_1j of (2, 2, nx, ny) planes."""
-    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
+def _matmul(a: np.ndarray, b: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
+    """(ab)_ij = a_i0 b_0j + a_i1 b_1j of (2, 2, rows, ny) planes."""
+    if out is None:
+        out = ws.take(2, 2)
+    with ws.scratch():
+        np.multiply(a[:, 0, None], b[None, 0], out=out)
+        out += np.multiply(a[:, 1, None], b[None, 1], out=ws.take(2, 2))
+    return out
 
 
-def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pair(a: np.ndarray, b: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
     """sum_ij a_ij b_ij over the two leading 2-valued axes."""
-    return a[0, 0] * b[0, 0] + a[0, 1] * b[0, 1] + a[1, 0] * b[1, 0] + a[1, 1] * b[1, 1]
+    lead = np.broadcast_shapes(a.shape[2:], b.shape[2:])[:-2]
+    if out is None:
+        out = ws.take(*lead)
+    with ws.scratch():
+        term = ws.take(*lead)
+        np.multiply(a[0, 0], b[0, 0], out=out)
+        for i, j in ((0, 1), (1, 0), (1, 1)):
+            out += np.multiply(a[i, j], b[i, j], out=term)
+    return out
 
 
-def _quadratic(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_ij m_ij u_i u_j of (2, 2, nx, ny) and (2, nx, ny) planes."""
-    return (m[0, 0] * u[0] * u[0] + m[0, 1] * u[0] * u[1]
-            + m[1, 0] * u[1] * u[0] + m[1, 1] * u[1] * u[1])
+def _quadratic(m: np.ndarray, u: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
+    """sum_ij m_ij u_i u_j of (2, 2, rows, ny) and (2, rows, ny) planes."""
+    if out is None:
+        out = ws.take()
+    with ws.scratch():
+        term = ws.take()
+        np.multiply(m[0, 0], u[0], out=out)
+        out *= u[0]
+        for i, j in ((0, 1), (1, 0), (1, 1)):
+            np.multiply(m[i, j], u[i], out=term)
+            term *= u[j]
+            out += term
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,20 +205,6 @@ class SurfaceData:
     def det_q(self) -> np.ndarray:
         return self.q[..., 0, 0] * self.q[..., 1, 1] - self.q[..., 0, 1] * self.q[..., 1, 0]
 
-    @cached_property
-    def _metric(self) -> tuple:
-        """(q, q^{-1}) as (2, 2, nx, ny) planes and det q, computed once."""
-        q = _planes(self.q)
-        det = self.det_q()
-        inv = np.empty_like(q)
-        inv[0, 0] = q[1, 1] / det
-        inv[1, 1] = q[0, 0] / det
-        inv[0, 1] = -q[0, 1] / det
-        inv[1, 0] = -q[1, 0] / det
-        for arr in (q, inv, det):
-            arr.flags.writeable = False
-        return q, inv, det
-
 
 @dataclass(frozen=True)
 class SurfaceSequence:
@@ -214,49 +229,56 @@ class SurfaceSequence:
         return self.slices[0].grid
 
 
-def christoffel(d: SurfaceData) -> np.ndarray:
-    """Gamma[..., k, i, j] of the surface metric, via central differences."""
-    q, inv, _ = d._metric
-    dq = _partials(q, d.grid)  # (m, i, j) = d_m q_ij
-    # Gamma^k_ij = 1/2 q^{kl} (d_i q_lj + d_j q_li - d_l q_ij), term[i, j, l]
-    term = (
-        dq.transpose(0, 2, 1, 3, 4)
-        + dq.transpose(2, 0, 1, 3, 4)
-        - dq.transpose(1, 2, 0, 3, 4)
-    )
-    gamma = 0.5 * (inv[:, 0, None, None] * term[None, :, :, 0]
-                   + inv[:, 1, None, None] * term[None, :, :, 1])
+def christoffel(d: SurfaceData, ws: _Workspace | None = None) -> np.ndarray:
+    """Gamma[..., k, i, j] of the surface metric, via central differences.
+    A strip passes the workspace it is loaded in and gets a view of planes
+    there; without one, d's whole grid is loaded into a new workspace."""
+    if ws is None:
+        ws = _Workspace(d.grid.nx, d.grid.ny)
+        ws.start(d, (slice(None),), None)
+    q, inv = ws.q, ws.inv
+    gamma = ws.take(2, 2, 2)
+    with ws.scratch():
+        dq = _partials(q, ws)  # (m, i, j) = d_m q_ij
+        # Gamma^k_ij = 1/2 q^{kl} (d_i q_lj + d_j q_li - d_l q_ij), term[i, j, l]
+        term = np.add(dq.transpose(0, 2, 1, 3, 4), dq.transpose(2, 0, 1, 3, 4),
+                      out=ws.take(2, 2, 2))
+        term -= dq.transpose(1, 2, 0, 3, 4)
+        np.multiply(inv[:, 0, None, None], term[None, :, :, 0], out=gamma)
+        gamma += np.multiply(inv[:, 1, None, None], term[None, :, :, 1], out=dq)
+        gamma *= 0.5
     return np.moveaxis(gamma, (0, 1, 2), (2, 3, 4))
 
 
-def _geometry(d: SurfaceData) -> tuple:
-    """q^{-1} (2, 2, nx, ny), sqrt(det q) (nx, ny) and Gamma^k_ij as
-    (2, 2, 2, nx, ny) planes: everything a slice's residuals derive from q."""
-    _, inv, det = d._metric
-    gamma = np.moveaxis(christoffel(d), (2, 3, 4), (0, 1, 2))
-    return inv, np.sqrt(det), gamma
+def _geometry(d: SurfaceData, ws: _Workspace) -> tuple:
+    """q^{-1} (2, 2, rows, ny), sqrt(det q) (rows, ny) and Gamma^k_ij as
+    (2, 2, 2, rows, ny) planes of the strip d loaded in ws: everything a
+    slice's residuals derive from q."""
+    gamma = np.moveaxis(christoffel(d, ws), (2, 3, 4), (0, 1, 2))
+    return ws.inv, ws.vol, gamma
 
 
-def _scalar_curvature(inv: np.ndarray, gamma: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
+def _scalar_curvature(inv: np.ndarray, gamma: np.ndarray, ws: _Workspace,
+                      out=None) -> np.ndarray:
     """R = q^{kj} Ric_kj with
     Ric_kj = sum_l [d_l G^l_jk - d_j G^l_lk + sum_m (G^l_lm G^m_jk - G^l_jm G^m_lk)],
     contracted directly from the Christoffel planes gamma[k, i, j]."""
-    d_gamma = (_partial(gamma[0], 0, grid), _partial(gamma[1], 1, grid))  # d_l G^l_jk
-    d_trace = (_partials(gamma[0, 0], grid), _partials(gamma[1, 1], grid))  # d_j G^l_lk
-    terms = [
-        d_gamma[l] - d_trace[l]
-        + (gamma[l, l, 0] * gamma[0] + gamma[l, l, 1] * gamma[1])
-        - (gamma[l, :, 0, None] * gamma[0, l][None] + gamma[l, :, 1, None] * gamma[1, l][None])
-        for l in range(2)
-    ]  # [j, k]
-    ric = (terms[0] + terms[1]).swapaxes(0, 1)
-    return _pair(inv, ric)
-
-
-def scalar_curvature(d: SurfaceData) -> np.ndarray:
-    """R^q at every node (2 x Gauss curvature)."""
-    inv, _, gamma = _geometry(d)
-    return _scalar_curvature(inv, gamma, d.grid)
+    if out is None:
+        out = ws.take()
+    with ws.scratch():
+        terms, s, u = ws.take(2, 2, 2), ws.take(2, 2), ws.take(2, 2)  # terms[l, j, k]
+        for l, term in enumerate(terms):
+            _partial(gamma[l], l, ws.grid, term)  # d_l G^l_jk
+            term -= _partials(gamma[l, l], ws, s)  # d_j G^l_lk
+            np.multiply(gamma[l, l, 0], gamma[0], out=s)
+            s += np.multiply(gamma[l, l, 1], gamma[1], out=u)
+            term += s
+            np.multiply(gamma[l, :, 0, None], gamma[0, l][None], out=s)
+            s += np.multiply(gamma[l, :, 1, None], gamma[1, l][None], out=u)
+            term -= s
+        terms[0] += terms[1]
+        _pair(inv, terms[0].swapaxes(0, 1), ws, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -280,33 +302,39 @@ class ConstraintResiduals:
 
 
 def _max_abs(r: np.ndarray) -> float:
-    return float(np.max(np.abs(r)))
+    """max |r|, with |r| taken in place."""
+    return float(np.max(np.abs(r, out=r)))
 
 
 # Nodes per component plane of a strip (128 KiB of floats): few enough that
-# the planes a strip allocates stay in cache, enough that numpy's per-call
+# the planes a strip computes stay in cache, enough that numpy's per-call
 # overhead stays small.
 _STRIP_NODES = 1 << 14
 # Rows a strip reads beyond its own on each side: R^q takes second
 # differences of q through the Christoffel symbols.
 _HALO = 2
+# Planes a strip body holds at its deepest: the momentum constraint r4.
+_PLANES = 50
 
 
 def _strips(grid: SurfaceGrid):
     """(rows, strip grid, own rows) per strip of x rows: the rows of the grid
-    the strip reads (a slice, or wrapped indices on a periodic x axis), the
-    grid of those rows, and the part of them whose residuals the strip owns.
-    A grid that fits in one strip is one strip, with strip grid None."""
+    the strip reads, as slices in order (more than one where they wrap around
+    a periodic x axis), the grid of those rows, and the part of them whose
+    residuals the strip owns. A grid that fits in one strip is one strip,
+    with strip grid None."""
     nx = grid.nx
     height = max(1, _STRIP_NODES // grid.ny)
     if height >= nx:
-        yield slice(None), None, slice(None)
+        yield (slice(None),), None, slice(None)
         return
     for a in range(0, nx, height):
         b = min(a + height, nx)
         lo, hi = a - _HALO, b + _HALO
         if grid.periodic_x:
-            rows = slice(lo, hi) if 0 <= lo and hi <= nx else np.arange(lo, hi) % nx
+            # the rows lo..hi-1 taken modulo nx: one run per turn k around the axis
+            rows = tuple(slice(max(lo, k) - k, min(hi, k + nx) - k)
+                         for k in range(lo - lo % nx, hi, nx))
         else:
             # no halo past an edge; the one-sided stencils there reach two rows
             # in, so an edge row's curvature reads rows 0..3 from that edge
@@ -315,57 +343,139 @@ def _strips(grid: SurfaceGrid):
                 hi = max(hi, 4)
             if hi == nx:
                 lo = min(lo, nx - 4)
-            rows = slice(lo, hi)
+            rows = (slice(lo, hi),)
         yield rows, replace(grid, nx=hi - lo, periodic_x=False), slice(a - lo, b - lo)
 
 
-def _strip(d: SurfaceData, rows, grid) -> SurfaceData:
-    """The fields of validated data d on the given x rows, on grid, without
-    validating them again; d itself when grid is None."""
-    if grid is None:
-        return d
-    view = object.__new__(SurfaceData)
-    object.__setattr__(view, "grid", grid)
-    for name in ("q", "theta", "F", "alpha", "beta"):
-        object.__setattr__(view, name, getattr(d, name)[rows])
-    return view
+def _tallest(grid: SurfaceGrid) -> int:
+    """Rows of the tallest strip of grid."""
+    return max(grid.nx if g is None else g.nx for _, g, _ in _strips(grid))
 
 
-def _worst(fields, slices: Sequence[SurfaceData], *args) -> np.ndarray:
-    """Max |r| of each residual field that fields(*slices, *args) returns,
-    taken per strip of the slices' rows and then over the strips, so that a
-    NaN propagates."""
+_FIELDS = ("q", "theta", "F", "alpha", "beta")
+
+
+class _Workspace:
+    """The component planes of one residual pass: one buffer of _PLANES
+    planes of rows x ny nodes, reused by each strip of the pass.
+
+    start() begins a strip: it empties the stack of planes, loads the strip's
+    rows of a slice and its metric, and returns the strip's data. A strip body
+    then takes every plane it computes with take(), in the same order on each
+    strip; the temporaries of a step are taken inside scratch(), which hands
+    them back when the step ends."""
+
+    def __init__(self, rows: int, ny: int):
+        self._buf = np.empty(_PLANES * rows * ny)
+        self._top = 0
+
+    def start(self, d: SurfaceData, rows: tuple, grid) -> SurfaceData:
+        """Begins the strip of d on rows (slices of d's x rows) with grid, None
+        for d's whole grid. Loads the planes of d's fields as the attributes
+        of their names, q^{-1} as inv and sqrt(det q) as vol. Returns d when
+        grid is None, else a view of the loaded planes, not validated again."""
+        self.grid = d.grid if grid is None else grid
+        self._rows, self._top = rows, 0
+        fields = {name: self.load(getattr(d, name)) for name in _FIELDS}
+        self.q, self.theta, self.F, self.alpha, self.beta = fields.values()
+        q, inv, det = self.q, self.take(2, 2), self.take()
+        np.multiply(q[0, 0], q[1, 1], out=det)
+        det -= np.multiply(q[0, 1], q[1, 0], out=inv[0, 0])
+        np.divide(q[1, 1], det, out=inv[0, 0])
+        np.divide(q[0, 0], det, out=inv[1, 1])
+        np.divide(np.negative(q[0, 1], out=inv[0, 1]), det, out=inv[0, 1])
+        np.divide(np.negative(q[1, 0], out=inv[1, 0]), det, out=inv[1, 0])
+        self.inv, self.vol = inv, np.sqrt(det, out=det)
+        if grid is None:
+            return d
+        view = object.__new__(SurfaceData)
+        object.__setattr__(view, "grid", grid)
+        for name, planes in fields.items():
+            object.__setattr__(view, name, np.moveaxis(planes, (-2, -1), (0, 1)))
+        return view
+
+    def load(self, field: np.ndarray, out=None) -> np.ndarray:
+        """The strip's rows of a (nx, ny, ...) field as contiguous
+        (..., rows, ny) planes (into out if given)."""
+        if out is None:
+            out = self.take(*field.shape[2:])
+        at = 0
+        for rows in self._rows:
+            part = np.moveaxis(field[rows], (0, 1), (-2, -1))
+            out[..., at:at + part.shape[-2], :] = part
+            at += part.shape[-2]
+        return out
+
+    def take(self, *lead: int) -> np.ndarray:
+        """(*lead, rows, ny) planes from the top of the stack."""
+        shape = lead + (self.grid.nx, self.grid.ny)
+        end = self._top + math.prod(shape)
+        if end > self._buf.size:
+            raise RuntimeError(f"a strip needs more than {_PLANES} planes")
+        out = self._buf[self._top:end].reshape(shape)
+        self._top = end
+        return out
+
+    @contextmanager
+    def scratch(self):
+        """Hands back on exit the planes taken inside."""
+        top = self._top
+        try:
+            yield
+        finally:
+            self._top = top
+
+
+def _worst(fields, ws: _Workspace, d: SurfaceData, *args) -> np.ndarray:
+    """Max |r| of each residual field that fields(strip of d, ws, *args)
+    returns, with each strip of d loaded in ws: taken per strip over the rows
+    it owns and then over the strips, so that a NaN propagates."""
     return np.max([
-        [_max_abs(r[..., own, :]) for r in fields(*(_strip(s, rows, grid) for s in slices), *args)]
-        for rows, grid, own in _strips(slices[0].grid)
+        [_max_abs(r[..., own, :]) for r in fields(ws.start(d, rows, grid), ws, *args)]
+        for rows, grid, own in _strips(d.grid)
     ], axis=0)
 
 
-def _constraint_fields(d: SurfaceData, eps: int, lambda2: float, kappa: float) -> tuple:
-    """The constraint residuals r1..r4 of d at every node, as planes."""
-    grid = d.grid
-    inv, vol, gamma = _geometry(d)
-    theta, alpha = _planes(d.theta), _planes(d.alpha)
-    # r1
-    r1 = _partial(alpha[1], 0, grid) - _partial(alpha[0], 1, grid) - d.F * vol
-    # r2
-    r2 = _quadratic(inv, alpha) - eps - d.F**2
-    # r3
-    tr_theta = _pair(inv, theta)
-    inv_t = inv.swapaxes(0, 1)
-    theta2 = _pair(_matmul(inv_t, theta), _matmul(theta, inv_t))  # q^{ik} q^{jl} T_ij T_kl
-    c_const = 0.5 * (5.0 * lambda2 + 3.0 * kappa * eps)
-    r3 = (_scalar_curvature(inv, gamma, grid) - theta2 + tr_theta**2 + c_const
-          - 2.0 * kappa * d.F**2)
-    # r4: (nabla_m Theta)_ij = d_m Theta_ij - G^k_mi Theta_kj - G^k_mj Theta_ik
-    cov = (
-        _partials(theta, grid)
-        - (gamma[0][:, :, None] * theta[0][None, None]
-           + gamma[1][:, :, None] * theta[1][None, None])
-        - (gamma[0][:, None] * theta[:, 0][None, :, None]
-           + gamma[1][:, None] * theta[:, 1][None, :, None])
-    )  # [m, i, j]
-    r4 = _partials(tr_theta, grid) + _pair(inv, cov) - kappa * d.F * alpha
+def _constraint_fields(d: SurfaceData, ws: _Workspace, eps: int, lambda2: float,
+                       kappa: float) -> tuple:
+    """The constraint residuals r1..r4 of the strip d loaded in ws, as planes."""
+    grid = ws.grid
+    inv, vol, gamma = _geometry(d, ws)
+    theta, alpha, F = ws.theta, ws.alpha, ws.F
+    r1, r2, r3, tr_theta, r4 = ws.take(), ws.take(), ws.take(), ws.take(), ws.take(2)
+    with ws.scratch():
+        tmp = ws.take()
+        # r1
+        _partial(alpha[1], 0, grid, r1)
+        r1 -= _partial(alpha[0], 1, grid, tmp)
+        r1 -= np.multiply(F, vol, out=tmp)
+        # r2
+        _quadratic(inv, alpha, ws, r2)
+        r2 -= eps
+        r2 -= np.square(F, out=tmp)
+        # r3
+        _pair(inv, theta, ws, tr_theta)
+        _scalar_curvature(inv, gamma, ws, r3)
+        inv_t = inv.swapaxes(0, 1)
+        with ws.scratch():  # q^{ik} q^{jl} T_ij T_kl
+            r3 -= _pair(_matmul(inv_t, theta, ws), _matmul(theta, inv_t, ws), ws)
+        r3 += np.square(tr_theta, out=tmp)
+        r3 += 0.5 * (5.0 * lambda2 + 3.0 * kappa * eps)
+        r3 -= np.multiply(2.0 * kappa, np.square(F, out=tmp), out=tmp)
+        # r4: (nabla_m Theta)_ij = d_m Theta_ij - G^k_mi Theta_kj - G^k_mj Theta_ik
+        with ws.scratch():
+            cov = _partials(theta, ws)  # [m, i, j]
+            s, u = ws.take(2, 2), ws.take(2, 2)
+            for m in range(2):
+                np.multiply(gamma[0, m][:, None], theta[0][None], out=s)
+                s += np.multiply(gamma[1, m][:, None], theta[1][None], out=u)
+                cov[m] -= s
+                np.multiply(gamma[0, m][None], theta[:, 0][:, None], out=s)
+                s += np.multiply(gamma[1, m][None], theta[:, 1][:, None], out=u)
+                cov[m] -= s
+            _partials(tr_theta, ws, r4)
+            r4 += _pair(inv, cov, ws, s[0])
+            r4 -= np.multiply(np.multiply(kappa, F, out=tmp), alpha, out=s[0])
     return r1, r2, r3, r4
 
 
@@ -373,7 +483,8 @@ def constraint_residuals(
     d: SurfaceData, eps: int, lambda2: float, kappa: float
 ) -> ConstraintResiduals:
     """Discrete L-infinity norms of the four constraint expressions."""
-    worst = _worst(_constraint_fields, (d,), eps, lambda2, kappa)
+    ws = _Workspace(_tallest(d.grid), d.grid.ny)
+    worst = _worst(_constraint_fields, ws, d, eps, lambda2, kappa)
     return ConstraintResiduals(*map(float, worst))
 
 
@@ -390,32 +501,52 @@ class EvolutionResiduals:
         return float(np.max(np.abs([self.alpha_flow, self.ricci_flow])))
 
 
-def _flow_fields(prev_s: SurfaceData, d: SurfaceData, next_s: SurfaceData, dt: float,
-                 eps: int, lambda2: float, kappa: float) -> tuple:
-    """The flow residuals e1, e2 of slice d at every node, as planes, with
-    central time differences between its neighbours prev_s and next_s."""
-    grid = d.grid
-    inv, vol, gamma = _geometry(d)
-    q, theta, alpha = d._metric[0], _planes(d.theta), _planes(d.alpha)
-    dt_alpha = _planes(next_s.alpha - prev_s.alpha) / (2.0 * dt)
-    dt_theta = _planes(next_s.theta - prev_s.theta) / (2.0 * dt)
+def _flow_fields(d: SurfaceData, ws: _Workspace, prev_s: SurfaceData, next_s: SurfaceData,
+                 dt: float, eps: int, lambda2: float, kappa: float) -> tuple:
+    """The flow residuals e1, e2 of the strip d loaded in ws, as planes, with
+    central time differences between the same rows of its neighbours prev_s
+    and next_s."""
+    inv, vol, gamma = _geometry(d, ws)
+    q, theta, alpha, F, beta = ws.q, ws.theta, ws.alpha, ws.F, ws.beta
+    e1, e2 = ws.take(2), ws.take(2, 2)
     # e1; (*alpha)_i = sqrt(det q) eps_ij q^{jk} alpha_k
-    raised = inv[:, 0] * alpha[0] + inv[:, 1] * alpha[1]
-    star = np.stack([-vol * raised[1], vol * raised[0]])
-    e1 = star + _partials(d.beta * d.F, grid) / d.beta - dt_alpha / d.beta
-    # e2
-    grad_beta = _partials(d.beta, grid)
-    hess_beta = _partials(grad_beta, grid) - (gamma[0] * grad_beta[0]
-                                              + gamma[1] * grad_beta[1])
-    theta_w = _matmul(theta, _matmul(inv, theta))
-    e2 = (
-        0.5 * _scalar_curvature(inv, gamma, grid) * q  # Ric^q = (R/2) q in two dimensions
-        + _pair(inv, theta) * theta
-        - 2.0 * theta_w
-        - (dt_theta + hess_beta) / d.beta
-        - kappa * (alpha[:, None] * alpha[None])
-        + 0.5 * (lambda2 + kappa * eps) * q
-    )
+    with ws.scratch():
+        s, u = ws.take(2), ws.take(2)
+        np.multiply(inv[:, 0], alpha[0], out=s)
+        s += np.multiply(inv[:, 1], alpha[1], out=u)  # raised
+        np.multiply(np.negative(vol, out=u[0]), s[1], out=e1[0])
+        np.multiply(vol, s[0], out=e1[1])
+        _partials(np.multiply(beta, F, out=u[0]), ws, s)
+        s /= beta
+        e1 += s
+        ws.load(next_s.alpha, s)
+        s -= ws.load(prev_s.alpha, u)
+        s /= 2.0 * dt  # dt alpha
+        s /= beta
+        e1 -= s
+    # e2; Ric^q = (R/2) q in two dimensions
+    with ws.scratch():
+        r = _scalar_curvature(inv, gamma, ws)
+        np.multiply(np.multiply(0.5, r, out=r), q, out=e2)
+    with ws.scratch():
+        s, u = ws.take(2, 2), ws.take(2, 2)
+        e2 += np.multiply(_pair(inv, theta, ws, u[0, 0]), theta, out=s)
+        e2 -= np.multiply(2.0, _matmul(theta, _matmul(inv, theta, ws, u), ws), out=s)
+    with ws.scratch():
+        s, u = ws.take(2, 2), ws.take(2, 2)
+        grad_beta = _partials(beta, ws)
+        hess_beta = _partials(grad_beta, ws)
+        np.multiply(gamma[0], grad_beta[0], out=s)
+        s += np.multiply(gamma[1], grad_beta[1], out=u)
+        hess_beta -= s
+        ws.load(next_s.theta, s)
+        s -= ws.load(prev_s.theta, u)
+        s /= 2.0 * dt  # dt Theta
+        s += hess_beta
+        s /= beta
+        e2 -= s
+        e2 -= np.multiply(kappa, np.multiply(alpha[:, None], alpha[None], out=s), out=s)
+        e2 += np.multiply(0.5 * (lambda2 + kappa * eps), q, out=s)
     return e1, e2
 
 
@@ -424,9 +555,12 @@ def evolution_residuals(
 ) -> EvolutionResiduals:
     """Residuals of the two flow equations on the interior time slices,
     with central time differences."""
+    ws = _Workspace(_tallest(seq.grid), seq.grid.ny)  # one for every slice
+    slices = seq.slices
     worst = np.max([
-        _worst(_flow_fields, seq.slices[t - 1:t + 2], seq.dt, eps, lambda2, kappa)
-        for t in range(1, len(seq.slices) - 1)
+        _worst(_flow_fields, ws, slices[t], slices[t - 1], slices[t + 1], seq.dt,
+               eps, lambda2, kappa)
+        for t in range(1, len(slices) - 1)
     ], axis=0)
     return EvolutionResiduals(*map(float, worst))
 

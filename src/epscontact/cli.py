@@ -182,6 +182,10 @@ def _solution_from_config(path: str):
             _config_field(orientation, "number", f'"{key}.orientation"')
         factors.append(build_contact(FamilySpec(family, params), alpha, orientation))
     lam, l = (float(_config_field(data.get(k), "number", f'"{k}"')) for k in ("lambda", "l"))
+    bound = product6d.factor_bound(get_tol())
+    if l != 0.0 and l * l <= bound:  # kappa_N = l^2 would pass for any kappa_N near 0
+        raise ValueError(f'"l" = {l!r} is below resolution: l^2 = {l * l:.3g} is within '
+                         f"{bound:.3g} of 0, the bound of the kappa_N = l^2 check")
     return product6d.build_solution(*factors, lam, l)
 
 

@@ -11,8 +11,8 @@ with no 1/(p+1) normalization factor. The Hodge dual is fixed by
 eta ^ *w = <eta, w> nu on sorted tuples, with <e^I, e^I> = prod_{i in I} eta_i
 and nu = o * e^0 ^ ... ^ e^{n-1} for the orientation sign o.
 
-Hodge, d, wedge and the full antisymmetric array run from index tables built
-on first use, once per dimension and degree (and metric signs, for Hodge);
+Hodge, d and the full antisymmetric array run from index tables built on
+first use, once per dimension and degree (and metric signs, for Hodge);
 the interior-product table serves phi's gather, and the product table the
 6D torsion form's. Each output component is summed term by term in the
 order of the per-tuple definition, starting from +0.0, with the terms the
@@ -164,22 +164,6 @@ def _d_table(n: int, k: int):
 
 
 @lru_cache(maxsize=None)
-def _wedge_table(n: int, ka: int, kb: int):
-    """(ia, ib, sign), each of shape (C(n, ka+kb), C(ka+kb, ka)): the splits of
-    every output tuple into a ka-tuple and a kb-tuple, in loop order of the
-    (ka-tuple, kb-tuple) pairs."""
-    pos = tuple_positions(n, ka + kb)
-    rows = [[] for _ in pos]
-    for ia, ta in enumerate(index_tuples(n, ka)):
-        for ib, tb in enumerate(index_tuples(n, kb)):
-            sign, key = sort_sign(ta + tb)
-            if sign:
-                rows[pos[key]].append((ia, ib, sign))
-    table = np.array(rows, dtype=np.intp).reshape(len(rows), math.comb(ka + kb, ka), 3)
-    return table[..., 0], table[..., 1], table[..., 2].astype(float)
-
-
-@lru_cache(maxsize=None)
 def _interior_table(n: int, k: int):
     """(pos, sign, live), each of shape (C(n, k-1), n): (iota_v w)_t = sum_i
     v_i * sign * w[pos] in order of i; live is False, and w counts as zero,
@@ -253,16 +237,6 @@ def d_components(comps: np.ndarray, c: np.ndarray, degree: int) -> np.ndarray:
     # product would not be zero
     w = np.where((coef != 0.0) & live, comps.take(pos, axis=-1), 0.0)
     return _ordered_sum(sign * coef * w)
-
-
-def wedge_components(a: np.ndarray, b: np.ndarray, n: int, ka: int, kb: int) -> np.ndarray:
-    """Exterior product of stacked degree-ka and degree-kb component vectors
-    on an n-dimensional frame: concatenated index tuples with permutation
-    sign, skipping the terms with a zero factor."""
-    ia, ib, sign = _wedge_table(n, ka, kb)
-    va, vb = a[..., ia], b[..., ib]
-    live = (va != 0.0) & (vb != 0.0)
-    return _ordered_sum(sign * np.where(live, va, 0.0) * np.where(live, vb, 0.0))
 
 
 def antisymmetric_array(comps: np.ndarray, n: int, degree: int) -> np.ndarray:

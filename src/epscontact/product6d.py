@@ -155,6 +155,12 @@ def field_residuals(sol: ProductSolution) -> tuple:
             np.abs(d_star_h).max(axis=-1), norm_h)
 
 
+def factor_bound(tol: float) -> float:
+    """How far _check_factors lets a factor's lambda^2 and kappa lie from
+    the product's: so a nonzero l with l^2 within it cannot be told from 0."""
+    return 1e2 * tol
+
+
 def _check_factors(sg_n: int, sg_x: int, eps_n: int, fit_n: EtaEinsteinFit,
                    fit_x: EtaEinsteinFit, lam: float, l: float, tol: float) -> None:
     """Raise IncompatibleFactors naming the first violated condition of the
@@ -163,7 +169,7 @@ def _check_factors(sg_n: int, sg_x: int, eps_n: int, fit_n: EtaEinsteinFit,
         raise IncompatibleFactors("first factor must be Lorentzian")
     if sg_x != 1:
         raise IncompatibleFactors("second factor must be Riemannian")
-    check_tol = 1e2 * tol
+    check_tol = factor_bound(tol)
     if not fit_n.residual <= tol or not fit_n.admissible:
         raise IncompatibleFactors(
             f"Lorentzian factor is not admissibly eta-Einstein (residual {fit_n.residual:.3e})"

@@ -2,7 +2,8 @@
 use: the time-like special frame, the matrix of J in the frame
 (xi, u, phi(u), dq), the light-cone form of the eta-Einstein fit, the
 Reeb-curvature residual, the metric pairing of two frame vectors, and the
-bracket of two vectors; the interior product and the 3D -> 6D lift of forms;
+bracket of two vectors; the interior product, the wedge product and the
+3D -> 6D lift of forms;
 and the reference forms of what the library computes by index-table gathers
 or reads off the factors (the Koszul terms, phi, and the 6D product's torsion
 form, Levi-Civita coefficients and Ricci tensor), with a bytewise comparison
@@ -18,7 +19,7 @@ from epscontact.contact import _j_and_frame, _ker_alpha_basis, _lead_positive
 from epscontact.curvature import koszul_components, ricci_components
 from epscontact.errors import WrongCausalType
 from epscontact.exterior import (_interior_table, _ordered_sum, hodge_components, index_tuples,
-                                 pairing_components, tuple_positions, wedge_components)
+                                 pairing_components, sort_sign, tuple_positions)
 from epscontact.liealg import ad_components
 
 # finite entries of both signs, the two zeros and the non-finite values: the
@@ -47,6 +48,32 @@ def interior_components(v: np.ndarray, comps: np.ndarray, degree: int) -> np.nda
     v = v[..., None, :]
     w = np.where((v != 0.0) & live, sign * comps[..., pos], 0.0)
     return _ordered_sum(v * w)
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(n: int, ka: int, kb: int):
+    """(ia, ib, sign), each of shape (C(n, ka+kb), C(ka+kb, ka)): the splits of
+    every output tuple into a ka-tuple and a kb-tuple, in loop order of the
+    (ka-tuple, kb-tuple) pairs."""
+    pos = tuple_positions(n, ka + kb)
+    rows = [[] for _ in pos]
+    for ia, ta in enumerate(index_tuples(n, ka)):
+        for ib, tb in enumerate(index_tuples(n, kb)):
+            sign, key = sort_sign(ta + tb)
+            if sign:
+                rows[pos[key]].append((ia, ib, sign))
+    table = np.array(rows, dtype=np.intp).reshape(len(rows), math.comb(ka + kb, ka), 3)
+    return table[..., 0], table[..., 1], table[..., 2].astype(float)
+
+
+def wedge_components(a: np.ndarray, b: np.ndarray, n: int, ka: int, kb: int) -> np.ndarray:
+    """Exterior product of stacked degree-ka and degree-kb component vectors
+    on an n-dimensional frame: concatenated index tuples with permutation
+    sign, skipping the terms with a zero factor."""
+    ia, ib, sign = _wedge_table(n, ka, kb)
+    va, vb = a[..., ia], b[..., ib]
+    live = (va != 0.0) & (vb != 0.0)
+    return _ordered_sum(sign * np.where(live, va, 0.0) * np.where(live, vb, 0.0))
 
 
 @lru_cache(maxsize=None)

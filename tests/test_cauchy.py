@@ -7,6 +7,14 @@ from epscontact import cauchy as cy
 from epscontact.errors import DegenerateParameters, SingularMetric
 
 
+def scalar_curvature(d):
+    """R^q at every node (2 x Gauss curvature): the library's geometry and
+    curvature bodies on d's whole grid."""
+    ws = cy._Workspace(d.grid.nx, d.grid.ny)
+    inv, _, gamma = cy._geometry(ws.start(d, (slice(None),), None), ws)
+    return cy._scalar_curvature(inv, gamma, ws)
+
+
 def flat_data(n=16, alpha_dir=0):
     grid = cy.SurfaceGrid(n, n, 1.0 / n, 1.0 / n)
     q = np.zeros((n, n, 2, 2))
@@ -147,7 +155,7 @@ def test_curvature_stencil_on_curved_metric():
         d = cy.SurfaceData(grid, q, np.zeros((n, n, 2, 2)), np.zeros((n, n)),
                            np.zeros((n, n, 2)), np.ones((n, n)))
         r_exact = -2.0 * np.exp(-2 * u) * lap_u
-        err = float(np.max(np.abs(cy.scalar_curvature(d) - r_exact)))
+        err = float(np.max(np.abs(scalar_curvature(d) - r_exact)))
         if record:
             err32 = err
         else:
@@ -248,7 +256,7 @@ def test_scalar_curvature_matches_brute_force_loops():
                             )
                     total += inv[ix, iy, k, j] * ric_kj
             brute[ix, iy] = total
-    assert np.allclose(cy.scalar_curvature(d), brute, atol=1e-12)
+    assert np.allclose(scalar_curvature(d), brute, atol=1e-12)
 
 
 def test_sequence_validation():
@@ -448,10 +456,10 @@ def test_christoffel_computed_once_per_slice(monkeypatch):
     original = cy.christoffel
     calls, rows = [], []
 
-    def counting(d):
+    def counting(d, *ws):  # a strip passes the workspace it is loaded in
         calls.append(id(d))
         rows.append(d.grid.nx)
-        return original(d)
+        return original(d, *ws)
 
     monkeypatch.setattr(cy, "christoffel", counting)
     grid = cy.SurfaceGrid(8, 8, 1.0 / 8, 1.0 / 8)
@@ -555,6 +563,42 @@ def test_evolution_nan_in_one_slice_not_folded_away():
     assert np.isnan(evo["ricci_flow"]) and np.isfinite(evo["alpha_flow"])
 
 
+# --- one workspace per pass ------------------------------------------------------
+
+# What a pass may trace beyond its workspace: numpy's iterator buffers (8192
+# elements for each operand of a ufunc call that buffers) and Python objects.
+WORKSPACE_SLACK = 320 * 1024
+
+
+def workspace_bytes(grid):
+    return cy._PLANES * cy._tallest(grid) * grid.ny * 8
+
+
+def test_constraint_pass_allocates_only_its_workspace():
+    # at ny = 64 a strip is 256 rows: 8 strips at nx = 2048 take the planes
+    # of one pass, and nothing per strip
+    peaks = []
+    for nx in (256, 2048):
+        d = cy.example_null_isothermal(cy.isothermal_grid(nx, 64), 1.0)
+        _, peak = traced(lambda: cy.constraint_residuals(d, 0, 0.0, 0.0))
+        assert workspace_bytes(d.grid) <= peak <= workspace_bytes(d.grid) + WORKSPACE_SLACK, nx
+        peaks.append(peak)
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (256, 128)])
+def test_evolution_pass_allocates_one_workspace_for_all_slices(nx, ny):
+    # one grid in one strip, one in two; nothing is kept per slice
+    grid = cy.SurfaceGrid(nx, ny, 1.0 / nx, 1.0 / ny)
+    peaks = []
+    for steps in (5, 17):
+        seq = cy.example_flat_paracontact(grid, [k * 0.05 for k in range(steps)], 1.0, 0.5)
+        _, peak = traced(lambda: cy.evolution_residuals(seq, 1, 0.0, 0.0))
+        assert workspace_bytes(grid) <= peak <= workspace_bytes(grid) + WORKSPACE_SLACK, steps
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= WORKSPACE_SLACK / 4
+
+
 # --- which fields a slice holds as given ------------------------------------------
 
 FIELDS = ("q", "theta", "F", "alpha", "beta")
@@ -600,17 +644,23 @@ def test_int_input_held_as_float64_copy():
     assert np.all(held.beta == 1.0)
 
 
-def construction_peak(build):
-    """build()'s result, and the peak bytes traced while it ran over the
-    bytes its slices' fields hold."""
+def traced(run):
+    """run()'s result, and the peak bytes traced while it ran over the bytes
+    traced before."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        built = build()
-        peak = tracemalloc.get_traced_memory()[1] - before
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def construction_peak(build):
+    """The peak bytes traced while build() ran over the bytes its slices'
+    fields hold."""
+    built, peak = traced(build)
     slices = built.slices if isinstance(built, cy.SurfaceSequence) else (built,)
     return peak / sum(getattr(s, k).nbytes for s in slices for k in FIELDS)
 

@@ -403,6 +403,31 @@ def test_solution_config_nan_exit_2(tmp_path, capsys, key, path):
     assert_usage_error(capsys, ["solution", "--config", str(config_file)])
 
 
+@pytest.mark.parametrize("l", [3e-5, -3e-5, 1e-200])
+def test_solution_config_l_below_resolution_exit_2(tmp_path, capsys, l):
+    # N = g3 at a = b = c = 1 has kappa_N = 0, and the theorem needs
+    # kappa_N = l^2; the factor check, to 1e2 tol, cannot tell l^2 = 9e-10
+    # from 0, and at l = 3e-5 the report passed with ricci_h = 4.5e-10
+    config = {
+        "n": {"family": "g3", "params": {"a": 1.0, "b": 1.0, "c": 1.0},
+              "orientation": 1, "alpha": [1.0, 0.0, 0.0]},
+        "x": {"family": "riemannian_unimodular",
+              "params": {"mu1": 1.0, "mu2": 1.0, "mu3": 1.0},
+              "orientation": -1, "alpha": [1.0, 0.0, 0.0]},
+        "lambda": 1.0,
+        "l": l,
+    }
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(config))
+    line = assert_usage_error(capsys, ["solution", "--config", str(path)])
+    assert line.startswith('error: "l" = ') and "below resolution" in line
+    # beyond the bound the factor check resolves l, and rejects the mismatch
+    config["l"] = 1e-3
+    path.write_text(json.dumps(config))
+    line = assert_usage_error(capsys, ["solution", "--config", str(path)])
+    assert "!= l^2=1e-06" in line and line.startswith("error: kappa_N=")
+
+
 @pytest.mark.parametrize("orientation", [1.5, -1.5])
 def test_solution_config_non_sign_orientation_exit_2(tmp_path, capsys, orientation):
     # an orientation is +1 or -1 exactly; 1.5 is not taken as +1

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from frames import embed_components, interior_components
+from frames import embed_components, interior_components, wedge_components
 from epscontact.exterior import (
     FrameMetric,
     antisymmetric_array,
@@ -14,7 +14,6 @@ from epscontact.exterior import (
     pairing_components,
     sort_sign,
     tuple_positions,
-    wedge_components,
 )
 from epscontact.liealg import FamilySpec, direct_sum_components, make_family
 from epscontact.oracle import LORENTZ_FAMILIES, sample_spec
