@@ -164,7 +164,14 @@ def _config_field(value, kind: str, what: str):
     return value
 
 
-def _solution_from_config(path: str):
+def _check_resolved(l: float, tol: float, name: str) -> None:
+    bound = product6d.factor_bound(tol)
+    if l != 0.0 and l * l <= bound:  # kappa_N = l^2 would pass for any kappa_N near 0
+        raise ValueError(f"{name} = {l!r} is below resolution: l^2 = {l * l:.3g} is within "
+                         f"{bound:.3g} of 0, the bound of the kappa_N = l^2 check")
+
+
+def _solution_from_config(path: str, tol: float):
     with open(path) as fh:
         data = _config_field(json.load(fh), "object", "the top level")
     factors = []
@@ -180,13 +187,10 @@ def _solution_from_config(path: str):
         orientation = e.get("orientation", 1)  # null: try +1, then -1
         if orientation is not None:
             _config_field(orientation, "number", f'"{key}.orientation"')
-        factors.append(build_contact(FamilySpec(family, params), alpha, orientation))
+        factors.append(build_contact(FamilySpec(family, params), alpha, orientation, tol))
     lam, l = (float(_config_field(data.get(k), "number", f'"{k}"')) for k in ("lambda", "l"))
-    bound = product6d.factor_bound(get_tol())
-    if l != 0.0 and l * l <= bound:  # kappa_N = l^2 would pass for any kappa_N near 0
-        raise ValueError(f'"l" = {l!r} is below resolution: l^2 = {l * l:.3g} is within '
-                         f"{bound:.3g} of 0, the bound of the kappa_N = l^2 check")
-    return product6d.build_solution(*factors, lam, l)
+    _check_resolved(l, tol, '"l"')
+    return product6d.build_solution(*factors, lam, l, tol)
 
 
 def cmd_solution(args) -> tuple:
@@ -195,7 +199,7 @@ def cmd_solution(args) -> tuple:
             raise EpsContactError(f"unknown preset {args.preset!r}")
         sol = product6d.preset_ads3xs3()
     else:
-        sol = _solution_from_config(args.config)
+        sol = _solution_from_config(args.config, args.tol)
     res = product6d.verify_supergravity(sol)
     identity = product6d.ricci_torsion_identity_residual(sol)
     passed = res.is_solution(args.tol) and identity <= args.tol
@@ -213,8 +217,8 @@ def cmd_solution(args) -> tuple:
 
 
 def _l_samples(args) -> list:
-    """The --l-samples values: finite numbers at which every row of the
-    table is representable; ValueError otherwise."""
+    """The --l-samples values: finite numbers, resolved by the factor checks,
+    at which every row of the table is representable; ValueError otherwise."""
     if args.l_samples is None:
         return product6d.DEFAULT_L_SAMPLES
     try:
@@ -225,6 +229,7 @@ def _l_samples(args) -> list:
         raise ValueError(f"--l-samples must be finite, got {args.l_samples}")
     for row in product6d.catalog_rows(args.epsilon_n):
         for l in row.ls(l_samples):
+            _check_resolved(l, args.tol, "--l-samples: l")
             if not row.representable(l):
                 raise ValueError(f"--l-samples: l = {l!r} overflows the factors of row {row.name}")
     return l_samples

@@ -614,39 +614,33 @@ def contact_identity_residuals(cs: ContactStructure) -> dict:
 
 
 def _identity_terms(cs: ContactStructure) -> dict:
-    """The terms, by identity, that vanish on every contact structure."""
+    """The terms, by identity, that vanish on every contact structure, ten
+    per structure. Each ties phi, xi and eps, built from alpha alone, to the
+    brackets (through d alpha, ad_xi, Gamma, Ric or R) or to |alpha|^2, so
+    each can fail where alpha is not contact. blair is Blair's identity
+    1/2 (l - s_g eps phi l phi) = -1/4 (phi^2 + s_g eps h^2)."""
     sg, eps, alpha, xi, phi = cs.m.s_g, cs.epsilon, cs.alpha, cs.xi, cs.phi
     eta, ad = cs.m.eta[:, None], cs.ad_xi  # g @ x is eta * x
     h, mu = h_tensor(cs)
-    tau, phi2, phi_h, xa = h @ phi, phi @ phi, phi @ h, xi[:, None] * alpha  # xa = xi (x) alpha
-    g_phi, g_h, g_tau = eta * phi, eta * h, eta * tau
+    phi2, xa, g_h = phi @ phi, xi[:, None] * alpha, eta * h  # xa = xi (x) alpha
     dmat = ad_components(xi, cs.gamma)  # v -> nabla_xi v on the frame
     res = {
-        "g_phi_is_dalpha": g_phi - antisymmetric_array(cs.dalpha, 3, 2),
-        "phi_xi": phi @ xi,
-        "alpha_phi": alpha @ phi,
+        "g_phi_is_dalpha": eta * phi - antisymmetric_array(cs.dalpha, 3, 2),
         "phi_squared": phi2 - sg * (-eps * _EYE3 + xa),
-        # g(phi . , phi .) = s_g (eps g - alpha (x) alpha)
-        "phi_isometry": phi.T @ g_phi - sg * (eps * eta * _EYE3 - alpha[:, None] * alpha),
-        "phi_skew": g_phi + g_phi.T,
         "nabla_xi_xi": dmat @ xi,
         "nabla_xi_phi": dmat @ phi - phi @ dmat,
-        "h_xi": h @ xi,
-        "l_xi": l_endo(cs) @ xi,
-        "trace_h": np.trace(h),
-        "trace_tau": np.trace(tau),
-        "h_phi_anticommute": tau + phi_h,
+        "h_phi_anticommute": h @ phi + phi @ h,
         "lie_xi_alpha": -alpha @ ad,
         "h_symmetric": g_h - g_h.T,
-        "tau_symmetric": g_tau - g_tau.T,
         # 2 phi(nabla xi) = h + s_g (eps Id - xi (x) alpha)
         "reeb_gradient_eq": 2.0 * phi @ (xi @ cs.gamma).T - h - sg * (eps * _EYE3 - xa),
     }
     if eps != 0:
-        ric_xixi = xi @ cs.ricci @ xi
-        res["ricci_reeb"] = ric_xixi - eps * sg * (0.5 - 0.25 * np.trace(h @ h))
+        h2, l, se = h @ h, l_endo(cs), sg * eps
+        res["ricci_reeb"] = xi @ cs.ricci @ xi - se * (0.5 - 0.25 * np.trace(h2))
+        res["blair"] = 0.5 * (l - se * phi @ l @ phi) + 0.25 * (phi2 + se * h2)
     else:
-        res.update(phi_cubed=phi2 @ phi, phi_h=phi_h, h_phi=tau, tau_null=tau)
+        res["phi_cubed"] = phi2 @ phi
         # light-cone bracket pattern: the frame coefficients of [xi, u],
         # [xi, phi(u)] and [u, phi(u)]
         _, u, phiu = cs.frame

@@ -88,10 +88,9 @@ def test_catalog_failures_carry_reason_and_stay_strict_json(capsys):
         raise ValueError(f"non-standard JSON constant {constant}")
 
     # finite factors that fail: at l = 1e154 the fits overflow (eps_N = 1) or
-    # alpha = (1/l)(e^0 - e^2) vanishes to tol (eps_N = 0), and at l = 1e-8 the
-    # null g4 factor fails its fit
+    # alpha = (1/l)(e^0 - e^2) vanishes to tol (eps_N = 0)
     for eps_n in ("1", "0"):
-        code, out = run(capsys, "catalog", "--epsilon-n", eps_n, "--l-samples", "1e154,1e-8")
+        code, out = run(capsys, "catalog", "--epsilon-n", eps_n, "--l-samples", "1e154")
         assert code == 1
         items = json.loads(out, parse_constant=reject)["items"]
         failed = [item for item in items if not item["pass"]]
@@ -161,10 +160,10 @@ def test_overflowing_input_issues_no_numpy_warnings(capsys, argv, err_lines):
     assert [str(w.message) for w in caught] == []
     assert len(capsys.readouterr().err.splitlines()) == err_lines
 
-# l values a row cannot hold in floating point: 1 + l^2 overflows (eps_N = 1),
-# or the null rows' a0 = 1/|l| or its square does (eps_N = 0)
+# l values the factor checks cannot tell from 0 (l^2 within 1e2 tol), and
+# those a row cannot hold in floating point: 1 + l^2 overflows (eps_N = 1)
 L_SAMPLES_BAD = {"": (-1, 0, 1), " , ": (-1, 0, 1), "inf": (-1, 0, 1), "nan": (-1, 0, 1),
-                 "1e-200": (0,), "5e-324": (0,), "1e200": (1,), "1e308": (1,)}
+                 "1e-200": (-1, 0, 1), "5e-324": (-1, 0, 1), "1e200": (1,), "1e308": (1,)}
 
 
 @pytest.mark.parametrize("eps_n", ("-1", "0", "1"))
@@ -426,6 +425,37 @@ def test_solution_config_l_below_resolution_exit_2(tmp_path, capsys, l):
     path.write_text(json.dumps(config))
     line = assert_usage_error(capsys, ["solution", "--config", str(path)])
     assert "!= l^2=1e-06" in line and line.startswith("error: kappa_N=")
+
+
+def test_solution_config_checks_factors_at_tol(tmp_path, capsys):
+    # the config above at l = 1e-4: below resolution at the default tol, and
+    # at tol 1e-12 (bound 1e-10) resolved, so the factor check rejects it
+    config = {
+        "n": {"family": "g3", "params": {"a": 1.0, "b": 1.0, "c": 1.0},
+              "orientation": 1, "alpha": [1.0, 0.0, 0.0]},
+        "x": {"family": "riemannian_unimodular",
+              "params": {"mu1": 1.0, "mu2": 1.0, "mu3": 1.0},
+              "orientation": -1, "alpha": [1.0, 0.0, 0.0]},
+        "lambda": 1.0,
+        "l": 1e-4,
+    }
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(config))
+    line = assert_usage_error(capsys, ["solution", "--config", str(path)])
+    assert "below resolution" in line and "within 1e-07 of 0" in line
+    line = assert_usage_error(capsys, ["solution", "--config", str(path), "--tol", "1e-12"])
+    assert line.startswith("error: kappa_N=") and line.endswith("!= l^2=1e-08")
+
+
+@pytest.mark.parametrize("eps_n", ["-1", "0", "1"])
+def test_catalog_l_below_resolution_exit_2(capsys, eps_n):
+    # l^2 = 1e-16 is within 1e2 tol = 1e-7 of 0; at tol 1e-20 it is not
+    line = assert_usage_error(capsys, ["catalog", "--epsilon-n", eps_n,
+                                       "--l-samples", "0,1e-8,0.5"])
+    assert line.startswith("error: --l-samples: l = 1e-08 is below resolution")
+    code, out = run(capsys, "catalog", "--epsilon-n", eps_n, "--l-samples", "1e-8",
+                    "--tol", "1e-20")
+    assert code in (0, 1) and json.loads(out)["items"]
 
 
 @pytest.mark.parametrize("orientation", [1.5, -1.5])

@@ -6,6 +6,7 @@ import pytest
 import verify_oracle
 from frames import (SIGNED_VALUES, bracket, hodge_interior_phi, j_endo_matrix, metric_dot,
                     same_bits, timelike_special_frame)
+from homothety import HOMOTHETY_CASES, homothety_structures
 from epscontact import contact, curvature, tables
 from epscontact.contact import (
     ContactBatch,
@@ -640,7 +641,8 @@ def test_structure_computes_levi_civita_once(case, count_calls):
     # the fit needs the Ricci tensor only, not the Riemann stack
     assert counts == {"koszul_components": 1, "riemann_components": 0}
     contact_identity_residuals(cs)
-    assert counts == {"koszul_components": 1, "riemann_components": 1}
+    # the Blair term of a non-null structure reads it; a null structure's suite does not
+    assert counts == {"koszul_components": 1, "riemann_components": int(cs.epsilon != 0)}
 
 
 # --- reference loops: the per-vector definitions behind the matrix forms --------
@@ -759,6 +761,101 @@ def test_identity_residuals_equal_per_identity_maxima(table_structures):
         want = {name: float(np.max(np.abs(r))) for name, r in _identity_terms(cs).items()}
         got = contact_identity_residuals(cs)
         assert repr(got) == repr(want)
+
+
+# --- the identity suite: terms that hold on contact structures and can fail ----
+
+IDENTITY_TERMS = ("g_phi_is_dalpha", "phi_squared", "nabla_xi_xi", "nabla_xi_phi",
+                  "h_phi_anticommute", "lie_xi_alpha", "h_symmetric", "reeb_gradient_eq")
+
+
+@pytest.mark.parametrize("case", sorted(CAUSAL_CASES))
+def test_identity_suite_names(case):
+    cs = causal_case(case)
+    extras = ("phi_cubed", "lightcone_brackets") if cs.epsilon == 0 else ("ricci_reeb", "blair")
+    assert tuple(_identity_terms(cs)) == IDENTITY_TERMS + extras
+
+
+# per term, a causal case whose alpha (by index) or bracket coefficient
+# c[i, j, k] (and so c[j, i, k]) is moved by 0.1, which makes it no contact
+# structure, and on which the term exceeds 1e-3: no term passes vacuously
+IDENTITY_MUTANTS = {
+    "g_phi_is_dalpha": ("riemannian", "c", (1, 2, 0)),
+    "phi_squared": ("time-like", "alpha", 0),
+    "nabla_xi_xi": ("time-like", "c", (0, 1, 0)),
+    "nabla_xi_phi": ("time-like", "c", (0, 1, 0)),
+    "h_phi_anticommute": ("space-like", "c", (0, 1, 1)),
+    "lie_xi_alpha": ("riemannian", "alpha", 1),
+    "h_symmetric": ("riemannian", "c", (0, 2, 0)),
+    "reeb_gradient_eq": ("time-like", "alpha", 0),
+    "ricci_reeb": ("riemannian", "alpha", 0),
+    "blair": ("riemannian", "c", (1, 2, 0)),
+    "phi_cubed": ("null", "alpha", 0),
+    "lightcone_brackets": ("null", "alpha", 1),
+}
+
+
+def mutant(case, what, where):
+    (family, params), alpha, orientation = CAUSAL_CASES[case]
+    c, alpha = make_family(FamilySpec(family, params)).copy(), np.array(alpha, dtype=float)
+    if what == "alpha":
+        alpha[where] += 0.1
+    else:
+        i, j, k = where
+        c[i, j, k] += 0.1
+        c[j, i, k] -= 0.1
+    return contact.ContactStructure(c, FAMILIES[family].metric, orientation, alpha)
+
+
+@pytest.mark.parametrize("term", sorted(IDENTITY_MUTANTS))
+def test_identity_term_fails_on_its_mutant(term):
+    cs = mutant(*IDENTITY_MUTANTS[term])
+    assert not cs.ok
+    assert contact_identity_residuals(cs)[term] > 1e-3
+
+
+def test_identity_mutants_cover_every_term():
+    names = {name for case in CAUSAL_CASES for name in _identity_terms(causal_case(case))}
+    assert set(IDENTITY_MUTANTS) == names and len(names) == 12
+
+
+@pytest.fixture(scope="module")
+def homothety_population():
+    return [cs for family_id, eps in HOMOTHETY_CASES
+            for cs in homothety_structures(family_id, eps, grid=5)]
+
+
+def relative_scale(cs):
+    """max(1, max |l|, max |h^2|): the size the identities' terms are rounded at."""
+    return max(1.0, float(np.abs(l_endo(cs)).max()), float(np.abs(cs.h @ cs.h).max()))
+
+
+def test_homothety_population_is_generic(homothety_population):
+    assert len(homothety_population) > 1000
+    generic = [cs for cs in homothety_population if np.abs(cs.h).max() > 1e-3]
+    assert len(generic) > 0.7 * len(homothety_population)
+    assert sum(not cs.fit().at().admissible for cs in homothety_population) > 1000
+
+
+def test_identity_suite_holds_on_tables_and_homothety_population(table_structures,
+                                                                  homothety_population):
+    for cs in table_structures + homothety_population:
+        worst = max(contact_identity_residuals(cs).values())
+        assert worst <= 1e-14 * relative_scale(cs), (cs.spec, cs.alpha)
+
+
+def test_phi_and_h_hold_by_construction(table_structures, homothety_population):
+    """What phi, h and l satisfy on any one-form, as built: phi xi = 0,
+    alpha phi = 0, g phi skew, h xi = 0, tr h = tr h phi = 0, l(xi) = 0,
+    and on null structures phi h = h phi = 0."""
+    for cs in table_structures + homothety_population:
+        phi, h, g_phi = cs.phi, cs.h, cs.m.eta[:, None] * cs.phi
+        terms = [phi @ cs.xi, cs.alpha @ phi, g_phi + g_phi.T, h @ cs.xi, np.trace(h),
+                 np.trace(h @ phi), l_endo(cs) @ cs.xi]
+        if cs.epsilon == 0:
+            terms += [phi @ h, h @ phi]
+        worst = max(float(np.max(np.abs(t))) for t in terms)
+        assert worst <= 1e-14 * relative_scale(cs), (cs.spec, cs.alpha)
 
 
 def test_stacked_tensors_bit_equal_to_single_structures(table_structures):
