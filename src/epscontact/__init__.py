@@ -13,17 +13,8 @@ Core entry points:
 - cauchy: finite-difference constraint/evolution residuals on 2D grids
 - oracle: the curvature pipeline against the closed-form Ricci
 - cli: the `epscontact` command
+
+Importing the package loads none of them: import names from their modules.
 """
-
-from .config import get_tol
-from .exterior import FrameMetric
-from .liealg import FamilySpec, GroupName
-
-__all__ = [
-    "FamilySpec",
-    "FrameMetric",
-    "GroupName",
-    "get_tol",
-]
 
 __version__ = "0.1.0"

@@ -7,6 +7,9 @@ output) and are written as JSON or CSV to stdout or --output.
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage/config error
 (bad input is rejected with a one-line message before any work; a report
 that cannot be written exits 2 the same way, after it).
+
+Each handler imports the library modules it runs, so a command loads only
+those.
 """
 
 from __future__ import annotations
@@ -20,13 +23,8 @@ import sys
 
 import numpy as np
 
-from . import cauchy, product6d, tables
 from .config import get_tol
-from .contact import build_contact
-from .einstein import default_grid, scan_family
 from .errors import EpsContactError
-from .liealg import FAMILIES, FamilySpec
-from .oracle import run_oracle
 
 
 # numeric flags, by argparse dest, that must be a positive count or finite
@@ -82,6 +80,8 @@ def write_report(report: dict, args) -> None:
 
 
 def cmd_oracle(args) -> tuple:
+    from .oracle import run_oracle
+
     report = run_oracle(samples=args.samples, seed=args.seed, tol=args.tol)
     items = [
         {"family": fam, **vals} for fam, vals in sorted(report.per_family.items())
@@ -98,6 +98,8 @@ def cmd_oracle(args) -> tuple:
 
 
 def cmd_verify_tables(args) -> tuple:
+    from . import tables
+
     table_ids = [tables.resolve_table(args.theorem)] if args.theorem else list(tables.TABLES)
     items = []
     passed = True
@@ -127,6 +129,9 @@ def cmd_verify_tables(args) -> tuple:
 
 
 def cmd_scan(args) -> tuple:
+    from .einstein import default_grid, scan_family
+    from .liealg import FAMILIES
+
     if FAMILIES[args.family].metric.s_g == 1 and args.epsilon != 1:  # nothing to sample
         raise ValueError(f"--epsilon {args.epsilon}: a Riemannian family has epsilon = 1 only")
     if args.grid > 1 and args.lo == args.hi:  # every grid point would be the same sample
@@ -165,6 +170,8 @@ def _config_field(value, kind: str, what: str):
 
 
 def _check_resolved(l: float, tol: float, name: str) -> None:
+    from . import product6d
+
     bound = product6d.factor_bound(tol)
     if l != 0.0 and l * l <= bound:  # kappa_N = l^2 would pass for any kappa_N near 0
         raise ValueError(f"{name} = {l!r} is below resolution: l^2 = {l * l:.3g} is within "
@@ -172,6 +179,10 @@ def _check_resolved(l: float, tol: float, name: str) -> None:
 
 
 def _solution_from_config(path: str, tol: float):
+    from . import product6d
+    from .contact import build_contact
+    from .liealg import FamilySpec
+
     with open(path) as fh:
         data = _config_field(json.load(fh), "object", "the top level")
     factors = []
@@ -194,6 +205,8 @@ def _solution_from_config(path: str, tol: float):
 
 
 def cmd_solution(args) -> tuple:
+    from . import product6d
+
     if args.preset:
         if args.preset != "ads3xs3":
             raise EpsContactError(f"unknown preset {args.preset!r}")
@@ -219,6 +232,8 @@ def cmd_solution(args) -> tuple:
 def _l_samples(args) -> list:
     """The --l-samples values: finite numbers, resolved by the factor checks,
     at which every row of the table is representable; ValueError otherwise."""
+    from . import product6d
+
     if args.l_samples is None:
         return product6d.DEFAULT_L_SAMPLES
     try:
@@ -236,6 +251,8 @@ def _l_samples(args) -> list:
 
 
 def cmd_catalog(args) -> tuple:
+    from . import product6d
+
     l_samples = _l_samples(args)
     results = product6d.run_catalog(args.epsilon_n, l_samples, tol=args.tol)
     items = []
@@ -263,6 +280,8 @@ def _null_non_finite(item: dict) -> bool:
 
 
 def cmd_cauchy(args) -> tuple:
+    from . import cauchy
+
     items = []
     passed = True
     if args.example == "flat-para":
@@ -357,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-tables", parents=common,
                        help="verify classification table rows")
-    p.add_argument("--theorem", choices=(*tables.TABLES, *tables.TABLE_ALIASES), default=None)
+    p.add_argument("--theorem", default=None,
+                   help="table id or alias, any case; all tables when omitted")
 
     p = sub.add_parser("scan", parents=common,
                        help="grid scan for eta-Einstein contact structures")

@@ -39,9 +39,9 @@ from .exterior import (
     hodge_components,
     pairing_components,
 )
-from .curvature import koszul_components, ricci_components, riemann_components
+from .curvature import check_jacobi, koszul_components, ricci_components, riemann_components
 from .liealg import (FAMILIES, FamilySpec, _validate, ad_components, direct_sum_components,
-                     family_tables, make_family)
+                     family_tables, make_family, nine_params)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -328,7 +328,9 @@ class ContactStructure(ContactBatch):
     check_contact returns it where alpha is contact, and raises otherwise.
     It adds the family spec, orientation and epsilon as ints, the adapted
     frame and the JSON form; the derived data are the batch's, as 0-d arrays
-    for its numbers. ValueError for a c that is not exactly antisymmetric."""
+    for its numbers. ValueError for a c that is not exactly antisymmetric;
+    without a spec, JacobiViolation for a c that fails the Jacobi identity
+    beyond tol (see curvature.check_jacobi)."""
 
     def __init__(self, c, m: FrameMetric, orientation, alpha,
                  tol: float | None = None, spec: Optional[FamilySpec] = None):
@@ -341,6 +343,8 @@ class ContactStructure(ContactBatch):
         super().__init__(c, m, orientation, alpha, get_tol(tol))
         if np.count_nonzero(c != -c.swapaxes(0, 1)):
             raise ValueError("bracket coefficients must be antisymmetric in (i, j)")
+        if spec is None:  # a family's constraints are its Jacobi conditions (make_family)
+            check_jacobi(nine_params(c), self.tol)
         self.spec, self.orientation = spec, int(self.orientation)
 
     @property

@@ -79,6 +79,14 @@ def jacobi_constraints9(p9) -> np.ndarray:
     ])
 
 
+def check_jacobi(p9, tol: float) -> None:
+    """JacobiViolation where a Jacobi constraint of the general 3D bracket
+    p9 exceeds tol in absolute value."""
+    cons = jacobi_constraints9(p9)
+    if np.max(np.abs(cons)) > tol:
+        raise JacobiViolation(f"Jacobi constraints violated: {cons.tolist()}")
+
+
 def closed_form_ricci(p9, m: FrameMetric, tol: float | None = None) -> tuple:
     """Closed-form (ricci, scalar) curvature of the general 3D Lorentzian
     bracket [e0,e1]=a e0+b e1+c e2, [e1,e2]=d e0+f e1+h e2, [e0,e2]=g e0+j e1+k e2.
@@ -88,10 +96,7 @@ def closed_form_ricci(p9, m: FrameMetric, tol: float | None = None) -> tuple:
     """
     if m.signs != (-1, 1, 1):
         raise ValueError("closed-form Ricci is stated for the frame metric (-1, +1, +1)")
-    tol = get_tol(tol)
-    cons = jacobi_constraints9(p9)
-    if np.max(np.abs(cons)) > tol:
-        raise JacobiViolation(f"Jacobi constraints violated: {cons.tolist()}")
+    check_jacobi(p9, get_tol(tol))
     a, b, c, d, f, h, g, j, k = (float(x) for x in p9)
     ric = np.empty((3, 3))
     ric[0, 0] = a**2 - b**2 + g * f + g**2 - k**2 - a * h + d**2 / 2 - c * j - c**2 / 2 - j**2 / 2

@@ -351,7 +351,7 @@ def resolve_table(table_id: str) -> str:
     table_id = TABLE_ALIASES.get(table_id, table_id)
     if table_id not in TABLES:
         known = sorted(set(TABLES) | set(TABLE_ALIASES))
-        raise KeyError(f"unknown table {table_id!r}; known: {known}")
+        raise ValueError(f"unknown table {table_id!r}; known: {known}")
     return table_id
 
 

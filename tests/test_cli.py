@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+from epscontact import einstein, oracle
 from epscontact.cli import main
 
 
@@ -198,6 +202,16 @@ def test_unknown_preset_exit_2(capsys):
     assert main(["solution", "--preset", "nope"]) == 2
 
 
+def test_unknown_theorem_exit_2_with_one_clean_line(capsys):
+    line = assert_usage_error(capsys, ["verify-tables", "--theorem", "thm-9.9"])
+    assert line.startswith("error: unknown table 'thm-9.9'; known: ['prop-3.16', ")
+
+
+def test_theorem_id_any_case(capsys):
+    code, out = run(capsys, "verify-tables", "--theorem", "THM-1.2")
+    assert code == 0 and json.loads(out)["items"][0]["theorem"] == "thm-1.2"
+
+
 def test_missing_config_exit_2(tmp_path, capsys):
     assert main(["solution", "--config", str(tmp_path / "missing.json")]) == 2
 
@@ -223,10 +237,6 @@ def test_determinism_byte_identical(tmp_path, capsys):
 
 
 def test_env_var_sets_default_tol():
-    import os
-    import subprocess
-    import sys
-
     env = dict(os.environ, EPSCONTACT_TOL="1e-07")
     proc = subprocess.run(
         [sys.executable, "-m", "epscontact.cli", "oracle", "--samples", "7"],
@@ -280,10 +290,6 @@ def test_negative_tol_exit_2(capsys):
 
 
 def test_bad_env_tol_exit_2():
-    import os
-    import subprocess
-    import sys
-
     env = dict(os.environ, EPSCONTACT_TOL="abc")
     proc = subprocess.run(
         [sys.executable, "-m", "epscontact.cli", "oracle", "--samples", "3"],
@@ -297,35 +303,29 @@ def test_bad_env_tol_exit_2():
 
 
 def test_scan_empty_grid_exit_2(capsys, monkeypatch):
-    import epscontact.cli as cli
-
     def no_work(*args, **kwargs):
         raise AssertionError("scan ran on a rejected grid")
 
-    monkeypatch.setattr(cli, "scan_family", no_work)
+    monkeypatch.setattr(einstein, "scan_family", no_work)
     for points in ("0", "-2"):
         line = assert_usage_error(capsys, ["scan", "--family", "g3", "--grid", points])
         assert "--grid" in line
 
 
 def test_oracle_without_samples_exit_2(capsys, monkeypatch):
-    import epscontact.cli as cli
-
     def no_work(*args, **kwargs):
         raise AssertionError("oracle ran without samples")
 
-    monkeypatch.setattr(cli, "run_oracle", no_work)
+    monkeypatch.setattr(oracle, "run_oracle", no_work)
     for samples in ("0", "-3"):
         assert "--samples" in assert_usage_error(capsys, ["oracle", "--samples", samples])
 
 
 def test_scan_nonfinite_range_exit_2(capsys, monkeypatch):
-    import epscontact.cli as cli
-
     def no_work(*args, **kwargs):
         raise AssertionError("scan ran on a non-finite range")
 
-    monkeypatch.setattr(cli, "scan_family", no_work)
+    monkeypatch.setattr(einstein, "scan_family", no_work)
     for flag, value in (("--lo", "nan"), ("--hi", "inf"), ("--lo", "-inf")):
         argv = ["scan", "--family", "g3", "--grid", "3", f"{flag}={value}"]
         assert flag in assert_usage_error(capsys, argv)
@@ -333,12 +333,10 @@ def test_scan_nonfinite_range_exit_2(capsys, monkeypatch):
 
 def test_scan_degenerate_range_exit_2(capsys, monkeypatch):
     # --lo == --hi would repeat one sample --grid^k times
-    import epscontact.cli as cli
-
     def no_work(*args, **kwargs):
         raise AssertionError("scan ran on a degenerate range")
 
-    monkeypatch.setattr(cli, "scan_family", no_work)
+    monkeypatch.setattr(einstein, "scan_family", no_work)
     for points in ("2", "3"):
         argv = ["scan", "--family", "g3", "--epsilon", "1", "--lo", "1", "--hi", "1",
                 "--grid", points]
@@ -367,12 +365,10 @@ def test_other_bad_numeric_flags_exit_2(capsys):
 
 def test_riemannian_scan_without_structures_exit_2(capsys, monkeypatch):
     # a Riemannian family has epsilon = +1 structures only: nothing to sample
-    import epscontact.cli as cli
-
     def no_work(*args, **kwargs):
         raise AssertionError("scan ran although no structure of that epsilon exists")
 
-    monkeypatch.setattr(cli, "scan_family", no_work)
+    monkeypatch.setattr(einstein, "scan_family", no_work)
     for family in ("riemannian_unimodular", "riemannian_nonunimodular"):
         for epsilon in ("0", "-1"):
             line = assert_usage_error(capsys, ["scan", "--family", family, "--epsilon", epsilon])
@@ -597,3 +593,42 @@ def test_numeric_flag_edge_values(capsys, command, flag, value):
         assert code in (0, 1) and captured.err == ""
         report = json.loads(captured.out, parse_constant=reject)
         assert report["pass"] is (code == 0)
+
+
+# --- what each command loads, in a fresh interpreter -------------------------------
+
+# the library modules each command runs, with what they import
+CALLED = {
+    "oracle": {"oracle", "curvature", "liealg", "exterior"},
+    "verify-tables": {"tables", "contact", "curvature", "liealg", "exterior"},
+    "scan": {"einstein", "contact", "curvature", "liealg", "exterior"},
+    "solution": {"product6d", "tables", "contact", "curvature", "liealg", "exterior"},
+    "catalog": {"product6d", "tables", "contact", "curvature", "liealg", "exterior"},
+    "cauchy": {"cauchy"},
+}
+CLI_MODULES = {"epscontact", "epscontact.cli", "epscontact.config", "epscontact.errors"}
+LOADED = """
+import json, os, sys
+import epscontact.cli
+before = sorted(m for m in sys.modules if m.split(".")[0] == "epscontact")
+code = epscontact.cli.main(sys.argv[1:] + ["--output", os.devnull])
+after = sorted(m for m in sys.modules if m.split(".")[0] == "epscontact")
+print(json.dumps([before, code, after]))
+"""
+
+
+def loaded_modules(argv: list) -> tuple:
+    """(modules after import epscontact.cli, exit code, modules after the
+    command) of one fresh interpreter running the command."""
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, code, after = json.loads(proc.stdout)
+    return set(before), code, set(after)
+
+
+@pytest.mark.parametrize("command", sorted(BASE_ARGV))
+def test_command_loads_only_the_modules_it_runs(command):
+    before, code, after = loaded_modules(BASE_ARGV[command])
+    assert before == CLI_MODULES  # import epscontact.cli
+    assert code == 0
+    assert after == CLI_MODULES | {f"epscontact.{m}" for m in CALLED[command]}

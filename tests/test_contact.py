@@ -26,9 +26,9 @@ from epscontact.contact import (
     null_factor,
     phi_components,
 )
-from epscontact.errors import EpsContactError, NotContact, WrongCausalType
+from epscontact.errors import EpsContactError, JacobiViolation, NotContact, WrongCausalType
 from epscontact.exterior import FrameMetric
-from epscontact.liealg import FAMILIES, FamilySpec, ad_components, make_family
+from epscontact.liealg import FAMILIES, FamilySpec, ad_components, make_family, nine_params
 
 L3 = FrameMetric.lorentzian(3)
 R3 = FrameMetric.riemannian(3)
@@ -154,6 +154,23 @@ def test_structure_holds_a_family_table_as_given():
     skew.flags.writeable = False
     with pytest.raises(ValueError, match="antisymmetric"):
         contact.ContactStructure(skew, L3, 1, [1, 0, 0])
+
+
+def test_structure_without_spec_rejects_a_table_that_fails_jacobi():
+    # g3 at a = b = c = 1 with [e0, e1] moved by 0.1 e1: alpha = e^0 would
+    # pass as a time-like contact structure, but no Lie algebra has this table
+    c = np.array(g3(1, 1, 1))
+    c[0, 1, 1] += 0.1
+    c[1, 0, 1] -= 0.1
+    assert np.allclose(curvature.jacobi_constraints9(nine_params(c)), [-0.1, 0.0, 0.0])
+    with pytest.raises(JacobiViolation, match="Jacobi constraints violated"):
+        check_contact(c, L3, None, [1, 0, 0])
+
+
+def test_every_table_instance_is_a_lie_algebra_at_tol_1e_13(table_structures):
+    # without a spec the Jacobi identity is checked; every table's bracket passes it
+    for cs in table_structures:
+        contact.ContactStructure(cs.c, cs.m, cs.orientation, cs.alpha, tol=1e-13)
 
 
 def test_from_specs_builds_each_family_with_its_own_brackets():
@@ -778,15 +795,16 @@ def test_identity_suite_names(case):
 
 # per term, a causal case whose alpha (by index) or bracket coefficient
 # c[i, j, k] (and so c[j, i, k]) is moved by 0.1, which makes it no contact
-# structure, and on which the term exceeds 1e-3: no term passes vacuously
+# structure, and on which the term exceeds 1e-3: no term passes vacuously.
+# A moved table still satisfies the Jacobi identity (ContactStructure checks)
 IDENTITY_MUTANTS = {
     "g_phi_is_dalpha": ("riemannian", "c", (1, 2, 0)),
     "phi_squared": ("time-like", "alpha", 0),
-    "nabla_xi_xi": ("time-like", "c", (0, 1, 0)),
-    "nabla_xi_phi": ("time-like", "c", (0, 1, 0)),
-    "h_phi_anticommute": ("space-like", "c", (0, 1, 1)),
+    "nabla_xi_xi": ("riemannian", "alpha", 1),
+    "nabla_xi_phi": ("riemannian", "alpha", 2),
+    "h_phi_anticommute": ("riemannian", "alpha", 1),
     "lie_xi_alpha": ("riemannian", "alpha", 1),
-    "h_symmetric": ("riemannian", "c", (0, 2, 0)),
+    "h_symmetric": ("riemannian", "alpha", 2),
     "reeb_gradient_eq": ("time-like", "alpha", 0),
     "ricci_reeb": ("riemannian", "alpha", 0),
     "blair": ("riemannian", "c", (1, 2, 0)),

@@ -15,7 +15,7 @@ ALL_TABLES = ("thm-1.2", "thm-4.22", "thm-4.25", "thm-4.14", "prop-3.8", "prop-3
 def test_aliases_resolve():
     assert tables.resolve_table("thm-1.3") == "thm-4.22"
     assert tables.resolve_table("thm-1.4") == "thm-4.25"
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^unknown table 'thm-9.9'; known: \["):
         tables.resolve_table("thm-9.9")
 
 
