@@ -34,8 +34,8 @@ the whole grid, so the norms do not depend on the strip height.
 Each pass computes into one workspace: a buffer of component planes sized
 once for the pass's tallest strip and reused by each of its strips (and, for
 the flow equations, by each time slice). A strip copies its rows of the
-fields there and writes every intermediate plane there, through out=
-arguments and in-place operations, so a pass allocates its planes once.
+fields there, reads nothing else, and writes every intermediate plane there
+through out= arguments and in-place operations: a pass allocates once.
 When each strip allocated its own, the allocator handed them back to the
 operating system after the strip and the next strip faulted them in again:
 some 34,000 minor page faults for one 512^2 pass on Linux, against under
@@ -229,13 +229,9 @@ class SurfaceSequence:
         return self.slices[0].grid
 
 
-def christoffel(d: SurfaceData, ws: _Workspace | None = None) -> np.ndarray:
-    """Gamma[..., k, i, j] of the surface metric, via central differences.
-    A strip passes the workspace it is loaded in and gets a view of planes
-    there; without one, d's whole grid is loaded into a new workspace."""
-    if ws is None:
-        ws = _Workspace(d.grid.nx, d.grid.ny)
-        ws.start(d, (slice(None),), None)
+def christoffel(ws: _Workspace) -> np.ndarray:
+    """Gamma^k_ij of the strip loaded in ws, via central differences, as
+    (2, 2, 2, rows, ny) planes gamma[k, i, j] there."""
     q, inv = ws.q, ws.inv
     gamma = ws.take(2, 2, 2)
     with ws.scratch():
@@ -247,15 +243,7 @@ def christoffel(d: SurfaceData, ws: _Workspace | None = None) -> np.ndarray:
         np.multiply(inv[:, 0, None, None], term[None, :, :, 0], out=gamma)
         gamma += np.multiply(inv[:, 1, None, None], term[None, :, :, 1], out=dq)
         gamma *= 0.5
-    return np.moveaxis(gamma, (0, 1, 2), (2, 3, 4))
-
-
-def _geometry(d: SurfaceData, ws: _Workspace) -> tuple:
-    """q^{-1} (2, 2, rows, ny), sqrt(det q) (rows, ny) and Gamma^k_ij as
-    (2, 2, 2, rows, ny) planes of the strip d loaded in ws: everything a
-    slice's residuals derive from q."""
-    gamma = np.moveaxis(christoffel(d, ws), (2, 3, 4), (0, 1, 2))
-    return ws.inv, ws.vol, gamma
+    return gamma
 
 
 def _scalar_curvature(inv: np.ndarray, gamma: np.ndarray, ws: _Workspace,
@@ -322,11 +310,11 @@ def _strips(grid: SurfaceGrid):
     the strip reads, as slices in order (more than one where they wrap around
     a periodic x axis), the grid of those rows, and the part of them whose
     residuals the strip owns. A grid that fits in one strip is one strip,
-    with strip grid None."""
+    with the grid itself as its strip grid."""
     nx = grid.nx
     height = max(1, _STRIP_NODES // grid.ny)
     if height >= nx:
-        yield (slice(None),), None, slice(None)
+        yield (slice(None),), grid, slice(None)
         return
     for a in range(0, nx, height):
         b = min(a + height, nx)
@@ -349,7 +337,7 @@ def _strips(grid: SurfaceGrid):
 
 def _tallest(grid: SurfaceGrid) -> int:
     """Rows of the tallest strip of grid."""
-    return max(grid.nx if g is None else g.nx for _, g, _ in _strips(grid))
+    return max(g.nx for _, g, _ in _strips(grid))
 
 
 _FIELDS = ("q", "theta", "F", "alpha", "beta")
@@ -359,25 +347,23 @@ class _Workspace:
     """The component planes of one residual pass: one buffer of _PLANES
     planes of rows x ny nodes, reused by each strip of the pass.
 
-    start() begins a strip: it empties the stack of planes, loads the strip's
-    rows of a slice and its metric, and returns the strip's data. A strip body
-    then takes every plane it computes with take(), in the same order on each
-    strip; the temporaries of a step are taken inside scratch(), which hands
-    them back when the step ends."""
+    start() begins a strip: it empties the stack of planes and loads the
+    strip's rows of a slice and its metric. A strip body reads only these
+    planes and takes every plane it computes with take(), in the same order
+    on each strip; the temporaries of a step are taken inside scratch(), which
+    hands them back when the step ends."""
 
     def __init__(self, rows: int, ny: int):
         self._buf = np.empty(_PLANES * rows * ny)
         self._top = 0
 
-    def start(self, d: SurfaceData, rows: tuple, grid) -> SurfaceData:
-        """Begins the strip of d on rows (slices of d's x rows) with grid, None
-        for d's whole grid. Loads the planes of d's fields as the attributes
-        of their names, q^{-1} as inv and sqrt(det q) as vol. Returns d when
-        grid is None, else a view of the loaded planes, not validated again."""
-        self.grid = d.grid if grid is None else grid
-        self._rows, self._top = rows, 0
-        fields = {name: self.load(getattr(d, name)) for name in _FIELDS}
-        self.q, self.theta, self.F, self.alpha, self.beta = fields.values()
+    def start(self, d: SurfaceData, rows: tuple, grid: SurfaceGrid) -> None:
+        """Begins the strip of d on rows (slices of d's x rows) with grid.
+        Loads the planes of d's fields as the attributes of their names,
+        q^{-1} as inv and sqrt(det q) as vol."""
+        self.grid, self._rows, self._top = grid, rows, 0
+        self.q, self.theta, self.F, self.alpha, self.beta = (
+            self.load(getattr(d, name)) for name in _FIELDS)
         q, inv, det = self.q, self.take(2, 2), self.take()
         np.multiply(q[0, 0], q[1, 1], out=det)
         det -= np.multiply(q[0, 1], q[1, 0], out=inv[0, 0])
@@ -386,13 +372,6 @@ class _Workspace:
         np.divide(np.negative(q[0, 1], out=inv[0, 1]), det, out=inv[0, 1])
         np.divide(np.negative(q[1, 0], out=inv[1, 0]), det, out=inv[1, 0])
         self.inv, self.vol = inv, np.sqrt(det, out=det)
-        if grid is None:
-            return d
-        view = object.__new__(SurfaceData)
-        object.__setattr__(view, "grid", grid)
-        for name, planes in fields.items():
-            object.__setattr__(view, name, np.moveaxis(planes, (-2, -1), (0, 1)))
-        return view
 
     def load(self, field: np.ndarray, out=None) -> np.ndarray:
         """The strip's rows of a (nx, ny, ...) field as contiguous
@@ -427,20 +406,20 @@ class _Workspace:
 
 
 def _worst(fields, ws: _Workspace, d: SurfaceData, *args) -> np.ndarray:
-    """Max |r| of each residual field that fields(strip of d, ws, *args)
-    returns, with each strip of d loaded in ws: taken per strip over the rows
-    it owns and then over the strips, so that a NaN propagates."""
-    return np.max([
-        [_max_abs(r[..., own, :]) for r in fields(ws.start(d, rows, grid), ws, *args)]
-        for rows, grid, own in _strips(d.grid)
-    ], axis=0)
+    """Max |r| of each residual field that fields(ws, *args) returns, with
+    each strip of d loaded in ws: taken per strip over the rows it owns and
+    then over the strips, so that a NaN propagates."""
+    worst = []
+    for rows, grid, own in _strips(d.grid):
+        ws.start(d, rows, grid)
+        worst.append([_max_abs(r[..., own, :]) for r in fields(ws, *args)])
+    return np.max(worst, axis=0)
 
 
-def _constraint_fields(d: SurfaceData, ws: _Workspace, eps: int, lambda2: float,
-                       kappa: float) -> tuple:
-    """The constraint residuals r1..r4 of the strip d loaded in ws, as planes."""
+def _constraint_fields(ws: _Workspace, eps: int, lambda2: float, kappa: float) -> tuple:
+    """The constraint residuals r1..r4 of the strip loaded in ws, as planes."""
     grid = ws.grid
-    inv, vol, gamma = _geometry(d, ws)
+    inv, vol, gamma = ws.inv, ws.vol, christoffel(ws)
     theta, alpha, F = ws.theta, ws.alpha, ws.F
     r1, r2, r3, tr_theta, r4 = ws.take(), ws.take(), ws.take(), ws.take(), ws.take(2)
     with ws.scratch():
@@ -501,12 +480,12 @@ class EvolutionResiduals:
         return float(np.max(np.abs([self.alpha_flow, self.ricci_flow])))
 
 
-def _flow_fields(d: SurfaceData, ws: _Workspace, prev_s: SurfaceData, next_s: SurfaceData,
+def _flow_fields(ws: _Workspace, prev_s: SurfaceData, next_s: SurfaceData,
                  dt: float, eps: int, lambda2: float, kappa: float) -> tuple:
-    """The flow residuals e1, e2 of the strip d loaded in ws, as planes, with
-    central time differences between the same rows of its neighbours prev_s
-    and next_s."""
-    inv, vol, gamma = _geometry(d, ws)
+    """The flow residuals e1, e2 of the strip loaded in ws, as planes, with
+    central time differences between the same rows of its slice's
+    neighbours prev_s and next_s."""
+    inv, vol, gamma = ws.inv, ws.vol, christoffel(ws)
     q, theta, alpha, F, beta = ws.q, ws.theta, ws.alpha, ws.F, ws.beta
     e1, e2 = ws.take(2), ws.take(2, 2)
     # e1; (*alpha)_i = sqrt(det q) eps_ij q^{jk} alpha_k

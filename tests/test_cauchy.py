@@ -7,12 +7,23 @@ from epscontact import cauchy as cy
 from epscontact.errors import DegenerateParameters, SingularMetric
 
 
+def whole_grid(d):
+    """A workspace with d's whole grid loaded, as a one-strip pass loads it."""
+    ws = cy._Workspace(d.grid.nx, d.grid.ny)
+    ws.start(d, (slice(None),), d.grid)
+    return ws
+
+
+def christoffel(d):
+    """Gamma[x, y, k, i, j] at every node: the library's body on d's whole grid."""
+    return np.moveaxis(cy.christoffel(whole_grid(d)), (0, 1, 2), (2, 3, 4))
+
+
 def scalar_curvature(d):
     """R^q at every node (2 x Gauss curvature): the library's geometry and
     curvature bodies on d's whole grid."""
-    ws = cy._Workspace(d.grid.nx, d.grid.ny)
-    inv, _, gamma = cy._geometry(ws.start(d, (slice(None),), None), ws)
-    return cy._scalar_curvature(inv, gamma, ws)
+    ws = whole_grid(d)
+    return cy._scalar_curvature(ws.inv, cy.christoffel(ws), ws)
 
 
 def flat_data(n=16, alpha_dir=0):
@@ -196,7 +207,7 @@ def test_divergence_matches_brute_force_loops():
     # independent oracle: per-node loops over explicit index sums
     d = curved_metric_data(8, theta_mode="random")
     grid = d.grid
-    gamma = cy.christoffel(d)
+    gamma = christoffel(d)
     dtheta = np.stack(
         [
             cy._d1(d.theta, 0, grid.hx, grid.periodic_x),
@@ -231,7 +242,7 @@ def test_divergence_matches_brute_force_loops():
 def test_scalar_curvature_matches_brute_force_loops():
     d = curved_metric_data(8)
     grid = d.grid
-    gamma = cy.christoffel(d)
+    gamma = christoffel(d)
     dgamma = np.stack(
         [
             cy._d1(gamma, 0, grid.hx, grid.periodic_x),
@@ -453,14 +464,19 @@ def test_evolution_residuals_match_brute_force_loops():
 
 
 def test_christoffel_computed_once_per_slice(monkeypatch):
-    original = cy.christoffel
-    calls, rows = [], []
+    original, start = cy.christoffel, cy._Workspace.start
+    loaded, calls, rows = [], [], []
 
-    def counting(d, *ws):  # a strip passes the workspace it is loaded in
-        calls.append(id(d))
-        rows.append(d.grid.nx)
-        return original(d, *ws)
+    def loading(ws, d, *strip):  # the slice each strip is loaded from
+        loaded.append(id(d))
+        start(ws, d, *strip)
 
+    def counting(ws):
+        calls.append(loaded[-1])
+        rows.append(ws.grid.nx)
+        return original(ws)
+
+    monkeypatch.setattr(cy._Workspace, "start", loading)
     monkeypatch.setattr(cy, "christoffel", counting)
     grid = cy.SurfaceGrid(8, 8, 1.0 / 8, 1.0 / 8)
     seq = cy.SurfaceSequence(tuple(curved_slice(grid, 0.1 * k) for k in range(5)), 0.1)

@@ -9,7 +9,8 @@ import catalog_oracle
 from frames import SIGNED_VALUES, koszul_gamma6, ricci_g6, same_bits, wedge_torsion_form
 from epscontact import product6d as p6
 from epscontact import tables
-from epscontact.contact import build_contact, check_contact
+from epscontact.config import get_tol
+from epscontact.contact import ContactBatch, build_contact, check_contact
 from epscontact.curvature import (
     koszul_components,
     ricci_components,
@@ -20,6 +21,7 @@ from epscontact.curvature import (
 from epscontact.errors import IncompatibleFactors
 from epscontact.exterior import (
     FrameMetric,
+    _product_table,
     antisymmetric_array,
     d_components,
     hodge_components,
@@ -551,3 +553,71 @@ def test_stacked_formulas_bit_equal_to_single_solutions():
     held = {k: v for k, v in vars(stacked).items() if isinstance(v, np.ndarray)}
     assert set(held) == {"c6", "orientation6", "h_form", "h_array", "gamma", "torsion_ricci"}
     assert not any(a.flags.writeable for a in held.values())
+
+
+def product_forms(a, b, o_n, o_x):
+    """nu_N, (*a) ^ b, a ^ (*b) and nu_X, (4, 20), for one-forms a on the
+    Lorentzian and b on the Riemannian factor: the gather of torsion_form."""
+    ka, kb, sign, live, of_n = _product_table(L3.signs, R3.signs)
+    a, b = np.append(a, 1.0), np.append(b, 1.0)
+    return np.where(live, sign * np.where(of_n, o_n, o_x) * a[ka] * b[kb], 0.0)
+
+
+def test_lambda_part_of_h_anti_self_dual_and_l_part_self_dual():
+    # * nu_N = -nu_X, * nu_X = -nu_N, *((*a) ^ b) = a ^ (*b) and back, bit for
+    # bit, at both orientations of each factor: lambda (nu_N + nu_X) is
+    # anti-self-dual and l ((*a) ^ b + a ^ (*b)) self-dual
+    rng = np.random.default_rng(13)
+    m6 = p6._product_metric(L3, R3)
+    for o_n, o_x in itertools.product((1, -1), repeat=2):
+        for a, b in rng.normal(size=(20, 2, 3)):
+            nu_n, w_n, w_x, nu_x = product_forms(a, b, o_n, o_x)
+            star = [hodge_components(f, m6.signs, 3, o_n * o_x) for f in (nu_n, w_n, w_x, nu_x)]
+            assert np.array_equal(star[0], -nu_x) and np.array_equal(star[3], -nu_n)
+            assert np.array_equal(star[1], w_x) and np.array_equal(star[2], w_n)
+            assert np.count_nonzero(w_n) == 9 and np.count_nonzero(nu_n) == 1
+
+
+def table_batch(table_id):
+    """The ContactBatch of every instance of a table, and its fit."""
+    insts = [i for row in tables.table_rows(table_id) for i in row.instances()]
+    batch = ContactBatch.from_specs([i.spec for i in insts], [i.alpha for i in insts])
+    assert batch.ok.all()
+    return batch, batch.fit()
+
+
+def test_main_theorem_on_every_pairing_of_table_structures():
+    # every admissible Lorentzian table structure N and thm-4.14 structure X
+    # with lambda^2_N = lambda^2_X and kappa_X = eps_N kappa_N solve the field
+    # equations at lambda = +-sqrt(lambda^2), l = +-sqrt(kappa_N); pairs of
+    # equal lambda^2 whose kappa_X misses eps_N kappa_N by 1 fail at l >= 0
+    x, fit_x = table_batch("thm-4.14")
+    tol, bound = get_tol(), 1e-12
+    pairs, worst, misses = {}, 0.0, []
+    for table_id in ("thm-1.2", "thm-4.22", "thm-4.25"):
+        n, fit_n = table_batch(table_id)
+        adm = np.flatnonzero(fit_n.admissible)
+        same = np.abs(fit_n.lambda2[adm, None] - fit_x.lambda2) <= bound
+        gap = np.abs(fit_x.kappa - n.eps[adm, None] * fit_n.kappa[adm, None])
+
+        def solve(pairing, s_lam, s_l):
+            """l and the worst field residual of each pair, in one stacked pass."""
+            j_n, j_x = np.nonzero(pairing)
+            j_n = adm[j_n]
+            # a kappa_N rounded below 0 is 0
+            lam, l = (np.sqrt(np.maximum(v[j_n], 0.0)) for v in (fit_n.lambda2, fit_n.kappa))
+            sol = p6.ProductSolution(n.take(j_n), x.take(j_x), s_lam * lam, s_l * l)
+            return l, np.max(np.abs(p6.field_residuals(sol)), axis=0)
+
+        match, miss = same & (gap <= bound), same & (gap > bound)
+        pairs[table_id] = np.count_nonzero(match)
+        for s_lam, s_l in itertools.product((1.0, -1.0), repeat=2):
+            worst = max(worst, solve(match, s_lam, s_l)[1].max())
+        assert (gap[miss] > 0.5).all()
+        l, res = solve(miss, 1.0, 1.0)
+        assert ((l == 0.0) | (l * l > p6.factor_bound(tol))).all()  # l the factor checks resolve
+        misses.append(res)
+    assert pairs == {"thm-1.2": 7, "thm-4.22": 116, "thm-4.25": 140}
+    assert worst <= 1e2 * np.finfo(float).eps
+    misses = np.concatenate(misses)
+    assert len(misses) == 52 and (misses > 0.4).all()

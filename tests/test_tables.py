@@ -1,13 +1,16 @@
 import hashlib
+import itertools
 
+import numpy as np
 import pytest
 
 import verify_oracle
 from frames import reeb_curvature_residual
 from epscontact import tables
-from epscontact.contact import contact_identity_residuals
+from epscontact.config import get_tol
+from epscontact.contact import ContactBatch, contact_identity_residuals
 from epscontact.errors import DecompositionFailure
-from epscontact.liealg import GroupName
+from epscontact.liealg import FAMILIES, GroupName
 
 ALL_TABLES = ("thm-1.2", "thm-4.22", "thm-4.25", "thm-4.14", "prop-3.8", "prop-3.16", "prop-3.22")
 
@@ -254,3 +257,43 @@ def test_instance_list_fingerprint():
     ]
     assert len(keys) == 771
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == INSTANCE_LIST_SHA256
+
+
+def eta_preserving_signed_permutations(signs):
+    """(pi, s, det P) of every signed permutation P: e'_a = s_a e_{pi(a)} of
+    a 3D frame that keeps the metric signs."""
+    return [(list(pi), s, round(np.linalg.det(s[:, None] * np.eye(3)[list(pi)])))
+            for pi in itertools.permutations(range(3))
+            if all(signs[p] == signs[a] for a, p in enumerate(pi))
+            for s in map(np.array, itertools.product((1.0, -1.0), repeat=3))]
+
+
+def test_table_structures_invariant_under_frame_automorphisms():
+    # every eta-preserving signed permutation P of the frame maps a table
+    # structure to one of the same epsilon, lambda^2, kappa and flags:
+    # c'_abd = s_a s_b s_d c_{pi(a) pi(b) pi(d)}, alpha'_a = s_a alpha_{pi(a)},
+    # orientation times det P. An oracle that shares no code with the fit.
+    insts = [i for rows in tables.TABLES.values() for row in rows for i in row.instances()]
+    by_metric = {}
+    for inst in insts:
+        by_metric.setdefault(FAMILIES[inst.spec.family_id].metric, []).append(inst)
+    tol, images, worst = get_tol(), 0, 0.0
+    for m, group in by_metric.items():
+        base = ContactBatch.from_specs([i.spec for i in group], [i.alpha for i in group], tol=tol)
+        assert base.ok.all()
+        fit = base.fit(tol)
+        flags = (np.abs(base.h).max(axis=(-2, -1)) <= tol, base.k_contact_witness <= tol)
+        perms = eta_preserving_signed_permutations(m.signs)
+        assert len(perms) == {1: 48, -1: 16}[m.s_g]
+        for pi, s, det in perms:
+            c = base.c[:, pi][:, :, pi][:, :, :, pi] * (s[:, None, None] * s[:, None] * s)
+            image = ContactBatch(c, m, base.orientation * det, base.alpha[:, pi] * s, tol)
+            assert image.ok.all() and np.array_equal(image.eps, base.eps), (m, pi, s)
+            got = image.fit(tol)
+            worst = max(worst, np.abs(got.lambda2 - fit.lambda2).max(),
+                        np.abs(got.kappa - fit.kappa).max())
+            assert np.array_equal(np.abs(image.h).max(axis=(-2, -1)) <= tol, flags[0])
+            assert np.array_equal(image.k_contact_witness <= tol, flags[1])
+            images += len(group)
+    assert images == 12720
+    assert worst <= 1e-14
