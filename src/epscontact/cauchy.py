@@ -90,7 +90,20 @@ def _d1(f: np.ndarray, axis: int, h: float, periodic: bool, out=None) -> np.ndar
         s[axis] = idx
         return tuple(s)
 
-    np.subtract(f[at(slice(2, None))], f[at(slice(0, -2))], out=out[at(slice(1, -1))])
+    # along the last axis of a C-contiguous stack: one subtraction over the
+    # flattened stack, which numpy runs unbuffered; the differences it takes
+    # across row ends land on the edge entries the stencils below overwrite.
+    # Where a difference overflows or is invalid, the strided form repeats the
+    # interior, warning as it always did
+    flat = axis % f.ndim == f.ndim - 1 and f.flags.c_contiguous and out.flags.c_contiguous
+    if flat:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                np.subtract(f.reshape(-1)[2:], f.reshape(-1)[:-2], out=out.reshape(-1)[1:-1])
+        except FloatingPointError:
+            flat = False
+    if not flat:
+        np.subtract(f[at(slice(2, None))], f[at(slice(0, -2))], out=out[at(slice(1, -1))])
     if periodic:
         out[at(0)] = f[at(1)] - f[at(-1)]
         out[at(-1)] = f[at(0)] - f[at(-2)]
@@ -163,11 +176,12 @@ def _quadratic(m: np.ndarray, u: np.ndarray, ws: _Workspace, out=None) -> np.nda
 
 @dataclass(frozen=True)
 class SurfaceData:
-    """One time slice of fields on the grid: q (nx,ny,2,2) positive definite,
-    theta (nx,ny,2,2) symmetric, F (nx,ny), alpha (nx,ny,2), beta (nx,ny) > 0,
-    all finite. Every field is read-only. A field given as a read-only float64
-    ndarray that owns its memory is held as given, since nothing can write to
-    it through another array; any other input is copied and frozen."""
+    """One time slice of fields on the grid: q (nx,ny,2,2) symmetric positive
+    definite, theta (nx,ny,2,2) symmetric (both exactly, q_01 == q_10 at every
+    node), F (nx,ny), alpha (nx,ny,2), beta (nx,ny) > 0, all finite. Every
+    field is read-only. A field given as a read-only float64 ndarray that owns
+    its memory is held as given, since nothing can write to it through another
+    array; any other input is copied and frozen."""
 
     grid: SurfaceGrid
     q: np.ndarray
@@ -196,6 +210,10 @@ class SurfaceData:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite at every node")
             object.__setattr__(self, name, arr)
+        for name in ("q", "theta"):
+            arr = getattr(self, name)
+            if not np.array_equal(arr[..., 0, 1], arr[..., 1, 0]):
+                raise ValueError(f"{name} must be symmetric at every node")
         det = self.det_q()
         if np.any(det <= 0.0) or np.any(self.q[..., 0, 0] <= 0.0):
             raise SingularMetric("q must be positive definite at every node")

@@ -94,6 +94,11 @@ def _lstsq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _umath_linalg.lstsq(a, b[..., None], _RCOND, signature="ddd->ddid")[0][..., 0]
 
 
+def _singular(err, flag):
+    """np.linalg.solve's error for a singular system, raised from its errstate call."""
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def _fit_rows(ric: np.ndarray, alpha: np.ndarray, m: FrameMetric, eps: np.ndarray,
               tol: float) -> tuple:
     """(lambda2, kappa, residual, admissible), arrays (K,), of the fits of
@@ -447,12 +452,18 @@ def h_components(ad: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return ad @ phi - phi @ ad
 
 
+def _null_dual(alpha: np.ndarray) -> np.ndarray:
+    """u = alpha / |alpha|^2_E (..., 3), the componentwise dual of stacked
+    one-forms alpha (..., 3): null iff alpha is, with alpha(u) = 1."""
+    return alpha / (alpha * alpha).sum(axis=-1)[..., None]
+
+
 def null_factor(h: np.ndarray, alpha: np.ndarray, m: FrameMetric) -> tuple:
     """(mu, residual) of null structures: mu = g(u, h u) with u the
-    componentwise dual of alpha (see contact_frame), and max |h - mu xi (x)
+    componentwise dual of alpha (see _null_dual), and max |h - mu xi (x)
     alpha|, the residual of the decomposition h = mu xi (x) alpha."""
     xi = m.eta * alpha
-    u = alpha / (alpha * alpha).sum(axis=-1)[..., None]
+    u = _null_dual(alpha)
     mu = (m.eta * u * np.matmul(h, u[..., None])[..., 0]).sum(axis=-1)
     model = mu[..., None, None] * (xi[..., :, None] * alpha[..., None, :])
     return mu, np.abs(h - model).max(axis=(-2, -1))
@@ -531,7 +542,7 @@ def contact_frame(cs: ContactStructure):
     """
     xi, alpha, eps = cs.xi, cs.alpha, cs.epsilon
     if eps == 0:
-        u = alpha / float((alpha * alpha).sum())  # componentwise dual: null iff alpha is
+        u = _null_dual(alpha)
     else:
         b = _ker_alpha_basis(cs)
         fits = np.sign(cs.m.eta @ (b * b)) == np.sign(cs.m.s_g * eps)
@@ -646,12 +657,17 @@ def _identity_terms(cs: ContactStructure) -> dict:
     else:
         res["phi_cubed"] = phi2 @ phi
         # light-cone bracket pattern: the frame coefficients of [xi, u],
-        # [xi, phi(u)] and [u, phi(u)]
-        _, u, phiu = cs.frame
-        c1, c2, c3 = np.linalg.solve(
-            np.stack(cs.frame, axis=1),
-            np.stack([ad @ u, ad @ phiu, ad_components(u, cs.c) @ phiu], axis=1),
-        ).T
+        # [xi, phi(u)] and [u, phi(u)], solved in the frame (xi, u, phi(u))
+        # of contact_frame by the gufunc np.linalg.solve runs, so with its bits
+        f, r = np.empty((3, 3)), np.empty((3, 3))  # rows: the frame and the brackets
+        f[0], f[1] = xi, _null_dual(alpha)
+        np.matmul(phi, f[1], out=f[2])
+        np.matmul(ad, f[1], out=r[0])
+        np.matmul(ad, f[2], out=r[1])
+        np.matmul(ad_components(f[1], cs.c), f[2], out=r[2])
+        with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                         under="ignore"):
+            c1, c2, c3 = _umath_linalg.solve(f.T, r.T, signature="dd->d").T
         res["lightcone_brackets"] = np.array([
             c1[1],                 # [xi,u] has no u part
             c2[1], c2[2],          # [xi,phi(u)] proportional to xi

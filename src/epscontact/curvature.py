@@ -70,48 +70,62 @@ def ricci_components(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def jacobi_constraints9(p9) -> np.ndarray:
-    """The three Jacobi constraint expressions of the general 3D bracket."""
-    a, b, c, d, f, h, g, j, k = (float(x) for x in p9)
-    return np.array([
-        b * d + k * d - f * a - h * g,
-        j * a - g * b + k * f - h * j,
-        a * k + h * b - g * c - f * c,
-    ])
+    """The three Jacobi constraint expressions (..., 3) of general 3D
+    brackets p9 (..., 9), in Python float arithmetic's order and bits."""
+    a, b, c, d, f, h, g, j, k = np.moveaxis(np.asarray(p9, dtype=float), -1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf and NaN silently
+        return np.stack([
+            b * d + k * d - f * a - h * g,
+            j * a - g * b + k * f - h * j,
+            a * k + h * b - g * c - f * c,
+        ], axis=-1)
 
 
 def check_jacobi(p9, tol: float) -> None:
-    """JacobiViolation where a Jacobi constraint of the general 3D bracket
-    p9 exceeds tol in absolute value."""
+    """JacobiViolation where a Jacobi constraint of a general 3D bracket in
+    p9 (..., 9) exceeds tol in absolute value, naming the constraints of the
+    first such bracket."""
     cons = jacobi_constraints9(p9)
-    if np.max(np.abs(cons)) > tol:
-        raise JacobiViolation(f"Jacobi constraints violated: {cons.tolist()}")
+    bad = np.abs(cons).max(axis=-1) > tol
+    if bad.any():
+        first = cons.reshape(-1, 3)[np.argmax(bad)]  # in C order over the batch axes
+        raise JacobiViolation(f"Jacobi constraints violated: {first.tolist()}")
 
 
 def closed_form_ricci(p9, m: FrameMetric, tol: float | None = None) -> tuple:
-    """Closed-form (ricci, scalar) curvature of the general 3D Lorentzian
-    bracket [e0,e1]=a e0+b e1+c e2, [e1,e2]=d e0+f e1+h e2, [e0,e2]=g e0+j e1+k e2.
+    """Closed-form (ricci (..., 3, 3), scalar (...)) curvature of general 3D
+    Lorentzian brackets p9 (..., 9) of
+    [e0,e1]=a e0+b e1+c e2, [e1,e2]=d e0+f e1+h e2, [e0,e2]=g e0+j e1+k e2;
+    one bracket (9,) gives a (3, 3) array and a float.
 
     Independent oracle for the Koszul -> Ricci pipeline; requires
-    eta = (-1, +1, +1) and the Jacobi constraints.
+    eta = (-1, +1, +1) and the Jacobi constraints. Each sample's entries
+    have the bits of Python float arithmetic in this order: x**2 is
+    np.float_power(x, 2), libm's pow as Python's float ** calls it, not the
+    x * x of an array's ** (they differ in the last bit on some doubles).
     """
     if m.signs != (-1, 1, 1):
         raise ValueError("closed-form Ricci is stated for the frame metric (-1, +1, +1)")
+    p9 = np.asarray(p9, dtype=float)
     check_jacobi(p9, get_tol(tol))
-    a, b, c, d, f, h, g, j, k = (float(x) for x in p9)
-    ric = np.empty((3, 3))
-    ric[0, 0] = a**2 - b**2 + g * f + g**2 - k**2 - a * h + d**2 / 2 - c * j - c**2 / 2 - j**2 / 2
-    ric[0, 1] = b * h - f * j - f * c + d * g - h * k
-    ric[0, 2] = h * c + h * j - f * k - d * a + f * b
-    ric[1, 1] = -(a**2) + b**2 - f**2 - h**2 - f * g + b * k - j**2 / 2 + d * c + c**2 / 2 + d**2 / 2
-    ric[1, 2] = f * a - a * g + b * j - b * d + c * k
-    ric[2, 2] = -(g**2) + k**2 + a * h + k * b - f**2 - h**2 + j**2 / 2 - j * d + d**2 / 2 - c**2 / 2
-    ric[1, 0], ric[2, 0], ric[2, 1] = ric[0, 1], ric[0, 2], ric[1, 2]
+    params = np.moveaxis(p9, -1, 0)
+    a, b, c, d, f, h, g, j, k = params
+    a2, b2, c2, d2, f2, h2, g2, j2, k2 = np.float_power(params, 2)
+    ric = np.empty(p9.shape[:-1] + (3, 3))
+    ric[..., 0, 0] = a2 - b2 + g * f + g2 - k2 - a * h + d2 / 2 - c * j - c2 / 2 - j2 / 2
+    ric[..., 0, 1] = b * h - f * j - f * c + d * g - h * k
+    ric[..., 0, 2] = h * c + h * j - f * k - d * a + f * b
+    ric[..., 1, 1] = -a2 + b2 - f2 - h2 - f * g + b * k - j2 / 2 + d * c + c2 / 2 + d2 / 2
+    ric[..., 1, 2] = f * a - a * g + b * j - b * d + c * k
+    ric[..., 2, 2] = -g2 + k2 + a * h + k * b - f2 - h2 + j2 / 2 - j * d + d2 / 2 - c2 / 2
+    ric[..., 1, 0], ric[..., 2, 0], ric[..., 2, 1] = (
+        ric[..., 0, 1], ric[..., 0, 2], ric[..., 1, 2])
     scal = (
-        -2 * a**2 + 2 * b**2 - 2 * g * f - 2 * g**2 + 2 * k**2 + 2 * a * h
-        + d**2 / 2 + c * j + c**2 / 2 + j**2 / 2 - 2 * f**2 - 2 * h**2
+        -2 * a2 + 2 * b2 - 2 * g * f - 2 * g2 + 2 * k2 + 2 * a * h
+        + d2 / 2 + c * j + c2 / 2 + j2 / 2 - 2 * f2 - 2 * h2
         + 2 * b * k + d * c - j * d
     )
-    return ric, float(scal)
+    return ric, (float(scal) if p9.ndim == 1 else scal)
 
 
 def torsionful_connection(gamma: np.ndarray, h: np.ndarray, m: FrameMetric) -> np.ndarray:

@@ -58,15 +58,17 @@ def direct_sum_components(c1: np.ndarray, c2: np.ndarray, rank: int = 3) -> np.n
 # [e0,e1] = a e0 + b e1 + c e2,  [e1,e2] = d e0 + f e1 + h e2,
 # [e0,e2] = g e0 + j e1 + k e2;  parameter order (a,b,c,d,f,h,g,j,k).
 
-def nine_params(c: np.ndarray):
-    """Extract (a,b,c,d,f,h,g,j,k) of the general 3D bracket from a table (3, 3, 3)."""
-    if np.shape(c) != (3, 3, 3):
-        raise ValueError("nine_params needs a 3D bracket table")
-    return (
-        c[0, 1, 0], c[0, 1, 1], c[0, 1, 2],
-        c[1, 2, 0], c[1, 2, 1], c[1, 2, 2],
-        c[0, 2, 0], c[0, 2, 1], c[0, 2, 2],
-    )
+# the entries (i, j, k) of (a,b,c,d,f,h,g,j,k) in a bracket table, as index arrays
+_NINE = (np.array([0, 0, 0, 1, 1, 1, 0, 0, 0]), np.array([1, 1, 1, 2, 2, 2, 2, 2, 2]),
+         np.array([0, 1, 2, 0, 1, 2, 0, 1, 2]))
+
+
+def nine_params(c: np.ndarray) -> np.ndarray:
+    """(a,b,c,d,f,h,g,j,k) (..., 9) of the general 3D bracket from stacked
+    tables c (..., 3, 3, 3)."""
+    if np.shape(c)[-3:] != (3, 3, 3):
+        raise ValueError("nine_params needs 3D bracket tables")
+    return np.asarray(c)[(...,) + _NINE]
 
 
 # --- classification families --------------------------------------------------

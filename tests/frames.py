@@ -4,10 +4,11 @@ use: the time-like special frame, the matrix of J in the frame
 Reeb-curvature residual, the metric pairing of two frame vectors, and the
 bracket of two vectors; the interior product, the wedge product and the
 3D -> 6D lift of forms;
-and the reference forms of what the library computes by index-table gathers
-or reads off the factors (the Koszul terms, phi, and the 6D product's torsion
-form, Levi-Civita coefficients and Ricci tensor), with a bytewise comparison
-and the values whose signs it shows."""
+and the reference forms of what the library computes by index-table gathers,
+reads off the factors or solves by numpy's gufunc (the Koszul terms, phi,
+the light-cone bracket pattern, and the 6D product's torsion form,
+Levi-Civita coefficients and Ricci tensor), with a bytewise comparison and
+the values whose signs it shows."""
 
 import math
 from functools import lru_cache
@@ -15,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from epscontact.config import get_tol
-from epscontact.contact import _j_and_frame, _ker_alpha_basis, _lead_positive
+from epscontact.contact import _j_and_frame, _ker_alpha_basis, _lead_positive, contact_frame
 from epscontact.curvature import koszul_components, ricci_components
 from epscontact.errors import WrongCausalType
 from epscontact.exterior import (_interior_table, _ordered_sum, hodge_components, index_tuples,
@@ -203,3 +204,18 @@ def reeb_curvature_residual(cs, fit) -> float:
         np.einsum("j,im->ijm", cs.alpha, eye) - np.einsum("i,jm->ijm", cs.alpha, eye)
     )
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def lightcone_brackets(cs, mu) -> np.ndarray:
+    """The light-cone bracket pattern of a null structure with h = mu xi (x)
+    alpha, from the frame coefficients of [xi, u], [xi, phi(u)] and
+    [u, phi(u)] by np.linalg.solve in the frame of contact_frame: the
+    reference for the lightcone_brackets term of the identity suite."""
+    frame = contact_frame(cs)
+    _, u, phiu = frame
+    ad = cs.ad_xi
+    c1, c2, c3 = np.linalg.solve(
+        np.stack(frame, axis=1),
+        np.stack([ad @ u, ad @ phiu, ad_components(u, cs.c) @ phiu], axis=1),
+    ).T
+    return np.array([c1[1], c2[1], c2[2], c2[0] - (mu - c1[2]), c3[1] - 1.0])

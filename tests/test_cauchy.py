@@ -1,8 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from frames import same_bits
 from epscontact import cauchy as cy
 from epscontact.errors import DegenerateParameters, SingularMetric
 
@@ -658,6 +660,88 @@ def test_int_input_held_as_float64_copy():
     assert held.beta.dtype == np.float64 and not held.beta.flags.writeable
     assert not np.shares_memory(held.beta, beta)
     assert np.all(held.beta == 1.0)
+
+
+@pytest.mark.parametrize("name", ["q", "theta"])
+def test_asymmetric_fields_rejected(name):
+    # one node off by one ulp of its entry: symmetry is exact
+    d = flat_data(8)
+    fields = {k: getattr(d, k).copy() for k in FIELDS}
+    fields[name][3, 5, 0, 1] = np.nextafter(0.0, 1.0)
+    with pytest.raises(ValueError, match=f"{name} must be symmetric at every node"):
+        cy.SurfaceData(d.grid, **fields)
+    fields[name][3, 5, 1, 0] = fields[name][3, 5, 0, 1]
+    cy.SurfaceData(d.grid, **fields)
+
+
+# --- the first difference over a flattened stack ------------------------------------
+
+
+def strided_d1(f, axis, h, periodic):
+    """_d1 with its interior difference as one strided subtraction of slices
+    along axis: the reference for the subtraction over the flattened stack."""
+    sl = [slice(None)] * f.ndim
+
+    def at(idx):
+        s = list(sl)
+        s[axis] = idx
+        return tuple(s)
+
+    out = np.empty_like(f)
+    np.subtract(f[at(slice(2, None))], f[at(slice(0, -2))], out=out[at(slice(1, -1))])
+    if periodic:
+        out[at(0)] = f[at(1)] - f[at(-1)]
+        out[at(-1)] = f[at(0)] - f[at(-2)]
+    else:
+        out[at(0)] = -3.0 * f[at(0)] + 4.0 * f[at(1)] - f[at(2)]
+        out[at(-1)] = 3.0 * f[at(-1)] - 4.0 * f[at(-2)] + f[at(-3)]
+    out /= 2.0 * h
+    return out
+
+
+@pytest.mark.parametrize("ny", [4, 64])
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("axis", [-1, -2, 3])
+def test_difference_bit_equal_to_strided_form(axis, periodic, ny):
+    rng = np.random.default_rng(ny)
+    f = rng.normal(size=(2, 2, 64, ny)) * 10.0 ** rng.integers(-8, 9, size=(2, 2, 64, ny))
+    want = strided_d1(f, axis, 0.37, periodic)
+    assert same_bits(cy._d1(f, axis, 0.37, periodic), want)
+    out = np.full_like(f, np.nan)
+    assert cy._d1(f, axis, 0.37, periodic, out) is out and same_bits(out, want)
+    # not C-contiguous: the strided form itself
+    g = f.swapaxes(-1, -2)
+    assert same_bits(cy._d1(g, axis, 0.37, periodic), strided_d1(g, axis, 0.37, periodic))
+
+
+def test_y_difference_allocates_no_buffer():
+    # the strided form buffered its operands: 194 KB at this shape
+    f = np.random.default_rng(5).normal(size=(2, 2, 64, 64))
+    out = np.empty_like(f)
+    cy._d1(f, -1, 0.1, True, out)
+    _, peak = traced(lambda: cy._d1(f, -1, 0.1, True, out))
+    assert peak < 16 * 1024
+
+
+def test_wrapped_differences_raise_no_warning():
+    # 1e308 - (-1e308) overflows, and inf - inf is invalid, only across a row
+    # end, where the edge stencils overwrite the wrapped difference (a
+    # one-sided stencil overflows itself on entries that large)
+    over, invalid = np.zeros((3, 8)), np.zeros((3, 8))
+    over[0, -1], over[1, 1] = -1e308, 1e308
+    invalid[0, -1] = invalid[1, 1] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, periodic in ((over, True), (invalid, True), (invalid, False)):
+            assert same_bits(cy._d1(f, -1, 1.0, periodic), strided_d1(f, -1, 1.0, periodic))
+    # an overflow inside a row warns once, as in the strided form
+    f = over
+    f[1, 3], f[1, 5] = 1e308, -1e308
+    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract") as got:
+        d = cy._d1(f, -1, 1.0, True)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract") as want:
+        ref = strided_d1(f, -1, 1.0, True)
+    assert len(got) == len(want) == 1 and same_bits(d, ref)
 
 
 def traced(run):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import verify_oracle
-from frames import (SIGNED_VALUES, bracket, hodge_interior_phi, j_endo_matrix, metric_dot,
-                    same_bits, timelike_special_frame)
+from frames import (SIGNED_VALUES, bracket, hodge_interior_phi, j_endo_matrix, lightcone_brackets,
+                    metric_dot, same_bits, timelike_special_frame)
 from homothety import HOMOTHETY_CASES, homothety_structures
 from epscontact import contact, curvature, tables
 from epscontact.contact import (
@@ -835,6 +835,26 @@ def test_identity_term_fails_on_its_mutant(term):
 def test_identity_mutants_cover_every_term():
     names = {name for case in CAUSAL_CASES for name in _identity_terms(causal_case(case))}
     assert set(IDENTITY_MUTANTS) == names and len(names) == 12
+
+
+def test_lightcone_brackets_bit_equal_to_solve_in_contact_frame(table_structures):
+    """The suite's light-cone term, solved by the gufunc in a frame filled in
+    place, is np.linalg.solve's in the frame of contact_frame, bit for bit,
+    on every null table structure and on the null mutants."""
+    null = [cs for cs in table_structures if cs.epsilon == 0]
+    assert len(null) == 604
+    mutants = [mutant(*where) for where in IDENTITY_MUTANTS.values() if where[0] == "null"]
+    assert len(mutants) == 2 and not any(cs.ok for cs in mutants)
+    for cs in null + mutants:
+        want = lightcone_brackets(cs, h_tensor(cs)[1])
+        assert same_bits(_identity_terms(cs)["lightcone_brackets"], want), (cs.spec, cs.alpha)
+
+
+def test_lightcone_brackets_singular_frame_raises_as_solve_does():
+    cs = causal_case("null")
+    cs.__dict__["phi"] = np.zeros((3, 3))  # phi(u) = 0: the frame (xi, u, phi(u)) is singular
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _identity_terms(cs)
 
 
 @pytest.fixture(scope="module")

@@ -1,15 +1,16 @@
 """Per-instance references for the stacked verification passes: a table row
 verified one instance at a time through a built ContactStructure, the
-curvature oracle run one sample at a time, and a structure built by trying
-orientation +1, then -1. tables.verify_table_row, oracle.run_oracle and
+curvature oracle run one sample at a time with the closed-form Ricci in
+Python floats, and a structure built by trying orientation +1, then -1.
+tables.verify_table_row, oracle.run_oracle, curvature.closed_form_ricci and
 contact.build_contact must give the same results, bit for bit."""
 
 import numpy as np
 
 from epscontact.config import get_tol
 from epscontact.contact import check_contact, is_k_contact, is_sasakian
-from epscontact.curvature import closed_form_ricci, koszul_components, ricci_components
-from epscontact.errors import EpsContactError, NotContact
+from epscontact.curvature import koszul_components, ricci_components
+from epscontact.errors import EpsContactError, JacobiViolation, NotContact
 from epscontact.liealg import FAMILIES, identify_group, make_family, nine_params
 from epscontact.oracle import LORENTZ_FAMILIES, OracleReport, sample_spec
 from epscontact.tables import InstanceReport, TableRowReport
@@ -112,3 +113,39 @@ def run_oracle(samples: int, seed: int, tol=None) -> OracleReport:
         max_ricci_dev=max(e["max_ricci_dev"] for e in per_family.values()),
         max_scalar_dev=max(e["max_scalar_dev"] for e in per_family.values()),
     )
+
+
+def jacobi_constraints9(p9) -> np.ndarray:
+    """The three Jacobi constraint expressions of one general 3D bracket, in
+    Python floats."""
+    a, b, c, d, f, h, g, j, k = (float(x) for x in p9)
+    return np.array([
+        b * d + k * d - f * a - h * g,
+        j * a - g * b + k * f - h * j,
+        a * k + h * b - g * c - f * c,
+    ])
+
+
+def closed_form_ricci(p9, m, tol=None) -> tuple:
+    """Closed-form (ricci, scalar) of one general 3D Lorentzian bracket p9
+    (9,) in Python floats, with Python's float ** (libm pow): the reference
+    for curvature.closed_form_ricci."""
+    assert m.signs == (-1, 1, 1)
+    cons = jacobi_constraints9(p9)
+    if np.max(np.abs(cons)) > get_tol(tol):
+        raise JacobiViolation(f"Jacobi constraints violated: {cons.tolist()}")
+    a, b, c, d, f, h, g, j, k = (float(x) for x in p9)
+    ric = np.empty((3, 3))
+    ric[0, 0] = a**2 - b**2 + g * f + g**2 - k**2 - a * h + d**2 / 2 - c * j - c**2 / 2 - j**2 / 2
+    ric[0, 1] = b * h - f * j - f * c + d * g - h * k
+    ric[0, 2] = h * c + h * j - f * k - d * a + f * b
+    ric[1, 1] = -(a**2) + b**2 - f**2 - h**2 - f * g + b * k - j**2 / 2 + d * c + c**2 / 2 + d**2 / 2
+    ric[1, 2] = f * a - a * g + b * j - b * d + c * k
+    ric[2, 2] = -(g**2) + k**2 + a * h + k * b - f**2 - h**2 + j**2 / 2 - j * d + d**2 / 2 - c**2 / 2
+    ric[1, 0], ric[2, 0], ric[2, 1] = ric[0, 1], ric[0, 2], ric[1, 2]
+    scal = (
+        -2 * a**2 + 2 * b**2 - 2 * g * f - 2 * g**2 + 2 * k**2 + 2 * a * h
+        + d**2 / 2 + c * j + c**2 / 2 + j**2 / 2 - 2 * f**2 - 2 * h**2
+        + 2 * b * k + d * c - j * d
+    )
+    return ric, float(scal)
