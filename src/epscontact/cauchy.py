@@ -257,7 +257,8 @@ def christoffel(ws: _Workspace) -> np.ndarray:
         # Gamma^k_ij = 1/2 q^{kl} (d_i q_lj + d_j q_li - d_l q_ij), term[i, j, l]
         term = np.add(dq.transpose(0, 2, 1, 3, 4), dq.transpose(2, 0, 1, 3, 4),
                       out=ws.take(2, 2, 2))
-        term -= dq.transpose(1, 2, 0, 3, 4)
+        for l in range(2):  # one plane pair at a time: a transposed dq is buffered
+            np.subtract(term[:, :, l], dq[l], out=term[:, :, l])
         np.multiply(inv[:, 0, None, None], term[None, :, :, 0], out=gamma)
         gamma += np.multiply(inv[:, 1, None, None], term[None, :, :, 1], out=dq)
         gamma *= 0.5

@@ -74,6 +74,9 @@ class EtaEinsteinFit:
 _IU9 = np.ravel_multi_index(np.triu_indices(3), (3, 3))
 # lstsq's default cutoff (rcond=None) for the 6 x 2 design matrix
 _RCOND = np.finfo(float).eps * 6
+# machine epsilon and smallest normal number, for the rounding terms of the
+# elementwise proofs (_not_eta_einstein, einstein._full_rank)
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 _EYE3 = _read_only(np.eye(3))  # shared by every identity suite
 
 
@@ -99,20 +102,28 @@ def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+def _design(alpha: np.ndarray, m: FrameMetric, eps: np.ndarray) -> tuple:
+    """(rows, aa): the design matrices (K, 6, 2) of the fits of one-forms
+    alpha (K, 3) of epsilons eps (K,), columns (s_g/2) g and
+    (s_g/2) eps g - s_g alpha (x) alpha on the six independent components,
+    and alpha (x) alpha flattened to (K, 9)."""
+    half_g6 = _half_metric(m)[1]
+    aa = (alpha[:, :, None] * alpha[:, None, :]).reshape(-1, 9)
+    rows = np.empty((len(aa), 6, 2))
+    rows[..., 0] = half_g6
+    rows[..., 1] = eps[:, None] * half_g6 - m.s_g * aa.take(_IU9, axis=1)
+    return rows, aa
+
+
 def _fit_rows(ric: np.ndarray, alpha: np.ndarray, m: FrameMetric, eps: np.ndarray,
               tol: float) -> tuple:
     """(lambda2, kappa, residual, admissible), arrays (K,), of the fits of
     stacked Ricci tensors ric (K, 3, 3) with one-forms alpha (K, 3) of
     epsilons eps (K,), each -1.0, +0.0 or +1.0."""
-    sg, (half_g, half_g6) = m.s_g, _half_metric(m)
+    sg, half_g = m.s_g, _half_metric(m)[0]
     ric = ric.reshape(-1, 9)
-    aa = (alpha[:, :, None] * alpha[:, None, :]).reshape(-1, 9)
-    # the design matrices (K, 6, 2): columns (s_g/2) g and (s_g/2) eps g - s_g alpha (x) alpha
-    rows = np.empty((len(ric), 6, 2))
-    rows[..., 0] = half_g6
-    rows[..., 1] = eps[:, None] * half_g6 - sg * aa.take(_IU9, axis=1)
-    rhs = ric.take(_IU9, axis=1)
-    sol = _lstsq_rows(rows, rhs)
+    rows, aa = _design(alpha, m, eps)
+    sol = _lstsq_rows(rows, ric.take(_IU9, axis=1))
     lambda2, kappa = sol[:, 0], sol[:, 1]
     lambda2 = np.copysign(lambda2, lambda2 + tol)  # |lambda2| where it is within tol of 0
     model = (lambda2 + kappa * eps)[:, None] * half_g - (sg * kappa)[:, None] * aa
@@ -121,6 +132,35 @@ def _fit_rows(ric: np.ndarray, alpha: np.ndarray, m: FrameMetric, eps: np.ndarra
     if sg == -1:
         admissible &= kappa >= -tol
     return lambda2, kappa, residual, admissible
+
+
+def _not_eta_einstein(ric: np.ndarray, alpha: np.ndarray, m: FrameMetric, eps: np.ndarray,
+                      tol: float) -> np.ndarray:
+    """Where the fit of _fit_rows is proven, without solving it, to leave a
+    residual above tol, for the arguments of _fit_rows: elementwise.
+
+    With b the six independent Ricci components and D their Euclidean
+    distance to the span of the design columns c0 and c1 (_design), every
+    (lambda^2, kappa), the copysign-adjusted lambda^2 included, leaves some
+    component of b off by D/sqrt(6) at least, and the full-tensor residual
+    is a max over a superset of them. D is the norm of what is left of b
+    after its projections on c0 and on u, c1 orthogonalised against c0. A
+    row is proven only where u keeps a quarter of c1's norm, so that
+    |kappa| <= |b|/|u| and |lambda^2| <= 6|b| bound the model's terms, and
+    where D/sqrt(6) exceeds tol by a rounding margin 1024 eps |b| (1 + 1/|u|),
+    which bounds the errors of D, of lstsq's solution and of the residual's
+    arithmetic; the smallest normal number absorbs underflow. A test that is
+    not finite proves nothing."""
+    rows, _ = _design(alpha, m, eps)
+    b = ric.reshape(-1, 9).take(_IU9, axis=1)
+    c0, c1 = _half_metric(m)[1], rows[..., 1]  # c0 . c0 = 3/4 exactly
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = c1 - (c1 @ c0 / 0.75)[:, None] * c0
+        uu = np.sum(u * u, axis=-1)
+        r = b - (b @ c0 / 0.75)[:, None] * c0 - (np.sum(b * u, axis=-1) / uu)[:, None] * u
+        d2 = np.sum(r * r, axis=-1)
+        margin = 1024 * _EPS * np.sqrt(np.sum(b * b, axis=-1)) * (1 + 1 / np.sqrt(uu)) + _TINY
+        return (16 * uu > np.sum(c1 * c1, axis=-1)) & np.isfinite(d2) & (d2 > 6 * (tol + margin) ** 2)
 
 
 # the conditions a contact check tests, in this order

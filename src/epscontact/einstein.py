@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .config import get_tol
-from .contact import EtaEinsteinFit, _lead_positive, check_contact
+from .contact import _EPS, _TINY, EtaEinsteinFit, _lead_positive, _not_eta_einstein, check_contact
 from .exterior import FrameMetric, d_components, hodge_components
 from .liealg import FAMILIES, family_tables
 
@@ -51,10 +51,6 @@ _FULL_TURN = [(math.cos(2 * math.pi * k / N_DIRS), math.sin(2 * math.pi * k / N_
 # treated as null; rescaling them to |alpha|^2 = +-1 would blow the
 # components far beyond the O(1) range the tolerances are calibrated for
 _NULL_CUT = 1e-9
-# machine epsilon and smallest normal number, for the rounding terms of the
-# full-rank proof
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
 
 
 def _contact_maps(c: np.ndarray, m: FrameMetric, orientations: tuple) -> np.ndarray:
@@ -272,8 +268,14 @@ def scan_family(
     candidates of every (sample, orientation) nullspace are drawn together,
     one nullspace rank at a time, and go through one stacked check_contact,
     labelled by their sample; the batch of those of the wanted epsilon forms
-    the Ricci tensor of each of their samples once and fits them all in one
-    least-squares call (ContactBatch.fit). No ContactStructure is built.
+    the Ricci tensor of each of their samples once. A candidate whose Ricci
+    tensor lies farther from the span of the fit's two design columns than
+    any (lambda^2, kappa) within tol can reach is proven not eta-Einstein by
+    elementwise arithmetic (contact._not_eta_einstein) and dropped; the rows
+    that proof leaves, among them every admissible one and every row with a
+    badly conditioned design or a non-finite test, are fitted in one
+    least-squares call (ContactBatch.fit), each system solved on its own, so
+    a hit keeps the bits of a fit of every row. No ContactStructure is built.
     """
     tol = get_tol(tol)
     if grid is None:
@@ -298,6 +300,9 @@ def scan_family(
         checked = check_contact(c[sample], m, signs[orientation], alpha, tol=1e-7, sample=sample)
         batch = checked.take(np.flatnonzero(checked.ok & (checked.eps == epsilon)))
         del checked  # it holds the chunk's candidate tables; one chunk is alive at a time
+        # the Ricci tensors, formed once per sample, go with the rows that take keeps
+        unfit = _not_eta_einstein(batch.ricci, batch.alpha, m, batch.eps + 0.0, tol)
+        batch = batch.take(np.flatnonzero(~unfit))
         if not batch.sample.size:
             continue
         fits = batch.fit(tol)

@@ -161,6 +161,18 @@ def factor_bound(tol: float) -> float:
     return 1e2 * tol
 
 
+# the rounding term of the factor comparisons, in units of the larger of the
+# fitted and expected magnitudes: a fitted kappa_N of 1e10 lies ulps from l^2
+_ROUNDING = 64 * np.finfo(float).eps
+
+
+def _matches(fitted: float, expected: float, bound: float) -> bool:
+    """|fitted - expected| <= bound, plus the rounding term _ROUNDING
+    max(|fitted|, |expected|); False where the difference is NaN or infinite."""
+    diff = abs(fitted - expected)
+    return diff <= bound + _ROUNDING * max(abs(fitted), abs(expected)) and diff != math.inf
+
+
 def _check_factors(sg_n: int, sg_x: int, eps_n: int, fit_n: EtaEinsteinFit,
                    fit_x: EtaEinsteinFit, lam: float, l: float, tol: float) -> None:
     """Raise IncompatibleFactors naming the first violated condition of the
@@ -180,14 +192,14 @@ def _check_factors(sg_n: int, sg_x: int, eps_n: int, fit_n: EtaEinsteinFit,
         )
     lam2 = lam * lam
     l2 = l * l
-    # each check reads "not ... <= bound", so that a NaN lambda or l fails it
-    if not (abs(fit_n.lambda2 - lam2) <= check_tol and abs(fit_x.lambda2 - lam2) <= check_tol):
+    # a NaN lambda or l fails each check
+    if not (_matches(fit_n.lambda2, lam2, check_tol) and _matches(fit_x.lambda2, lam2, check_tol)):
         raise IncompatibleFactors(
             f"lambda^2 mismatch: factors ({fit_n.lambda2:.6g}, {fit_x.lambda2:.6g}) vs lambda^2={lam2:.6g}"
         )
-    if not abs(fit_n.kappa - l2) <= check_tol:
+    if not _matches(fit_n.kappa, l2, check_tol):
         raise IncompatibleFactors(f"kappa_N={fit_n.kappa:.6g} != l^2={l2:.6g}")
-    if not abs(fit_x.kappa - eps_n * l2) <= check_tol:
+    if not _matches(fit_x.kappa, eps_n * l2, check_tol):
         raise IncompatibleFactors(
             f"kappa_X={fit_x.kappa:.6g} != eps_N l^2={eps_n * l2:.6g}"
         )

@@ -723,6 +723,26 @@ def test_y_difference_allocates_no_buffer():
     assert peak < 16 * 1024
 
 
+def test_christoffel_allocates_no_buffer():
+    # d_l q_ij subtracted as a transposed dq was buffered: 68 KB at this size;
+    # Gamma keeps the bits of that form
+    n = 64
+    rng = np.random.default_rng(11)
+    s = rng.normal(size=(n, n, 2, 2), scale=0.1)
+    q = np.eye(2) + 0.5 * (s + np.swapaxes(s, 2, 3))
+    d = cy.SurfaceData(cy.SurfaceGrid(n, n, 1.0 / n, 1.0 / n), q, np.zeros((n, n, 2, 2)),
+                       np.ones((n, n)), np.ones((n, n, 2)), np.ones((n, n)))
+    ws = whole_grid(d)
+    dq = cy._partials(ws.q, ws)
+    term = dq.transpose(0, 2, 1, 3, 4) + dq.transpose(2, 0, 1, 3, 4) - dq.transpose(1, 2, 0, 3, 4)
+    want = 0.5 * (ws.inv[:, 0, None, None] * term[None, :, :, 0]
+                  + ws.inv[:, 1, None, None] * term[None, :, :, 1])
+    ws = whole_grid(d)
+    gamma, peak = traced(lambda: cy.christoffel(ws))
+    assert same_bits(gamma, want) and np.abs(want).max() > 0.1
+    assert peak < 16 * 1024
+
+
 def test_wrapped_differences_raise_no_warning():
     # 1e308 - (-1e308) overflows, and inf - inf is invalid, only across a row
     # end, where the edge stencils overwrite the wrapped difference (a

@@ -565,28 +565,156 @@ def test_candidate_dedup_is_the_greedy_pass():
 
 
 def test_stacked_lstsq_bit_equal_to_public_lstsq(monkeypatch):
+    # the scan fits only the candidates _not_eta_einstein cannot rule out, so
+    # the design systems of every epsilon-matched candidate are built here,
+    # before the proof, and solved by _lstsq_rows too
     import epscontact.contact as contact
+    import epscontact.einstein as einstein
     from epscontact import tables
 
-    systems = []
-    solve = contact._lstsq_rows
+    systems, candidates = [], []
+    solve, proof = contact._lstsq_rows, einstein._not_eta_einstein
 
     def recording(a, b):
         x = solve(a, b)
         systems.append((a, b, x))
         return x
 
+    def every_candidate(ric, alpha, m, eps, tol):
+        rows, _ = contact._design(alpha, m, eps)
+        candidates.append((rows, ric.reshape(-1, 9).take(contact._IU9, axis=1)))
+        return proof(ric, alpha, m, eps, tol)
+
     monkeypatch.setattr(contact, "_lstsq_rows", recording)
+    monkeypatch.setattr(einstein, "_not_eta_einstein", every_candidate)
     for family, epsilon in BENCHMARK_SCANS:
         scan_family(family, default_grid(13), epsilon=epsilon)
-    scan_rows = sum(len(a) for a, _, _ in systems)
+    fitted = sum(len(a) for a, _, _ in systems)
     for rows in tables.TABLES.values():
         for inst in (i for row in rows for i in row.instances()):
             tables.build_instance(inst).fit().at()
-    assert scan_rows > 3000 and sum(len(a) for a, _, _ in systems) == scan_rows + 771
-    for a, b, x in systems:
+    scan_rows = sum(len(a) for a, _ in candidates)
+    assert scan_rows > 3000 and sum(len(a) for a, _, _ in systems) == fitted + 771
+    for a, b, x in systems + [(a, b, solve(a, b)) for a, b in candidates]:
         for k in range(len(a)):
             assert x[k].tobytes() == np.linalg.lstsq(a[k], b[k], rcond=None)[0].tobytes()
+
+
+# --- the proof that a candidate is not eta-Einstein ------------------------------
+
+PROOF_TOLS = (1e-13, 1e-9, 1e-6, 1e-3, 0.1)
+
+
+def scan_candidates(monkeypatch, scans, tol) -> list:
+    """(ric, alpha, m, eps) of every epsilon-matched candidate the scans
+    hand to _not_eta_einstein at tol."""
+    import epscontact.einstein as einstein
+
+    seen, proof = [], einstein._not_eta_einstein
+
+    def recording(ric, alpha, m, eps, tol):
+        seen.append((ric.copy(), alpha.copy(), m, eps.copy()))
+        return proof(ric, alpha, m, eps, tol)
+
+    monkeypatch.setattr(einstein, "_not_eta_einstein", recording)
+    for family, epsilon in scans:
+        scan_family(family, default_grid(13), epsilon=epsilon, tol=tol)
+    monkeypatch.undo()
+    return seen
+
+
+def test_proof_rules_out_most_benchmark_candidates(monkeypatch):
+    from epscontact.contact import _not_eta_einstein
+
+    seen = scan_candidates(monkeypatch, BENCHMARK_SCANS, 1e-9)
+    assert sum(len(a) for _, a, _, _ in seen) == 3024
+    assert sum(_not_eta_einstein(*rows, 1e-9).sum() for rows in seen) >= 2500
+
+
+@pytest.fixture(scope="module")
+def proof_population():
+    """(ric, alpha, m, eps) stacks: the candidates of every family and
+    epsilon at grid 13, scanned at each tol of PROOF_TOLS, and the homothety
+    population."""
+    from homothety import HOMOTHETY_CASES, homothety_structures
+    from epscontact.liealg import FAMILIES
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        scans = [(f, e) for f in FAMILIES for e in (-1, 0, 1)]
+        seen = [rows for tol in PROOF_TOLS for rows in scan_candidates(monkeypatch, scans, tol)]
+    by_metric = {}
+    for cs in (cs for f, e in HOMOTHETY_CASES for cs in homothety_structures(f, e, grid=5)):
+        by_metric.setdefault(cs.m, []).append(cs)
+    for m, structures in by_metric.items():
+        seen.append((np.stack([cs.ricci for cs in structures]),
+                     np.stack([cs.alpha for cs in structures]), m,
+                     np.array([cs.eps + 0.0 for cs in structures])))
+    return seen
+
+
+@pytest.mark.parametrize("tol", PROOF_TOLS)
+def test_proof_keeps_every_admissible_row(proof_population, tol):
+    from epscontact.contact import _fit_rows, _not_eta_einstein
+
+    admitted = ruled_out = 0
+    for ric, alpha, m, eps in proof_population:
+        unfit = _not_eta_einstein(ric, alpha, m, eps, tol)
+        admissible = _fit_rows(ric, alpha, m, eps, tol)[3]
+        assert not (unfit & admissible).any()
+        admitted, ruled_out = admitted + admissible.sum(), ruled_out + unfit.sum()
+    assert admitted > 0 and ruled_out > 0
+
+
+@pytest.mark.parametrize("tol", PROOF_TOLS)
+@pytest.mark.parametrize("m", [L3, FrameMetric.riemannian(3)], ids=["lorentzian", "riemannian"])
+def test_proof_keeps_rows_within_tol_of_a_model(m, tol):
+    # Ric = model(lambda^2, kappa) + E with max |E| = tol (1 - 1e-6): some
+    # (lambda^2, kappa) fits within tol, so the proof must not rule the row
+    # out. Each row takes the sign pattern of E's six independent entries
+    # farthest from the span of its design, which brings D/sqrt(6) closest
+    # to max |E|
+    import itertools
+
+    from epscontact.contact import _design, _half_metric, _IU9, _not_eta_einstein
+
+    rng = np.random.default_rng(7)
+    rows = []
+    for eps in ((1,) if m.s_g == 1 else (-1, 0, 1)):
+        v = rng.normal(size=(400, 3))
+        q = np.sum(m.eta * v * v, axis=-1)
+        if eps:
+            v = v[q * eps > 0.1 * np.sum(v * v, axis=-1)]
+            alpha = v * np.sqrt(eps / np.sum(m.eta * v * v, axis=-1))[:, None]
+        else:  # the null cone of diag(-1, 1, 1): (1, cos t, sin t) up to scale
+            t = rng.uniform(0, 2 * np.pi, size=400)
+            alpha = np.stack([np.ones_like(t), np.cos(t), np.sin(t)], axis=-1) / np.sqrt(2)
+        rows.append((alpha, np.full(len(alpha), eps + 0.0)))
+    alpha, eps = (np.concatenate(x) for x in zip(*rows))
+    lam2, kappa = rng.uniform(-3, 3, size=len(alpha)), rng.uniform(0, 3, size=len(alpha))
+    design, aa = _design(alpha, m, eps)
+    model = ((lam2 + kappa * eps)[:, None] * _half_metric(m)[0]
+             - (m.s_g * kappa)[:, None] * aa)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=6)))  # (64, 6)
+    q, _ = np.linalg.qr(design)  # (K, 6, 2)
+    left = signs[None] - np.einsum("kij,ksj->ksi", q, np.einsum("kij,si->ksj", q, signs))
+    best = signs[np.argmax(np.sum(left * left, axis=-1), axis=1)]  # (K, 6)
+    e = np.zeros((len(alpha), 3, 3))
+    e.reshape(-1, 9)[:, _IU9] = best
+    e = np.triu(e) + np.triu(e, 1).swapaxes(-1, -2)
+    ric = model.reshape(-1, 3, 3) + tol * (1 - 1e-6) * e
+    assert not _not_eta_einstein(ric, alpha, m, eps, tol).any()
+
+
+def test_proof_keeps_non_finite_rows():
+    from epscontact.contact import _not_eta_einstein
+
+    alpha = np.array([[1.0, 0.0, 0.0]] * 4)
+    ric = np.zeros((4, 3, 3))
+    ric[0, 0, 0], ric[1, 1, 2], ric[2, 2, 2], ric[3] = np.nan, np.inf, -np.inf, np.nan
+    far = np.full((1, 3, 3), 5.0)  # a finite row far from any model is ruled out
+    got = _not_eta_einstein(np.concatenate([ric, far]), np.concatenate([alpha, alpha[:1]]),
+                            FrameMetric.riemannian(3), np.ones(5), 1e-9)
+    assert got.tolist() == [False] * 4 + [True]
 
 
 @pytest.mark.parametrize("family, epsilon", BENCHMARK_SCANS)

@@ -95,6 +95,30 @@ def test_h_formula_componentwise_l_nonzero():
     assert res.max_residual() < 1e-9
 
 
+@pytest.mark.parametrize("l", [1e5, 1e6, 1e7])
+def test_catalog_passes_at_large_l(l):
+    # kappa_N = l^2 of size 1e10 to 1e14 is fitted ulps off l^2: the factor
+    # comparisons carry a rounding term of a few ulps of the larger value
+    results = p6.run_catalog(0, [l])
+    assert results and all(r.passed for r in results)
+
+
+def test_kappa_n_off_by_one_fails_at_large_l():
+    import dataclasses
+
+    row = next(r for r in p6.CATALOG if r.name == "sl2r-sasakian-null_x_su2")
+    n, x, lam = row.build(1e5)
+    fit_n, fit_x = n.fit().at(), x.fit().at()
+    p6._check_factors(-1, 1, 0, fit_n, fit_x, lam, 1e5, get_tol())
+    off = dataclasses.replace(fit_n, kappa=fit_n.kappa + 1.0)
+    with pytest.raises(IncompatibleFactors, match="kappa_N"):
+        p6._check_factors(-1, 1, 0, off, fit_x, lam, 1e5, get_tol())
+    # an infinite kappa_N makes the rounding term infinite too
+    inf = dataclasses.replace(fit_n, kappa=math.inf)
+    with pytest.raises(IncompatibleFactors, match="kappa_N"):
+        p6._check_factors(-1, 1, 0, inf, fit_x, lam, 1e5, get_tol())
+
+
 def test_incompatible_factors():
     n = null_g3_factor()  # lambda^2 = 1, kappa = 0
     x = su2_factor(0.0)   # lambda^2 = 1
