@@ -18,8 +18,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .config import get_tol
-from .contact import _EPS, _TINY, EtaEinsteinFit, _lead_positive, _not_eta_einstein, check_contact
-from .exterior import FrameMetric, d_components, hodge_components
+from .contact import (_EPS, _TINY, EtaEinsteinFit, _lead_positive, _not_eta_einstein, _read_only,
+                      check_contact)
+from .exterior import FrameMetric, _d_table, hodge_components
 from .liealg import FAMILIES, family_tables
 
 
@@ -53,14 +54,27 @@ _FULL_TURN = [(math.cos(2 * math.pi * k / N_DIRS), math.sin(2 * math.pi * k / N_
 _NULL_CUT = 1e-9
 
 
+@lru_cache(maxsize=None)
+def _contact_map_table(m: FrameMetric, orientations: tuple) -> tuple:
+    """(stars, idx, sign): the orientations' Hodge stars (O, 3, 3) and, from
+    the d table, s_g d(e^i)_t = sign[t, i] * c.flat[idx[t, i]], the one
+    bracket term of d(e^i)_t that reads component i of e^i."""
+    stars = np.stack([hodge_components(np.eye(3), m.signs, 1, o).T for o in orientations])
+    cidx, pos, sign, live = _d_table(3, 1)
+    term = (live[:, None] & (pos[:, None] == np.arange(3)[:, None])).argmax(axis=-1)  # [t, i]
+    sign = m.s_g * np.take_along_axis(sign, term, axis=-1).astype(int)
+    return tuple(map(_read_only, (stars, np.take_along_axis(cidx, term, axis=-1), sign)))
+
+
 def _contact_maps(c: np.ndarray, m: FrameMetric, orientations: tuple) -> np.ndarray:
     """Matrices (..., O, 3, 3) of alpha -> *alpha - s_g d(alpha) on one-form
-    components, one per orientation, for bracket tables c (..., 3, 3, 3);
-    d does not depend on the orientation and is formed once."""
-    basis = np.eye(3)
-    stars = np.stack([hodge_components(basis, m.signs, 1, o).T for o in orientations])
-    d = d_components(basis, c[..., None, :, :, :], 1)  # [..., i, :]: d e^i
-    return stars - (m.s_g * np.swapaxes(d, -1, -2))[..., None, :, :]
+    components, one per orientation, for finite bracket tables c
+    (..., 3, 3, 3): one signed gather of c, with the bits of d_components on
+    the basis one-forms (+ 0 as d's sum from +0.0); a non-finite entry of c
+    would give inf where d gives NaN."""
+    stars, idx, sign = _contact_map_table(m, tuple(orientations))
+    sg_d = sign * c.reshape(*c.shape[:-3], 27).take(idx, axis=-1) + 0
+    return stars - sg_d[..., None, :, :]
 
 
 def _full_rank(mats: np.ndarray, tol: float) -> np.ndarray:
@@ -169,7 +183,9 @@ def _rank3_candidates(m: FrameMetric, eps: int) -> np.ndarray:
 def _distinct(v: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """ok without each candidate of v (G, S, 3) that lies within 1e-10
     (max-abs) of a kept earlier one of the same row, as a greedy pass over
-    the row would keep them; the pass is solved as a fixed point."""
+    the row would keep them: a fixed point, or ok itself where S = 1."""
+    if v.shape[1] == 1:
+        return ok
     near = np.abs(v[:, :, None] - v[:, None]).max(axis=-1) < 1e-10
     near &= np.tri(v.shape[1], k=-1, dtype=bool)  # near[g, j, i] with i < j
     kept = ok
@@ -228,11 +244,13 @@ def _sample_chunks(family_id: str, grid: np.ndarray, tol: float) -> Iterable[dic
         for start in range(0, size, SCAN_CHUNK):
             index = np.unravel_index(np.arange(start, min(start + SCAN_CHUNK, size)), shape)
             point = {k: x[i] for k, x, i in zip(sheet.axes, axes, index)}
-            keep = np.broadcast_to(sheet.keep(tol=tol, **point), index[0].shape)
-            if keep.any():
+            with np.errstate(over="ignore", invalid="ignore"):  # as family_tables: masked there
+                keep = np.broadcast_to(sheet.keep(tol=tol, **point), index[0].shape)
+                if not keep.any():
+                    continue
                 point = {k: v[keep] for k, v in point.items()}
                 point.update(sheet.solve(**point))
-                yield {k: point[k] for k in fam.params}
+            yield {k: point[k] for k in fam.params}
 
 
 def family_samples(family_id: str, grid: np.ndarray, tol: float) -> Iterable[dict]:
@@ -262,9 +280,9 @@ def scan_family(
     The samples are built as parameter arrays straight from the family's
     sheets, SCAN_CHUNK grid points at a time; every step runs once per chunk
     on stacked arrays. One family_tables call gives the bracket tables and
-    constraint mask, d of the basis one-forms is formed once for both
-    orientations' contact maps, and those that _full_rank does not prove
-    full rank (no nullspace) are solved by one SVD call. The quadric
+    constraint mask, both orientations' contact maps are one signed gather
+    of those tables (_contact_maps), and the maps that _full_rank does not
+    prove full rank (no nullspace) are solved by one SVD call. The quadric
     candidates of every (sample, orientation) nullspace are drawn together,
     one nullspace rank at a time, and go through one stacked check_contact,
     labelled by their sample; the batch of those of the wanted epsilon forms

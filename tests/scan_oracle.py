@@ -1,15 +1,28 @@
-"""Per-sample reference pieces of the scan: the contact nullspace of one
-bracket table (einstein's contact map, then a plain np.linalg.svd with the
-scan's cut, sharing no code with einstein's full-rank test), and, as plain
-loops that share no code with einstein's stacked drawer and solve, the
-quadric candidates of one nullspace basis and the eta-Einstein fit of one
-structure through the public np.linalg.lstsq."""
+"""Per-sample reference pieces of the scan: the contact maps (alpha to
+*alpha - s_g d(alpha)) from the general d_components of the basis one-forms
+(einstein gathers them from the bracket tables), the contact nullspace of
+one bracket table (those maps, then a plain np.linalg.svd with the scan's
+cut, sharing no code with einstein's full-rank test), and, as plain loops
+that share no code with einstein's stacked drawer and solve, the quadric
+candidates of one nullspace basis and the eta-Einstein fit of one structure
+through the public np.linalg.lstsq."""
 
 import math
 
 import numpy as np
 
-from epscontact.einstein import EtaEinsteinFit, _contact_maps
+from epscontact.einstein import EtaEinsteinFit
+from epscontact.exterior import d_components, hodge_components
+
+
+def contact_maps(c: np.ndarray, m, orientations: tuple) -> np.ndarray:
+    """Matrices (..., O, 3, 3) of alpha -> *alpha - s_g d(alpha) on one-form
+    components, one per orientation, for bracket tables c (..., 3, 3, 3),
+    from one d_components call on the basis one-forms."""
+    basis = np.eye(3)
+    stars = np.stack([hodge_components(basis, m.signs, 1, o).T for o in orientations])
+    d = d_components(basis, c[..., None, :, :, :], 1)  # [..., i, :]: d e^i
+    return stars - (m.s_g * np.swapaxes(d, -1, -2))[..., None, :, :]
 
 
 def svd_nullspace_rows(mats: np.ndarray, tol: float) -> tuple:
@@ -22,7 +35,7 @@ def svd_nullspace_rows(mats: np.ndarray, tol: float) -> tuple:
 def nullspace_basis(c, m, orientation: int, tol: float) -> np.ndarray:
     """Columns spanning the nullspace of alpha -> *alpha - s_g d(alpha) of
     one bracket table c."""
-    keep, vt = svd_nullspace_rows(_contact_maps(c, m, (orientation,))[0], tol)
+    keep, vt = svd_nullspace_rows(contact_maps(c, m, (orientation,))[0], tol)
     return vt[keep].T
 
 

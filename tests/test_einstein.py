@@ -310,6 +310,78 @@ def test_scan_independent_of_chunk_at_cli_default_grid(family, epsilon, monkeypa
     assert len(reports) == 1 and len(solved) == 1
 
 
+# --- the contact maps against the general d of the basis one-forms -------------
+
+
+def assert_maps_bit_equal(c, m):
+    """einstein's gathered contact maps of tables c have the bits of the d
+    form of scan_oracle, signed zeros included, at every orientation set."""
+    from epscontact.einstein import _contact_maps
+    from scan_oracle import contact_maps
+
+    for orientations in ((1, -1), (1,), (-1,)):
+        got, want = _contact_maps(c, m, orientations), contact_maps(c, m, orientations)
+        assert got.shape == want.shape == c.shape[:-3] + (len(orientations), 3, 3)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), orientations
+
+
+@pytest.mark.parametrize("points, tables", [(13, 15197), (21, 64365)])
+def test_contact_maps_bit_equal_to_the_d_form_on_every_chunk(points, tables):
+    from epscontact.einstein import _sample_chunks
+    from epscontact.liealg import FAMILIES, family_tables
+
+    seen = 0
+    for family, fam in FAMILIES.items():
+        for chunk in _sample_chunks(family, default_grid(points), 1e-9):
+            c, ok = family_tables(family, chunk, 1e-9)
+            assert_maps_bit_equal(c[ok], fam.metric)
+            seen += ok.sum()
+    assert seen == tables
+
+
+def test_contact_maps_bit_equal_to_the_d_form_on_zero_and_homothety_tables():
+    from homothety import HOMOTHETY_CASES, homothety_structures
+
+    for m in (L3, FrameMetric.riemannian(3)):
+        for zero in (0.0, -0.0):
+            assert_maps_bit_equal(np.full((3, 3, 3), zero), m)
+            assert_maps_bit_equal(np.full((2, 3, 3, 3), zero), m)
+    by_metric = {}
+    for cs in (cs for f, e in HOMOTHETY_CASES for cs in homothety_structures(f, e, grid=5)):
+        by_metric.setdefault(cs.m, []).append(cs.c)
+    for m, tables in by_metric.items():
+        assert_maps_bit_equal(np.stack(tables), m)
+    assert sum(map(len, by_metric.values())) > 1000
+
+
+def test_family_tables_finite_at_the_extreme_grid():
+    # the gathered contact maps need finite tables (a non-finite entry gives
+    # inf where d gives NaN): every valid sample at the largest grid points,
+    # whose sheet solves overflow, has one
+    from epscontact.einstein import _sample_chunks
+    from epscontact.liealg import FAMILIES, family_tables
+
+    grid = np.array([-1.7e308, -1e308, 1.0, 1e308, 1.7e308])
+    valid = 0
+    for family in FAMILIES:
+        for chunk in _sample_chunks(family, grid, 1e-9):
+            c, ok = family_tables(family, chunk, 1e-9)
+            assert np.isfinite(c[ok]).all(), family
+            valid += ok.sum()
+    assert valid == 737
+
+
+@pytest.mark.parametrize("family", ["g5", "g6"])
+@pytest.mark.parametrize("epsilon", [-1, 0])
+def test_scan_overflowing_sheet_solves_raise_no_warning(family, epsilon):
+    # c = -+b d / a overflows at these grid points (filterwarnings = error):
+    # family_tables masks those samples, and the hits are those of the
+    # finite points alone
+    finite = [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]
+    got = scan_family(family, np.array([-1e300, *finite, 1e200, 1e300]), epsilon=epsilon)
+    assert repr(got) == repr(scan_family(family, np.array(finite), epsilon=epsilon))
+
+
 # --- the full-rank test of the contact maps against the plain SVD ---------------
 
 
@@ -562,6 +634,9 @@ def test_candidate_dedup_is_the_greedy_pass():
     v[:, :, 0] = (0.0, 0.6e-10, 1.2e-10)
     ok = np.array([[True, True, True], [False, True, True]])
     assert _distinct(v, ok).tolist() == [[True, False, True], [False, True, False]]
+    # nothing to drop in rows of one candidate: ok itself, False rows included
+    ok = np.array([[True], [False], [True]])
+    assert _distinct(np.zeros((3, 1, 3)), ok) is ok
 
 
 def test_stacked_lstsq_bit_equal_to_public_lstsq(monkeypatch):

@@ -602,6 +602,26 @@ def test_lambda_part_of_h_anti_self_dual_and_l_part_self_dual():
             assert np.count_nonzero(w_n) == 9 and np.count_nonzero(nu_n) == 1
 
 
+def test_preset_h_anti_self_dual():
+    # H = nu_L + nu_R with lambda = 1, l = 0: *H = -H bit for bit (the + 0.0
+    # gives the Hodge dual's +0.0 zeros)
+    sol = p6.preset_ads3xs3()
+    star = hodge_components(sol.h_form, sol.m6.signs, 3, sol.orientation6)
+    assert star.tobytes() == (-sol.h_form + 0.0).tobytes()
+    assert np.count_nonzero(sol.h_form) == 2
+
+
+def test_para_row_h_mixed_with_self_dual_part_2l():
+    # lambda != 0 and l != 0: H + *H = 2 l ((*a) ^ b + a ^ (*b)), the
+    # self-dual part, of max-abs 2 l; H - *H = 2 lambda (nu_L + nu_R)
+    row = next(r for r in p6.catalog_rows(1) if r.name == "sl2r-parasasakian_x_su2-sasakian")
+    n, x, lam = row.build(0.5)
+    sol = p6.build_solution(n, x, lam, 0.5)
+    star = hodge_components(sol.h_form, sol.m6.signs, 3, sol.orientation6)
+    assert np.abs(sol.h_form + star).max() == 1.0
+    assert np.abs(sol.h_form - star).max() == 2 * lam
+
+
 def table_batch(table_id):
     """The ContactBatch of every instance of a table, and its fit."""
     insts = [i for row in tables.table_rows(table_id) for i in row.instances()]
