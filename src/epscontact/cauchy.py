@@ -174,14 +174,38 @@ def _quadratic(m: np.ndarray, u: np.ndarray, ws: _Workspace, out=None) -> np.nda
     return out
 
 
+def _held(arr) -> bool:
+    """Whether arr is a read-only float64 ndarray over read-only arrays only:
+    every array along its .base chain is read-only, down to one that owns
+    its memory, so nothing can write to arr through another array."""
+    if not (type(arr) is np.ndarray and arr.dtype == np.float64):
+        return False
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
+def _compact(arr: np.ndarray) -> np.ndarray:
+    """arr with every zero-stride grid axis cut to length 1: a view of the
+    same entries, each once, so that a check of a field broadcast along a
+    grid axis costs what the field holds."""
+    return arr[tuple(slice(0, 1) if s == 0 else slice(None) for s in arr.strides[:2])]
+
+
 @dataclass(frozen=True)
 class SurfaceData:
     """One time slice of fields on the grid: q (nx,ny,2,2) symmetric positive
     definite, theta (nx,ny,2,2) symmetric (both exactly, q_01 == q_10 at every
     node), F (nx,ny), alpha (nx,ny,2), beta (nx,ny) > 0, all finite. Every
-    field is read-only. A field given as a read-only float64 ndarray that owns
-    its memory is held as given, since nothing can write to it through another
-    array; any other input is copied and frozen."""
+    field is read-only. A field given as a read-only float64 ndarray whose
+    .base chain holds only read-only arrays (one that owns its memory, or a
+    frozen np.broadcast_to view of a frozen array) is held as given, zero
+    strides included, since nothing can write to it through another array;
+    any other input is copied and frozen. The checks read each distinct
+    entry of a field once: a field broadcast along a grid axis is checked
+    at one node of that axis."""
 
     grid: SurfaceGrid
     q: np.ndarray
@@ -201,27 +225,24 @@ class SurfaceData:
         }
         for name, shape in shapes.items():
             arr = getattr(self, name)
-            if not (type(arr) is np.ndarray and arr.dtype == np.float64
-                    and arr.base is None and not arr.flags.writeable):
+            if not _held(arr):
                 arr = np.array(arr, dtype=float)  # the caller may still write to it
                 arr.flags.writeable = False
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
+            if not np.all(np.isfinite(_compact(arr))):
                 raise ValueError(f"{name} must be finite at every node")
             object.__setattr__(self, name, arr)
         for name in ("q", "theta"):
-            arr = getattr(self, name)
+            arr = _compact(getattr(self, name))
             if not np.array_equal(arr[..., 0, 1], arr[..., 1, 0]):
                 raise ValueError(f"{name} must be symmetric at every node")
-        det = self.det_q()
-        if np.any(det <= 0.0) or np.any(self.q[..., 0, 0] <= 0.0):
+        q = _compact(self.q)
+        det = q[..., 0, 0] * q[..., 1, 1] - q[..., 0, 1] * q[..., 1, 0]
+        if np.any(det <= 0.0) or np.any(q[..., 0, 0] <= 0.0):
             raise SingularMetric("q must be positive definite at every node")
-        if np.any(self.beta <= 0.0):
+        if np.any(_compact(self.beta) <= 0.0):
             raise ValueError("beta must be positive")
-
-    def det_q(self) -> np.ndarray:
-        return self.q[..., 0, 0] * self.q[..., 1, 1] - self.q[..., 0, 1] * self.q[..., 1, 0]
 
 
 @dataclass(frozen=True)
@@ -566,10 +587,13 @@ def evolution_residuals(
 # --- closed-form example data ---------------------------------------------------
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a made read-only, so that SurfaceData holds it without a copy."""
+def _broadcast(a, shape: tuple) -> np.ndarray:
+    """a (made read-only if it is a float64 array) broadcast to shape as a
+    read-only view, which SurfaceData holds without a copy: a field at the
+    size of its information."""
+    a = np.asarray(a, dtype=float)
     a.flags.writeable = False
-    return a
+    return np.broadcast_to(a, shape)
 
 
 def example_flat_paracontact(
@@ -577,7 +601,10 @@ def example_flat_paracontact(
 ) -> SurfaceSequence:
     """Spatially constant space-like solution on a flat torus:
     q = (l1^2 + l2^2) Id, F = 0, beta = 1, Theta = 0, with the alpha
-    components rotating in time; eps = +1, lambda = kappa = 0."""
+    components rotating in time; eps = +1, lambda = kappa = 0.
+
+    Every field is a broadcast view of its value at one node: the slices
+    share one q, Theta, F and beta, and each holds its two alpha components."""
     if l1 * l1 + l2 * l2 == 0.0:
         raise DegenerateParameters("l1^2 + l2^2 must be nonzero")
     t_values = [float(t) for t in t_values]
@@ -588,24 +615,14 @@ def example_flat_paracontact(
         raise ValueError("time samples must be uniformly spaced")
     nx, ny = grid.nx, grid.ny
     e2u = l1 * l1 + l2 * l2
+    q = _broadcast([[e2u, 0.0], [0.0, e2u]], (nx, ny, 2, 2))
+    theta = _broadcast(0.0, (nx, ny, 2, 2))
+    F = _broadcast(0.0, (nx, ny))
+    beta = _broadcast(1.0, (nx, ny))
     slices = []
     for t in t_values:
-        alpha = np.zeros((nx, ny, 2))
-        alpha[..., 0] = l2 * math.cos(t) - l1 * math.sin(t)
-        alpha[..., 1] = l1 * math.cos(t) + l2 * math.sin(t)
-        q = np.zeros((nx, ny, 2, 2))
-        q[..., 0, 0] = e2u
-        q[..., 1, 1] = e2u
-        slices.append(
-            SurfaceData(
-                grid=grid,
-                q=_frozen(q),
-                theta=_frozen(np.zeros((nx, ny, 2, 2))),
-                F=_frozen(np.zeros((nx, ny))),
-                alpha=_frozen(alpha),
-                beta=_frozen(np.ones((nx, ny))),
-            )
-        )
+        alpha = [l2 * math.cos(t) - l1 * math.sin(t), l1 * math.cos(t) + l2 * math.sin(t)]
+        slices.append(SurfaceData(grid, q, theta, F, _broadcast(alpha, (nx, ny, 2)), beta))
     return SurfaceSequence(tuple(slices), float(dts[0]))
 
 
@@ -614,28 +631,28 @@ def example_null_isothermal(grid: SurfaceGrid, f0: float) -> SurfaceData:
     q = f0^2 Id, alpha = (0, e^{f0 x}), F = e^{f0 x}/f0 (so the norm
     constraint holds exactly and the curl constraint holds analytically);
     f0 = 0 degenerates to q = Id, alpha = (0, 1), F = 0 with the curl
-    constraint exact. Use a non-periodic x axis for f0 != 0."""
+    constraint exact. Use a non-periodic x axis for f0 != 0.
+
+    q, Theta and beta are broadcast views of their value at one node, and F
+    and alpha of their profiles along x: each field holds what it varies in."""
     nx, ny = grid.nx, grid.ny
     if f0 == 0.0:
-        q_factor, alpha_y, f_field = 1.0, 1.0, 0.0
+        q_factor, alpha_y, f_field = 1.0, np.ones((1, 1)), np.zeros((1, 1))
     else:
         # e^{f0 x} once per row, broadcast along y: x is the column of grid.x
         # (whose factor of ones is exact), so each node gets the same exp
         q_factor = f0 * f0
         alpha_y = np.exp(f0 * (np.arange(nx)[:, None] * grid.hx))
         f_field = alpha_y / f0
-    q = np.zeros((nx, ny, 2, 2))
-    q[..., 0, 0] = q_factor
-    q[..., 1, 1] = q_factor
-    alpha = np.zeros((nx, ny, 2))
+    alpha = np.zeros(alpha_y.shape + (2,))
     alpha[..., 1] = alpha_y
     return SurfaceData(
         grid=grid,
-        q=_frozen(q),
-        theta=_frozen(np.zeros((nx, ny, 2, 2))),
-        F=_frozen(np.full((nx, ny), f_field)),
-        alpha=_frozen(alpha),
-        beta=_frozen(np.ones((nx, ny))),
+        q=_broadcast([[q_factor, 0.0], [0.0, q_factor]], (nx, ny, 2, 2)),
+        theta=_broadcast(0.0, (nx, ny, 2, 2)),
+        F=_broadcast(f_field, (nx, ny)),
+        alpha=_broadcast(alpha, (nx, ny, 2)),
+        beta=_broadcast(1.0, (nx, ny)),
     )
 
 

@@ -318,8 +318,12 @@ def scan_family(
         checked = check_contact(c[sample], m, signs[orientation], alpha, tol=1e-7, sample=sample)
         batch = checked.take(np.flatnonzero(checked.ok & (checked.eps == epsilon)))
         del checked  # it holds the chunk's candidate tables; one chunk is alive at a time
-        # the Ricci tensors, formed once per sample, go with the rows that take keeps
-        unfit = _not_eta_einstein(batch.ricci, batch.alpha, m, batch.eps + 0.0, tol)
+        # the Ricci tensors, formed once per sample, go with the rows that take keeps;
+        # as in family_tables, huge finite tables overflow there silently: a
+        # Ricci tensor that is not finite gives no fit residual within tol
+        with np.errstate(over="ignore", invalid="ignore"):
+            ricci = batch.ricci
+        unfit = _not_eta_einstein(ricci, batch.alpha, m, batch.eps + 0.0, tol)
         batch = batch.take(np.flatnonzero(~unfit))
         if not batch.sample.size:
             continue

@@ -382,6 +382,26 @@ def test_scan_overflowing_sheet_solves_raise_no_warning(family, epsilon):
     assert repr(got) == repr(scan_family(family, np.array(finite), epsilon=epsilon))
 
 
+HUGE_GRID = (-1.7e308, -1e308, 1.0, 1e308, 1.7e308)
+
+
+@pytest.mark.parametrize("family, epsilon, grid, hits", [
+    ("g1", 0, HUGE_GRID, 0), ("g3", -1, HUGE_GRID, 9), ("g3", 1, HUGE_GRID, 16),
+    ("g4", -1, HUGE_GRID, 0), ("g4", 0, HUGE_GRID, 0), ("g4", 1, HUGE_GRID, 0),
+    ("g5", -1, HUGE_GRID, 0), ("g5", 0, HUGE_GRID, 0), ("g5", 1, HUGE_GRID, 0),
+    ("g6", 1, HUGE_GRID, 1), ("g7", 0, HUGE_GRID, 0), ("g7", 1, HUGE_GRID, 0),
+    ("riemannian_unimodular", 1, HUGE_GRID, 9),
+    ("g5", 1, (-1e300, -2.0, 1e200, 1e300), 0), ("g6", 1, (-1e300, -2.0, 1e200, 1e300), 0),
+])
+def test_scan_overflowing_curvature_raises_no_warning(family, epsilon, grid, hits):
+    # the Koszul and Ricci terms of the huge tables overflow (filterwarnings
+    # = error); the hits are those of the grid's finite points of moderate size
+    got = scan_family(family, np.array(grid), epsilon=epsilon)
+    moderate = np.array([x for x in grid if abs(x) < 1e100])
+    assert len(got) == hits
+    assert repr(got) == repr(scan_family(family, moderate, epsilon=epsilon))
+
+
 # --- the full-rank test of the contact maps against the plain SVD ---------------
 
 
