@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -317,16 +317,11 @@ class ConstraintResiduals:
     momentum: float    # r4: d Tr Theta + div Theta - kappa F alpha
 
     def as_dict(self) -> dict:
-        return {
-            "curl": self.curl,
-            "norm": self.norm,
-            "hamiltonian": self.hamiltonian,
-            "momentum": self.momentum,
-        }
+        return asdict(self)
 
     def max_residual(self) -> float:
         """The worst size of a residual; NaN or inf when one is not finite."""
-        return float(np.max(np.abs([self.curl, self.norm, self.hamiltonian, self.momentum])))
+        return float(np.max(np.abs(astuple(self))))
 
 
 def _max_abs(r: np.ndarray) -> float:
@@ -513,11 +508,11 @@ class EvolutionResiduals:
     ricci_flow: float
 
     def as_dict(self) -> dict:
-        return {"alpha_flow": self.alpha_flow, "ricci_flow": self.ricci_flow}
+        return asdict(self)
 
     def max_residual(self) -> float:
         """The worst size of a residual; NaN or inf when one is not finite."""
-        return float(np.max(np.abs([self.alpha_flow, self.ricci_flow])))
+        return float(np.max(np.abs(astuple(self))))
 
 
 def _flow_fields(ws: _Workspace, prev_s: SurfaceData, next_s: SurfaceData,

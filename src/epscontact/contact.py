@@ -97,11 +97,6 @@ def _lstsq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _umath_linalg.lstsq(a, b[..., None], _RCOND, signature="ddd->ddid")[0][..., 0]
 
 
-def _singular(err, flag):
-    """np.linalg.solve's error for a singular system, raised from its errstate call."""
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
 def _design(alpha: np.ndarray, m: FrameMetric, eps: np.ndarray) -> tuple:
     """(rows, aa): the design matrices (K, 6, 2) of the fits of one-forms
     alpha (K, 3) of epsilons eps (K,), columns (s_g/2) g and
@@ -186,8 +181,7 @@ class ContactBatch:
     and off is |n2 - eps|. A batch built from_specs
     also holds the specs and valid, the mask of those satisfying their
     family's constraints; ok marks the rows that are contact structures (of
-    valid parameters). sample, optional, labels the rows: rows with equal
-    labels have equal bracket tables, whose Ricci tensor is then formed once.
+    valid parameters).
 
     The derived data (xi, phi, the Levi-Civita coefficients gamma, the ricci
     and riemann tensors, h, the null factor and the L_xi g witness) is
@@ -196,20 +190,19 @@ class ContactBatch:
     """
 
     def __init__(self, c: np.ndarray, m: FrameMetric, orientation, alpha: np.ndarray,
-                 tol: float, valid: Optional[np.ndarray] = None, specs: Optional[list] = None,
-                 sample: Optional[np.ndarray] = None):
+                 tol: float, valid: Optional[np.ndarray] = None, specs: Optional[list] = None):
         if m.dim != 3 or c.shape[-3:] != (3, 3, 3):
             raise ValueError("contact structures are three-dimensional here")
         if alpha.shape[-1:] != (3,):
             raise ValueError(f"alpha must be one-forms of 3 components, got shape {alpha.shape}")
         axes = {"c": c.shape[:-3], "alpha": alpha.shape[:-1]}
-        for name, a in (("orientation", orientation), ("valid", valid), ("sample", sample)):
+        for name, a in (("orientation", orientation), ("valid", valid)):
             if a is not None and np.ndim(a):  # a sign, or None, holds for every row
                 axes[name] = np.shape(a)
         if len(set(axes.values())) > 1:
             raise ValueError(f"the arrays of a batch must share its batch axes, got {axes}")
         self.c, self.m, self.alpha, self.tol = c, m, alpha, tol
-        self.valid, self.specs, self.sample = valid, specs, sample
+        self.valid, self.specs = valid, specs
         # non-finite values end as failed conditions, not as numpy warnings; every
         # row runs every condition, and a row is reported by its first failure
         with np.errstate(over="ignore", invalid="ignore"):
@@ -308,12 +301,7 @@ class ContactBatch:
 
     @cached_property
     def ricci(self) -> np.ndarray:
-        """Ricci (..., 3, 3); with sample labels, formed once per label."""
-        if self.sample is None:
-            return _read_only(ricci_components(self.gamma, self.c))
-        _, first, which = np.unique(self.sample, return_index=True, return_inverse=True)
-        c = self.c[first]
-        return _read_only(ricci_components(koszul_components(c, self.m.eta), c)[which])
+        return _read_only(ricci_components(self.gamma, self.c))
 
     @cached_property
     def riemann(self) -> np.ndarray:
@@ -336,12 +324,6 @@ class ContactBatch:
         null = np.empty(self.eps.shape + (2,))
         null[..., 0], null[..., 1] = null_factor(self.h, self.alpha, self.m)
         return _read_only(null)
-
-    @property
-    def mu(self) -> np.ndarray:
-        """g(u, h u), the factor of h = mu xi (x) alpha, on the null rows; NaN
-        on the others."""
-        return np.where(self.eps == 0, self.null[..., 0], np.nan)
 
     @cached_property
     def k_contact_witness(self) -> np.ndarray:
@@ -432,7 +414,6 @@ def check_contact(
     alpha,
     tol: float | None = None,
     spec: Optional[FamilySpec] = None,
-    sample: Optional[np.ndarray] = None,
 ) -> ContactBatch:
     """Verify alpha = *d alpha and |alpha|^2 in {-1, 0, +1} for the one-form
     alpha (3,) over one bracket table c (3, 3, 3); returns the
@@ -444,8 +425,8 @@ def check_contact(
     Stacked form: with c bracket tables with batch axes (..., 3, 3, 3),
     alpha an array of one-form components (..., 3) and orientation None, a
     sign or an array of signs, every row is checked at once and their
-    ContactBatch is returned, with the sample labels (see ContactBatch);
-    nothing is raised for a row that is not contact.
+    ContactBatch is returned; nothing is raised for a row that is not
+    contact.
     """
     tol = get_tol(tol)
     c = np.asarray(c, dtype=float)
@@ -454,7 +435,7 @@ def check_contact(
         if not cs.ok:
             raise cs.error()
         return cs
-    return ContactBatch(c, m, orientation, np.asarray(alpha, dtype=float), tol, sample=sample)
+    return ContactBatch(c, m, orientation, np.asarray(alpha, dtype=float), tol)
 
 
 # --- the derived tensors on stacks ---------------------------------------------
@@ -698,16 +679,14 @@ def _identity_terms(cs: ContactStructure) -> dict:
         res["phi_cubed"] = phi2 @ phi
         # light-cone bracket pattern: the frame coefficients of [xi, u],
         # [xi, phi(u)] and [u, phi(u)], solved in the frame (xi, u, phi(u))
-        # of contact_frame by the gufunc np.linalg.solve runs, so with its bits
+        # of contact_frame
         f, r = np.empty((3, 3)), np.empty((3, 3))  # rows: the frame and the brackets
         f[0], f[1] = xi, _null_dual(alpha)
         np.matmul(phi, f[1], out=f[2])
         np.matmul(ad, f[1], out=r[0])
         np.matmul(ad, f[2], out=r[1])
         np.matmul(ad_components(f[1], cs.c), f[2], out=r[2])
-        with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
-                         under="ignore"):
-            c1, c2, c3 = _umath_linalg.solve(f.T, r.T, signature="dd->d").T
+        c1, c2, c3 = np.linalg.solve(f.T, r.T).T
         res["lightcone_brackets"] = np.array([
             c1[1],                 # [xi,u] has no u part
             c2[1], c2[2],          # [xi,phi(u)] proportional to xi

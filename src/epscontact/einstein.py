@@ -18,8 +18,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .config import get_tol
-from .contact import (_EPS, _TINY, EtaEinsteinFit, _lead_positive, _not_eta_einstein, _read_only,
-                      check_contact)
+from .contact import (_EPS, _TINY, EtaEinsteinFit, _fit_rows, _lead_positive, _not_eta_einstein,
+                      _read_only, check_contact)
+from .curvature import koszul_components, ricci_components
 from .exterior import FrameMetric, _d_table, hodge_components
 from .liealg import FAMILIES, family_tables
 
@@ -284,16 +285,14 @@ def scan_family(
     of those tables (_contact_maps), and the maps that _full_rank does not
     prove full rank (no nullspace) are solved by one SVD call. The quadric
     candidates of every (sample, orientation) nullspace are drawn together,
-    one nullspace rank at a time, and go through one stacked check_contact,
-    labelled by their sample; the batch of those of the wanted epsilon forms
-    the Ricci tensor of each of their samples once. A candidate whose Ricci
-    tensor lies farther from the span of the fit's two design columns than
-    any (lambda^2, kappa) within tol can reach is proven not eta-Einstein by
-    elementwise arithmetic (contact._not_eta_einstein) and dropped; the rows
-    that proof leaves, among them every admissible one and every row with a
-    badly conditioned design or a non-finite test, are fitted in one
-    least-squares call (ContactBatch.fit), each system solved on its own, so
-    a hit keeps the bits of a fit of every row. No ContactStructure is built.
+    one nullspace rank at a time, and go through one stacked check_contact.
+    The Ricci tensor of each sample with a candidate of the wanted epsilon
+    is formed once. A candidate whose Ricci tensor lies farther from the
+    span of the fit's two design columns than any (lambda^2, kappa) within
+    tol can reach is proven not eta-Einstein by elementwise arithmetic
+    (contact._not_eta_einstein) and dropped; the rows that proof leaves are
+    fitted in one least-squares call, each system solved on its own, so a
+    hit keeps the bits of a fit of every row. No ContactStructure is built.
     """
     tol = get_tol(tol)
     if grid is None:
@@ -315,21 +314,24 @@ def scan_family(
         if not pair.size:
             continue
         sample, orientation = np.divmod(pair, len(signs))
-        checked = check_contact(c[sample], m, signs[orientation], alpha, tol=1e-7, sample=sample)
-        batch = checked.take(np.flatnonzero(checked.ok & (checked.eps == epsilon)))
+        checked = check_contact(c[sample], m, signs[orientation], alpha, tol=1e-7)
+        rows = np.flatnonzero(checked.ok & (checked.eps == epsilon))
         del checked  # it holds the chunk's candidate tables; one chunk is alive at a time
-        # the Ricci tensors, formed once per sample, go with the rows that take keeps;
-        # as in family_tables, huge finite tables overflow there silently: a
-        # Ricci tensor that is not finite gives no fit residual within tol
+        sample, orientation, alpha = sample[rows], signs[orientation[rows]], alpha[rows]
+        eps = np.full(len(rows), float(epsilon))
+        # one Ricci tensor per sample; as in family_tables, huge finite tables
+        # overflow there silently: a Ricci tensor that is not finite gives no
+        # fit residual within tol
+        distinct, which = np.unique(sample, return_inverse=True)
         with np.errstate(over="ignore", invalid="ignore"):
-            ricci = batch.ricci
-        unfit = _not_eta_einstein(ricci, batch.alpha, m, batch.eps + 0.0, tol)
-        batch = batch.take(np.flatnonzero(~unfit))
-        if not batch.sample.size:
+            ricci = ricci_components(koszul_components(c[distinct], m.eta), c[distinct])[which]
+        left = ~_not_eta_einstein(ricci, alpha, m, eps, tol)
+        if not left.any():
             continue
-        fits = batch.fit(tol)
+        sample, orientation, alpha = sample[left], orientation[left], alpha[left]
+        fits = EtaEinsteinFit(*_fit_rows(ricci[left], alpha, m, eps[left], tol))
         for k in np.flatnonzero(fits.admissible):
-            n = valid[batch.sample[k]]
+            n = valid[sample[k]]
             hits.append(ScanHit(family_id, {p: chunk[p][n].item() for p in fam.params},
-                                int(batch.orientation[k]), tuple(batch.alpha[k]), fits.at(k)))
+                                int(orientation[k]), tuple(alpha[k]), fits.at(k)))
     return hits

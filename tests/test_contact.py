@@ -532,8 +532,8 @@ def test_contact_batch_reads_what_each_build_gives():
     build_contact builds or the error it raises, and the derived data of
     each structure bit for bit, whether computed before or after take: its
     tensors, its fit (one stacked fit over the family's structures of every
-    epsilon) as cs.fit().at() gives it, and mu as h_tensor gives it (NaN
-    where epsilon != 0)."""
+    epsilon) as cs.fit().at() gives it, and, on the null rows, the mu of
+    null as h_tensor gives it."""
     insts = [inst for rows in tables.TABLES.values() for row in rows for inst in row.instances()]
     groups = {}
     for inst in insts:
@@ -572,8 +572,8 @@ def test_contact_batch_reads_what_each_build_gives():
             for field in ("lambda2", "kappa", "residual", "admissible"):
                 assert bit_equal(getattr(fit, field), [getattr(f, field) for f in fits])
             assert [fit.at(j) for j in range(len(structs))] == fits
-            want = np.array([np.nan if mu is None else mu for mu in mus])
-            assert got.mu.tobytes() == want.tobytes()  # NaN bits included
+            want = np.array([mu for mu in mus if mu is not None], dtype=float)
+            assert got.null[got.eps == 0, 0].tobytes() == want.tobytes()
         checked_eps.update(cs.epsilon for cs in structs)
     assert errors == {"ConstraintViolation", "NotContact"}
     assert checked_eps == {-1, 0, 1}
@@ -634,9 +634,9 @@ def test_cached_data_equals_free_functions(case):
     assert all(bit_equal(got, want) for got, want in zip(cs.frame, frame))
     if cs.epsilon == 0:
         u = frame[1]
-        assert cs.mu == float(np.sum(cs.m.eta * u * (h @ u))) == h_tensor(cs)[1]
+        assert cs.null[0] == float(np.sum(cs.m.eta * u * (h @ u))) == h_tensor(cs)[1]
     else:
-        assert np.isnan(cs.mu) and h_tensor(cs)[1] is None
+        assert h_tensor(cs)[1] is None
 
 
 @pytest.mark.parametrize("case", sorted(CAUSAL_CASES))
@@ -875,6 +875,17 @@ def test_homothety_population_is_generic(homothety_population):
     assert sum(not cs.fit().at().admissible for cs in homothety_population) > 1000
 
 
+def test_sasakian_iff_k_contact_off_the_tables(homothety_population):
+    # the two notions differ only for a light-like Reeb field; the homothety
+    # population, epsilon != 0, has structures of both kinds, well apart
+    tol = 1e-9
+    h = np.array([np.abs(cs.h).max() for cs in homothety_population])
+    witness = np.array([float(cs.k_contact_witness) for cs in homothety_population])
+    assert np.array_equal(h <= tol, witness <= tol)
+    assert (len(h), np.count_nonzero(h <= tol)) == (1504, 336)
+    assert min(h[h > tol].min(), witness[witness > tol].min()) >= 0.5
+
+
 def test_identity_suite_holds_on_tables_and_homothety_population(table_structures,
                                                                   homothety_population):
     for cs in table_structures + homothety_population:
@@ -918,7 +929,7 @@ def test_stacked_tensors_bit_equal_to_single_structures(table_structures):
         assert bit_equal(lie, [lie_metric_components(cs.ad_xi, cs.m) for cs in group])
         if eps == 0:
             mu, residual = null_factor(h, alpha, m)
-            assert mu.tolist() == [cs.mu for cs in group]
+            assert mu.tolist() == [cs.null[0] for cs in group]
             assert bit_equal(mu, [h_tensor(cs)[1] for cs in group])
             assert np.all(residual <= 1e-9)
 

@@ -525,32 +525,78 @@ def test_scan_g5_is_not_vacuous(monkeypatch):
     assert sum(int(check(*args, tol=1e-7).ok.sum()) for args in calls) > 0
 
 
-@pytest.mark.parametrize("family, epsilon", [("g3", 0), ("riemannian_unimodular", 1)])
-def test_scan_forms_ricci_once_per_distinct_sample(family, epsilon, monkeypatch):
-    # the candidates of one sample share its bracket table: the batch labels
-    # them by sample and forms one Ricci tensor per sample with a match
-    import epscontact.contact as contact
+def test_scan_forms_ricci_once_per_distinct_sample(monkeypatch):
+    # the candidates of one sample share its bracket table: the scan forms
+    # one Ricci tensor per sample with a candidate of the wanted epsilon, in
+    # one call per chunk
     import epscontact.einstein as einstein
 
     matched, distinct, formed = [], [], []
-    check, ricci = einstein.check_contact, contact.ricci_components
+    check, ricci = einstein.check_contact, einstein.ricci_components
 
-    def labelled(*args, **kwargs):
-        batch = check(*args, **kwargs)
-        samples = batch.sample[batch.ok & (batch.eps == epsilon)]
-        matched.append(len(samples))
-        distinct.append(len(np.unique(samples)))
+    def counting(c, m, orientation, alpha, tol):  # epsilon: the scan's, from the loop below
+        batch = check(c, m, orientation, alpha, tol=tol)
+        tables = batch.c[batch.ok & (batch.eps == epsilon)]
+        matched.append(len(tables))
+        distinct.append(len(np.unique(tables.reshape(len(tables), -1), axis=0)))
         return batch
 
     def counted(gamma, c):
         formed.append(len(c))
         return ricci(gamma, c)
 
-    monkeypatch.setattr(einstein, "check_contact", labelled)
-    monkeypatch.setattr(contact, "ricci_components", counted)
-    hits = scan_family(family, default_grid(13), epsilon=epsilon)
-    assert hits and sum(formed) == sum(distinct) > 0
-    assert sum(formed) < sum(matched)  # some samples have several candidates
+    monkeypatch.setattr(einstein, "check_contact", counting)
+    monkeypatch.setattr(einstein, "ricci_components", counted)
+    for family, epsilon in BENCHMARK_SCANS:
+        scan_family(family, default_grid(13), epsilon=epsilon)
+    assert formed == distinct  # one call per chunk with candidates
+    assert (sum(formed), sum(matched)) == (1934, 3024)  # some samples have several candidates
+
+
+def relation_residual(table, sasakian, l2, k):
+    """How far (lambda^2, kappa) = (l2, k) misses the closed-form relation
+    that the rows of table with the Sasakian flag sasakian give: 0 on it."""
+    half = np.maximum(l2 - 0.5, 0.0)  # lambda^2 <= 1/2
+    sas, other = {
+        "thm-1.2": (k - (1 - l2), np.maximum(abs(k - l2), half)),
+        "thm-4.22": (k - (l2 - 1), np.maximum(abs(l2), abs(k))),
+        "thm-4.14": (k - (l2 - 1), np.maximum(abs(k + l2), half)),
+        "thm-4.25": (l2 - 1, np.minimum(abs(k), abs(l2))),
+    }[table]
+    return np.where(sasakian, abs(sas), other)
+
+
+def test_scan_hits_obey_their_tables_relations():
+    """Every hit of every family and epsilon at grid 13 obeys the closed-form
+    (lambda^2, kappa) relation of its table for its Sasakian flag
+    (max |h| <= tol): thm-1.2 (epsilon = -1), thm-4.22 (Lorentzian,
+    epsilon = +1), thm-4.25 (epsilon = 0) and thm-4.14 (Riemannian). Every
+    hit is Sasakian exactly where it is K-contact: the split of a null Reeb
+    field (g1, prop-3.16) is not eta-Einstein."""
+    from epscontact.contact import ContactBatch
+    from epscontact.liealg import FAMILIES
+
+    tol, counts = 1e-9, {}
+    for family_id, fam in FAMILIES.items():
+        for epsilon in (-1, 0, 1):
+            hits = scan_family(family_id, default_grid(13), epsilon=epsilon, tol=tol)
+            if not hits:
+                continue
+            batch = ContactBatch.from_specs([FamilySpec(family_id, hit.params) for hit in hits],
+                                            [hit.alpha for hit in hits],
+                                            np.array([hit.orientation for hit in hits]), tol)
+            fit = batch.fit(tol)
+            assert [fit.at(k) for k in range(len(hits))] == [hit.fit for hit in hits]
+            sasakian = np.abs(batch.h).max(axis=(-2, -1)) <= tol
+            assert np.array_equal(sasakian, batch.k_contact_witness <= tol)
+            table = ("thm-4.14" if fam.metric.s_g == 1 else
+                     {-1: "thm-1.2", 0: "thm-4.25", 1: "thm-4.22"}[epsilon])
+            assert relation_residual(table, sasakian, fit.lambda2, fit.kappa).max() <= 1e-12
+            n, n_sasakian = counts.get(table, (0, 0))
+            counts[table] = (n + len(hits), n_sasakian + int(sasakian.sum()))
+    # (hits, Sasakian hits): an empty scan cannot pass
+    assert counts == {"thm-1.2": (58, 46), "thm-4.22": (112, 84), "thm-4.25": (108, 26),
+                      "thm-4.14": (102, 54)}
 
 
 def test_family_samples_stream_a_huge_grid():
@@ -814,11 +860,11 @@ def test_proof_keeps_non_finite_rows():
 
 @pytest.mark.parametrize("family, epsilon", BENCHMARK_SCANS)
 def test_scan_ricci_is_the_trace_of_riemann(family, epsilon, monkeypatch):
-    import epscontact.contact as contact
+    import epscontact.einstein as einstein
     from epscontact.curvature import riemann_components
 
     rows = []
-    ricci = contact.ricci_components
+    ricci = einstein.ricci_components
 
     def compared(gamma, c):
         got = ricci(gamma, c)
@@ -827,6 +873,6 @@ def test_scan_ricci_is_the_trace_of_riemann(family, epsilon, monkeypatch):
         rows.append(len(got))
         return got
 
-    monkeypatch.setattr(contact, "ricci_components", compared)
+    monkeypatch.setattr(einstein, "ricci_components", compared)
     scan_family(family, default_grid(13), epsilon=epsilon)
     assert sum(rows) > 0
