@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,13 @@ def whole_grid(d):
     ws = cy._Workspace(d.grid.nx, d.grid.ny)
     ws.start(d, (slice(None),), d.grid)
     return ws
+
+
+def coordinates(grid):
+    """x and y at every node of grid, as (nx, ny) arrays."""
+    x = np.arange(grid.nx)[:, None] * grid.hx * np.ones((1, grid.ny))
+    y = np.ones((grid.nx, 1)) * np.arange(grid.ny)[None, :] * grid.hy
+    return x, y
 
 
 def christoffel(d):
@@ -159,7 +167,7 @@ def test_curvature_stencil_on_curved_metric():
     # q = e^{2u} Id with u = a sin(2 pi x) sin(2 pi y) has R = -2 e^{-2u} Lap(u)
     for n, record in ((32, True), (64, False)):
         grid = cy.SurfaceGrid(n, n, 1.0 / n, 1.0 / n)
-        x, y = grid.x, grid.y
+        x, y = coordinates(grid)
         u = 0.05 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
         lap_u = -2.0 * (2 * np.pi) ** 2 * u
         q = np.zeros((n, n, 2, 2))
@@ -177,7 +185,7 @@ def test_curvature_stencil_on_curved_metric():
 
 def curved_metric_data(n, theta_mode="zero"):
     grid = cy.SurfaceGrid(n, n, 1.0 / n, 1.0 / n)
-    x, y = grid.x, grid.y
+    x, y = coordinates(grid)
     u = 0.08 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
     q = np.zeros((n, n, 2, 2))
     q[..., 0, 0] = np.exp(2 * u)
@@ -419,7 +427,7 @@ def curved_slice(grid, t):
     """Curved, time-dependent fields with non-constant beta and nonzero
     Theta, F and alpha. The phase offsets keep each term of a residual
     nonzero at the node where its maximum is taken."""
-    x, y = grid.x, grid.y
+    x, y = coordinates(grid)
     s = 2 * np.pi
     u = 0.08 * (1.0 + 0.5 * t) * np.sin(s * x) * np.cos(s * y)
     q = np.zeros((grid.nx, grid.ny, 2, 2))
@@ -443,7 +451,7 @@ def assert_relative(got, want, rtol=1e-12):
 
 def test_constraint_residuals_match_brute_force_loops():
     base = curved_metric_data(8, theta_mode="random")
-    x, y = base.grid.x, base.grid.y
+    x, y = coordinates(base.grid)
     s = 2 * np.pi
     F = 0.3 * np.cos(s * (x - y) + 0.7)  # phases as in curved_slice
     alpha = np.stack([0.5 + 0.2 * np.sin(s * y + 1.1), 0.4 * np.cos(s * x + 0.4)], axis=-1)
@@ -593,11 +601,12 @@ def workspace_bytes(grid):
 
 
 def test_constraint_pass_allocates_only_its_workspace():
-    # at ny = 64 a strip is 256 rows: 8 strips at nx = 2048 take the planes
-    # of one pass, and nothing per strip
+    # on dense copies, which run on the whole grid: at ny = 64 a strip is
+    # 256 rows, and 8 strips at nx = 2048 take the planes of one pass, and
+    # nothing per strip
     peaks = []
     for nx in (256, 2048):
-        d = cy.example_null_isothermal(cy.isothermal_grid(nx, 64), 1.0)
+        d = materialised(cy.example_null_isothermal(cy.isothermal_grid(nx, 64), 1.0))
         _, peak = traced(lambda: cy.constraint_residuals(d, 0, 0.0, 0.0))
         assert workspace_bytes(d.grid) <= peak <= workspace_bytes(d.grid) + WORKSPACE_SLACK, nx
         peaks.append(peak)
@@ -606,15 +615,30 @@ def test_constraint_pass_allocates_only_its_workspace():
 
 @pytest.mark.parametrize("nx, ny", [(64, 64), (256, 128)])
 def test_evolution_pass_allocates_one_workspace_for_all_slices(nx, ny):
-    # one grid in one strip, one in two; nothing is kept per slice
+    # on dense copies, one grid in one strip, one in two; nothing is kept
+    # per slice
     grid = cy.SurfaceGrid(nx, ny, 1.0 / nx, 1.0 / ny)
     peaks = []
     for steps in (5, 17):
-        seq = cy.example_flat_paracontact(grid, [k * 0.05 for k in range(steps)], 1.0, 0.5)
+        seq = materialised_sequence(
+            cy.example_flat_paracontact(grid, [k * 0.05 for k in range(steps)], 1.0, 0.5))
         _, peak = traced(lambda: cy.evolution_residuals(seq, 1, 0.0, 0.0))
         assert workspace_bytes(grid) <= peak <= workspace_bytes(grid) + WORKSPACE_SLACK, steps
         peaks.append(peak)
     assert peaks[1] - peaks[0] <= WORKSPACE_SLACK / 4
+
+
+def test_broadcast_pass_allocates_the_cut_grid_workspace():
+    # null-isothermal is broadcast along y, so its pass runs on 4 columns at
+    # any ny: 16 MB of full-grid workspace at ny = 4096, 400 KB cut
+    peaks = []
+    for ny in (64, 4096):
+        d = cy.example_null_isothermal(cy.isothermal_grid(256, ny), 1.0)
+        cut = workspace_bytes(replace(d.grid, ny=4))
+        _, peak = traced(lambda: cy.constraint_residuals(d, 0, 0.0, 0.0))
+        assert cut <= peak <= cut + WORKSPACE_SLACK, ny
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) <= WORKSPACE_SLACK / 4  # Python objects only
 
 
 # --- which fields a slice holds as given ------------------------------------------
@@ -743,44 +767,151 @@ def materialised(d):
     return out
 
 
+def materialised_sequence(seq):
+    """seq with every field of every slice a frozen contiguous copy."""
+    return cy.SurfaceSequence(tuple(map(materialised, seq.slices)), seq.dt)
+
+
 def norm_bits(*residuals):
     return [float(v).hex() for r in residuals for v in r.as_dict().values()]
 
 
+@pytest.fixture
+def pass_grids(monkeypatch):
+    """The grid of each strip that a residual pass starts, in order."""
+    grids, start = [], cy._Workspace.start
+
+    def recording(ws, *strip):
+        start(ws, *strip)
+        grids.append(ws.grid)
+
+    monkeypatch.setattr(cy._Workspace, "start", recording)
+    return grids
+
+
+def shapes(grids):
+    return [(g.nx, g.ny) for g in grids]
+
+
 @pytest.mark.parametrize("f0", [1.0, 0.5, 0.0])
 @pytest.mark.parametrize("periodic_x", [False, True])
-def test_isothermal_views_bit_equal_to_materialised(f0, periodic_x):
+def test_isothermal_views_bit_equal_to_materialised(pass_grids, f0, periodic_x):
+    # the views run on 4 columns; at f0 = 0 every field is constant along x
+    # too, and the x axis is cut to 4 rows, or 5 where it is one-sided
     grid = cy.SurfaceGrid(24, 20, 1.0 / 24, 1.0 / 20, periodic_x=periodic_x)
     d = cy.example_null_isothermal(grid, f0)
     assert all(0 in getattr(d, k).strides for k in FIELDS)
+    rows = 24 if f0 else 4 if periodic_x else 5
     for eps, lambda2, kappa in ((0, 0.0, 0.0), (-1, 0.4, 0.7)):
+        pass_grids.clear()
+        got = cy.constraint_residuals(d, eps, lambda2, kappa)
         want = cy.constraint_residuals(materialised(d), eps, lambda2, kappa)
-        assert norm_bits(cy.constraint_residuals(d, eps, lambda2, kappa)) == norm_bits(want)
+        assert norm_bits(got) == norm_bits(want)
+        assert shapes(pass_grids) == [(rows, 4), (24, 20)]
 
 
 @pytest.mark.parametrize("height", [None, 3])
+@pytest.mark.parametrize("nx, ny", [(4, 4), (5, 5), (13, 13), (16, 12)])
 @pytest.mark.parametrize("periodic_x", [True, False])
-def test_flat_para_views_bit_equal_to_materialised(monkeypatch, periodic_x, height):
-    if height is not None:  # strips of 3 rows, wrapped halos on a periodic axis
-        monkeypatch.setattr(cy, "_STRIP_NODES", height * 12)
-    grid = cy.SurfaceGrid(16, 12, 1.0 / 16, 1.0 / 12, periodic_x=periodic_x)
+def test_flat_para_views_bit_equal_to_materialised(monkeypatch, pass_grids, periodic_x,
+                                                   nx, ny, height):
+    # both axes cut; the copies in strips of 3 rows, wrapped halos on a
+    # periodic axis, and so the views too where the cut grid is taller
+    if height is not None:
+        monkeypatch.setattr(cy, "_STRIP_NODES", height * ny)
+    grid = cy.SurfaceGrid(nx, ny, 1.0 / nx, 1.0 / ny, periodic_x=periodic_x)
     seq = cy.example_flat_paracontact(grid, [0.1 * k for k in range(5)], 1.0, 0.5)
-    copies = cy.SurfaceSequence(tuple(map(materialised, seq.slices)), seq.dt)
+    copies = materialised_sequence(seq)
     assert all(s.q is seq.slices[0].q and s.beta is seq.slices[0].beta for s in seq.slices)
+    rows = min(nx, 4 if periodic_x else 5)
     for eps, lambda2, kappa in ((1, 0.0, 0.0), (-1, 0.4, 0.7)):
+        pass_grids.clear()
         got = norm_bits(cy.constraint_residuals(seq.slices[1], eps, lambda2, kappa),
                         cy.evolution_residuals(seq, eps, lambda2, kappa))
+        assert {g.ny for g in pass_grids} == {4}
+        if height is None:  # the constraint slice, then three interior slices
+            assert shapes(pass_grids) == [(rows, 4)] * 4
         want = norm_bits(cy.constraint_residuals(copies.slices[1], eps, lambda2, kappa),
                          cy.evolution_residuals(copies, eps, lambda2, kappa))
         assert got == want
 
 
-def test_isothermal_views_bit_equal_to_materialised_in_strips():
-    # 16 strips of 32 rows at 512^2
+def test_sequence_with_one_dense_slice_runs_the_whole_grid(pass_grids):
+    # the flow pass reads every slice, so one dense slice leaves every axis
+    grid = cy.SurfaceGrid(16, 12, 1.0 / 16, 1.0 / 12)
+    seq = cy.example_flat_paracontact(grid, [0.1 * k for k in range(5)], 1.0, 0.5)
+    slices = list(seq.slices)
+    slices[2] = materialised(slices[2])
+    got = cy.evolution_residuals(cy.SurfaceSequence(tuple(slices), seq.dt), -1, 0.4, 0.7)
+    assert shapes(pass_grids) == [(16, 12)] * 3
+    want = cy.evolution_residuals(materialised_sequence(seq), -1, 0.4, 0.7)
+    assert norm_bits(got) == norm_bits(want)
+
+
+def test_non_finite_residuals_of_views_bit_equal_to_materialised(pass_grids):
+    # --f0 700, whose |alpha|^2 and F^2 overflow, on 4 columns; a broadcast
+    # Theta of 1e200 Id, whose square overflows, on 4 x 4 nodes
+    d = cy.example_null_isothermal(cy.isothermal_grid(32, 32), 700.0)
+    grid = cy.SurfaceGrid(16, 12, 1.0 / 16, 1.0 / 12)
+    seq = cy.example_flat_paracontact(grid, [0.1 * k for k in range(5)], 1.0, 0.5)
+    theta = cy._broadcast(1e200 * np.eye(2), (16, 12, 2, 2))
+    seq = cy.SurfaceSequence(tuple(replace(s, theta=theta) for s in seq.slices), seq.dt)
+
+    def norms(d, seq):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (cy.constraint_residuals(d, 0, 0.0, 0.0),
+                    cy.constraint_residuals(seq.slices[1], 1, 0.0, 0.0),
+                    cy.evolution_residuals(seq, 1, 0.0, 0.0))
+
+    got = norms(d, seq)
+    assert shapes(pass_grids) == [(32, 4)] + [(4, 4)] * 4
+    assert np.isnan(got[0].norm) and np.isnan(got[1].hamiltonian)
+    assert not np.isfinite(got[2].ricci_flow)
+    assert norm_bits(*got) == norm_bits(*norms(materialised(d), materialised_sequence(seq)))
+
+
+def test_isothermal_views_bit_equal_to_materialised_in_strips(pass_grids):
+    # the views run one strip of 512 x 4 nodes; the copy runs 16 strips of
+    # 32 rows, each 512 wide
     d = cy.example_null_isothermal(cy.isothermal_grid(512, 512), 1.0)
-    assert cy._tallest(d.grid) < d.grid.nx
+    got = cy.constraint_residuals(d, 0, 0.0, 0.0)
+    assert shapes(pass_grids) == [(512, 4)]
+    pass_grids.clear()
     want = cy.constraint_residuals(materialised(d), 0, 0.0, 0.0)
-    assert norm_bits(cy.constraint_residuals(d, 0, 0.0, 0.0)) == norm_bits(want)
+    assert len(pass_grids) == 16 and {g.ny for g in pass_grids} == {512}
+    assert norm_bits(got) == norm_bits(want)
+
+
+def x_constant_sequence(nx, periodic_x):
+    """Four time slices whose fields are curved_slice's at x = 1/16,
+    broadcast along an x axis of nx nodes: curved in y, constant in x."""
+    grid = cy.SurfaceGrid(nx, 12, 1.0 / 16, 1.0 / 12, periodic_x=periodic_x)
+    slices = []
+    for k in range(4):
+        d = curved_slice(replace(grid, nx=4), 0.1 * k)
+        slices.append(cy.SurfaceData(grid, **{
+            name: cy._broadcast(np.array(getattr(d, name)[1:2]), (nx, *getattr(d, name).shape[1:]))
+            for name in FIELDS}))
+    return cy.SurfaceSequence(tuple(slices), 0.1)
+
+
+@pytest.mark.parametrize("periodic_x", [True, False])
+def test_x_cut_keeps_the_rows_edge_stencils_reach(pass_grids, periodic_x):
+    # a one-sided stencil of equal values a gives fl(3a) - 3a, negated, not
+    # 0.0, so on a one-sided x axis the two rows at each edge differ from the
+    # interior: the cut keeps 5 rows there, and 4 rows give other bits
+    def norms(seq):
+        return norm_bits(cy.constraint_residuals(seq.slices[1], -1, 0.4, 0.7),
+                         cy.evolution_residuals(seq, -1, 0.4, 0.7))
+
+    seq = x_constant_sequence(16, periodic_x)
+    rows = 4 if periodic_x else 5
+    got = norms(seq)
+    assert shapes(pass_grids) == [(rows, 12)] * 3
+    assert got == norms(materialised_sequence(seq))
+    assert got == norms(materialised_sequence(x_constant_sequence(rows, periodic_x)))
+    if not periodic_x:
+        assert got != norms(materialised_sequence(x_constant_sequence(4, periodic_x)))
 
 
 # --- the first difference over a flattened stack ------------------------------------
