@@ -20,7 +20,10 @@ and, for time sequences, the two flow equations
 
 All spatial derivatives are second-order central differences; the y axis
 is periodic, and a non-periodic x axis uses one-sided second-order stencils
-at its edges. Residual norms are discrete L-infinity.
+at its edges. Residual norms are discrete L-infinity. One stencil, _partial,
+takes every first difference, on component planes (..., rows, ny): along y
+as one subtraction over the flattened planes, which numpy runs without the
+operand buffers of the strided form, and along x on their swapped view.
 
 The residuals are evaluated one strip of x rows at a time, so that the
 component planes a strip computes stay in cache and the memory they take
@@ -52,11 +55,8 @@ NaN included, keeps its bits. A one-sided stencil of equal values a gives
 fl(3a) - 3a, negated, which need not be 0.0, so at a non-periodic edge the
 _HALO rows nearest each edge differ from the interior; 5 rows keep both
 edges and one interior row. Dense data (no zero strides) run on the whole
-grid. The null-isothermal example, broadcast along y, runs on 4 columns:
-`cauchy --example null-isothermal --nx 512 --ny 512` fell from 0.94 to
-0.25 s, and flat-para, broadcast along both axes, runs on 4 x 4 nodes:
-`cauchy --example flat-para --nx 256 --ny 256` fell from 2.19 to 0.26 s
-(min of 3 alternating runs, a 2-vCPU Intel Xeon container, numpy 2.4.6).
+grid. The null-isothermal example, broadcast along y, runs on 4 columns,
+and flat-para, broadcast along both axes, on 4 x 4 nodes.
 """
 
 from __future__ import annotations
@@ -80,47 +80,16 @@ class SurfaceGrid:
     periodic_x: bool = True
 
     def __post_init__(self):
+        for name in ("nx", "ny"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {n!r}")
         if self.nx < 4 or self.ny < 4:
             raise ValueError("grid needs at least 4 nodes per axis")
         for name in ("hx", "hy"):
             h = getattr(self, name)
             if not (math.isfinite(h) and h > 0):
                 raise ValueError(f"{name} must be positive and finite, got {h!r}")
-
-
-def _d1(f: np.ndarray, axis: int, h: float, periodic: bool, out=None) -> np.ndarray:
-    """Second-order first derivative along one grid axis of f (into out if given)."""
-    if out is None:
-        out = np.empty_like(f)
-    sl = [slice(None)] * f.ndim
-
-    def at(idx):
-        s = list(sl)
-        s[axis] = idx
-        return tuple(s)
-
-    # along the last axis of a C-contiguous stack: one subtraction over the
-    # flattened stack, which numpy runs unbuffered; the differences it takes
-    # across row ends land on the edge entries the stencils below overwrite.
-    # Where a difference overflows or is invalid, the strided form repeats the
-    # interior, warning as it always did
-    flat = axis % f.ndim == f.ndim - 1 and f.flags.c_contiguous and out.flags.c_contiguous
-    if flat:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                np.subtract(f.reshape(-1)[2:], f.reshape(-1)[:-2], out=out.reshape(-1)[1:-1])
-        except FloatingPointError:
-            flat = False
-    if not flat:
-        np.subtract(f[at(slice(2, None))], f[at(slice(0, -2))], out=out[at(slice(1, -1))])
-    if periodic:
-        out[at(0)] = f[at(1)] - f[at(-1)]
-        out[at(-1)] = f[at(0)] - f[at(-2)]
-    else:
-        out[at(0)] = -3.0 * f[at(0)] + 4.0 * f[at(1)] - f[at(2)]
-        out[at(-1)] = 3.0 * f[at(-1)] - 4.0 * f[at(-2)] + f[at(-3)]
-    out /= 2.0 * h
-    return out
 
 
 # The geometry below works on component planes: a tensor field is a
@@ -130,10 +99,37 @@ def _d1(f: np.ndarray, axis: int, h: float, periodic: bool, out=None) -> np.ndar
 
 
 def _partial(f: np.ndarray, m: int, grid: SurfaceGrid, out=None) -> np.ndarray:
-    """d_m f (m = 0: x, m = 1: y) of planes f (into out if given)."""
+    """Second-order d_m f (m = 0: x, m = 1: y) of planes f (into out if
+    given), differenced along the last axis of f and out: for x, of their
+    swapaxes(-2, -1) views."""
+    if out is None:
+        out = np.empty_like(f)
     if m == 0:
-        return _d1(f, -2, grid.hx, grid.periodic_x, out)
-    return _d1(f, -1, grid.hy, True, out)
+        g, d, h, periodic = f.swapaxes(-2, -1), out.swapaxes(-2, -1), grid.hx, grid.periodic_x
+    else:
+        g, d, h, periodic = f, out, grid.hy, True
+    # on C-contiguous planes: one subtraction over the flattened stack, which
+    # numpy runs unbuffered; the differences it takes across row ends land on
+    # the edge entries the stencils below overwrite. Where a difference
+    # overflows or is invalid, the strided form repeats the interior, and
+    # warns of what does so inside a row
+    flat = g.flags.c_contiguous and d.flags.c_contiguous
+    if flat:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                np.subtract(g.reshape(-1)[2:], g.reshape(-1)[:-2], out=d.reshape(-1)[1:-1])
+        except FloatingPointError:
+            flat = False
+    if not flat:
+        np.subtract(g[..., 2:], g[..., :-2], out=d[..., 1:-1])
+    if periodic:
+        d[..., 0] = g[..., 1] - g[..., -1]
+        d[..., -1] = g[..., 0] - g[..., -2]
+    else:
+        d[..., 0] = -3.0 * g[..., 0] + 4.0 * g[..., 1] - g[..., 2]
+        d[..., -1] = 3.0 * g[..., -1] - 4.0 * g[..., -2] + g[..., -3]
+    out /= 2.0 * h
+    return out
 
 
 def _partials(f: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
@@ -324,12 +320,8 @@ def _scalar_curvature(inv: np.ndarray, gamma: np.ndarray, ws: _Workspace,
     return out
 
 
-@dataclass(frozen=True)
-class ConstraintResiduals:
-    curl: float        # r1: d alpha - F nu_q
-    norm: float        # r2: |alpha|^2 - eps - F^2
-    hamiltonian: float  # r3: R - |Theta|^2 + (Tr Theta)^2 + c - 2 kappa F^2
-    momentum: float    # r4: d Tr Theta + div Theta - kappa F alpha
+class _Residuals:
+    """The norms of a residual pass, one float field each."""
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -339,9 +331,12 @@ class ConstraintResiduals:
         return float(np.max(np.abs(astuple(self))))
 
 
-def _max_abs(r: np.ndarray) -> float:
-    """max |r|, with |r| taken in place."""
-    return float(np.max(np.abs(r, out=r)))
+@dataclass(frozen=True)
+class ConstraintResiduals(_Residuals):
+    curl: float        # r1: d alpha - F nu_q
+    norm: float        # r2: |alpha|^2 - eps - F^2
+    hamiltonian: float  # r3: R - |Theta|^2 + (Tr Theta)^2 + c - 2 kappa F^2
+    momentum: float    # r4: d Tr Theta + div Theta - kappa F alpha
 
 
 # Nodes per component plane of a strip (128 KiB of floats): few enough that
@@ -443,7 +438,7 @@ class _Workspace:
             out = self.take(*field.shape[2:])
         at = 0
         for rows in self._rows:
-            part = np.moveaxis(field[rows, :self.grid.ny], (0, 1), (-2, -1))
+            part = field[rows, :self.grid.ny].transpose(*range(2, field.ndim), 0, 1)
             out[..., at:at + part.shape[-2], :] = part
             at += part.shape[-2]
         return out
@@ -471,11 +466,13 @@ class _Workspace:
 def _worst(fields, ws: _Workspace, d: SurfaceData, grid: SurfaceGrid, *args) -> np.ndarray:
     """Max |r| of each residual field that fields(ws, *args) returns, with
     each strip of d on the pass grid loaded in ws: taken per strip over the
-    rows it owns and then over the strips, so that a NaN propagates."""
+    rows it owns (|r| taken in place) and then over the strips, so that a
+    NaN propagates."""
     worst = []
     for rows, strip, own in _strips(grid):
         ws.start(d, rows, strip)
-        worst.append([_max_abs(r[..., own, :]) for r in fields(ws, *args)])
+        owned = [r[..., own, :] for r in fields(ws, *args)]
+        worst.append([float(np.max(np.abs(r, out=r))) for r in owned])
     return np.max(worst, axis=0)
 
 
@@ -532,16 +529,9 @@ def constraint_residuals(
 
 
 @dataclass(frozen=True)
-class EvolutionResiduals:
+class EvolutionResiduals(_Residuals):
     alpha_flow: float
     ricci_flow: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def max_residual(self) -> float:
-        """The worst size of a residual; NaN or inf when one is not finite."""
-        return float(np.max(np.abs(astuple(self))))
 
 
 def _flow_fields(ws: _Workspace, prev_s: SurfaceData, next_s: SurfaceData,

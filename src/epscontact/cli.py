@@ -282,9 +282,8 @@ def _null_non_finite(item: dict) -> bool:
 def cmd_cauchy(args) -> tuple:
     from . import cauchy
 
-    items = []
-    passed = True
-    if args.example == "flat-para":
+    flat = args.example == "flat-para"
+    if flat:
         # the finer run halves dt; k dt must stay finite, or the example's cos(k dt) fails
         if args.steps < 3:
             raise ValueError(f"--steps must be at least 3, got {args.steps}")
@@ -295,49 +294,35 @@ def cmd_cauchy(args) -> tuple:
         if not math.isfinite(args.l1 * args.l1 + args.l2 * args.l2):
             raise ValueError(f"--l1^2 + --l2^2 must be finite, got --l1 {args.l1!r} "
                              f"and --l2 {args.l2!r}")
-        for factor in (1, 2):
-            nx, ny = args.nx * factor, args.ny * factor
-            steps = (args.steps - 1) * factor + 1
-            dt = args.dt / factor
+    items = []
+    for factor in (1, 2):
+        nx, ny = args.nx * factor, args.ny * factor
+        item = {"refinement": factor, "nx": nx, "ny": ny}
+        if flat:
+            item["dt"] = dt = args.dt / factor
             grid = cauchy.SurfaceGrid(nx, ny, 1.0 / nx, 1.0 / ny)
-            ts = [k * dt for k in range(steps)]
+            ts = [k * dt for k in range((args.steps - 1) * factor + 1)]
             seq = cauchy.example_flat_paracontact(grid, ts, args.l1, args.l2)
-            con = cauchy.constraint_residuals(seq.slices[1], 1, 0.0, 0.0)
-            evo = cauchy.evolution_residuals(seq, 1, 0.0, 0.0)
-            items.append(
-                {
-                    "refinement": factor,
-                    "nx": nx, "ny": ny, "dt": dt,
-                    **{f"constraint_{k}": v for k, v in con.as_dict().items()},
-                    **evo.as_dict(),
-                }
-            )
-        ratio = items[0]["alpha_flow"] / max(items[1]["alpha_flow"], 1e-300)
-        items.append({"refinement": "ratio", "alpha_flow_ratio": ratio})
-        passed = ratio >= 3.5 and max(
+            data = seq.slices[1]
+        else:  # null-isothermal
+            data = cauchy.example_null_isothermal(cauchy.isothermal_grid(nx, ny), args.f0)
+        con = cauchy.constraint_residuals(data, 1 if flat else 0, 0.0, 0.0)
+        item.update((f"constraint_{k}", v) for k, v in con.as_dict().items())
+        if flat:
+            item.update(cauchy.evolution_residuals(seq, 1, 0.0, 0.0).as_dict())
+        items.append(item)
+    key = "alpha_flow" if flat else "constraint_curl"
+    if not flat and args.f0 == 0.0:
+        ratio = None
+        passed = items[0][key] == 0.0
+    else:
+        ratio = items[0][key] / max(items[1][key], 1e-300)
+        passed = ratio >= 3.5
+    items.append({"refinement": "ratio", "alpha_flow_ratio" if flat else "curl_ratio": ratio})
+    if flat:
+        passed = passed and max(
             v for k, v in items[0].items() if str(k).startswith("constraint_")
         ) <= args.tol
-    else:  # null-isothermal
-        for factor in (1, 2):
-            nx, ny = args.nx * factor, args.ny * factor
-            grid = cauchy.isothermal_grid(nx, ny)
-            data = cauchy.example_null_isothermal(grid, args.f0)
-            con = cauchy.constraint_residuals(data, 0, 0.0, 0.0)
-            items.append(
-                {
-                    "refinement": factor,
-                    "nx": nx, "ny": ny,
-                    **{f"constraint_{k}": v for k, v in con.as_dict().items()},
-                }
-            )
-        cur = items[1]["constraint_curl"]
-        if args.f0 == 0.0:
-            passed = items[0]["constraint_curl"] == 0.0
-            items.append({"refinement": "ratio", "curl_ratio": None})
-        else:
-            ratio = items[0]["constraint_curl"] / max(cur, 1e-300)
-            items.append({"refinement": "ratio", "curl_ratio": ratio})
-            passed = ratio >= 3.5
     finite = all([_null_non_finite(item) for item in items])  # every item, no short cut
     return passed and finite, {"example": args.example, "items": items}
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -220,8 +221,8 @@ def test_divergence_matches_brute_force_loops():
     gamma = christoffel(d)
     dtheta = np.stack(
         [
-            cy._d1(d.theta, 0, grid.hx, grid.periodic_x),
-            cy._d1(d.theta, 1, grid.hy, True),
+            strided_d1(d.theta, 0, grid.hx, grid.periodic_x),
+            strided_d1(d.theta, 1, grid.hy, True),
         ],
         axis=2,
     )
@@ -242,8 +243,8 @@ def test_divergence_matches_brute_force_loops():
     # recompute the library value by reusing the residual with kappa = 0 and
     # subtracting the gradient of the trace
     tr = np.einsum("xyij,xyij->xy", inv, d.theta)
-    grad_tr = np.stack([cy._d1(tr, 0, grid.hx, grid.periodic_x),
-                        cy._d1(tr, 1, grid.hy, True)], axis=-1)
+    grad_tr = np.stack([strided_d1(tr, 0, grid.hx, grid.periodic_x),
+                        strided_d1(tr, 1, grid.hy, True)], axis=-1)
     r4_field = grad_tr + brute
     res = cy.constraint_residuals(d, 0, 0.0, 0.0)
     assert abs(res.momentum - float(np.max(np.abs(r4_field)))) < 1e-12
@@ -255,8 +256,8 @@ def test_scalar_curvature_matches_brute_force_loops():
     gamma = christoffel(d)
     dgamma = np.stack(
         [
-            cy._d1(gamma, 0, grid.hx, grid.periodic_x),
-            cy._d1(gamma, 1, grid.hy, True),
+            strided_d1(gamma, 0, grid.hx, grid.periodic_x),
+            strided_d1(gamma, 1, grid.hy, True),
         ],
         axis=2,
     )
@@ -300,15 +301,31 @@ def test_grid_spacing_validation(field, bad):
         cy.SurfaceGrid(8, 8, **spacings)
 
 
+@pytest.mark.parametrize("field", ["nx", "ny"])
+@pytest.mark.parametrize("bad", [8.0, np.float64(8.0), "8", True, np.True_, None])
+def test_grid_size_validation(field, bad):
+    # a float size passes the data's shape check (8 == 8.0) and fails deep inside numpy
+    sizes = {"nx": 8, "ny": 8, field: bad}
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {bad!r}")):
+        cy.SurfaceGrid(sizes["nx"], sizes["ny"], 0.125, 0.125)
+
+
+def test_grid_size_numpy_integers():
+    grid = cy.SurfaceGrid(np.int64(8), np.int32(8), 0.125, 0.125, periodic_x=False)
+    want = cy.constraint_residuals(cy.example_null_isothermal(cy.isothermal_grid(8, 8), 0.5),
+                                   0, 0.0, 0.0)
+    assert cy.constraint_residuals(cy.example_null_isothermal(grid, 0.5), 0, 0.0, 0.0) == want
+
+
 # --- per-node loop oracles for every residual ----------------------------------
 
 
 def brute_geometry(d):
     """Inverse metric, sqrt(det q), Christoffels and scalar curvature, each
-    node by explicit index loops over the library's first-derivative stencil."""
+    node by explicit index loops over the strided first difference."""
     grid = d.grid
     nx, ny = grid.nx, grid.ny
-    dq = [cy._d1(d.q, 0, grid.hx, grid.periodic_x), cy._d1(d.q, 1, grid.hy, True)]
+    dq = [strided_d1(d.q, 0, grid.hx, grid.periodic_x), strided_d1(d.q, 1, grid.hy, True)]
     inv = np.zeros((nx, ny, 2, 2))
     vol = np.zeros((nx, ny))
     gamma = np.zeros((nx, ny, 2, 2, 2))
@@ -327,8 +344,8 @@ def brute_geometry(d):
                                 dq[i][ix, iy, l, j] + dq[j][ix, iy, l, i] - dq[l][ix, iy, i, j]
                             )
                         gamma[ix, iy, k, i, j] = 0.5 * total
-    dgamma = [cy._d1(gamma, 0, grid.hx, grid.periodic_x),
-              cy._d1(gamma, 1, grid.hy, True)]
+    dgamma = [strided_d1(gamma, 0, grid.hx, grid.periodic_x),
+              strided_d1(gamma, 1, grid.hy, True)]
     scalar = np.zeros((nx, ny))
     for ix in range(nx):
         for iy in range(ny):
@@ -347,17 +364,17 @@ def brute_geometry(d):
 def brute_constraints(d, eps, lambda2, kappa):
     grid = d.grid
     inv, vol, gamma, scalar = brute_geometry(d)
-    d_alpha = [cy._d1(d.alpha, 0, grid.hx, grid.periodic_x),
-               cy._d1(d.alpha, 1, grid.hy, True)]
-    d_theta = [cy._d1(d.theta, 0, grid.hx, grid.periodic_x),
-               cy._d1(d.theta, 1, grid.hy, True)]
+    d_alpha = [strided_d1(d.alpha, 0, grid.hx, grid.periodic_x),
+               strided_d1(d.alpha, 1, grid.hy, True)]
+    d_theta = [strided_d1(d.theta, 0, grid.hx, grid.periodic_x),
+               strided_d1(d.theta, 1, grid.hy, True)]
     tr = np.zeros((grid.nx, grid.ny))
     for ix in range(grid.nx):
         for iy in range(grid.ny):
             for i in range(2):
                 for j in range(2):
                     tr[ix, iy] += inv[ix, iy, i, j] * d.theta[ix, iy, i, j]
-    d_tr = [cy._d1(tr, 0, grid.hx, grid.periodic_x), cy._d1(tr, 1, grid.hy, True)]
+    d_tr = [strided_d1(tr, 0, grid.hx, grid.periodic_x), strided_d1(tr, 1, grid.hy, True)]
     worst = [0.0, 0.0, 0.0, 0.0]
     for ix in range(grid.nx):
         for iy in range(grid.ny):
@@ -392,11 +409,11 @@ def brute_evolution(seq, eps, lambda2, kappa):
         prev_s, d, next_s = seq.slices[t - 1], seq.slices[t], seq.slices[t + 1]
         inv, vol, gamma, scalar = brute_geometry(d)
         bf = d.beta * d.F
-        d_bf = [cy._d1(bf, 0, grid.hx, grid.periodic_x), cy._d1(bf, 1, grid.hy, True)]
-        d_b = [cy._d1(d.beta, 0, grid.hx, grid.periodic_x),
-               cy._d1(d.beta, 1, grid.hy, True)]
-        dd_b = [[cy._d1(d_b[j], 0, grid.hx, grid.periodic_x),
-                 cy._d1(d_b[j], 1, grid.hy, True)] for j in range(2)]
+        d_bf = [strided_d1(bf, 0, grid.hx, grid.periodic_x), strided_d1(bf, 1, grid.hy, True)]
+        d_b = [strided_d1(d.beta, 0, grid.hx, grid.periodic_x),
+               strided_d1(d.beta, 1, grid.hy, True)]
+        dd_b = [[strided_d1(d_b[j], 0, grid.hx, grid.periodic_x),
+                 strided_d1(d_b[j], 1, grid.hy, True)] for j in range(2)]
         for ix in range(grid.nx):
             for iy in range(grid.ny):
                 inv_n, th, al = inv[ix, iy], d.theta[ix, iy], d.alpha[ix, iy]
@@ -914,12 +931,14 @@ def test_x_cut_keeps_the_rows_edge_stencils_reach(pass_grids, periodic_x):
         assert got != norms(materialised_sequence(x_constant_sequence(4, periodic_x)))
 
 
-# --- the first difference over a flattened stack ------------------------------------
+# --- the first difference --------------------------------------------------------
 
 
 def strided_d1(f, axis, h, periodic):
-    """_d1 with its interior difference as one strided subtraction of slices
-    along axis: the reference for the subtraction over the flattened stack."""
+    """The second-order first difference along any axis of f, its interior
+    one strided subtraction of slices along axis: the reference for
+    _partial's subtraction over the flattened stack, and the stencil of the
+    per-node oracles."""
     sl = [slice(None)] * f.ndim
 
     def at(idx):
@@ -939,27 +958,37 @@ def strided_d1(f, axis, h, periodic):
     return out
 
 
+def strided_partial(f, m, grid):
+    """d_m f of planes f by strided_d1: x along axis -2, y along the
+    periodic axis -1."""
+    if m == 0:
+        return strided_d1(f, -2, grid.hx, grid.periodic_x)
+    return strided_d1(f, -1, grid.hy, True)
+
+
+@pytest.mark.parametrize("swapped", [False, True])
 @pytest.mark.parametrize("ny", [4, 64])
 @pytest.mark.parametrize("periodic", [True, False])
-@pytest.mark.parametrize("axis", [-1, -2, 3])
-def test_difference_bit_equal_to_strided_form(axis, periodic, ny):
+@pytest.mark.parametrize("m", [0, 1])
+def test_difference_bit_equal_to_strided_form(m, periodic, ny, swapped):
     rng = np.random.default_rng(ny)
     f = rng.normal(size=(2, 2, 64, ny)) * 10.0 ** rng.integers(-8, 9, size=(2, 2, 64, ny))
-    want = strided_d1(f, axis, 0.37, periodic)
-    assert same_bits(cy._d1(f, axis, 0.37, periodic), want)
-    out = np.full_like(f, np.nan)
-    assert cy._d1(f, axis, 0.37, periodic, out) is out and same_bits(out, want)
-    # not C-contiguous: the strided form itself
-    g = f.swapaxes(-1, -2)
-    assert same_bits(cy._d1(g, axis, 0.37, periodic), strided_d1(g, axis, 0.37, periodic))
+    if swapped:  # not C-contiguous; its x difference runs over a C-contiguous view
+        f = f.swapaxes(-1, -2)
+    grid = cy.SurfaceGrid(*f.shape[-2:], 0.37, 0.29, periodic_x=periodic)
+    want = strided_partial(f, m, grid)
+    assert same_bits(cy._partial(f, m, grid), want)
+    out = np.full_like(f, np.nan)  # in f's layout
+    assert cy._partial(f, m, grid, out) is out and same_bits(out, want)
 
 
 def test_y_difference_allocates_no_buffer():
     # the strided form buffered its operands: 194 KB at this shape
     f = np.random.default_rng(5).normal(size=(2, 2, 64, 64))
     out = np.empty_like(f)
-    cy._d1(f, -1, 0.1, True, out)
-    _, peak = traced(lambda: cy._d1(f, -1, 0.1, True, out))
+    grid = cy.SurfaceGrid(64, 64, 0.1, 0.1)
+    cy._partial(f, 1, grid, out)
+    _, peak = traced(lambda: cy._partial(f, 1, grid, out))
     assert peak < 16 * 1024
 
 
@@ -986,22 +1015,28 @@ def test_christoffel_allocates_no_buffer():
 def test_wrapped_differences_raise_no_warning():
     # 1e308 - (-1e308) overflows, and inf - inf is invalid, only across a row
     # end, where the edge stencils overwrite the wrapped difference (a
-    # one-sided stencil overflows itself on entries that large)
-    over, invalid = np.zeros((3, 8)), np.zeros((3, 8))
+    # one-sided stencil overflows itself on entries that large). The x
+    # difference of f.T runs over f's rows as the y difference of f does
+    over, invalid = np.zeros((4, 8)), np.zeros((4, 8))
     over[0, -1], over[1, 1] = -1e308, 1e308
     invalid[0, -1] = invalid[1, 1] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f, periodic in ((over, True), (invalid, True), (invalid, False)):
-            assert same_bits(cy._d1(f, -1, 1.0, periodic), strided_d1(f, -1, 1.0, periodic))
+        for f, m, periodic in ((over, 0, True), (over, 1, True), (invalid, 0, True),
+                               (invalid, 1, True), (invalid, 0, False)):
+            f = f.T if m == 0 else f
+            grid = cy.SurfaceGrid(*f.shape, 1.0, 1.0, periodic_x=periodic)
+            assert same_bits(cy._partial(f, m, grid), strided_partial(f, m, grid))
     # an overflow inside a row warns once, as in the strided form
     f = over
     f[1, 3], f[1, 5] = 1e308, -1e308
-    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract") as got:
-        d = cy._d1(f, -1, 1.0, True)
-    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract") as want:
-        ref = strided_d1(f, -1, 1.0, True)
-    assert len(got) == len(want) == 1 and same_bits(d, ref)
+    for m, g in ((0, f.T), (1, f)):
+        grid = cy.SurfaceGrid(*g.shape, 1.0, 1.0)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in subtract") as got:
+            d = cy._partial(g, m, grid)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in subtract") as want:
+            ref = strided_partial(g, m, grid)
+        assert len(got) == len(want) == 1 and same_bits(d, ref)
 
 
 def traced(run):

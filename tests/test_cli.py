@@ -127,6 +127,21 @@ def test_cauchy_examples(capsys):
     assert json.loads(out)["items"][-1]["alpha_flow_ratio"] >= 3.5
 
 
+@pytest.mark.parametrize("example, header", [
+    ("flat-para", "refinement,nx,ny,dt,constraint_curl,constraint_norm,constraint_hamiltonian,"
+                  "constraint_momentum,alpha_flow,ricci_flow,alpha_flow_ratio"),
+    ("null-isothermal", "refinement,nx,ny,constraint_curl,constraint_norm,"
+                        "constraint_hamiltonian,constraint_momentum,curl_ratio"),
+])
+def test_cauchy_csv_header(capsys, example, header):
+    code, out = run(capsys, "cauchy", "--example", example, "--nx", "8", "--ny", "8",
+                    "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == header
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "ratio"]
+
+
 def test_cauchy_non_finite_fields_exit_2(capsys):
     # f0 = 1e3 makes F = e^{f0 x}/f0 infinite on the grid: bad input, no report
     line = assert_usage_error(capsys, ["cauchy", "--example", "null-isothermal",
