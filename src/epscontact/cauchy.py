@@ -34,15 +34,11 @@ non-periodic edge there is no halo and the one-sided stencils run as on the
 whole grid. Every node goes through the same floating-point operations as on
 the whole grid, so the norms do not depend on the strip height.
 
-Each pass computes into one workspace: a buffer of component planes sized
-once for the pass's tallest strip and reused by each of its strips (and, for
-the flow equations, by each time slice). A strip copies its rows of the
-fields there, reads nothing else, and writes every intermediate plane there
-through out= arguments and in-place operations: a pass allocates once.
-When each strip allocated its own, the allocator handed them back to the
-operating system after the strip and the next strip faulted them in again:
-some 34,000 minor page faults for one 512^2 pass on Linux, against under
-1,000 with the workspace.
+A strip copies its rows of the fields into contiguous planes (_Strip) and
+computes its residuals as plain numpy expressions, each returning fresh
+planes that are freed when their last use ends. So a pass holds the planes
+of one strip at a time, and the memory of a dense pass is bounded by its
+tallest strip, whatever nx and the number of time slices.
 
 A pass runs on the data's compact grid. A grid axis along which every field
 of every slice the pass reads has zero stride (a broadcast view) is cut: a
@@ -62,7 +58,7 @@ and flat-para, broadcast along both axes, on 4 x 4 nodes.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+import numbers
 from dataclasses import asdict, astuple, dataclass, replace
 from typing import Sequence
 
@@ -87,15 +83,23 @@ class SurfaceGrid:
         if self.nx < 4 or self.ny < 4:
             raise ValueError("grid needs at least 4 nodes per axis")
         for name in ("hx", "hy"):
-            h = getattr(self, name)
-            if not (math.isfinite(h) and h > 0):
-                raise ValueError(f"{name} must be positive and finite, got {h!r}")
+            _check_spacing(name, getattr(self, name))
+        if not isinstance(self.periodic_x, (bool, np.bool_)):
+            raise ValueError(f"periodic_x must be a bool, got {self.periodic_x!r}")
+
+
+def _check_spacing(name: str, h) -> None:
+    """Raises ValueError, naming the field, unless h is a positive finite real
+    number: not a bool, not a string."""
+    if isinstance(h, bool) or not isinstance(h, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {h!r}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"{name} must be positive and finite, got {h!r}")
 
 
 # The geometry below works on component planes: a tensor field is a
 # contiguous (2, ..., 2, rows, ny) array, so every contraction over a 2-valued
-# index is an explicit sum of plane products. A helper writes its result into
-# out, or into planes it takes from the workspace ws.
+# index is an explicit sum of plane products. A helper returns fresh planes.
 
 
 def _partial(f: np.ndarray, m: int, grid: SurfaceGrid, out=None) -> np.ndarray:
@@ -132,51 +136,28 @@ def _partial(f: np.ndarray, m: int, grid: SurfaceGrid, out=None) -> np.ndarray:
     return out
 
 
-def _partials(f: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
+def _partials(f: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """(2, ...) stack of d_m f of planes f."""
-    if out is None:
-        out = ws.take(2, *f.shape[:-2])
+    out = np.empty((2,) + f.shape)
     for m in range(2):
-        _partial(f, m, ws.grid, out[m])
+        _partial(f, m, grid, out[m])
     return out
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(ab)_ij = a_i0 b_0j + a_i1 b_1j of (2, 2, rows, ny) planes."""
-    if out is None:
-        out = ws.take(2, 2)
-    with ws.scratch():
-        np.multiply(a[:, 0, None], b[None, 0], out=out)
-        out += np.multiply(a[:, 1, None], b[None, 1], out=ws.take(2, 2))
-    return out
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
 
 
-def _pair(a: np.ndarray, b: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_ij a_ij b_ij over the two leading 2-valued axes."""
-    lead = np.broadcast_shapes(a.shape[2:], b.shape[2:])[:-2]
-    if out is None:
-        out = ws.take(*lead)
-    with ws.scratch():
-        term = ws.take(*lead)
-        np.multiply(a[0, 0], b[0, 0], out=out)
-        for i, j in ((0, 1), (1, 0), (1, 1)):
-            out += np.multiply(a[i, j], b[i, j], out=term)
-    return out
+    return a[0, 0] * b[0, 0] + a[0, 1] * b[0, 1] + a[1, 0] * b[1, 0] + a[1, 1] * b[1, 1]
 
 
-def _quadratic(m: np.ndarray, u: np.ndarray, ws: _Workspace, out=None) -> np.ndarray:
+def _quadratic(m: np.ndarray, u: np.ndarray) -> np.ndarray:
     """sum_ij m_ij u_i u_j of (2, 2, rows, ny) and (2, rows, ny) planes."""
-    if out is None:
-        out = ws.take()
-    with ws.scratch():
-        term = ws.take()
-        np.multiply(m[0, 0], u[0], out=out)
-        out *= u[0]
-        for i, j in ((0, 1), (1, 0), (1, 1)):
-            np.multiply(m[i, j], u[i], out=term)
-            term *= u[j]
-            out += term
-    return out
+    return (m[0, 0] * u[0] * u[0] + m[0, 1] * u[0] * u[1]
+            + m[1, 0] * u[1] * u[0] + m[1, 1] * u[1] * u[1])
 
 
 def _held(arr) -> bool:
@@ -270,8 +251,7 @@ class SurfaceSequence:
         grid = slices[0].grid
         if any(s.grid != grid for s in slices):
             raise ValueError("all slices must share one grid")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        _check_spacing("dt", self.dt)
         object.__setattr__(self, "slices", slices)
 
     @property
@@ -279,45 +259,32 @@ class SurfaceSequence:
         return self.slices[0].grid
 
 
-def christoffel(ws: _Workspace) -> np.ndarray:
-    """Gamma^k_ij of the strip loaded in ws, via central differences, as
-    (2, 2, 2, rows, ny) planes gamma[k, i, j] there."""
-    q, inv = ws.q, ws.inv
-    gamma = ws.take(2, 2, 2)
-    with ws.scratch():
-        dq = _partials(q, ws)  # (m, i, j) = d_m q_ij
-        # Gamma^k_ij = 1/2 q^{kl} (d_i q_lj + d_j q_li - d_l q_ij), term[i, j, l]
-        term = np.add(dq.transpose(0, 2, 1, 3, 4), dq.transpose(2, 0, 1, 3, 4),
-                      out=ws.take(2, 2, 2))
-        for l in range(2):  # one plane pair at a time: a transposed dq is buffered
-            np.subtract(term[:, :, l], dq[l], out=term[:, :, l])
-        np.multiply(inv[:, 0, None, None], term[None, :, :, 0], out=gamma)
-        gamma += np.multiply(inv[:, 1, None, None], term[None, :, :, 1], out=dq)
-        gamma *= 0.5
+def christoffel(strip: _Strip) -> np.ndarray:
+    """Gamma^k_ij of strip, via central differences, as (2, 2, 2, rows, ny)
+    planes gamma[k, i, j]."""
+    dq = _partials(strip.q, strip.grid)  # (m, i, j) = d_m q_ij
+    # Gamma^k_ij = 1/2 q^{kl} (d_i q_lj + d_j q_li - d_l q_ij), term[i, j, l]
+    term = dq.transpose(0, 2, 1, 3, 4) + dq.transpose(2, 0, 1, 3, 4)
+    for l in range(2):  # one plane pair at a time: a transposed dq is buffered
+        term[:, :, l] -= dq[l]
+    del dq  # freed before Gamma's products: at most dq, term and Gamma are alive
+    inv = strip.inv
+    gamma = inv[:, 0, None, None] * term[None, :, :, 0]
+    gamma += inv[:, 1, None, None] * term[None, :, :, 1]
+    gamma *= 0.5
     return gamma
 
 
-def _scalar_curvature(inv: np.ndarray, gamma: np.ndarray, ws: _Workspace,
-                      out=None) -> np.ndarray:
+def _scalar_curvature(inv: np.ndarray, gamma: np.ndarray, grid: SurfaceGrid) -> np.ndarray:
     """R = q^{kj} Ric_kj with
     Ric_kj = sum_l [d_l G^l_jk - d_j G^l_lk + sum_m (G^l_lm G^m_jk - G^l_jm G^m_lk)],
     contracted directly from the Christoffel planes gamma[k, i, j]."""
-    if out is None:
-        out = ws.take()
-    with ws.scratch():
-        terms, s, u = ws.take(2, 2, 2), ws.take(2, 2), ws.take(2, 2)  # terms[l, j, k]
-        for l, term in enumerate(terms):
-            _partial(gamma[l], l, ws.grid, term)  # d_l G^l_jk
-            term -= _partials(gamma[l, l], ws, s)  # d_j G^l_lk
-            np.multiply(gamma[l, l, 0], gamma[0], out=s)
-            s += np.multiply(gamma[l, l, 1], gamma[1], out=u)
-            term += s
-            np.multiply(gamma[l, :, 0, None], gamma[0, l][None], out=s)
-            s += np.multiply(gamma[l, :, 1, None], gamma[1, l][None], out=u)
-            term -= s
-        terms[0] += terms[1]
-        _pair(inv, terms[0].swapaxes(0, 1), ws, out)
-    return out
+    terms = [_partial(gamma[l], l, grid) - _partials(gamma[l, l], grid)  # [j, k]
+             + (gamma[l, l, 0] * gamma[0] + gamma[l, l, 1] * gamma[1])
+             - (gamma[l, :, 0, None] * gamma[0, l][None]
+                + gamma[l, :, 1, None] * gamma[1, l][None])
+             for l in range(2)]
+    return _pair(inv, (terms[0] + terms[1]).swapaxes(0, 1))
 
 
 class _Residuals:
@@ -346,8 +313,6 @@ _STRIP_NODES = 1 << 14
 # Rows a strip reads beyond its own on each side: R^q takes second
 # differences of q through the Christoffel symbols.
 _HALO = 2
-# Planes a strip body holds at its deepest: the momentum constraint r4.
-_PLANES = 50
 
 
 def _strips(grid: SurfaceGrid):
@@ -380,11 +345,6 @@ def _strips(grid: SurfaceGrid):
         yield rows, replace(grid, nx=hi - lo, periodic_x=False), slice(a - lo, b - lo)
 
 
-def _tallest(grid: SurfaceGrid) -> int:
-    """Rows of the tallest strip of grid."""
-    return max(g.nx for _, g, _ in _strips(grid))
-
-
 _FIELDS = ("q", "theta", "F", "alpha", "beta")
 
 
@@ -401,41 +361,24 @@ def _compact_grid(slices: Sequence[SurfaceData]) -> SurfaceGrid:
     return replace(grid, nx=nx, ny=4 if flat_y else grid.ny)
 
 
-class _Workspace:
-    """The component planes of one residual pass: one buffer of _PLANES
-    planes of rows x ny nodes, reused by each strip of the pass.
+class _Strip:
+    """One strip of a slice d: its rows (slices of the pass grid's x rows) of
+    d's fields on the strip grid, as contiguous (..., rows, ny) planes, the
+    attributes of their names, with q^{-1} as inv and sqrt(det q) as vol."""
 
-    start() begins a strip: it empties the stack of planes and loads the
-    strip's rows of a slice and its metric. A strip body reads only these
-    planes and takes every plane it computes with take(), in the same order
-    on each strip; the temporaries of a step are taken inside scratch(), which
-    hands them back when the step ends."""
-
-    def __init__(self, rows: int, ny: int):
-        self._buf = np.empty(_PLANES * rows * ny)
-        self._top = 0
-
-    def start(self, d: SurfaceData, rows: tuple, grid: SurfaceGrid) -> None:
-        """Begins the strip of d on rows (slices of the pass grid's x rows)
-        with grid. Loads the planes of d's fields as the attributes of their
-        names, q^{-1} as inv and sqrt(det q) as vol."""
-        self.grid, self._rows, self._top = grid, rows, 0
+    def __init__(self, d: SurfaceData, rows: tuple, grid: SurfaceGrid):
+        self.grid, self._rows = grid, rows
         self.q, self.theta, self.F, self.alpha, self.beta = (
             self.load(getattr(d, name)) for name in _FIELDS)
-        q, inv, det = self.q, self.take(2, 2), self.take()
-        np.multiply(q[0, 0], q[1, 1], out=det)
-        det -= np.multiply(q[0, 1], q[1, 0], out=inv[0, 0])
-        np.divide(q[1, 1], det, out=inv[0, 0])
-        np.divide(q[0, 0], det, out=inv[1, 1])
-        np.divide(np.negative(q[0, 1], out=inv[0, 1]), det, out=inv[0, 1])
-        np.divide(np.negative(q[1, 0], out=inv[1, 0]), det, out=inv[1, 0])
-        self.inv, self.vol = inv, np.sqrt(det, out=det)
+        q = self.q
+        det = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
+        self.inv = np.array([[q[1, 1], -q[0, 1]], [-q[1, 0], q[0, 0]]]) / det
+        self.vol = np.sqrt(det)
 
-    def load(self, field: np.ndarray, out=None) -> np.ndarray:
+    def load(self, field: np.ndarray) -> np.ndarray:
         """The strip's rows and the strip grid's ny columns of a (nx, ny, ...)
-        field, as contiguous (..., rows, ny) planes (into out if given)."""
-        if out is None:
-            out = self.take(*field.shape[2:])
+        field, as contiguous (..., rows, ny) planes."""
+        out = np.empty(field.shape[2:] + (self.grid.nx, self.grid.ny))
         at = 0
         for rows in self._rows:
             part = field[rows, :self.grid.ny].transpose(*range(2, field.ndim), 0, 1)
@@ -443,78 +386,35 @@ class _Workspace:
             at += part.shape[-2]
         return out
 
-    def take(self, *lead: int) -> np.ndarray:
-        """(*lead, rows, ny) planes from the top of the stack."""
-        shape = lead + (self.grid.nx, self.grid.ny)
-        end = self._top + math.prod(shape)
-        if end > self._buf.size:
-            raise RuntimeError(f"a strip needs more than {_PLANES} planes")
-        out = self._buf[self._top:end].reshape(shape)
-        self._top = end
-        return out
 
-    @contextmanager
-    def scratch(self):
-        """Hands back on exit the planes taken inside."""
-        top = self._top
-        try:
-            yield
-        finally:
-            self._top = top
+def _worst(fields, d: SurfaceData, grid: SurfaceGrid, *args) -> np.ndarray:
+    """Max |r| of each residual field that fields(strip, *args) returns, for
+    each strip of d on the pass grid: taken per strip over the rows it owns
+    and then over the strips, so that a NaN propagates."""
+    return np.max([[float(np.max(np.abs(r[..., own, :])))
+                    for r in fields(_Strip(d, rows, strip), *args)]
+                   for rows, strip, own in _strips(grid)], axis=0)
 
 
-def _worst(fields, ws: _Workspace, d: SurfaceData, grid: SurfaceGrid, *args) -> np.ndarray:
-    """Max |r| of each residual field that fields(ws, *args) returns, with
-    each strip of d on the pass grid loaded in ws: taken per strip over the
-    rows it owns (|r| taken in place) and then over the strips, so that a
-    NaN propagates."""
-    worst = []
-    for rows, strip, own in _strips(grid):
-        ws.start(d, rows, strip)
-        owned = [r[..., own, :] for r in fields(ws, *args)]
-        worst.append([float(np.max(np.abs(r, out=r))) for r in owned])
-    return np.max(worst, axis=0)
-
-
-def _constraint_fields(ws: _Workspace, eps: int, lambda2: float, kappa: float) -> tuple:
-    """The constraint residuals r1..r4 of the strip loaded in ws, as planes."""
-    grid = ws.grid
-    inv, vol, gamma = ws.inv, ws.vol, christoffel(ws)
-    theta, alpha, F = ws.theta, ws.alpha, ws.F
-    r1, r2, r3, tr_theta, r4 = ws.take(), ws.take(), ws.take(), ws.take(), ws.take(2)
-    with ws.scratch():
-        tmp = ws.take()
-        # r1
-        _partial(alpha[1], 0, grid, r1)
-        r1 -= _partial(alpha[0], 1, grid, tmp)
-        r1 -= np.multiply(F, vol, out=tmp)
-        # r2
-        _quadratic(inv, alpha, ws, r2)
-        r2 -= eps
-        r2 -= np.square(F, out=tmp)
-        # r3
-        _pair(inv, theta, ws, tr_theta)
-        _scalar_curvature(inv, gamma, ws, r3)
-        inv_t = inv.swapaxes(0, 1)
-        with ws.scratch():  # q^{ik} q^{jl} T_ij T_kl
-            r3 -= _pair(_matmul(inv_t, theta, ws), _matmul(theta, inv_t, ws), ws)
-        r3 += np.square(tr_theta, out=tmp)
-        r3 += 0.5 * (5.0 * lambda2 + 3.0 * kappa * eps)
-        r3 -= np.multiply(2.0 * kappa, np.square(F, out=tmp), out=tmp)
-        # r4: (nabla_m Theta)_ij = d_m Theta_ij - G^k_mi Theta_kj - G^k_mj Theta_ik
-        with ws.scratch():
-            cov = _partials(theta, ws)  # [m, i, j]
-            s, u = ws.take(2, 2), ws.take(2, 2)
-            for m in range(2):
-                np.multiply(gamma[0, m][:, None], theta[0][None], out=s)
-                s += np.multiply(gamma[1, m][:, None], theta[1][None], out=u)
-                cov[m] -= s
-                np.multiply(gamma[0, m][None], theta[:, 0][:, None], out=s)
-                s += np.multiply(gamma[1, m][None], theta[:, 1][:, None], out=u)
-                cov[m] -= s
-            _partials(tr_theta, ws, r4)
-            r4 += _pair(inv, cov, ws, s[0])
-            r4 -= np.multiply(np.multiply(kappa, F, out=tmp), alpha, out=s[0])
+def _constraint_fields(strip: _Strip, eps: int, lambda2: float, kappa: float) -> tuple:
+    """The constraint residuals r1..r4 of strip, as planes."""
+    grid, inv, vol, gamma = strip.grid, strip.inv, strip.vol, christoffel(strip)
+    theta, alpha, F = strip.theta, strip.alpha, strip.F
+    r1 = _partial(alpha[1], 0, grid) - _partial(alpha[0], 1, grid) - F * vol
+    r2 = _quadratic(inv, alpha) - eps - np.square(F)
+    tr_theta = _pair(inv, theta)
+    inv_t = inv.swapaxes(0, 1)  # q^{ik} q^{jl} T_ij T_kl below
+    r3 = (_scalar_curvature(inv, gamma, grid)
+          - _pair(_matmul(inv_t, theta), _matmul(theta, inv_t))
+          + np.square(tr_theta)
+          + 0.5 * (5.0 * lambda2 + 3.0 * kappa * eps)
+          - 2.0 * kappa * np.square(F))
+    # r4: (nabla_m Theta)_ij = d_m Theta_ij - G^k_mi Theta_kj - G^k_mj Theta_ik
+    cov = _partials(theta, grid)  # [m, i, j]
+    for m, g in enumerate(gamma.swapaxes(0, 1)):  # g[k] = G^k_m
+        cov[m] -= g[0][:, None] * theta[0][None] + g[1][:, None] * theta[1][None]
+        cov[m] -= g[0][None] * theta[:, 0][:, None] + g[1][None] * theta[:, 1][:, None]
+    r4 = _partials(tr_theta, grid) + _pair(inv, cov) - kappa * F * alpha
     return r1, r2, r3, r4
 
 
@@ -522,9 +422,7 @@ def constraint_residuals(
     d: SurfaceData, eps: int, lambda2: float, kappa: float
 ) -> ConstraintResiduals:
     """Discrete L-infinity norms of the four constraint expressions."""
-    grid = _compact_grid((d,))
-    ws = _Workspace(_tallest(grid), grid.ny)
-    worst = _worst(_constraint_fields, ws, d, grid, eps, lambda2, kappa)
+    worst = _worst(_constraint_fields, d, _compact_grid((d,)), eps, lambda2, kappa)
     return ConstraintResiduals(*map(float, worst))
 
 
@@ -534,52 +432,28 @@ class EvolutionResiduals(_Residuals):
     ricci_flow: float
 
 
-def _flow_fields(ws: _Workspace, prev_s: SurfaceData, next_s: SurfaceData,
+def _flow_fields(strip: _Strip, prev_s: SurfaceData, next_s: SurfaceData,
                  dt: float, eps: int, lambda2: float, kappa: float) -> tuple:
-    """The flow residuals e1, e2 of the strip loaded in ws, as planes, with
-    central time differences between the same rows of its slice's
-    neighbours prev_s and next_s."""
-    inv, vol, gamma = ws.inv, ws.vol, christoffel(ws)
-    q, theta, alpha, F, beta = ws.q, ws.theta, ws.alpha, ws.F, ws.beta
-    e1, e2 = ws.take(2), ws.take(2, 2)
+    """The flow residuals e1, e2 of strip, as planes, with central time
+    differences between the same rows of its slice's neighbours prev_s and
+    next_s."""
+    grid, inv, vol, gamma = strip.grid, strip.inv, strip.vol, christoffel(strip)
+    q, theta, alpha, F, beta = strip.q, strip.theta, strip.alpha, strip.F, strip.beta
     # e1; (*alpha)_i = sqrt(det q) eps_ij q^{jk} alpha_k
-    with ws.scratch():
-        s, u = ws.take(2), ws.take(2)
-        np.multiply(inv[:, 0], alpha[0], out=s)
-        s += np.multiply(inv[:, 1], alpha[1], out=u)  # raised
-        np.multiply(np.negative(vol, out=u[0]), s[1], out=e1[0])
-        np.multiply(vol, s[0], out=e1[1])
-        _partials(np.multiply(beta, F, out=u[0]), ws, s)
-        s /= beta
-        e1 += s
-        ws.load(next_s.alpha, s)
-        s -= ws.load(prev_s.alpha, u)
-        s /= 2.0 * dt  # dt alpha
-        s /= beta
-        e1 -= s
+    raised = inv[:, 0] * alpha[0] + inv[:, 1] * alpha[1]
+    e1 = (np.stack([-vol * raised[1], vol * raised[0]])
+          + _partials(beta * F, grid) / beta
+          - (strip.load(next_s.alpha) - strip.load(prev_s.alpha)) / (2.0 * dt) / beta)
     # e2; Ric^q = (R/2) q in two dimensions
-    with ws.scratch():
-        r = _scalar_curvature(inv, gamma, ws)
-        np.multiply(np.multiply(0.5, r, out=r), q, out=e2)
-    with ws.scratch():
-        s, u = ws.take(2, 2), ws.take(2, 2)
-        e2 += np.multiply(_pair(inv, theta, ws, u[0, 0]), theta, out=s)
-        e2 -= np.multiply(2.0, _matmul(theta, _matmul(inv, theta, ws, u), ws), out=s)
-    with ws.scratch():
-        s, u = ws.take(2, 2), ws.take(2, 2)
-        grad_beta = _partials(beta, ws)
-        hess_beta = _partials(grad_beta, ws)
-        np.multiply(gamma[0], grad_beta[0], out=s)
-        s += np.multiply(gamma[1], grad_beta[1], out=u)
-        hess_beta -= s
-        ws.load(next_s.theta, s)
-        s -= ws.load(prev_s.theta, u)
-        s /= 2.0 * dt  # dt Theta
-        s += hess_beta
-        s /= beta
-        e2 -= s
-        e2 -= np.multiply(kappa, np.multiply(alpha[:, None], alpha[None], out=s), out=s)
-        e2 += np.multiply(0.5 * (lambda2 + kappa * eps), q, out=s)
+    grad_beta = _partials(beta, grid)
+    hess_beta = _partials(grad_beta, grid) - (gamma[0] * grad_beta[0] + gamma[1] * grad_beta[1])
+    dt_theta = (strip.load(next_s.theta) - strip.load(prev_s.theta)) / (2.0 * dt)
+    e2 = (0.5 * _scalar_curvature(inv, gamma, grid) * q
+          + _pair(inv, theta) * theta
+          - 2.0 * _matmul(theta, _matmul(inv, theta))
+          - (dt_theta + hess_beta) / beta
+          - kappa * (alpha[:, None] * alpha[None])
+          + 0.5 * (lambda2 + kappa * eps) * q)
     return e1, e2
 
 
@@ -588,11 +462,9 @@ def evolution_residuals(
 ) -> EvolutionResiduals:
     """Residuals of the two flow equations on the interior time slices,
     with central time differences."""
-    grid = _compact_grid(seq.slices)
-    ws = _Workspace(_tallest(grid), grid.ny)  # one for every slice
-    slices = seq.slices
+    grid, slices = _compact_grid(seq.slices), seq.slices
     worst = np.max([
-        _worst(_flow_fields, ws, slices[t], grid, slices[t - 1], slices[t + 1], seq.dt,
+        _worst(_flow_fields, slices[t], grid, slices[t - 1], slices[t + 1], seq.dt,
                eps, lambda2, kappa)
         for t in range(1, len(slices) - 1)
     ], axis=0)
