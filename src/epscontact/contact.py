@@ -31,9 +31,6 @@ from .errors import (
 )
 from .exterior import (
     FrameMetric,
-    _check_orientation,
-    _hodge_table,
-    _interior_table,
     antisymmetric_array,
     d_components,
     hodge_components,
@@ -445,27 +442,14 @@ def check_contact(
 # them on one structure, ContactBatch on every row of a batch at once.
 
 
-@lru_cache(maxsize=None)
-def _phi_table(m: FrameMetric) -> tuple:
-    """(k, sign, live, t), integer and boolean arrays, from the Hodge and
-    interior-product tables: phi[i, j] = t[i] * (alpha[k] * sign * o + 0)
-    where live, else t[i] * +0.0, for the orientation o; the + 0 turns -0.0
-    into +0.0, as the sums from +0.0 of those operators do."""
-    src, fac = _hodge_table(m.signs, 1)
-    pos, sign, live = _interior_table(3, 2)  # (iota_{e_j} w)_i = sign * w[pos] at [i, j]
-    k = src[pos]  # (*alpha)[q] = o * fac[q] * alpha[src[q]]
-    t = -m.s_g * np.array(m.signs)[:, None]  # phi is -s_g times the sharp of the rows
-    return k, (sign * fac[pos]).astype(int), live, t
-
-
 def phi_components(alpha: np.ndarray, m: FrameMetric, orientation) -> np.ndarray:
-    """phi(v) = -s_g (iota_v * alpha)^sharp as frame matrices (..., 3, 3) of
-    stacked one-forms alpha (..., 3) and orientations: a gather of alpha by
-    signs, with the bits, signed zeros included, of the Hodge dual and the
-    interior products."""
-    k, sign, live, t = _phi_table(m)
-    o = np.asarray(_check_orientation(orientation))[..., None, None]
-    return t * (np.where(live, alpha[..., k] * sign * o, 0) + 0)
+    """phi(v) = -s_g (iota_v *alpha)^sharp as frame matrices (..., 3, 3) of
+    stacked one-forms alpha (..., 3) and orientations: phi[i, j] =
+    -s_g eta_i (*alpha)(e_j, e_i), read off the antisymmetric array of *alpha."""
+    star = antisymmetric_array(hodge_components(alpha, m.signs, 1, orientation), 3, 2)
+    # a copy, not the transposed view: matmul takes another path, and other
+    # bits, on a view
+    return np.ascontiguousarray(np.swapaxes(-m.s_g * (m.eta * star), -1, -2))
 
 
 def h_components(ad: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -293,7 +293,11 @@ def scan_family(
     (contact._not_eta_einstein) and dropped; the rows that proof leaves are
     fitted in one least-squares call, each system solved on its own, so a
     hit keeps the bits of a fit of every row. No ContactStructure is built.
+    ValueError for an epsilon outside {-1, 0, 1} or no orientations.
     """
+    if epsilon not in (-1, 0, 1) or not len(orientations):
+        raise ValueError("scan_family needs an epsilon in {-1, 0, 1} and an orientation, got "
+                         f"epsilon {epsilon!r} and orientations {tuple(orientations)!r}")
     tol = get_tol(tol)
     if grid is None:
         grid = default_grid()

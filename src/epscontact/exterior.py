@@ -11,10 +11,11 @@ with no 1/(p+1) normalization factor. The Hodge dual is fixed by
 eta ^ *w = <eta, w> nu on sorted tuples, with <e^I, e^I> = prod_{i in I} eta_i
 and nu = o * e^0 ^ ... ^ e^{n-1} for the orientation sign o.
 
-Hodge, d and the full antisymmetric array run from index tables built on
-first use, once per dimension and degree (and metric signs, for Hodge);
-the interior-product table serves phi's gather, and the product table the
-6D torsion form's. Each output component is summed term by term in the
+Hodge, d, the full antisymmetric array and the 6D torsion form's gather
+run from index tables built on first use, once per dimension and degree
+(and metric signs), whose entries one rule places (_placed): the position
+of the sorted index tuple, the sign of the sort, and whether an index
+repeats. Each output component is summed term by term in the
 order of the per-tuple definition, starting from +0.0, with the terms the
 definition skips held at zero: the results, signed zeros included, are
 those of the plain loops over index tuples. Every operator acts on stacked
@@ -94,19 +95,29 @@ def tuple_positions(n: int, k: int):
 
 
 def sort_sign(indices):
-    """(sign, sorted tuple) of an index sequence; sign 0 on repeats."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(idx)):
-        if idx[i - 1] == idx[i]:
-            return 0, tuple(idx)
-    return sign, tuple(idx)
+    """(sign, sorted tuple) of an index sequence: the parity of its
+    inversions, or 0 on repeats."""
+    idx = tuple(indices)
+    key = tuple(sorted(idx))
+    if len(set(idx)) < len(idx):
+        return 0, key
+    return (-1) ** sum(a > b for a, b in itertools.combinations(idx, 2)), key
+
+
+def _placed(idx, n: int) -> tuple:
+    """(pos, sign, live) of an index sequence on an n-dimensional frame:
+    w(e_idx) = sign * w[pos] for the components w of degree len(idx); where
+    an index repeats, live is False, pos 0 and sign 1."""
+    sign, key = sort_sign(idx)
+    return (tuple_positions(n, len(key))[key] if sign else 0), sign or 1, sign != 0
+
+
+def _columns(rows: list, shape: tuple) -> tuple:
+    """The columns of a table of rows (index, ..., sign, live) of the given
+    shape, the last axis the row: integer indices, float signs and boolean
+    live flags."""
+    *index, sign, live = np.moveaxis(np.array(rows, dtype=np.intp).reshape(shape), -1, 0)
+    return (*index, sign.astype(float), live == 1)
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -127,14 +138,12 @@ def _hodge_table(signs: tuple, k: int):
     """(src, fac) with (*w)_J = o * fac[J] * w[src[J]] over the sorted
     (n-k)-tuples J: *e^I = o * fac[J] * e^J for I the complement of J."""
     n = len(signs)
-    pos = tuple_positions(n, k)
-    src, fac = [], []
+    pos, rows = tuple_positions(n, k), []
     for comp in index_tuples(n, n - k):
         t = tuple(i for i in range(n) if i not in comp)
-        sign, _ = sort_sign(t + comp)
-        src.append(pos[t])
-        fac.append(sign * math.prod(signs[i] for i in t))
-    return np.array(src, dtype=np.intp), np.array(fac, dtype=float)
+        _, sign, live = _placed(t + comp, n)  # nu(e_t, e_comp) = o * sign
+        rows.append((pos[t], sign * math.prod(signs[i] for i in t), live))
+    return _columns(rows, (len(rows), 3))[:2]
 
 
 @lru_cache(maxsize=None)
@@ -143,41 +152,15 @@ def _d_table(n: int, k: int):
     terms sign * c.flat[cidx] * w[pos] of every component of d w, in the order
     of (p, q, l) in the bracket formula; where an index repeats, live is False
     and w counts as zero."""
-    wpos = tuple_positions(n, k)
     rows = []
     for t in index_tuples(n, k + 1):
-        row = []
         for p in range(k + 1):
             for q in range(p + 1, k + 1):
                 rest = t[:p] + t[p + 1:q] + t[q + 1:]
                 for l in range(n):
-                    sign, key = sort_sign((l,) + rest)
-                    row.append((
-                        (t[p] * n + t[q]) * n + l,
-                        wpos[key] if sign else 0,
-                        (-1) ** (p + q) * (sign or 1),
-                        sign != 0,
-                    ))
-        rows.append(row)
-    table = np.array(rows, dtype=np.intp).reshape(len(rows), math.comb(k + 1, 2) * n, 4)
-    return table[..., 0], table[..., 1], table[..., 2].astype(float), table[..., 3] == 1
-
-
-@lru_cache(maxsize=None)
-def _interior_table(n: int, k: int):
-    """(pos, sign, live), each of shape (C(n, k-1), n): (iota_v w)_t = sum_i
-    v_i * sign * w[pos] in order of i; live is False, and w counts as zero,
-    for i in t."""
-    wpos = tuple_positions(n, k)
-    rows = []
-    for t in index_tuples(n, k - 1):
-        row = []
-        for i in range(n):
-            sign, key = sort_sign((i,) + t)
-            row.append((wpos[key] if sign else 0, sign or 1, sign != 0))
-        rows.append(row)
-    table = np.array(rows, dtype=np.intp).reshape(len(rows), n, 3)
-    return table[..., 0], table[..., 1].astype(float), table[..., 2] == 1
+                    pos, sign, live = _placed((l,) + rest, n)
+                    rows.append(((t[p] * n + t[q]) * n + l, pos, (-1) ** (p + q) * sign, live))
+    return _columns(rows, (math.comb(n, k + 1), math.comb(k + 1, 2) * n, 4))
 
 
 @lru_cache(maxsize=None)
@@ -185,13 +168,8 @@ def _antisymmetric_table(n: int, k: int):
     """(pos, sign, live), each of shape (n ** k,): entry i_1..i_k of the full
     array is sign * w[pos]; live is False, and the entry +0.0, where an index
     repeats."""
-    wpos = tuple_positions(n, k)
-    rows = []
-    for idx in itertools.product(range(n), repeat=k):
-        sign, key = sort_sign(idx)
-        rows.append((wpos[key] if sign else 0, sign or 1, sign != 0))
-    table = np.array(rows, dtype=np.intp).reshape(n ** k, 3)
-    return table[:, 0], table[:, 1].astype(float), table[:, 2] == 1
+    rows = [_placed(idx, n) for idx in itertools.product(range(n), repeat=k)]
+    return _columns(rows, (n ** k, 3))
 
 
 @lru_cache(maxsize=None)
@@ -202,19 +180,17 @@ def _product_table(signs_n: tuple, signs_x: tuple):
     Component t of form f is sign * o * a[ka] * b[kb] with a and b extended
     by a 1 and o the orientation of N where of_n[f], else of X; where live is
     False it is +0.0. The signs are the Hodge tables' times the wedge's."""
-    pos, pairs = tuple_positions(6, 3), index_tuples(3, 2)
+    pairs = index_tuples(3, 2)
     (src_n, fac_n), (src_x, fac_x) = _hodge_table(signs_n, 1), _hodge_table(signs_x, 1)
     terms = [(0, (0, 1, 2), 3, 3, 1.0), (3, (3, 4, 5), 3, 3, 1.0)]
     for q, i in itertools.product(range(3), repeat=2):  # q: the pair of *a or *b
         terms.append((1, pairs[q] + (3 + i,), src_n[q], i, fac_n[q]))
         terms.append((2, (i,) + tuple(3 + j for j in pairs[q]), i, src_x[q], fac_x[q]))
-    ka, kb = np.zeros((4, 20), dtype=np.intp), np.zeros((4, 20), dtype=np.intp)
-    sign, live = np.ones((4, 20)), np.zeros((4, 20), dtype=bool)
+    table = np.tile(np.intp([0, 0, 1, 0]), (4, 20, 1))  # rows (ka, kb, sign, live)
     for f, t, a, b, fac in terms:
-        wedge_sign, key = sort_sign(t)
-        ka[f, pos[key]], kb[f, pos[key]], live[f, pos[key]] = a, b, True
-        sign[f, pos[key]] = wedge_sign * fac
-    return ka, kb, sign, live, np.array([[True], [True], [False], [False]])
+        pos, wedge_sign, _ = _placed(t, 6)
+        table[f, pos] = a, b, wedge_sign * fac, True
+    return (*_columns(table, table.shape), np.array([[True], [True], [False], [False]]))
 
 
 def hodge_components(comps: np.ndarray, signs: tuple, degree: int, orientation) -> np.ndarray:

@@ -75,7 +75,10 @@ def run_oracle(samples: int = 1000, seed: int = 0, tol: float | None = None) -> 
     The samples are drawn first, cycling through the families; then each
     family's bracket tables, Koszul -> Ricci and the closed form each run in
     one stacked call. A NaN deviation is reported as such, so it fails the
-    check."""
+    check. ValueError for fewer samples than families, some unchecked."""
+    if samples < len(LORENTZ_FAMILIES):
+        raise ValueError(f"samples must be at least {len(LORENTZ_FAMILIES)}, one per "
+                         f"Lorentzian family, got {samples}")
     rng = np.random.default_rng(seed)
     # the samples' parameters by family and name, in the order they are drawn
     draws = {fam: {p: [] for p in FAMILIES[fam].params} for fam in LORENTZ_FAMILIES}

@@ -366,6 +366,9 @@ DEFAULT_L_SAMPLES = (0.0, 0.25, 0.5, 0.75, 0.9)
 
 
 def catalog_rows(epsilon_n: int) -> list:
+    """The catalog rows of one table; ValueError for an epsilon_n outside {-1, 0, 1}."""
+    if epsilon_n not in (-1, 0, 1):
+        raise ValueError(f"epsilon_n must be -1, 0 or 1, got {epsilon_n!r}")
     return [row for row in CATALOG if row.epsilon_n == epsilon_n]
 
 

@@ -2,10 +2,10 @@
 use: the time-like special frame, the matrix of J in the frame
 (xi, u, phi(u), dq), the light-cone form of the eta-Einstein fit, the
 Reeb-curvature residual, the metric pairing of two frame vectors, and the
-bracket of two vectors; the interior product, the wedge product and the
-3D -> 6D lift of forms;
+bracket of two vectors; the interior product (from an index table of its
+own), the wedge product and the 3D -> 6D lift of forms;
 and the reference forms of what the library computes by index-table gathers,
-reads off the factors or solves by numpy's gufunc (the Koszul terms, phi,
+reads off other arrays or solves by numpy's gufunc (the Koszul terms, phi,
 the light-cone bracket pattern, and the 6D product's torsion form,
 Levi-Civita coefficients and Ricci tensor), with a bytewise comparison and
 the values whose signs it shows."""
@@ -19,8 +19,8 @@ from epscontact.config import get_tol
 from epscontact.contact import _j_and_frame, _ker_alpha_basis, _lead_positive, contact_frame
 from epscontact.curvature import koszul_components, ricci_components
 from epscontact.errors import WrongCausalType
-from epscontact.exterior import (_interior_table, _ordered_sum, hodge_components, index_tuples,
-                                 pairing_components, sort_sign, tuple_positions)
+from epscontact.exterior import (_ordered_sum, hodge_components, index_tuples, pairing_components,
+                                 sort_sign, tuple_positions)
 from epscontact.liealg import ad_components
 
 # finite entries of both signs, the two zeros and the non-finite values: the
@@ -41,6 +41,23 @@ def einsum_koszul(c, eta) -> np.ndarray:
     t2 = np.einsum("...jki,i,k->...ijk", c, eta, eta)
     t3 = np.einsum("...kij,j,k->...ijk", c, eta, eta)
     return 0.5 * (c - t2 + t3)
+
+
+@lru_cache(maxsize=None)
+def _interior_table(n: int, k: int):
+    """(pos, sign, live), each of shape (C(n, k-1), n): (iota_v w)_t = sum_i
+    v_i * sign * w[pos] in order of i; live is False, and w counts as zero,
+    for i in t."""
+    wpos = tuple_positions(n, k)
+    rows = []
+    for t in index_tuples(n, k - 1):
+        row = []
+        for i in range(n):
+            sign, key = sort_sign((i,) + t)
+            row.append((wpos[key] if sign else 0, sign or 1, sign != 0))
+        rows.append(row)
+    table = np.array(rows, dtype=np.intp).reshape(len(rows), n, 3)
+    return table[..., 0], table[..., 1].astype(float), table[..., 2] == 1
 
 
 def interior_components(v: np.ndarray, comps: np.ndarray, degree: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -934,12 +935,12 @@ def test_stacked_tensors_bit_equal_to_single_structures(table_structures):
             assert np.all(residual <= 1e-9)
 
 
-# --- the phi gather against the Hodge + interior reference, bit for bit --------
+# --- phi against the Hodge + interior reference, bit for bit -------------------
 
 FRAME_METRICS = [L3, R3, FrameMetric((1, -1, 1)), FrameMetric((1, 1, -1))]
 
 
-def test_phi_gather_bit_equal_to_hodge_interior_on_table_instances(table_structures):
+def test_phi_bit_equal_to_hodge_interior_on_table_instances(table_structures):
     by_metric = {}
     for cs in table_structures:
         assert same_bits(cs.phi, hodge_interior_phi(cs.alpha, cs.m, cs.orientation))
@@ -955,7 +956,7 @@ def test_phi_gather_bit_equal_to_hodge_interior_on_table_instances(table_structu
 
 
 @pytest.mark.parametrize("m", FRAME_METRICS, ids=lambda m: str(m.signs))
-def test_phi_gather_bit_equal_on_signed_zeros_and_non_finite_alpha(m):
+def test_phi_bit_equal_on_signed_zeros_and_non_finite_alpha(m):
     rng = np.random.default_rng(25)
     alpha = rng.choice(SIGNED_VALUES, size=(400, 3))
     alpha[:50] = np.where(rng.random((50, 3)) < 0.5, 0.0, -0.0)  # zeros only
@@ -966,3 +967,56 @@ def test_phi_gather_bit_equal_on_signed_zeros_and_non_finite_alpha(m):
     for k in range(0, len(alpha), 7):
         assert same_bits(phi_components(alpha[k], m, int(o[k])),
                          hodge_interior_phi(alpha[k], m, int(o[k])))
+
+
+# --- the contact layer's bits on every table instance -------------------------
+
+# sha256 digests of contact_layer_digests, recorded when phi was still a
+# gather of alpha by a table of its own: reading phi off the antisymmetric
+# array of *alpha changes no bit of phi or of anything derived from it
+CONTACT_LAYER_DIGESTS = {
+    "batch phi": "5a66877c351a2b86cc0c30a4b124b343594f8d229e1fda442a828384f1792e45",
+    "batch h": "548aeeae514c556876d8be77b51b0194ad958fa14df36963cc0cdb7dbb58b22e",
+    "batch null": "137d738eb307509cd58b1002ed546bc0103a1912cd173f8bd07ae446d4ff28d1",
+    "batch k_contact_witness": "3ccd40f57e8d61c521aae34328f41b88b8fa3c61c1924ad8e44b7dc051550231",
+    "structure phi": "ae81320bf6aadb8562d3e0abae828d4205ed804d5a59798acb20b0c1d2113af3",
+    "structure h": "75e35a12ad877529a2e0a2e09eacb08634f46e65b4808389130bdc1d30d7e5a0",
+    "structure null": "adec1c87a05063f93e4d5c9f172ff27c95f4b7ca183b7713d11100b9dbcbc01f",
+    "structure k_contact_witness": "3f6d9e6a2d449a1599ba9674dd5915af66d7195258a10779e6f37344ea28c601",
+    "structure identity residuals": "0ac21ff4bd61667e4dfa763e365d05f6e74bdc8c2f37a6e0de646e82fd30d653",
+}
+
+
+def contact_layer_digests(structures) -> dict:
+    """sha256 over the shapes and bytes of phi, h, null and the L_xi g
+    witness of each table row's stacked batch of contact rows, and of those
+    and the repr of the identity residuals of each built structure."""
+    digests = {}
+
+    def add(key, data):
+        digests.setdefault(key, hashlib.sha256()).update(data)
+
+    names = ("phi", "h", "null", "k_contact_witness")
+    for rows in tables.TABLES.values():
+        for row in rows:
+            insts = row.instances()
+            batch = ContactBatch.from_specs([i.spec for i in insts], [i.alpha for i in insts])
+            structs = batch.take(np.flatnonzero(batch.ok))
+            for name in names:
+                a = getattr(structs, name)
+                add(f"batch {name}", repr(a.shape).encode() + a.tobytes())
+    for cs in structures:
+        for name in names:
+            a = getattr(cs, name)
+            add(f"structure {name}", repr(a.shape).encode() + a.tobytes())
+        add("structure identity residuals", repr(contact_identity_residuals(cs)).encode())
+    return {key: h.hexdigest() for key, h in digests.items()}
+
+
+def test_contact_layer_bits_pinned_on_every_table_instance(table_structures):
+    assert len(table_structures) == 771
+    got = contact_layer_digests(table_structures)
+    differ = sorted(key for key, want in CONTACT_LAYER_DIGESTS.items() if got.get(key) != want)
+    assert not differ, f"bits differ in: {', '.join(differ)}"
+    assert got.keys() == CONTACT_LAYER_DIGESTS.keys()
+    assert all(cs.phi.flags.c_contiguous for cs in table_structures)

@@ -122,6 +122,15 @@ def test_timelike_nonsasakian_fits_satisfy_lambda2_eq_kappa():
         assert not is_sasakian(cs)
 
 
+def test_scan_rejects_what_would_scan_nothing():
+    for epsilon in (2, -2, 0.5):
+        with pytest.raises(ValueError, match="epsilon"):
+            scan_family("g3", grid=np.array([1.0]), epsilon=epsilon)
+    with pytest.raises(ValueError, match="orientation"):
+        scan_family("g3", grid=np.array([1.0]), epsilon=0, orientations=())
+    assert scan_family("g3", grid=np.array([1.0]), epsilon=0, orientations=(1,))
+
+
 def test_scan_g5_para_no_hits():
     assert scan_family("g5", default_grid(21), epsilon=1) == []
 

@@ -194,6 +194,22 @@ def test_form_antisymmetric_entry_handling():
 
 # --- bit-exactness of the table-driven operators -------------------------------
 #
+# sort_sign against the determinant of the permutation matrix that sorts a
+# sequence, on every sequence of length 0-4 over range(6), repeats included.
+
+
+def test_sort_sign_equals_permutation_parity():
+    checked = 0
+    for length in range(5):
+        for seq in itertools.product(range(6), repeat=length):
+            order = sorted(range(length), key=seq.__getitem__)
+            parity = round(np.linalg.det(np.eye(length)[order])) if len(set(seq)) == length else 0
+            assert sort_sign(seq) == (parity, tuple(sorted(seq))), seq
+            assert sort_sign(list(seq)) == sort_sign(iter(seq)) == sort_sign(seq)
+            checked += 1
+    assert checked == 1 + 6 + 36 + 216 + 1296
+
+
 # The reference implementations below are the per-tuple loops the operators
 # are defined by. The tables must reproduce them bit for bit, signed zeros
 # included, because reports print last-bit residuals and the SVD of the

@@ -16,9 +16,23 @@ L3 = FrameMetric.lorentzian(3)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
-@pytest.mark.parametrize("samples", [1, 7, 1000, 3000])
+@pytest.mark.parametrize("samples", [7, 1000, 3000])
 def test_family_stacked_oracle_equals_per_sample_reference(seed, samples):
     assert repr(oracle.run_oracle(samples, seed)) == repr(verify_oracle.run_oracle(samples, seed))
+
+
+def test_fewer_samples_than_families_rejected(capsys):
+    # with fewer samples some family gets none and would report 0.0 deviations
+    assert len(LORENTZ_FAMILIES) == 7
+    for samples in (1, 3, 6):
+        with pytest.raises(ValueError, match="at least 7"):
+            oracle.run_oracle(samples, 0)
+    assert cli.main(["oracle", "--samples", "6"]) == 2
+    assert "at least 7" in capsys.readouterr().err
+    assert cli.main(["oracle", "--samples", "7"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True
+    assert [item["samples"] for item in report["items"]] == [1] * 7
 
 
 def test_one_curvature_call_per_family(count_calls):

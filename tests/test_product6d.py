@@ -306,6 +306,13 @@ def test_catalog_programming_errors_propagate(monkeypatch):
         p6.run_catalog(0, [0.0])
 
 
+def test_catalog_rejects_an_epsilon_n_without_a_table():
+    for eps_n in (2, -2, 0.5):
+        with pytest.raises(ValueError, match="epsilon_n"):
+            p6.run_catalog(eps_n, [0.5])
+    assert p6.run_catalog(1, [0.5])
+
+
 def test_catalog_l_range_filtering():
     results = p6.run_catalog(-1, [0.0, 0.999999, 2.0])
     sl2r = [r for r in results if r.row == "sl2r-sasakian_x_su2-sasakian"]
