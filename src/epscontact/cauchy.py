@@ -25,19 +25,29 @@ takes every first difference, on component planes (..., rows, ny): along y
 as one subtraction over the flattened planes, which numpy runs without the
 operand buffers of the strided form, and along x on their swapped view.
 
-The residuals are evaluated one strip of x rows at a time, so that the
-component planes a strip computes stay in cache and the memory they take
-does not grow with nx. A strip reads two halo rows beyond its own on each
+The residuals are evaluated one strip at a time, so that the component
+planes a strip computes stay in cache and the memory they take does not
+grow with nx or the number of time slices. A pass tiles (time slice, x row):
+a strip holds either rows of one slice, or G whole slices of the pass grid
+(see below) stacked on an axis just before (rows, ny). G is the number of
+pass-grid slices that fit in the nodes of the full grid's tallest strip
+when one pass-grid slice fits in a strip, and 1 otherwise, so no strip
+holds more nodes than a dense pass of the same grid, and dense data run
+one slice at a time. A strip reads two halo rows beyond its own on each
 side (wrapped around on a periodic x axis), because the scalar curvature
 takes second differences of q through the Christoffel symbols; at a
 non-periodic edge there is no halo and the one-sided stencils run as on the
 whole grid. Every node goes through the same floating-point operations as on
-the whole grid, so the norms do not depend on the strip height.
+the whole grid, one slice at a time, so the norms do not depend on the
+strip height or on G.
 
-A strip copies its rows of the fields into contiguous planes (_Strip) and
-computes its residuals as plain numpy expressions, each returning fresh
-planes that are freed when their last use ends. So a pass holds the planes
-of one strip at a time, and the memory of a dense pass is bounded by its
+A strip copies its rows of the fields of its slices into contiguous planes
+(_Strip), one copy per field, and computes its residuals as plain numpy
+expressions, each returning fresh planes that are freed when their last use
+ends. The flow pass loads alpha and Theta of the strip's slices and of one
+neighbour on each side once, and takes each central time difference between
+that stack and itself shifted by two slices. So a pass holds the planes of
+one strip at a time, and the memory of a dense pass is bounded by its
 tallest strip, whatever nx and the number of time slices.
 
 A pass runs on the data's compact grid. A grid axis along which every field
@@ -52,7 +62,9 @@ fl(3a) - 3a, negated, which need not be 0.0, so at a non-periodic edge the
 _HALO rows nearest each edge differ from the interior; 5 rows keep both
 edges and one interior row. Dense data (no zero strides) run on the whole
 grid. The null-isothermal example, broadcast along y, runs on 4 columns,
-and flat-para, broadcast along both axes, on 4 x 4 nodes.
+and flat-para, broadcast along both axes, on 4 x 4 nodes, G = 64 of them
+per strip at 32^2 and 256 at 64^2: its flow pass at the CLI's defaults is
+one strip of 7 slices, and one of 15 at the refinement.
 """
 
 from __future__ import annotations
@@ -98,8 +110,9 @@ def _check_spacing(name: str, h) -> None:
 
 
 # The geometry below works on component planes: a tensor field is a
-# contiguous (2, ..., 2, rows, ny) array, so every contraction over a 2-valued
-# index is an explicit sum of plane products. A helper returns fresh planes.
+# contiguous (2, ..., 2, slices, rows, ny) array, so every contraction over a
+# 2-valued index is an explicit sum of plane products. A helper returns fresh
+# planes.
 
 
 def _partial(f: np.ndarray, m: int, grid: SurfaceGrid, out=None) -> np.ndarray:
@@ -260,11 +273,11 @@ class SurfaceSequence:
 
 
 def christoffel(strip: _Strip) -> np.ndarray:
-    """Gamma^k_ij of strip, via central differences, as (2, 2, 2, rows, ny)
-    planes gamma[k, i, j]."""
+    """Gamma^k_ij of strip, via central differences, as (2, 2, 2, slices,
+    rows, ny) planes gamma[k, i, j]."""
     dq = _partials(strip.q, strip.grid)  # (m, i, j) = d_m q_ij
     # Gamma^k_ij = 1/2 q^{kl} (d_i q_lj + d_j q_li - d_l q_ij), term[i, j, l]
-    term = dq.transpose(0, 2, 1, 3, 4) + dq.transpose(2, 0, 1, 3, 4)
+    term = dq.swapaxes(1, 2) + dq.transpose(2, 0, 1, *range(3, dq.ndim))
     for l in range(2):  # one plane pair at a time: a transposed dq is buffered
         term[:, :, l] -= dq[l]
     del dq  # freed before Gamma's products: at most dq, term and Gamma are alive
@@ -285,6 +298,17 @@ def _scalar_curvature(inv: np.ndarray, gamma: np.ndarray, grid: SurfaceGrid) -> 
                 + gamma[l, :, 1, None] * gamma[1, l][None])
              for l in range(2)]
     return _pair(inv, (terms[0] + terms[1]).swapaxes(0, 1))
+
+
+def _check_parameters(eps, lambda2, kappa) -> None:
+    """Raises ValueError unless eps is in {-1, 0, 1} and lambda2 and kappa
+    are finite real numbers (not bools)."""
+    if eps not in (-1, 0, 1):
+        raise ValueError(f"eps must be -1, 0 or 1, got {eps!r}")
+    for name, value in (("lambda2", lambda2), ("kappa", kappa)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 class _Residuals:
@@ -315,16 +339,35 @@ _STRIP_NODES = 1 << 14
 _HALO = 2
 
 
-def _strips(grid: SurfaceGrid):
-    """(rows, strip grid, own rows) per strip of x rows: the rows of the grid
-    the strip reads, as slices in order (more than one where they wrap around
-    a periodic x axis), the grid of those rows, and the part of them whose
-    residuals the strip owns. A grid that fits in one strip is one strip,
-    with the grid itself as its strip grid."""
+def _strips(full: SurfaceGrid, grid: SurfaceGrid, n: int):
+    """(group, rows, strip grid, own rows) per strip of a pass over n slices
+    on grid, the pass grid of data on the full grid: the slices the strip
+    holds, as a slice of range(n); the rows of grid it reads, as slices in
+    order (more than one where they wrap around a periodic x axis); the grid
+    of those rows; and the part of them whose residuals the strip owns.
+    Where grid fits in one strip, a strip holds the whole grid for as many
+    slices as fit in the nodes of the full grid's tallest strip; otherwise
+    one slice, in strips of x rows. Strips run slice group by slice group."""
+    row_strips = list(_row_strips(grid))
+    size = 1
+    if len(row_strips) == 1 and n > 1:
+        tallest = max(count for _, count, _ in _row_strips(full)) * full.ny
+        size = max(1, tallest // (grid.nx * grid.ny))
+    # a grid that fits in one strip is its own strip grid
+    grids = [grid] if len(row_strips) == 1 else [
+        replace(grid, nx=count, periodic_x=False) for _, count, _ in row_strips]
+    for t in range(0, n, size):
+        for (rows, _, own), strip in zip(row_strips, grids):
+            yield slice(t, min(t + size, n)), rows, strip, own
+
+
+def _row_strips(grid: SurfaceGrid):
+    """(rows, count, own rows) per strip of x rows of one slice on grid: the
+    rows as _strips gives them, and how many rows that is."""
     nx = grid.nx
     height = max(1, _STRIP_NODES // grid.ny)
     if height >= nx:
-        yield (slice(0, nx),), grid, slice(None)
+        yield (slice(0, nx),), nx, slice(None)
         return
     for a in range(0, nx, height):
         b = min(a + height, nx)
@@ -342,7 +385,7 @@ def _strips(grid: SurfaceGrid):
             if hi == nx:
                 lo = min(lo, nx - 4)
             rows = (slice(lo, hi),)
-        yield rows, replace(grid, nx=hi - lo, periodic_x=False), slice(a - lo, b - lo)
+        yield rows, hi - lo, slice(a - lo, b - lo)
 
 
 _FIELDS = ("q", "theta", "F", "alpha", "beta")
@@ -362,42 +405,55 @@ def _compact_grid(slices: Sequence[SurfaceData]) -> SurfaceGrid:
 
 
 class _Strip:
-    """One strip of a slice d: its rows (slices of the pass grid's x rows) of
-    d's fields on the strip grid, as contiguous (..., rows, ny) planes, the
-    attributes of their names, with q^{-1} as inv and sqrt(det q) as vol."""
+    """One strip of the slices d, *more: their rows (slices of the pass
+    grid's x rows) of their fields on the strip grid, as contiguous
+    (..., slices, rows, ny) planes, the attributes of their names, with
+    q^{-1} as inv and sqrt(det q) as vol."""
 
-    def __init__(self, d: SurfaceData, rows: tuple, grid: SurfaceGrid):
+    def __init__(self, d: SurfaceData, rows: tuple, grid: SurfaceGrid, *more: SurfaceData):
         self.grid, self._rows = grid, rows
+        group = (d,) + more
         self.q, self.theta, self.F, self.alpha, self.beta = (
-            self.load(getattr(d, name)) for name in _FIELDS)
+            self.load([getattr(s, name) for s in group]) for name in _FIELDS)
         q = self.q
         det = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
         self.inv = np.array([[q[1, 1], -q[0, 1]], [-q[1, 0], q[0, 0]]]) / det
         self.vol = np.sqrt(det)
 
-    def load(self, field: np.ndarray) -> np.ndarray:
-        """The strip's rows and the strip grid's ny columns of a (nx, ny, ...)
-        field, as contiguous (..., rows, ny) planes."""
-        out = np.empty(field.shape[2:] + (self.grid.nx, self.grid.ny))
+    def load(self, fields: Sequence[np.ndarray]) -> np.ndarray:
+        """The strip's rows and the strip grid's ny columns of (nx, ny, ...)
+        fields, one per slice, as contiguous (..., slices, rows, ny) planes:
+        one copy per run of rows."""
+        ny = self.grid.ny
+        out = np.empty(fields[0].shape[2:] + (len(fields), self.grid.nx, ny))
+        into = out.transpose(-3, -2, -1, *range(out.ndim - 3))  # [slice, row, y, ...]
         at = 0
         for rows in self._rows:
-            part = field[rows, :self.grid.ny].transpose(*range(2, field.ndim), 0, 1)
-            out[..., at:at + part.shape[-2], :] = part
-            at += part.shape[-2]
+            parts = [f[None, rows, :ny] for f in fields]
+            np.concatenate(parts, out=into[:, at:at + parts[0].shape[1]])
+            at += parts[0].shape[1]
         return out
 
 
-def _worst(fields, d: SurfaceData, grid: SurfaceGrid, *args) -> np.ndarray:
-    """Max |r| of each residual field that fields(strip, *args) returns, for
-    each strip of d on the pass grid: taken per strip over the rows it owns
-    and then over the strips, so that a NaN propagates."""
-    return np.max([[float(np.max(np.abs(r[..., own, :])))
-                    for r in fields(_Strip(d, rows, strip), *args)]
-                   for rows, strip, own in _strips(grid)], axis=0)
+def _worst(fields, slices: Sequence[SurfaceData], reach: int, *args) -> np.ndarray:
+    """Max |r| of each residual field of slices[reach:len(slices) - reach]
+    on their pass grid, where fields(strip, window, *args) returns the
+    residual planes of a strip, window being the strip's slices with reach
+    more on each side: taken per strip over the rows it owns of all its
+    slices and then over the strips, so that a NaN propagates."""
+    grid = _compact_grid(slices)
+    worst = []
+    for group, rows, strip, own in _strips(slices[0].grid, grid, len(slices) - 2 * reach):
+        window = slices[group.start:group.stop + 2 * reach]
+        d, *more = window[reach:len(window) - reach]
+        worst.append([float(np.max(np.abs(r[..., own, :])))
+                      for r in fields(_Strip(d, rows, strip, *more), window, *args)])
+    return np.max(worst, axis=0)
 
 
-def _constraint_fields(strip: _Strip, eps: int, lambda2: float, kappa: float) -> tuple:
-    """The constraint residuals r1..r4 of strip, as planes."""
+def _constraint_fields(strip: _Strip, window, eps: int, lambda2: float, kappa: float) -> tuple:
+    """The constraint residuals r1..r4 of strip, as planes; they read no
+    slice of the window beyond the strip's own."""
     grid, inv, vol, gamma = strip.grid, strip.inv, strip.vol, christoffel(strip)
     theta, alpha, F = strip.theta, strip.alpha, strip.F
     r1 = _partial(alpha[1], 0, grid) - _partial(alpha[0], 1, grid) - F * vol
@@ -421,8 +477,11 @@ def _constraint_fields(strip: _Strip, eps: int, lambda2: float, kappa: float) ->
 def constraint_residuals(
     d: SurfaceData, eps: int, lambda2: float, kappa: float
 ) -> ConstraintResiduals:
-    """Discrete L-infinity norms of the four constraint expressions."""
-    worst = _worst(_constraint_fields, d, _compact_grid((d,)), eps, lambda2, kappa)
+    """Discrete L-infinity norms of the four constraint expressions.
+    ValueError for an eps outside {-1, 0, 1} or a non-finite lambda2 or
+    kappa."""
+    _check_parameters(eps, lambda2, kappa)
+    worst = _worst(_constraint_fields, (d,), 0, eps, lambda2, kappa)
     return ConstraintResiduals(*map(float, worst))
 
 
@@ -432,22 +491,29 @@ class EvolutionResiduals(_Residuals):
     ricci_flow: float
 
 
-def _flow_fields(strip: _Strip, prev_s: SurfaceData, next_s: SurfaceData,
-                 dt: float, eps: int, lambda2: float, kappa: float) -> tuple:
+def _time_difference(strip: _Strip, fields: Sequence[np.ndarray], dt: float) -> np.ndarray:
+    """(f(t + dt) - f(t - dt)) / (2 dt) on strip's slices, of fields, one per
+    slice of its window: loaded as one stack, minus itself shifted by two."""
+    stack = strip.load(fields)
+    return (stack[..., 2:, :, :] - stack[..., :-2, :, :]) / (2.0 * dt)
+
+
+def _flow_fields(strip: _Strip, window: Sequence[SurfaceData], dt: float,
+                 eps: int, lambda2: float, kappa: float) -> tuple:
     """The flow residuals e1, e2 of strip, as planes, with central time
-    differences between the same rows of its slice's neighbours prev_s and
-    next_s."""
+    differences between the same rows of each of its slices' neighbours in
+    window, its slices with one more on each side."""
     grid, inv, vol, gamma = strip.grid, strip.inv, strip.vol, christoffel(strip)
     q, theta, alpha, F, beta = strip.q, strip.theta, strip.alpha, strip.F, strip.beta
     # e1; (*alpha)_i = sqrt(det q) eps_ij q^{jk} alpha_k
     raised = inv[:, 0] * alpha[0] + inv[:, 1] * alpha[1]
     e1 = (np.stack([-vol * raised[1], vol * raised[0]])
           + _partials(beta * F, grid) / beta
-          - (strip.load(next_s.alpha) - strip.load(prev_s.alpha)) / (2.0 * dt) / beta)
+          - _time_difference(strip, [s.alpha for s in window], dt) / beta)
     # e2; Ric^q = (R/2) q in two dimensions
     grad_beta = _partials(beta, grid)
     hess_beta = _partials(grad_beta, grid) - (gamma[0] * grad_beta[0] + gamma[1] * grad_beta[1])
-    dt_theta = (strip.load(next_s.theta) - strip.load(prev_s.theta)) / (2.0 * dt)
+    dt_theta = _time_difference(strip, [s.theta for s in window], dt)
     e2 = (0.5 * _scalar_curvature(inv, gamma, grid) * q
           + _pair(inv, theta) * theta
           - 2.0 * _matmul(theta, _matmul(inv, theta))
@@ -461,13 +527,10 @@ def evolution_residuals(
     seq: SurfaceSequence, eps: int, lambda2: float, kappa: float
 ) -> EvolutionResiduals:
     """Residuals of the two flow equations on the interior time slices,
-    with central time differences."""
-    grid, slices = _compact_grid(seq.slices), seq.slices
-    worst = np.max([
-        _worst(_flow_fields, slices[t], grid, slices[t - 1], slices[t + 1], seq.dt,
-               eps, lambda2, kappa)
-        for t in range(1, len(slices) - 1)
-    ], axis=0)
+    with central time differences. ValueError for an eps outside {-1, 0, 1}
+    or a non-finite lambda2 or kappa."""
+    _check_parameters(eps, lambda2, kappa)
+    worst = _worst(_flow_fields, seq.slices, 1, seq.dt, eps, lambda2, kappa)
     return EvolutionResiduals(*map(float, worst))
 
 

@@ -12,7 +12,8 @@ from epscontact.errors import DegenerateParameters, SingularMetric
 
 
 def whole_grid(d):
-    """d's whole grid as one strip, as a one-strip pass loads it."""
+    """d's whole grid as one strip, as a one-strip pass loads it: planes
+    (..., 1, nx, ny), the slice axis of a strip of one slice."""
     return cy._Strip(d, (slice(None),), d.grid)
 
 
@@ -25,14 +26,14 @@ def coordinates(grid):
 
 def christoffel(d):
     """Gamma[x, y, k, i, j] at every node: the library's body on d's whole grid."""
-    return np.moveaxis(cy.christoffel(whole_grid(d)), (0, 1, 2), (2, 3, 4))
+    return np.moveaxis(cy.christoffel(whole_grid(d))[..., 0, :, :], (0, 1, 2), (2, 3, 4))
 
 
 def scalar_curvature(d):
     """R^q at every node (2 x Gauss curvature): the library's geometry and
     curvature bodies on d's whole grid."""
     strip = whole_grid(d)
-    return cy._scalar_curvature(strip.inv, cy.christoffel(strip), d.grid)
+    return cy._scalar_curvature(strip.inv, cy.christoffel(strip), d.grid)[0]
 
 
 def flat_data(n=16, alpha_dir=0):
@@ -289,6 +290,47 @@ def test_sequence_validation():
     for dt in (0.0, -0.1, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             cy.SurfaceSequence(tuple([flat_data(8)] * 3), dt)
+
+
+BAD_PARAMETERS = [
+    # (eps, lambda2, kappa, message)
+    (2, 0.0, 0.0, "eps must be -1, 0 or 1, got 2"),
+    (0.5, 0.0, 0.0, "eps must be -1, 0 or 1, got 0.5"),
+    (float("nan"), 0.0, 0.0, "eps must be -1, 0 or 1, got nan"),
+    ("1", 0.0, 0.0, "eps must be -1, 0 or 1, got '1'"),
+    (1, float("nan"), 0.0, "lambda2 must be a finite real number, got nan"),
+    (1, float("inf"), 0.0, "lambda2 must be a finite real number, got inf"),
+    (1, "0.4", 0.0, "lambda2 must be a finite real number, got '0.4'"),
+    (1, True, 0.0, "lambda2 must be a finite real number, got True"),
+    (-1, 0.4, float("inf"), "kappa must be a finite real number, got inf"),
+    (-1, 0.4, -float("inf"), "kappa must be a finite real number, got -inf"),
+    (-1, 0.4, np.float64("nan"), "kappa must be a finite real number, got np.float64\\(nan\\)"),
+    (0, 0.4, None, "kappa must be a finite real number, got None"),
+]
+
+
+@pytest.mark.parametrize("eps, lambda2, kappa, message", BAD_PARAMETERS)
+def test_passes_reject_bad_parameters(eps, lambda2, kappa, message):
+    # an eps of 2 or 0.5 used to give a norm residual for another equation,
+    # and a NaN lambda^2 or an infinite kappa NaN norms with RuntimeWarnings
+    grid = cy.SurfaceGrid(8, 8, 0.125, 0.125)
+    seq = cy.example_flat_paracontact(grid, [0.0, 0.1, 0.2], 1.0, 0.5)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cy.constraint_residuals(seq.slices[1], eps, lambda2, kappa)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cy.evolution_residuals(seq, eps, lambda2, kappa)
+
+
+def test_passes_take_numpy_parameters():
+    seq = strip_sequence(True)
+    for eps in (-1, 0, 1):
+        want = norm_bits(cy.constraint_residuals(seq.slices[1], eps, 0.4, 0.7),
+                         cy.evolution_residuals(seq, eps, 0.4, 0.7))
+        args = (np.int64(eps), np.float64(0.4), np.float64(0.7))
+        assert norm_bits(cy.constraint_residuals(seq.slices[1], *args),
+                         cy.evolution_residuals(seq, *args)) == want
+    d = flat_data(8)
+    assert cy.constraint_residuals(d, 1, 0, 0) == cy.constraint_residuals(d, 1, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("field", ["hx", "hy"])
@@ -682,7 +724,7 @@ FLOW_PLANES = 55
 
 def strip_planes_bytes(planes, grid):
     """Bytes of planes component planes of the tallest strip of grid."""
-    return planes * max(g.nx for _, g, _ in cy._strips(grid)) * grid.ny * 8
+    return planes * max(g.nx for _, _, g, _ in cy._strips(grid, grid, 1)) * grid.ny * 8
 
 
 def test_constraint_pass_peak_flat_in_nx():
@@ -724,6 +766,20 @@ def test_broadcast_pass_peak_flat_in_ny():
         assert peak <= cut + PASS_SLACK, ny
         peaks.append(peak)
     assert abs(peaks[1] - peaks[0]) <= PASS_SLACK / 4  # Python objects only
+
+
+def test_stacked_flow_pass_peak_flat_past_one_group():
+    # flat-para on a 16 x 16 full grid: its 4 x 4 pass grid stacks 16 slices
+    # in a strip, the 256 nodes of the full grid's one strip; 16, 32 and 64
+    # interior slices run in 1, 2 and 4 strips, and nothing is kept per strip
+    grid = cy.SurfaceGrid(16, 16, 1.0 / 16, 1.0 / 16)
+    peaks = []
+    for steps in (18, 34, 66):
+        seq = cy.example_flat_paracontact(grid, [k * 0.05 for k in range(steps)], 1.0, 0.5)
+        _, peak = traced(lambda: cy.evolution_residuals(seq, 1, 0.0, 0.0))
+        assert peak <= strip_planes_bytes(FLOW_PLANES, grid) + PASS_SLACK, steps
+        peaks.append(peak)
+    assert max(peaks) - min(peaks) <= PASS_SLACK / 4
 
 
 # --- which fields a slice holds as given ------------------------------------------
@@ -862,25 +918,22 @@ def norm_bits(*residuals):
 
 
 @pytest.fixture
-def pass_grids(monkeypatch):
-    """The grid of each strip that a residual pass starts, in order."""
-    grids, init = [], cy._Strip.__init__
+def pass_strips(monkeypatch):
+    """(slices, rows, ny) of each strip that a residual pass starts, in
+    order: the shape of its planes."""
+    strips, init = [], cy._Strip.__init__
 
     def recording(strip, *args):
         init(strip, *args)
-        grids.append(strip.grid)
+        strips.append(strip.F.shape)
 
     monkeypatch.setattr(cy._Strip, "__init__", recording)
-    return grids
-
-
-def shapes(grids):
-    return [(g.nx, g.ny) for g in grids]
+    return strips
 
 
 @pytest.mark.parametrize("f0", [1.0, 0.5, 0.0])
 @pytest.mark.parametrize("periodic_x", [False, True])
-def test_isothermal_views_bit_equal_to_materialised(pass_grids, f0, periodic_x):
+def test_isothermal_views_bit_equal_to_materialised(pass_strips, f0, periodic_x):
     # the views run on 4 columns; at f0 = 0 every field is constant along x
     # too, and the x axis is cut to 4 rows, or 5 where it is one-sided
     grid = cy.SurfaceGrid(24, 20, 1.0 / 24, 1.0 / 20, periodic_x=periodic_x)
@@ -888,17 +941,17 @@ def test_isothermal_views_bit_equal_to_materialised(pass_grids, f0, periodic_x):
     assert all(0 in getattr(d, k).strides for k in FIELDS)
     rows = 24 if f0 else 4 if periodic_x else 5
     for eps, lambda2, kappa in ((0, 0.0, 0.0), (-1, 0.4, 0.7)):
-        pass_grids.clear()
+        pass_strips.clear()
         got = cy.constraint_residuals(d, eps, lambda2, kappa)
         want = cy.constraint_residuals(materialised(d), eps, lambda2, kappa)
         assert norm_bits(got) == norm_bits(want)
-        assert shapes(pass_grids) == [(rows, 4), (24, 20)]
+        assert pass_strips == [(1, rows, 4), (1, 24, 20)]
 
 
 @pytest.mark.parametrize("height", [None, 3])
 @pytest.mark.parametrize("nx, ny", [(4, 4), (5, 5), (13, 13), (16, 12)])
 @pytest.mark.parametrize("periodic_x", [True, False])
-def test_flat_para_views_bit_equal_to_materialised(monkeypatch, pass_grids, periodic_x,
+def test_flat_para_views_bit_equal_to_materialised(monkeypatch, pass_strips, periodic_x,
                                                    nx, ny, height):
     # both axes cut; the copies in strips of 3 rows, wrapped halos on a
     # periodic axis, and so the views too where the cut grid is taller
@@ -910,30 +963,33 @@ def test_flat_para_views_bit_equal_to_materialised(monkeypatch, pass_grids, peri
     assert all(s.q is seq.slices[0].q and s.beta is seq.slices[0].beta for s in seq.slices)
     rows = min(nx, 4 if periodic_x else 5)
     for eps, lambda2, kappa in ((1, 0.0, 0.0), (-1, 0.4, 0.7)):
-        pass_grids.clear()
+        pass_strips.clear()
         got = norm_bits(cy.constraint_residuals(seq.slices[1], eps, lambda2, kappa),
                         cy.evolution_residuals(seq, eps, lambda2, kappa))
-        assert {g.ny for g in pass_grids} == {4}
-        if height is None:  # the constraint slice, then three interior slices
-            assert shapes(pass_grids) == [(rows, 4)] * 4
+        assert {ny for _, _, ny in pass_strips} == {4}
+        if height is None:  # the constraint slice, then the three interior
+            # slices: in one strip where the full grid holds three cut slices
+            stacked = nx * ny >= 3 * rows * 4
+            assert pass_strips == [(1, rows, 4)] + ([(3, rows, 4)] if stacked else
+                                                    [(1, rows, 4)] * 3)
         want = norm_bits(cy.constraint_residuals(copies.slices[1], eps, lambda2, kappa),
                          cy.evolution_residuals(copies, eps, lambda2, kappa))
         assert got == want
 
 
-def test_sequence_with_one_dense_slice_runs_the_whole_grid(pass_grids):
+def test_sequence_with_one_dense_slice_runs_the_whole_grid(pass_strips):
     # the flow pass reads every slice, so one dense slice leaves every axis
     grid = cy.SurfaceGrid(16, 12, 1.0 / 16, 1.0 / 12)
     seq = cy.example_flat_paracontact(grid, [0.1 * k for k in range(5)], 1.0, 0.5)
     slices = list(seq.slices)
     slices[2] = materialised(slices[2])
     got = cy.evolution_residuals(cy.SurfaceSequence(tuple(slices), seq.dt), -1, 0.4, 0.7)
-    assert shapes(pass_grids) == [(16, 12)] * 3
+    assert pass_strips == [(1, 16, 12)] * 3
     want = cy.evolution_residuals(materialised_sequence(seq), -1, 0.4, 0.7)
     assert norm_bits(got) == norm_bits(want)
 
 
-def test_non_finite_residuals_of_views_bit_equal_to_materialised(pass_grids):
+def test_non_finite_residuals_of_views_bit_equal_to_materialised(pass_strips):
     # --f0 700, whose |alpha|^2 and F^2 overflow, on 4 columns; a broadcast
     # Theta of 1e200 Id, whose square overflows, on 4 x 4 nodes
     d = cy.example_null_isothermal(cy.isothermal_grid(32, 32), 700.0)
@@ -949,21 +1005,21 @@ def test_non_finite_residuals_of_views_bit_equal_to_materialised(pass_grids):
                     cy.evolution_residuals(seq, 1, 0.0, 0.0))
 
     got = norms(d, seq)
-    assert shapes(pass_grids) == [(32, 4)] + [(4, 4)] * 4
+    assert pass_strips == [(1, 32, 4), (1, 4, 4), (3, 4, 4)]
     assert np.isnan(got[0].norm) and np.isnan(got[1].hamiltonian)
     assert not np.isfinite(got[2].ricci_flow)
     assert norm_bits(*got) == norm_bits(*norms(materialised(d), materialised_sequence(seq)))
 
 
-def test_isothermal_views_bit_equal_to_materialised_in_strips(pass_grids):
+def test_isothermal_views_bit_equal_to_materialised_in_strips(pass_strips):
     # the views run one strip of 512 x 4 nodes; the copy runs 16 strips of
     # 32 rows, each 512 wide
     d = cy.example_null_isothermal(cy.isothermal_grid(512, 512), 1.0)
     got = cy.constraint_residuals(d, 0, 0.0, 0.0)
-    assert shapes(pass_grids) == [(512, 4)]
-    pass_grids.clear()
+    assert pass_strips == [(1, 512, 4)]
+    pass_strips.clear()
     want = cy.constraint_residuals(materialised(d), 0, 0.0, 0.0)
-    assert len(pass_grids) == 16 and {g.ny for g in pass_grids} == {512}
+    assert len(pass_strips) == 16 and {strip[::2] for strip in pass_strips} == {(1, 512)}
     assert norm_bits(got) == norm_bits(want)
 
 
@@ -981,7 +1037,7 @@ def x_constant_sequence(nx, periodic_x):
 
 
 @pytest.mark.parametrize("periodic_x", [True, False])
-def test_x_cut_keeps_the_rows_edge_stencils_reach(pass_grids, periodic_x):
+def test_x_cut_keeps_the_rows_edge_stencils_reach(pass_strips, periodic_x):
     # a one-sided stencil of equal values a gives fl(3a) - 3a, negated, not
     # 0.0, so on a one-sided x axis the two rows at each edge differ from the
     # interior: the cut keeps 5 rows there, and 4 rows give other bits
@@ -992,11 +1048,71 @@ def test_x_cut_keeps_the_rows_edge_stencils_reach(pass_grids, periodic_x):
     seq = x_constant_sequence(16, periodic_x)
     rows = 4 if periodic_x else 5
     got = norms(seq)
-    assert shapes(pass_grids) == [(rows, 12)] * 3
+    assert pass_strips == [(1, rows, 12), (2, rows, 12)]
     assert got == norms(materialised_sequence(seq))
     assert got == norms(materialised_sequence(x_constant_sequence(rows, periodic_x)))
     if not periodic_x:
         assert got != norms(materialised_sequence(x_constant_sequence(4, periodic_x)))
+
+
+# --- strips of stacked time slices -----------------------------------------------
+
+# Slices of the 4 x 4 (periodic) or 5 x 4 (one-sided) pass grid of flat-para
+# on a 16 x 12 full grid that fit in the full grid's tallest strip: 192 nodes
+# in one strip, or 7 rows of 12 in strips of 3 rows
+STACKED = {(None, True): 12, (None, False): 9, (3, True): 5, (3, False): 4}
+
+
+@pytest.mark.parametrize("height", [None, 3])
+@pytest.mark.parametrize("interior", [1, 3, 7, 15, 40])
+@pytest.mark.parametrize("periodic_x", [True, False])
+def test_stacked_flow_bit_equal_to_materialised(monkeypatch, pass_strips, periodic_x,
+                                                interior, height):
+    # the copies run one slice per strip, in strips of 3 rows at height 3;
+    # the views stack their slices, in two or more strips from 15 on
+    if height is not None:
+        monkeypatch.setattr(cy, "_STRIP_NODES", height * 12)
+    grid = cy.SurfaceGrid(16, 12, 1.0 / 16, 1.0 / 12, periodic_x=periodic_x)
+    seq = cy.example_flat_paracontact(grid, [0.1 * k for k in range(interior + 2)], 1.0, 0.5)
+    copies = materialised_sequence(seq)
+    rows, size = 4 if periodic_x else 5, STACKED[height, periodic_x]
+    for eps, lambda2, kappa in ((1, 0.0, 0.0), (-1, 0.4, 0.7)):
+        pass_strips.clear()
+        got = norm_bits(cy.evolution_residuals(seq, eps, lambda2, kappa))
+        assert pass_strips == [(min(size, interior - t), rows, 4)
+                               for t in range(0, interior, size)]
+        assert len(pass_strips) >= 2 or interior < 15
+        pass_strips.clear()
+        assert norm_bits(cy.evolution_residuals(copies, eps, lambda2, kappa)) == got
+        assert {strip[0] for strip in pass_strips} == {1}
+
+
+@pytest.mark.parametrize("height", [None, 3, 1])
+@pytest.mark.parametrize("n", [1, 3, 15, 40])
+@pytest.mark.parametrize("periodic_x", [True, False])
+@pytest.mark.parametrize("nx, ny, cut_x, cut_y", [
+    (16, 12, True, True), (16, 12, False, False), (13, 8, False, False),
+    (64, 64, True, True), (512, 512, False, True), (16, 12, True, False)])
+def test_strips_own_every_slice_row_once(monkeypatch, nx, ny, cut_x, cut_y, periodic_x, n,
+                                         height):
+    # each (slice, row) of a pass is owned by exactly one strip, and no strip
+    # holds more nodes than the tallest strip of a dense pass on the full grid
+    if height is not None:
+        monkeypatch.setattr(cy, "_STRIP_NODES", height * ny)
+    full = cy.SurfaceGrid(nx, ny, 1.0 / nx, 1.0 / ny, periodic_x=periodic_x)
+    grid = replace(full, nx=min(nx, 4 if periodic_x else 5) if cut_x else nx,
+                   ny=4 if cut_y else ny)
+    owners, last, tallest = {}, 0, strip_planes_bytes(1, full) // 8
+    for group, rows, strip, own in cy._strips(full, grid, n):
+        assert group.start >= last and group.stop > group.start  # slice group by group
+        last = group.start
+        read = np.concatenate([np.arange(grid.nx)[r] for r in rows])
+        assert (strip.nx, strip.ny) == (len(read), grid.ny)
+        assert len(range(n)[group]) * strip.nx * strip.ny <= tallest
+        for t in range(n)[group]:
+            for x in read[own]:
+                owners[t, x] = owners.get((t, x), 0) + 1
+    assert owners == {(t, x): 1 for t in range(n) for x in range(grid.nx)}
 
 
 # --- the first difference --------------------------------------------------------
@@ -1072,7 +1188,8 @@ def test_christoffel_holds_dq_term_and_gamma_at_most():
                        np.ones((n, n)), np.ones((n, n, 2)), np.ones((n, n)))
     strip = whole_grid(d)
     dq = cy._partials(strip.q, d.grid)
-    term = dq.transpose(0, 2, 1, 3, 4) + dq.transpose(2, 0, 1, 3, 4) - dq.transpose(1, 2, 0, 3, 4)
+    term = (dq.transpose(0, 2, 1, 3, 4, 5) + dq.transpose(2, 0, 1, 3, 4, 5)
+            - dq.transpose(1, 2, 0, 3, 4, 5))
     want = 0.5 * (strip.inv[:, 0, None, None] * term[None, :, :, 0]
                   + strip.inv[:, 1, None, None] * term[None, :, :, 1])
     gamma, peak = traced(lambda: cy.christoffel(strip))
