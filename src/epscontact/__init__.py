@@ -3,7 +3,7 @@ structures on three-dimensional Lie groups.
 
 Core entry points:
 
-- liealg: bracket tables as plain arrays, classification families, group lookup
+- liealg: bracket tables as plain arrays, classification families, group_names
 - exterior: forms as component vectors: Hodge dual, invariant exterior derivative
 - curvature: Koszul connection, Riemann/Ricci, closed-form oracle, torsion
 - contact: contact structures of any causal type and their invariants

@@ -4,8 +4,9 @@ A bracket table is a plain float array c (..., n, n, n), stacked over any
 batch axes. Provides the bracket action and the classification families of
 simply connected three-dimensional Lorentzian Lie groups (g1..g7) and the
 Riemannian unimodular/non-unimodular families, each declared once in
-FAMILIES with its metric, brackets, constraints, sampling sheets and group
-rule.
+FAMILIES with its metric, brackets, constraints and sampling sheets. The
+simply connected group is read off the brackets alone, of any table, by one
+basis-free rule (group_names).
 
 Frame convention: index 0 is the time-like frame vector in Lorentzian
 signature; a bracket table c[i][j][k] means [e_i, e_j] = sum_k c[i][j][k] e_k.
@@ -89,72 +90,21 @@ class Sheet:
 class Family:
     """A classification family, declared once: parameter names, frame metric,
     bracket entries (i, j, coefficients of [e_i, e_j]), constraints as
-    (message, test), sampling sheets and the rule giving its simply connected
-    group. Entries, tests, filters, solves and the rule are called with the
-    parameters (and tol) by keyword; entries, tests, filters and solves
-    evaluate the same on floats and on equal-length arrays, for make_family,
-    family_tables and the scan's sample chunks."""
+    (message, test) and sampling sheets. Entries, tests, filters and solves
+    are called with the parameters (and tol) by keyword, and evaluate the
+    same on floats and on equal-length arrays, for make_family, family_tables
+    and the scan's sample chunks."""
 
     params: tuple
     metric: FrameMetric
     brackets: Callable
     constraints: tuple
     sheets: tuple
-    group: Callable
 
 
 class _Families(dict):
     def __missing__(self, family_id):
         raise ConstraintViolation(f"unknown family {family_id!r}")
-
-
-def _sign(x: float, tol: float) -> int:
-    if x > tol:
-        return 1
-    if x < -tol:
-        return -1
-    return 0
-
-
-_G3_TABLE = {
-    (1, 1, 1): GroupName.SL2R_COVER, (1, -1, -1): GroupName.SL2R_COVER,
-    (1, 1, -1): GroupName.SU2,
-    (1, 1, 0): GroupName.E2_COVER, (1, 0, -1): GroupName.E2_COVER,
-    (1, -1, 0): GroupName.E11_COVER, (1, 0, 1): GroupName.E11_COVER,
-    (1, 0, 0): GroupName.H3, (0, 0, -1): GroupName.H3,
-    (0, 0, 0): GroupName.R3,
-}
-
-# (positive, negative) sign counts of (mu1, mu2, mu3), up to an overall sign
-_UNIMODULAR_TABLE = {
-    (3, 0): GroupName.SU2, (2, 1): GroupName.SL2R_COVER, (2, 0): GroupName.E2_COVER,
-    (1, 1): GroupName.E11_COVER, (1, 0): GroupName.H3, (0, 0): GroupName.R3,
-}
-
-
-def _g3_group(a, b, c, tol):
-    # single frame flips negate (a,b,c); the e1<->e2 swap exchanges a,b
-    for cand in ((a, b, c), (b, a, c), (-a, -b, -c), (-b, -a, -c)):
-        pattern = tuple(_sign(x, tol) for x in cand)
-        if pattern in _G3_TABLE:
-            return _G3_TABLE[pattern]
-    raise ConstraintViolation(f"g3: sign pattern of {(a, b, c)} not tabulated")
-
-
-def _g4_group(a, b, mu, tol):
-    if abs(b - mu) > tol:
-        return GroupName.SL2R_COVER if abs(a) > tol else GroupName.E11_COVER
-    return (GroupName.E11_COVER, GroupName.H3, GroupName.E2_COVER)[_sign(mu * a, tol) + 1]
-
-
-def _unimodular_group(mu1, mu2, mu3, tol):
-    signs = [_sign(x, tol) for x in (mu1, mu2, mu3)]
-    pos, neg = sorted((signs.count(1), signs.count(-1)), reverse=True)
-    return _UNIMODULAR_TABLE[(pos, neg)]
-
-
-def _nonunimodular(**_):
-    return GroupName.NON_UNIMODULAR
 
 
 def _generic_a_d(a, d, tol, **_):  # a != 0 and a + d != 0, on floats and arrays
@@ -172,57 +122,48 @@ FAMILIES = _Families({
     "g1": Family(("a", "b"), _LORENTZIAN,
         lambda a, b: ((1, 2, (-b, a, 0.0)), (1, 0, (0.0, -a, -b)), (2, 0, (a, b, a))),
         (("a != 0", lambda a, tol, **_: abs(a) > tol),),
-        (Sheet({"a": None, "b": None}, keep=lambda a, tol, **_: abs(a) > tol),),
-        lambda b, tol, **_: GroupName.SL2R_COVER if abs(b) > tol else GroupName.E11_COVER),
+        (Sheet({"a": None, "b": None}, keep=lambda a, tol, **_: abs(a) > tol),)),
     "g2": Family(("a", "b", "c"), _LORENTZIAN,
         lambda a, b, c: ((1, 2, (-b, 0.0, c)), (1, 0, (c, 0.0, -b)), (2, 0, (0.0, a, 0.0))),
         # Jacobi on this bracket table forces a*c = 0; with c != 0 that means a = 0
         (("c != 0", lambda c, tol, **_: abs(c) > tol),
          ("a c = 0 (Jacobi identity)", lambda a, c, tol, **_: abs(a * c) <= tol)),
-        (Sheet({"a": (0.0,), "b": None, "c": None}, keep=lambda c, tol, **_: abs(c) > tol),),
-        lambda a, tol, **_: GroupName.SL2R_COVER if abs(a) > tol else GroupName.E11_COVER),
+        (Sheet({"a": (0.0,), "b": None, "c": None}, keep=lambda c, tol, **_: abs(c) > tol),)),
     "g3": Family(("a", "b", "c"), _LORENTZIAN,
         lambda a, b, c: ((1, 2, (-c, 0.0, 0.0)), (1, 0, (0.0, 0.0, -b)), (2, 0, (0.0, a, 0.0))),
-        (), (Sheet({"a": None, "b": None, "c": None}),),
-        _g3_group),
+        (), (Sheet({"a": None, "b": None, "c": None}),)),
     "g4": Family(("a", "b", "mu"), _LORENTZIAN,
         lambda a, b, mu: ((1, 2, (2.0 * mu - b, 0.0, -1.0)), (1, 0, (1.0, 0.0, -b)),
                           (2, 0, (0.0, a, 0.0))),
         (("mu in {-1, +1}", lambda mu, **_: abs(mu) == 1.0),),
-        (Sheet({"mu": (-1.0, 1.0), "a": None, "b": None}),),
-        _g4_group),
+        (Sheet({"mu": (-1.0, 1.0), "a": None, "b": None}),)),
     "g5": Family(("a", "b", "c", "d"), _LORENTZIAN,
         lambda a, b, c, d: ((1, 0, (0.0, a, b)), (2, 0, (0.0, c, d))),
         (_A_PLUS_D,
          ("a c + b d = 0", lambda a, b, c, d, tol: abs(a * c + b * d) <= tol)),
         (Sheet({"a": None, "b": None, "d": None}, keep=_generic_a_d,
-               solve=lambda a, b, d: {"c": -b * d / a}), _A0_SHEET),
-        _nonunimodular),
+               solve=lambda a, b, d: {"c": -b * d / a}), _A0_SHEET)),
     "g6": Family(("a", "b", "c", "d"), _LORENTZIAN,
         lambda a, b, c, d: ((1, 2, (b, 0.0, a)), (1, 0, (d, 0.0, c))),
         (_A_PLUS_D,
          ("a c - b d = 0", lambda a, b, c, d, tol: abs(a * c - b * d) <= tol)),
         (Sheet({"a": None, "b": None, "d": None}, keep=_generic_a_d,
-               solve=lambda a, b, d: {"c": b * d / a}), _A0_SHEET),
-        _nonunimodular),
+               solve=lambda a, b, d: {"c": b * d / a}), _A0_SHEET)),
     "g7": Family(("a", "b", "c", "d"), _LORENTZIAN,
         lambda a, b, c, d: ((1, 2, (-b, -a, -b)), (1, 0, (b, a, b)), (2, 0, (d, c, d))),
         (_A_PLUS_D,
          ("a c = 0", lambda a, c, tol, **_: abs(a * c) <= tol)),
         (Sheet({"a": (0.0,), "b": None, "d": None, "c": None},
                keep=lambda d, tol, **_: abs(d) > tol),
-         Sheet({"a": None, "b": None, "c": (0.0,), "d": None}, keep=_generic_a_d)),
-        _nonunimodular),
+         Sheet({"a": None, "b": None, "c": (0.0,), "d": None}, keep=_generic_a_d))),
     "riemannian_unimodular": Family(("mu1", "mu2", "mu3"), _RIEMANNIAN,
         lambda mu1, mu2, mu3: ((1, 2, (mu1, 0.0, 0.0)), (2, 0, (0.0, mu2, 0.0)),
                                (0, 1, (0.0, 0.0, mu3))),
-        (), (Sheet({"mu1": None, "mu2": None, "mu3": None}),),
-        _unimodular_group),
+        (), (Sheet({"mu1": None, "mu2": None, "mu3": None}),)),
     "riemannian_nonunimodular": Family(("a", "b", "c", "f"), _RIEMANNIAN,
         lambda a, b, c, f: ((0, 1, (0.0, a, b)), (0, 2, (0.0, c, f))),
         (("a + f = 2", lambda a, f, tol, **_: abs(a + f - 2.0) <= tol),),
-        (Sheet({"a": None, "b": None, "c": None}, solve=lambda a, **_: {"f": 2.0 - a}),),
-        _nonunimodular),
+        (Sheet({"a": None, "b": None, "c": None}, solve=lambda a, **_: {"f": 2.0 - a}),)),
 })
 
 @dataclass(frozen=True)
@@ -290,8 +231,39 @@ def family_tables(family_id: str, params: Mapping, tol: float | None = None):
     return c, ok
 
 
+# (positive, negative) counts of the eigenvalue signs of n, up to an overall sign
+_UNIMODULAR_TABLE = {
+    (3, 0): GroupName.SU2, (2, 1): GroupName.SL2R_COVER, (2, 0): GroupName.E2_COVER,
+    (1, 1): GroupName.E11_COVER, (1, 0): GroupName.H3, (0, 0): GroupName.R3,
+}
+_name = np.frompyfunc(lambda unimodular, pos, neg: _UNIMODULAR_TABLE[max(pos, neg), min(pos, neg)]
+                      if unimodular else GroupName.NON_UNIMODULAR, 3, 1)
+
+
+def group_names(c: np.ndarray, tol: float | None = None) -> np.ndarray | GroupName:
+    """Simply connected groups of stacked 3D bracket tables c (..., 3, 3, 3):
+    an object array (...) of GroupName, or one GroupName for one table. Read
+    off the brackets alone, in any basis and with no metric (Milnor 1976; the
+    Bianchi types of Ellis and MacCallum 1969): an algebra is unimodular when
+    its modular form tr ad(e_i) = c[i, j, j] vanishes, and then the eigenvalue
+    signs of the symmetric n^{lk} = 1/2 eps^{ijl} c_ij^k (rows c[1, 2],
+    c[2, 0], c[0, 1]), up to an overall sign, name the group; all others are
+    NON_UNIMODULAR. Both cuts are relative: a trace or eigenvalue is zero when
+    it is at most tol times the largest of them in its table, so any multiple
+    of a table keeps its name. Non-finite tables or invariants raise
+    ConstraintViolation."""
+    c = np.asarray(c, dtype=float)
+    if not np.isfinite(c).all():
+        raise ConstraintViolation("group_names: bracket tables must be finite")
+    n = c[..., (1, 2, 0), (2, 0, 1), :]
+    trace = np.einsum("...ijj->...i", c)
+    ev = np.linalg.eigvalsh(0.5 * n + 0.5 * np.swapaxes(n, -1, -2))
+    cut = get_tol(tol) * np.maximum(np.abs(ev).max(-1), np.abs(trace).max(-1))[..., None]
+    if not np.isfinite(cut).all():
+        raise ConstraintViolation("group_names: the invariants of a bracket table overflow")
+    return _name((np.abs(trace) <= cut).all(-1), (ev > cut).sum(-1), (ev < -cut).sum(-1))
+
+
 def identify_group(spec: FamilySpec, tol: float | None = None) -> GroupName:
-    """Simply connected group of a family instance, by table lookup."""
-    tol = get_tol(tol)
-    _validate(spec, tol)
-    return FAMILIES[spec.family_id].group(tol=tol, **spec.params)
+    """Simply connected group of a family instance: group_names of its table."""
+    return group_names(make_family(spec, tol), tol)

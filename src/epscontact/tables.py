@@ -14,15 +14,17 @@ Table identifiers (CLI tokens):
 Each row is instantiated at five deterministic samples per free parameter
 (boundary values included where the row permits) and checked directly:
 contact condition, causal type, constants fit, Sasakian / K-contact flags,
-and group lookup. The instances of a row are checked together on stacked
+and group_names. The instances of a row are checked together on stacked
 arrays, with the reports of checking each on its own. A row is declared by
 its sample axes and one function from a sample point to the instance fields
 (see "row declarations" below); the null parametrisations of Prop. 3.8 are
 written once and shared by thm-4.25 and the prop-3.* tables.
 
-Note: rows of the g2 family are restricted to a = 0; the g2 bracket table
-satisfies the Jacobi identity only when a c = 0, so with c != 0 the a != 0
-sub-rows are not realizable as Lie algebras and are excluded.
+Note on g2: its table satisfies the Jacobi identity only when a c = 0 and
+the family requires c != 0, so its rows take a = 0. There tr ad(e1) = 2c:
+the rows, whose data all hold on these brackets, lie on a non-unimodular
+group, not on E(1,1); on the table with the e0 coefficient of [e1, e0]
+negated, which is unimodular, they are not contact. Ids stay "g2-e11".
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .config import get_tol
 from .contact import ContactBatch, build_contact, check_decomposition
-from .liealg import FamilySpec, GroupName, identify_group
+from .liealg import FamilySpec, GroupName, group_names
 
 SIGNS = (1, -1)
 ALPHA0 = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -159,9 +161,9 @@ def _null_g1(s, a, a0=1.0):
 
 
 def _null_g2(s, mu, b, a0=1.0):
-    """g2 at a = 0 with c = mu (b - s)."""
+    """g2 at a = 0 with c = mu (b - s): non-unimodular, tr ad(e1) = 2c."""
     return dict(spec=_spec("g2", a=0.0, b=b, c=mu * (b - s)), alpha=_null_alpha(a0, mu),
-                group=E11)
+                group=NONUNI)
 
 
 def _g2_b_samples(s, **_):
@@ -373,7 +375,7 @@ def verify_table_row(table_id: str, row: TableRow, tol: float | None = None) -> 
     """Verify every instance of a table row; table_id (or its alias) must name
     the row's own table. One stacked pass over the instances, of any
     families: their ContactBatch, and of its structures of the row's epsilon
-    the fit, h, the null factor mu and the L_xi g witness, read off the batch
+    the group, fit, h, null factor mu and L_xi g witness, read off the batch
     of those. The checks then run per instance in the order of a single
     verification, reading the stacked results, and stop at the first failure."""
     if resolve_table(table_id) != row.table:
@@ -384,6 +386,7 @@ def verify_table_row(table_id: str, row: TableRow, tol: float | None = None) -> 
     found = np.flatnonzero(batch.ok & (batch.eps == row.epsilon))
     at = dict(zip(found.tolist(), range(len(found))))
     structs = batch.take(found)
+    groups = group_names(structs.c, tol)
     fits = structs.fit(tol)
     sasakian = np.abs(structs.h).max(axis=(-2, -1)) <= tol
     k_contact = structs.k_contact_witness <= tol
@@ -410,9 +413,8 @@ def verify_table_row(table_id: str, row: TableRow, tol: float | None = None) -> 
         out.checks["contact_ok"] = True
         n = at[k]
         if inst.group is not None:
-            group = identify_group(inst.spec, tol=tol)
-            if group != inst.group:
-                return fail("group_ok", f"group {group.value} != expected {inst.group.value}")
+            if groups[n] != inst.group:
+                return fail("group_ok", f"group {groups[n].value} != expected {inst.group.value}")
             out.checks["group_ok"] = True
         if inst.lambda2 is not None:
             fit = fits.at(n)

@@ -13,6 +13,7 @@ from epscontact.liealg import (
     GroupName,
     ad_components,
     direct_sum_components,
+    group_names,
     identify_group,
     make_family,
     nine_params,
@@ -171,6 +172,44 @@ def test_identify_group_riemannian():
     assert identify_group(uni(1, -1, 0)) is GroupName.E11_COVER
     assert identify_group(uni(1, 0, 0)) is GroupName.H3
     assert identify_group(uni(0, 0, 0)) is GroupName.R3
+
+
+def test_group_names_stacked():
+    c = np.stack([make_family(FamilySpec("riemannian_unimodular", {"mu1": 1, "mu2": 1, "mu3": m}))
+                  for m in (1.0, -1.0, 0.0, 2.0, -0.5, 0.0)]).reshape(2, 3, 3, 3, 3)
+    c[1, 2] = 0.0
+    assert group_names(c).tolist() == [
+        [GroupName.SU2, GroupName.SL2R_COVER, GroupName.E2_COVER],
+        [GroupName.SU2, GroupName.SL2R_COVER, GroupName.R3]]
+    assert group_names(c[:0]).shape == (0, 3)
+    assert group_names(c[0, 0]) is GroupName.SU2  # one table, one name
+
+
+@pytest.mark.parametrize("p9, match", [
+    ((0.0, 0.0, np.inf, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "finite"),
+    ((0.0, 0.0, np.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "finite"),
+    # type V at 1e308: tr ad(e0) = 2e308 overflows
+    ((0.0, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e308), "overflow"),
+    # n with entries 1.5e308 and an eigenvalue beyond the largest float
+    (np.array([0, 1, 1, 1, 1, 0, -1, 1, -1]) * 1.5e308, "overflow"),
+])
+def test_group_names_non_finite_invariants_raise(p9, match):
+    with pytest.raises(ConstraintViolation, match=match):
+        group_names(from_nine_params(p9))
+
+
+def test_group_names_near_degenerate_g1():
+    # g1 has n = [[-b, a, 0], [a, b, a], [0, a, b]] and det n = -b^3: at a = 1
+    # its smallest eigenvalue is about b^3 / 2, and the cut is tol times the
+    # largest, about sqrt(2). So b = 1e-4 is SL(2,R) at tol 1e-13 and within
+    # the cut of E(1,1) at tol 1e-9, where a per-family rule on |b| > tol
+    # would say SL(2,R)
+    c = make_family(FamilySpec("g1", {"a": 1.0, "b": 1e-4}))
+    assert np.linalg.det(c[[1, 2, 0], [2, 0, 1]]) == pytest.approx(-1e-12, rel=1e-9)
+    assert group_names(c, 1e-9) is GroupName.E11_COVER
+    assert group_names(c, 1e-13) is GroupName.SL2R_COVER
+    assert identify_group(FamilySpec("g1", {"a": 1.0, "b": 1e-4}), 1e-13) is GroupName.SL2R_COVER
+    assert identify_group(FamilySpec("g1", {"a": 1.0, "b": 1e-2}), 1e-9) is GroupName.SL2R_COVER
 
 
 def test_direct_sum_block_structure():

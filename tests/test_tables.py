@@ -10,7 +10,7 @@ from epscontact import tables
 from epscontact.config import get_tol
 from epscontact.contact import ContactBatch, contact_identity_residuals
 from epscontact.errors import DecompositionFailure
-from epscontact.liealg import FAMILIES, GroupName
+from epscontact.liealg import FAMILIES, GroupName, group_names, make_family
 
 ALL_TABLES = ("thm-1.2", "thm-4.22", "thm-4.25", "thm-4.14", "prop-3.8", "prop-3.16", "prop-3.22")
 
@@ -234,7 +234,10 @@ def test_identity_suite_on_all_table_instances():
 
 
 # sha256 of the instance list below; any change to a table instance changes it
-INSTANCE_LIST_SHA256 = "092c0ae76116e900bfdc937bff661ed0aac7af9141128b31d57155385465c6f0"
+# the 160 g2 instances are labelled NonUnimodular; with those labels set back
+# to E11_cover the list hashes to the earlier
+# 092c0ae76116e900bfdc937bff661ed0aac7af9141128b31d57155385465c6f0
+INSTANCE_LIST_SHA256 = "862cec84f7ec4a709209677eaecebee17a1834f724b352a9a327501764d6a440"
 
 
 def test_instance_list_fingerprint():
@@ -297,3 +300,51 @@ def test_table_structures_invariant_under_frame_automorphisms():
             images += len(group)
     assert images == 12720
     assert worst <= 1e-14
+
+
+def table_instances():
+    return [i for rows in tables.TABLES.values() for row in rows for i in row.instances()]
+
+
+def test_group_names_invariant_under_change_of_basis():
+    # c'_abd = A_ai A_bj c_ij^k (A^-1)_kd is the table of the same algebra in
+    # the frame e'_a = A_ai e_i; A has singular values in [0.5, 2] and either
+    # sign of det A. So is any nonzero multiple of c (A = t I gives t c)
+    insts = table_instances()
+    c = np.array([make_family(i.spec) for i in insts])
+    names = group_names(c)
+    assert names.shape == (771,)
+    assert list(names) == [i.group for i in insts]
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        u, _, vt = np.linalg.svd(rng.normal(size=(len(c), 3, 3)))
+        a = u * rng.uniform(0.5, 2.0, size=(len(c), 1, 3)) @ vt
+        moved = np.einsum("nai,nbj,nijk,nkd->nabd", a, a, c, np.linalg.inv(a))
+        assert np.array_equal(group_names(moved), names)
+    for t in (-3.0, 1e-150, 1e150):
+        assert np.array_equal(group_names(t * c), names)
+
+
+def test_g2_instances_are_not_unimodular():
+    # the g2 family requires c != 0, and its table has tr ad(e1) = 2c
+    g2 = [i for i in table_instances() if i.spec.family_id == "g2"]
+    assert len(g2) == 160
+    c = np.array([make_family(i.spec) for i in g2])
+    trace = np.einsum("nijj->ni", c)
+    assert np.array_equal(trace[:, 1], [2.0 * i.spec["c"] for i in g2])
+    assert np.all(trace[:, 1] != 0.0) and not trace[:, [0, 2]].any()
+    assert set(group_names(c)) == {GroupName.NON_UNIMODULAR}
+    assert {i.group for i in g2} == {GroupName.NON_UNIMODULAR}
+
+
+def test_group_rule_called_once_per_row(monkeypatch):
+    calls = []
+
+    def counting(c, tol=None):
+        calls.append(len(c))
+        return group_names(c, tol)
+
+    monkeypatch.setattr(tables, "group_names", counting)
+    rows = [row for rows in tables.TABLES.values() for row in rows]
+    assert all(tables.verify_table_row(row.table, row).passed for row in rows)
+    assert len(calls) == len(rows) and sum(calls) == 771
