@@ -137,13 +137,7 @@ def cmd_scan(args) -> tuple:
     if args.grid > 1 and args.lo == args.hi:  # every grid point would be the same sample
         raise ValueError(f"--lo and --hi must differ for --grid {args.grid}, both are {args.lo}")
     grid = default_grid(args.grid, args.lo, args.hi)
-    hits = scan_family(
-        args.family,
-        grid=grid,
-        epsilon=args.epsilon,
-        orientations=(1, -1) if args.orientation == "both" else (int(args.orientation),),
-        tol=args.tol,
-    )
+    hits = scan_family(args.family, grid=grid, epsilon=args.epsilon, tol=args.tol)
     items = [
         {
             "family": h.family_id,
@@ -371,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=21)
     p.add_argument("--lo", type=float, default=-3.0)
     p.add_argument("--hi", type=float, default=3.0)
-    p.add_argument("--orientation", choices=("both", "1", "-1"), default="both")
 
     p = sub.add_parser("solution", parents=common,
                        help="build and verify one product solution")

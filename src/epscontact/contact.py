@@ -1,11 +1,13 @@
 """Contact metric structures on three-dimensional Lie groups with Reeb field
 of any causal type (time-like, space-like, or null), and their derived
-objects: characteristic endomorphism phi, h = L_xi phi, tau = h o phi,
-l(v) = R(v, xi)xi, adapted frames, Sasakian / K-contact tests, the
-eta-Einstein fit, and the nilpotent J-endomorphism of the null case with its
-Nijenhuis tensor. ContactBatch checks stacked one-forms at once and holds
-the data of the structures they give, for the table rows, the catalog
-factors and the scan; a ContactStructure is the batch of one one-form.
+objects: characteristic endomorphism phi, h = L_xi phi, l(v) = R(v, xi)xi,
+adapted frames and the contact identity suite. ContactBatch checks stacked
+one-forms at once and holds the data of the structures they give, for the
+table rows, the catalog factors and the scan; a ContactStructure is the
+batch of one one-form. Each predicate is defined once, on the batch: the
+eta-Einstein fit, the null factor mu of h = mu xi (x) alpha, Sasakian,
+K-contact, the light-cone frame (xi, u, phi(u)) with its bracket
+coefficients, and the Nijenhuis tensor of the nilpotent J of the null case.
 
 Endomorphisms are 3x3 (4x4 for J) matrices acting on frame-component column
 vectors: (E v)^i = sum_j E[i][j] v^j.
@@ -181,9 +183,10 @@ class ContactBatch:
     valid parameters).
 
     The derived data (xi, phi, the Levi-Civita coefficients gamma, the ricci
-    and riemann tensors, h, the null factor and the L_xi g witness) is
-    computed on first use, on every row, by the stacked formulas below, and
-    kept in read-only arrays.
+    and riemann tensors, h, the null factor, the L_xi g witness and the
+    light-cone frame) is computed on first use, on every row, by the stacked
+    formulas below, and kept in read-only arrays; the predicates (fit, mu,
+    sasakian, k_contact, nijenhuis) are read off it.
     """
 
     def __init__(self, c: np.ndarray, m: FrameMetric, orientation, alpha: np.ndarray,
@@ -343,6 +346,73 @@ class ContactBatch:
         return EtaEinsteinFit(lambda2.reshape(shape), kappa.reshape(shape),
                               residual.reshape(shape), admissible.reshape(shape))
 
+    def mu(self, tol: float | None = None) -> np.ndarray:
+        """mu of h = mu xi (x) alpha on the null rows, NaN on the others.
+        DecompositionFailure where a null row's residual exceeds
+        100 tol max(1, |mu|)."""
+        tol = get_tol(tol)
+        null_rows, mu, res = self.eps == 0, self.null[..., 0], self.null[..., 1]
+        bad = null_rows & (res > 1e2 * tol * np.fmax(1.0, np.abs(mu)))
+        if bad.any():
+            raise DecompositionFailure(
+                f"null h-tensor is not mu xi (x) alpha (residual {res[bad].flat[0]:.3e})")
+        return np.where(null_rows, mu, np.nan)
+
+    def sasakian(self, tol: float | None = None) -> np.ndarray:
+        """h = 0, that is max |h| <= tol, after the null rows' decomposition
+        check (see mu)."""
+        tol = get_tol(tol)
+        self.mu(tol)
+        return np.abs(self.h).max(axis=(-2, -1)) <= tol
+
+    def k_contact(self, tol: float | None = None) -> np.ndarray:
+        """xi is Killing: k_contact_witness <= tol."""
+        return self.k_contact_witness <= get_tol(tol)
+
+    @cached_property
+    def lightcone(self) -> tuple:
+        """(frame, coefficients), arrays (..., 3, 3) of null structures: the
+        frame rows xi, u = _null_dual(alpha) and phi(u), and the coefficients
+        in that frame of [xi, u], [xi, phi(u)] and [u, phi(u)], row by row,
+        from one stacked solve. For a Sasakian structure the xi coefficient of
+        [xi, u], g([xi, u], u), vanishes iff it is K-contact.
+        WrongCausalType unless every row is null."""
+        if np.count_nonzero(self.eps):
+            raise WrongCausalType("the light-cone frame needs a null Reeb field")
+        u = _null_dual(self.alpha)
+        frame, brackets = np.empty(u.shape + (3,)), np.empty(u.shape + (3,))
+        frame[..., 0, :], frame[..., 1, :] = self.xi, u
+        np.matmul(self.phi, u[..., None], out=frame[..., 2, :, None])
+        np.matmul(self.ad_xi[..., None, :, :], frame[..., 1:, :, None],  # [xi, u], [xi, phi(u)]
+                  out=brackets[..., :2, :, None])
+        np.matmul(ad_components(u, self.c), frame[..., 2, :, None],  # [u, phi(u)]
+                  out=brackets[..., 2, :, None])
+        coefficients = np.linalg.solve(frame.swapaxes(-1, -2), brackets.swapaxes(-1, -2))
+        return _read_only(frame), _read_only(coefficients.swapaxes(-1, -2))
+
+    def nijenhuis(self, tol: float | None = None) -> tuple:
+        """(max |N_J|, involutive) of null structures, arrays over the batch
+        axes. J(v + c dq) = phi(v) + c xi + alpha(v) dq on R^3 + R(dq), with
+        dq central; N_J(x, y) = [Jx, Jy] - J[x, Jy] - J[Jx, y] (J^2 = 0) over
+        the pairs of the frame (xi, u, phi(u), dq), which vanishes iff the
+        structure is Sasakian. ker J = span{xi, phi(u) + dq} is involutive iff
+        [xi, phi(u)] has no u or phi(u) part (see lightcone).
+        WrongCausalType unless every row is null."""
+        tol = get_tol(tol)
+        frame, coefficients = self.lightcone
+        j, f = np.zeros(self.eps.shape + (4, 4)), np.zeros(self.eps.shape + (4, 4))
+        j[..., :3, :3], j[..., :3, 3], j[..., 3, :3] = self.phi, self.xi, self.alpha
+        f[..., :3, :3], f[..., 3, 3] = frame, 1.0  # rows: xi, u, phi(u), dq
+        jt = np.swapaxes(j, -1, -2)
+        jf, (p, q) = f @ jt, np.triu_indices(4, 1)
+        x, y, jx, jy = f[..., p, :], f[..., q, :], jf[..., p, :], jf[..., q, :]
+        c4 = direct_sum_components(self.c, np.zeros((1, 1, 1)))
+        br = np.einsum("...spi,...spj,...ijk->...spk", np.stack([jx, x, jx], axis=-3),
+                       np.stack([jy, jy, y], axis=-3), c4)
+        nj = br[..., 0, :, :] - (br[..., 1, :, :] + br[..., 2, :, :]) @ jt
+        involutive = np.abs(coefficients[..., 1, 1:]).max(axis=-1) <= tol
+        return np.abs(nj).max(axis=(-2, -1)), involutive
+
 
 class ContactStructure(ContactBatch):
     """The ContactBatch of one one-form alpha (3,) over one bracket table c
@@ -474,34 +544,12 @@ def null_factor(h: np.ndarray, alpha: np.ndarray, m: FrameMetric) -> tuple:
     return mu, np.abs(h - model).max(axis=(-2, -1))
 
 
-def check_decomposition(mu: float, residual: float, tol: float) -> None:
-    """Raise DecompositionFailure when a null h does not factor as mu xi (x) alpha."""
-    if residual > max(tol, 1e2 * tol * max(1.0, abs(mu))):
-        raise DecompositionFailure(
-            f"null h-tensor is not mu xi (x) alpha (residual {residual:.3e})"
-        )
-
-
 def lie_metric_components(ad: np.ndarray, m: FrameMetric) -> np.ndarray:
     """(L_v g)(e_i, e_j) = -g([v, e_i], e_j) - g(e_i, [v, e_j]) on the frame,
     that is -(ad^T G + G ad) with G = diag(eta), from stacked ad = ad_v
     (..., 3, 3) (see ad_components)."""
     g = np.diag(m.eta)
     return -(np.swapaxes(ad, -1, -2) @ g + g @ ad)
-
-
-def h_tensor(cs: ContactStructure, tol: float | None = None):
-    """h = L_xi phi on the frame; for a null structure also the factor mu
-    of the decomposition h = mu xi (x) alpha.
-
-    Returns (matrix, mu) with mu = None when epsilon != 0.
-    """
-    tol = get_tol(tol)
-    if cs.epsilon != 0:
-        return cs.h, None
-    mu, res = cs.null.tolist()
-    check_decomposition(mu, res, tol)
-    return cs.h, mu
 
 
 def _ker_alpha_basis(cs: ContactStructure) -> np.ndarray:
@@ -549,70 +597,10 @@ def contact_frame(cs: ContactStructure):
     if eps == 0:
         u = _null_dual(alpha)
     else:
-        b = _ker_alpha_basis(cs)
+        b = _ker_alpha_basis(cs)  # ker(alpha) holds a vector of sign s_g eps
         fits = np.sign(cs.m.eta @ (b * b)) == np.sign(cs.m.s_g * eps)
-        if not fits.any():
-            raise WrongCausalType("no frame vector of the required causal type in ker(alpha)")
         u = _lead_positive(b[:, np.argmax(fits)])
     return xi, u, cs.phi @ u
-
-
-def is_sasakian(cs: ContactStructure, tol: float | None = None) -> bool:
-    """h = 0."""
-    tol = get_tol(tol)
-    h, _ = h_tensor(cs, tol=tol)
-    return bool(np.abs(h).max(axis=(-2, -1)) <= tol)
-
-
-def is_k_contact(cs: ContactStructure, tol: float | None = None):
-    """Whether the Reeb field is Killing; witness is max |(L_xi g)(e_i, e_j)|."""
-    tol = get_tol(tol)
-    witness = float(cs.k_contact_witness)
-    return witness <= tol, witness
-
-
-def k_contact_null_witness(cs: ContactStructure) -> float:
-    """Light-cone shortcut for Sasakian null structures: g([xi, u], u),
-    which vanishes iff the structure is K-contact."""
-    if cs.epsilon != 0:
-        raise WrongCausalType("light-cone witness requires a null Reeb field")
-    _, u, _ = cs.frame
-    return float(pairing_components(cs.ad_xi @ u, u, cs.m.signs, 1))
-
-
-def _j_and_frame(cs: ContactStructure):
-    """J = [[phi, xi], [alpha, 0]], the matrix of J(v + c dq) = phi(v) + c xi
-    + alpha(v) dq on R^3 + R(dq), and P, whose columns are (xi, u, phi(u), dq)."""
-    if cs.epsilon != 0:
-        raise WrongCausalType("J is defined for null structures")
-    j, p = np.zeros((4, 4)), np.eye(4)
-    j[:3, :3], j[:3, 3], j[3, :3] = cs.phi, cs.xi, cs.alpha
-    p[:3, :3] = np.column_stack(cs.frame)
-    return j, p
-
-
-def nijenhuis_J(cs: ContactStructure, tol: float | None = None):
-    """Nijenhuis tensor of J on the frame (xi, u, phi(u), dq).
-
-    Returns (max-abs of N_J over all frame pairs, whether ker J is involutive).
-    N_J vanishes iff the structure is Sasakian.
-    """
-    tol = get_tol(tol)
-    j, p = _j_and_frame(cs)
-    c4 = direct_sum_components(cs.c, np.zeros((1, 1, 1)))  # dq is central
-
-    def br(u, v):
-        return ad_components(u, c4) @ v
-
-    max_nj = max(
-        float(np.max(np.abs(br(j @ x, j @ y) - j @ br(x, j @ y) - j @ br(j @ x, y))))
-        for x, y in itertools.combinations(p.T, 2)
-    )
-    # ker J = span{xi, phi(u) + dq}; involutive iff [xi, phi(u)] lies in the span
-    phiu = cs.frame[2]
-    coeffs = np.linalg.solve(p[:3, :3], cs.ad_xi @ phiu)
-    involutive = bool(abs(coeffs[1]) <= tol and abs(coeffs[2]) <= tol)
-    return max_nj, involutive
 
 
 def l_endo(cs: ContactStructure) -> np.ndarray:
@@ -640,8 +628,7 @@ def _identity_terms(cs: ContactStructure) -> dict:
     each can fail where alpha is not contact. blair is Blair's identity
     1/2 (l - s_g eps phi l phi) = -1/4 (phi^2 + s_g eps h^2)."""
     sg, eps, alpha, xi, phi = cs.m.s_g, cs.epsilon, cs.alpha, cs.xi, cs.phi
-    eta, ad = cs.m.eta[:, None], cs.ad_xi  # g @ x is eta * x
-    h, mu = h_tensor(cs)
+    eta, ad, h = cs.m.eta[:, None], cs.ad_xi, cs.h  # g @ x is eta * x
     phi2, xa, g_h = phi @ phi, xi[:, None] * alpha, eta * h  # xa = xi (x) alpha
     dmat = ad_components(xi, cs.gamma)  # v -> nabla_xi v on the frame
     res = {
@@ -662,15 +649,8 @@ def _identity_terms(cs: ContactStructure) -> dict:
     else:
         res["phi_cubed"] = phi2 @ phi
         # light-cone bracket pattern: the frame coefficients of [xi, u],
-        # [xi, phi(u)] and [u, phi(u)], solved in the frame (xi, u, phi(u))
-        # of contact_frame
-        f, r = np.empty((3, 3)), np.empty((3, 3))  # rows: the frame and the brackets
-        f[0], f[1] = xi, _null_dual(alpha)
-        np.matmul(phi, f[1], out=f[2])
-        np.matmul(ad, f[1], out=r[0])
-        np.matmul(ad, f[2], out=r[1])
-        np.matmul(ad_components(f[1], cs.c), f[2], out=r[2])
-        c1, c2, c3 = np.linalg.solve(f.T, r.T).T
+        # [xi, phi(u)] and [u, phi(u)] (see ContactBatch.lightcone)
+        mu, (c1, c2, c3) = cs.mu(), cs.lightcone[1]
         res["lightcone_brackets"] = np.array([
             c1[1],                 # [xi,u] has no u part
             c2[1], c2[2],          # [xi,phi(u)] proportional to xi

@@ -262,8 +262,3 @@ def group_names(c: np.ndarray, tol: float | None = None) -> np.ndarray | GroupNa
     if not np.isfinite(cut).all():
         raise ConstraintViolation("group_names: the invariants of a bracket table overflow")
     return _name((np.abs(trace) <= cut).all(-1), (ev > cut).sum(-1), (ev < -cut).sum(-1))
-
-
-def identify_group(spec: FamilySpec, tol: float | None = None) -> GroupName:
-    """Simply connected group of a family instance: group_names of its table."""
-    return group_names(make_family(spec, tol), tol)

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import get_tol
-from .contact import ContactBatch, build_contact, check_decomposition
+from .contact import ContactBatch, build_contact
 from .liealg import FamilySpec, GroupName, group_names
 
 SIGNS = (1, -1)
@@ -375,9 +375,11 @@ def verify_table_row(table_id: str, row: TableRow, tol: float | None = None) -> 
     """Verify every instance of a table row; table_id (or its alias) must name
     the row's own table. One stacked pass over the instances, of any
     families: their ContactBatch, and of its structures of the row's epsilon
-    the group, fit, h, null factor mu and L_xi g witness, read off the batch
-    of those. The checks then run per instance in the order of a single
-    verification, reading the stacked results, and stop at the first failure."""
+    the group, the fit, and the Sasakian (with the null rows' decomposition
+    check, on rows that declare Sasakian flags) and K-contact predicates of
+    the batch of those. The checks then run per instance in the order of a
+    single verification, reading the stacked results, and stop at the first
+    failure."""
     if resolve_table(table_id) != row.table:
         raise ValueError(f"row {row.row_id!r} belongs to table {row.table!r}, not {table_id!r}")
     tol, insts = get_tol(tol), row.instances()
@@ -388,8 +390,9 @@ def verify_table_row(table_id: str, row: TableRow, tol: float | None = None) -> 
     structs = batch.take(found)
     groups = group_names(structs.c, tol)
     fits = structs.fit(tol)
-    sasakian = np.abs(structs.h).max(axis=(-2, -1)) <= tol
-    k_contact = structs.k_contact_witness <= tol
+    if any(inst.sasakian is not None for inst in insts):
+        sasakian = structs.sasakian(tol)
+    k_contact = structs.k_contact(tol)
 
     def report(k: int, inst: RowInstance) -> InstanceReport:
         out = InstanceReport(
@@ -427,8 +430,6 @@ def verify_table_row(table_id: str, row: TableRow, tol: float | None = None) -> 
                 return fail("fit_ok", f"kappa {fit.kappa:.6g} != expected {inst.kappa:.6g}")
             out.checks["fit_ok"] = True
         if inst.sasakian is not None:
-            if row.epsilon == 0:
-                check_decomposition(*structs.null[n].tolist(), tol)
             if bool(sasakian[n]) != inst.sasakian:
                 return fail("sasakian_ok", f"sasakian != expected {inst.sasakian}")
             out.checks["sasakian_ok"] = True

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from epscontact.config import get_tol
-from epscontact.contact import _j_and_frame, _ker_alpha_basis, _lead_positive, contact_frame
+from epscontact.contact import _ker_alpha_basis, _lead_positive, contact_frame
 from epscontact.curvature import koszul_components, ricci_components
 from epscontact.errors import WrongCausalType
 from epscontact.exterior import (_ordered_sum, hodge_components, index_tuples, pairing_components,
@@ -183,9 +183,15 @@ def timelike_special_frame(cs, tol=None):
 
 
 def j_endo_matrix(cs) -> np.ndarray:
-    """Matrix P^-1 J P of J in the frame (xi, u, phi(u), dq); constant for
-    every null structure: columns (0, (0,0,1,1), (-1,0,0,0), (1,0,0,0))."""
-    j, p = _j_and_frame(cs)
+    """Matrix P^-1 J P of J = [[phi, xi], [alpha, 0]], J(v + c dq) = phi(v) +
+    c xi + alpha(v) dq on R^3 + R(dq), in the frame P whose columns are
+    (xi, u, phi(u), dq) of contact_frame; constant for every null structure:
+    columns (0, (0,0,1,1), (-1,0,0,0), (1,0,0,0))."""
+    if cs.epsilon != 0:
+        raise WrongCausalType("J is defined for null structures")
+    j, p = np.zeros((4, 4)), np.eye(4)
+    j[:3, :3], j[:3, 3], j[3, :3] = cs.phi, cs.xi, cs.alpha
+    p[:3, :3] = np.column_stack(contact_frame(cs))
     return np.linalg.solve(p, j @ p)
 
 

@@ -17,14 +17,7 @@ from epscontact.cauchy import (
     example_null_isothermal,
     isothermal_grid,
 )
-from epscontact.contact import (
-    check_contact,
-    contact_identity_residuals,
-    is_k_contact,
-    is_sasakian,
-    k_contact_null_witness,
-    nijenhuis_J,
-)
+from epscontact.contact import check_contact, contact_identity_residuals
 from epscontact.curvature import ricci_components, torsionful_connection
 from epscontact.einstein import default_grid, scan_family
 from epscontact.errors import NotContact
@@ -170,10 +163,9 @@ def test_criterion_5_sasakian_vs_k_contact():
     a, alpha0 = 1.0, 2.0
     g1 = make_family(FamilySpec("g1", {"a": a, "b": 1.0}))
     cs = check_contact(g1, FrameMetric.lorentzian(3), 1, [alpha0, 0.0, -alpha0])
-    sas = is_sasakian(cs)
-    kcon, _ = is_k_contact(cs)
-    witness = k_contact_null_witness(cs)
-    nj, _ = nijenhuis_J(cs)
+    sas, kcon = cs.sasakian(), cs.k_contact()
+    witness = float(cs.lightcone[1][0, 0])  # g([xi, u], u)
+    nj, _ = cs.nijenhuis()
     g1_ok = sas and not kcon and abs(witness - a / alpha0) <= TOL and nj <= TOL
 
     nonsas_checked = 0
@@ -183,9 +175,9 @@ def test_criterion_5_sasakian_vs_k_contact():
             if inst.epsilon != 0:
                 continue
             cs_i = tables.build_instance(inst)
-            if is_sasakian(cs_i):
+            if cs_i.sasakian():
                 continue
-            nj_i, involutive = nijenhuis_J(cs_i)
+            nj_i, involutive = cs_i.nijenhuis()
             nonsas_checked += 1
             nonsas_ok = nonsas_ok and nj_i > TOL and involutive
     ok = g1_ok and nonsas_ok and nonsas_checked > 0

@@ -17,13 +17,8 @@ from epscontact.contact import (
     contact_frame,
     contact_identity_residuals,
     h_components,
-    h_tensor,
-    is_k_contact,
-    is_sasakian,
-    k_contact_null_witness,
     l_endo,
     lie_metric_components,
-    nijenhuis_J,
     null_factor,
     phi_components,
 )
@@ -260,16 +255,13 @@ def test_identity_suite_all_causal_types():
 
 def test_h_tensor_decomposition_and_mu():
     cs = make_cs(g3(1, 1, 1), [1, 1, 0])
-    h, mu = h_tensor(cs)
-    assert np.max(np.abs(h)) < 1e-14
-    assert mu == 0.0
+    assert np.max(np.abs(cs.h)) < 1e-14
+    assert cs.mu() == 0.0
     cs2 = make_cs(g3(2, 1, 1), [1, 0, 1])
-    h2, mu2 = h_tensor(cs2)
-    assert abs(mu2 - 1.0) < 1e-12  # h = xi (x) alpha
-    assert np.allclose(h2, np.outer(cs2.xi, cs2.alpha))
+    assert abs(cs2.mu() - 1.0) < 1e-12  # h = xi (x) alpha
+    assert np.allclose(cs2.h, np.outer(cs2.xi, cs2.alpha))
     cs3 = make_cs(g3(1, 1, 1), [1, 0, 0])
-    h3, mu3 = h_tensor(cs3)
-    assert np.max(np.abs(h3)) < 1e-14 and mu3 is None
+    assert np.max(np.abs(cs3.h)) < 1e-14 and np.isnan(cs3.mu())
 
 
 def test_contact_frame_timelike():
@@ -303,44 +295,45 @@ def test_contact_frame_null_matches_known_form():
 
 def test_sasakian_and_k_contact_flags():
     cs = make_cs(g3(1, 1, 1), [1, 0.6, -0.8])
-    assert is_sasakian(cs)
-    k, _ = is_k_contact(cs)
-    assert k
+    assert cs.sasakian()
+    assert cs.k_contact()
 
     g1 = make_family(FamilySpec("g1", {"a": 1.0, "b": 1.0}))
     cs1 = check_contact(g1, L3, 1, [2.0, 0.0, -2.0])
     assert cs1.epsilon == 0
-    assert is_sasakian(cs1)
-    k1, witness = is_k_contact(cs1)
-    assert not k1 and witness > 0.1
-    # the light-cone witness is a / alpha0 = 1 / 2
-    assert abs(k_contact_null_witness(cs1) - 0.5) < 1e-12
+    assert cs1.sasakian()
+    assert not cs1.k_contact() and cs1.k_contact_witness > 0.1
+    # the light-cone witness g([xi, u], u) is a / alpha0 = 1 / 2
+    assert abs(cs1.lightcone[1][0, 0] - 0.5) < 1e-12
 
 
 def test_su2_sasakian_riemannian():
     spec = FamilySpec("riemannian_unimodular", {"mu1": 1, "mu2": 1, "mu3": 1})
     cs = check_contact(make_family(spec), R3, -1, [1, 0, 0])
     assert cs.epsilon == 1
-    assert is_sasakian(cs)
-    assert is_k_contact(cs)[0]
+    assert cs.sasakian()
+    assert cs.k_contact()
 
 
 def test_nijenhuis_sasakian_vs_not():
     cs = make_cs(g3(1, 1, 1), [1, 1, 0])
-    nj, involutive = nijenhuis_J(cs)
+    nj, involutive = cs.nijenhuis()
     assert nj < 1e-12 and involutive
     # non-Sasakian null instance: g2 with b != s/2
     g2 = make_family(FamilySpec("g2", {"a": 0.0, "b": 2.0, "c": 1.0}))
     cs2 = check_contact(g2, L3, 1, [1.0, 0.0, 1.0])
-    assert cs2.epsilon == 0 and not is_sasakian(cs2)
-    nj2, involutive2 = nijenhuis_J(cs2)
+    assert cs2.epsilon == 0 and not cs2.sasakian()
+    nj2, involutive2 = cs2.nijenhuis()
     assert nj2 > 1e-3 and involutive2
-    # N_J(u, dq) = -h(u): its size matches |mu| here
-    _, mu = h_tensor(cs2)
-    _, u, _ = contact_frame(cs2)
-    assert abs(nj2) > 0.0 and abs(mu) > 0.0
-    with pytest.raises(WrongCausalType):
-        nijenhuis_J(make_cs(g3(1, 1, 1), [1, 0, 0]))
+    # N_J(u, dq) = -h(u) = -mu xi: its size matches |mu| here
+    assert abs(nj2) > 0.0 and abs(cs2.mu()) > 0.0
+    for alpha in ([1, 0, 0], [0, 1, 0]):
+        with pytest.raises(WrongCausalType):
+            make_cs(g3(1, 1, 1), alpha).nijenhuis()
+    alpha = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])  # null, then time-like
+    batch = check_contact(np.stack([g3(1, 1, 1)] * 2), L3, 1, alpha)
+    with pytest.raises(WrongCausalType):  # one non-null row is enough
+        batch.nijenhuis()
 
 
 def test_j_matrix_constant_normal_form():
@@ -373,8 +366,7 @@ def test_timelike_special_frame():
     cs = make_cs(c, [1, 0, 0])
     xi, x, phix, mu = timelike_special_frame(cs)
     assert abs(mu - 0.5) < 1e-12  # sqrt(1 - 2 lambda^2), lambda^2 = 3/8
-    h, _ = h_tensor(cs)
-    assert np.max(np.abs(h @ x - mu * x)) < 1e-12
+    assert np.max(np.abs(cs.h @ x - mu * x)) < 1e-12
     assert abs(metric_dot(cs, x, x) - 1.0) < 1e-12
     # bracket relations of the non-Sasakian special frame
     root = np.sqrt(1.0 - 2.0 * (3.0 / 8.0))
@@ -408,8 +400,10 @@ def test_h_decomposition_guard_on_invalid_structure():
     g1 = make_family(FamilySpec("g1", {"a": 1.0, "b": 0.3}))  # needs b = s for contact
     fake = ContactStructure(g1, L3, 1, [1.0, 0.6, -0.8])  # check_contact would raise
     assert not fake.ok and fake.epsilon == 0
+    with pytest.raises(DecompositionFailure, match="not mu xi"):
+        fake.mu()
     with pytest.raises(DecompositionFailure):
-        h_tensor(fake)
+        fake.sasakian()
 
 
 def test_sasakian_iff_ricci_reeb_on_unit_norm():
@@ -430,7 +424,7 @@ def test_sasakian_iff_ricci_reeb_on_unit_norm():
         xi = cs.xi
         value = float(xi @ ric @ xi)
         is_half = abs(value - cs.m.s_g * cs.epsilon / 2.0) < 1e-12
-        assert is_half == expect_sas == is_sasakian(cs)
+        assert is_half == expect_sas == cs.sasakian()
 
 
 def test_null_k_contact_implies_sasakian_over_tables():
@@ -442,9 +436,9 @@ def test_null_k_contact_implies_sasakian_over_tables():
             if inst.epsilon != 0:
                 continue
             cs = tables.build_instance(inst)
-            if is_k_contact(cs)[0]:
+            if cs.k_contact():
                 checked += 1
-                assert is_sasakian(cs)
+                assert cs.sasakian()
     assert checked > 0
 
 
@@ -533,8 +527,8 @@ def test_contact_batch_reads_what_each_build_gives():
     build_contact builds or the error it raises, and the derived data of
     each structure bit for bit, whether computed before or after take: its
     tensors, its fit (one stacked fit over the family's structures of every
-    epsilon) as cs.fit().at() gives it, and, on the null rows, the mu of
-    null as h_tensor gives it."""
+    epsilon) as cs.fit().at() gives it, its Sasakian and K-contact
+    predicates and its mu (NaN off the null rows)."""
     insts = [inst for rows in tables.TABLES.values() for row in rows for inst in row.instances()]
     groups = {}
     for inst in insts:
@@ -563,18 +557,17 @@ def test_contact_batch_reads_what_each_build_gives():
         for name in names:  # computed on every row, then taken
             getattr(before, name)
         fits = [cs.fit().at() for cs in structs]
-        mus = [h_tensor(cs)[1] for cs in structs]
         for got in (after, before.take(rows)):
             assert bit_equal(got.alpha, [cs.alpha for cs in structs])
             for name in names[:-2]:
                 assert bit_equal(getattr(got, name), [getattr(cs, name) for cs in structs])
-            assert got.k_contact_witness.tolist() == [is_k_contact(cs)[1] for cs in structs]
+            assert got.k_contact_witness.tolist() == [float(cs.k_contact_witness) for cs in structs]
+            for name in ("mu", "sasakian", "k_contact"):  # mu is NaN off the null rows
+                assert same_bits(getattr(got, name)(), [getattr(cs, name)() for cs in structs])
             fit = got.fit()
             for field in ("lambda2", "kappa", "residual", "admissible"):
                 assert bit_equal(getattr(fit, field), [getattr(f, field) for f in fits])
             assert [fit.at(j) for j in range(len(structs))] == fits
-            want = np.array([mu for mu in mus if mu is not None], dtype=float)
-            assert got.null[got.eps == 0, 0].tobytes() == want.tobytes()
         checked_eps.update(cs.epsilon for cs in structs)
     assert errors == {"ConstraintViolation", "NotContact"}
     assert checked_eps == {-1, 0, 1}
@@ -630,14 +623,13 @@ def test_cached_data_equals_free_functions(case):
     assert bit_equal(cs.riemann, riemann)
     assert bit_equal(cs.ricci, np.einsum("ijki->jk", riemann))
     assert bit_equal(cs.h, h)
-    assert h_tensor(cs)[0] is cs.h
     frame = contact_frame(fresh)
     assert all(bit_equal(got, want) for got, want in zip(cs.frame, frame))
     if cs.epsilon == 0:
         u = frame[1]
-        assert cs.null[0] == float(np.sum(cs.m.eta * u * (h @ u))) == h_tensor(cs)[1]
+        assert cs.null[0] == float(np.sum(cs.m.eta * u * (h @ u))) == cs.mu()
     else:
-        assert h_tensor(cs)[1] is None
+        assert np.isnan(cs.mu())
 
 
 @pytest.mark.parametrize("case", sorted(CAUSAL_CASES))
@@ -655,7 +647,7 @@ def test_structure_computes_levi_civita_once(case, count_calls):
     counts = count_calls(["koszul_components", "riemann_components"])
     cs = causal_case(case)
     cs.fit().at()
-    is_sasakian(cs)
+    cs.sasakian()
     # the fit needs the Ricci tensor only, not the Riemann stack
     assert counts == {"koszul_components": 1, "riemann_components": 0}
     contact_identity_residuals(cs)
@@ -770,7 +762,44 @@ def test_j_forms_match_reference_loops_on_null_table_instances(table_structures)
     assert len(null) > 100
     for cs in null:
         assert close(j_endo_matrix(cs), loop_j_matrix(cs), rel=1e-10)
-        assert close(nijenhuis_J(cs)[0], loop_nijenhuis(cs), rel=1e-10)
+        assert close(cs.nijenhuis()[0], loop_nijenhuis(cs), rel=1e-10)
+
+
+def test_stacked_predicates_equal_single_structures_on_every_table_row(table_structures):
+    """On each table row's stacked batch, sasakian and k_contact and, on the
+    null rows, nijenhuis and lightcone are each built structure's bit for
+    bit; N_J matches the reference loop and the xi coefficient of [xi, u] is
+    g([xi, u], u). The null split read from them: Sasakian and K-contact
+    differ, every K-contact structure is Sasakian, and every non-Sasakian
+    one has N_J != 0 with involutive ker J."""
+    tol, structures = 1e-9, iter(table_structures)
+    null = sasakian = k_contact = nonsasakian = 0
+    for row in (row for rows in tables.TABLES.values() for row in rows):
+        insts = row.instances()
+        batch = ContactBatch.from_specs([i.spec for i in insts], [i.alpha for i in insts])
+        group = [next(structures) for _ in insts]
+        assert batch.ok.all() and (batch.eps == row.epsilon).all()
+        sas, kc = batch.sasakian(tol), batch.k_contact(tol)
+        assert same_bits(sas, [cs.sasakian(tol) for cs in group])
+        assert same_bits(kc, [cs.k_contact(tol) for cs in group])
+        if row.epsilon != 0:
+            with pytest.raises(WrongCausalType):
+                batch.nijenhuis(tol)
+            continue
+        (nj, involutive), (frame, coefficients) = batch.nijenhuis(tol), batch.lightcone
+        assert same_bits(nj, [cs.nijenhuis(tol)[0] for cs in group])
+        assert same_bits(involutive, [cs.nijenhuis(tol)[1] for cs in group])
+        assert same_bits(frame, [cs.lightcone[0] for cs in group])
+        assert same_bits(coefficients, [cs.lightcone[1] for cs in group])
+        for k, cs in enumerate(group):
+            assert close(nj[k], loop_nijenhuis(cs), rel=1e-10)
+            u = frame[k, 1]
+            assert close(coefficients[k, 0, 0], metric_dot(cs, bracket(cs.c, cs.xi, u), u))
+        assert not (kc & ~sas).any() and (nj[~sas] > tol).all() and involutive[~sas].all()
+        null += len(group)
+        sasakian, k_contact = sasakian + np.count_nonzero(sas), k_contact + np.count_nonzero(kc)
+        nonsasakian += np.count_nonzero(~sas)
+    assert (null, sasakian, k_contact, nonsasakian) == (604, 350, 250, 254)
 
 
 def test_identity_residuals_equal_per_identity_maxima(table_structures):
@@ -847,7 +876,7 @@ def test_lightcone_brackets_bit_equal_to_solve_in_contact_frame(table_structures
     mutants = [mutant(*where) for where in IDENTITY_MUTANTS.values() if where[0] == "null"]
     assert len(mutants) == 2 and not any(cs.ok for cs in mutants)
     for cs in null + mutants:
-        want = lightcone_brackets(cs, h_tensor(cs)[1])
+        want = lightcone_brackets(cs, cs.mu())
         assert same_bits(_identity_terms(cs)["lightcone_brackets"], want), (cs.spec, cs.alpha)
 
 
@@ -931,7 +960,7 @@ def test_stacked_tensors_bit_equal_to_single_structures(table_structures):
         if eps == 0:
             mu, residual = null_factor(h, alpha, m)
             assert mu.tolist() == [cs.null[0] for cs in group]
-            assert bit_equal(mu, [h_tensor(cs)[1] for cs in group])
+            assert bit_equal(mu, [cs.mu() for cs in group])
             assert np.all(residual <= 1e-9)
 
 

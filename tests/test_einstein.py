@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epscontact.contact import check_contact, is_sasakian
+from epscontact.contact import check_contact
 from frames import reeb_curvature_residual
 from epscontact.einstein import (
     default_grid,
@@ -94,7 +94,7 @@ def test_sasakian_iff_lambda2_on_unit_norm_reeb():
     for family, params, alpha, orientation, m in cases:
         cs, fit = fit_for(family, params, alpha, orientation, m)
         predicted = abs(fit.lambda2 - (1.0 + fit.kappa * cs.epsilon)) < 1e-9
-        assert predicted == is_sasakian(cs)
+        assert predicted == cs.sasakian()
 
 
 def test_lightcone_characterization():
@@ -119,7 +119,7 @@ def test_timelike_nonsasakian_fits_satisfy_lambda2_eq_kappa():
         cs, fit = fit_for("g3", {"a": 1 - b, "b": b, "c": 1.0}, [1, 0, 0])
         assert abs(fit.lambda2 - fit.kappa) < 1e-12
         assert fit.lambda2 < 0.5
-        assert not is_sasakian(cs)
+        assert not cs.sasakian()
 
 
 def test_scan_rejects_what_would_scan_nothing():
@@ -207,7 +207,7 @@ def test_riemannian_scan_hits_match_classification_branches():
             make_family(spec), FrameMetric.riemannian(3), h.orientation,
             h.alpha, spec=spec,
         )
-        if is_sasakian(cs):
+        if cs.sasakian():
             assert abs(h.fit.lambda2 - (1.0 + h.fit.kappa)) < 1e-9
         else:
             assert abs(h.fit.lambda2 + h.fit.kappa) < 1e-9

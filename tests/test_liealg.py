@@ -14,7 +14,6 @@ from epscontact.liealg import (
     ad_components,
     direct_sum_components,
     group_names,
-    identify_group,
     make_family,
     nine_params,
 )
@@ -140,38 +139,42 @@ def test_all_families_satisfy_jacobi():
     assert jacobi_defect(nonuni) == 0.0
 
 
+def group_of(family, tol=None, **params):
+    return group_names(make_family(FamilySpec(family, params), tol), tol)
+
+
 def test_identify_group_examples():
-    assert identify_group(FamilySpec("g3", {"a": 1, "b": 2, "c": -1})) is GroupName.SU2
-    assert identify_group(FamilySpec("g1", {"a": 1, "b": 0})) is GroupName.E11_COVER
-    assert identify_group(FamilySpec("g1", {"a": 1, "b": 2})) is GroupName.SL2R_COVER
-    assert identify_group(FamilySpec("g3", {"a": 0, "b": 0, "c": 0})) is GroupName.R3
-    assert identify_group(FamilySpec("g3", {"a": 1, "b": 1, "c": 1})) is GroupName.SL2R_COVER
+    assert group_of("g3", a=1, b=2, c=-1) is GroupName.SU2
+    assert group_of("g1", a=1, b=0) is GroupName.E11_COVER
+    assert group_of("g1", a=1, b=2) is GroupName.SL2R_COVER
+    assert group_of("g3", a=0, b=0, c=0) is GroupName.R3
+    assert group_of("g3", a=1, b=1, c=1) is GroupName.SL2R_COVER
     # sign-orbit normalization: all-negative parameters match the all-positive row
-    assert identify_group(FamilySpec("g3", {"a": -1, "b": -1, "c": -1})) is GroupName.SL2R_COVER
-    assert identify_group(FamilySpec("g3", {"a": -1, "b": 0, "c": -1})) is GroupName.E11_COVER
-    assert identify_group(FamilySpec("g5", {"a": 1, "b": 0, "c": 0, "d": 1})) is GroupName.NON_UNIMODULAR
+    assert group_of("g3", a=-1, b=-1, c=-1) is GroupName.SL2R_COVER
+    assert group_of("g3", a=-1, b=0, c=-1) is GroupName.E11_COVER
+    assert group_of("g5", a=1, b=0, c=0, d=1) is GroupName.NON_UNIMODULAR
 
 
 def test_identify_group_g4_total():
     for mu in (-1.0, 1.0):
-        assert identify_group(FamilySpec("g4", {"a": 1, "b": 0, "mu": mu})) is GroupName.SL2R_COVER
-        assert identify_group(FamilySpec("g4", {"a": 0, "b": 0, "mu": mu})) is GroupName.E11_COVER
-        assert identify_group(FamilySpec("g4", {"a": 0, "b": mu, "mu": mu})) is GroupName.H3
-        assert identify_group(FamilySpec("g4", {"a": mu, "b": mu, "mu": mu})) is GroupName.E2_COVER
-        assert identify_group(FamilySpec("g4", {"a": -mu, "b": mu, "mu": mu})) is GroupName.E11_COVER
+        assert group_of("g4", a=1, b=0, mu=mu) is GroupName.SL2R_COVER
+        assert group_of("g4", a=0, b=0, mu=mu) is GroupName.E11_COVER
+        assert group_of("g4", a=0, b=mu, mu=mu) is GroupName.H3
+        assert group_of("g4", a=mu, b=mu, mu=mu) is GroupName.E2_COVER
+        assert group_of("g4", a=-mu, b=mu, mu=mu) is GroupName.E11_COVER
 
 
 def test_identify_group_riemannian():
     def uni(m1, m2, m3):
-        return FamilySpec("riemannian_unimodular", {"mu1": m1, "mu2": m2, "mu3": m3})
+        return group_of("riemannian_unimodular", mu1=m1, mu2=m2, mu3=m3)
 
-    assert identify_group(uni(1, 1, 1)) is GroupName.SU2
-    assert identify_group(uni(-1, -1, -1)) is GroupName.SU2
-    assert identify_group(uni(1, 1, -1)) is GroupName.SL2R_COVER
-    assert identify_group(uni(1, 0, 1)) is GroupName.E2_COVER
-    assert identify_group(uni(1, -1, 0)) is GroupName.E11_COVER
-    assert identify_group(uni(1, 0, 0)) is GroupName.H3
-    assert identify_group(uni(0, 0, 0)) is GroupName.R3
+    assert uni(1, 1, 1) is GroupName.SU2
+    assert uni(-1, -1, -1) is GroupName.SU2
+    assert uni(1, 1, -1) is GroupName.SL2R_COVER
+    assert uni(1, 0, 1) is GroupName.E2_COVER
+    assert uni(1, -1, 0) is GroupName.E11_COVER
+    assert uni(1, 0, 0) is GroupName.H3
+    assert uni(0, 0, 0) is GroupName.R3
 
 
 def test_group_names_stacked():
@@ -208,8 +211,8 @@ def test_group_names_near_degenerate_g1():
     assert np.linalg.det(c[[1, 2, 0], [2, 0, 1]]) == pytest.approx(-1e-12, rel=1e-9)
     assert group_names(c, 1e-9) is GroupName.E11_COVER
     assert group_names(c, 1e-13) is GroupName.SL2R_COVER
-    assert identify_group(FamilySpec("g1", {"a": 1.0, "b": 1e-4}), 1e-13) is GroupName.SL2R_COVER
-    assert identify_group(FamilySpec("g1", {"a": 1.0, "b": 1e-2}), 1e-9) is GroupName.SL2R_COVER
+    assert group_of("g1", 1e-13, a=1.0, b=1e-4) is GroupName.SL2R_COVER
+    assert group_of("g1", 1e-9, a=1.0, b=1e-2) is GroupName.SL2R_COVER
 
 
 def test_direct_sum_block_structure():

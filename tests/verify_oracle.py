@@ -8,10 +8,10 @@ contact.build_contact must give the same results, bit for bit."""
 import numpy as np
 
 from epscontact.config import get_tol
-from epscontact.contact import check_contact, is_k_contact, is_sasakian
+from epscontact.contact import check_contact
 from epscontact.curvature import koszul_components, ricci_components
 from epscontact.errors import EpsContactError, JacobiViolation, NotContact
-from epscontact.liealg import FAMILIES, identify_group, make_family, nine_params
+from epscontact.liealg import FAMILIES, group_names, make_family, nine_params
 from epscontact.oracle import LORENTZ_FAMILIES, OracleReport, sample_spec
 from epscontact.tables import InstanceReport, TableRowReport
 
@@ -55,7 +55,7 @@ def verify_instance(inst, tol=None) -> InstanceReport:
         return fail("contact_ok", f"epsilon {cs.epsilon} != expected {inst.epsilon}")
     report.checks["contact_ok"] = True
     if inst.group is not None:
-        found = identify_group(inst.spec, tol=tol)
+        found = group_names(cs.c, tol)
         if found != inst.group:
             return fail("group_ok", f"group {found.value} != expected {inst.group.value}")
         report.checks["group_ok"] = True
@@ -70,11 +70,11 @@ def verify_instance(inst, tol=None) -> InstanceReport:
             return fail("fit_ok", f"kappa {fit.kappa:.6g} != expected {inst.kappa:.6g}")
         report.checks["fit_ok"] = True
     if inst.sasakian is not None:
-        if is_sasakian(cs, tol=tol) != inst.sasakian:
+        if cs.sasakian(tol) != inst.sasakian:
             return fail("sasakian_ok", f"sasakian != expected {inst.sasakian}")
         report.checks["sasakian_ok"] = True
     if inst.k_contact is not None:
-        if is_k_contact(cs, tol=tol)[0] != inst.k_contact:
+        if cs.k_contact(tol) != inst.k_contact:
             return fail("k_contact_ok", f"k_contact != expected {inst.k_contact}")
         report.checks["k_contact_ok"] = True
     report.passed = True
