@@ -208,7 +208,7 @@ def cmd_solution(args) -> tuple:
     else:
         sol = _solution_from_config(args.config, args.tol)
     res = product6d.verify_supergravity(sol)
-    identity = product6d.ricci_torsion_identity_residual(sol)
+    identity = float(product6d.ricci_torsion_identity_residual(sol))
     passed = res.is_solution(args.tol) and identity <= args.tol
     item = {
         "lambda": sol.lam,

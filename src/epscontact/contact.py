@@ -1,13 +1,13 @@
 """Contact metric structures on three-dimensional Lie groups with Reeb field
 of any causal type (time-like, space-like, or null), and their derived
-objects: characteristic endomorphism phi, h = L_xi phi, l(v) = R(v, xi)xi,
-adapted frames and the contact identity suite. ContactBatch checks stacked
-one-forms at once and holds the data of the structures they give, for the
-table rows, the catalog factors and the scan; a ContactStructure is the
-batch of one one-form. Each predicate is defined once, on the batch: the
-eta-Einstein fit, the null factor mu of h = mu xi (x) alpha, Sasakian,
-K-contact, the light-cone frame (xi, u, phi(u)) with its bracket
-coefficients, and the Nijenhuis tensor of the nilpotent J of the null case.
+objects: characteristic endomorphism phi, h = L_xi phi, l(v) = R(v, xi)xi
+and adapted frames. ContactBatch checks stacked one-forms at once and holds
+the data of the structures they give, for the table rows, the catalog
+factors and the scan; a ContactStructure is the batch of one one-form. Each
+predicate is defined once, on the batch: the eta-Einstein fit, the null
+factor mu of h = mu xi (x) alpha, Sasakian, K-contact, the light-cone frame
+(xi, u, phi(u)) with its bracket coefficients, the Nijenhuis tensor of the
+nilpotent J of the null case, and the contact identity suite.
 
 Endomorphisms are 3x3 (4x4 for J) matrices acting on frame-component column
 vectors: (E v)^i = sum_j E[i][j] v^j.
@@ -186,7 +186,7 @@ class ContactBatch:
     and riemann tensors, h, the null factor, the L_xi g witness and the
     light-cone frame) is computed on first use, on every row, by the stacked
     formulas below, and kept in read-only arrays; the predicates (fit, mu,
-    sasakian, k_contact, nijenhuis) are read off it.
+    sasakian, k_contact, nijenhuis, identity_residuals) are read off it.
     """
 
     def __init__(self, c: np.ndarray, m: FrameMetric, orientation, alpha: np.ndarray,
@@ -413,6 +413,55 @@ class ContactBatch:
         involutive = np.abs(coefficients[..., 1, 1:]).max(axis=-1) <= tol
         return np.abs(nj).max(axis=(-2, -1)), involutive
 
+    def identity_residuals(self) -> dict:
+        """Per structural identity that every contact structure obeys, max
+        |term| over the batch axes, from one reduction over the terms laid end
+        to end; all ~0. Eight hold for every causal type, then ricci_reeb and
+        blair, Blair's 1/2 (l - s_g eps phi l phi) = -1/4 (phi^2 + s_g eps h^2),
+        for eps != 0, or phi_cubed and the light-cone bracket pattern for
+        eps = 0. Each ties phi, xi and eps, built from alpha alone, to the
+        brackets (through d alpha, ad_xi, Gamma, Ric or R) or to |alpha|^2, so
+        each can fail where alpha is not contact. WrongCausalType for a batch
+        of null and non-null rows."""
+        nonnull = np.count_nonzero(self.eps)
+        if 0 < nonnull < self.eps.size:
+            raise WrongCausalType("the identity suite takes rows of one causal type: null or not")
+        sg, alpha, xi, phi, ad, h = self.m.s_g, self.alpha, self.xi, self.phi, self.ad_xi, self.h
+        eps, eta = self.eps[..., None, None], self.m.eta[:, None]  # g @ x is eta * x
+        phi2, g_h, col, eps_id = phi @ phi, eta * h, xi[..., :, None], eps * _EYE3
+        xa, dmat = col * alpha[..., None, :], ad_components(xi, self.gamma)  # dmat v = nabla_xi v
+        nabla_xi = (xi[..., None, None, :] @ self.gamma)[..., 0, :].swapaxes(-1, -2)
+        terms = {
+            "g_phi_is_dalpha": eta * phi - antisymmetric_array(self.dalpha, 3, 2),
+            "phi_squared": phi2 - sg * (xa - eps_id),
+            "nabla_xi_xi": dmat @ col,
+            "nabla_xi_phi": dmat @ phi - phi @ dmat,
+            "h_phi_anticommute": h @ phi + phi @ h,
+            "lie_xi_alpha": -alpha[..., None, :] @ ad,
+            "h_symmetric": g_h - g_h.swapaxes(-1, -2),
+            # 2 phi(nabla xi) = h + s_g (eps Id - xi (x) alpha)
+            "reeb_gradient_eq": 2.0 * phi @ nabla_xi - h - sg * (eps_id - xa),
+        }
+        if nonnull:
+            h2, l, se = h @ h, l_components(self.riemann, xi), sg * eps
+            tr_h2 = np.trace(h2, axis1=-2, axis2=-1)[..., None, None]
+            terms["ricci_reeb"] = xi[..., None, :] @ self.ricci @ col - se * (0.5 - 0.25 * tr_h2)
+            terms["blair"] = 0.5 * (l - se * phi @ l @ phi) + 0.25 * (phi2 + se * h2)
+        else:
+            terms["phi_cubed"] = phi2 @ phi
+            # the frame coefficients of [xi, u], [xi, phi(u)], [u, phi(u)] (lightcone)
+            mu, c = self.mu()[..., None], self.lightcone[1]
+            terms["lightcone_brackets"] = np.concatenate([
+                c[..., 0, 1, None],                              # [xi,u] has no u part
+                c[..., 1, 1:],                                   # [xi,phi(u)] proportional to xi
+                c[..., 1, 0, None] - (mu - c[..., 0, 2, None]),  # with coefficient mu - c
+                c[..., 2, 1, None] - 1.0,                        # [u,phi(u)] = e xi + u + f phi(u)
+            ], axis=-1)
+        flat = [t.reshape(self.eps.shape + (-1,)) for t in terms.values()]
+        starts = list(itertools.accumulate([t.shape[-1] for t in flat][:-1], initial=0))
+        worst = np.maximum.reduceat(np.abs(np.concatenate(flat, axis=-1)), starts, axis=-1)
+        return dict(zip(terms, worst.transpose(-1, *range(worst.ndim - 1))))
+
 
 class ContactStructure(ContactBatch):
     """The ContactBatch of one one-form alpha (3,) over one bracket table c
@@ -527,6 +576,11 @@ def h_components(ad: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return ad @ phi - phi @ ad
 
 
+def l_components(riemann: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """l(v) = R(v, xi) xi, l[m, j] = R[j, a, b, m] xi^a xi^b, (..., 3, 3) on stacks."""
+    return np.einsum("...jabm,...a,...b->...mj", riemann, xi, xi)
+
+
 def _null_dual(alpha: np.ndarray) -> np.ndarray:
     """u = alpha / |alpha|^2_E (..., 3), the componentwise dual of stacked
     one-forms alpha (..., 3): null iff alpha is, with alpha(u) = 1."""
@@ -590,71 +644,17 @@ def contact_frame(cs: ContactStructure):
 
     Deterministic tie-break: for eps != 0, u is the first vector of the
     ker(alpha) basis (see _ker_alpha_basis) whose norm has the required sign;
-    for eps = 0, u is the unique null vector with g(u, xi) = 1 lying in the
-    span of the sign-flipped dual of alpha.
+    for eps = 0, the rows of ContactBatch.lightcone: u is the unique null
+    vector with g(u, xi) = 1 in the span of the sign-flipped dual of alpha.
     """
-    xi, alpha, eps = cs.xi, cs.alpha, cs.epsilon
-    if eps == 0:
-        u = _null_dual(alpha)
-    else:
-        b = _ker_alpha_basis(cs)  # ker(alpha) holds a vector of sign s_g eps
-        fits = np.sign(cs.m.eta @ (b * b)) == np.sign(cs.m.s_g * eps)
-        u = _lead_positive(b[:, np.argmax(fits)])
-    return xi, u, cs.phi @ u
-
-
-def l_endo(cs: ContactStructure) -> np.ndarray:
-    """l(v) = R(v, xi) xi via the Levi-Civita curvature."""
-    xi = cs.xi
-    # l[m][j] = R[j, a, b, m] xi^a xi^b
-    return np.einsum("jabm,a,b->mj", cs.riemann, xi, xi)
+    if cs.epsilon == 0:
+        return tuple(cs.lightcone[0])
+    b = _ker_alpha_basis(cs)  # ker(alpha) holds a vector of sign s_g eps
+    fits = np.sign(cs.m.eta @ (b * b)) == np.sign(cs.m.s_g * cs.epsilon)
+    u = _lead_positive(b[:, np.argmax(fits)])
+    return cs.xi, u, cs.phi @ u
 
 
 def contact_identity_residuals(cs: ContactStructure) -> dict:
-    """Residuals of the structural identities every contact structure obeys
-    (plus the null-case extras when epsilon = 0); all should be ~0. Each is
-    the max-abs of its identity's terms (see _identity_terms), all taken in
-    one reduction over the terms laid end to end."""
-    terms = _identity_terms(cs)
-    starts = list(itertools.accumulate([r.size for r in terms.values()][:-1], initial=0))
-    worst = np.maximum.reduceat(np.abs(np.concatenate(list(terms.values()), axis=None)), starts)
-    return dict(zip(terms, worst.tolist()))
-
-
-def _identity_terms(cs: ContactStructure) -> dict:
-    """The terms, by identity, that vanish on every contact structure, ten
-    per structure. Each ties phi, xi and eps, built from alpha alone, to the
-    brackets (through d alpha, ad_xi, Gamma, Ric or R) or to |alpha|^2, so
-    each can fail where alpha is not contact. blair is Blair's identity
-    1/2 (l - s_g eps phi l phi) = -1/4 (phi^2 + s_g eps h^2)."""
-    sg, eps, alpha, xi, phi = cs.m.s_g, cs.epsilon, cs.alpha, cs.xi, cs.phi
-    eta, ad, h = cs.m.eta[:, None], cs.ad_xi, cs.h  # g @ x is eta * x
-    phi2, xa, g_h = phi @ phi, xi[:, None] * alpha, eta * h  # xa = xi (x) alpha
-    dmat = ad_components(xi, cs.gamma)  # v -> nabla_xi v on the frame
-    res = {
-        "g_phi_is_dalpha": eta * phi - antisymmetric_array(cs.dalpha, 3, 2),
-        "phi_squared": phi2 - sg * (-eps * _EYE3 + xa),
-        "nabla_xi_xi": dmat @ xi,
-        "nabla_xi_phi": dmat @ phi - phi @ dmat,
-        "h_phi_anticommute": h @ phi + phi @ h,
-        "lie_xi_alpha": -alpha @ ad,
-        "h_symmetric": g_h - g_h.T,
-        # 2 phi(nabla xi) = h + s_g (eps Id - xi (x) alpha)
-        "reeb_gradient_eq": 2.0 * phi @ (xi @ cs.gamma).T - h - sg * (eps * _EYE3 - xa),
-    }
-    if eps != 0:
-        h2, l, se = h @ h, l_endo(cs), sg * eps
-        res["ricci_reeb"] = xi @ cs.ricci @ xi - se * (0.5 - 0.25 * np.trace(h2))
-        res["blair"] = 0.5 * (l - se * phi @ l @ phi) + 0.25 * (phi2 + se * h2)
-    else:
-        res["phi_cubed"] = phi2 @ phi
-        # light-cone bracket pattern: the frame coefficients of [xi, u],
-        # [xi, phi(u)] and [u, phi(u)] (see ContactBatch.lightcone)
-        mu, (c1, c2, c3) = cs.mu(), cs.lightcone[1]
-        res["lightcone_brackets"] = np.array([
-            c1[1],                 # [xi,u] has no u part
-            c2[1], c2[2],          # [xi,phi(u)] proportional to xi
-            c2[0] - (mu - c1[2]),  # with coefficient mu - c
-            c3[1] - 1.0,           # [u,phi(u)] = e xi + u + f phi(u)
-        ])
-    return res
+    """ContactBatch.identity_residuals of one structure, as Python floats."""
+    return {name: float(r) for name, r in cs.identity_residuals().items()}

@@ -229,13 +229,13 @@ def verify_supergravity(sol: ProductSolution) -> SugraResiduals:
     return SugraResiduals(*(float(r) for r in field_residuals(sol)))
 
 
-def ricci_torsion_identity_residual(sol: ProductSolution) -> float:
+def ricci_torsion_identity_residual(sol: ProductSolution) -> np.ndarray:
     """Residual of Ric(nabla^H) = Ric^g - (1/4) H o H, valid whenever H is
-    closed and co-closed. Ric^g is the direct sum of the factors' (cached)
-    Ricci tensors."""
+    closed and co-closed, over the batch axes of sol (an np.float64 for one
+    solution). Ric^g is the direct sum of the factors' (cached) Ricci tensors."""
     ric_g = direct_sum_components(sol.n_struct.ricci, sol.x_struct.ricci, rank=2)
     square = three_form_square(sol.h_array, sol.m6)
-    return float(np.max(np.abs(sol.torsion_ricci - (ric_g - 0.25 * square))))
+    return np.max(np.abs(sol.torsion_ricci - (ric_g - 0.25 * square)), axis=(-2, -1))
 
 
 # --- catalog of product rows ----------------------------------------------------

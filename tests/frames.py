@@ -232,10 +232,12 @@ def reeb_curvature_residual(cs, fit) -> float:
 def lightcone_brackets(cs, mu) -> np.ndarray:
     """The light-cone bracket pattern of a null structure with h = mu xi (x)
     alpha, from the frame coefficients of [xi, u], [xi, phi(u)] and
-    [u, phi(u)] by np.linalg.solve in the frame of contact_frame: the
-    reference for the lightcone_brackets term of the identity suite."""
-    frame = contact_frame(cs)
-    _, u, phiu = frame
+    [u, phi(u)] by np.linalg.solve in the frame (xi, u, phi(u)) with
+    u = alpha / |alpha|^2_E: the reference for the lightcone_brackets term of
+    the identity suite."""
+    u = cs.alpha / np.sum(cs.alpha * cs.alpha)
+    phiu = cs.phi @ u
+    frame = (cs.xi, u, phiu)
     ad = cs.ad_xi
     c1, c2, c3 = np.linalg.solve(
         np.stack(frame, axis=1),

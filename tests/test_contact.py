@@ -11,18 +11,18 @@ from homothety import HOMOTHETY_CASES, homothety_structures
 from epscontact import contact, curvature, tables
 from epscontact.contact import (
     ContactBatch,
-    _identity_terms,
     build_contact,
     check_contact,
     contact_frame,
     contact_identity_residuals,
     h_components,
-    l_endo,
+    l_components,
     lie_metric_components,
     null_factor,
     phi_components,
 )
-from epscontact.errors import EpsContactError, JacobiViolation, NotContact, WrongCausalType
+from epscontact.errors import (DecompositionFailure, EpsContactError, JacobiViolation, NotContact,
+                               WrongCausalType)
 from epscontact.exterior import FrameMetric
 from epscontact.liealg import FAMILIES, FamilySpec, ad_components, make_family, nine_params
 
@@ -264,6 +264,23 @@ def test_h_tensor_decomposition_and_mu():
     assert np.max(np.abs(cs3.h)) < 1e-14 and np.isnan(cs3.mu())
 
 
+def test_mu_bound_scales_with_mu():
+    # h = mu xi (x) alpha is rounded at the size of mu, so a null row's
+    # residual is held to 100 tol max(1, |mu|): 0.1 at |mu| = 1e6, tol = 1e-9.
+    # Residuals between tol and that bound pass, one above it raises; a bound
+    # of tol, 100 tol or tol max(1, |mu|) rejects the passing ones
+    tol, alpha = 1e-9, np.array([[1.0, 1.0, 0.0], [1.0, 0.6, -0.8]])
+    for residual, passes in ((1e-3, True), (0.09, True), (0.11, False)):
+        batch = check_contact(np.stack([g3(1, 1, 1)] * 2), L3, 1, alpha)
+        batch.__dict__["null"] = np.array([[-1e6, residual], [0.5, 0.0]])
+        if passes:
+            assert batch.mu(tol).tolist() == [-1e6, 0.5]
+            assert batch.sasakian(tol).tolist() == [True, True]
+        else:
+            with pytest.raises(DecompositionFailure, match="1.100e-01"):
+                batch.mu(tol)
+
+
 def test_contact_frame_timelike():
     cs = make_cs(g3(1, 1, 1), [1, 0, 0])
     xi, u, phiu = contact_frame(cs)
@@ -347,7 +364,7 @@ def test_j_matrix_constant_normal_form():
 
 def test_l_endo():
     cs = make_cs(g3(1, 1, 1), [1, 0, 0])
-    lmat = l_endo(cs)
+    lmat = l_components(cs.riemann, cs.xi)
     assert np.max(np.abs(lmat @ cs.xi)) < 1e-14
     # eta-Einstein instance: l = K (eps Id - xi (x) alpha), K = s_g(lambda^2 - eps kappa)/4
     kconst = -1.0 * (1.0 - 0.0 * (-1)) / 4.0
@@ -395,7 +412,6 @@ def test_h_decomposition_guard_on_invalid_structure():
     # bypassing the contact check with a null alpha that is NOT contact leaves
     # an h tensor that no longer factors as mu xi (x) alpha
     from epscontact.contact import ContactStructure
-    from epscontact.errors import DecompositionFailure
 
     g1 = make_family(FamilySpec("g1", {"a": 1.0, "b": 0.3}))  # needs b = s for contact
     fake = ContactStructure(g1, L3, 1, [1.0, 0.6, -0.8])  # check_contact would raise
@@ -802,12 +818,33 @@ def test_stacked_predicates_equal_single_structures_on_every_table_row(table_str
     assert (null, sasakian, k_contact, nonsasakian) == (604, 350, 250, 254)
 
 
-def test_identity_residuals_equal_per_identity_maxima(table_structures):
-    """The one reduction gives each identity's max-abs, as a float per name."""
-    for cs in table_structures:
-        want = {name: float(np.max(np.abs(r))) for name, r in _identity_terms(cs).items()}
-        got = contact_identity_residuals(cs)
-        assert repr(got) == repr(want)
+def test_stacked_identity_suite_equals_single_structures_on_every_table_row(table_structures):
+    """On each table row's stacked batch, identity_residuals is each built
+    structure's contact_identity_residuals bit for bit, with the same names
+    in the same order and a Python float per name for the structure; on
+    batch axes of any shape it gives arrays of that shape. A batch of null
+    and non-null rows raises, as lightcone does."""
+    structures, batches = iter(table_structures), 0
+    for row in (row for rows in tables.TABLES.values() for row in rows):
+        insts = row.instances()
+        batch = ContactBatch.from_specs([i.spec for i in insts], [i.alpha for i in insts])
+        group = [next(structures) for _ in insts]
+        got = batch.identity_residuals()
+        for k, cs in enumerate(group):
+            want = contact_identity_residuals(cs)
+            assert list(got) == list(want) and {type(v) for v in want.values()} == {float}
+            assert same_bits([got[name][k] for name in got], list(want.values())), (cs.spec, cs.alpha)
+        batches += 1
+    assert batches == 40
+    alpha = np.array([[1.0, 1.0, 0.0], [1.0, 0.6, -0.8], [2.0, 0.0, 2.0], [1.0, 0.0, 1.0]])
+    square = check_contact(np.stack([g3(1, 1, 1)] * 4).reshape(2, 2, 3, 3, 3), L3, 1,
+                           alpha.reshape(2, 2, 3))
+    assert {v.shape for v in square.identity_residuals().values()} == {(2, 2)}
+    alpha = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])  # null, then time-like
+    mixed = check_contact(np.stack([g3(1, 1, 1)] * 2), L3, 1, alpha)
+    assert mixed.ok.all()
+    with pytest.raises(WrongCausalType):
+        mixed.identity_residuals()
 
 
 # --- the identity suite: terms that hold on contact structures and can fail ----
@@ -820,7 +857,7 @@ IDENTITY_TERMS = ("g_phi_is_dalpha", "phi_squared", "nabla_xi_xi", "nabla_xi_phi
 def test_identity_suite_names(case):
     cs = causal_case(case)
     extras = ("phi_cubed", "lightcone_brackets") if cs.epsilon == 0 else ("ricci_reeb", "blair")
-    assert tuple(_identity_terms(cs)) == IDENTITY_TERMS + extras
+    assert tuple(contact_identity_residuals(cs)) == IDENTITY_TERMS + extras
 
 
 # per term, a causal case whose alpha (by index) or bracket coefficient
@@ -863,28 +900,41 @@ def test_identity_term_fails_on_its_mutant(term):
 
 
 def test_identity_mutants_cover_every_term():
-    names = {name for case in CAUSAL_CASES for name in _identity_terms(causal_case(case))}
+    names = {name for case in CAUSAL_CASES for name in contact_identity_residuals(causal_case(case))}
     assert set(IDENTITY_MUTANTS) == names and len(names) == 12
 
 
 def test_lightcone_brackets_bit_equal_to_solve_in_contact_frame(table_structures):
-    """The suite's light-cone term, solved by the gufunc in a frame filled in
-    place, is np.linalg.solve's in the frame of contact_frame, bit for bit,
-    on every null table structure and on the null mutants."""
+    """The suite's light-cone residual, solved by the gufunc in a frame
+    filled in place, is the max |.| of np.linalg.solve's pattern in the null
+    frame derived on its own (frames.lightcone_brackets), bit for bit, on
+    every null table structure and on the null mutants."""
     null = [cs for cs in table_structures if cs.epsilon == 0]
     assert len(null) == 604
     mutants = [mutant(*where) for where in IDENTITY_MUTANTS.values() if where[0] == "null"]
     assert len(mutants) == 2 and not any(cs.ok for cs in mutants)
     for cs in null + mutants:
-        want = lightcone_brackets(cs, cs.mu())
-        assert same_bits(_identity_terms(cs)["lightcone_brackets"], want), (cs.spec, cs.alpha)
+        want = float(np.max(np.abs(lightcone_brackets(cs, cs.mu()))))
+        assert same_bits(contact_identity_residuals(cs)["lightcone_brackets"], want), (cs.spec, cs.alpha)
+
+
+def test_null_contact_frame_is_the_lightcone_frame(table_structures):
+    """A null structure's adapted frame is the rows of its light-cone frame,
+    with the bits of xi, u = alpha / |alpha|^2_E and phi(u) derived on their
+    own, on all 604 null table structures."""
+    null = [cs for cs in table_structures if cs.epsilon == 0]
+    assert len(null) == 604
+    for cs in null:
+        u = cs.alpha / np.sum(cs.alpha * cs.alpha)
+        assert same_bits(cs.frame, [cs.xi, u, cs.phi @ u]), (cs.spec, cs.alpha)
+        assert same_bits(cs.frame, cs.lightcone[0])
 
 
 def test_lightcone_brackets_singular_frame_raises_as_solve_does():
     cs = causal_case("null")
     cs.__dict__["phi"] = np.zeros((3, 3))  # phi(u) = 0: the frame (xi, u, phi(u)) is singular
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        _identity_terms(cs)
+        contact_identity_residuals(cs)
 
 
 @pytest.fixture(scope="module")
@@ -895,7 +945,8 @@ def homothety_population():
 
 def relative_scale(cs):
     """max(1, max |l|, max |h^2|): the size the identities' terms are rounded at."""
-    return max(1.0, float(np.abs(l_endo(cs)).max()), float(np.abs(cs.h @ cs.h).max()))
+    return max(1.0, float(np.abs(l_components(cs.riemann, cs.xi)).max()),
+               float(np.abs(cs.h @ cs.h).max()))
 
 
 def test_homothety_population_is_generic(homothety_population):
@@ -930,7 +981,7 @@ def test_phi_and_h_hold_by_construction(table_structures, homothety_population):
     for cs in table_structures + homothety_population:
         phi, h, g_phi = cs.phi, cs.h, cs.m.eta[:, None] * cs.phi
         terms = [phi @ cs.xi, cs.alpha @ phi, g_phi + g_phi.T, h @ cs.xi, np.trace(h),
-                 np.trace(h @ phi), l_endo(cs) @ cs.xi]
+                 np.trace(h @ phi), l_components(cs.riemann, cs.xi) @ cs.xi]
         if cs.epsilon == 0:
             terms += [phi @ h, h @ phi]
         worst = max(float(np.max(np.abs(t))) for t in terms)

@@ -586,6 +586,29 @@ def test_stacked_formulas_bit_equal_to_single_solutions():
     assert not any(a.flags.writeable for a in held.values())
 
 
+def test_torsion_identity_of_verify_row_stacks_bit_equal_to_single_solutions(monkeypatch):
+    # ricci_torsion_identity_residual takes the stacked ProductSolution of each
+    # catalog row's _verify_row whole: at DEFAULT_L_SAMPLES its residuals are
+    # those of each solution built alone, an np.float64 each, bit for bit
+    stacks, field_residuals = [], p6.field_residuals
+
+    def keep(sol):
+        stacks.append(sol)
+        return field_residuals(sol)
+
+    monkeypatch.setattr(p6, "field_residuals", keep)
+    solutions = 0
+    for row in p6.CATALOG:
+        ls = row.ls(p6.DEFAULT_L_SAMPLES)
+        assert all(r.passed for r in p6._verify_row(row, p6.DEFAULT_L_SAMPLES, get_tol()))
+        got = p6.ricci_torsion_identity_residual(stacks.pop())
+        want = [p6.ricci_torsion_identity_residual(p6.build_solution(*row.build(l), l)) for l in ls]
+        assert {type(w) for w in want} == {np.float64}
+        assert same_bits(got, want), row.name
+        solutions += len(ls)
+    assert solutions == 41 and not stacks
+
+
 def product_forms(a, b, o_n, o_x):
     """nu_N, (*a) ^ b, a ^ (*b) and nu_X, (4, 20), for one-forms a on the
     Lorentzian and b on the Riemannian factor: the gather of torsion_form."""
